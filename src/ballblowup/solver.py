@@ -2,6 +2,12 @@
 by shooting on the center height, with continuation in eps and identity-based
 diagnostics (energy identity, dilation Pohozaev identity, Green representation,
 Sobolev quotient).
+
+The center height is found by Newton on the endpoint map u(R; M), its
+derivative carried by the variational equation as two extra states of a lean
+shooting integration (shooting with sensitivities); a bracket scan and Brent
+remain as the fallback.  The quadrature integrals ride only on the single
+final integration of the converged profile.
 """
 
 from __future__ import annotations
@@ -109,30 +115,26 @@ class RadialSolution:
     def R(self) -> float:
         return self.config.domain.R
 
+    def _state_at(self, r):
+        """(u, u') at r, vectorized over any shape; below delta the Taylor
+        start applies."""
+        r = np.asarray(r, dtype=float)
+        out = np.empty((2,) + r.shape)
+        small = r <= self.delta
+        if np.any(small):
+            out[:, small] = taylor_start(self.M, float(self.config.m(0.0)), r[small])
+        if np.any(~small):
+            out[:, ~small] = self.dense(r[~small])[:2]
+        return out
+
     def u_at(self, r):
         """Dense evaluation of u; vectorized."""
-        scalar = np.ndim(r) == 0
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        small = r <= self.delta
-        if np.any(small):
-            u0, _ = taylor_start(self.M, float(self.config.m(0.0)), r[small])
-            out[small] = u0
-        if np.any(~small):
-            out[~small] = self.dense(r[~small])[0]
-        return float(out[0]) if scalar else out
+        out = self._state_at(np.atleast_1d(r))[0]
+        return float(out[0]) if np.ndim(r) == 0 else out
 
     def uprime_at(self, r):
-        scalar = np.ndim(r) == 0
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        small = r <= self.delta
-        if np.any(small):
-            _, up = taylor_start(self.M, float(self.config.m(0.0)), r[small])
-            out[small] = up
-        if np.any(~small):
-            out[~small] = self.dense(r[~small])[1]
-        return float(out[0]) if scalar else out
+        out = self._state_at(np.atleast_1d(r))[1]
+        return float(out[0]) if np.ndim(r) == 0 else out
 
     @property
     def sobolev_quotient(self) -> float:
@@ -171,20 +173,47 @@ def taylor_start(M: float, m: float, delta):
     return u, up
 
 
-def _rhs(cfg: ProblemConfig):
-    mfun = cfg.m
+def _coefficient(cfg: ProblemConfig):
+    """m = a + eps V for the right-hand sides: a float when constant (hoisted
+    out of the integrand), otherwise the effective coefficient's spline."""
+    m = cfg.effective_coefficient()
+    return m.constant if m.is_constant else m._spline
+
+
+def _shooting_rhs(m):
+    """Lean shooting system (u, u', w, w') with w = du/dM from the
+    variational equation w'' = (m - 15 u^4) w - 2 w'/r."""
+    const = not callable(m)
 
     def rhs(r, y):
-        u, up, *_ = y
-        m = mfun(r)
-        upp = m * u - 3.0 * u**5 - 2.0 * up / r
+        u, up, w, wp = y.tolist()
+        mr = m if const else float(m(r))
+        u4 = u**4
+        return [
+            up,
+            mr * u - 3.0 * u4 * u - 2.0 * up / r,
+            wp,
+            (mr - 15.0 * u4) * w - 2.0 * wp / r,
+        ]
+
+    return rhs
+
+
+def _finalize_rhs(m):
+    """(u, u') with the four quadrature integrals as augmented states."""
+    const = not callable(m)
+
+    def rhs(r, y):
+        u, up = y[:2].tolist()
+        mr = m if const else float(m(r))
+        upp = mr * u - 3.0 * u**5 - 2.0 * up / r
         u2 = u * u
         fourpi_r2 = 4.0 * math.pi * r * r
         return [
             up,
             upp,
             fourpi_r2 * up * up,      # int |grad u|^2
-            fourpi_r2 * m * u2,       # int (a + eps V) u^2
+            fourpi_r2 * mr * u2,      # int (a + eps V) u^2
             fourpi_r2 * u2**3,        # int u^6
             fourpi_r2 * u2,           # int u^2
         ]
@@ -200,19 +229,28 @@ _zero_event.terminal = True
 _zero_event.direction = -1
 
 
-def _integrate(M: float, cfg: ProblemConfig, dense: bool = False, events=True):
+def _integrate(M: float, cfg: ProblemConfig, finalize: bool = False, events=True):
+    """Integrate from the Taylor start at center height M to R: the shooting
+    system, or with ``finalize`` the integrals and dense output."""
     R = cfg.domain.R
     delta = 1e-6 * min(1.0, M**-2) if M > 0 else 1e-6
-    m0 = float(cfg.m(0.0))
+    m = _coefficient(cfg)
+    m0 = float(m(0.0)) if callable(m) else m
     u0, up0 = taylor_start(M, m0, delta)
+    if finalize:
+        rhs, y0 = _finalize_rhs(m), [u0, up0, 0.0, 0.0, 0.0, 0.0]
+    else:
+        # (w, w') start: the M-derivative of the Taylor start
+        c = m0 - 15.0 * M**4
+        rhs, y0 = _shooting_rhs(m), [u0, up0, 1.0 + c * delta**2 / 6.0, c * delta / 3.0]
     sol = integrate.solve_ivp(
-        _rhs(cfg),
+        rhs,
         (delta, R),
-        [u0, up0, 0.0, 0.0, 0.0, 0.0],
+        y0,
         method="DOP853",
         rtol=cfg.ode_tol,
         atol=cfg.ode_tol * max(1.0, M) * 1e-2,
-        dense_output=dense,
+        dense_output=finalize,
         events=_zero_event if events else None,
     )
     if not sol.success and sol.status != 1:
@@ -257,6 +295,35 @@ def _find_bracket(cfg: ProblemConfig, M_lo: float, M_hi: float, factor: float = 
     )
 
 
+def _newton(cfg: ProblemConfig, M: float, lo: float, hi: float, max_iter: int = 12):
+    """Newton on the endpoint map u(R; M) with du(R)/dM from the variational
+    states, integrated to R without the zero event (an iterate just above the
+    root crosses zero at r0 ~ R).
+
+    Stops once |dM| <= 1e-9 M, after taking that step, or at the noise floor
+    of the root: the integration error in u(R) fixes the root only to about
+    1e-12 / |du(R)/dM|, which passes 1e-9 M for lam above ~1e4, so a step
+    that no longer halves while |u(R)| <= shoot_tol also ends the iteration.
+    Returns None when the slope is not negative, an iterate leaves (lo, hi),
+    or there is no convergence in ``max_iter`` steps.
+    """
+    prev = math.inf
+    for _ in range(max_iter):
+        sol, _ = _integrate(M, cfg, events=False)
+        uR, wR = float(sol.y[0, -1]), float(sol.y[2, -1])
+        if not wR < 0.0:
+            return None
+        step = -uR / wR
+        M += step
+        if not lo < M < hi:
+            return None
+        stalled = abs(step) > 0.5 * prev and abs(uR) <= cfg.shoot_tol
+        if abs(step) <= 1e-9 * M or stalled:
+            return M
+        prev = abs(step)
+    return None
+
+
 def _pde_residual(sol_obj: "RadialSolution") -> float:
     """Scaled sup-norm residual of the radial ODE on sampled interior radii,
     using Richardson finite differences of the dense u' as an independent
@@ -265,24 +332,19 @@ def _pde_residual(sol_obj: "RadialSolution") -> float:
     R = cfg.domain.R
     lam_hat = sol_obj.M**2
     rs = np.geomspace(max(10 * sol_obj.delta, 1e-5 / max(lam_hat, 1.0)), 0.98 * R, 60)
-    res_max = 0.0
-    scale = 0.0
-    for r in rs:
-        h = 1e-4 * (r + 1.0 / max(lam_hat, 1.0))
-        h = min(h, 0.45 * r)
-        up = sol_obj.uprime_at
-        d1 = (up(r + h) - up(r - h)) / (2 * h)
-        d2 = (up(r + h / 2) - up(r - h / 2)) / h
-        upp_fd = (4 * d2 - d1) / 3.0
-        u = sol_obj.u_at(r)
-        rhs = float(cfg.m(r)) * u - 3.0 * u**5 - 2.0 * up(r) / r
-        res_max = max(res_max, abs(upp_fd - rhs))
-        scale = max(scale, abs(rhs), abs(upp_fd))
+    h = np.minimum(1e-4 * (rs + 1.0 / max(lam_hat, 1.0)), 0.45 * rs)
+    u, up = sol_obj._state_at(np.stack([rs + h, rs - h, rs + h / 2, rs - h / 2, rs]))
+    d1 = (up[0] - up[1]) / (2 * h)
+    d2 = (up[2] - up[3]) / h
+    upp_fd = (4 * d2 - d1) / 3.0
+    rhs = np.asarray(cfg.m(rs)) * u[4] - 3.0 * u[4] ** 5 - 2.0 * up[4] / rs
+    res_max = float(np.max(np.abs(upp_fd - rhs)))
+    scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(upp_fd))))
     return res_max / max(scale, 1.0)
 
 
 def _finalize(M: float, cfg: ProblemConfig) -> RadialSolution:
-    sol, delta = _integrate(M, cfg, dense=True, events=False)
+    sol, delta = _integrate(M, cfg, finalize=True, events=False)
     u = sol.y[0]
     interior = sol.t < cfg.domain.R * (1.0 - 1e-9)
     if np.any(u[interior] <= -cfg.shoot_tol):
@@ -315,24 +377,32 @@ def solve_profile(
     M_seed: float | None = None,
     M_scan: tuple[float, float] = (0.5, 1e4),
 ) -> RadialSolution:
-    """Ground-state profile by bracketing + Brent on the endpoint map.
+    """Ground-state profile by Newton on the endpoint map u(R; M), with
+    bracketing + Brent as the fallback.
 
-    ``M_seed`` (from continuation) narrows the bracket scan; diagnostics are
+    A continuation ``M_seed`` starts Newton directly, kept inside
+    (0.7, 1.45) M_seed; without one, a bracket scan over ``M_scan`` comes
+    first and Newton starts from its lower (positive) end, kept inside the
+    bracket.  Brent on a bracket runs when Newton fails (non-negative slope,
+    an iterate outside its window, or no convergence).  Diagnostics are
     populated on the converged profile.
     """
     if cfg.eps <= 0:
         raise ValueError("existence regime requires eps > 0")
     if M_seed is not None:
         lo, hi = 0.7 * M_seed, 1.45 * M_seed
-        try:
-            bracket = _find_bracket(cfg, lo, hi, factor=1.08)
-        except NoBracketError:
-            bracket = _find_bracket(cfg, *M_scan)
+        M = _newton(cfg, M_seed, lo, hi)
+        if M is None:
+            try:
+                bracket = _find_bracket(cfg, lo, hi, factor=1.08)
+            except NoBracketError:
+                bracket = _find_bracket(cfg, *M_scan)
     else:
         bracket = _find_bracket(cfg, *M_scan)
-
-    rr = brent_root(lambda M: _endpoint_map(M, cfg), bracket, tol=1e-13)
-    rs = _finalize(rr.root, cfg)
+        M = _newton(cfg, bracket[0], *bracket)
+    if M is None:
+        M = brent_root(lambda M: _endpoint_map(M, cfg), bracket, tol=1e-13).root
+    rs = _finalize(M, cfg)
     if abs(rs.diagnostics["endpoint"]) > cfg.shoot_tol:
         raise RuntimeError(
             f"endpoint {rs.diagnostics['endpoint']:.3e} above shoot_tol"

@@ -22,8 +22,9 @@ from ballblowup.asympt import (
 from ballblowup.bubble import pu_center, _u
 from ballblowup.greenfn import RadialCoefficient, ga_center
 from ballblowup.numkit import radial_quadrature_rule
+from ballblowup.solver import solve_profile
 
-from conftest import CRITICAL_A
+from conftest import CRITICAL_A, make_config
 
 const = RadialCoefficient.constant_coeff
 
@@ -118,6 +119,19 @@ class TestDecompose:
         d = decompose(u, 1.0, lam0, const(0.0), 1.0)
         assert abs(d.beta) <= 1e-6
         assert abs(d.gamma) <= 1e-8
+
+
+    def test_deep_rung(self):
+        # lam ~ 1.5e4: the Gram system over {PU, lam dlam PU} stays well
+        # conditioned, and the zero-mode coefficients sit near their limits
+        eps = 0.001
+        u = solve_profile(make_config(eps), M_seed=math.sqrt(math.pi**3 / (2 * eps)))
+        alpha, lam, _ = fit_bubble(u, 1.0)
+        assert lam > 1e4
+        d = decompose(u, alpha, lam, const(CRITICAL_A), 1.0)
+        assert d.beta == pytest.approx(BETA_TARGET, rel=0.01)
+        assert d.gamma == pytest.approx(GAMMA_TARGET, rel=0.01)
+        assert d.ortho_residual <= 1e-9
 
 
 class TestBetaGamma:

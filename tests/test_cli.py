@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballblowup import cli
 from ballblowup.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -95,6 +96,14 @@ class TestRunConfig:
     def test_hash_sensitivity(self):
         assert RunConfig().hash() != RunConfig(R=2.0).hash()
 
+    def test_partial_tolerances(self, tmp_path, capsys):
+        with pytest.raises(ConfigError) as ei:
+            RunConfig.from_dict({"tolerances": {"ode": 1e-10}})
+        assert ei.value.field_name == "tolerances"
+        cfg = write_cfg(tmp_path, tolerances={"ode": 1e-10})
+        assert main(["solve", "--config", cfg]) == EXIT_VALIDATION
+        assert "tolerances" in capsys.readouterr().err
+
 
 class TestLoadConfig:
     def test_default(self):
@@ -135,6 +144,14 @@ class TestScalarCommands:
         assert rep["phi_a_at_0"] == pytest.approx(1 / math.tan(1.0), abs=1e-10)
         assert rep["criticality"]["critical"] is False
 
+    def test_greens_default_critical(self, tmp_path):
+        # critical a: the criticality report carries numpy bools
+        out = tmp_path / "greens.json"
+        assert main(["greens", "--out", str(out)]) == EXIT_OK
+        crit = json.loads(out.read_text())["criticality"]
+        assert crit["critical"] is True
+        assert crit["nondegenerate"] is True
+
     def test_validation_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, eps_ladder=[0.01, 0.02])
         assert main(["critical", "--config", cfg]) == EXIT_VALIDATION
@@ -144,6 +161,22 @@ class TestScalarCommands:
         # eps so large the effective coefficient loses coercivity
         assert main(["solve", "--eps", "8.0"]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_solve_deep_rung(self, capsys):
+        # lam ~ 1.5e4, past where an unscaled zero-mode Gram system gives up
+        assert main(["solve", "--eps", "0.001"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["beta"] == pytest.approx(-16 / (3 * math.pi), rel=0.01)
+        assert rec["gamma"] == pytest.approx(128 / (15 * math.pi), rel=0.01)
+
+    def test_regime_error_exit_code(self, monkeypatch, capsys):
+        def outside(*args, **kwargs):
+            raise cli.asympt.RegimeError("outside the asymptotic regime")
+
+        monkeypatch.setattr(cli.asympt, "decompose", outside)
+        assert main(["solve", "--eps", "0.05"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "numerical failure" in err
 
 
 class TestSweepAndReport:
@@ -173,6 +206,47 @@ class TestSweepAndReport:
         redone = [json.loads(l) for l in rec_path.read_text().splitlines()]
         assert sorted(d["eps"] for d in redone) == sorted(SHORT_LADDER)
 
+    def test_analysis_failure_keeps_seed(self, tmp_path, monkeypatch):
+        seeds, masses = {}, {}
+        solve = cli.solver.solve_profile
+        records = cli.asympt.records_from_sweep
+
+        def solve_spy(pcfg, M_seed=None):
+            seeds[pcfg.eps] = M_seed
+            rs = solve(pcfg, M_seed=M_seed)
+            masses[pcfg.eps] = rs.M
+            return rs
+
+        def records_failing(sols, *args):
+            if sols[0].config.eps == SHORT_LADDER[1]:
+                raise cli.asympt.RegimeError("analysis failed")
+            return records(sols, *args)
+
+        monkeypatch.setattr(cli.solver, "solve_profile", solve_spy)
+        monkeypatch.setattr(cli.asympt, "records_from_sweep", records_failing)
+        cfg_path = write_cfg(tmp_path, eps_ladder=SHORT_LADDER)
+        rec_path = tmp_path / "r.jsonl"
+        assert main(["sweep", "--config", cfg_path, "--out", str(rec_path)]) == EXIT_NUMERICAL
+        status = [json.loads(l)["status"] for l in rec_path.read_text().splitlines()]
+        assert status == ["ok", "failed", "ok"]
+        e1, e2 = SHORT_LADDER[1:]
+        assert seeds[e2] == pytest.approx(masses[e1] * math.sqrt(e1 / e2), rel=1e-15)
+
+    def test_parallel_failure_recorded(self, tmp_path):
+        # eps = 8 breaks coercivity: that rung fails, the others still run
+        ladder = [8.0] + SHORT_LADDER[:2]
+        cfg_path = write_cfg(tmp_path, eps_ladder=ladder)
+        lines = {}
+        for workers in ("1", "2"):
+            rec_path = tmp_path / f"r{workers}.jsonl"
+            code = main(["sweep", "--config", cfg_path, "--out", str(rec_path),
+                         "--workers", workers])
+            assert code == EXIT_NUMERICAL
+            lines[workers] = [json.loads(l) for l in rec_path.read_text().splitlines()]
+        assert [d["eps"] for d in lines["2"]] == ladder
+        assert [d["status"] for d in lines["2"]] == ["failed", "ok", "ok"]
+        assert lines["2"][0] == lines["1"][0]
+
     def test_report_table(self, tmp_path, capsys, canonical_records):
         rec_path = write_records(tmp_path, canonical_records)
         csv_path = tmp_path / "table.csv"
@@ -188,6 +262,17 @@ class TestVerify:
         rec_path = write_records(tmp_path, canonical_records[:2])
         assert main(["verify", "--records", rec_path]) == EXIT_VALIDATION
         assert "insufficient data" in capsys.readouterr().err
+
+    def test_outside_trust_region(self, tmp_path, capsys, canonical_records):
+        import dataclasses
+
+        # two of four rungs below LAMBDA_TRUST: too few for any limit
+        low = [dataclasses.replace(r, lam=50.0) if i < 2 else r
+               for i, r in enumerate(canonical_records)]
+        rec_path = write_records(tmp_path, low)
+        assert main(["verify", "--records", rec_path]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "trust region" in err
 
     def test_canonical_pass(self, tmp_path, capsys, canonical_records):
         rec_path = write_records(tmp_path, canonical_records)

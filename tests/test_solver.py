@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from ballblowup import solver
 from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center
 from ballblowup.numkit import ode_solve, quad_radial
 from ballblowup.solver import (
@@ -17,7 +19,7 @@ from ballblowup.solver import (
     taylor_start,
 )
 
-from conftest import CRITICAL_A, make_config
+from conftest import CRITICAL_A, EPS_LADDER, make_config
 
 const = RadialCoefficient.constant_coeff
 
@@ -98,6 +100,111 @@ class TestSolveProfile:
         assert again.M == sol_005.M
         rs = np.linspace(0.1, 0.9, 9)
         assert np.array_equal(again.u_at(rs), sol_005.u_at(rs))
+
+
+    def test_pde_residual_matches_pointwise_loop(self, sol_005):
+        # reference: the residual evaluated one radius at a time
+        s = sol_005
+        lam_hat = s.M**2
+        rs = np.geomspace(max(10 * s.delta, 1e-5 / max(lam_hat, 1.0)), 0.98, 60)
+        res_max = scale = 0.0
+        for r in rs:
+            h = min(1e-4 * (r + 1.0 / max(lam_hat, 1.0)), 0.45 * r)
+            up = s.uprime_at
+            d1 = (up(r + h) - up(r - h)) / (2 * h)
+            d2 = (up(r + h / 2) - up(r - h / 2)) / h
+            upp_fd = (4 * d2 - d1) / 3.0
+            u = s.u_at(r)
+            rhs = float(s.config.m(r)) * u - 3.0 * u**5 - 2.0 * up(r) / r
+            res_max = max(res_max, abs(upp_fd - rhs))
+            scale = max(scale, abs(rhs), abs(upp_fd))
+        ref = res_max / max(scale, 1.0)
+        assert solver._pde_residual(s) == pytest.approx(ref, abs=1e-12)
+
+    def test_tabulated_coefficient(self, sol_005):
+        # V = -1 given as a table takes the spline path of the right-hand
+        # sides and must land on the constant-coefficient root
+        V = RadialCoefficient(values=[-1.0] * 5, abscissae=np.linspace(0.0, 1.0, 5))
+        cfg = ProblemConfig(domain=BallDomain(1.0), a=const(CRITICAL_A), V=V, eps=0.05)
+        s = solve_profile(cfg)
+        assert s.M == pytest.approx(sol_005.M, rel=1e-7)
+        assert abs(s.diagnostics["endpoint"]) <= cfg.shoot_tol
+        assert s.energy_identity_residual <= 1e-10
+        assert s.diagnostics["pde_residual"] <= 1e-8
+
+
+class TestNewton:
+    def test_sensitivity_matches_finite_difference(self):
+        cfg = make_config(0.02)
+        # the step balances truncation against the ~1e-12 noise in u(R)
+        M, dM = 27.0, 1e-3
+        sol, _ = solver._integrate(M, cfg, events=False)
+        hi, _ = solver._integrate(M + dM, cfg, events=False)
+        lo, _ = solver._integrate(M - dM, cfg, events=False)
+        fd = (hi.y[0, -1] - lo.y[0, -1]) / (2 * dM)
+        assert sol.y[2, -1] == pytest.approx(fd, rel=1e-6)
+
+    def test_seeded_rung_integrations(self, canonical_solutions, monkeypatch):
+        calls = []
+        orig = integrate.solve_ivp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "solve_ivp", counting)
+        prev = canonical_solutions[0]
+        eps = EPS_LADDER[1]
+        seed = prev.M * math.sqrt(prev.config.eps / eps)
+        s = solve_profile(make_config(eps), M_seed=seed)
+        assert len(calls) <= 4  # Newton iterations + the final integration
+        assert s.M == pytest.approx(canonical_solutions[1].M, rel=1e-9)
+
+    def test_deep_rung_stops_at_noise_floor(self, monkeypatch):
+        # at lam ~ 1.5e4 integration noise fixes the root only to ~1e-8
+        # relative; Newton must stop there, not fall back to Brent
+        calls, brent_calls = [], []
+        orig_ivp, orig_brent = integrate.solve_ivp, solver.brent_root
+
+        def counting_ivp(*args, **kwargs):
+            calls.append(1)
+            return orig_ivp(*args, **kwargs)
+
+        def counting_brent(*args, **kwargs):
+            brent_calls.append(1)
+            return orig_brent(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "solve_ivp", counting_ivp)
+        monkeypatch.setattr(solver, "brent_root", counting_brent)
+        eps = 0.001
+        s = solve_profile(make_config(eps), M_seed=math.sqrt(math.pi**3 / (2 * eps)))
+        assert not brent_calls
+        assert len(calls) <= 6
+        assert abs(s.diagnostics["endpoint"]) <= 1e-10
+
+    def test_agrees_with_brent(self, canonical_solutions, monkeypatch):
+        # the same continuation with every Newton solve failing
+        monkeypatch.setattr(solver, "_newton", lambda *args, **kwargs: None)
+        prev = None
+        for s_newton, eps in zip(canonical_solutions, EPS_LADDER):
+            seed = prev.M * math.sqrt(prev.config.eps / eps) if prev else None
+            prev = solve_profile(make_config(eps), M_seed=seed)
+            assert s_newton.M == pytest.approx(prev.M, rel=1e-7)
+
+    def test_bad_seed_falls_back(self, canonical_solutions, monkeypatch):
+        brent_calls = []
+        orig = solver.brent_root
+
+        def counting(*args, **kwargs):
+            brent_calls.append(1)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "brent_root", counting)
+        good = canonical_solutions[1]
+        s = solve_profile(make_config(good.config.eps), M_seed=1.4 * good.M)
+        assert brent_calls
+        assert s.M == pytest.approx(good.M, rel=1e-7)
+        assert abs(s.diagnostics["endpoint"]) <= s.config.shoot_tol
 
 
 class TestSweep:
