@@ -78,7 +78,7 @@ def fit_bubble(u: RadialSolution, R: float | None = None) -> tuple[float, float,
 
     res = optimize.minimize_scalar(
         misfit,
-        bracket=(math.log(lam0 * 0.9), math.log(lam0), math.log(lam0 * 1.1)),
+        bracket=_log_bracket(misfit, lam0),
         method="brent",
         options={"xtol": 1e-12},
     )
@@ -86,6 +86,25 @@ def fit_bubble(u: RadialSolution, R: float | None = None) -> tuple[float, float,
     pup = bb.u_prime(lam, nodes)
     alpha = _ip(wts, nodes, upv, pup) / _ip(wts, nodes, pup, pup)
     return float(alpha), float(lam), math.sqrt(max(res.fun, 0.0))
+
+
+def _log_bracket(f, lam0: float):
+    """Bracket (lo, mid, hi) in log lam of a minimum of f around lam0.
+
+    Starts at the logs of (0.9, 1, 1.1) lam0 and squares each outer factor
+    in turn until f(mid) lies below f at both ends.  At low lam the fit's
+    minimum can sit well below u(0)^2, outside the starting triple.
+    """
+    mid = math.log(lam0)
+    f_mid = f(mid)
+    ends = []
+    for factor in (0.9, 1.1):
+        while f(math.log(lam0 * factor)) <= f_mid:
+            factor *= factor
+            if not 1e-3 <= factor <= 1e3:
+                raise RegimeError("fit_bubble: no minimum within 3 decades of u(0)^2")
+        ends.append(math.log(lam0 * factor))
+    return ends[0], mid, ends[1]
 
 
 @dataclass
@@ -495,23 +514,25 @@ def coercivity_probe(
 ) -> float:
     """Empirical coercivity constant of the linearized form.
 
-    Draws random radial fields vanishing on the boundary, removes the
-    zero-mode span {PU, dlam PU} in the gradient inner product, and returns
-    the minimum of
+    Draws random radial fields v = sum c_i m_i from ``n_modes`` modes
+    vanishing on the boundary, with the zero-mode span {PU, dlam PU}
+    removed in the gradient inner product, and returns the minimum of
 
         int(|grad v|^2 + a v^2 - 15 U^4 v^2) / int |grad v|^2
 
-    over the samples.  With a = None the coefficient term is dropped
-    (whole-space control, where the bound 4/7 applies for radial fields).
+    over the samples.  Both integrals are quadratic forms in c: the modes
+    are projected once, the two n_modes x n_modes Gram matrices are formed
+    once, and each sample costs two small quadratic forms.  With a = None
+    the coefficient term is dropped (whole-space control, where the bound
+    4/7 applies for radial fields).
     """
     rng = np.random.default_rng(seed)
     nodes, wts = _rule(lam, R, n_panels=220, n_gauss=10)
-    r2 = nodes**2
+    r2w = 4.0 * math.pi * wts * nodes**2
 
     pb = bb.pu_center(lam, R)
-    basis_p = [pb.pu_prime(nodes), pb.dlam_pu_prime(nodes)]
-    basis_v = [pb.pu(nodes), pb.dlam_pu(nodes)]
-    G = np.array([[_ip(wts, nodes, bi, bj) for bj in basis_p] for bi in basis_p])
+    basis_p = np.array([pb.pu_prime(nodes), pb.dlam_pu_prime(nodes)])
+    basis_v = np.array([pb.pu(nodes), pb.dlam_pu(nodes)])
 
     ks = np.array([j * math.pi / R for j in range(1, n_modes + 1)])
     # modes sin(k r)/(k r): regular at 0, vanishing at R
@@ -519,20 +540,19 @@ def coercivity_probe(
     kr = ks[:, None] * nodes[None, :]
     mode_p = (np.cos(kr) - np.sinc(kr / math.pi)) / nodes[None, :]
 
-    u4 = bb._u(lam, nodes) ** 4
-    a_vals = np.asarray(a(nodes)) if a is not None else 0.0
+    # project every mode off the zero-mode span
+    G = (basis_p * r2w) @ basis_p.T
+    coef = np.linalg.solve(G, (basis_p * r2w) @ mode_p.T)
+    mode_v = mode_v - coef.T @ basis_v
+    mode_p = mode_p - coef.T @ basis_p
 
-    worst = math.inf
-    for _ in range(samples):
-        c = rng.standard_normal(n_modes)
-        v = c @ mode_v
-        vp = c @ mode_p
-        rhs = np.array([_ip(wts, nodes, vp, bp) for bp in basis_p])
-        coef = np.linalg.solve(G, rhs)
-        v = v - coef[0] * basis_v[0] - coef[1] * basis_v[1]
-        vp = vp - coef[0] * basis_p[0] - coef[1] * basis_p[1]
-        grad = _ip(wts, nodes, vp, vp)
-        mass = 4.0 * math.pi * float(np.sum(wts * a_vals * v**2 * r2))
-        pot = 60.0 * math.pi * float(np.sum(wts * u4 * v**2 * r2))
-        worst = min(worst, (grad + mass - pot) / grad)
-    return worst
+    weight = -15.0 * bb._u(lam, nodes) ** 4
+    if a is not None:
+        weight = weight + np.asarray(a(nodes))
+    A_grad = (mode_p * r2w) @ mode_p.T
+    A_rest = (mode_v * (weight * r2w)) @ mode_v.T
+
+    C = rng.standard_normal((samples, n_modes))
+    grad = np.einsum("si,ij,sj->s", C, A_grad, C)
+    rest = np.einsum("si,ij,sj->s", C, A_rest, C)
+    return float(np.min((grad + rest) / grad))

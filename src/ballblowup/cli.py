@@ -167,17 +167,16 @@ def cmd_greens(args) -> int:
     cfg = load_config(args.config, args.tol_override)
     a = cfg.coefficient("a")
     V = cfg.coefficient("V")
-    a_star = greenfn.critical_a(cfg.R)
     cg = greenfn.ga_center(a, cfg.R)
-    rhos = np.linspace(0.0, 0.9 * cfg.R, 19)
     if a.is_constant and a.constant < 0:
-        profile = [
-            {"rho": float(r), "phi_a": greenfn.phia_profile(float(r), a.constant, cfg.R)}
-            for r in rhos
-        ]
+        rhos = np.linspace(0.0, 0.9 * cfg.R, 19)
+        phis = greenfn.phia_profile(rhos, a.constant, cfg.R)
+        profile = [{"rho": r, "phi_a": p} for r, p in zip(rhos.tolist(), phis.tolist())]
         crit = greenfn.na_scan(a.constant, cfg.R)
+        a_star = crit.a_star
         crit_dict = asdict(crit)
     else:
+        a_star = greenfn.critical_a(cfg.R)
         profile = [{"rho": 0.0, "phi_a": cg.phi_a_at_0}]
         crit_dict = None
     report = {

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .numkit import brent_root, ode_solve, quad_radial, sph_bessel
 
@@ -79,6 +78,9 @@ class RadialCoefficient:
                 raise ValueError("abscissae/values shape mismatch")
             if np.any(np.diff(absc) <= 0):
                 raise ValueError("abscissae must be strictly increasing")
+            # imported here: only tables need it, and it is slow to import
+            from scipy.interpolate import CubicSpline
+
             object.__setattr__(self, "_spline", CubicSpline(absc, vals))
 
     @property
@@ -228,7 +230,10 @@ class HelmholtzSeries:
     """Spherical Bessel series for H_a with constant a = -k^2 < 0.
 
     H_a(x,y) = -k sum (2l+1) (y_l(kR)/j_l(kR)) j_l(k|x|) j_l(k|y|) P_l(cos t)
-    with t the angle between x and y.  Stores the boundary ratios.
+    with t the angle between x and y.  Stores the boundary ratios, all
+    orders of which come from one Bessel call per kind.  A series built at
+    a higher order has the lower one's terms as its prefix, so one series
+    serves every radius and each sum is cut at its own order.
     """
 
     k: float
@@ -244,27 +249,22 @@ class HelmholtzSeries:
             raise ValueError("series form requires constant a < 0")
         k = math.sqrt(-a_const)
         x = k * R
-        js, ys = [], []
-        for ell in range(lmax + 1):
-            j = sph_bessel("j", ell, x)
-            # j_ell has no zeros below x ~ ell; a tiny value there is just
-            # the small-argument decay x^ell/(2 ell + 1)!!, not a resonance.
-            if abs(j) < 1e-13 and x > ell:
-                raise ResonanceError(f"j_{ell}(kR) vanishes at kR={x:g}")
-            try:
-                yv = sph_bessel("y", ell, x)
-            except OverflowError:
-                break
-            if not math.isfinite(yv / j):
-                # ratio overflow: truncate; the dropped tail is below the
-                # (rho/R)^(2 ell) envelope at this order
-                break
-            js.append(j)
-            ys.append(yv)
-        js = np.array(js)
-        ys = np.array(ys)
+        ells = np.arange(lmax + 1)
+        js = sph_bessel("j", ells, x)
+        ys = sph_bessel("y", ells, x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ratios = ys / js
+        # y or y/j overflowing: truncate there; the dropped tail is below
+        # the (rho/R)^(2 ell) envelope at this order
+        bad = ~(np.isfinite(ys) & np.isfinite(ratios))
+        n = int(np.argmax(bad)) if bad.any() else lmax + 1
+        # j_ell has no zeros below x ~ ell; a tiny value there is just the
+        # small-argument decay x^ell/(2 ell + 1)!!, not a resonance.
+        resonant = np.flatnonzero((np.abs(js[: n + 1]) < 1e-13) & (x > ells[: n + 1]))
+        if resonant.size:
+            raise ResonanceError(f"j_{resonant[0]}(kR) vanishes at kR={x:g}")
         return HelmholtzSeries(
-            k=k, R=R, lmax=len(js) - 1, ratios=ys / js, _j_R=js, _y_R=ys
+            k=k, R=R, lmax=n - 1, ratios=ratios[:n], _j_R=js[:n], _y_R=ys[:n]
         )
 
     def _term_scales(self):
@@ -272,18 +272,25 @@ class HelmholtzSeries:
         ells = np.arange(self.lmax + 1)
         return (2 * ells + 1) * self._y_R * self._j_R
 
-    def h_diag(self, rho: float) -> float:
+    def h_diag(self, rho, lmax=None):
         """phi_a(rho) = H_a at coincident points |x| = |y| = rho, angle 0.
 
-        Each term is evaluated as (2l+1) y_l(kR) j_l(kR) (j_l(k rho)/j_l(kR))^2
-        so that the decaying j ratios never meet the growing y values.
+        ``rho`` is one radius or an array of them; ``lmax`` (one order, or
+        one per radius, capped at the series' order) cuts each sum.  Each
+        term is evaluated as (2l+1) y_l(kR) j_l(kR) (j_l(k rho)/j_l(kR))^2 so
+        that the decaying j ratios never meet the growing y values.
         """
         k = self.k
-        jr = np.array(
-            [sph_bessel("j", ell, k * rho) for ell in range(self.lmax + 1)]
-        )
-        frac = jr / self._j_R
-        return float(-k * np.sum(self._term_scales() * frac**2))
+        rhos = np.ravel(np.asarray(rho, dtype=float))
+        orders = self.lmax if lmax is None else lmax
+        counts = np.minimum(np.broadcast_to(orders, rhos.shape), self.lmax) + 1
+        m = int(counts.max())
+        jr = sph_bessel("j", np.arange(m), k * rhos[:, None])
+        terms = self._term_scales()[:m] * (jr / self._j_R[:m]) ** 2
+        # each sum runs over its own contiguous slice: the same summation
+        # as a series built at that radius' order
+        out = np.array([-k * np.sum(t[:n]) for t, n in zip(terms, counts)])
+        return float(out[0]) if np.ndim(rho) == 0 else out.reshape(np.shape(rho))
 
     def h(self, x, y) -> float:
         """H_a(x, y) for interior points x, y."""
@@ -297,16 +304,10 @@ class HelmholtzSeries:
         else:
             ct = float(np.dot(x, y) / (rx * ry))
         k = self.k
-        scales = self._term_scales()
-        s = 0.0
-        for ell in range(self.lmax + 1):
-            s += (
-                scales[ell]
-                * (sph_bessel("j", ell, k * rx) / self._j_R[ell])
-                * (sph_bessel("j", ell, k * ry) / self._j_R[ell])
-                * eval_legendre(ell, ct)
-            )
-        return -k * s
+        ells = np.arange(self.lmax + 1)
+        jx = sph_bessel("j", ells, k * rx) / self._j_R
+        jy = sph_bessel("j", ells, k * ry) / self._j_R
+        return float(-k * np.sum(self._term_scales() * (jx * jy) * eval_legendre(ells, ct)))
 
 
 def _lmax_for(rho: float, R: float, tol: float) -> int:
@@ -318,20 +319,31 @@ def _lmax_for(rho: float, R: float, tol: float) -> int:
     return max(4, min(lmax, 200))
 
 
+def _profile_series(rho, a_const: float, R: float, tol: float, lmax=None):
+    """One series at the highest order any of ``rho`` needs, and each
+    radius' own order (``lmax`` for all of them when given)."""
+    if np.any(np.asarray(rho) >= R):
+        raise ValueError("rho must be interior")
+    if lmax is None:
+        lmax = np.array([_lmax_for(float(r), R, tol) for r in np.ravel(rho)])
+    return HelmholtzSeries.build(a_const, R, int(np.max(lmax))), lmax
+
+
 def phia_profile(
-    rho: float,
+    rho,
     a_const: float,
     R: float = 1.0,
     lmax: int | None = None,
     tol: float = 1e-12,
-) -> float:
-    """phi_a at radius rho for constant a < 0 via the Bessel series."""
-    if rho >= R:
-        raise ValueError("rho must be interior")
-    if lmax is None:
-        lmax = _lmax_for(rho, R, tol)
-    series = HelmholtzSeries.build(a_const, R, lmax)
-    return series.h_diag(rho)
+):
+    """phi_a at radius rho for constant a < 0 via the Bessel series.
+
+    ``rho`` is one radius (giving a float) or an array of radii (giving an
+    array).  Each radius keeps its own truncation order; all are read from
+    one series, so an array call equals the per-radius calls exactly.
+    """
+    series, orders = _profile_series(rho, a_const, R, tol, lmax)
+    return series.h_diag(rho, orders)
 
 
 def phia_hessian(
@@ -347,22 +359,17 @@ def phia_hessian(
     must agree to ``cross_tol``; by radial symmetry the Hessian matrix is
     this value times the identity.
     """
-    # Finite-difference route (Richardson on central differences).
-    def profile(rho):
-        return phia_profile(rho, a_const, R, tol=1e-14)
-
-    p0 = profile(0.0)
-
-    def second(h):
-        return (profile(h) - 2 * p0 + profile(h)) / h**2  # even profile
-
-    d_h = second(step)
-    d_h2 = second(step / 2)
+    # Finite-difference route (Richardson on central differences of the
+    # even profile, phi(-h) = phi(h)), from one series.
+    rhos = np.array([0.0, step, step / 2])
+    series, orders = _profile_series(rhos, a_const, R, 1e-14)
+    p0, p_h, p_h2 = series.h_diag(rhos, orders)
+    d_h = (p_h - 2 * p0 + p_h) / step**2
+    d_h2 = (p_h2 - 2 * p0 + p_h2) / (step / 2) ** 2
     fd = (4 * d_h2 - d_h) / 3
 
     # Series route: the rho^2 coefficient comes from l=0 and l=1 terms.
     k = math.sqrt(-a_const)
-    series = HelmholtzSeries.build(a_const, R, 2)
     # j_0(x)^2 = 1 - x^2/3 + ..., j_1(x)^2 = x^2/9 + ...
     c2 = -k * (series.ratios[0] * (-(k**2) / 3.0) + 3 * series.ratios[1] * (k**2 / 9.0))
     series_val = 2.0 * c2
@@ -405,20 +412,27 @@ def na_scan(
     tol: float = 1e-9,
 ) -> CriticalityReport:
     """Scan the radial profile of phi_a for zeros and report the
-    criticality / negativity / nondegeneracy flags."""
+    criticality / negativity / nondegeneracy flags.
+
+    One Bessel series, built at the order the outermost grid radius needs,
+    gives the whole grid in one evaluation and every step of the Brent
+    refinement of a sign change (each radius at its own order, as
+    ``phia_profile`` would take it).
+    """
     a_star = critical_a(R)
     if grid is None:
         grid = np.linspace(0.0, 0.9 * R, 46)
     grid = np.asarray(grid, dtype=float)
 
-    vals = np.array([phia_profile(rho, a_const, R) for rho in grid])
+    series, orders = _profile_series(grid, a_const, R, 1e-12)
+    vals = series.h_diag(grid, orders)
     zeros: list[float] = []
     if abs(vals[0]) <= tol:
         zeros.append(0.0)
     for i in range(len(grid) - 1):
         if vals[i] * vals[i + 1] < 0:
             rr = brent_root(
-                lambda rho: phia_profile(rho, a_const, R),
+                lambda rho: series.h_diag(rho, _lmax_for(rho, R, 1e-12)),
                 (float(grid[i]), float(grid[i + 1])),
                 tol=1e-12,
             )

@@ -98,23 +98,29 @@ def bubble_moment(p: int, q: float | Fraction) -> float:
     )
 
 
-def sph_bessel(kind: str, ell: int, x: float) -> float:
+def sph_bessel(kind: str, ell, x):
     """Spherical Bessel function j_ell or y_ell at x.
 
     Backed by scipy's stable evaluations (downward recurrence for j below
-    the turning point, upward for y).  y_ell blows up as x -> 0; callers
-    guard small arguments themselves.
+    the turning point, upward for y).  ``ell`` and ``x`` may be arrays and
+    broadcast against each other; one call over all orders costs about as
+    much as one scalar call.  Scalar inputs give a float, and an overflowed
+    scalar y_ell raises OverflowError.  Array inputs give an array in which
+    an overflowed y_ell is left non-finite, so the caller truncates there.
+    y_ell blows up as x -> 0 and needs x > 0.
     """
+    scalar = np.ndim(ell) == 0 and np.ndim(x) == 0
     if kind == "j":
-        return float(special.spherical_jn(ell, x))
-    if kind == "y":
-        if x <= 0:
+        val = special.spherical_jn(ell, x)
+    elif kind == "y":
+        if np.any(np.asarray(x) <= 0):
             raise ValueError("y_ell requires x > 0")
-        val = float(special.spherical_yn(ell, x))
-        if not math.isfinite(val):
+        val = special.spherical_yn(ell, x)
+        if scalar and not math.isfinite(val):
             raise OverflowError(f"y_{ell}({x}) overflowed")
-        return val
-    raise ValueError(f"kind must be 'j' or 'y', got {kind!r}")
+    else:
+        raise ValueError(f"kind must be 'j' or 'y', got {kind!r}")
+    return float(val) if scalar else val
 
 
 def quad_radial(

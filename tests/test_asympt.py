@@ -220,7 +220,53 @@ class TestVerifiers:
         assert errs[-1] <= 0.01
 
 
+def coercivity_by_loop(lam, a, R, samples=200, seed=7, n_modes=8):
+    """The probe one sample at a time, projecting and integrating each
+    sampled field: the reference for the quadratic-form probe."""
+
+    def ip(wts, nodes, f, g):
+        return 4.0 * math.pi * float(np.sum(wts * f * g * nodes**2))
+
+    rng = np.random.default_rng(seed)
+    nodes, wts = radial_quadrature_rule(min(1e-8, 0.02 / lam), R, 220, 10)
+    r2 = nodes**2
+    pb = pu_center(lam, R)
+    basis_p = [pb.pu_prime(nodes), pb.dlam_pu_prime(nodes)]
+    basis_v = [pb.pu(nodes), pb.dlam_pu(nodes)]
+    G = np.array([[ip(wts, nodes, bi, bj) for bj in basis_p] for bi in basis_p])
+    ks = np.array([j * math.pi / R for j in range(1, n_modes + 1)])
+    mode_v = np.sinc(ks[:, None] * nodes[None, :] / math.pi)
+    kr = ks[:, None] * nodes[None, :]
+    mode_p = (np.cos(kr) - np.sinc(kr / math.pi)) / nodes[None, :]
+    u4 = _u(lam, nodes) ** 4
+    a_vals = np.asarray(a(nodes)) if a is not None else 0.0
+    worst = math.inf
+    for _ in range(samples):
+        c = rng.standard_normal(n_modes)
+        v = c @ mode_v
+        vp = c @ mode_p
+        rhs = np.array([ip(wts, nodes, vp, bp) for bp in basis_p])
+        coef = np.linalg.solve(G, rhs)
+        v = v - coef[0] * basis_v[0] - coef[1] * basis_v[1]
+        vp = vp - coef[0] * basis_p[0] - coef[1] * basis_p[1]
+        grad = ip(wts, nodes, vp, vp)
+        mass = 4.0 * math.pi * float(np.sum(wts * a_vals * v**2 * r2))
+        pot = 60.0 * math.pi * float(np.sum(wts * u4 * v**2 * r2))
+        worst = min(worst, (grad + mass - pot) / grad)
+    return worst
+
+
 class TestCoercivity:
+    @pytest.mark.parametrize("R", [1.0, 2.0])
+    def test_quadratic_forms_match_sample_loop(self, R):
+        a = const(CRITICAL_A / R**2)
+        for seed in (7, 41):
+            fast = coercivity_probe(1e3 / R, a, R, samples=200, seed=seed)
+            ref = coercivity_by_loop(1e3 / R, a, R, samples=200, seed=seed)
+            assert fast == pytest.approx(ref, rel=1e-13)
+        fast = coercivity_probe(1.0, None, 50.0, samples=200)
+        assert fast == pytest.approx(coercivity_by_loop(1.0, None, 50.0), rel=1e-13)
+
     def test_positive_at_critical(self):
         rho = coercivity_probe(1e3, const(CRITICAL_A), 1.0, samples=200)
         assert rho > 0

@@ -3,7 +3,11 @@ codes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +173,28 @@ class TestScalarCommands:
         assert rec["beta"] == pytest.approx(-16 / (3 * math.pi), rel=0.01)
         assert rec["gamma"] == pytest.approx(128 / (15 * math.pi), rel=0.01)
 
+    def test_solve_low_lambda(self, capsys):
+        # lam ~ 47 sits below the fit's starting log-lam bracket around u(0)^2
+        assert main(["solve", "--eps", "0.3"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["lam"] == pytest.approx(46.92, rel=1e-3)
+
+    def test_tabulated_coefficient_solves(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, V={"table": {"values": [-1.0, -0.5, 0.0], "abscissae": [0.0, 0.5, 1.0]}}
+        )
+        assert main(["solve", "--config", cfg, "--eps", "0.1"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+    def test_import_leaves_interpolate_unloaded(self):
+        # only a tabulated coefficient needs scipy.interpolate
+        code = "import sys, ballblowup.cli; print('scipy.interpolate' in sys.modules)"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
     def test_regime_error_exit_code(self, monkeypatch, capsys):
         def outside(*args, **kwargs):
             raise cli.asympt.RegimeError("outside the asymptotic regime")
@@ -231,6 +257,14 @@ class TestSweepAndReport:
         assert status == ["ok", "failed", "ok"]
         e1, e2 = SHORT_LADDER[1:]
         assert seeds[e2] == pytest.approx(masses[e1] * math.sqrt(e1 / e2), rel=1e-15)
+
+    def test_low_lambda_ladder(self, tmp_path):
+        ladder = [0.3, 0.2, 0.1, 0.08]
+        cfg_path = write_cfg(tmp_path, eps_ladder=ladder)
+        rec_path = tmp_path / "r.jsonl"
+        assert main(["sweep", "--config", cfg_path, "--out", str(rec_path)]) == EXIT_OK
+        lines = [json.loads(l) for l in rec_path.read_text().splitlines()]
+        assert [(d["eps"], d["status"]) for d in lines] == [(e, "ok") for e in ladder]
 
     def test_parallel_failure_recorded(self, tmp_path):
         # eps = 8 breaks coercivity: that rung fails, the others still run

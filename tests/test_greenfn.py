@@ -12,6 +12,8 @@ from ballblowup.greenfn import (
     CoercivityError,
     HelmholtzSeries,
     RadialCoefficient,
+    ResonanceError,
+    _lmax_for,
     check_coercivity,
     critical_a,
     g0_ball,
@@ -23,6 +25,7 @@ from ballblowup.greenfn import (
     phia_profile,
     qv_center,
 )
+from ballblowup.numkit import sph_bessel
 
 CRIT = -math.pi**2 / 4.0
 
@@ -134,6 +137,94 @@ class TestPhiaProfile:
         for _ in range(5):
             x, y = rng.uniform(-0.4, 0.4, (2, 3))
             assert series.h(x, y) == pytest.approx(series.h(y, x), rel=1e-12)
+
+
+def series_by_loop(a_const, R, lmax):
+    """(lmax, ratios, j_l(kR), y_l(kR)) from one scalar Bessel call per
+    order: the reference for the one-call build."""
+    x = math.sqrt(-a_const) * R
+    js, ys = [], []
+    for ell in range(lmax + 1):
+        j = sph_bessel("j", ell, x)
+        if abs(j) < 1e-13 and x > ell:
+            raise ResonanceError(f"j_{ell}(kR) vanishes at kR={x:g}")
+        try:
+            yv = sph_bessel("y", ell, x)
+        except OverflowError:
+            break
+        if not math.isfinite(yv / j):
+            break
+        js.append(j)
+        ys.append(yv)
+    js, ys = np.array(js), np.array(ys)
+    return len(js) - 1, ys / js, js, ys
+
+
+def h_diag_by_loop(a_const, R, rho, tol=1e-12):
+    """phi_a(rho) from its own series and one scalar call per order."""
+    lmax, _, js, ys = series_by_loop(a_const, R, _lmax_for(rho, R, tol))
+    k = math.sqrt(-a_const)
+    ells = np.arange(lmax + 1)
+    jr = np.array([sph_bessel("j", ell, k * rho) for ell in ells])
+    return float(-k * np.sum((2 * ells + 1) * ys * js * (jr / js) ** 2))
+
+
+class TestVectorisedSeries:
+    @pytest.mark.parametrize("R", [1.0, 2.0])
+    @pytest.mark.parametrize("a_unit", [CRIT, -1.5])
+    @pytest.mark.parametrize("lmax", [40, 200])
+    def test_build_matches_loop(self, R, a_unit, lmax):
+        # lmax = 200 runs into the y_l(kR) overflow and truncates there
+        a = a_unit / R**2
+        series = HelmholtzSeries.build(a, R, lmax)
+        n, ratios, js, ys = series_by_loop(a, R, lmax)
+        assert series.lmax == n
+        assert np.array_equal(series.ratios, ratios)
+        assert np.array_equal(series._j_R, js)
+        assert np.array_equal(series._y_R, ys)
+        if lmax == 200:
+            assert n < lmax
+
+    def test_resonance(self):
+        # a = -pi^2: kR = pi, where j_0 vanishes
+        with pytest.raises(ResonanceError):
+            HelmholtzSeries.build(-math.pi**2, 1.0, 40)
+        with pytest.raises(ResonanceError):
+            phia_profile(np.linspace(0.0, 0.5, 6), -math.pi**2, 1.0)
+
+    @pytest.mark.parametrize("R", [1.0, 1.25, 2.0])
+    @pytest.mark.parametrize("a_unit", [CRIT, -1.0, -2.0, -3.0])
+    def test_profile_array_equals_scalar_calls(self, R, a_unit):
+        a = a_unit / R**2
+        rhos = np.linspace(0.0, 0.9 * R, 19)
+        vals = phia_profile(rhos, a, R)
+        assert vals.shape == rhos.shape
+        scalar = [phia_profile(float(r), a, R) for r in rhos]
+        assert all(isinstance(v, float) for v in scalar)
+        assert vals.tolist() == scalar
+
+    def test_profile_equals_per_order_loop(self):
+        for rho in (0.0, 0.3, 0.9):
+            assert phia_profile(rho, -1.0, 1.0) == h_diag_by_loop(-1.0, 1.0, rho)
+
+    def test_off_diagonal_matches_loop(self):
+        from scipy.special import eval_legendre
+
+        series = HelmholtzSeries.build(-1.5, 1.0, 40)
+        x, y = np.array([0.1, 0.2, 0.0]), np.array([0.3, -0.1, 0.2])
+        rx, ry = np.linalg.norm(x), np.linalg.norm(y)
+        ct = float(np.dot(x, y) / (rx * ry))
+        k = series.k
+        scales = series._term_scales()
+        ref = 0.0
+        for ell in range(series.lmax + 1):
+            ref += (
+                scales[ell]
+                * (sph_bessel("j", ell, k * rx) / series._j_R[ell])
+                * (sph_bessel("j", ell, k * ry) / series._j_R[ell])
+                * eval_legendre(ell, ct)
+            )
+        assert series.h(x, y) == pytest.approx(-k * ref, rel=1e-13)
 
 
 class TestPhiaHessian:

@@ -61,6 +61,24 @@ class TestSphBessel:
     def test_j0_small_limit(self):
         assert sph_bessel("j", 0, 1e-12) == pytest.approx(1.0, abs=1e-12)
 
+    def test_arrays_broadcast_like_scalar_calls(self):
+        ells = np.arange(30)
+        xs = np.array([0.0, 0.3, 1.7, 12.0])
+        j = sph_bessel("j", ells, xs[:, None])
+        assert j.shape == (4, 30)
+        assert j.tolist() == [[sph_bessel("j", l, x) for l in ells] for x in xs]
+        y = sph_bessel("y", ells, 1.7)
+        assert y.tolist() == [sph_bessel("y", l, 1.7) for l in ells]
+
+    def test_y_overflow(self):
+        # a scalar overflow raises; in an array it is left in place
+        with pytest.raises(OverflowError):
+            sph_bessel("y", 300, 0.5)
+        y = sph_bessel("y", np.arange(301), 0.5)
+        assert np.isfinite(y[0]) and not np.isfinite(y[-1])
+        with pytest.raises(ValueError):
+            sph_bessel("y", np.arange(3), np.array([1.0, 0.0]))
+
     @given(
         ell=st.integers(min_value=0, max_value=40),
         x=st.floats(min_value=0.1, max_value=50.0),
