@@ -132,11 +132,11 @@ class Decomposition:
         return self.sup_w / math.sqrt(self.lam)
 
 
-def _h_diff(cg: CenterGreens, R: float, a0: float, nodes):
+def _h_diff(cg: CenterGreens, R: float, nodes):
     """(H_a - H_0)(0, r) and its radial derivative; H_0(0, .) = 1/R at the
     center.  A short Taylor series bridges the cancellation-prone small-r
     region: (1 - v)/r = phi - (a/2) r + (a phi/6) r^2 + ..."""
-    phi = cg.phi_a_at_0
+    phi, a0 = cg.phi_a_at_0, cg.a_at_0
     vals = np.empty_like(nodes)
     ders = np.empty_like(nodes)
     small = nodes < 1e-5
@@ -175,8 +175,7 @@ def decompose(
     w = uv / alpha - pb.pu(nodes)
     wp = upv / alpha - pb.pu_prime(nodes)
 
-    a0 = _coeff_at_zero(cg)
-    hv, hp = _h_diff(cg, R, a0, nodes)
+    hv, hp = _h_diff(cg, R, nodes)
     q = w + hv / math.sqrt(lam)
     qp = wp + hp / math.sqrt(lam)
 
@@ -226,12 +225,6 @@ def decompose(
         s=s,
         r=r,
     )
-
-
-def _coeff_at_zero(cg: CenterGreens) -> float:
-    """a(0) recovered from v'' = a v at the center via the stored profile."""
-    h = 1e-4
-    return float((cg.v(2 * h) - 2 * cg.v(h) + cg.v(0.0)) / h**2)
 
 
 @dataclass
@@ -301,7 +294,7 @@ def records_from_sweep(
                 gradient_quotient=u.gradient_quotient,
                 energy_residual=u.diagnostics["energy_identity_residual"],
                 pohozaev_residual=u.diagnostics.get("pohozaev_residual", float("nan")),
-                greens_residual=greens_rep_residual(u),
+                greens_residual=greens_rep_residual(u, cg=cg),
                 fit_residual=fit_res,
             )
         )

@@ -234,8 +234,9 @@ def _failure_line(eps: float, err: Exception, cfg: RunConfig) -> dict:
 
 
 def _solve_rung(payload):
-    """Worker entry for parallel sweeps (cold bracket scan, no continuation
-    seed); a failing rung comes back as its failure line."""
+    """Worker entry for parallel sweeps: no continuation seed, so each rung
+    starts Newton from the rate law as the serial path's first rung does; a
+    failing rung comes back as its failure line."""
     cfg_dict, eps = payload
     cfg = RunConfig.from_dict(cfg_dict)
     try:

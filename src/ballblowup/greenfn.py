@@ -127,23 +127,30 @@ def check_coercivity(a: RadialCoefficient, R: float) -> None:
 @dataclass(frozen=True)
 class CenterGreens:
     """Center-source Green's data: G_a(0, y) = v(|y|)/|y| with v(0)=1,
-    v(R)=0 and -v'' + a v = 0.  phi_a(0) = -v'(0)."""
+    v(R)=0 and -v'' + a v = 0.  phi_a(0) = -v'(0).  With z1 the other
+    homogeneous solution, regular with data (0, 1) at the center (so
+    z1 v' - z1' v = -1), ``homogeneous_pair`` gives (z1, v)."""
 
     R: float
     phi_a_at_0: float
-    _v: Callable = field(repr=False)
+    a_at_0: float
     _vp: Callable = field(repr=False)
+    _pair: Callable = field(repr=False)
 
     def v(self, r):
-        return self._v(r)
+        return self._pair(r)[1]
 
     def vprime(self, r):
         return self._vp(r)
 
+    def homogeneous_pair(self, r):
+        """(z1, v) at r from one evaluation of the stored trajectory."""
+        return self._pair(r)
+
     def g(self, r):
         """G_a(0, r)."""
         r = np.asarray(r, dtype=float)
-        return self._v(r) / r
+        return self.v(r) / r
 
     def h(self, r):
         """H_a(0, r) = (1 - v(r))/r, continuous up to r -> 0."""
@@ -152,7 +159,7 @@ class CenterGreens:
         out = np.empty_like(r)
         small = r < 1e-8
         out[small] = self.phi_a_at_0
-        out[~small] = (1.0 - self._v(r[~small])) / r[~small]
+        out[~small] = (1.0 - self.v(r[~small])) / r[~small]
         return float(out[0]) if scalar else out
 
 
@@ -203,15 +210,17 @@ def ga_center(a: RadialCoefficient, R: float = 1.0, tol: float = 1e-12) -> Cente
         raise ResonanceError("homogeneous solution vanishes at R")
     c = -vp_R / vh_R
 
-    def v(r):
-        s = traj(np.asarray(r, dtype=float))
-        return s[0] + c * s[2]
-
     def vprime(r):
         s = traj(np.asarray(r, dtype=float))
         return s[1] + c * s[3]
 
-    return CenterGreens(R=R, phi_a_at_0=float(-c), _v=v, _vp=vprime)
+    def pair(r):
+        s = traj(np.asarray(r, dtype=float))
+        return s[2], s[0] + c * s[2]
+
+    return CenterGreens(
+        R=R, phi_a_at_0=float(-c), a_at_0=float(a(0.0)), _vp=vprime, _pair=pair
+    )
 
 
 def critical_a(R: float = 1.0) -> float:

@@ -6,13 +6,16 @@ Sobolev quotient).
 The center height is found by Newton on the endpoint map u(R; M), its
 derivative carried by the variational equation as two extra states of a lean
 shooting integration (shooting with sensitivities); a bracket scan and Brent
-remain as the fallback.  The quadrature integrals ride only on the single
-final integration of the converged profile.
+remain as the fallback.  Without a continuation seed, Newton starts from the
+blow-up rate law eps lam -> 4 pi^2 |a(0)| / |Q_V(0)| with lam ~ M^2.  The
+quadrature integrals ride only on the single final integration of the
+converged profile.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,9 +25,12 @@ from scipy import integrate
 from .greenfn import (
     BallDomain,
     CenterGreens,
+    CoercivityError,
     RadialCoefficient,
+    ResonanceError,
     check_coercivity,
     ga_center,
+    qv_center,
 )
 from .numkit import brent_root, radial_quadrature_rule
 
@@ -96,6 +102,10 @@ class RadialSolution:
     ``dense`` evaluates (u, u') at any radius in [delta, R]; below delta the
     Taylor start applies.  Quadrature integrals are carried as augmented
     integrator states for integrator-level accuracy.
+
+    ``diagnostics`` also says how the profile was found: ``seed`` is
+    ``"caller"``, ``"rate_law"`` or ``"scan"`` and ``shoot_integrations``
+    counts the shooting integrations by phase (bracket, root, finalize).
     """
 
     config: ProblemConfig
@@ -110,6 +120,7 @@ class RadialSolution:
     int_u6: float
     int_u2: float
     diagnostics: dict = field(default_factory=dict)
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def R(self) -> float:
@@ -117,8 +128,25 @@ class RadialSolution:
 
     def _state_at(self, r):
         """(u, u') at r, vectorized over any shape; below delta the Taylor
-        start applies."""
+        start applies.
+
+        The last multi-point evaluation is remembered: the same radii again
+        give the same read-only array without a dense evaluation, so the fit,
+        the decomposition and the Green representation of a rung sample the
+        profile once on their shared quadrature rule.  Single-point calls
+        neither use nor replace it.
+        """
         r = np.asarray(r, dtype=float)
+        if r.size > 1:
+            if self._memo is not None and np.array_equal(self._memo[0], r):
+                return self._memo[1]
+            out = self._evaluate(r)
+            out.flags.writeable = False
+            self._memo = (r.copy(), out)
+            return out
+        return self._evaluate(r)
+
+    def _evaluate(self, r):
         out = np.empty((2,) + r.shape)
         small = r <= self.delta
         if np.any(small):
@@ -281,12 +309,23 @@ def _endpoint_map(M: float, cfg: ProblemConfig) -> float:
     return float(sol.y[0, -1])
 
 
-def _find_bracket(cfg: ProblemConfig, M_lo: float, M_hi: float, factor: float = 1.3):
+def _find_bracket(
+    cfg: ProblemConfig,
+    M_lo: float,
+    M_hi: float,
+    factor: float = 1.3,
+    tally: Counter | None = None,
+):
+    """Geometric scan from M_lo for a sign change of the endpoint map; each
+    integration is counted under ``tally["bracket"]`` when given."""
+    tally = Counter() if tally is None else tally
     M = M_lo
     f_prev = _endpoint_map(M, cfg)
+    tally["bracket"] += 1
     while M < M_hi:
         M_next = M * factor
         f_next = _endpoint_map(M_next, cfg)
+        tally["bracket"] += 1
         if f_prev * f_next < 0:
             return (M, M_next)
         M, f_prev = M_next, f_next
@@ -295,7 +334,14 @@ def _find_bracket(cfg: ProblemConfig, M_lo: float, M_hi: float, factor: float = 
     )
 
 
-def _newton(cfg: ProblemConfig, M: float, lo: float, hi: float, max_iter: int = 12):
+def _newton(
+    cfg: ProblemConfig,
+    M: float,
+    lo: float,
+    hi: float,
+    max_iter: int = 12,
+    tally: Counter | None = None,
+):
     """Newton on the endpoint map u(R; M) with du(R)/dM from the variational
     states, integrated to R without the zero event (an iterate just above the
     root crosses zero at r0 ~ R).
@@ -305,11 +351,14 @@ def _newton(cfg: ProblemConfig, M: float, lo: float, hi: float, max_iter: int = 
     1e-12 / |du(R)/dM|, which passes 1e-9 M for lam above ~1e4, so a step
     that no longer halves while |u(R)| <= shoot_tol also ends the iteration.
     Returns None when the slope is not negative, an iterate leaves (lo, hi),
-    or there is no convergence in ``max_iter`` steps.
+    or there is no convergence in ``max_iter`` steps.  Each integration is
+    counted under ``tally["root"]`` when given.
     """
+    tally = Counter() if tally is None else tally
     prev = math.inf
     for _ in range(max_iter):
         sol, _ = _integrate(M, cfg, events=False)
+        tally["root"] += 1
         uR, wR = float(sol.y[0, -1]), float(sol.y[2, -1])
         if not wR < 0.0:
             return None
@@ -372,6 +421,22 @@ def _finalize(M: float, cfg: ProblemConfig) -> RadialSolution:
     return rs
 
 
+def _rate_law_seed(cfg: ProblemConfig) -> float | None:
+    """Center height from the blow-up rate law: eps lam -> 4 pi^2 |a(0)| /
+    |Q_V(0)| with lam ~ M^2.  None outside the law's regime, where a(0) or
+    Q_V(0) is not negative (or Q_V(0) cannot be formed for a alone)."""
+    a0 = float(cfg.a(0.0))
+    if a0 >= 0:
+        return None
+    try:
+        qv0 = qv_center(cfg.V, cfg.a, cfg.domain.R)
+    except (CoercivityError, ResonanceError):  # a alone has no center Green's data
+        return None
+    if qv0 >= 0:
+        return None
+    return math.sqrt(4.0 * math.pi**2 * abs(a0) / (abs(qv0) * cfg.eps))
+
+
 def solve_profile(
     cfg: ProblemConfig,
     M_seed: float | None = None,
@@ -380,29 +445,46 @@ def solve_profile(
     """Ground-state profile by Newton on the endpoint map u(R; M), with
     bracketing + Brent as the fallback.
 
-    A continuation ``M_seed`` starts Newton directly, kept inside
-    (0.7, 1.45) M_seed; without one, a bracket scan over ``M_scan`` comes
-    first and Newton starts from its lower (positive) end, kept inside the
-    bracket.  Brent on a bracket runs when Newton fails (non-negative slope,
-    an iterate outside its window, or no convergence).  Diagnostics are
-    populated on the converged profile.
+    Newton starts from ``M_seed`` (a continuation seed) or, without one,
+    from the rate-law height (4 pi^2 |a(0)| / (|Q_V(0)| eps))^{1/2}, and is
+    kept inside (0.7, 1.45) times its start; when it fails (non-negative
+    slope, an iterate outside that window, or no convergence) Brent runs on
+    a bracket scanned in the window, or over ``M_scan`` if the window holds
+    none.  Where the rate law does not apply (a(0) >= 0 or Q_V(0) >= 0) a
+    bracket scan over ``M_scan`` comes first and Newton starts from its
+    lower (positive) end, kept inside the bracket.  Diagnostics are
+    populated on the converged profile, with the seed used and the
+    shooting integrations by phase.
     """
     if cfg.eps <= 0:
         raise ValueError("existence regime requires eps > 0")
+    tally = Counter(bracket=0, root=0, finalize=0)
+
+    def endpoint(M):
+        tally["root"] += 1
+        return _endpoint_map(M, cfg)
+
+    seed = "caller"
+    if M_seed is None:
+        M_seed = _rate_law_seed(cfg)
+        seed = "scan" if M_seed is None else "rate_law"
     if M_seed is not None:
         lo, hi = 0.7 * M_seed, 1.45 * M_seed
-        M = _newton(cfg, M_seed, lo, hi)
+        M = _newton(cfg, M_seed, lo, hi, tally=tally)
         if M is None:
             try:
-                bracket = _find_bracket(cfg, lo, hi, factor=1.08)
+                bracket = _find_bracket(cfg, lo, hi, factor=1.08, tally=tally)
             except NoBracketError:
-                bracket = _find_bracket(cfg, *M_scan)
+                bracket = _find_bracket(cfg, *M_scan, tally=tally)
     else:
-        bracket = _find_bracket(cfg, *M_scan)
-        M = _newton(cfg, bracket[0], *bracket)
+        bracket = _find_bracket(cfg, *M_scan, tally=tally)
+        M = _newton(cfg, bracket[0], *bracket, tally=tally)
     if M is None:
-        M = brent_root(lambda M: _endpoint_map(M, cfg), bracket, tol=1e-13).root
+        M = brent_root(endpoint, bracket, tol=1e-13).root
     rs = _finalize(M, cfg)
+    tally["finalize"] += 1
+    rs.diagnostics["seed"] = seed
+    rs.diagnostics["shoot_integrations"] = dict(tally)
     if abs(rs.diagnostics["endpoint"]) > cfg.shoot_tol:
         raise RuntimeError(
             f"endpoint {rs.diagnostics['endpoint']:.3e} above shoot_tol"
@@ -414,14 +496,14 @@ def sweep(
     cfg_template: ProblemConfig,
     eps_ladder: Sequence[float],
 ) -> list[RadialSolution]:
-    """Continuation over a decreasing eps ladder; each rung seeds the next
-    bracket through the lam ~ 1/eps scaling of the peak height."""
+    """Continuation over a decreasing eps ladder; each rung gives the next
+    its Newton start through the lam ~ 1/eps scaling of the peak height."""
     eps_ladder = list(eps_ladder)
     if any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
     out: list[RadialSolution] = []
-    M_seed = None
     for eps in eps_ladder:
+        M_seed = out[-1].M * math.sqrt(out[-1].config.eps / eps) if out else None
         cfg = ProblemConfig(
             domain=cfg_template.domain,
             a=cfg_template.a,
@@ -430,12 +512,7 @@ def sweep(
             shoot_tol=cfg_template.shoot_tol,
             ode_tol=cfg_template.ode_tol,
         )
-        rs = solve_profile(cfg, M_seed=M_seed)
-        out.append(rs)
-        if len(out) >= 1:
-            idx = len(out) - 1
-            if idx + 1 < len(eps_ladder):
-                M_seed = rs.M * math.sqrt(eps / eps_ladder[idx + 1])
+        out.append(solve_profile(cfg, M_seed=M_seed))
     return out
 
 
@@ -467,6 +544,7 @@ def greens_rep_residual(
     cfg: ProblemConfig | None = None,
     probes: Sequence[float] = (0.3, 0.5, 0.7),
     scale: float = 1.0,
+    cg: CenterGreens | None = None,
 ) -> float:
     """Residual of the resolvent representation
 
@@ -474,45 +552,31 @@ def greens_rep_residual(
 
     evaluated by solving the radial problem (-Delta + a) z = 3 u^5 - eps V u
     by variation of parameters and comparing z to u at the probe radii,
-    normalized by the sup norm of u.  ``scale`` multiplies the kernel and
-    exists for fault-injection tests of the normalization.
+    normalized by the sup norm of u.  The homogeneous pair is read off the
+    center Green's data ``cg`` (built for a when not given): Z1, regular at
+    0, and Z2 = v, vanishing at R, with Wronskian Z1 Z2' - Z1' Z2 = -1.  The
+    profile is sampled on the same quadrature rule as the fit and the
+    decomposition for lam <= 1e6, so a rung's memoised evaluation serves it.
+    ``scale`` multiplies the kernel and exists for fault-injection tests of
+    the normalization.
     """
     cfg = cfg or u.config
     R = cfg.domain.R
     lam_hat = max(u.M**2, 1.0)
-
-    # Homogeneous solutions Z1 (regular at 0) and Z2 = v (vanishing at R)
-    # of -Z'' + a Z = 0, Wronskian Z1 Z2' - Z1' Z2 = -1.
-    def rhs(r, y):
-        z1, z1p, z2, z2p = y
-        ar = cfg.a(r)
-        return [z1p, ar * z1, z2p, ar * z2]
-
-    cg = ga_center(cfg.a, R)
-    sol = integrate.solve_ivp(
-        rhs,
-        (1e-10, R),
-        [1e-10, 1.0, float(cg.v(1e-10)), float(cg.vprime(1e-10))],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-    )
-    z1 = lambda r: sol.sol(r)[0]
-    z2 = lambda r: sol.sol(r)[2]
+    cg = cg or ga_center(cfg.a, R)
 
     nodes, wts = radial_quadrature_rule(min(1e-8, 0.01 / lam_hat), R, n_panels=260, n_gauss=12)
     uv = u.u_at(nodes)
     hv = 3.0 * uv**5 - cfg.eps * np.asarray(cfg.V(nodes)) * uv
     F = nodes * hv  # source for the reduced 1d problem
-    z1v = sol.sol(nodes)[0]
-    z2v = sol.sol(nodes)[2]
+    z1v, z2v = cg.homogeneous_pair(nodes)
+    z1p, z2p = cg.homogeneous_pair(np.asarray(probes, dtype=float))
 
     sup_u = float(np.max(np.abs(u.u)))
     worst = 0.0
-    for rp in probes:
+    for rp, z1, z2 in zip(probes, z1p, z2p):
         inner = nodes <= rp
-        Z = z2(rp) * float(np.sum((wts * z1v * F)[inner])) + z1(rp) * float(
+        Z = z2 * float(np.sum((wts * z1v * F)[inner])) + z1 * float(
             np.sum((wts * z2v * F)[~inner])
         )
         rep = scale * Z / rp

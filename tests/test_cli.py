@@ -281,6 +281,32 @@ class TestSweepAndReport:
         assert [d["status"] for d in lines["2"]] == ["failed", "ok", "ok"]
         assert lines["2"][0] == lines["1"][0]
 
+    def test_parallel_matches_serial(self, tmp_path):
+        # every parallel rung starts from the rate law, as the serial first
+        # rung does; later serial rungs start from continuation seeds
+        cfg_path = write_cfg(tmp_path)
+        text = {}
+        for workers in ("1", "2"):
+            rec_path = tmp_path / f"r{workers}.jsonl"
+            code = main(["sweep", "--config", cfg_path, "--out", str(rec_path),
+                         "--workers", workers])
+            assert code == EXIT_OK
+            text[workers] = rec_path.read_text().splitlines()
+        assert text["2"][0] == text["1"][0]
+        serial, parallel = ([json.loads(l) for l in text[w]] for w in ("1", "2"))
+        assert [d["eps"] for d in parallel] == RunConfig().eps_ladder
+        for s, p in zip(serial[1:], parallel[1:]):
+            assert p["M"] == pytest.approx(s["M"], rel=1e-9)
+            assert p["lam"] == pytest.approx(s["lam"], rel=1e-7)
+
+    def test_no_solution_exit_code(self, tmp_path, capsys):
+        # a + eps V = -2.04 lies above a* = -pi^2/4: no positive solution, so
+        # the rate-law start fails and the scan ends in NoBracketError
+        cfg_path = write_cfg(tmp_path, a={"constant": -2.0})
+        assert main(["solve", "--config", cfg_path, "--eps", "0.04"]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "no sign change" in err
+
     def test_report_table(self, tmp_path, capsys, canonical_records):
         rec_path = write_records(tmp_path, canonical_records)
         csv_path = tmp_path / "table.csv"

@@ -99,6 +99,18 @@ class TestGaCenter:
         with pytest.raises(CoercivityError):
             check_coercivity(const(-math.pi**2 - 0.1), 1.0)
 
+    def test_center_coefficient_and_regular_solution(self):
+        # a = -k^2: the solution with data (0, 1) at the center is sin(kr)/k
+        k = math.pi / 2
+        cg = ga_center(const(-k * k), 1.0)
+        assert cg.a_at_0 == -k * k
+        rs = np.linspace(0.0, 1.0, 21)
+        z1, v = cg.homogeneous_pair(rs)
+        assert np.max(np.abs(z1 - np.sin(k * rs) / k)) <= 1e-11
+        assert np.array_equal(v, cg.v(rs))
+        table = RadialCoefficient(values=[-2.0, -1.0, 0.5], abscissae=[0.0, 0.5, 1.0])
+        assert ga_center(table, 1.0).a_at_0 == pytest.approx(-2.0, abs=1e-15)
+
 
 class TestCriticalA:
     def test_unit_ball(self):

@@ -1,5 +1,6 @@
 """Radial shooting solver and its identity-based diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,13 @@ import pytest
 from scipy import integrate
 
 from ballblowup import solver
+from ballblowup.asympt import decompose, fit_bubble
 from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center
 from ballblowup.numkit import ode_solve, quad_radial
 from ballblowup.solver import (
     SOBOLEV_CONSTANT,
     ProblemConfig,
+    RadialSolution,
     greens_rep_residual,
     pohozaev_residual,
     shoot,
@@ -205,6 +208,103 @@ class TestNewton:
         assert brent_calls
         assert s.M == pytest.approx(good.M, rel=1e-7)
         assert abs(s.diagnostics["endpoint"]) <= s.config.shoot_tol
+
+
+def _scan_path(cfg):
+    """Center height as a cold solve found it without the rate law: the
+    bracket scan over the default M range, then Newton from its lower end."""
+    bracket = solver._find_bracket(cfg, 0.5, 1e4)
+    return solver._newton(cfg, bracket[0], *bracket)
+
+
+class TestRateLawSeed:
+    def test_cold_rung_starts_from_rate_law(self, canonical_solutions):
+        s = canonical_solutions[0]  # solved without a continuation seed
+        assert s.diagnostics["seed"] == "rate_law"
+        counts = s.diagnostics["shoot_integrations"]
+        assert counts["bracket"] == 0
+        assert counts["root"] <= 5
+        assert counts["finalize"] == 1
+        assert s.M == pytest.approx(_scan_path(s.config), rel=1e-9)
+
+    def test_seeded_rung_reports_caller_seed(self, canonical_solutions):
+        for s in canonical_solutions[1:]:
+            assert s.diagnostics["seed"] == "caller"
+            assert s.diagnostics["shoot_integrations"]["bracket"] == 0
+
+    def test_fallback_phases_counted(self, canonical_solutions):
+        good = canonical_solutions[1]
+        s = solve_profile(make_config(good.config.eps), M_seed=1.4 * good.M)
+        counts = s.diagnostics["shoot_integrations"]
+        assert s.diagnostics["seed"] == "caller"
+        assert counts["bracket"] > 0 and counts["root"] > 0 and counts["finalize"] == 1
+
+    def test_outside_law_regime_scans(self):
+        # V = +1 gives Q_V(0) > 0: no rate law, the scan path runs unchanged
+        cfg = ProblemConfig(domain=BallDomain(1.0), a=const(-3.0), V=const(1.0), eps=0.05)
+        s = solve_profile(cfg)
+        assert s.diagnostics["seed"] == "scan"
+        assert s.diagnostics["shoot_integrations"]["bracket"] > 0
+        assert s.M == _scan_path(cfg)
+
+
+class _Unmemoised(RadialSolution):
+    """Every evaluation goes to the dense output."""
+
+    def _state_at(self, r):
+        return self._evaluate(np.asarray(r, dtype=float))
+
+
+class _Counting(RadialSolution):
+    """Counts the multi-point dense evaluations."""
+
+    dense_calls = 0
+
+    def _evaluate(self, r):
+        self.dense_calls += r.size > 1
+        return super()._evaluate(r)
+
+
+def _copy(cls, s):
+    return cls(**{f.name: getattr(s, f.name) for f in dataclasses.fields(s) if f.init})
+
+
+class TestEvaluationMemo:
+    def test_rung_analysis_bit_identical(self, canonical_solutions):
+        cg = ga_center(const(CRITICAL_A), 1.0)
+        for s in (canonical_solutions[0], canonical_solutions[-1]):
+            memo, fresh = _copy(_Counting, s), _copy(_Unmemoised, s)
+            fit = fit_bubble(memo, 1.0)
+            assert fit == fit_bubble(fresh, 1.0)
+            d_memo = decompose(memo, fit[0], fit[1], cg)
+            d_fresh = decompose(fresh, fit[0], fit[1], cg)
+            for f in dataclasses.fields(d_memo):
+                assert np.array_equal(getattr(d_memo, f.name), getattr(d_fresh, f.name))
+            assert greens_rep_residual(memo, cg=cg) == greens_rep_residual(fresh, cg=cg)
+            # one sampling of the profile serves all three
+            assert memo.dense_calls == 1
+
+    def test_memo_read_only_and_kept_by_point_probes(self, canonical_solutions):
+        s = _copy(_Counting, canonical_solutions[1])
+        nodes = np.linspace(0.01, 0.9, 50)
+        u = s.u_at(nodes)
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0] = 0.0
+        s.u_at(0.5)
+        s.uprime_at(0.5)
+        up = s.uprime_at(nodes)
+        assert not up.flags.writeable
+        assert s.dense_calls == 1
+        assert np.array_equal(u, _copy(_Unmemoised, s).u_at(nodes))
+        shifted = nodes + 0.01  # other radii, same shape: a new evaluation
+        assert np.array_equal(s.u_at(shifted), _copy(_Unmemoised, s).u_at(shifted))
+        assert s.dense_calls == 2
+
+    def test_greens_residual_with_given_center_data(self, canonical_solutions):
+        s = canonical_solutions[0]
+        cg = ga_center(const(CRITICAL_A), 1.0)
+        assert greens_rep_residual(s, cg=cg) == greens_rep_residual(s)
 
 
 class TestSweep:
