@@ -16,12 +16,16 @@ import numpy as np
 from ballblowup.asympt import fit_bubble
 from ballblowup.cli import RunConfig, _problem
 from ballblowup.greenfn import ga_center
-from ballblowup.solver import sweep
+from ballblowup.solver import solve_ladder
 
 
 def run():
     cfg = RunConfig()
-    sols = sweep(_problem(cfg, cfg.eps_ladder[0]), cfg.eps_ladder)
+    sols = []
+    for _, s in solve_ladder([_problem(cfg, eps) for eps in cfg.eps_ladder]):
+        if isinstance(s, Exception):
+            raise s
+        sols.append(s)
     cg = ga_center(cfg.coefficient("a"), cfg.R)
     ts = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
     print("inner region: sqrt(lam)^-1 u(t/lam) vs (1+t^2)^-1/2")

@@ -8,7 +8,8 @@ The library is organized as:
   criticality threshold, and the speed functional Q_V.
 - ``bubble``: the standard bubble family, its projection to the ball, and
   the bubble-against-regular-part integral calculus.
-- ``solver``: radial shooting solver for the ground state at fixed eps.
+- ``solver``: radial shooting solver for the ground states of an eps ladder,
+  solved in lockstep, or of one rung.
 - ``asympt``: bubble fitting, zero-mode decomposition, and extrapolation of
   the blow-up laws over an eps ladder.
 - ``cli``: command-line driver (``ballblowup`` entry point).
@@ -40,8 +41,8 @@ from .solver import (
     SOBOLEV_CONSTANT,
     ProblemConfig,
     RadialSolution,
+    solve_ladder,
     solve_profile,
-    sweep,
 )
 
 __version__ = "0.1.0"
@@ -71,6 +72,6 @@ __all__ = [
     "pu_center",
     "qv_center",
     "records_from_sweep",
+    "solve_ladder",
     "solve_profile",
-    "sweep",
 ]

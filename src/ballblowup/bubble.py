@@ -165,11 +165,6 @@ def g_fun(b: Bubble, y) -> float:
     return 1.0 / (math.sqrt(b.lam) * d) - u_val(b, y)
 
 
-def _g_radial(lam, r):
-    r = np.asarray(r, dtype=float)
-    return 1.0 / (math.sqrt(lam) * r) - _u(lam, r)
-
-
 def lemma_b1_check(q: float, lams, R: float = 1.0) -> dict:
     """L^q norm of the center bubble over the ball against its stated rate.
 

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -88,8 +87,8 @@ class RunConfig:
             raise ConfigError("eps_ladder", "must be positive values")
         if any(b >= a for a, b in zip(lad, lad[1:])):
             raise ConfigError("eps_ladder", "must be strictly decreasing")
-        if self.lmax < 1:
-            raise ConfigError("lmax", "must be >= 1")
+        if isinstance(self.lmax, bool) or not isinstance(self.lmax, int) or self.lmax < 1:
+            raise ConfigError("lmax", "must be an integer >= 1")
         for p in self.probes:
             if not 0 < p < self.R:
                 raise ConfigError("probes", f"probe {p} outside (0, R)")
@@ -208,6 +207,8 @@ def cmd_qv(args) -> int:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config, args.tol_override)
     eps = args.eps if args.eps is not None else cfg.eps_ladder[0]
+    if not eps > 0:
+        raise ConfigError("eps", "must be positive")
     pcfg = _problem(cfg, eps)
     rs = solver.solve_profile(pcfg)
     recs = asympt.records_from_sweep([rs], pcfg.a, cfg.R, tuple(cfg.probes))
@@ -223,32 +224,29 @@ def _record_line(rec: asympt.SweepRecord, cfg: RunConfig) -> dict:
     return d
 
 
-def _failure_line(eps: float, err: Exception, cfg: RunConfig) -> dict:
+def _rung_line(eps: float, rs, cfg: RunConfig) -> dict:
+    """A solved rung's record line, or a failure line when its solve or its
+    analysis failed."""
+    if isinstance(rs, solver.RadialSolution):
+        try:
+            rec = asympt.records_from_sweep([rs], rs.config.a, cfg.R, tuple(cfg.probes))[0]
+            return _record_line(rec, cfg)
+        except Exception as e:  # per-rung failure recorded, sweep continues
+            rs = e
     return {
         "status": "failed",
         "eps": eps,
-        "error": str(err),
+        "error": str(rs),
         "config_hash": cfg.hash(),
         "tool_version": __version__,
     }
 
 
-def _solve_rung(payload):
-    """Worker entry for parallel sweeps: no continuation seed, so each rung
-    starts Newton from the rate law as the serial path's first rung does; a
-    failing rung comes back as its failure line."""
-    cfg_dict, eps = payload
-    cfg = RunConfig.from_dict(cfg_dict)
-    try:
-        pcfg = _problem(cfg, eps)
-        rs = solver.solve_profile(pcfg)
-        rec = asympt.records_from_sweep([rs], pcfg.a, cfg.R, tuple(cfg.probes))[0]
-    except Exception as e:  # per-rung failure recorded, sweep continues
-        return _failure_line(eps, e, cfg)
-    return _record_line(rec, cfg)
-
-
 def cmd_sweep(args) -> int:
+    """Solve the ladder's rungs not yet in the records file with
+    ``solver.solve_ladder`` and append one line per rung in ladder order: its
+    record, or a failure line when its problem, solve or analysis fails.  A
+    failed rung does not stop the sweep; any failure exits 2."""
     cfg = load_config(args.config, args.tol_override)
     out_path = Path(args.out) if args.out else Path("records.jsonl")
     done_eps = set()
@@ -263,42 +261,42 @@ def cmd_sweep(args) -> int:
     elif out_path.exists() and not args.resume:
         out_path.unlink()
 
-    todo = [e for e in cfg.eps_ladder if e not in done_eps]
+    rungs = []
+    for eps in cfg.eps_ladder:
+        if eps in done_eps:
+            continue
+        try:
+            rungs.append((eps, _problem(cfg, eps)))
+        except ValueError as e:  # e.g. eps V breaks coercivity: this rung fails alone
+            rungs.append((eps, e))
+    solved = solver.solve_ladder(
+        [p for _, p in rungs if isinstance(p, solver.ProblemConfig)]
+    )
     failures = 0
     with out_path.open("a") as fh:
-        if args.workers > 1:
-            payloads = [(asdict(cfg), e) for e in todo]
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                for res in pool.map(_solve_rung, payloads):
-                    failures += res["status"] == "failed"
-                    fh.write(json.dumps(res, default=_json_default) + "\n")
-        else:
-            prev = None  # (eps, M) of the last rung that solved
-            for eps in todo:
-                try:
-                    pcfg = _problem(cfg, eps)
-                    # continuation seed from the lam ~ 1/eps scaling of M^2
-                    M_seed = prev[1] * math.sqrt(prev[0] / eps) if prev else None
-                    rs = solver.solve_profile(pcfg, M_seed=M_seed)
-                    prev = (eps, rs.M)
-                    rec = asympt.records_from_sweep(
-                        [rs], pcfg.a, cfg.R, tuple(cfg.probes)
-                    )[0]
-                    line = _record_line(rec, cfg)
-                except Exception as e:  # per-rung failure recorded, sweep continues
-                    failures += 1
-                    line = _failure_line(eps, e, cfg)
-                fh.write(json.dumps(line, default=_json_default) + "\n")
-                fh.flush()
+        for eps, rs in rungs:
+            if isinstance(rs, solver.ProblemConfig):
+                rs = next(solved)[1]
+            line = _rung_line(eps, rs, cfg)
+            failures += line["status"] == "failed"
+            fh.write(json.dumps(line, default=_json_default) + "\n")
+            fh.flush()
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
 def _load_records(path: str) -> tuple[list, list]:
     records, failed = [], []
-    for line in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text()
+    except OSError as e:
+        raise ConfigError("records", f"cannot read {path}: {e.strerror}") from e
+    for n, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        d = json.loads(line)
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ConfigError("records", f"{path} line {n}: {e.msg}") from e
         if d.get("status") == "ok":
             records.append(asympt.SweepRecord.from_dict(d))
         else:
@@ -521,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep")
     common(sp)
     sp.add_argument("--resume", action="store_true")
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify")

@@ -56,9 +56,6 @@ class BallDomain:
         if self.R <= 0:
             raise ValueError("radius must be positive")
 
-    def boundary_distance(self, x) -> float:
-        return self.R - float(np.linalg.norm(x))
-
 
 @dataclass(frozen=True)
 class RadialCoefficient:
@@ -165,17 +162,16 @@ class CenterGreens:
 
 def g0_ball(x, y, R: float = 1.0) -> float:
     """Laplace Green's function of the ball (4 pi delta normalization)
-    by the method of images."""
+    by the method of images, in the symmetric form
+    |x| |y - x*| = (|x|^2 |y|^2 - 2 R^2 x.y + R^4)^{1/2} of the image
+    distance, which holds at x = 0 and does not overflow for tiny |x|."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     d = float(np.linalg.norm(x - y))
     if d == 0.0:
         raise ValueError("coincident points")
-    nx = float(np.linalg.norm(x))
-    if nx == 0.0:
-        return 1.0 / float(np.linalg.norm(y)) - 1.0 / R
-    ximg = (R**2 / nx**2) * x
-    return 1.0 / d - (R / nx) / float(np.linalg.norm(y - ximg))
+    image = math.sqrt(float(x @ x) * float(y @ y) - 2.0 * R**2 * float(x @ y) + R**4)
+    return 1.0 / d - R / image
 
 
 def phi0_ball(x, R: float = 1.0) -> float:
@@ -395,9 +391,11 @@ def qv_center(
     a: RadialCoefficient,
     R: float = 1.0,
     tol: float = 1e-11,
+    cg: CenterGreens | None = None,
 ) -> float:
-    """Q_V(0) = int V(y) G_a(0,y)^2 dy = 4 pi int_0^R V(r) v(r)^2 dr."""
-    cg = ga_center(a, R)
+    """Q_V(0) = int V(y) G_a(0,y)^2 dy = 4 pi int_0^R V(r) v(r)^2 dr, with v
+    from the center Green's data ``cg`` (built for a when not given)."""
+    cg = cg or ga_center(a, R)
     res = quad_radial(lambda r: V(r) * cg.v(r) ** 2, 0.0, R, tol=tol)
     return 4.0 * math.pi * res.value
 

@@ -9,18 +9,22 @@ shooting integration (shooting with sensitivities); a bracket scan and Brent
 remain as the fallback.  Without a continuation seed, Newton starts from the
 blow-up rate law eps lam -> 4 pi^2 |a(0)| / |Q_V(0)| with lam ~ M^2.  The
 quadrature integrals ride only on the single final integration of the
-converged profile.
+converged profile.  The rungs of an eps ladder are solved in lockstep, their
+states stacked into one integration per Newton iteration and one final
+integration (``solve_ladder``); ``solve_profile`` is the case of one rung.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
+from scipy.integrate import OdeSolution
 
 from .greenfn import (
     BallDomain,
@@ -42,7 +46,7 @@ __all__ = [
     "taylor_start",
     "shoot",
     "solve_profile",
-    "sweep",
+    "solve_ladder",
     "pohozaev_residual",
     "greens_rep_residual",
 ]
@@ -208,43 +212,44 @@ def _coefficient(cfg: ProblemConfig):
     return m.constant if m.is_constant else m._spline
 
 
-def _shooting_rhs(m):
-    """Lean shooting system (u, u', w, w') with w = du/dM from the
-    variational equation w'' = (m - 15 u^4) w - 2 w'/r."""
-    const = not callable(m)
+def _shooting_rhs(ms):
+    """Lean shooting system, four states (u, u', w, w') per rung stacked in
+    rung order, with w = du/dM from the variational equation
+    w'' = (m - 15 u^4) w - 2 w'/r; ``ms`` holds each rung's coefficient."""
+    rungs = [(m, not callable(m)) for m in ms]
 
     def rhs(r, y):
-        u, up, w, wp = y.tolist()
-        mr = m if const else float(m(r))
-        u4 = u**4
-        return [
-            up,
-            mr * u - 3.0 * u4 * u - 2.0 * up / r,
-            wp,
-            (mr - 15.0 * u4) * w - 2.0 * wp / r,
-        ]
+        vals = y.tolist()
+        out = []
+        for k, (m, const) in enumerate(rungs):
+            u, up, w, wp = vals[4 * k : 4 * k + 4]
+            mr = m if const else float(m(r))
+            u4 = u**4
+            upp = mr * u - 3.0 * u4 * u - 2.0 * up / r
+            out += (up, upp, wp, (mr - 15.0 * u4) * w - 2.0 * wp / r)
+        return out
 
     return rhs
 
 
-def _finalize_rhs(m):
-    """(u, u') with the four quadrature integrals as augmented states."""
-    const = not callable(m)
+def _finalize_rhs(ms):
+    """(u, u') with the four quadrature integrals int |grad u|^2,
+    int (a + eps V) u^2, int u^6 and int u^2 as augmented states, six states
+    per rung stacked in rung order."""
+    rungs = [(m, not callable(m)) for m in ms]
 
     def rhs(r, y):
-        u, up = y[:2].tolist()
-        mr = m if const else float(m(r))
-        upp = mr * u - 3.0 * u**5 - 2.0 * up / r
-        u2 = u * u
+        vals = y.tolist()
         fourpi_r2 = 4.0 * math.pi * r * r
-        return [
-            up,
-            upp,
-            fourpi_r2 * up * up,      # int |grad u|^2
-            fourpi_r2 * mr * u2,      # int (a + eps V) u^2
-            fourpi_r2 * u2**3,        # int u^6
-            fourpi_r2 * u2,           # int u^2
-        ]
+        out = []
+        for k, (m, const) in enumerate(rungs):
+            u, up = vals[6 * k : 6 * k + 2]
+            mr = m if const else float(m(r))
+            upp = mr * u - 3.0 * u**5 - 2.0 * up / r
+            u2 = u * u
+            out += (up, upp, fourpi_r2 * up * up, fourpi_r2 * mr * u2,
+                    fourpi_r2 * u2**3, fourpi_r2 * u2)
+        return out
 
     return rhs
 
@@ -257,56 +262,56 @@ _zero_event.terminal = True
 _zero_event.direction = -1
 
 
-def _integrate(M: float, cfg: ProblemConfig, finalize: bool = False, events=True):
-    """Integrate from the Taylor start at center height M to R: the shooting
-    system, or with ``finalize`` the integrals and dense output."""
-    R = cfg.domain.R
-    delta = 1e-6 * min(1.0, M**-2) if M > 0 else 1e-6
-    m = _coefficient(cfg)
-    m0 = float(m(0.0)) if callable(m) else m
-    u0, up0 = taylor_start(M, m0, delta)
-    if finalize:
-        rhs, y0 = _finalize_rhs(m), [u0, up0, 0.0, 0.0, 0.0, 0.0]
-    else:
-        # (w, w') start: the M-derivative of the Taylor start
-        c = m0 - 15.0 * M**4
-        rhs, y0 = _shooting_rhs(m), [u0, up0, 1.0 + c * delta**2 / 6.0, c * delta / 3.0]
+def _integrate(Ms, cfgs, finalize: bool = False, events: bool = False):
+    """Integrate the rungs ``cfgs`` from their Taylor starts at center
+    heights ``Ms`` to R in one stacked solve: the shooting system, or with
+    ``finalize`` the integrals and dense output.  The rungs share the ball,
+    the start delta = 1e-6 min(1, max(M)^-2) and so one step sequence; each
+    keeps its rtol and an atol of ode_tol max(1, M) 1e-2.  ``events`` stops
+    at the first zero of the first rung's u (for one-rung callers)."""
+    R = cfgs[0].domain.R
+    M_max = max(Ms)
+    delta = 1e-6 * min(1.0, M_max**-2) if M_max > 0 else 1e-6
+    ms = [_coefficient(cfg) for cfg in cfgs]
+    y0 = []
+    for M, m in zip(Ms, ms):
+        m0 = float(m(0.0)) if callable(m) else m
+        u0, up0 = taylor_start(M, m0, delta)
+        if finalize:
+            y0 += (u0, up0, 0.0, 0.0, 0.0, 0.0)
+        else:
+            # (w, w') start: the M-derivative of the Taylor start
+            c = m0 - 15.0 * M**4
+            y0 += (u0, up0, 1.0 + c * delta**2 / 6.0, c * delta / 3.0)
+    n = 6 if finalize else 4  # states per rung
     sol = integrate.solve_ivp(
-        rhs,
+        (_finalize_rhs if finalize else _shooting_rhs)(ms),
         (delta, R),
         y0,
         method="DOP853",
-        rtol=cfg.ode_tol,
-        atol=cfg.ode_tol * max(1.0, M) * 1e-2,
+        rtol=np.repeat([cfg.ode_tol for cfg in cfgs], n),
+        atol=np.repeat([cfg.ode_tol * max(1.0, M) * 1e-2 for M, cfg in zip(Ms, cfgs)], n),
         dense_output=finalize,
         events=_zero_event if events else None,
     )
     if not sol.success and sol.status != 1:
-        raise RuntimeError(f"integration failed at M={M:g}: {sol.message}")
+        raise RuntimeError(f"integration failed at M={max(Ms):g}: {sol.message}")
     return sol, delta
 
 
 def shoot(M: float, cfg: ProblemConfig) -> ShootOutcome:
-    """Integrate the radial equation from the center height M and report the
-    boundary value or the first interior zero crossing."""
+    """Integrate the radial equation from the center height M and report
+    the first interior zero crossing, if any, and the continuous shooting
+    functional: u(R) when u stays positive, and past a first interior zero
+    r0 its negative continuation u'(r0) (R - r0)."""
     if M <= 0:
         raise ValueError("M must be positive")
-    sol, _ = _integrate(M, cfg)
+    sol, _ = _integrate([M], [cfg], events=True)
     if sol.status == 1:  # crossed zero
         r0 = float(sol.t_events[0][0])
-        return ShootOutcome(M=M, endpoint=float(sol.y[0, -1]), first_zero=r0, positive=False)
+        endpoint = float(sol.y_events[0][0][1]) * (cfg.domain.R - r0)
+        return ShootOutcome(M=M, endpoint=endpoint, first_zero=r0, positive=False)
     return ShootOutcome(M=M, endpoint=float(sol.y[0, -1]), first_zero=None, positive=True)
-
-
-def _endpoint_map(M: float, cfg: ProblemConfig) -> float:
-    """Continuous shooting functional: u(R) when positive throughout, and a
-    negative continuation -u'(r0) (R - r0) past the first interior zero."""
-    sol, _ = _integrate(M, cfg)
-    if sol.status == 1:
-        r0 = float(sol.t_events[0][0])
-        up0 = float(sol.y_events[0][0][1])
-        return up0 * (cfg.domain.R - r0)
-    return float(sol.y[0, -1])
 
 
 def _find_bracket(
@@ -320,11 +325,11 @@ def _find_bracket(
     integration is counted under ``tally["bracket"]`` when given."""
     tally = Counter() if tally is None else tally
     M = M_lo
-    f_prev = _endpoint_map(M, cfg)
+    f_prev = shoot(M, cfg).endpoint
     tally["bracket"] += 1
     while M < M_hi:
         M_next = M * factor
-        f_next = _endpoint_map(M_next, cfg)
+        f_next = shoot(M_next, cfg).endpoint
         tally["bracket"] += 1
         if f_prev * f_next < 0:
             return (M, M_next)
@@ -334,43 +339,48 @@ def _find_bracket(
     )
 
 
-def _newton(
-    cfg: ProblemConfig,
-    M: float,
-    lo: float,
-    hi: float,
-    max_iter: int = 12,
-    tally: Counter | None = None,
-):
-    """Newton on the endpoint map u(R; M) with du(R)/dM from the variational
-    states, integrated to R without the zero event (an iterate just above the
-    root crosses zero at r0 ~ R).
+def _newton(cfgs, Ms, windows, tallies, max_iter: int = 12) -> list[float | None]:
+    """Newton on the endpoint maps u(R; M) of all rungs at once, with
+    du(R)/dM from the variational states, integrated to R without the zero
+    event (an iterate just above the root crosses zero at r0 ~ R).  Each
+    rung starts from its entry of ``Ms`` and leaves the batch once it stops.
 
-    Stops once |dM| <= 1e-9 M, after taking that step, or at the noise floor
-    of the root: the integration error in u(R) fixes the root only to about
-    1e-12 / |du(R)/dM|, which passes 1e-9 M for lam above ~1e4, so a step
-    that no longer halves while |u(R)| <= shoot_tol also ends the iteration.
-    Returns None when the slope is not negative, an iterate leaves (lo, hi),
-    or there is no convergence in ``max_iter`` steps.  Each integration is
-    counted under ``tally["root"]`` when given.
+    A rung stops once |dM| <= 1e-9 M, after taking that step, or at the
+    noise floor of its root: the integration error in u(R) fixes the root
+    only to about 1e-12 / |du(R)/dM|, which passes 1e-9 M for lam above
+    ~1e4, so a step that no longer halves while |u(R)| <= shoot_tol also
+    ends it.  Returns per rung its root, or None when the slope is not
+    negative, an iterate leaves its window, or there is no convergence in
+    ``max_iter`` steps; ``tallies[k]["root"]`` counts rung k's integrations.
     """
-    tally = Counter() if tally is None else tally
-    prev = math.inf
+    Ms = list(Ms)
+    roots: list[float | None] = [None] * len(Ms)
+    prev = [math.inf] * len(Ms)
+    active = list(range(len(Ms)))
     for _ in range(max_iter):
-        sol, _ = _integrate(M, cfg, events=False)
-        tally["root"] += 1
-        uR, wR = float(sol.y[0, -1]), float(sol.y[2, -1])
-        if not wR < 0.0:
-            return None
-        step = -uR / wR
-        M += step
-        if not lo < M < hi:
-            return None
-        stalled = abs(step) > 0.5 * prev and abs(uR) <= cfg.shoot_tol
-        if abs(step) <= 1e-9 * M or stalled:
-            return M
-        prev = abs(step)
-    return None
+        if not active:
+            break
+        sol, _ = _integrate([Ms[k] for k in active], [cfgs[k] for k in active])
+        ends = sol.y[:, -1].tolist()
+        running = []
+        for j, k in enumerate(active):
+            tallies[k]["root"] += 1
+            uR, wR = ends[4 * j], ends[4 * j + 2]
+            if not wR < 0.0:
+                continue
+            step = -uR / wR
+            M = Ms[k] = Ms[k] + step
+            lo, hi = windows[k]
+            if not lo < M < hi:
+                continue
+            stalled = abs(step) > 0.5 * prev[k] and abs(uR) <= cfgs[k].shoot_tol
+            if abs(step) <= 1e-9 * M or stalled:
+                roots[k] = M
+                continue
+            prev[k] = abs(step)
+            running.append(k)
+        active = running
+    return roots
 
 
 def _pde_residual(sol_obj: "RadialSolution") -> float:
@@ -392,49 +402,87 @@ def _pde_residual(sol_obj: "RadialSolution") -> float:
     return res_max / max(scale, 1.0)
 
 
-def _finalize(M: float, cfg: ProblemConfig) -> RadialSolution:
-    sol, delta = _integrate(M, cfg, finalize=True, events=False)
-    u = sol.y[0]
-    interior = sol.t < cfg.domain.R * (1.0 - 1e-9)
-    if np.any(u[interior] <= -cfg.shoot_tol):
-        raise RuntimeError("positivity violated on the interior grid")
-    rs = RadialSolution(
-        config=cfg,
-        M=M,
-        nodes=sol.t,
-        u=sol.y[0],
-        uprime=sol.y[1],
-        dense=sol.sol,
-        delta=delta,
-        grad_norm_sq=float(sol.y[2, -1]),
-        int_m_u2=float(sol.y[3, -1]),
-        int_u6=float(sol.y[4, -1]),
-        int_u2=float(sol.y[5, -1]),
-    )
-    rs.diagnostics["endpoint"] = float(sol.y[0, -1])
-    rs.diagnostics["pde_residual"] = _pde_residual(rs)
-    rs.diagnostics["energy_identity_residual"] = rs.energy_identity_residual
-    rs.diagnostics["sobolev_quotient"] = rs.sobolev_quotient
-    rs.diagnostics["gradient_quotient"] = rs.gradient_quotient
-    if cfg.a.is_constant and cfg.V.is_constant:
-        rs.diagnostics["pohozaev_residual"] = pohozaev_residual(rs, cfg)
-    return rs
+def _rung_dense(dense, rows: slice):
+    """The dense output ``dense`` of a stacked solve restricted to one rung's
+    ``rows``: every step's interpolant keeps only those rows of its
+    coefficients, so evaluating a rung costs what a one-rung solve would and
+    gives its rows of the stacked evaluation bit for bit."""
+    pieces = []
+    for p in dense.interpolants:
+        q = copy.copy(p)
+        q.y_old, q.F = p.y_old[rows], p.F[:, rows]
+        pieces.append(q)
+    return OdeSolution(dense.ts, pieces)
 
 
-def _rate_law_seed(cfg: ProblemConfig) -> float | None:
-    """Center height from the blow-up rate law: eps lam -> 4 pi^2 |a(0)| /
-    |Q_V(0)| with lam ~ M^2.  None outside the law's regime, where a(0) or
-    Q_V(0) is not negative (or Q_V(0) cannot be formed for a alone)."""
-    a0 = float(cfg.a(0.0))
-    if a0 >= 0:
-        return None
+def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeError]:
+    """Converged rungs in one dense integration, each with a dense output of
+    its own rows and its diagnostics, ``seed`` and ``tallies[k]`` among them.
+    A rung whose profile turns negative inside the ball, or whose endpoint
+    misses ``shoot_tol``, comes back as its error."""
+    sol, delta = _integrate(Ms, cfgs, finalize=True)
+    interior = sol.t < cfgs[0].domain.R * (1.0 - 1e-9)
+    out = []
+    for k, (M, cfg) in enumerate(zip(Ms, cfgs)):
+        tallies[k]["finalize"] += 1
+        rows = slice(6 * k, 6 * k + 6)
+        y = sol.y[rows]
+        if np.any(y[0][interior] <= -cfg.shoot_tol):
+            out.append(RuntimeError("positivity violated on the interior grid"))
+            continue
+        rs = RadialSolution(
+            config=cfg,
+            M=M,
+            nodes=sol.t,
+            u=y[0],
+            uprime=y[1],
+            dense=_rung_dense(sol.sol, rows),
+            delta=delta,
+            grad_norm_sq=float(y[2, -1]),
+            int_m_u2=float(y[3, -1]),
+            int_u6=float(y[4, -1]),
+            int_u2=float(y[5, -1]),
+        )
+        endpoint = rs.diagnostics["endpoint"] = float(y[0, -1])
+        if abs(endpoint) > cfg.shoot_tol:
+            out.append(RuntimeError(f"endpoint {endpoint:.3e} above shoot_tol"))
+            continue
+        rs.diagnostics["pde_residual"] = _pde_residual(rs)
+        rs.diagnostics["energy_identity_residual"] = rs.energy_identity_residual
+        rs.diagnostics["sobolev_quotient"] = rs.sobolev_quotient
+        rs.diagnostics["gradient_quotient"] = rs.gradient_quotient
+        if cfg.a.is_constant and cfg.V.is_constant:
+            rs.diagnostics["pohozaev_residual"] = pohozaev_residual(rs, cfg)
+        rs.diagnostics["seed"] = seed
+        rs.diagnostics["shoot_integrations"] = dict(tallies[k])
+        out.append(rs)
+    return out
+
+
+# phi_a(0) R at or below this counts as zero, i.e. a as critical.  ga_center
+# integrates at tol 1e-12 and reads 3.7e-13 at a* = -pi^2/4 on the unit ball,
+# so the bound sits three orders above that noise; since d phi_a(0)/da = R/2
+# at a*, it admits only constants within ~2e-9 / R^2 of a*.
+_CRITICAL_PHI = 1e-9
+
+
+def _rate_law(cfg: ProblemConfig) -> float | None:
+    """The blow-up rate law's limit of eps lam, 4 pi^2 |a(0)| / |Q_V(0)|,
+    where it applies: a critical (phi_a(0) = 0 up to integration noise),
+    a(0) < 0 and Q_V(0) < 0.  None elsewhere, also for a supercritical a,
+    whose M stays bounded as eps -> 0.  phi_a(0) and Q_V(0) come from one
+    ``ga_center``; neither depends on eps."""
+    R = cfg.domain.R
     try:
-        qv0 = qv_center(cfg.V, cfg.a, cfg.domain.R)
+        cg = ga_center(cfg.a, R)
     except (CoercivityError, ResonanceError):  # a alone has no center Green's data
         return None
+    if abs(cg.phi_a_at_0) * R > _CRITICAL_PHI or cg.a_at_0 >= 0:
+        return None
+    qv0 = qv_center(cfg.V, cfg.a, R, cg=cg)
     if qv0 >= 0:
         return None
-    return math.sqrt(4.0 * math.pi**2 * abs(a0) / (abs(qv0) * cfg.eps))
+    return 4.0 * math.pi**2 * abs(cg.a_at_0) / abs(qv0)
 
 
 def solve_profile(
@@ -442,19 +490,19 @@ def solve_profile(
     M_seed: float | None = None,
     M_scan: tuple[float, float] = (0.5, 1e4),
 ) -> RadialSolution:
-    """Ground-state profile by Newton on the endpoint map u(R; M), with
-    bracketing + Brent as the fallback.
+    """Ground-state profile of one rung: the one-rung case of the batched
+    Newton and finalize, with bracketing + Brent as the fallback.
 
     Newton starts from ``M_seed`` (a continuation seed) or, without one,
     from the rate-law height (4 pi^2 |a(0)| / (|Q_V(0)| eps))^{1/2}, and is
     kept inside (0.7, 1.45) times its start; when it fails (non-negative
     slope, an iterate outside that window, or no convergence) Brent runs on
     a bracket scanned in the window, or over ``M_scan`` if the window holds
-    none.  Where the rate law does not apply (a(0) >= 0 or Q_V(0) >= 0) a
-    bracket scan over ``M_scan`` comes first and Newton starts from its
-    lower (positive) end, kept inside the bracket.  Diagnostics are
-    populated on the converged profile, with the seed used and the
-    shooting integrations by phase.
+    none.  Where the rate law does not apply (a not critical, a(0) >= 0 or
+    Q_V(0) >= 0) a bracket scan over ``M_scan`` comes first and Newton
+    starts from its lower (positive) end, kept inside the bracket.
+    Diagnostics are populated on the converged profile, with the seed used
+    and the shooting integrations by phase.
     """
     if cfg.eps <= 0:
         raise ValueError("existence regime requires eps > 0")
@@ -462,15 +510,16 @@ def solve_profile(
 
     def endpoint(M):
         tally["root"] += 1
-        return _endpoint_map(M, cfg)
+        return shoot(M, cfg).endpoint
 
     seed = "caller"
     if M_seed is None:
-        M_seed = _rate_law_seed(cfg)
+        law = _rate_law(cfg)
+        M_seed = None if law is None else math.sqrt(law / cfg.eps)
         seed = "scan" if M_seed is None else "rate_law"
     if M_seed is not None:
         lo, hi = 0.7 * M_seed, 1.45 * M_seed
-        M = _newton(cfg, M_seed, lo, hi, tally=tally)
+        (M,) = _newton([cfg], [M_seed], [(lo, hi)], [tally])
         if M is None:
             try:
                 bracket = _find_bracket(cfg, lo, hi, factor=1.08, tally=tally)
@@ -478,42 +527,72 @@ def solve_profile(
                 bracket = _find_bracket(cfg, *M_scan, tally=tally)
     else:
         bracket = _find_bracket(cfg, *M_scan, tally=tally)
-        M = _newton(cfg, bracket[0], *bracket, tally=tally)
+        (M,) = _newton([cfg], [bracket[0]], [bracket], [tally])
     if M is None:
         M = brent_root(endpoint, bracket, tol=1e-13).root
-    rs = _finalize(M, cfg)
-    tally["finalize"] += 1
-    rs.diagnostics["seed"] = seed
-    rs.diagnostics["shoot_integrations"] = dict(tally)
-    if abs(rs.diagnostics["endpoint"]) > cfg.shoot_tol:
-        raise RuntimeError(
-            f"endpoint {rs.diagnostics['endpoint']:.3e} above shoot_tol"
-        )
+    (rs,) = _finalize([M], [cfg], [tally], seed)
+    if isinstance(rs, Exception):
+        raise rs
     return rs
 
 
-def sweep(
-    cfg_template: ProblemConfig,
-    eps_ladder: Sequence[float],
-) -> list[RadialSolution]:
-    """Continuation over a decreasing eps ladder; each rung gives the next
-    its Newton start through the lam ~ 1/eps scaling of the peak height."""
-    eps_ladder = list(eps_ladder)
-    if any(e2 >= e1 for e1, e2 in zip(eps_ladder, eps_ladder[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
-    out: list[RadialSolution] = []
-    for eps in eps_ladder:
-        M_seed = out[-1].M * math.sqrt(out[-1].config.eps / eps) if out else None
-        cfg = ProblemConfig(
-            domain=cfg_template.domain,
-            a=cfg_template.a,
-            V=cfg_template.V,
-            eps=eps,
-            shoot_tol=cfg_template.shoot_tol,
-            ode_tol=cfg_template.ode_tol,
-        )
-        out.append(solve_profile(cfg, M_seed=M_seed))
-    return out
+def _continuation_seed(cfg: ProblemConfig, solved) -> float | None:
+    """Center height for ``cfg`` from the solved rung nearest in eps, by
+    M ~ eps^{-1/2}; None when no rung has solved."""
+    ok = [s for s in solved if isinstance(s, RadialSolution)]
+    if cfg.eps <= 0 or not ok:
+        return None
+    near = min(ok, key=lambda s: abs(math.log(s.config.eps / cfg.eps)))
+    return near.M * math.sqrt(near.config.eps / cfg.eps)
+
+
+def solve_ladder(
+    cfgs: Sequence[ProblemConfig],
+) -> Iterator[tuple[float, RadialSolution | Exception]]:
+    """Ground states of an eps ladder, yielded as ``(eps, profile)`` in
+    ladder order, or ``(eps, error)`` for a rung that failed; a failed rung
+    does not stop the others.
+
+    The rungs share a, V and the ball; only eps varies.  Where the rate law
+    applies, every rung starts Newton from its rate-law height, and all
+    rungs run in lockstep: one stacked integration per Newton iteration,
+    each rung in its own (0.7, 1.45) window with its own stop rule, then one
+    dense integration that finalizes every converged rung.  A rung that
+    leaves its window, every rung of a batch whose integration fails, and
+    every rung outside the law's regime, is solved alone by
+    ``solve_profile`` from the continuation seed of the nearest rung solved
+    so far (M ~ eps^{-1/2}), or cold when none has.  Each
+    profile's ``diagnostics["shoot_integrations"]`` counts the
+    integrations, batched or its own, that the rung took part in.
+    """
+    cfgs = list(cfgs)
+    tallies = [Counter(bracket=0, root=0, finalize=0) for _ in cfgs]
+    batch = [k for k, cfg in enumerate(cfgs) if cfg.eps > 0]
+    law = _rate_law(cfgs[batch[0]]) if batch else None
+    solved: dict[int, RadialSolution | Exception] = {}
+    if law is not None:
+        seeds = [math.sqrt(law / cfgs[k].eps) for k in batch]
+        windows = [(0.7 * s, 1.45 * s) for s in seeds]
+        try:
+            roots = _newton([cfgs[k] for k in batch], seeds, windows,
+                            [tallies[k] for k in batch])
+            ks = [k for k, M in zip(batch, roots) if M is not None]
+            if ks:
+                finals = _finalize([M for M in roots if M is not None], [cfgs[k] for k in ks],
+                                   [tallies[k] for k in ks], "rate_law")
+                solved.update(zip(ks, finals))
+        except RuntimeError:  # a stacked integration failed: every rung goes alone
+            pass
+    for k, cfg in enumerate(cfgs):
+        if k not in solved:
+            try:
+                rs = solve_profile(cfg, M_seed=_continuation_seed(cfg, solved.values()))
+                tallies[k].update(rs.diagnostics["shoot_integrations"])
+                rs.diagnostics["shoot_integrations"] = dict(tallies[k])
+                solved[k] = rs
+            except Exception as e:  # the rung fails alone; the ladder goes on
+                solved[k] = e
+        yield cfg.eps, solved[k]
 
 
 def pohozaev_residual(u: RadialSolution, cfg: ProblemConfig | None = None) -> float:

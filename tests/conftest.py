@@ -7,7 +7,7 @@ import pytest
 
 from ballblowup.asympt import records_from_sweep
 from ballblowup.greenfn import BallDomain, RadialCoefficient
-from ballblowup.solver import ProblemConfig, sweep
+from ballblowup.solver import ProblemConfig, solve_ladder
 
 CRITICAL_A = -math.pi**2 / 4.0
 EPS_LADDER = [0.04, 0.02, 0.01, 0.005]
@@ -26,10 +26,21 @@ def make_config(eps, V_const=-1.0, a_const=CRITICAL_A, R=1.0):
     )
 
 
+def ladder(**kw):
+    """Ground states over the standard eps ladder for ``make_config(eps,
+    **kw)``; a failed rung raises its error."""
+    sols = []
+    for _, s in solve_ladder([make_config(eps, **kw) for eps in EPS_LADDER]):
+        if isinstance(s, Exception):
+            raise s
+        sols.append(s)
+    return sols
+
+
 @pytest.fixture(scope="session")
 def canonical_solutions():
     """Ground states for V = -1, critical a, over the standard eps ladder."""
-    return sweep(make_config(EPS_LADDER[0]), EPS_LADDER)
+    return ladder()
 
 
 @pytest.fixture(scope="session")
@@ -40,5 +51,4 @@ def canonical_records(canonical_solutions):
 @pytest.fixture(scope="session")
 def v2_records():
     """Records for V = -2, used to check linearity of the rate in Q_V."""
-    sols = sweep(make_config(EPS_LADDER[0], V_const=-2.0), EPS_LADDER)
-    return records_from_sweep(sols, const(CRITICAL_A), 1.0)
+    return records_from_sweep(ladder(V_const=-2.0), const(CRITICAL_A), 1.0)

@@ -233,30 +233,27 @@ class TestSweepAndReport:
         assert sorted(d["eps"] for d in redone) == sorted(SHORT_LADDER)
 
     def test_analysis_failure_keeps_seed(self, tmp_path, monkeypatch):
-        seeds, masses = {}, {}
-        solve = cli.solver.solve_profile
+        # every rung is solved from its rate-law seed before any analysis
+        # runs, so a rung whose analysis fails leaves the others' solves as
+        # they are in a sweep without the failure
+        cfg_path = write_cfg(tmp_path, eps_ladder=SHORT_LADDER)
+        clean_path = tmp_path / "clean.jsonl"
+        assert main(["sweep", "--config", cfg_path, "--out", str(clean_path)]) == EXIT_OK
         records = cli.asympt.records_from_sweep
-
-        def solve_spy(pcfg, M_seed=None):
-            seeds[pcfg.eps] = M_seed
-            rs = solve(pcfg, M_seed=M_seed)
-            masses[pcfg.eps] = rs.M
-            return rs
 
         def records_failing(sols, *args):
             if sols[0].config.eps == SHORT_LADDER[1]:
                 raise cli.asympt.RegimeError("analysis failed")
             return records(sols, *args)
 
-        monkeypatch.setattr(cli.solver, "solve_profile", solve_spy)
         monkeypatch.setattr(cli.asympt, "records_from_sweep", records_failing)
-        cfg_path = write_cfg(tmp_path, eps_ladder=SHORT_LADDER)
         rec_path = tmp_path / "r.jsonl"
         assert main(["sweep", "--config", cfg_path, "--out", str(rec_path)]) == EXIT_NUMERICAL
-        status = [json.loads(l)["status"] for l in rec_path.read_text().splitlines()]
-        assert status == ["ok", "failed", "ok"]
-        e1, e2 = SHORT_LADDER[1:]
-        assert seeds[e2] == pytest.approx(masses[e1] * math.sqrt(e1 / e2), rel=1e-15)
+        lines = [json.loads(l) for l in rec_path.read_text().splitlines()]
+        clean = [json.loads(l) for l in clean_path.read_text().splitlines()]
+        assert [d["status"] for d in lines] == ["ok", "failed", "ok"]
+        assert "analysis failed" in lines[1]["error"]
+        assert lines[0] == clean[0] and lines[2] == clean[2]
 
     def test_low_lambda_ladder(self, tmp_path):
         ladder = [0.3, 0.2, 0.1, 0.08]
@@ -266,38 +263,34 @@ class TestSweepAndReport:
         lines = [json.loads(l) for l in rec_path.read_text().splitlines()]
         assert [(d["eps"], d["status"]) for d in lines] == [(e, "ok") for e in ladder]
 
-    def test_parallel_failure_recorded(self, tmp_path):
+    def test_failing_rung_recorded(self, tmp_path):
         # eps = 8 breaks coercivity: that rung fails, the others still run
         ladder = [8.0] + SHORT_LADDER[:2]
         cfg_path = write_cfg(tmp_path, eps_ladder=ladder)
-        lines = {}
-        for workers in ("1", "2"):
-            rec_path = tmp_path / f"r{workers}.jsonl"
-            code = main(["sweep", "--config", cfg_path, "--out", str(rec_path),
-                         "--workers", workers])
-            assert code == EXIT_NUMERICAL
-            lines[workers] = [json.loads(l) for l in rec_path.read_text().splitlines()]
-        assert [d["eps"] for d in lines["2"]] == ladder
-        assert [d["status"] for d in lines["2"]] == ["failed", "ok", "ok"]
-        assert lines["2"][0] == lines["1"][0]
+        rec_path = tmp_path / "r.jsonl"
+        code = main(["sweep", "--config", cfg_path, "--out", str(rec_path)])
+        assert code == EXIT_NUMERICAL
+        lines = [json.loads(l) for l in rec_path.read_text().splitlines()]
+        assert [d["eps"] for d in lines] == ladder
+        assert [d["status"] for d in lines] == ["failed", "ok", "ok"]
+        assert "coefficient" in lines[0]["error"]
 
-    def test_parallel_matches_serial(self, tmp_path):
-        # every parallel rung starts from the rate law, as the serial first
-        # rung does; later serial rungs start from continuation seeds
+    def test_resumed_sweep_matches_fresh(self, tmp_path):
+        # two of four rungs already on file: the other two are solved as a
+        # batch of their own and must land on the fresh sweep's records
         cfg_path = write_cfg(tmp_path)
-        text = {}
-        for workers in ("1", "2"):
-            rec_path = tmp_path / f"r{workers}.jsonl"
-            code = main(["sweep", "--config", cfg_path, "--out", str(rec_path),
-                         "--workers", workers])
-            assert code == EXIT_OK
-            text[workers] = rec_path.read_text().splitlines()
-        assert text["2"][0] == text["1"][0]
-        serial, parallel = ([json.loads(l) for l in text[w]] for w in ("1", "2"))
-        assert [d["eps"] for d in parallel] == RunConfig().eps_ladder
-        for s, p in zip(serial[1:], parallel[1:]):
-            assert p["M"] == pytest.approx(s["M"], rel=1e-9)
-            assert p["lam"] == pytest.approx(s["lam"], rel=1e-7)
+        fresh_path, rec_path = tmp_path / "fresh.jsonl", tmp_path / "r.jsonl"
+        assert main(["sweep", "--config", cfg_path, "--out", str(fresh_path)]) == EXIT_OK
+        fresh = fresh_path.read_text().splitlines()
+        rec_path.write_text(fresh[0] + "\n" + fresh[2] + "\n")
+        assert main(
+            ["sweep", "--config", cfg_path, "--out", str(rec_path), "--resume"]
+        ) == EXIT_OK
+        resumed = {d["eps"]: d for d in map(json.loads, rec_path.read_text().splitlines())}
+        assert sorted(resumed) == sorted(RunConfig().eps_ladder)
+        for d in map(json.loads, fresh):
+            assert resumed[d["eps"]]["M"] == pytest.approx(d["M"], rel=1e-8)
+            assert resumed[d["eps"]]["lam"] == pytest.approx(d["lam"], rel=1e-7)
 
     def test_no_solution_exit_code(self, tmp_path, capsys):
         # a + eps V = -2.04 lies above a* = -pi^2/4: no positive solution, so
@@ -315,6 +308,38 @@ class TestSweepAndReport:
         assert "eps_lambda" in out
         rows = csv_path.read_text().splitlines()
         assert len(rows) == 1 + len(canonical_records)
+
+
+class TestInputErrors:
+    """Bad input ends with exit 1 and a one-line message, not a traceback."""
+
+    @pytest.mark.parametrize("cmd", ["verify", "report"])
+    def test_missing_records_file(self, tmp_path, capsys, cmd):
+        path = tmp_path / "absent.jsonl"
+        assert main([cmd, "--records", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot read" in err
+
+    def test_malformed_records_line(self, tmp_path, capsys, canonical_records):
+        path = Path(write_records(tmp_path, canonical_records))
+        path.write_text(path.read_text() + "{not json\n")
+        assert main(["verify", "--records", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"line {len(canonical_records) + 1}" in err
+
+    @pytest.mark.parametrize("eps", ["0", "-1"])
+    def test_solve_nonpositive_eps(self, capsys, eps):
+        assert main(["solve", "--eps", eps]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'eps'" in err
+
+    def test_non_integer_lmax(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="lmax"):
+            RunConfig.from_dict({"lmax": "x"})
+        cfg_path = write_cfg(tmp_path, lmax="x")
+        assert main(["critical", "--config", cfg_path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "lmax" in err
 
 
 class TestVerify:

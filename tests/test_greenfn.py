@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ballblowup.greenfn import (
@@ -47,6 +47,7 @@ class TestG0Ball:
         )
     )
     @settings(max_examples=50, deadline=None)
+    @example(data=[7.4e-158, 0.0, 0.0, 0.0, 0.0, 0.5])  # |x|^2 underflows
     def test_symmetry(self, data):
         x, y = np.array(data[:3]), np.array(data[3:])
         if np.linalg.norm(x - y) < 1e-3:

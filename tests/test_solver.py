@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import integrate
 
 from ballblowup import solver
 from ballblowup.asympt import decompose, fit_bubble
-from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center
+from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center, qv_center
 from ballblowup.numkit import ode_solve, quad_radial
 from ballblowup.solver import (
     SOBOLEV_CONSTANT,
@@ -18,6 +19,7 @@ from ballblowup.solver import (
     greens_rep_residual,
     pohozaev_residual,
     shoot,
+    solve_ladder,
     solve_profile,
     taylor_start,
 )
@@ -141,9 +143,9 @@ class TestNewton:
         cfg = make_config(0.02)
         # the step balances truncation against the ~1e-12 noise in u(R)
         M, dM = 27.0, 1e-3
-        sol, _ = solver._integrate(M, cfg, events=False)
-        hi, _ = solver._integrate(M + dM, cfg, events=False)
-        lo, _ = solver._integrate(M - dM, cfg, events=False)
+        sol, _ = solver._integrate([M], [cfg])
+        hi, _ = solver._integrate([M + dM], [cfg])
+        lo, _ = solver._integrate([M - dM], [cfg])
         fd = (hi.y[0, -1] - lo.y[0, -1]) / (2 * dM)
         assert sol.y[2, -1] == pytest.approx(fd, rel=1e-6)
 
@@ -187,7 +189,7 @@ class TestNewton:
 
     def test_agrees_with_brent(self, canonical_solutions, monkeypatch):
         # the same continuation with every Newton solve failing
-        monkeypatch.setattr(solver, "_newton", lambda *args, **kwargs: None)
+        monkeypatch.setattr(solver, "_newton", lambda cfgs, *args, **kwargs: [None])
         prev = None
         for s_newton, eps in zip(canonical_solutions, EPS_LADDER):
             seed = prev.M * math.sqrt(prev.config.eps / eps) if prev else None
@@ -214,7 +216,7 @@ def _scan_path(cfg):
     """Center height as a cold solve found it without the rate law: the
     bracket scan over the default M range, then Newton from its lower end."""
     bracket = solver._find_bracket(cfg, 0.5, 1e4)
-    return solver._newton(cfg, bracket[0], *bracket)
+    return solver._newton([cfg], [bracket[0]], [bracket], [Counter()])[0]
 
 
 class TestRateLawSeed:
@@ -228,9 +230,13 @@ class TestRateLawSeed:
         assert s.M == pytest.approx(_scan_path(s.config), rel=1e-9)
 
     def test_seeded_rung_reports_caller_seed(self, canonical_solutions):
-        for s in canonical_solutions[1:]:
-            assert s.diagnostics["seed"] == "caller"
-            assert s.diagnostics["shoot_integrations"]["bracket"] == 0
+        # continuation seeds, as a ladder's fallback rung gets them
+        for prev, s in zip(canonical_solutions, canonical_solutions[1:]):
+            seed = prev.M * math.sqrt(prev.config.eps / s.config.eps)
+            seeded = solve_profile(s.config, M_seed=seed)
+            assert seeded.diagnostics["seed"] == "caller"
+            assert seeded.diagnostics["shoot_integrations"]["bracket"] == 0
+            assert seeded.M == pytest.approx(s.M, rel=1e-8)
 
     def test_fallback_phases_counted(self, canonical_solutions):
         good = canonical_solutions[1]
@@ -239,6 +245,20 @@ class TestRateLawSeed:
         assert s.diagnostics["seed"] == "caller"
         assert counts["bracket"] > 0 and counts["root"] > 0 and counts["finalize"] == 1
 
+    def test_supercritical_a_scans(self):
+        # a = -3 < a*: phi_a(0) = -0.28, so M stays bounded as eps -> 0 and
+        # the rate law is no seed; the scan path is cheaper than a start
+        # from the law's height and lands on the same root
+        a, V, eps = const(-3.0), const(-1.0), 0.05
+        cfg = ProblemConfig(domain=BallDomain(1.0), a=a, V=V, eps=eps)
+        s = solve_profile(cfg)
+        assert s.diagnostics["seed"] == "scan"
+        law_M = math.sqrt(4 * math.pi**2 * 3.0 / (abs(qv_center(V, a, 1.0)) * eps))
+        from_law = solve_profile(cfg, M_seed=law_M)
+        spent = sum(s.diagnostics["shoot_integrations"].values())
+        assert spent < sum(from_law.diagnostics["shoot_integrations"].values())
+        assert s.M == pytest.approx(from_law.M, rel=1e-9)
+
     def test_outside_law_regime_scans(self):
         # V = +1 gives Q_V(0) > 0: no rate law, the scan path runs unchanged
         cfg = ProblemConfig(domain=BallDomain(1.0), a=const(-3.0), V=const(1.0), eps=0.05)
@@ -246,6 +266,110 @@ class TestRateLawSeed:
         assert s.diagnostics["seed"] == "scan"
         assert s.diagnostics["shoot_integrations"]["bracket"] > 0
         assert s.M == _scan_path(cfg)
+
+
+TABLE_R = np.linspace(0.0, 1.0, 65)
+TABLE_V = RadialCoefficient(values=-(1 + 2 * TABLE_R**2), abscissae=TABLE_R)
+
+
+def _ladder_cfgs(V, R=1.0):
+    """The standard ladder for critical a on radius R."""
+    return [
+        ProblemConfig(domain=BallDomain(R), a=const(CRITICAL_A / R**2), V=V, eps=eps)
+        for eps in EPS_LADDER
+    ]
+
+
+class TestSolveLadder:
+    @pytest.mark.parametrize(
+        "V",
+        [const(-1.0), const(-2.0), TABLE_V],
+        ids=["canonical", "V=-2", "V=-(1+2r^2)"],
+    )
+    def test_rungs_match_scalar(self, V):
+        cfgs = _ladder_cfgs(V)
+        out = list(solve_ladder(cfgs))
+        assert [eps for eps, _ in out] == EPS_LADDER
+        for cfg, (_, s) in zip(cfgs, out):
+            assert s.diagnostics["seed"] == "rate_law"
+            scalar = solve_profile(cfg)
+            assert s.M == pytest.approx(scalar.M, rel=1e-8)
+            assert fit_bubble(s, 1.0)[1] == pytest.approx(fit_bubble(scalar, 1.0)[1], rel=1e-7)
+
+    def test_canonical_integrations(self, canonical_solutions):
+        # lockstep Newton batches plus one finalize, read off the rungs
+        counts = [s.diagnostics["shoot_integrations"] for s in canonical_solutions]
+        assert all(c["bracket"] == 0 and c["finalize"] == 1 for c in counts)
+        assert max(c["root"] for c in counts) + 1 <= 6
+
+    def test_rung_dense_is_its_rows(self, canonical_solutions):
+        Ms = [s.M for s in canonical_solutions]
+        cfgs = [s.config for s in canonical_solutions]
+        sol, _ = solver._integrate(Ms, cfgs, finalize=True)
+        r = np.concatenate([np.geomspace(1e-6, 1.0, 200), sol.t[1::7]])
+        full = sol.sol(r)
+        finals = solver._finalize(Ms, cfgs, [Counter() for _ in Ms], "rate_law")
+        for k, rs in enumerate(finals):
+            rows = full[6 * k : 6 * k + 6]
+            assert np.array_equal(rs.dense(r), rows)
+            assert np.array_equal(rs.u, sol.y[6 * k])
+
+    def test_radius_scaling(self, canonical_solutions):
+        # m / R^2 on radius R: u_R(x) = R^{-1/2} u_1(x / R), so lam_R = lam_1 / R
+        R = 2.0
+        scaled = solve_ladder(_ladder_cfgs(const(-1.0 / R**2), R))
+        for s1, (_, s2) in zip(canonical_solutions, scaled):
+            assert fit_bubble(s2, R)[1] * R == pytest.approx(fit_bubble(s1, 1.0)[1], rel=1e-7)
+
+    def test_window_exit_falls_back_with_continuation(self, canonical_solutions, monkeypatch):
+        # the first rung leaves the batch: it is solved alone from the
+        # continuation seed of the nearest rung the batch solved
+        newton, solve = solver._newton, solver.solve_profile
+        seeds = []
+
+        def newton_dropping(cfgs, Ms, *args, **kwargs):
+            roots = newton(cfgs, Ms, *args, **kwargs)
+            if len(cfgs) > 1:
+                roots[0] = None
+            return roots
+
+        def solve_spy(cfg, M_seed=None, **kwargs):
+            seeds.append(M_seed)
+            return solve(cfg, M_seed=M_seed, **kwargs)
+
+        monkeypatch.setattr(solver, "_newton", newton_dropping)
+        monkeypatch.setattr(solver, "solve_profile", solve_spy)
+        sols = [s for _, s in solve_ladder([s.config for s in canonical_solutions])]
+        first, second = canonical_solutions[:2]
+        assert seeds == [second.M * math.sqrt(second.config.eps / first.config.eps)]
+        assert sols[0].diagnostics["seed"] == "caller"
+        counts = sols[0].diagnostics["shoot_integrations"]
+        batched = first.diagnostics["shoot_integrations"]
+        assert counts["root"] > batched["root"]
+        for s, ref in zip(sols, canonical_solutions):
+            assert s.M == pytest.approx(ref.M, rel=1e-8)
+
+    def test_failed_batch_solves_rungs_alone(self, canonical_solutions, monkeypatch):
+        # a stacked integration that fails sends every rung down the
+        # one-rung path: cold for the first, continuation seeds after it
+        integrate_one = solver._integrate
+
+        def failing(Ms, cfgs, *args, **kwargs):
+            if len(Ms) > 1:
+                raise RuntimeError("integration failed")
+            return integrate_one(Ms, cfgs, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_integrate", failing)
+        sols = [s for _, s in solve_ladder([s.config for s in canonical_solutions])]
+        assert [s.diagnostics["seed"] for s in sols] == ["rate_law"] + ["caller"] * 3
+        for s, ref in zip(sols, canonical_solutions):
+            assert s.M == pytest.approx(ref.M, rel=1e-8)
+
+    def test_failed_rung_yields_error(self):
+        cfgs = [dataclasses.replace(make_config(0.05), eps=0.0), make_config(0.04)]
+        (e0, r0), (e1, r1) = solve_ladder(cfgs)
+        assert (e0, e1) == (0.0, 0.04)
+        assert isinstance(r0, ValueError) and isinstance(r1, RadialSolution)
 
 
 class _Unmemoised(RadialSolution):
