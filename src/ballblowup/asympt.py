@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from . import bubble as bb
 from .greenfn import CenterGreens, RadialCoefficient, ga_center, phi0_ball, qv_center
-from .numkit import radial_quadrature_rule, richardson_fit
+from .numkit import brent_root, radial_quadrature_rule, richardson_fit
 from .solver import RadialSolution
 
 __all__ = [
@@ -57,35 +56,37 @@ def fit_bubble(u: RadialSolution, R: float | None = None) -> tuple[float, float,
     """Least-squares projection of u onto the projected-bubble family.
 
     Minimizes the gradient norm of u - alpha PU_{0,lam}; alpha is eliminated
-    in closed form per lam and lam is minimized along a log axis seeded at
-    u(0)^2.  At the minimizer the misfit w = u/alpha - PU is automatically
-    orthogonal to both PU and dlam PU in the gradient inner product.
-    Returns (alpha, lam, residual_norm).
+    in closed form per lam, and lam is the root, on a log axis, of the
+    stationarity condition <u', dlam U'><U', U'> - <u', U'><U', dlam U'> = 0
+    (gradient inner products; proportional to the misfit's derivative),
+    between the outer ends of a bracket of the misfit's minimum around
+    u(0)^2.  The root is found to rounding, where a minimizer of the flat
+    misfit is good only to its square root.  There w = u/alpha - PU is
+    gradient-orthogonal to PU and dlam PU.  Returns (alpha, lam, residual_norm).
     """
     R = R or u.R
     lam0 = u.M**2
     nodes, wts = _rule(lam0, R)
-    uv = u.u_at(nodes)
     upv = u.uprime_at(nodes)
-    gn_u = _ip(wts, nodes, upv, upv)
+    wn = 4.0 * math.pi * wts * nodes**2  # <f', g'> = (wn f') @ g'
+    wu = wn * upv
+    gn_u = float(wu @ upv)
 
     def misfit(loglam):
-        lam = math.exp(loglam)
-        pup = bb.u_prime(lam, nodes)
-        cross = _ip(wts, nodes, upv, pup)
-        gn_pu = _ip(wts, nodes, pup, pup)
-        return gn_u - cross**2 / gn_pu
+        pup = bb.u_prime(math.exp(loglam), nodes)
+        return gn_u - float(wu @ pup) ** 2 / float(wn * pup @ pup)
 
-    res = optimize.minimize_scalar(
-        misfit,
-        bracket=_log_bracket(misfit, lam0),
-        method="brent",
-        options={"xtol": 1e-12},
-    )
-    lam = math.exp(float(res.x))
+    def stationarity(loglam):
+        lam = math.exp(loglam)
+        pup, dpup = bb.u_prime(lam, nodes), bb.dlam_u_prime(lam, nodes)
+        wp = wn * pup
+        return float(wu @ dpup) * float(wp @ pup) - float(wu @ pup) * float(wp @ dpup)
+
+    lo, _, hi = _log_bracket(misfit, lam0)
+    lam = math.exp(brent_root(stationarity, (lo, hi), tol=1e-12).root)
     pup = bb.u_prime(lam, nodes)
-    alpha = _ip(wts, nodes, upv, pup) / _ip(wts, nodes, pup, pup)
-    return float(alpha), float(lam), math.sqrt(max(res.fun, 0.0))
+    cross, gn_pu = float(wu @ pup), float(wn * pup @ pup)
+    return cross / gn_pu, lam, math.sqrt(max(gn_u - cross**2 / gn_pu, 0.0))
 
 
 def _log_bracket(f, lam0: float):
@@ -268,11 +269,13 @@ def records_from_sweep(
     a: RadialCoefficient,
     R: float = 1.0,
     probes=(0.3, 0.5, 0.7, 0.9),
+    cg: CenterGreens | None = None,
 ) -> list[SweepRecord]:
-    """Full per-rung pipeline: fit, decompose, far field, diagnostics."""
+    """Full per-rung pipeline: fit, decompose, far field, diagnostics.
+    ``cg`` is a's center Green's data, built here when not given."""
     from .solver import greens_rep_residual
 
-    cg = ga_center(a, R)
+    cg = cg or ga_center(a, R)
     out = []
     for u in solutions:
         alpha, lam, fit_res = fit_bubble(u, R)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -224,12 +225,13 @@ def _record_line(rec: asympt.SweepRecord, cfg: RunConfig) -> dict:
     return d
 
 
-def _rung_line(eps: float, rs, cfg: RunConfig) -> dict:
+def _rung_line(eps: float, rs, cfg: RunConfig, center) -> dict:
     """A solved rung's record line, or a failure line when its solve or its
-    analysis failed."""
+    analysis failed.  ``center()`` gives a's center Green's data."""
     if isinstance(rs, solver.RadialSolution):
         try:
-            rec = asympt.records_from_sweep([rs], rs.config.a, cfg.R, tuple(cfg.probes))[0]
+            rec = asympt.records_from_sweep([rs], rs.config.a, cfg.R, tuple(cfg.probes),
+                                            center())[0]
             return _record_line(rec, cfg)
         except Exception as e:  # per-rung failure recorded, sweep continues
             rs = e
@@ -272,12 +274,14 @@ def cmd_sweep(args) -> int:
     solved = solver.solve_ladder(
         [p for _, p in rungs if isinstance(p, solver.ProblemConfig)]
     )
+    # built once, on the first rung analysed; a failure is that rung's
+    center = functools.cache(lambda: greenfn.ga_center(cfg.coefficient("a"), cfg.R))
     failures = 0
     with out_path.open("a") as fh:
         for eps, rs in rungs:
             if isinstance(rs, solver.ProblemConfig):
                 rs = next(solved)[1]
-            line = _rung_line(eps, rs, cfg)
+            line = _rung_line(eps, rs, cfg, center)
             failures += line["status"] == "failed"
             fh.write(json.dumps(line, default=_json_default) + "\n")
             fh.flush()

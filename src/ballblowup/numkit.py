@@ -59,23 +59,38 @@ class RootResult:
 
 
 class OdeTrajectory:
-    """Adaptive ODE solution with a dense evaluator over its span.
+    """DOP853 solution of ``solve_ivp(..., dense_output=True)``, or its
+    ``rows`` of the state, with one vectorised dense evaluator.
 
-    Wraps the integrator output; ``nodes`` are the accepted step endpoints
-    (strictly increasing) and ``states[i]`` is the state at ``nodes[i]``.
+    ``nodes`` are the accepted step endpoints (strictly increasing) and
+    ``states[i]`` is the state at ``nodes[i]``, so ``states[:-1]`` are the
+    steps' start states y_old.  The steps' interpolant coefficients are
+    stacked by power as ``F`` (7, steps, states).  A call gives each point
+    the step scipy's ``OdeSolution`` gives it and the same seven alternating
+    updates in the same order, gathering one coefficient row per point and
+    update, so the values are scipy's bit for bit: (states,) at a scalar t,
+    (states,) + t.shape otherwise.
     """
 
-    def __init__(self, sol) -> None:
-        self._sol = sol
-        self.nodes = sol.t
-        self.states = sol.y.T
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.nodes[0]), float(self.nodes[-1])
+    def __init__(self, sol, rows=slice(None)) -> None:
+        self.nodes, self.states = sol.t, np.ascontiguousarray(sol.y[rows].T)
+        self.y_old = self.states[:-1]
+        F = np.array([p.F[:, rows] for p in sol.sol.interpolants])
+        self.F = np.ascontiguousarray(F.transpose(1, 0, 2))
 
     def __call__(self, t):
-        return self._sol.sol(t)
+        t = np.asarray(t, dtype=float)
+        # on the interior nodes: scipy's searchsorted(ts, t, "left") - 1, clipped
+        seg = np.searchsorted(self.nodes[1:-1], t, side="left")
+        t_old = self.nodes[seg]
+        x = ((t - t_old) / (self.nodes[seg + 1] - t_old))[..., None]
+        x1 = 1 - x
+        y = np.zeros(t.shape + self.y_old.shape[1:])
+        for i, f in enumerate(self.F[::-1]):
+            y += f.take(seg, axis=0)
+            y *= x1 if i % 2 else x
+        y += self.y_old.take(seg, axis=0)
+        return np.moveaxis(y, -1, 0) if t.ndim else y
 
 
 def bubble_moment(p: int, q: float | Fraction) -> float:
@@ -163,8 +178,6 @@ def ode_solve(
     y0: Sequence[float],
     span: tuple[float, float],
     tol: float = 1e-12,
-    events=None,
-    max_step: float = np.inf,
 ) -> OdeTrajectory:
     """Adaptive high-order Runge-Kutta integration with dense output.
 
@@ -180,15 +193,10 @@ def ode_solve(
         rtol=max(tol, 1e-13),
         atol=tol,
         dense_output=True,
-        events=events,
-        max_step=max_step,
     )
-    if not sol.success and sol.status != 1:
+    if not sol.success:
         raise RuntimeError(f"integration failed: {sol.message}")
-    traj = OdeTrajectory(sol)
-    traj.events = sol.t_events
-    traj.status = sol.status
-    return traj
+    return OdeTrajectory(sol)
 
 
 def brent_root(

@@ -16,7 +16,6 @@ integration (``solve_ladder``); ``solve_profile`` is the case of one rung.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -24,7 +23,6 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
-from scipy.integrate import OdeSolution
 
 from .greenfn import (
     BallDomain,
@@ -36,7 +34,7 @@ from .greenfn import (
     ga_center,
     qv_center,
 )
-from .numkit import brent_root, radial_quadrature_rule
+from .numkit import OdeTrajectory, brent_root, radial_quadrature_rule
 
 __all__ = [
     "ProblemConfig",
@@ -262,13 +260,14 @@ _zero_event.terminal = True
 _zero_event.direction = -1
 
 
-def _integrate(Ms, cfgs, finalize: bool = False, events: bool = False):
+def _integrate(Ms, cfgs, finalize: bool = False, events: bool = False, tol_floor: float = 0.0):
     """Integrate the rungs ``cfgs`` from their Taylor starts at center
     heights ``Ms`` to R in one stacked solve: the shooting system, or with
     ``finalize`` the integrals and dense output.  The rungs share the ball,
     the start delta = 1e-6 min(1, max(M)^-2) and so one step sequence; each
-    keeps its rtol and an atol of ode_tol max(1, M) 1e-2.  ``events`` stops
-    at the first zero of the first rung's u (for one-rung callers)."""
+    keeps an rtol of tol = max(ode_tol, ``tol_floor``) and an atol of
+    tol max(1, M) 1e-2.  ``events`` stops at the first zero of the first
+    rung's u (for one-rung callers)."""
     R = cfgs[0].domain.R
     M_max = max(Ms)
     delta = 1e-6 * min(1.0, M_max**-2) if M_max > 0 else 1e-6
@@ -284,13 +283,14 @@ def _integrate(Ms, cfgs, finalize: bool = False, events: bool = False):
             c = m0 - 15.0 * M**4
             y0 += (u0, up0, 1.0 + c * delta**2 / 6.0, c * delta / 3.0)
     n = 6 if finalize else 4  # states per rung
+    tols = [max(cfg.ode_tol, tol_floor) for cfg in cfgs]
     sol = integrate.solve_ivp(
         (_finalize_rhs if finalize else _shooting_rhs)(ms),
         (delta, R),
         y0,
         method="DOP853",
-        rtol=np.repeat([cfg.ode_tol for cfg in cfgs], n),
-        atol=np.repeat([cfg.ode_tol * max(1.0, M) * 1e-2 for M, cfg in zip(Ms, cfgs)], n),
+        rtol=np.repeat(tols, n),
+        atol=np.repeat([tol * max(1.0, M) * 1e-2 for M, tol in zip(Ms, tols)], n),
         dense_output=finalize,
         events=_zero_event if events else None,
     )
@@ -339,15 +339,22 @@ def _find_bracket(
     )
 
 
+_LOOSE_TOL = 1e-9  # tol floor of each Newton call's first integration
+
+
 def _newton(cfgs, Ms, windows, tallies, max_iter: int = 12) -> list[float | None]:
     """Newton on the endpoint maps u(R; M) of all rungs at once, with
     du(R)/dM from the variational states, integrated to R without the zero
     event (an iterate just above the root crosses zero at r0 ~ R).  Each
     rung starts from its entry of ``Ms`` and leaves the batch once it stops.
 
-    A rung stops once |dM| <= 1e-9 M, after taking that step, or at the
-    noise floor of its root: the integration error in u(R) fixes the root
-    only to about 1e-12 / |du(R)/dM|, which passes 1e-9 M for lam above
+    The first integration runs at tol max(ode_tol, 1e-9), an inexact step
+    far from the root; every later one, and every step a rung stops on, at
+    ode_tol.  A rung stops after taking a step s with |s| <= 1e-9 M, or with
+    K (s/M)^2 <= 1e-12 (quadratic convergence leaves a negligible next step;
+    K = r_k / r_{k-1}^2 from its last two relative steps at ode_tol), or at
+    the noise floor of its root: the integration error in u(R) fixes the
+    root only to about 1e-12 / |du(R)/dM|, which passes 1e-9 M for lam above
     ~1e4, so a step that no longer halves while |u(R)| <= shoot_tol also
     ends it.  Returns per rung its root, or None when the slope is not
     negative, an iterate leaves its window, or there is no convergence in
@@ -356,11 +363,13 @@ def _newton(cfgs, Ms, windows, tallies, max_iter: int = 12) -> list[float | None
     Ms = list(Ms)
     roots: list[float | None] = [None] * len(Ms)
     prev = [math.inf] * len(Ms)
+    rel: list[float | None] = [None] * len(Ms)  # last relative step at ode_tol
     active = list(range(len(Ms)))
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if not active:
             break
-        sol, _ = _integrate([Ms[k] for k in active], [cfgs[k] for k in active])
+        sol, _ = _integrate([Ms[k] for k in active], [cfgs[k] for k in active],
+                            tol_floor=_LOOSE_TOL if it == 0 else 0.0)
         ends = sol.y[:, -1].tolist()
         running = []
         for j, k in enumerate(active):
@@ -373,11 +382,17 @@ def _newton(cfgs, Ms, windows, tallies, max_iter: int = 12) -> list[float | None
             lo, hi = windows[k]
             if not lo < M < hi:
                 continue
-            stalled = abs(step) > 0.5 * prev[k] and abs(uR) <= cfgs[k].shoot_tol
-            if abs(step) <= 1e-9 * M or stalled:
+            prev_step, prev[k] = prev[k], abs(step)
+            if it == 0 and cfgs[k].ode_tol < _LOOSE_TOL:  # a loose step stops no rung
+                running.append(k)
+                continue
+            r, r_prev = abs(step) / M, rel[k]
+            rel[k] = r
+            quadratic = r_prev is not None and r**3 <= 1e-12 * r_prev**2  # K r^2 <= 1e-12
+            stalled = abs(step) > 0.5 * prev_step and abs(uR) <= cfgs[k].shoot_tol
+            if abs(step) <= 1e-9 * M or quadratic or stalled:
                 roots[k] = M
                 continue
-            prev[k] = abs(step)
             running.append(k)
         active = running
     return roots
@@ -402,19 +417,6 @@ def _pde_residual(sol_obj: "RadialSolution") -> float:
     return res_max / max(scale, 1.0)
 
 
-def _rung_dense(dense, rows: slice):
-    """The dense output ``dense`` of a stacked solve restricted to one rung's
-    ``rows``: every step's interpolant keeps only those rows of its
-    coefficients, so evaluating a rung costs what a one-rung solve would and
-    gives its rows of the stacked evaluation bit for bit."""
-    pieces = []
-    for p in dense.interpolants:
-        q = copy.copy(p)
-        q.y_old, q.F = p.y_old[rows], p.F[:, rows]
-        pieces.append(q)
-    return OdeSolution(dense.ts, pieces)
-
-
 def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeError]:
     """Converged rungs in one dense integration, each with a dense output of
     its own rows and its diagnostics, ``seed`` and ``tallies[k]`` among them.
@@ -436,7 +438,7 @@ def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeErro
             nodes=sol.t,
             u=y[0],
             uprime=y[1],
-            dense=_rung_dense(sol.sol, rows),
+            dense=OdeTrajectory(sol, rows),
             delta=delta,
             grad_norm_sq=float(y[2, -1]),
             int_m_u2=float(y[3, -1]),
@@ -494,8 +496,9 @@ def solve_profile(
     Newton and finalize, with bracketing + Brent as the fallback.
 
     Newton starts from ``M_seed`` (a continuation seed) or, without one,
-    from the rate-law height (4 pi^2 |a(0)| / (|Q_V(0)| eps))^{1/2}, and is
-    kept inside (0.7, 1.45) times its start; when it fails (non-negative
+    from the rate-law height (4 pi^2 |a(0)| / (|Q_V(0)| eps))^{1/2}, takes
+    its first step at tol 1e-9 and the rest at ode_tol (``_newton``), and
+    is kept inside (0.7, 1.45) times its start; when it fails (non-negative
     slope, an iterate outside that window, or no convergence) Brent runs on
     a bracket scanned in the window, or over ``M_scan`` if the window holds
     none.  Where the rate law does not apply (a not critical, a(0) >= 0 or
@@ -556,8 +559,10 @@ def solve_ladder(
     The rungs share a, V and the ball; only eps varies.  Where the rate law
     applies, every rung starts Newton from its rate-law height, and all
     rungs run in lockstep: one stacked integration per Newton iteration,
-    each rung in its own (0.7, 1.45) window with its own stop rule, then one
-    dense integration that finalizes every converged rung.  A rung that
+    the first at tol 1e-9 and the rest at ode_tol, each rung in its own
+    (0.7, 1.45) window with its own stop rule, then one dense integration
+    that finalizes every converged rung, each keeping an ``OdeTrajectory``
+    of its own rows (the canonical ladder takes 3 + 1).  A rung that
     leaves its window, every rung of a batch whose integration fails, and
     every rung outside the law's regime, is solved alone by
     ``solve_profile`` from the continuation seed of the nearest rung solved

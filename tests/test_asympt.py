@@ -19,7 +19,7 @@ from ballblowup.asympt import (
     verify_farfield,
     verify_rate,
 )
-from ballblowup.bubble import pu_center, _u
+from ballblowup.bubble import dlam_u_prime, pu_center, u_prime, _u
 from ballblowup.greenfn import RadialCoefficient, ga_center
 from ballblowup.numkit import radial_quadrature_rule
 from ballblowup.solver import solve_profile
@@ -61,6 +61,18 @@ class TestFitBubble:
         alpha, lam, resid = fit_bubble(u, 1.0)
         assert alpha == pytest.approx(alpha0, rel=1e-6)
         assert lam == pytest.approx(lam0, rel=1e-6)
+
+    def test_stationary_to_rounding(self, canonical_solutions):
+        # lam is a root of the stationarity condition, so the misfit is
+        # orthogonal to dlam U' to rounding; a minimizer of the flat misfit
+        # leaves 1e-10 .. 1e-8 here
+        for u in canonical_solutions:
+            alpha, lam, _ = fit_bubble(u, 1.0)
+            nodes, wts = radial_quadrature_rule(min(1e-8, 0.02 / u.M**2), 1.0, 260, 12)
+            wn = 4.0 * math.pi * wts * nodes**2
+            upv, dpup = u.uprime_at(nodes), dlam_u_prime(lam, nodes)
+            wp = upv / alpha - u_prime(lam, nodes)
+            assert abs(wn * wp @ dpup) <= 1e-13 * math.sqrt((wn * upv @ upv) * (wn * dpup @ dpup))
 
     def test_alpha_to_one(self, canonical_records):
         alphas = [r.alpha for r in canonical_records]

@@ -10,10 +10,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ballblowup import cli
+from ballblowup import asympt, cli, greenfn, solver
 from ballblowup.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -205,6 +205,15 @@ class TestScalarCommands:
         assert err.count("\n") == 1 and "numerical failure" in err
 
 
+@pytest.fixture(scope="module")
+def fresh_sweep(tmp_path_factory):
+    """A fresh sweep of the default ladder: its config path and its lines."""
+    tmp = tmp_path_factory.mktemp("fresh")
+    cfg_path, fresh_path = write_cfg(tmp), tmp / "fresh.jsonl"
+    assert main(["sweep", "--config", cfg_path, "--out", str(fresh_path)]) == EXIT_OK
+    return cfg_path, fresh_path.read_text().splitlines()
+
+
 class TestSweepAndReport:
     def test_sweep_records_and_resume(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, eps_ladder=SHORT_LADDER)
@@ -275,14 +284,15 @@ class TestSweepAndReport:
         assert [d["status"] for d in lines] == ["failed", "ok", "ok"]
         assert "coefficient" in lines[0]["error"]
 
-    def test_resumed_sweep_matches_fresh(self, tmp_path):
-        # two of four rungs already on file: the other two are solved as a
-        # batch of their own and must land on the fresh sweep's records
-        cfg_path = write_cfg(tmp_path)
-        fresh_path, rec_path = tmp_path / "fresh.jsonl", tmp_path / "r.jsonl"
-        assert main(["sweep", "--config", cfg_path, "--out", str(fresh_path)]) == EXIT_OK
-        fresh = fresh_path.read_text().splitlines()
-        rec_path.write_text(fresh[0] + "\n" + fresh[2] + "\n")
+    @settings(max_examples=8, deadline=None)
+    @example(on_file=(True, False, True, False))
+    @given(on_file=st.tuples(*[st.booleans()] * len(RunConfig().eps_ladder)))
+    def test_resumed_sweep_matches_fresh(self, fresh_sweep, tmp_path_factory, on_file):
+        # any rungs already on file: the others are solved as a batch of
+        # their own and must land on the fresh sweep's records
+        cfg_path, fresh = fresh_sweep
+        rec_path = tmp_path_factory.mktemp("resumed") / "r.jsonl"
+        rec_path.write_text("".join(l + "\n" for l, kept in zip(fresh, on_file) if kept))
         assert main(
             ["sweep", "--config", cfg_path, "--out", str(rec_path), "--resume"]
         ) == EXIT_OK
@@ -291,6 +301,20 @@ class TestSweepAndReport:
         for d in map(json.loads, fresh):
             assert resumed[d["eps"]]["M"] == pytest.approx(d["M"], rel=1e-8)
             assert resumed[d["eps"]]["lam"] == pytest.approx(d["lam"], rel=1e-7)
+
+    def test_sweep_builds_center_data_once(self, tmp_path, monkeypatch):
+        # one ga_center for the rate law and one for the analysis of all rungs
+        calls, orig = [], greenfn.ga_center
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return orig(*args, **kwargs)
+
+        for mod in (greenfn, solver, asympt):
+            monkeypatch.setattr(mod, "ga_center", counting)
+        cfg_path = write_cfg(tmp_path)
+        assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "r.jsonl")]) == EXIT_OK
+        assert len(calls) == 2
 
     def test_no_solution_exit_code(self, tmp_path, capsys):
         # a + eps V = -2.04 lies above a* = -pi^2/4: no positive solution, so

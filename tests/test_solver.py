@@ -11,7 +11,7 @@ from scipy import integrate
 from ballblowup import solver
 from ballblowup.asympt import decompose, fit_bubble
 from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center, qv_center
-from ballblowup.numkit import ode_solve, quad_radial
+from ballblowup.numkit import OdeTrajectory, ode_solve, quad_radial
 from ballblowup.solver import (
     SOBOLEV_CONSTANT,
     ProblemConfig,
@@ -280,6 +280,19 @@ def _ladder_cfgs(V, R=1.0):
     ]
 
 
+def _assert_scipy_bits(sol, traj, rows=slice(None)):
+    """``traj`` gives scipy's dense output of ``sol`` (its ``rows``) bit for
+    bit: at arrays of sorted and unsorted t, at every step node, in both
+    orders, and at scalar t, both ends of the span among them."""
+    nodes = sol.t
+    inside = np.random.default_rng(3).uniform(nodes[0], nodes[-1], 400)
+    graded = nodes[0] + np.geomspace(1e-9, 1.0, 200) * (nodes[-1] - nodes[0])
+    for t in (inside, np.sort(inside), graded, nodes, nodes[::-1]):
+        assert np.array_equal(traj(t), sol.sol(t)[rows])
+    for t in (nodes[0], nodes[-1], float(inside[0]), *nodes[1:-1:13]):
+        assert np.array_equal(traj(t), sol.sol(t)[rows])
+
+
 class TestSolveLadder:
     @pytest.mark.parametrize(
         "V",
@@ -297,22 +310,52 @@ class TestSolveLadder:
             assert fit_bubble(s, 1.0)[1] == pytest.approx(fit_bubble(scalar, 1.0)[1], rel=1e-7)
 
     def test_canonical_integrations(self, canonical_solutions):
-        # lockstep Newton batches plus one finalize, read off the rungs
-        counts = [s.diagnostics["shoot_integrations"] for s in canonical_solutions]
-        assert all(c["bracket"] == 0 and c["finalize"] == 1 for c in counts)
-        assert max(c["root"] for c in counts) + 1 <= 6
+        # one loose and two full-tolerance lockstep Newton batches plus one
+        # finalize, read off the rungs; no rung falls back
+        for s in canonical_solutions:
+            assert s.diagnostics["seed"] == "rate_law"
+            assert s.diagnostics["shoot_integrations"] == {"bracket": 0, "root": 3, "finalize": 1}
+
+    def test_newton_tolerances(self, monkeypatch):
+        # the first Newton integration at tol 1e-9, the later ones and the
+        # finalize at ode_tol = 1e-12; atol scales with the same tol
+        tols, orig = [], integrate.solve_ivp
+
+        def recording(*args, **kwargs):
+            rtol, atol = kwargs["rtol"], kwargs["atol"]
+            if isinstance(rtol, np.ndarray):  # a shooting integration, not ga_center's
+                tols.append((kwargs["dense_output"], set(rtol.tolist()), atol / rtol))
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "solve_ivp", recording)
+        list(solve_ladder(_ladder_cfgs(const(-1.0))))
+        assert [t[:2] for t in tols] == [(False, {1e-9}), (False, {1e-12}), (False, {1e-12}),
+                                         (True, {1e-12})]
+        assert tols[0][2] == pytest.approx(tols[1][2], rel=0.05)  # max(1, M) 1e-2
 
     def test_rung_dense_is_its_rows(self, canonical_solutions):
+        # the stacked finalize's dense output, and each rung's of its rows,
+        # are scipy's bit for bit
         Ms = [s.M for s in canonical_solutions]
         cfgs = [s.config for s in canonical_solutions]
         sol, _ = solver._integrate(Ms, cfgs, finalize=True)
-        r = np.concatenate([np.geomspace(1e-6, 1.0, 200), sol.t[1::7]])
-        full = sol.sol(r)
+        _assert_scipy_bits(sol, OdeTrajectory(sol))
         finals = solver._finalize(Ms, cfgs, [Counter() for _ in Ms], "rate_law")
         for k, rs in enumerate(finals):
-            rows = full[6 * k : 6 * k + 6]
-            assert np.array_equal(rs.dense(r), rows)
+            _assert_scipy_bits(sol, rs.dense, slice(6 * k, 6 * k + 6))
             assert np.array_equal(rs.u, sol.y[6 * k])
+
+    def test_ga_center_dense_is_scipys(self, monkeypatch):
+        sols, orig = [], integrate.solve_ivp
+
+        def keeping(*args, **kwargs):
+            sols.append(orig(*args, **kwargs))
+            return sols[-1]
+
+        monkeypatch.setattr(integrate, "solve_ivp", keeping)
+        ga_center(const(CRITICAL_A), 1.0)
+        (sol,) = sols
+        _assert_scipy_bits(sol, OdeTrajectory(sol))
 
     def test_radius_scaling(self, canonical_solutions):
         # m / R^2 on radius R: u_R(x) = R^{-1/2} u_1(x / R), so lam_R = lam_1 / R
