@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 LAMBDA_TRUST = 1e2  # asymptotic trust region: verdicts use rungs with lam >= this
+# gamma carries ~300x the solver noise of lam, so no tighter than this
+ZERO_MODE_TOL = 0.01
 
 
 class RegimeError(ValueError):
@@ -342,26 +344,51 @@ class TrendEntry:
 
 
 @dataclass
+class LimitEntry:
+    limit: float
+    target: float
+    rel_err: float
+    passed: bool
+
+
+@dataclass
 class TheoremReport:
+    """Every ladder law's verdict.  ``rows`` lists them, one row per law,
+    and ``all_passed`` is the AND of those rows."""
+
     rate: RateEntry
     alpha_slope: RateEntry
     farfield: TrendEntry
     grad_w_bound: BoundEntry
     grad_r_bound: BoundEntry
     sup_w_trend: TrendEntry
+    zero_modes: dict[str, LimitEntry]
     center_pinned_by_symmetry: bool = True
-    all_passed: bool = False
+    all_passed: bool = field(init=False)
 
-    def finalize(self) -> "TheoremReport":
-        self.all_passed = (
-            self.rate.passed
-            and self.alpha_slope.passed
-            and self.farfield.decreasing
-            and self.grad_w_bound.passed
-            and self.grad_r_bound.passed
-            and self.sup_w_trend.decreasing
-        )
-        return self
+    def __post_init__(self):
+        self.all_passed = all(passed for *_, passed in self.rows())
+
+    def rows(self):
+        """Yield (check, value, target, passed) for every law, value and
+        target as printed."""
+        r = self.rate
+        if r.diverging:
+            yield "rate eps*lam", "inf (diverging)", "inf", r.passed
+        else:
+            yield "rate eps*lam", f"{r.limit:.6g}", f"{r.target:.6g}", r.passed
+        a = self.alpha_slope
+        if not math.isnan(a.target):
+            yield "alpha slope", f"{a.limit:.6g}", f"{a.target:.6g}", a.passed
+        yield ("farfield trend", f"{self.farfield.values[-1]:.3g}",
+               "decreasing, <= 0.1", self.farfield.decreasing)
+        for name, b in (("grad_w bound", self.grad_w_bound),
+                        ("grad_r bound", self.grad_r_bound)):
+            yield name, f"{b.max_over_median:.3f}", "max/median <= 3", b.passed
+        yield ("sup_w trend", f"{self.sup_w_trend.values[-1]:.3g}",
+               "decreasing", self.sup_w_trend.decreasing)
+        for name, z in self.zero_modes.items():
+            yield f"{name} limit", f"{z.limit:.6g}", f"{z.target:.6g}", z.passed
 
 
 def _trust(records):
@@ -472,7 +499,8 @@ def build_report(
     alpha_tol: float = 0.05,
     farfield_tol: float = 0.1,
 ) -> TheoremReport:
-    """Assemble the full verification report from ladder records."""
+    """Assemble the full verification report from ladder records; the
+    zero-mode targets take phi_a(0) = 0, as at critical a."""
     recs = _trust(records)
     rate = verify_rate(records, a0, qv0, rate_tol)
     if qv0 != 0.0:
@@ -490,6 +518,12 @@ def build_report(
     gw = _bound_entry([r.norm_grad_w * math.sqrt(r.lam) for r in recs])
     gr = _bound_entry([r.norm_grad_r / (r.eps / math.sqrt(r.lam)) for r in recs])
     sw = sup_w_check(records)
+    beta_t = -16.0 * phi0 / (3.0 * math.pi)
+    zero_modes = {}
+    for name, lim, tgt in zip(("beta", "gamma"), beta_gamma_limits(recs),
+                              (beta_t, -(8.0 / 5.0) * beta_t)):
+        rel = abs(lim - tgt) / abs(tgt)
+        zero_modes[name] = LimitEntry(lim, tgt, rel, rel <= ZERO_MODE_TOL)
     return TheoremReport(
         rate=rate,
         alpha_slope=alpha,
@@ -497,7 +531,8 @@ def build_report(
         grad_w_bound=gw,
         grad_r_bound=gr,
         sup_w_trend=sw,
-    ).finalize()
+        zero_modes=zero_modes,
+    )
 
 
 def coercivity_probe(

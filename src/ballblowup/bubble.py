@@ -32,6 +32,7 @@ __all__ = [
     "lemma_b1_check",
     "lemma_b3_suite",
     "grad_dlambda_pu_norm",
+    "calculus_verdict",
 ]
 
 
@@ -328,3 +329,56 @@ def grad_dlambda_pu_dot_pu(lam: float, R: float = 1.0) -> float:
         lambda r: dlam_u_prime(lam, r) * u_prime(lam, r) * r**2, 0.0, R, tol=1e-13
     )
     return 4.0 * math.pi * res.value
+
+
+def calculus_verdict(a_const: float, R: float = 1.0) -> tuple[list, bool]:
+    """The bubble-calculus verdict at constant coefficient a_const.
+
+    Rows (name, kind, value, target, rel_err): the B3 coefficients of
+    ``lemma_b3_suite``, the sharp constants (the last three extrapolated in
+    lam^{-1} from five rungs), and the L^q ratio ranges of ``lemma_b1_check``
+    (reported with rel_err 0, not judged).  Passes when every rel_err is
+    within 1%.
+    """
+    suite = lemma_b3_suite(a_const, R)
+    rows = []
+    for key in ("U5_H", "U4_dlamU_H", "U4_H2", "U3_dlamU_H2"):
+        for kind in ("leading", "subleading"):
+            if kind in suite[key]:
+                val, tgt = suite[key][kind], suite[key][f"{kind}_target"]
+                rows.append((key, kind, val, tgt, abs(val - tgt) / max(abs(tgt), 1e-12)))
+    ent = suite["U4_dxU_H"]
+    rows.append(("U4_dxU_H", "leading", ent["leading"], 0.0, ent["leading"] / ent["scale"]))
+
+    lams = np.geomspace(1e2, 1e4, 5)
+
+    def g_dlam_u(r):
+        return (4 * math.pi * (1 / r - (1 + r * r) ** -0.5)
+                * ((1 - r * r) / (2 * (1 + r * r) ** 1.5)) * r * r)
+
+    def limit(vals):
+        return richardson_fit(list(zip(1 / lams, vals)))[0]
+
+    u4dl = [
+        l**2 * 4.0 * math.pi
+        * quad_radial(lambda r: _u(l, r) ** 4 * _du_dlam(l, r) ** 2 * r * r,
+                      0.0, R, 1e-13).value
+        for l in lams
+    ]
+    for name, val, tgt in (
+        ("moment t^4 (1+t^2)^-3", bubble_moment(4, 3), 3 * math.pi / 16),
+        ("int g dlam U", quad_radial(g_dlam_u, 0.0, math.inf, 1e-12).value,
+         2 * math.pi * (3 - math.pi)),
+        ("lam^2 int U^4 (dlam U)^2", limit(u4dl), math.pi**2 / 64),
+        ("int |grad PU|^2", limit([pu_center(l, R).grad_norm_sq() for l in lams]),
+         3 * math.pi**2 / 4),
+        ("lam^2 int |grad dlam PU|^2",
+         limit([grad_dlambda_pu_norm(l, R) * l**2 for l in lams]), 15 * math.pi**2 / 64),
+    ):
+        rows.append((name, "constant", val, tgt, abs(val - tgt) / abs(tgt)))
+
+    for q in (2.0, 3.0, 6.0):
+        ratios = lemma_b1_check(q, lams, R)["ratios"]
+        rows.append((f"L^{q:g} rate", "ratio range",
+                     float(np.min(ratios)), float(np.max(ratios)), 0.0))
+    return rows, all(err <= 0.01 for *_, err in rows)

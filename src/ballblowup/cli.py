@@ -22,7 +22,6 @@ import numpy as np
 
 from . import __version__
 from . import asympt, bubble, greenfn, solver
-from .numkit import quad_radial, richardson_fit
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -258,8 +257,9 @@ def cmd_sweep(args) -> int:
                 d = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if d.get("config_hash") == cfg.hash() and d.get("status") == "ok":
-                done_eps.add(d["eps"])
+            if (isinstance(d, dict) and d.get("config_hash") == cfg.hash()
+                    and d.get("status") == "ok"):
+                done_eps.add(d.get("eps"))
     elif out_path.exists() and not args.resume:
         out_path.unlink()
 
@@ -301,43 +301,17 @@ def _load_records(path: str) -> tuple[list, list]:
             d = json.loads(line)
         except json.JSONDecodeError as e:
             raise ConfigError("records", f"{path} line {n}: {e.msg}") from e
-        if d.get("status") == "ok":
-            records.append(asympt.SweepRecord.from_dict(d))
-        else:
+        if not isinstance(d, dict):
+            raise ConfigError("records", f"{path} line {n}: not a JSON object")
+        if d.get("status") != "ok":
             failed.append(d)
+            continue
+        bad = [k for k in asympt.SweepRecord.__dataclass_fields__
+               if type(d.get(k)) not in (int, float)]
+        if bad:
+            raise ConfigError("records", f"{path} line {n}: no number for {', '.join(bad)}")
+        records.append(asympt.SweepRecord.from_dict(d))
     return records, failed
-
-
-def _report_tables(report: asympt.TheoremReport, records) -> tuple[str, list]:
-    lines = []
-    rows = []
-
-    def row(name, value, target, passed):
-        rows.append({"check": name, "value": value, "target": target,
-                     "passed": passed})
-        mark = "PASS" if passed else "FAIL"
-        lines.append(f"  {name:<22} {value!s:>14}  target {target!s:>14}  [{mark}]")
-
-    r = report.rate
-    if r.diverging:
-        row("rate eps*lam", "inf (diverging)", "inf", r.passed)
-    else:
-        row("rate eps*lam", f"{r.limit:.6g}", f"{r.target:.6g}", r.passed)
-    a = report.alpha_slope
-    if not math.isnan(a.target):
-        row("alpha slope", f"{a.limit:.6g}", f"{a.target:.6g}", a.passed)
-    row("farfield trend", f"{report.farfield.values[-1]:.3g}",
-        "decreasing, <= 0.1", report.farfield.decreasing)
-    row("grad_w bound", f"{report.grad_w_bound.max_over_median:.3f}",
-        "max/median <= 3", report.grad_w_bound.passed)
-    row("grad_r bound", f"{report.grad_r_bound.max_over_median:.3f}",
-        "max/median <= 3", report.grad_r_bound.passed)
-    row("sup_w trend", f"{report.sup_w_trend.values[-1]:.3g}",
-        "decreasing", report.sup_w_trend.decreasing)
-    rows.append({"check": "center pinned by symmetry", "value": "satisfied",
-                 "target": "symmetry", "passed": True})
-    lines.append("  center x_eps == 0 pinned by radial symmetry (recorded, not tested)")
-    return "\n".join(lines), rows
 
 
 def cmd_verify(args) -> int:
@@ -353,9 +327,11 @@ def cmd_verify(args) -> int:
     qv0 = greenfn.qv_center(V, a, cfg.R)
     phi0 = greenfn.phi0_ball([0.0, 0.0, 0.0], cfg.R)
     report = asympt.build_report(records, a0, qv0, phi0)
-    table, rows = _report_tables(report, records)
     print("verification against the blow-up laws")
-    print(table)
+    for check, value, target, passed in report.rows():
+        mark = "PASS" if passed else "FAIL"
+        print(f"  {check:<22} {value!s:>14}  target {target!s:>14}  [{mark}]")
+    print("  center x_eps == 0 pinned by radial symmetry (recorded, not tested)")
     payload = {
         "report": asdict(report),
         "config_hash": cfg.hash(),
@@ -365,11 +341,11 @@ def cmd_verify(args) -> int:
     }
     if args.out:
         Path(args.out).write_text(json.dumps(payload, indent=2, default=_json_default) + "\n")
-        csv_path = Path(args.out).with_suffix(".csv")
-        with csv_path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["check", "value", "target", "passed"])
-            writer.writeheader()
-            writer.writerows(rows)
+        with Path(args.out).with_suffix(".csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["check", "value", "target", "passed"])
+            writer.writerows(report.rows())
+            writer.writerow(["center pinned by symmetry", "satisfied", "symmetry", True])
     return EXIT_OK if report.all_passed else EXIT_VERIFICATION
 
 
@@ -377,84 +353,14 @@ def cmd_bubbletest(args) -> int:
     cfg = load_config(args.config, args.tol_override)
     # Coefficient recovery needs phi_a(0) != 0, which fails exactly at the
     # critical coefficient; use a = -1 unless a non-critical constant is given.
-    if "constant" in cfg.a:
-        a_const = float(cfg.a["constant"])
-    else:
-        a_const = -1.0
-
-    suite = bubble.lemma_b3_suite(a_const, cfg.R)
-    ok = True
-    table = []
-    for key in ("U5_H", "U4_dlamU_H", "U4_H2", "U3_dlamU_H2"):
-        ent = suite[key]
-        tgt = ent["leading_target"]
-        err = abs(ent["leading"] - tgt) / max(abs(tgt), 1e-12)
-        ok &= err <= 0.01
-        table.append((key, "leading", ent["leading"], tgt, err))
-        if "subleading" in ent:
-            tgt2 = ent["subleading_target"]
-            err2 = abs(ent["subleading"] - tgt2) / max(abs(tgt2), 1e-12)
-            ok &= err2 <= 0.01
-            table.append((key, "subleading", ent["subleading"], tgt2, err2))
-    ent = suite["U4_dxU_H"]
-    err = ent["leading"] / ent["scale"]
-    ok &= err <= 0.01
-    table.append(("U4_dxU_H", "leading", ent["leading"], 0.0, err))
-
-    lams = np.geomspace(1e2, 1e4, 5)
-    consts = {
-        "moment t^4 (1+t^2)^-3": (bubble.bubble_moment(4, 3), 3 * math.pi / 16),
-        "int g dlam U": (
-            quad_radial(
-                lambda r: 4
-                * math.pi
-                * (1 / r - (1 + r * r) ** -0.5)
-                * ((1 - r * r) / (2 * (1 + r * r) ** 1.5))
-                * r
-                * r,
-                0.0,
-                math.inf,
-                1e-12,
-            ).value,
-            2 * math.pi * (3 - math.pi),
-        ),
-    }
-    u4dl = [
-        l**2
-        * 4.0
-        * math.pi
-        * quad_radial(
-            lambda r: bubble._u(l, r) ** 4 * bubble._du_dlam(l, r) ** 2 * r * r,
-            0.0,
-            cfg.R,
-            1e-13,
-        ).value
-        for l in lams
-    ]
-    L, _, _ = richardson_fit(list(zip(1 / lams, u4dl)))
-    consts["lam^2 int U^4 (dlam U)^2"] = (L, math.pi**2 / 64)
-    gradpu = [bubble.pu_center(l, cfg.R).grad_norm_sq() for l in lams]
-    L, _, _ = richardson_fit(list(zip(1 / lams, gradpu)))
-    consts["int |grad PU|^2"] = (L, 3 * math.pi**2 / 4)
-    dl = [bubble.grad_dlambda_pu_norm(l, cfg.R) * l**2 for l in lams]
-    L, _, _ = richardson_fit(list(zip(1 / lams, dl)))
-    consts["lam^2 int |grad dlam PU|^2"] = (L, 15 * math.pi**2 / 64)
-    for name, (val, tgt) in consts.items():
-        err = abs(val - tgt) / abs(tgt)
-        ok &= err <= 0.01
-        table.append((name, "constant", val, tgt, err))
-
-    for q in (2.0, 3.0, 6.0):
-        chk = bubble.lemma_b1_check(q, lams, cfg.R)
-        table.append((f"L^{q:g} rate", "ratio range",
-                      float(np.min(chk["ratios"])), float(np.max(chk["ratios"])), 0.0))
-
+    a_const = float(cfg.a["constant"]) if "constant" in cfg.a else -1.0
+    rows, passed = bubble.calculus_verdict(a_const, cfg.R)
     print(f"{'integral':<28}{'kind':<12}{'value':>14}{'target':>14}{'rel err':>10}")
-    for name, kind, val, tgt, err in table:
+    for name, kind, val, tgt, err in rows:
         print(f"{name:<28}{kind:<12}{val:>14.6g}{tgt:>14.6g}{err:>10.2e}")
     if args.out:
-        _emit({"rows": [list(t) for t in table], "passed": bool(ok)}, args.out)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+        _emit({"rows": [list(t) for t in rows], "passed": passed}, args.out)
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def cmd_report(args) -> int:

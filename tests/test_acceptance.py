@@ -1,27 +1,14 @@
 """Acceptance gate: ten end-to-end checks of the blow-up laws, one printed
-verdict line each."""
+verdict line each.  Criteria 3-8 read the verdicts of ``build_report`` (the
+report ``verify`` prints) and ``bubble.calculus_verdict`` (``bubbletest``'s
+table) and check their targets against the closed forms."""
 
 import math
 
-import numpy as np
 import pytest
 
-from ballblowup.asympt import (
-    beta_gamma_limits,
-    build_report,
-    coercivity_probe,
-    sup_w_check,
-    verify_alpha,
-    verify_rate,
-)
-from ballblowup.bubble import (
-    bubble_moment,
-    grad_dlambda_pu_norm,
-    lemma_b3_suite,
-    pu_center,
-    _du_dlam,
-    _u,
-)
+from ballblowup.asympt import build_report, coercivity_probe
+from ballblowup.bubble import calculus_verdict
 from ballblowup.greenfn import (
     RadialCoefficient,
     critical_a,
@@ -29,7 +16,6 @@ from ballblowup.greenfn import (
     phia_hessian,
     qv_center,
 )
-from ballblowup.numkit import quad_radial, richardson_fit
 from ballblowup.solver import SOBOLEV_CONSTANT
 
 from conftest import CRITICAL_A
@@ -61,79 +47,60 @@ def test_criterion_2_qv_and_hessian():
             f"|Q_V+2pi|={err_q:.2e} |phi''-pi^4/24|={err_h:.2e}")
 
 
-def test_criterion_3_rate(canonical_records, v2_records):
-    r1 = verify_rate(canonical_records, CRITICAL_A, -2 * math.pi)
-    r2 = verify_rate(v2_records, CRITICAL_A, -4 * math.pi)
+def closed(value, target):
+    return abs(value - target) <= 1e-12 * abs(target)
+
+
+@pytest.fixture(scope="module")
+def report(canonical_records):
+    return build_report(canonical_records, CRITICAL_A, -2 * math.pi, 1.0)
+
+
+def test_criterion_3_rate(report, v2_records):
+    r1 = report.rate
+    r2 = build_report(v2_records, CRITICAL_A, -4 * math.pi, 1.0).rate
     ok = (
-        r1.passed and abs(r1.limit - math.pi**3 / 2) <= 0.02 * math.pi**3 / 2
-        and r2.passed and abs(r2.limit - math.pi**3 / 4) <= 0.02 * math.pi**3 / 4
+        r1.passed and closed(r1.target, math.pi**3 / 2)
+        and r2.passed and closed(r2.target, math.pi**3 / 4)
     )
     verdict(3, "eps*lambda rate for V=-1 and V=-2", ok,
             f"limits {r1.limit:.4f} / {r2.limit:.4f}")
 
 
-def test_criterion_4_alpha_slope(canonical_records):
-    entry = verify_alpha(canonical_records, CRITICAL_A, -2 * math.pi, 1.0)
-    target = 32 / (3 * math.pi**4)
-    ok = entry.passed and abs(entry.limit - target) <= 0.05 * target
-    verdict(4, "alpha-1 slope", ok, f"slope {entry.limit:.5f} target {target:.5f}")
+def test_criterion_4_alpha_slope(report):
+    entry = report.alpha_slope
+    ok = entry.passed and closed(entry.target, 32 / (3 * math.pi**4))
+    verdict(4, "alpha-1 slope", ok, f"slope {entry.limit:.5f} target {entry.target:.5f}")
 
 
-def test_criterion_5_farfield(canonical_records):
-    vals = [r.farfield_error for r in canonical_records]
-    tail = vals[-3:]
-    ok = vals[-1] <= 0.1 and all(b < a for a, b in zip(tail, tail[1:]))
-    verdict(5, "far-field Green's law", ok,
-            f"final {vals[-1]:.2e}, tail decreasing={all(b < a for a, b in zip(tail, tail[1:]))}")
+def test_criterion_5_farfield(report):
+    ff = report.farfield
+    verdict(5, "far-field Green's law", ff.decreasing,
+            f"final {ff.values[-1]:.2e}, tail decreasing and <= 0.1={ff.decreasing}")
 
 
-def test_criterion_6_remainder_bounds(canonical_records):
-    gw = [r.norm_grad_w * math.sqrt(r.lam) for r in canonical_records]
-    gr = [r.norm_grad_r / (r.eps / math.sqrt(r.lam)) for r in canonical_records]
-    rw = max(gw) / float(np.median(gw))
-    rr = max(gr) / float(np.median(gr))
-    sw = sup_w_check(canonical_records)
-    ok = rw <= 3.0 and rr <= 3.0 and sw.decreasing
+def test_criterion_6_remainder_bounds(report):
+    gw, gr, sw = report.grad_w_bound, report.grad_r_bound, report.sup_w_trend
+    ok = gw.passed and gr.passed and sw.decreasing
     verdict(6, "remainder norm bounds and sup trend", ok,
-            f"grad_w {rw:.2f} grad_r {rr:.2f} sup_w decreasing={sw.decreasing}")
+            f"grad_w {gw.max_over_median:.2f} grad_r {gr.max_over_median:.2f} "
+            f"sup_w decreasing={sw.decreasing}")
 
 
-def test_criterion_7_zero_mode_limits(canonical_records):
-    beta, gamma = beta_gamma_limits(canonical_records)
-    bt, gt = -16 / (3 * math.pi), 128 / (15 * math.pi)
-    ok = abs(beta - bt) <= 0.01 * abs(bt) and abs(gamma - gt) <= 0.01 * abs(gt)
+def test_criterion_7_zero_mode_limits(report):
+    beta, gamma = report.zero_modes["beta"], report.zero_modes["gamma"]
+    ok = (
+        beta.passed and closed(beta.target, -16 / (3 * math.pi))
+        and gamma.passed and closed(gamma.target, 128 / (15 * math.pi))
+    )
     verdict(7, "zero-mode coefficient limits", ok,
-            f"beta {beta:.5f}/{bt:.5f} gamma {gamma:.5f}/{gt:.5f}")
+            f"beta {beta.limit:.5f}/{beta.target:.5f} gamma {gamma.limit:.5f}/{gamma.target:.5f}")
 
 
 def test_criterion_8_bubble_calculus():
-    suite = lemma_b3_suite(-1.0, 1.0)
-    errs = []
-    for key in ("U5_H", "U4_dlamU_H", "U4_H2", "U3_dlamU_H2"):
-        ent = suite[key]
-        errs.append(abs(ent["leading"] - ent["leading_target"])
-                    / abs(ent["leading_target"]))
-        if "subleading" in ent:
-            errs.append(abs(ent["subleading"] - ent["subleading_target"])
-                        / abs(ent["subleading_target"]))
-    errs.append(abs(suite["U4_dxU_H"]["leading"]) / suite["U4_dxU_H"]["scale"])
-
-    lams = np.geomspace(1e2, 1e4, 5)
-    consts = [(bubble_moment(4, 3), 3 * math.pi / 16)]
-    u4dl = [
-        l**2 * 4 * math.pi * quad_radial(
-            lambda r: _u(l, r) ** 4 * _du_dlam(l, r) ** 2 * r * r, 0.0, 1.0, 1e-13
-        ).value
-        for l in lams
-    ]
-    consts.append((richardson_fit(list(zip(1 / lams, u4dl)))[0], math.pi**2 / 64))
-    gradpu = [pu_center(l, 1.0).grad_norm_sq() for l in lams]
-    consts.append((richardson_fit(list(zip(1 / lams, gradpu)))[0], 3 * math.pi**2 / 4))
-    dl = [grad_dlambda_pu_norm(l, 1.0) * l**2 for l in lams]
-    consts.append((richardson_fit(list(zip(1 / lams, dl)))[0], 15 * math.pi**2 / 64))
-    errs += [abs(v - t) / abs(t) for v, t in consts]
-    ok = max(errs) <= 0.01
-    verdict(8, "bubble calculus coefficients", ok, f"max rel err {max(errs):.2e}")
+    rows, passed = calculus_verdict(-1.0, 1.0)
+    worst = max(err for *_, err in rows)
+    verdict(8, "bubble calculus coefficients", passed, f"max rel err {worst:.2e}")
 
 
 def test_criterion_9_identity_residuals(canonical_records):
@@ -158,5 +125,5 @@ def test_criterion_10_coercivity():
             f"rho {rho:.3f} whole-space {rho_ws:.3f} >= {4/7 - 0.02:.3f}")
 
 
-def test_full_report_all_passed(canonical_records):
-    assert build_report(canonical_records, CRITICAL_A, -2 * math.pi, 1.0).all_passed
+def test_full_report_all_passed(report):
+    assert report.all_passed

@@ -10,7 +10,6 @@ import pytest
 from ballblowup.asympt import (
     RegimeError,
     beta_gamma_limits,
-    build_report,
     coercivity_probe,
     decompose,
     fit_bubble,
@@ -214,10 +213,6 @@ class TestVerifiers:
             dataclasses.replace(r, sup_w_ratio=0.5) for r in canonical_records
         ]
         assert not sup_w_check(recs).decreasing
-
-    def test_full_report(self, canonical_records):
-        rep = build_report(canonical_records, CRITICAL_A, -2 * math.pi, 1.0)
-        assert rep.all_passed
 
     def test_rate_expansion_consistency(self, canonical_records):
         # pi a(0) lam^{-1} - (eps/4 pi) Q_V(0) -> 0 along the ladder:

@@ -1,6 +1,8 @@
 """Command-line interface: config validation, persistence, resume, and exit
 codes."""
 
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ballblowup import asympt, cli, greenfn, solver
+from ballblowup import asympt, bubble, cli, greenfn, solver
 from ballblowup.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -351,6 +353,30 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"line {len(canonical_records) + 1}" in err
 
+    @pytest.mark.parametrize("cmd, bad_line, message", [
+        ("verify", lambda d: {k: v for k, v in d.items() if k != "gamma"},
+         "no number for gamma"),
+        ("verify", lambda d: [d], "not a JSON object"),
+        ("report", lambda d: 5, "not a JSON object"),
+        ("report", lambda d: {**d, "lam": "big"}, "no number for lam"),
+    ], ids=["missing-field", "list", "number", "non-numeric"])
+    def test_bad_record_line(self, tmp_path, capsys, canonical_records, cmd, bad_line, message):
+        path = Path(write_records(tmp_path, canonical_records))
+        good = json.loads(path.read_text().splitlines()[0])
+        path.write_text(path.read_text() + json.dumps(bad_line(good)) + "\n")
+        assert main([cmd, "--records", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"line {len(canonical_records) + 1}: {message}" in err
+
+    def test_resume_skips_non_object_line(self, fresh_sweep, tmp_path):
+        cfg_path, fresh = fresh_sweep
+        rec_path = tmp_path / "r.jsonl"
+        rec_path.write_text("[1, 2]\n" + "".join(l + "\n" for l in fresh))
+        assert main(
+            ["sweep", "--config", cfg_path, "--out", str(rec_path), "--resume"]
+        ) == EXIT_OK
+        assert rec_path.read_text().splitlines() == ["[1, 2]", *fresh]
+
     @pytest.mark.parametrize("eps", ["0", "-1"])
     def test_solve_nonpositive_eps(self, capsys, eps):
         assert main(["solve", "--eps", eps]) == EXIT_VALIDATION
@@ -373,8 +399,6 @@ class TestVerify:
         assert "insufficient data" in capsys.readouterr().err
 
     def test_outside_trust_region(self, tmp_path, capsys, canonical_records):
-        import dataclasses
-
         # two of four rungs below LAMBDA_TRUST: too few for any limit
         low = [dataclasses.replace(r, lam=50.0) if i < 2 else r
                for i, r in enumerate(canonical_records)]
@@ -404,8 +428,6 @@ class TestVerify:
         assert "diverging" in capsys.readouterr().out
 
     def test_tampered_records_fail(self, tmp_path, capsys, canonical_records):
-        import dataclasses
-
         bad = [
             dataclasses.replace(r, lam=r.lam * (1.5 if i == 0 else 1.0))
             for i, r in enumerate(canonical_records)
@@ -415,9 +437,45 @@ class TestVerify:
         assert code == EXIT_VERIFICATION
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("law", ["beta", "gamma"])
+    def test_zero_mode_off_fails(self, tmp_path, capsys, canonical_records, law):
+        bad = [dataclasses.replace(r, **{law: getattr(r, law) * 1.02})
+               for r in canonical_records]
+        assert main(["verify", "--records", write_records(tmp_path, bad)]) == EXIT_VERIFICATION
+        fails = [l.split()[0] for l in capsys.readouterr().out.splitlines() if "FAIL" in l]
+        assert fails == [law]
+
+    @pytest.mark.parametrize("scale", [1.0, 1.02])
+    def test_csv_is_the_report(self, tmp_path, canonical_records, scale):
+        recs = [dataclasses.replace(r, gamma=r.gamma * scale) for r in canonical_records]
+        out_path = tmp_path / "verdict.json"
+        code = main(["verify", "--records", write_records(tmp_path, recs),
+                     "--out", str(out_path)])
+        report = asympt.build_report(recs, CRITICAL_A, -2 * math.pi, 1.0)
+        expected = [[c, v, t, str(p)] for c, v, t, p in report.rows()]
+        expected.append(["center pinned by symmetry", "satisfied", "symmetry", "True"])
+        with out_path.with_suffix(".csv").open(newline="") as fh:
+            assert list(csv.reader(fh)) == [["check", "value", "target", "passed"], *expected]
+        all_passed = json.loads(out_path.read_text())["report"]["all_passed"]
+        assert all_passed == ("False" not in {row[3] for row in expected})
+        assert all_passed == (scale == 1.0) == (code == EXIT_OK)
+
 
 class TestBubbletest:
     def test_passes(self, capsys):
         assert main(["bubbletest"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "U5_H" in out and "rel err" in out
+
+    def test_off_coefficient_fails(self, tmp_path, monkeypatch):
+        suite = bubble.lemma_b3_suite
+
+        def off(*args):
+            s = suite(*args)
+            s["U4_H2"]["leading"] *= 1.02
+            return s
+
+        monkeypatch.setattr(bubble, "lemma_b3_suite", off)
+        out = tmp_path / "bubbletest.json"
+        assert main(["bubbletest", "--out", str(out)]) == EXIT_VERIFICATION
+        assert json.loads(out.read_text())["passed"] is False
