@@ -26,7 +26,7 @@ def run():
         if isinstance(s, Exception):
             raise s
         sols.append(s)
-    lams = [fit_bubble(s, cfg.R)[1] for s in sols]
+    lams = [fit_bubble(s)[1] for s in sols]
     cg = ga_center(cfg.coefficient("a"), cfg.R)
     ts = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
     print("inner region: sqrt(lam)^-1 u(t/lam) vs (1+t^2)^-1/2")

@@ -25,7 +25,7 @@ from .asympt import (
     fit_bubble,
     records_from_sweep,
 )
-from .bubble import Bubble, CenterProjectedBubble, lemma_b3_suite, pu_center
+from .bubble import CenterProjectedBubble, lemma_b3_suite, pu_center
 from .greenfn import (
     BallDomain,
     CenterGreens,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallDomain",
-    "Bubble",
     "CenterGreens",
     "CenterProjectedBubble",
     "ProblemConfig",

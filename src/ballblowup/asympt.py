@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bubble as bb
-from .greenfn import CenterGreens, RadialCoefficient, ga_center, phi0_ball, qv_center
+from .greenfn import CenterGreens, RadialCoefficient, ga_center
 from .numkit import brent_root, radial_quadrature_rule, richardson_fit
 from .solver import RadialSolution
 
@@ -37,6 +37,13 @@ __all__ = [
 ]
 
 LAMBDA_TRUST = 1e2  # asymptotic trust region: verdicts use rungs with lam >= this
+# Verdict bounds.  Rate and alpha slope: relative error of the extrapolated
+# limit.  Far field: its last value.  Remainder bounds: max/median of the
+# scaled norms over the trust-region rungs.
+RATE_TOL = 0.02
+ALPHA_TOL = 0.05
+FARFIELD_TOL = 0.1
+BOUND_FACTOR = 3.0
 # gamma carries ~300x the solver noise of lam, so no tighter than this
 ZERO_MODE_TOL = 0.01
 
@@ -54,7 +61,7 @@ def _ip(wts, nodes, fp, gp):
     return 4.0 * math.pi * float(np.sum(wts * fp * gp * nodes**2))
 
 
-def fit_bubble(u: RadialSolution, R: float | None = None) -> tuple[float, float, float]:
+def fit_bubble(u: RadialSolution) -> tuple[float, float, float]:
     """Least-squares projection of u onto the projected-bubble family.
 
     Minimizes the gradient norm of u - alpha PU_{0,lam}; alpha is eliminated
@@ -66,9 +73,8 @@ def fit_bubble(u: RadialSolution, R: float | None = None) -> tuple[float, float,
     misfit is good only to its square root.  There w = u/alpha - PU is
     gradient-orthogonal to PU and dlam PU.  Returns (alpha, lam, residual_norm).
     """
-    R = R or u.R
     lam0 = u.M**2
-    nodes, wts = _rule(lam0, R)
+    nodes, wts = _rule(lam0, u.R)
     upv = u.uprime_at(nodes)
     wn = 4.0 * math.pi * wts * nodes**2  # <f', g'> = (wn f') @ g'
     wu = wn * upv
@@ -159,7 +165,6 @@ def decompose(
     alpha: float,
     lam: float,
     a: RadialCoefficient | CenterGreens,
-    R: float | None = None,
 ) -> Decomposition:
     """Split u/alpha - PU into zero modes and orthogonal remainder.
 
@@ -168,7 +173,7 @@ def decompose(
     annihilates the translation modes), and extracts beta, gamma with the
     normalization s = beta lam^{-1} PU + gamma dlam PU.
     """
-    R = R or u.R
+    R = u.R
     cg = a if isinstance(a, CenterGreens) else ga_center(a, R)
     nodes, wts = _rule(lam, R)
 
@@ -280,8 +285,8 @@ def records_from_sweep(
     cg = cg or ga_center(a, R)
     out = []
     for u in solutions:
-        alpha, lam, fit_res = fit_bubble(u, R)
-        dec = decompose(u, alpha, lam, cg, R)
+        alpha, lam, fit_res = fit_bubble(u)
+        dec = decompose(u, alpha, lam, cg)
         ff = verify_farfield(u, lam, cg, probes)
         out.append(
             SweepRecord(
@@ -381,10 +386,11 @@ class TheoremReport:
         if not math.isnan(a.target):
             yield "alpha slope", f"{a.limit:.6g}", f"{a.target:.6g}", a.passed
         yield ("farfield trend", f"{self.farfield.values[-1]:.3g}",
-               "decreasing, <= 0.1", self.farfield.decreasing)
+               f"decreasing, <= {FARFIELD_TOL:g}", self.farfield.decreasing)
         for name, b in (("grad_w bound", self.grad_w_bound),
                         ("grad_r bound", self.grad_r_bound)):
-            yield name, f"{b.max_over_median:.3f}", "max/median <= 3", b.passed
+            yield (name, f"{b.max_over_median:.3f}", f"max/median <= {BOUND_FACTOR:g}",
+                   b.passed)
         yield ("sup_w trend", f"{self.sup_w_trend.values[-1]:.3g}",
                "decreasing", self.sup_w_trend.decreasing)
         for name, z in self.zero_modes.items():
@@ -398,12 +404,7 @@ def _trust(records):
     return sorted(recs, key=lambda r: -r.eps)
 
 
-def verify_rate(
-    records,
-    a0: float,
-    qv0: float,
-    rel_tol: float = 0.02,
-) -> RateEntry:
+def verify_rate(records, a0: float, qv0: float) -> RateEntry:
     """Extrapolate eps*lam to eps -> 0 and compare with 4 pi^2 |a(0)|/|Q_V(0)|."""
     recs = _trust(records)
     pairs = [(r.eps, r.eps_lambda) for r in recs]
@@ -430,17 +431,11 @@ def verify_rate(
         residual=rms,
         target=target,
         rel_err=rel,
-        passed=(rel <= rel_tol) and not poor,
+        passed=(rel <= RATE_TOL) and not poor,
     )
 
 
-def verify_alpha(
-    records,
-    a0: float,
-    qv0: float,
-    phi0: float,
-    rel_tol: float = 0.05,
-) -> RateEntry:
+def verify_alpha(records, a0: float, qv0: float, phi0: float) -> RateEntry:
     """Fit the eps-slope of alpha - 1 and compare with
     (4/3 pi^3) phi_0(0) |Q_V(0)| / |a(0)|."""
     if a0 >= 0 or qv0 >= 0:
@@ -456,7 +451,7 @@ def verify_alpha(
         residual=rms,
         target=target,
         rel_err=rel,
-        passed=rel <= rel_tol,
+        passed=rel <= ALPHA_TOL,
     )
 
 
@@ -475,12 +470,12 @@ def verify_farfield(
     return worst
 
 
-def _bound_entry(values, factor: float = 3.0) -> BoundEntry:
+def _bound_entry(values) -> BoundEntry:
     vals = list(values)
     med = float(np.median(vals))
     mx = float(np.max(vals))
     ratio = mx / med if med > 0 else float("inf")
-    return BoundEntry(values=vals, max_over_median=ratio, passed=ratio <= factor)
+    return BoundEntry(values=vals, max_over_median=ratio, passed=ratio <= BOUND_FACTOR)
 
 
 def sup_w_check(records) -> TrendEntry:
@@ -490,21 +485,13 @@ def sup_w_check(records) -> TrendEntry:
     return TrendEntry(values=vals, decreasing=dec)
 
 
-def build_report(
-    records,
-    a0: float,
-    qv0: float,
-    phi0: float,
-    rate_tol: float = 0.02,
-    alpha_tol: float = 0.05,
-    farfield_tol: float = 0.1,
-) -> TheoremReport:
+def build_report(records, a0: float, qv0: float, phi0: float) -> TheoremReport:
     """Assemble the full verification report from ladder records; the
     zero-mode targets take phi_a(0) = 0, as at critical a."""
     recs = _trust(records)
-    rate = verify_rate(records, a0, qv0, rate_tol)
+    rate = verify_rate(records, a0, qv0)
     if qv0 != 0.0:
-        alpha = verify_alpha(records, a0, qv0, phi0, alpha_tol)
+        alpha = verify_alpha(records, a0, qv0, phi0)
     else:
         alpha = RateEntry(float("nan"), float("nan"), float("nan"),
                           float("nan"), float("nan"), True)
@@ -513,7 +500,7 @@ def build_report(
     ff = TrendEntry(
         values=ff_vals,
         decreasing=all(b < a for a, b in zip(ff_tail, ff_tail[1:]))
-        and ff_vals[-1] <= farfield_tol,
+        and ff_vals[-1] <= FARFIELD_TOL,
     )
     gw = _bound_entry([r.norm_grad_w * math.sqrt(r.lam) for r in recs])
     gr = _bound_entry([r.norm_grad_r / (r.eps / math.sqrt(r.lam)) for r in recs])
@@ -541,19 +528,18 @@ def coercivity_probe(
     R: float = 1.0,
     samples: int = 200,
     seed: int = 7,
-    n_modes: int = 8,
 ) -> float:
     """Empirical coercivity constant of the linearized form.
 
-    Draws random radial fields v = sum c_i m_i from ``n_modes`` modes
-    vanishing on the boundary, with the zero-mode span {PU, dlam PU}
-    removed in the gradient inner product, and returns the minimum of
+    Draws random radial fields v = sum c_i m_i from eight modes vanishing
+    on the boundary, with the zero-mode span {PU, dlam PU} removed in the
+    gradient inner product, and returns the minimum of
 
         int(|grad v|^2 + a v^2 - 15 U^4 v^2) / int |grad v|^2
 
     over the samples.  Both integrals are quadratic forms in c: the modes
-    are projected once, the two n_modes x n_modes Gram matrices are formed
-    once, and each sample costs two small quadratic forms.  With a = None
+    are projected once, the two 8 x 8 Gram matrices are formed once, and
+    each sample costs two small quadratic forms.  With a = None
     the coefficient term is dropped (whole-space control, where the bound
     4/7 applies for radial fields).
     """
@@ -565,6 +551,7 @@ def coercivity_probe(
     basis_p = np.array([pb.pu_prime(nodes), pb.dlam_pu_prime(nodes)])
     basis_v = np.array([pb.pu(nodes), pb.dlam_pu(nodes)])
 
+    n_modes = 8
     ks = np.array([j * math.pi / R for j in range(1, n_modes + 1)])
     # modes sin(k r)/(k r): regular at 0, vanishing at R
     mode_v = np.sinc(ks[:, None] * nodes[None, :] / math.pi)

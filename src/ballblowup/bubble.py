@@ -3,9 +3,9 @@
 The bubble U_{x,lam}(y) = lam^{1/2} (1 + lam^2 |y-x|^2)^{-1/2} solves the
 whole-space equation -Delta U = 3 U^5.  This module provides its closed-form
 derivatives, the boundary-corrected (projected) bubble for a center bubble,
-the improved approximation field psi, the auxiliary tail function g, and a
-machine-checkable suite for the L^q-norm rates and the bubble-against-H
-integral identities used throughout the asymptotic analysis.
+the auxiliary tail function g, and a machine-checkable suite for the L^q-norm
+rates and the bubble-against-H integral identities used throughout the
+asymptotic analysis.
 """
 
 from __future__ import annotations
@@ -15,54 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greenfn import CenterGreens, RadialCoefficient, ga_center, phi0_ball
+from .greenfn import RadialCoefficient, ga_center
 from .numkit import bubble_moment, quad_radial, radial_quadrature_rule, richardson_fit
 
 __all__ = [
-    "Bubble",
     "CenterProjectedBubble",
-    "u_val",
-    "du_dlambda",
-    "du_dx",
     "u_prime",
     "dlam_u_prime",
     "pu_center",
-    "psi_center",
-    "g_fun",
+    "g",
     "lemma_b1_check",
     "lemma_b3_suite",
     "grad_dlambda_pu_norm",
     "calculus_verdict",
 ]
-
-
-@dataclass(frozen=True)
-class Bubble:
-    """Concentration profile with center x and scale lam > 0."""
-
-    x: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-
-
-def u_val(b: Bubble, y) -> float:
-    d2 = float(np.sum((np.asarray(y, dtype=float) - np.asarray(b.x)) ** 2))
-    return math.sqrt(b.lam) / math.sqrt(1.0 + b.lam**2 * d2)
-
-
-def du_dlambda(b: Bubble, y) -> float:
-    d2 = float(np.sum((np.asarray(y, dtype=float) - np.asarray(b.x)) ** 2))
-    s = 1.0 + b.lam**2 * d2
-    return 0.5 / math.sqrt(b.lam) / math.sqrt(s) - b.lam**1.5 * d2 / s**1.5
-
-
-def du_dx(b: Bubble, y, i: int) -> float:
-    dy = np.asarray(y, dtype=float) - np.asarray(b.x)
-    s = 1.0 + b.lam**2 * float(np.sum(dy**2))
-    return b.lam**2.5 * float(dy[i]) / s**1.5
 
 
 def _u(lam, r):
@@ -130,10 +96,10 @@ class CenterProjectedBubble:
         """correction - lam^{-1/2}/R; decays like lam^{-5/2}."""
         return self.correction - 1.0 / (math.sqrt(self.lam) * self.R)
 
-    def grad_norm_sq(self, tol: float = 1e-12) -> float:
+    def grad_norm_sq(self) -> float:
         """int_ball |grad PU|^2, approaching 3 pi^2 / 4 as lam grows."""
         res = quad_radial(
-            lambda r: u_prime(self.lam, r) ** 2 * r**2, 0.0, self.R, tol=tol
+            lambda r: u_prime(self.lam, r) ** 2 * r**2, 0.0, self.R, tol=1e-12
         )
         return 4.0 * math.pi * res.value
 
@@ -142,28 +108,11 @@ def pu_center(lam: float, R: float = 1.0) -> CenterProjectedBubble:
     return CenterProjectedBubble(lam=lam, R=R)
 
 
-def psi_center(lam: float, a: RadialCoefficient | CenterGreens, R: float = 1.0):
-    """Improved approximation psi(r) = PU(r) - lam^{-1/2}(H_a(0,r) - H_0(0,r)).
-
-    For the center, H_0(0,r) = 1/R is constant.  Returns a callable radial
-    field vanishing at r = R.
-    """
-    cg = a if isinstance(a, CenterGreens) else ga_center(a, R)
-    pb = pu_center(lam, R)
-
-    def psi(r):
-        return pb.pu(r) - (cg.h(r) - 1.0 / R) / math.sqrt(lam)
-
-    return psi
-
-
-def g_fun(b: Bubble, y) -> float:
-    """g_{x,lam}(y) = lam^{-1/2}/|x-y| - U_{x,lam}(y); positive, with
-    scaling g_{x,lam}(y) = lam^{1/2} g_{0,1}(lam (y - x))."""
-    d = float(np.linalg.norm(np.asarray(y, dtype=float) - np.asarray(b.x)))
-    if d == 0.0:
-        raise ValueError("g is singular at the bubble center")
-    return 1.0 / (math.sqrt(b.lam) * d) - u_val(b, y)
+def g(lam, r):
+    """Tail function g_{0,lam}(r) = lam^{-1/2}/r - U_{0,lam}(r); positive,
+    with scaling g_{0,lam}(r) = lam^{1/2} g_{0,1}(lam r)."""
+    r = np.asarray(r, dtype=float)
+    return 1.0 / (np.sqrt(lam) * r) - _u(lam, r)
 
 
 def lemma_b1_check(q: float, lams, R: float = 1.0) -> dict:
@@ -352,10 +301,6 @@ def calculus_verdict(a_const: float, R: float = 1.0) -> tuple[list, bool]:
 
     lams = np.geomspace(1e2, 1e4, 5)
 
-    def g_dlam_u(r):
-        return (4 * math.pi * (1 / r - (1 + r * r) ** -0.5)
-                * ((1 - r * r) / (2 * (1 + r * r) ** 1.5)) * r * r)
-
     def limit(vals):
         return richardson_fit(list(zip(1 / lams, vals)))[0]
 
@@ -367,7 +312,9 @@ def calculus_verdict(a_const: float, R: float = 1.0) -> tuple[list, bool]:
     ]
     for name, val, tgt in (
         ("moment t^4 (1+t^2)^-3", bubble_moment(4, 3), 3 * math.pi / 16),
-        ("int g dlam U", quad_radial(g_dlam_u, 0.0, math.inf, 1e-12).value,
+        ("int g dlam U",
+         quad_radial(lambda r: 4 * math.pi * g(1.0, r) * _du_dlam(1.0, r) * r * r,
+                     0.0, math.inf, 1e-12).value,
          2 * math.pi * (3 - math.pi)),
         ("lam^2 int U^4 (dlam U)^2", limit(u4dl), math.pi**2 / 64),
         ("int |grad PU|^2", limit([pu_center(l, R).grad_norm_sq() for l in lams]),

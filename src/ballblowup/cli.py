@@ -289,7 +289,9 @@ def cmd_sweep(args) -> int:
 
 
 def _load_records(path: str) -> tuple[list, list]:
-    records, failed = [], []
+    """The ok records and the failure lines of a records file, all of one
+    config: lines under two ``config_hash`` values would mix two ladders."""
+    records, failed, hashes = [], [], set()
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -303,6 +305,7 @@ def _load_records(path: str) -> tuple[list, list]:
             raise ConfigError("records", f"{path} line {n}: {e.msg}") from e
         if not isinstance(d, dict):
             raise ConfigError("records", f"{path} line {n}: not a JSON object")
+        hashes.add(d.get("config_hash"))
         if d.get("status") != "ok":
             failed.append(d)
             continue
@@ -311,6 +314,9 @@ def _load_records(path: str) -> tuple[list, list]:
         if bad:
             raise ConfigError("records", f"{path} line {n}: no number for {', '.join(bad)}")
         records.append(asympt.SweepRecord.from_dict(d))
+    if len(hashes) > 1:
+        raise ConfigError("records", f"{path} mixes {len(hashes)} config_hash values: "
+                          + ", ".join(sorted(map(str, hashes))))
     return records, failed
 
 

@@ -3,9 +3,9 @@ the diagonal function phi_a, criticality detection and the Q_V functional.
 
 Conventions: the Green's function satisfies (-Delta + a) G_a(.,y) = 4 pi
 delta_y with Dirichlet boundary values, so G_0(x,y) = 1/|x-y| - image term
-and H_a(x,y) = 1/|x-y| - G_a(x,y).  Off-center evaluation is supported for
-constant a < 0 through a spherical Bessel series; nonconstant radial a is
-supported for center quantities only.
+and H_a(x,y) = 1/|x-y| - G_a(x,y).  The diagonal phi_a off the center is
+supported for constant a < 0 through a spherical Bessel series; nonconstant
+radial a is supported for center quantities only.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "CriticalityReport",
     "CoercivityError",
     "ResonanceError",
-    "g0_ball",
     "phi0_ball",
     "ga_center",
     "critical_a",
@@ -34,7 +33,6 @@ __all__ = [
     "phia_hessian",
     "qv_center",
     "na_scan",
-    "ha_center",
 ]
 
 
@@ -160,20 +158,6 @@ class CenterGreens:
         return float(out[0]) if scalar else out
 
 
-def g0_ball(x, y, R: float = 1.0) -> float:
-    """Laplace Green's function of the ball (4 pi delta normalization)
-    by the method of images, in the symmetric form
-    |x| |y - x*| = (|x|^2 |y|^2 - 2 R^2 x.y + R^4)^{1/2} of the image
-    distance, which holds at x = 0 and does not overflow for tiny |x|."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d = float(np.linalg.norm(x - y))
-    if d == 0.0:
-        raise ValueError("coincident points")
-    image = math.sqrt(float(x @ x) * float(y @ y) - 2.0 * R**2 * float(x @ y) + R**4)
-    return 1.0 / d - R / image
-
-
 def phi0_ball(x, R: float = 1.0) -> float:
     """Diagonal of the regular part for a = 0: R/(R^2 - |x|^2)."""
     nx = float(np.linalg.norm(np.asarray(x, dtype=float)))
@@ -182,17 +166,17 @@ def phi0_ball(x, R: float = 1.0) -> float:
     return R / (R**2 - nx**2)
 
 
-def _solve_v(a: RadialCoefficient, R: float, tol: float = 1e-12):
+def _solve_v(a: RadialCoefficient, R: float):
     """Integrate -v'' + a(r) v = 0 for the (1,0) and (0,1) initial data."""
     def rhs(r, y):
         v1, v1p, v2, v2p = y
         ar = a(r)
         return [v1p, ar * v1, v2p, ar * v2]
 
-    return ode_solve(rhs, [1.0, 0.0, 0.0, 1.0], (0.0, R), tol=tol)
+    return ode_solve(rhs, [1.0, 0.0, 0.0, 1.0], (0.0, R), tol=1e-12)
 
 
-def ga_center(a: RadialCoefficient, R: float = 1.0, tol: float = 1e-12) -> CenterGreens:
+def ga_center(a: RadialCoefficient, R: float = 1.0) -> CenterGreens:
     """Center Green's profile v and phi_a(0) for radial coefficient a.
 
     v = v_p + c v_h with the combination chosen so v(R) = 0; for constant
@@ -200,7 +184,7 @@ def ga_center(a: RadialCoefficient, R: float = 1.0, tol: float = 1e-12) -> Cente
     phi_a(0) = k cot(kR).
     """
     check_coercivity(a, R)
-    traj = _solve_v(a, R, tol=tol)
+    traj = _solve_v(a, R)
     vp_R, _, vh_R, _ = traj(R)
     if abs(vh_R) < 1e-13 * R:
         raise ResonanceError("homogeneous solution vanishes at R")
@@ -232,13 +216,14 @@ def critical_a(R: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class HelmholtzSeries:
-    """Spherical Bessel series for H_a with constant a = -k^2 < 0.
+    """Spherical Bessel series for the diagonal of H_a, constant a = -k^2 < 0.
 
     H_a(x,y) = -k sum (2l+1) (y_l(kR)/j_l(kR)) j_l(k|x|) j_l(k|y|) P_l(cos t)
-    with t the angle between x and y.  Stores the boundary ratios, all
-    orders of which come from one Bessel call per kind.  A series built at
-    a higher order has the lower one's terms as its prefix, so one series
-    serves every radius and each sum is cut at its own order.
+    with t the angle between x and y, which is 0 on the diagonal.  Stores
+    the boundary ratios, all orders of which come from one Bessel call per
+    kind.  A series built at a higher order has the lower one's terms as its
+    prefix, so one series serves every radius and each sum is cut at its
+    own order.
     """
 
     k: float
@@ -272,11 +257,6 @@ class HelmholtzSeries:
             k=k, R=R, lmax=n - 1, ratios=ratios[:n], _j_R=js[:n], _y_R=ys[:n]
         )
 
-    def _term_scales(self):
-        """(2l+1) y_l(kR) j_l(kR), the overflow-safe part of each term."""
-        ells = np.arange(self.lmax + 1)
-        return (2 * ells + 1) * self._y_R * self._j_R
-
     def h_diag(self, rho, lmax=None):
         """phi_a(rho) = H_a at coincident points |x| = |y| = rho, angle 0.
 
@@ -291,28 +271,12 @@ class HelmholtzSeries:
         counts = np.minimum(np.broadcast_to(orders, rhos.shape), self.lmax) + 1
         m = int(counts.max())
         jr = sph_bessel("j", np.arange(m), k * rhos[:, None])
-        terms = self._term_scales()[:m] * (jr / self._j_R[:m]) ** 2
+        j_R = self._j_R[:m]
+        terms = (2 * np.arange(m) + 1) * self._y_R[:m] * j_R * (jr / j_R) ** 2
         # each sum runs over its own contiguous slice: the same summation
         # as a series built at that radius' order
         out = np.array([-k * np.sum(t[:n]) for t, n in zip(terms, counts)])
         return float(out[0]) if np.ndim(rho) == 0 else out.reshape(np.shape(rho))
-
-    def h(self, x, y) -> float:
-        """H_a(x, y) for interior points x, y."""
-        from scipy.special import eval_legendre
-
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        rx, ry = np.linalg.norm(x), np.linalg.norm(y)
-        if rx == 0 or ry == 0:
-            ct = 1.0
-        else:
-            ct = float(np.dot(x, y) / (rx * ry))
-        k = self.k
-        ells = np.arange(self.lmax + 1)
-        jx = sph_bessel("j", ells, k * rx) / self._j_R
-        jy = sph_bessel("j", ells, k * ry) / self._j_R
-        return float(-k * np.sum(self._term_scales() * (jx * jy) * eval_legendre(ells, ct)))
 
 
 def _lmax_for(rho: float, R: float, tol: float) -> int:
@@ -390,13 +354,12 @@ def qv_center(
     V: RadialCoefficient,
     a: RadialCoefficient,
     R: float = 1.0,
-    tol: float = 1e-11,
     cg: CenterGreens | None = None,
 ) -> float:
     """Q_V(0) = int V(y) G_a(0,y)^2 dy = 4 pi int_0^R V(r) v(r)^2 dr, with v
     from the center Green's data ``cg`` (built for a when not given)."""
     cg = cg or ga_center(a, R)
-    res = quad_radial(lambda r: V(r) * cg.v(r) ** 2, 0.0, R, tol=tol)
+    res = quad_radial(lambda r: V(r) * cg.v(r) ** 2, 0.0, R, tol=1e-11)
     return 4.0 * math.pi * res.value
 
 
@@ -464,11 +427,3 @@ def na_scan(
         nondegenerate=nondeg,
         phi_at_0=float(vals[0]),
     )
-
-
-def ha_center(r: float, a: RadialCoefficient, R: float = 1.0) -> float:
-    """H_a(0, r) = (1 - v(r))/r, with the r -> 0 limit phi_a(0)."""
-    if not 0 <= r < R:
-        raise ValueError("need 0 <= r < R")
-    cg = ga_center(a, R)
-    return float(cg.h(r))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -38,7 +38,6 @@ from .numkit import OdeTrajectory, brent_root, radial_quadrature_rule
 
 __all__ = [
     "ProblemConfig",
-    "ShootOutcome",
     "RadialSolution",
     "NoBracketError",
     "taylor_start",
@@ -87,14 +86,6 @@ class ProblemConfig:
 
     def m(self, r):
         return np.asarray(self.a(r)) + self.eps * np.asarray(self.V(r))
-
-
-@dataclass(frozen=True)
-class ShootOutcome:
-    M: float
-    endpoint: float
-    first_zero: Optional[float]
-    positive: bool
 
 
 @dataclass
@@ -299,19 +290,17 @@ def _integrate(Ms, cfgs, finalize: bool = False, events: bool = False, tol_floor
     return sol, delta
 
 
-def shoot(M: float, cfg: ProblemConfig) -> ShootOutcome:
-    """Integrate the radial equation from the center height M and report
-    the first interior zero crossing, if any, and the continuous shooting
-    functional: u(R) when u stays positive, and past a first interior zero
-    r0 its negative continuation u'(r0) (R - r0)."""
+def shoot(M: float, cfg: ProblemConfig) -> float:
+    """Integrate the radial equation from the center height M and return
+    the continuous shooting functional: u(R) when u stays positive, and past
+    a first interior zero r0 its negative continuation u'(r0) (R - r0)."""
     if M <= 0:
         raise ValueError("M must be positive")
     sol, _ = _integrate([M], [cfg], events=True)
     if sol.status == 1:  # crossed zero
         r0 = float(sol.t_events[0][0])
-        endpoint = float(sol.y_events[0][0][1]) * (cfg.domain.R - r0)
-        return ShootOutcome(M=M, endpoint=endpoint, first_zero=r0, positive=False)
-    return ShootOutcome(M=M, endpoint=float(sol.y[0, -1]), first_zero=None, positive=True)
+        return float(sol.y_events[0][0][1]) * (cfg.domain.R - r0)
+    return float(sol.y[0, -1])
 
 
 def _find_bracket(
@@ -325,11 +314,11 @@ def _find_bracket(
     integration is counted under ``tally["bracket"]`` when given."""
     tally = Counter() if tally is None else tally
     M = M_lo
-    f_prev = shoot(M, cfg).endpoint
+    f_prev = shoot(M, cfg)
     tally["bracket"] += 1
     while M < M_hi:
         M_next = M * factor
-        f_next = shoot(M_next, cfg).endpoint
+        f_next = shoot(M_next, cfg)
         tally["bracket"] += 1
         if f_prev * f_next < 0:
             return (M, M_next)
@@ -454,7 +443,7 @@ def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeErro
         rs.diagnostics["sobolev_quotient"] = rs.sobolev_quotient
         rs.diagnostics["gradient_quotient"] = rs.gradient_quotient
         if cfg.a.is_constant and cfg.V.is_constant:
-            rs.diagnostics["pohozaev_residual"] = pohozaev_residual(rs, cfg)
+            rs.diagnostics["pohozaev_residual"] = pohozaev_residual(rs)
         rs.diagnostics["seed"] = seed
         rs.diagnostics["shoot_integrations"] = dict(tallies[k])
         out.append(rs)
@@ -466,6 +455,8 @@ def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeErro
 # so the bound sits three orders above that noise; since d phi_a(0)/da = R/2
 # at a*, it admits only constants within ~2e-9 / R^2 of a*.
 _CRITICAL_PHI = 1e-9
+# center heights a rung's cold bracket scan covers
+_M_SCAN = (0.5, 1e4)
 
 
 def _rate_law(cfg: ProblemConfig) -> float | None:
@@ -490,7 +481,6 @@ def _rate_law(cfg: ProblemConfig) -> float | None:
 def solve_profile(
     cfg: ProblemConfig,
     M_seed: float | None = None,
-    M_scan: tuple[float, float] = (0.5, 1e4),
 ) -> RadialSolution:
     """Ground-state profile of one rung: the one-rung case of the batched
     Newton and finalize, with bracketing + Brent as the fallback.
@@ -500,9 +490,9 @@ def solve_profile(
     its first step at tol 1e-9 and the rest at ode_tol (``_newton``), and
     is kept inside (0.7, 1.45) times its start; when it fails (non-negative
     slope, an iterate outside that window, or no convergence) Brent runs on
-    a bracket scanned in the window, or over ``M_scan`` if the window holds
+    a bracket scanned in the window, or over ``_M_SCAN`` if the window holds
     none.  Where the rate law does not apply (a not critical, a(0) >= 0 or
-    Q_V(0) >= 0) a bracket scan over ``M_scan`` comes first and Newton
+    Q_V(0) >= 0) a bracket scan over ``_M_SCAN`` comes first and Newton
     starts from its lower (positive) end, kept inside the bracket.
     Diagnostics are populated on the converged profile, with the seed used
     and the shooting integrations by phase.
@@ -513,7 +503,7 @@ def solve_profile(
 
     def endpoint(M):
         tally["root"] += 1
-        return shoot(M, cfg).endpoint
+        return shoot(M, cfg)
 
     seed = "caller"
     if M_seed is None:
@@ -527,9 +517,9 @@ def solve_profile(
             try:
                 bracket = _find_bracket(cfg, lo, hi, factor=1.08, tally=tally)
             except NoBracketError:
-                bracket = _find_bracket(cfg, *M_scan, tally=tally)
+                bracket = _find_bracket(cfg, *_M_SCAN, tally=tally)
     else:
-        bracket = _find_bracket(cfg, *M_scan, tally=tally)
+        bracket = _find_bracket(cfg, *_M_SCAN, tally=tally)
         (M,) = _newton([cfg], [bracket[0]], [bracket], [tally])
     if M is None:
         M = brent_root(endpoint, bracket, tol=1e-13).root
@@ -600,14 +590,14 @@ def solve_ladder(
         yield cfg.eps, solved[k]
 
 
-def pohozaev_residual(u: RadialSolution, cfg: ProblemConfig | None = None) -> float:
+def pohozaev_residual(u: RadialSolution) -> float:
     """Dilation Pohozaev residual for constant m = a + eps V:
 
         1/2 int |grad u|^2 + (3/2) m int u^2 - (3/2) int u^6
             + (1/2) oint (x.n) (du/dn)^2  = 0
 
     normalized by int |grad u|^2."""
-    cfg = cfg or u.config
+    cfg = u.config
     if not (cfg.a.is_constant and cfg.V.is_constant):
         raise ValueError("dilation identity implemented for constant coefficients")
     m = cfg.a.constant + cfg.eps * cfg.V.constant
@@ -623,28 +613,20 @@ def pohozaev_residual(u: RadialSolution, cfg: ProblemConfig | None = None) -> fl
     return abs(resid) / u.grad_norm_sq
 
 
-def greens_rep_residual(
-    u: RadialSolution,
-    cfg: ProblemConfig | None = None,
-    probes: Sequence[float] = (0.3, 0.5, 0.7),
-    scale: float = 1.0,
-    cg: CenterGreens | None = None,
-) -> float:
+def greens_rep_residual(u: RadialSolution, cg: CenterGreens | None = None) -> float:
     """Residual of the resolvent representation
 
         u = (3/4 pi) int G_a u^5 - (eps/4 pi) int G_a V u
 
     evaluated by solving the radial problem (-Delta + a) z = 3 u^5 - eps V u
-    by variation of parameters and comparing z to u at the probe radii,
+    by variation of parameters and comparing z to u at r = 0.3, 0.5, 0.7,
     normalized by the sup norm of u.  The homogeneous pair is read off the
     center Green's data ``cg`` (built for a when not given): Z1, regular at
     0, and Z2 = v, vanishing at R, with Wronskian Z1 Z2' - Z1' Z2 = -1.  The
     profile is sampled on the same quadrature rule as the fit and the
     decomposition for lam <= 1e6, so a rung's memoised evaluation serves it.
-    ``scale`` multiplies the kernel and exists for fault-injection tests of
-    the normalization.
     """
-    cfg = cfg or u.config
+    cfg = u.config
     R = cfg.domain.R
     lam_hat = max(u.M**2, 1.0)
     cg = cg or ga_center(cfg.a, R)
@@ -654,7 +636,8 @@ def greens_rep_residual(
     hv = 3.0 * uv**5 - cfg.eps * np.asarray(cfg.V(nodes)) * uv
     F = nodes * hv  # source for the reduced 1d problem
     z1v, z2v = cg.homogeneous_pair(nodes)
-    z1p, z2p = cg.homogeneous_pair(np.asarray(probes, dtype=float))
+    probes = (0.3, 0.5, 0.7)
+    z1p, z2p = cg.homogeneous_pair(np.asarray(probes))
 
     sup_u = float(np.max(np.abs(u.u)))
     worst = 0.0
@@ -663,6 +646,6 @@ def greens_rep_residual(
         Z = z2 * float(np.sum((wts * z1v * F)[inner])) + z1 * float(
             np.sum((wts * z2v * F)[~inner])
         )
-        rep = scale * Z / rp
+        rep = Z / rp
         worst = max(worst, abs(rep - float(u.u_at(rp))) / sup_u)
     return worst

@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
+from ballblowup import asympt
 from ballblowup.asympt import (
     RegimeError,
     beta_gamma_limits,
+    build_report,
     coercivity_probe,
     decompose,
     fit_bubble,
@@ -57,7 +59,7 @@ class TestFitBubble:
             lambda r: alpha0 * pb.pu_prime(r),
             M=alpha0 * math.sqrt(lam0) * 0.999,
         )
-        alpha, lam, resid = fit_bubble(u, 1.0)
+        alpha, lam, resid = fit_bubble(u)
         assert alpha == pytest.approx(alpha0, rel=1e-6)
         assert lam == pytest.approx(lam0, rel=1e-6)
 
@@ -66,7 +68,7 @@ class TestFitBubble:
         # orthogonal to dlam U' to rounding; a minimizer of the flat misfit
         # leaves 1e-10 .. 1e-8 here
         for u in canonical_solutions:
-            alpha, lam, _ = fit_bubble(u, 1.0)
+            alpha, lam, _ = fit_bubble(u)
             nodes, wts = radial_quadrature_rule(min(1e-8, 0.02 / u.M**2), 1.0, 260, 12)
             wn = 4.0 * math.pi * wts * nodes**2
             upv, dpup = u.uprime_at(nodes), dlam_u_prime(lam, nodes)
@@ -88,8 +90,8 @@ class TestDecompose:
     @staticmethod
     def decomp(canonical_solutions):
         u = canonical_solutions[-1]
-        alpha, lam, _ = fit_bubble(u, 1.0)
-        return u, alpha, lam, decompose(u, alpha, lam, const(CRITICAL_A), 1.0)
+        alpha, lam, _ = fit_bubble(u)
+        return u, alpha, lam, decompose(u, alpha, lam, const(CRITICAL_A))
 
     def test_orthogonality(self, decomp):
         _, _, _, d = decomp
@@ -127,7 +129,7 @@ class TestDecompose:
         u = _SyntheticProfile(
             lambda r: pb.pu(r), lambda r: pb.pu_prime(r), M=math.sqrt(lam0)
         )
-        d = decompose(u, 1.0, lam0, const(0.0), 1.0)
+        d = decompose(u, 1.0, lam0, const(0.0))
         assert abs(d.beta) <= 1e-6
         assert abs(d.gamma) <= 1e-8
 
@@ -137,9 +139,9 @@ class TestDecompose:
         # conditioned, and the zero-mode coefficients sit near their limits
         eps = 0.001
         u = solve_profile(make_config(eps), M_seed=math.sqrt(math.pi**3 / (2 * eps)))
-        alpha, lam, _ = fit_bubble(u, 1.0)
+        alpha, lam, _ = fit_bubble(u)
         assert lam > 1e4
-        d = decompose(u, alpha, lam, const(CRITICAL_A), 1.0)
+        d = decompose(u, alpha, lam, const(CRITICAL_A))
         assert d.beta == pytest.approx(BETA_TARGET, rel=0.01)
         assert d.gamma == pytest.approx(GAMMA_TARGET, rel=0.01)
         assert d.ortho_residual <= 1e-9
@@ -225,6 +227,40 @@ class TestVerifiers:
         errs = [abs(x - 1) for x in ratios]
         assert all(b < a for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= 0.01
+
+
+class TestReportRows:
+    @staticmethod
+    def rows(records):
+        report = build_report(records, CRITICAL_A, -2 * math.pi, 1.0)
+        return {check: (value, target, passed) for check, value, target, passed in report.rows()}
+
+    @pytest.mark.parametrize("tol, factor", [(0.1, 3.0), (1e-4, 1.01)])
+    def test_rows_name_the_bound_they_judge(self, canonical_records, monkeypatch, tol, factor):
+        # far field 5.6e-4, grad_w 1.001, grad_r 1.036 on the canonical
+        # records: the second pair fails the far field and grad_r
+        monkeypatch.setattr(asympt, "FARFIELD_TOL", tol)
+        monkeypatch.setattr(asympt, "BOUND_FACTOR", factor)
+        rows = self.rows(canonical_records)
+        value, target, passed = rows["farfield trend"]
+        assert target == f"decreasing, <= {tol:g}"
+        assert passed == (float(value) <= tol)
+        for name in ("grad_w bound", "grad_r bound"):
+            value, target, passed = rows[name]
+            assert target == f"max/median <= {factor:g}"
+            assert passed == (float(value) <= factor)
+
+    @pytest.mark.parametrize("tol, checks", [
+        ("RATE_TOL", ["rate eps*lam"]),
+        ("ALPHA_TOL", ["alpha slope"]),
+        ("ZERO_MODE_TOL", ["beta limit", "gamma limit"]),
+    ])
+    def test_limit_rows_judge_their_tolerance(self, canonical_records, monkeypatch, tol, checks):
+        # these rows name their target value; the tolerance on its relative
+        # error is the module constant, and a zero tolerance fails the row
+        monkeypatch.setattr(asympt, tol, 0.0)
+        rows = self.rows(canonical_records)
+        assert [c for c, (_, _, passed) in rows.items() if not passed] == checks
 
 
 def coercivity_by_loop(lam, a, R, samples=200, seed=7, n_modes=8):

@@ -8,19 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballblowup.asympt import _h_diff
 from ballblowup.bubble import (
-    Bubble,
-    du_dlambda,
-    du_dx,
-    g_fun,
+    g,
     grad_dlambda_pu_dot_pu,
     grad_dlambda_pu_norm,
     lemma_b1_check,
     lemma_b3_suite,
     pu_center,
-    psi_center,
-    u_val,
     u_prime,
+    _du_dlam,
     _u,
 )
 from ballblowup.greenfn import RadialCoefficient, critical_a, ga_center
@@ -31,34 +28,31 @@ const = RadialCoefficient.constant_coeff
 
 class TestPointwise:
     def test_peak_value(self):
-        b = Bubble(x=(0.1, -0.2, 0.0), lam=7.0)
-        assert u_val(b, b.x) == pytest.approx(math.sqrt(7.0), rel=1e-14)
+        assert _u(7.0, 0.0) == pytest.approx(math.sqrt(7.0), rel=1e-14)
 
     def test_dlambda_at_peak(self):
-        b = Bubble(lam=7.0)
-        assert du_dlambda(b, b.x) == pytest.approx(0.5 / math.sqrt(7.0), rel=1e-14)
+        assert _du_dlam(7.0, 0.0) == pytest.approx(0.5 / math.sqrt(7.0), rel=1e-14)
 
     @given(
         lam=st.floats(min_value=0.5, max_value=50.0),
-        y=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
+        r=st.floats(min_value=0.0, max_value=math.sqrt(3.0)),
     )
     @settings(max_examples=40, deadline=None)
-    def test_scaling(self, lam, y):
-        lhs = u_val(Bubble(lam=lam), y)
-        rhs = math.sqrt(lam) * u_val(Bubble(lam=1.0), [lam * t for t in y])
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    def test_scaling(self, lam, r):
+        assert _u(lam, r) == pytest.approx(math.sqrt(lam) * _u(1.0, lam * r), rel=1e-12)
 
     def test_translation_derivative(self):
-        b = Bubble(lam=3.0)
-        y = (0.2, 0.1, -0.3)
+        # moving the center x of U_{x,lam}(y) = U(|y - x|) gives the
+        # translation mode d_{x_i} U = -U'(r) y_i / r at x = 0, the form
+        # the B3 suite integrates
+        lam = 3.0
+        y = np.array([0.2, 0.1, -0.3])
+        r = np.linalg.norm(y)
         h = 1e-6
         for i in range(3):
-            xp = list(b.x)
-            xp[i] += h
-            xm = list(b.x)
-            xm[i] -= h
-            fd = (u_val(Bubble(tuple(xp), 3.0), y) - u_val(Bubble(tuple(xm), 3.0), y)) / (2 * h)
-            assert du_dx(b, y, i) == pytest.approx(fd, rel=1e-8)
+            e = h * np.eye(3)[i]
+            fd = (_u(lam, np.linalg.norm(y - e)) - _u(lam, np.linalg.norm(y + e))) / (2 * h)
+            assert -u_prime(lam, r) * y[i] / r == pytest.approx(fd, rel=1e-8)
 
     def test_whole_space_equation(self):
         # -Delta U = 3 U^5 via the closed forms: u'' + (2/r) u' + 3 u^5 = 0
@@ -107,23 +101,25 @@ class TestProjectedBubble:
 
 
 class TestPsi:
+    """psi = PU - lam^{-1/2} (H_a - H_0)(0, .), whose H-difference
+    ``decompose`` takes from ``asympt._h_diff``."""
+
     def test_zero_coefficient_is_pu(self):
-        psi = psi_center(40.0, const(0.0), 1.0)
-        pb = pu_center(40.0, 1.0)
         rs = np.linspace(0.05, 0.95, 10)
-        assert np.max(np.abs(psi(rs) - pb.pu(rs))) <= 1e-10
+        hv, _ = _h_diff(ga_center(const(0.0), 1.0), 1.0, rs)
+        assert np.max(np.abs(hv)) <= 1e-10
 
     def test_critical_closed_form(self):
-        lam, R = 40.0, 1.0
-        psi = psi_center(lam, const(critical_a(R)), R)
-        pb = pu_center(lam, R)
-        for r in (0.3, 0.6, 0.9):
-            expect = pb.pu(r) - ((1 - math.cos(math.pi * r / 2)) / r - 1.0) / math.sqrt(lam)
-            assert psi(r) == pytest.approx(float(expect), abs=1e-9)
+        R = 1.0
+        rs = np.array([0.3, 0.6, 0.9])
+        hv, _ = _h_diff(ga_center(const(critical_a(R)), R), R, rs)
+        expect = (1 - np.cos(math.pi * rs / 2)) / rs - 1.0
+        assert np.max(np.abs(hv - expect)) <= 1e-9
 
     def test_boundary(self):
-        psi = psi_center(40.0, const(-1.0), 1.0)
-        assert abs(psi(1.0)) <= 1e-10
+        # PU(R) = 0, so psi(R) = 0 needs (H_a - H_0)(0, R) = 0
+        hv, _ = _h_diff(ga_center(const(-1.0), 1.0), 1.0, np.array([1.0]))
+        assert abs(hv[0]) <= 1e-10
 
 
 class TestGFun:
@@ -132,38 +128,26 @@ class TestGFun:
         # stable across a decade ladder.
         ratios = []
         for lam in (10.0, 100.0, 1000.0):
-            res = quad_radial(
-                lambda r: g_fun(Bubble(lam=lam), (r, 0, 0)) ** 2 * r * r,
-                0.0,
-                1.0,
-                1e-12,
-            )
+            res = quad_radial(lambda r: g(lam, r) ** 2 * r * r, 0.0, 1.0, 1e-12)
             ratios.append(math.sqrt(4 * math.pi * res.value) / lam**-1.0)
         assert max(ratios) / min(ratios) <= 1.5
 
     def test_g_dlambda_integral(self):
-        b = Bubble(lam=1.0)
         res = quad_radial(
-            lambda r: g_fun(b, (r, 0, 0)) * du_dlambda(b, (r, 0, 0)) * r * r,
-            0.0,
-            math.inf,
-            1e-12,
+            lambda r: g(1.0, r) * _du_dlam(1.0, r) * r * r, 0.0, math.inf, 1e-12
         )
         assert 4 * math.pi * res.value == pytest.approx(2 * math.pi * (3 - math.pi), rel=1e-10)
 
     def test_endpoint_behavior(self):
-        b = Bubble(lam=1.0)
         # g - 1/r -> -1 at the origin (the singular parts match);
         # r^3 g -> 1/2 in the tail
         for r in (1e-3, 1e-5):
-            assert g_fun(b, (r, 0, 0)) - 1.0 / r == pytest.approx(-1.0, abs=1e-5)
+            assert g(1.0, r) - 1.0 / r == pytest.approx(-1.0, abs=1e-5)
         for r in (1e3, 1e5):
-            assert r**3 * g_fun(b, (r, 0, 0)) == pytest.approx(0.5, rel=1e-2)
+            assert r**3 * g(1.0, r) == pytest.approx(0.5, rel=1e-2)
 
     def test_positive(self):
-        b = Bubble(lam=30.0)
-        for r in np.geomspace(1e-4, 10.0, 30):
-            assert g_fun(b, (r, 0, 0)) > 0
+        assert np.all(g(30.0, np.geomspace(1e-4, 10.0, 30)) > 0)
 
 
 class TestLqRates:

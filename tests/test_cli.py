@@ -368,6 +368,17 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"line {len(canonical_records) + 1}: {message}" in err
 
+    @pytest.mark.parametrize("cmd", ["verify", "report"])
+    def test_mixed_config_hashes(self, tmp_path, capsys, canonical_records, cmd):
+        # the same rungs under two configs would read as one ladder of 8
+        path = Path(write_records(tmp_path, canonical_records))
+        first = path.read_text()
+        write_records(tmp_path, canonical_records, RunConfig(V={"constant": -2.0}))
+        path.write_text(first + path.read_text())
+        assert main([cmd, "--records", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "mixes 2 config_hash values" in err
+
     def test_resume_skips_non_object_line(self, fresh_sweep, tmp_path):
         cfg_path, fresh = fresh_sweep
         rec_path = tmp_path / "r.jsonl"

@@ -52,18 +52,14 @@ class TestShoot:
     def test_linear_regime_positive(self):
         # for small M the profile is essentially M sin(k r)/(k r) with
         # k = sqrt(|m|) < pi, positive up to the boundary
-        cfg = make_config(0.05)
-        out = shoot(1e-3, cfg)
-        assert out.positive and out.first_zero is None
-        assert out.endpoint > 0
+        assert shoot(1e-3, make_config(0.05)) > 0
 
     def test_endpoint_changes_sign(self):
         cfg = make_config(0.05)
         signs = set()
         M = 1.0
         while M <= 1e3:
-            out = shoot(M, cfg)
-            signs.add(out.positive)
+            signs.add(shoot(M, cfg) > 0)
             if len(signs) == 2:
                 break
             M *= 2.0
@@ -307,7 +303,7 @@ class TestSolveLadder:
             assert s.diagnostics["seed"] == "rate_law"
             scalar = solve_profile(cfg)
             assert s.M == pytest.approx(scalar.M, rel=1e-8)
-            assert fit_bubble(s, 1.0)[1] == pytest.approx(fit_bubble(scalar, 1.0)[1], rel=1e-7)
+            assert fit_bubble(s)[1] == pytest.approx(fit_bubble(scalar)[1], rel=1e-7)
 
     def test_canonical_integrations(self, canonical_solutions):
         # one loose and two full-tolerance lockstep Newton batches plus one
@@ -362,7 +358,7 @@ class TestSolveLadder:
         R = 2.0
         scaled = solve_ladder(_ladder_cfgs(const(-1.0 / R**2), R))
         for s1, (_, s2) in zip(canonical_solutions, scaled):
-            assert fit_bubble(s2, R)[1] * R == pytest.approx(fit_bubble(s1, 1.0)[1], rel=1e-7)
+            assert fit_bubble(s2)[1] * R == pytest.approx(fit_bubble(s1)[1], rel=1e-7)
 
     def test_window_exit_falls_back_with_continuation(self, canonical_solutions, monkeypatch):
         # the first rung leaves the batch: it is solved alone from the
@@ -441,8 +437,8 @@ class TestEvaluationMemo:
         cg = ga_center(const(CRITICAL_A), 1.0)
         for s in (canonical_solutions[0], canonical_solutions[-1]):
             memo, fresh = _copy(_Counting, s), _copy(_Unmemoised, s)
-            fit = fit_bubble(memo, 1.0)
-            assert fit == fit_bubble(fresh, 1.0)
+            fit = fit_bubble(memo)
+            assert fit == fit_bubble(fresh)
             d_memo = decompose(memo, fit[0], fit[1], cg)
             d_fresh = decompose(fresh, fit[0], fit[1], cg)
             for f in dataclasses.fields(d_memo):
@@ -587,9 +583,17 @@ class TestGreensRepresentation:
             assert z == pytest.approx(exact, abs=1e-6)
 
     def test_wrong_normalization_fails(self, canonical_solutions):
+        # center Green's data whose v is scaled by 4 pi scale the kernel by
+        # 4 pi: 3/(4 pi) -> 3
         s = canonical_solutions[0]
-        good = greens_rep_residual(s)
-        bad = greens_rep_residual(s, scale=4 * math.pi)  # 3/(4 pi) -> 3
+        cg = ga_center(const(CRITICAL_A), 1.0)
+
+        def scaled_pair(r):
+            z1, v = cg.homogeneous_pair(r)
+            return z1, 4 * math.pi * v
+
+        good = greens_rep_residual(s, cg=cg)
+        bad = greens_rep_residual(s, cg=dataclasses.replace(cg, _pair=scaled_pair))
         assert bad >= 10 * 1e-5
         assert bad > 100 * good
 
