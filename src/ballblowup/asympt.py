@@ -52,10 +52,6 @@ class RegimeError(ValueError):
     """Inputs outside the asymptotic/critical regime of the analysis."""
 
 
-def _rule(lam: float, R: float, n_panels: int = 260, n_gauss: int = 12):
-    return radial_quadrature_rule(min(1e-8, 0.02 / lam), R, n_panels, n_gauss)
-
-
 def _ip(wts, nodes, fp, gp):
     """Gradient inner product 4 pi int f' g' r^2 dr for radial fields."""
     return 4.0 * math.pi * float(np.sum(wts * fp * gp * nodes**2))
@@ -74,7 +70,7 @@ def fit_bubble(u: RadialSolution) -> tuple[float, float, float]:
     gradient-orthogonal to PU and dlam PU.  Returns (alpha, lam, residual_norm).
     """
     lam0 = u.M**2
-    nodes, wts = _rule(lam0, u.R)
+    nodes, wts = radial_quadrature_rule(lam0, u.R)
     upv = u.uprime_at(nodes)
     wn = 4.0 * math.pi * wts * nodes**2  # <f', g'> = (wn f') @ g'
     wu = wn * upv
@@ -175,7 +171,7 @@ def decompose(
     """
     R = u.R
     cg = a if isinstance(a, CenterGreens) else ga_center(a, R)
-    nodes, wts = _rule(lam, R)
+    nodes, wts = radial_quadrature_rule(lam, R)
 
     pb = bb.pu_center(lam, R)
     uv = u.u_at(nodes)
@@ -544,7 +540,7 @@ def coercivity_probe(
     4/7 applies for radial fields).
     """
     rng = np.random.default_rng(seed)
-    nodes, wts = _rule(lam, R, n_panels=220, n_gauss=10)
+    nodes, wts = radial_quadrature_rule(lam, R)
     r2w = 4.0 * math.pi * wts * nodes**2
 
     pb = bb.pu_center(lam, R)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .greenfn import RadialCoefficient, ga_center
-from .numkit import bubble_moment, quad_radial, radial_quadrature_rule, richardson_fit
+from .numkit import bubble_moment, radial_quadrature_rule, richardson_fit
 
 __all__ = [
     "CenterProjectedBubble",
@@ -53,6 +53,13 @@ def dlam_u_prime(lam, r):
     r = np.asarray(r, dtype=float)
     s = 1.0 + lam**2 * r**2
     return -2.5 * lam**1.5 * r / s**1.5 + 3.0 * lam**3.5 * r**3 / s**2.5
+
+
+def _ball_integral(lam: float, R: float, f) -> float:
+    """4 pi int_0^R f(r) r^2 dr, the integral over the ball of a radial
+    field f (a function of the node array) with bubble scale 1/lam."""
+    r, w = radial_quadrature_rule(lam, R)
+    return 4.0 * math.pi * float(w @ (f(r) * r * r))
 
 
 @dataclass(frozen=True)
@@ -98,10 +105,7 @@ class CenterProjectedBubble:
 
     def grad_norm_sq(self) -> float:
         """int_ball |grad PU|^2, approaching 3 pi^2 / 4 as lam grows."""
-        res = quad_radial(
-            lambda r: u_prime(self.lam, r) ** 2 * r**2, 0.0, self.R, tol=1e-12
-        )
-        return 4.0 * math.pi * res.value
+        return _ball_integral(self.lam, self.R, lambda r: u_prime(self.lam, r) ** 2)
 
 
 def pu_center(lam: float, R: float = 1.0) -> CenterProjectedBubble:
@@ -110,9 +114,12 @@ def pu_center(lam: float, R: float = 1.0) -> CenterProjectedBubble:
 
 def g(lam, r):
     """Tail function g_{0,lam}(r) = lam^{-1/2}/r - U_{0,lam}(r); positive,
-    with scaling g_{0,lam}(r) = lam^{1/2} g_{0,1}(lam r)."""
-    r = np.asarray(r, dtype=float)
-    return 1.0 / (np.sqrt(lam) * r) - _u(lam, r)
+    with scaling g_{0,lam}(r) = lam^{1/2} g_{0,1}(lam r).  Written as
+    lam^{1/2} / (t q (q + t)), t = lam r, q = (1 + t^2)^{1/2}, which keeps
+    the r^{-3} tail free of the cancellation between the two terms."""
+    t = lam * np.asarray(r, dtype=float)
+    q = np.sqrt(1.0 + t * t)
+    return np.sqrt(lam) / (t * q * (q + t))
 
 
 def lemma_b1_check(q: float, lams, R: float = 1.0) -> dict:
@@ -125,11 +132,9 @@ def lemma_b1_check(q: float, lams, R: float = 1.0) -> dict:
     if q < 1:
         raise ValueError("q >= 1 required")
     lams = np.asarray(lams, dtype=float)
-    norms = []
-    for lam in lams:
-        res = quad_radial(lambda r: _u(lam, r) ** q * r**2, 0.0, R, tol=1e-12)
-        norms.append((4.0 * math.pi * res.value) ** (1.0 / q))
-    norms = np.array(norms)
+    norms = np.array(
+        [_ball_integral(lam, R, lambda r: _u(lam, r) ** q) ** (1.0 / q) for lam in lams]
+    )
     if q < 3:
         rate = lams**-0.5
     elif q == 3:
@@ -150,7 +155,7 @@ def lemma_b1_check(q: float, lams, R: float = 1.0) -> dict:
 def _b3_integrals(lam: float, h, R: float) -> dict:
     """The five bubble-against-H integrals at the center, by graded radial
     quadrature (polar quadrature for the odd translation-derivative case)."""
-    nodes, wts = radial_quadrature_rule(min(1e-7, 0.01 / lam), R, n_panels=240, n_gauss=12)
+    nodes, wts = radial_quadrature_rule(lam, R)
     hv = h(nodes)
     u = _u(lam, nodes)
     du = _du_dlam(lam, nodes)
@@ -266,18 +271,12 @@ def lemma_b3_suite(
 
 def grad_dlambda_pu_norm(lam: float, R: float = 1.0) -> float:
     """int_ball |grad dlam PU|^2; approaches (15 pi^2/64) lam^{-2}."""
-    res = quad_radial(
-        lambda r: dlam_u_prime(lam, r) ** 2 * r**2, 0.0, R, tol=1e-12
-    )
-    return 4.0 * math.pi * res.value
+    return _ball_integral(lam, R, lambda r: dlam_u_prime(lam, r) ** 2)
 
 
 def grad_dlambda_pu_dot_pu(lam: float, R: float = 1.0) -> float:
     """int_ball grad dlam PU . grad PU; decays like lam^{-2}."""
-    res = quad_radial(
-        lambda r: dlam_u_prime(lam, r) * u_prime(lam, r) * r**2, 0.0, R, tol=1e-13
-    )
-    return 4.0 * math.pi * res.value
+    return _ball_integral(lam, R, lambda r: dlam_u_prime(lam, r) * u_prime(lam, r))
 
 
 def calculus_verdict(a_const: float, R: float = 1.0) -> tuple[list, bool]:
@@ -304,18 +303,15 @@ def calculus_verdict(a_const: float, R: float = 1.0) -> tuple[list, bool]:
     def limit(vals):
         return richardson_fit(list(zip(1 / lams, vals)))[0]
 
-    u4dl = [
-        l**2 * 4.0 * math.pi
-        * quad_radial(lambda r: _u(l, r) ** 4 * _du_dlam(l, r) ** 2 * r * r,
-                      0.0, R, 1e-13).value
-        for l in lams
-    ]
+    u4dl = [l**2 * _ball_integral(l, R, lambda r: _u(l, r) ** 4 * _du_dlam(l, r) ** 2)
+            for l in lams]
+    # int over R^3 of g dlam U at lam = 1, on the rule for [0, 1] after r = s/(1-s)
+    s, w = radial_quadrature_rule(1.0, 1.0)
+    r = s / (1.0 - s)
+    g_dlam_u = 4.0 * math.pi * float(w @ (g(1.0, r) * _du_dlam(1.0, r) * (r / (1.0 - s)) ** 2))
     for name, val, tgt in (
         ("moment t^4 (1+t^2)^-3", bubble_moment(4, 3), 3 * math.pi / 16),
-        ("int g dlam U",
-         quad_radial(lambda r: 4 * math.pi * g(1.0, r) * _du_dlam(1.0, r) * r * r,
-                     0.0, math.inf, 1e-12).value,
-         2 * math.pi * (3 - math.pi)),
+        ("int g dlam U", g_dlam_u, 2 * math.pi * (3 - math.pi)),
         ("lam^2 int U^4 (dlam U)^2", limit(u4dl), math.pi**2 / 64),
         ("int |grad PU|^2", limit([pu_center(l, R).grad_norm_sq() for l in lams]),
          3 * math.pi**2 / 4),

@@ -288,9 +288,9 @@ def cmd_sweep(args) -> int:
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 
-def _load_records(path: str) -> tuple[list, list]:
-    """The ok records and the failure lines of a records file, all of one
-    config: lines under two ``config_hash`` values would mix two ladders."""
+def _load_records(path: str) -> tuple[list, list, str | None]:
+    """The ok records, the failure lines and the ``config_hash`` of a records
+    file, all of one config: lines under two hashes would mix two ladders."""
     records, failed, hashes = [], [], set()
     try:
         text = Path(path).read_text()
@@ -317,16 +317,19 @@ def _load_records(path: str) -> tuple[list, list]:
     if len(hashes) > 1:
         raise ConfigError("records", f"{path} mixes {len(hashes)} config_hash values: "
                           + ", ".join(sorted(map(str, hashes))))
-    return records, failed
+    return records, failed, next(iter(hashes), None)
 
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, args.tol_override)
-    records, failed = _load_records(args.records)
+    records, failed, config_hash = _load_records(args.records)
     if len(records) < 3:
         print(f"insufficient data: {len(records)} successful rungs (< 3)",
               file=sys.stderr)
         return EXIT_VALIDATION
+    if config_hash != cfg.hash():
+        raise ConfigError("records", f"{args.records} has config_hash {config_hash}, "
+                          f"not the config's {cfg.hash()}")
     a = cfg.coefficient("a")
     V = cfg.coefficient("V")
     a0 = float(a(0.0))
@@ -370,7 +373,7 @@ def cmd_bubbletest(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records, failed = _load_records(args.records)
+    records, failed, _ = _load_records(args.records)
     cols = [
         "eps", "lam", "eps_lambda", "alpha", "beta", "gamma",
         "norm_grad_w", "norm_grad_r", "sup_w_ratio", "farfield_error",
@@ -402,7 +405,10 @@ def _parse_tol_overrides(items):
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once.  ``main`` looks ``cmd_<name>`` up when it runs, so a
+    command function replaced after that is the one called."""
     p = argparse.ArgumentParser(
         prog="ballblowup",
         description="Blow-up analysis of -Du + (a+eV)u = 3u^5 on the 3d ball",
@@ -417,45 +423,30 @@ def build_parser() -> argparse.ArgumentParser:
             "--tol-override", action="append", metavar="KEY=VAL", default=[]
         )
 
-    for name, fn in (
-        ("greens", cmd_greens),
-        ("critical", cmd_critical),
-        ("qv", cmd_qv),
-        ("bubbletest", cmd_bubbletest),
-    ):
-        sp = sub.add_parser(name)
-        common(sp)
-        sp.set_defaults(func=fn)
+    for name in ("greens", "critical", "qv", "bubbletest"):
+        common(sub.add_parser(name))
 
     sp = sub.add_parser("solve")
     common(sp)
     sp.add_argument("--eps", type=float, default=None)
-    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep")
     common(sp)
     sp.add_argument("--resume", action="store_true")
-    sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("verify")
-    common(sp)
-    sp.add_argument("--records", required=True)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("report")
-    common(sp)
-    sp.add_argument("--records", required=True)
-    sp.set_defaults(func=cmd_report)
+    for name in ("verify", "report"):
+        sp = sub.add_parser(name)
+        common(sp)
+        sp.add_argument("--records", required=True)
 
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.tol_override = _parse_tol_overrides(getattr(args, "tol_override", []))
-        return args.func(args)
+        args.tol_override = _parse_tol_overrides(args.tol_override)
+        return globals()["cmd_" + args.command](args)
     except ConfigError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

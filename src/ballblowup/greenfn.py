@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numkit import brent_root, ode_solve, quad_radial, sph_bessel
+from .numkit import brent_root, ode_solve, radial_quadrature_rule, sph_bessel
 
 __all__ = [
     "BallDomain",
@@ -359,8 +359,8 @@ def qv_center(
     """Q_V(0) = int V(y) G_a(0,y)^2 dy = 4 pi int_0^R V(r) v(r)^2 dr, with v
     from the center Green's data ``cg`` (built for a when not given)."""
     cg = cg or ga_center(a, R)
-    res = quad_radial(lambda r: V(r) * cg.v(r) ** 2, 0.0, R, tol=1e-11)
-    return 4.0 * math.pi * res.value
+    nodes, wts = radial_quadrature_rule(1.0, R)  # v varies on the scale R: no bubble
+    return 4.0 * math.pi * float(wts @ (V(nodes) * cg.v(nodes) ** 2))
 
 
 @dataclass(frozen=True)

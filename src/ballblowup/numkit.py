@@ -1,6 +1,6 @@
-"""Foundation numerics: bubble moments, spherical Bessel functions, adaptive
-quadrature on radial domains, ODE integration with dense output, bracketed
-root finding and linear/quadratic limit extrapolation.
+"""Foundation numerics: bubble moments, spherical Bessel functions, the
+package's one radial quadrature rule, ODE integration with dense output,
+bracketed root finding and linear/quadratic limit extrapolation.
 
 Everything here is pure and reentrant; no shared mutable state.
 """
@@ -16,20 +16,20 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 __all__ = [
-    "QuadratureResult",
     "OdeTrajectory",
     "RootResult",
     "DivergentMomentError",
     "NoSignChangeError",
     "bubble_moment",
     "sph_bessel",
-    "quad_radial",
     "ode_solve",
     "brent_root",
     "richardson_fit",
-    "geometric_panels",
     "radial_quadrature_rule",
 ]
+
+
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 
 
 class DivergentMomentError(ValueError):
@@ -38,17 +38,6 @@ class DivergentMomentError(ValueError):
 
 class NoSignChangeError(ValueError):
     """Raised when a root bracket does not enclose a sign change."""
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
-    converged: bool = True
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -138,41 +127,6 @@ def sph_bessel(kind: str, ell, x):
     return float(val) if scalar else val
 
 
-def quad_radial(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_subdiv: int = 200,
-) -> QuadratureResult:
-    """Adaptive quadrature of f on (a, b); b may be math.inf.
-
-    Improper upper endpoints are mapped to (0, 1) by t = s/(1-s), which
-    keeps adaptivity effective for polynomially decaying bubble tails.
-    Refines until error_estimate <= tol * max(1, |value|).
-    """
-    evals = [0]
-
-    def counted(t: float) -> float:
-        evals[0] += 1
-        return f(t)
-
-    if math.isinf(b):
-        def mapped(s: float) -> float:
-            t = a + s / (1.0 - s)
-            return counted(t) / (1.0 - s) ** 2
-
-        val, err = integrate.quad(
-            mapped, 0.0, 1.0, epsabs=tol, epsrel=tol, limit=max_subdiv
-        )
-    else:
-        val, err = integrate.quad(
-            counted, a, b, epsabs=tol, epsrel=tol, limit=max_subdiv
-        )
-    converged = err <= tol * max(1.0, abs(val)) * 10
-    return QuadratureResult(val, err, evals[0], converged)
-
-
 def ode_solve(
     rhs: Callable,
     y0: Sequence[float],
@@ -248,28 +202,19 @@ def richardson_fit(
     return float(coef[0]), float(coef[1]), rms
 
 
-def geometric_panels(r_min: float, r_max: float, n_panels: int) -> np.ndarray:
-    """Panel edges [0, r_min, ..., r_max] with geometric interior spacing."""
-    edges = np.geomspace(r_min, r_max, n_panels)
-    return np.concatenate(([0.0], edges))
+def radial_quadrature_rule(lam: float, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for integral_0^R f(r) dr, for radial integrands
+    with features down to the bubble scale 1/lam.
 
-
-def radial_quadrature_rule(
-    r_min: float,
-    r_max: float,
-    n_panels: int = 200,
-    n_gauss: int = 10,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on a geometrically graded grid.
-
-    Resolves integrands with features down to scale ``r_min`` while covering
-    [0, r_max]; returns (nodes, weights) for plain 1d integration in r.
+    Composite 12-point Gauss-Legendre on 260 panels: [0, r_min] and 259
+    geometric panels from r_min = min(1e-8, 0.02/lam) to R.  Every radial
+    integral of the package is taken on this rule, so for lam <= 2e6 a
+    rung's fit, decomposition and Green representation share its nodes.
     """
-    xg, wg = np.polynomial.legendre.leggauss(n_gauss)
-    edges = geometric_panels(r_min, r_max, n_panels)
+    edges = np.concatenate(([0.0], np.geomspace(min(1e-8, 0.02 / lam), R, 260)))
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    weights = (half[:, None] * wg[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
+    weights = (half[:, None] * _GAUSS_W[None, :]).ravel()
     return nodes, weights

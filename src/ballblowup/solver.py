@@ -619,24 +619,23 @@ def greens_rep_residual(u: RadialSolution, cg: CenterGreens | None = None) -> fl
         u = (3/4 pi) int G_a u^5 - (eps/4 pi) int G_a V u
 
     evaluated by solving the radial problem (-Delta + a) z = 3 u^5 - eps V u
-    by variation of parameters and comparing z to u at r = 0.3, 0.5, 0.7,
+    by variation of parameters and comparing z to u at r = 0.3R, 0.5R, 0.7R,
     normalized by the sup norm of u.  The homogeneous pair is read off the
     center Green's data ``cg`` (built for a when not given): Z1, regular at
     0, and Z2 = v, vanishing at R, with Wronskian Z1 Z2' - Z1' Z2 = -1.  The
     profile is sampled on the same quadrature rule as the fit and the
-    decomposition for lam <= 1e6, so a rung's memoised evaluation serves it.
+    decomposition for lam <= 2e6, so a rung's memoised evaluation serves it.
     """
     cfg = u.config
     R = cfg.domain.R
-    lam_hat = max(u.M**2, 1.0)
     cg = cg or ga_center(cfg.a, R)
 
-    nodes, wts = radial_quadrature_rule(min(1e-8, 0.01 / lam_hat), R, n_panels=260, n_gauss=12)
+    nodes, wts = radial_quadrature_rule(u.M**2, R)
     uv = u.u_at(nodes)
     hv = 3.0 * uv**5 - cfg.eps * np.asarray(cfg.V(nodes)) * uv
     F = nodes * hv  # source for the reduced 1d problem
     z1v, z2v = cg.homogeneous_pair(nodes)
-    probes = (0.3, 0.5, 0.7)
+    probes = (0.3 * R, 0.5 * R, 0.7 * R)
     z1p, z2p = cg.homogeneous_pair(np.asarray(probes))
 
     sup_u = float(np.max(np.abs(u.u)))

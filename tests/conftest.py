@@ -4,6 +4,7 @@ session and reused by the per-module and acceptance tests."""
 import math
 
 import pytest
+from scipy import integrate
 
 from ballblowup.asympt import records_from_sweep
 from ballblowup.greenfn import BallDomain, RadialCoefficient
@@ -11,6 +12,13 @@ from ballblowup.solver import ProblemConfig, solve_ladder
 
 CRITICAL_A = -math.pi**2 / 4.0
 EPS_LADDER = [0.04, 0.02, 0.01, 0.005]
+
+
+def quad_oracle(f, a, b):
+    """Adaptive quadrature (scipy's ``quad``, tolerance 1e-12) of the scalar
+    function f on (a, b), b possibly math.inf: the reference the package's
+    one radial rule is checked against."""
+    return integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
 
 
 def const(c):

@@ -69,7 +69,7 @@ class TestFitBubble:
         # leaves 1e-10 .. 1e-8 here
         for u in canonical_solutions:
             alpha, lam, _ = fit_bubble(u)
-            nodes, wts = radial_quadrature_rule(min(1e-8, 0.02 / u.M**2), 1.0, 260, 12)
+            nodes, wts = radial_quadrature_rule(u.M**2, 1.0)
             wn = 4.0 * math.pi * wts * nodes**2
             upv, dpup = u.uprime_at(nodes), dlam_u_prime(lam, nodes)
             wp = upv / alpha - u_prime(lam, nodes)
@@ -271,7 +271,7 @@ def coercivity_by_loop(lam, a, R, samples=200, seed=7, n_modes=8):
         return 4.0 * math.pi * float(np.sum(wts * f * g * nodes**2))
 
     rng = np.random.default_rng(seed)
-    nodes, wts = radial_quadrature_rule(min(1e-8, 0.02 / lam), R, 220, 10)
+    nodes, wts = radial_quadrature_rule(lam, R)
     r2 = nodes**2
     pb = pu_center(lam, R)
     basis_p = [pb.pu_prime(nodes), pb.dlam_pu_prime(nodes)]
@@ -322,7 +322,7 @@ class TestCoercivity:
         # v = PU without removing the zero modes: the quadratic form is
         # negative, confirming the projection is essential
         lam, R = 1e3, 1.0
-        nodes, wts = radial_quadrature_rule(min(1e-8, 0.02 / lam), R, 260, 12)
+        nodes, wts = radial_quadrature_rule(lam, R)
         pb = pu_center(lam, R)
         grad = 4 * math.pi * np.sum(wts * pb.pu_prime(nodes) ** 2 * nodes**2)
         mass = 4 * math.pi * np.sum(wts * CRITICAL_A * pb.pu(nodes) ** 2 * nodes**2)

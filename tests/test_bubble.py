@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from ballblowup.asympt import _h_diff
 from ballblowup.bubble import (
+    _ball_integral,
+    calculus_verdict,
+    dlam_u_prime,
     g,
     grad_dlambda_pu_dot_pu,
     grad_dlambda_pu_norm,
@@ -21,7 +24,9 @@ from ballblowup.bubble import (
     _u,
 )
 from ballblowup.greenfn import RadialCoefficient, critical_a, ga_center
-from ballblowup.numkit import quad_radial, radial_quadrature_rule
+from ballblowup.numkit import radial_quadrature_rule
+
+from conftest import quad_oracle
 
 const = RadialCoefficient.constant_coeff
 
@@ -91,7 +96,7 @@ class TestProjectedBubble:
         # Use v = psi - PU = -lam^{-1/2}(H_a - H_0)(0, .).
         lam, R = 300.0, 1.0
         cg = ga_center(const(-1.0), R)
-        nodes, wts = radial_quadrature_rule(1e-8, R, n_panels=260, n_gauss=12)
+        nodes, wts = radial_quadrature_rule(lam, R)
 
         v = -(cg.h(nodes) - 1.0 / R) / math.sqrt(lam)
         vp = -(-cg.vprime(nodes) / nodes - (1.0 - cg.v(nodes)) / nodes**2) / math.sqrt(lam)
@@ -128,23 +133,27 @@ class TestGFun:
         # stable across a decade ladder.
         ratios = []
         for lam in (10.0, 100.0, 1000.0):
-            res = quad_radial(lambda r: g(lam, r) ** 2 * r * r, 0.0, 1.0, 1e-12)
-            ratios.append(math.sqrt(4 * math.pi * res.value) / lam**-1.0)
+            res = _ball_integral(lam, 1.0, lambda r: g(lam, r) ** 2)
+            ratios.append(math.sqrt(res) / lam**-1.0)
         assert max(ratios) / min(ratios) <= 1.5
 
     def test_g_dlambda_integral(self):
-        res = quad_radial(
-            lambda r: g(1.0, r) * _du_dlam(1.0, r) * r * r, 0.0, math.inf, 1e-12
+        # the verdict's row integrates over [0, inf) on the rule for [0, 1]
+        oracle = 4 * math.pi * quad_oracle(
+            lambda r: g(1.0, r) * _du_dlam(1.0, r) * r * r, 0.0, math.inf
         )
-        assert 4 * math.pi * res.value == pytest.approx(2 * math.pi * (3 - math.pi), rel=1e-10)
+        rows, _ = calculus_verdict(-1.0, 1.0)
+        (val,) = [r[2] for r in rows if r[0] == "int g dlam U"]
+        assert val == pytest.approx(oracle, rel=1e-10)
+        assert val == pytest.approx(2 * math.pi * (3 - math.pi), rel=1e-14)
 
     def test_endpoint_behavior(self):
         # g - 1/r -> -1 at the origin (the singular parts match);
-        # r^3 g -> 1/2 in the tail
+        # r^3 g -> 1/2 in the tail, where lam^{-1/2}/r - U would cancel
         for r in (1e-3, 1e-5):
             assert g(1.0, r) - 1.0 / r == pytest.approx(-1.0, abs=1e-5)
-        for r in (1e3, 1e5):
-            assert r**3 * g(1.0, r) == pytest.approx(0.5, rel=1e-2)
+        for r in (1e3, 1e6):
+            assert r**3 * g(1.0, r) == pytest.approx(0.5, rel=1e-6)
 
     def test_positive(self):
         assert np.all(g(30.0, np.geomspace(1e-4, 10.0, 30)) > 0)
@@ -235,3 +244,25 @@ class TestDlambdaNorms:
     def test_cross_term_decay(self):
         vals = [abs(grad_dlambda_pu_dot_pu(l, 1.0)) * l**2 for l in (1e2, 1e3, 1e4)]
         assert max(vals) / min(vals) <= 1.01  # O(lam^{-2}) trend
+
+
+class TestRuleAgainstOracle:
+    """The bubble integrals, all taken on ``numkit.radial_quadrature_rule``,
+    against the adaptive oracle."""
+
+    @pytest.mark.parametrize("R", [1.0, 1.25, 2.0])
+    @pytest.mark.parametrize("lam", [1e2, 1e3, 1e4])
+    def test_ball_integrals(self, lam, R):
+        def oracle(f):
+            return 4 * math.pi * quad_oracle(lambda r: f(r) * r * r, 0.0, R)
+
+        u4dl = lambda r: _u(lam, r) ** 4 * _du_dlam(lam, r) ** 2  # noqa: E731
+        cases = [(lemma_b1_check(q, [lam], R)["norms"][0] ** q, lambda r, q=q: _u(lam, r) ** q)
+                 for q in (2.0, 3.0, 6.0)] + [
+            (pu_center(lam, R).grad_norm_sq(), lambda r: u_prime(lam, r) ** 2),
+            (grad_dlambda_pu_norm(lam, R), lambda r: dlam_u_prime(lam, r) ** 2),
+            (grad_dlambda_pu_dot_pu(lam, R), lambda r: dlam_u_prime(lam, r) * u_prime(lam, r)),
+            (_ball_integral(lam, R, u4dl), u4dl),
+        ]
+        for val, f in cases:
+            assert val == pytest.approx(oracle(f), rel=1e-10)

@@ -431,12 +431,24 @@ class TestVerify:
 
     def test_zero_potential_diverges(self, tmp_path, capsys, canonical_records):
         # with V = 0 the centred potential integral vanishes and the product
-        # eps*lam must be reported as diverging, not convergent
+        # eps*lam must be reported as diverging, not convergent.  At critical
+        # a there is no V = 0 solution to sweep, so the V = -1 rungs stand in
+        # under the V = 0 config's hash.
         cfg_path = write_cfg(tmp_path, V={"constant": 0.0})
-        rec_path = write_records(tmp_path, canonical_records)
+        rec_path = write_records(tmp_path, canonical_records, load_config(cfg_path))
         code = main(["verify", "--config", cfg_path, "--records", rec_path])
         assert code == EXIT_OK
         assert "diverging" in capsys.readouterr().out
+
+    def test_config_mismatch_rejected(self, tmp_path, capsys, canonical_records):
+        # V = -1 records judged against the V = -2 laws would read as a
+        # failed rate law; they are the wrong input
+        cfg_path = write_cfg(tmp_path, V={"constant": -2.0})
+        rec_path = write_records(tmp_path, canonical_records)
+        assert main(["verify", "--config", cfg_path, "--records", rec_path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert RunConfig().hash() in captured.err and load_config(cfg_path).hash() in captured.err
 
     def test_tampered_records_fail(self, tmp_path, capsys, canonical_records):
         bad = [
@@ -470,6 +482,21 @@ class TestVerify:
         all_passed = json.loads(out_path.read_text())["report"]["all_passed"]
         assert all_passed == ("False" not in {row[3] for row in expected})
         assert all_passed == (scale == 1.0) == (code == EXIT_OK)
+
+
+class TestMain:
+    def test_command_looked_up_when_called(self, monkeypatch):
+        # a command swapped after the parser was built is the one that runs
+        assert main(["critical"]) == EXIT_OK
+        monkeypatch.setattr(cli, "cmd_critical", lambda args: 42)
+        assert main(["critical"]) == 42
+
+    def test_tol_override_does_not_leak(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_critical", lambda args: seen.append(args.tol_override))
+        main(["critical", "--tol-override", "ode=1e-9"])
+        main(["critical"])
+        assert seen == [{"ode": "1e-9"}, {}]
 
 
 class TestBubbletest:

@@ -25,6 +25,8 @@ from ballblowup.greenfn import (
 )
 from ballblowup.numkit import sph_bessel
 
+from conftest import quad_oracle
+
 CRIT = -math.pi**2 / 4.0
 
 
@@ -219,11 +221,6 @@ class TestPhiaHessian:
 
 
 class TestQvCenter:
-    def test_canonical(self):
-        assert qv_center(const(-1.0), const(CRIT), 1.0) == pytest.approx(
-            -2 * math.pi, abs=1e-8
-        )
-
     def test_zero_potential(self):
         assert qv_center(const(0.0), const(CRIT), 1.0) == 0.0
 
@@ -232,6 +229,15 @@ class TestQvCenter:
         assert qv_center(const(-2.0), a, 1.0) == pytest.approx(
             2 * qv_center(const(-1.0), a, 1.0), rel=1e-11
         )
+
+    @pytest.mark.parametrize("V", [lambda r: 1 - 4 * np.cos(np.pi * r / 2) ** 2,
+                                   lambda r: -3 * np.exp(-8 * r * r)], ids=["cos", "gauss"])
+    def test_tabulated_against_oracle(self, V):
+        absc = np.linspace(0.0, 1.0, 41)
+        table = RadialCoefficient(values=V(absc), abscissae=absc)
+        cg = ga_center(const(CRIT), 1.0)
+        oracle = 4 * math.pi * quad_oracle(lambda r: table(r) * cg.v(r) ** 2, 0.0, 1.0)
+        assert qv_center(table, const(CRIT), 1.0, cg) == pytest.approx(oracle, rel=1e-10)
 
 
 class TestNaScan:

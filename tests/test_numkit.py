@@ -1,5 +1,5 @@
-"""Foundation numerics: moments, Bessel functions, quadrature, ODE, roots,
-extrapolation."""
+"""Foundation numerics: moments, Bessel functions, the quadrature oracle,
+ODE, roots, extrapolation."""
 
 import math
 
@@ -14,10 +14,11 @@ from ballblowup.numkit import (
     brent_root,
     bubble_moment,
     ode_solve,
-    quad_radial,
     richardson_fit,
     sph_bessel,
 )
+
+from conftest import quad_oracle
 
 
 class TestBubbleMoment:
@@ -45,8 +46,8 @@ class TestBubbleMoment:
         if q <= (p + 1) / 2.0:
             return
         exact = bubble_moment(p, q)
-        quad = quad_radial(lambda t: t**p * (1 + t * t) ** -q, 0.0, math.inf, 1e-12)
-        assert quad.value == pytest.approx(exact, abs=1e-10 * max(1, exact))
+        quad = quad_oracle(lambda t: t**p * (1 + t * t) ** -q, 0.0, math.inf)
+        assert quad == pytest.approx(exact, abs=1e-10 * max(1, exact))
 
 
 class TestSphBessel:
@@ -102,9 +103,11 @@ class TestSphBessel:
 
 
 class TestQuadRadial:
+    """The adaptive oracle (``conftest.quad_oracle``) on closed forms."""
+
     def test_cos_squared(self):
-        res = quad_radial(lambda r: math.cos(math.pi * r / 2) ** 2, 0.0, 1.0, 1e-12)
-        assert res.value == pytest.approx(0.5, abs=1e-12)
+        res = quad_oracle(lambda r: math.cos(math.pi * r / 2) ** 2, 0.0, 1.0)
+        assert res == pytest.approx(0.5, abs=1e-12)
 
     def test_g_dlambda_u_integral(self):
         def f(r):
@@ -112,22 +115,15 @@ class TestQuadRadial:
             dlu = (1 - r * r) / (2 * (1 + r * r) ** 1.5)
             return g * dlu * r * r
 
-        res = quad_radial(f, 0.0, math.inf, 1e-12)
-        assert 4 * math.pi * res.value == pytest.approx(
+        res = quad_oracle(f, 0.0, math.inf)
+        assert 4 * math.pi * res == pytest.approx(
             2 * math.pi * (3 - math.pi), rel=1e-11
         )
 
     def test_whole_space_u6(self):
-        res = quad_radial(lambda t: t * t * (1 + t * t) ** -3, 0.0, math.inf, 1e-12)
-        assert 4 * math.pi * res.value == pytest.approx(math.pi**2 / 4, rel=1e-12)
-        assert res.value == pytest.approx(bubble_moment(2, 3), rel=1e-12)
-
-    def test_error_estimate_bounds_refinement(self):
-        res = quad_radial(lambda r: math.exp(-r) * math.sin(10 * r), 0.0, 5.0, 1e-10)
-        refined = quad_radial(
-            lambda r: math.exp(-r) * math.sin(10 * r), 0.0, 5.0, 1e-13
-        )
-        assert abs(res.value - refined.value) <= max(res.error_estimate, 1e-13)
+        res = quad_oracle(lambda t: t * t * (1 + t * t) ** -3, 0.0, math.inf)
+        assert 4 * math.pi * res == pytest.approx(math.pi**2 / 4, rel=1e-12)
+        assert res == pytest.approx(bubble_moment(2, 3), rel=1e-12)
 
 
 class TestOdeSolve:

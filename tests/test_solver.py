@@ -11,7 +11,7 @@ from scipy import integrate
 from ballblowup import solver
 from ballblowup.asympt import decompose, fit_bubble
 from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center, qv_center
-from ballblowup.numkit import OdeTrajectory, ode_solve, quad_radial
+from ballblowup.numkit import OdeTrajectory, ode_solve, radial_quadrature_rule
 from ballblowup.solver import (
     SOBOLEV_CONSTANT,
     ProblemConfig,
@@ -24,7 +24,7 @@ from ballblowup.solver import (
     taylor_start,
 )
 
-from conftest import CRITICAL_A, EPS_LADDER, make_config
+from conftest import CRITICAL_A, EPS_LADDER, make_config, quad_oracle
 
 const = RadialCoefficient.constant_coeff
 
@@ -506,13 +506,12 @@ class TestPohozaev:
         lam = 1.0
 
         def resid(Rc):
-            g = quad_radial(
-                lambda r: (lam**2.5 * r / (1 + lam**2 * r**2) ** 1.5) ** 2 * r**2,
-                0.0, Rc, 1e-12,
-            ).value * 4 * math.pi
-            u6 = quad_radial(
-                lambda r: (lam / (1 + lam**2 * r**2)) ** 3 * r**2, 0.0, Rc, 1e-12
-            ).value * 4 * math.pi
+            g = quad_oracle(
+                lambda r: (lam**2.5 * r / (1 + lam**2 * r**2) ** 1.5) ** 2 * r**2, 0.0, Rc
+            ) * 4 * math.pi
+            u6 = quad_oracle(
+                lambda r: (lam / (1 + lam**2 * r**2)) ** 3 * r**2, 0.0, Rc
+            ) * 4 * math.pi
             upR = -(lam**2.5) * Rc / (1 + lam**2 * Rc**2) ** 1.5
             return abs(0.5 * g - 1.5 * u6 + 0.5 * 4 * math.pi * Rc**3 * upR**2) / g
 
@@ -534,13 +533,13 @@ class TestPohozaev:
         def up2(r):
             return (s.uprime_at(r) * pert(r) + s.u_at(r) * dpert(r)) ** 2 * r**2
 
-        g = 4 * math.pi * quad_radial(up2, 0.0, 1.0, 1e-10).value
-        u2 = 4 * math.pi * quad_radial(
-            lambda r: (s.u_at(r) * pert(r)) ** 2 * r**2, 0.0, 1.0, 1e-10
-        ).value
-        u6 = 4 * math.pi * quad_radial(
-            lambda r: (s.u_at(r) * pert(r)) ** 6 * r**2, 0.0, 1.0, 1e-10
-        ).value
+        g = 4 * math.pi * quad_oracle(up2, 0.0, 1.0)
+        u2 = 4 * math.pi * quad_oracle(
+            lambda r: (s.u_at(r) * pert(r)) ** 2 * r**2, 0.0, 1.0
+        )
+        u6 = 4 * math.pi * quad_oracle(
+            lambda r: (s.u_at(r) * pert(r)) ** 6 * r**2, 0.0, 1.0
+        )
         upR = s.uprime_at(1.0) * pert(1.0) + s.u_at(1.0) * dpert(1.0)
         resid = abs(0.5 * g + 1.5 * m * u2 - 1.5 * u6 + 0.5 * 4 * math.pi * upR**2) / g
         assert resid > 1e-4
@@ -563,9 +562,7 @@ class TestGreensRepresentation:
             return [z1p, -z1]  # -Z'' + a Z = 0, a = -1
 
         traj = ode_solve(rhs, [1e-10, 1.0], (1e-10, 1.0), tol=1e-13)
-        from ballblowup.numkit import radial_quadrature_rule
-
-        nodes, wts = radial_quadrature_rule(1e-8, 1.0, 260, 12)
+        nodes, wts = radial_quadrature_rule(1.0, 1.0)
         z1 = traj(nodes)[0]
         z2 = np.asarray(cg.v(nodes))
         F = nodes * 1.0  # source f = 1 in the reduced variable
@@ -581,6 +578,12 @@ class TestGreensRepresentation:
             # the probe splits a quadrature panel, which caps the accuracy
             # of the split sums near 1e-6
             assert z == pytest.approx(exact, abs=1e-6)
+
+    def test_probes_scale_with_the_ball(self):
+        # at R = 0.5 the probes are 0.15, 0.25, 0.35, all inside the ball
+        R = 0.5
+        u = solve_profile(make_config(0.16, a_const=CRITICAL_A / R**2, R=R))
+        assert greens_rep_residual(u) <= 1e-9
 
     def test_wrong_normalization_fails(self, canonical_solutions):
         # center Green's data whose v is scaled by 4 pi scale the kernel by
