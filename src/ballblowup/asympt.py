@@ -137,25 +137,6 @@ class Decomposition:
         return self.sup_w / math.sqrt(self.lam)
 
 
-def _h_diff(cg: CenterGreens, R: float, nodes):
-    """(H_a - H_0)(0, r) and its radial derivative; H_0(0, .) = 1/R at the
-    center.  A short Taylor series bridges the cancellation-prone small-r
-    region: (1 - v)/r = phi - (a/2) r + (a phi/6) r^2 + ..."""
-    phi, a0 = cg.phi_a_at_0, cg.a_at_0
-    vals = np.empty_like(nodes)
-    ders = np.empty_like(nodes)
-    small = nodes < 1e-5
-    rs = nodes[small]
-    vals[small] = phi - 0.5 * a0 * rs + (a0 * phi / 6.0) * rs**2 - 1.0 / R
-    ders[small] = -0.5 * a0 + (a0 * phi / 3.0) * rs
-    rl = nodes[~small]
-    v = cg.v(rl)
-    vp = cg.vprime(rl)
-    vals[~small] = (1.0 - v) / rl - 1.0 / R
-    ders[~small] = -vp / rl - (1.0 - v) / rl**2
-    return vals, ders
-
-
 def decompose(
     u: RadialSolution,
     alpha: float,
@@ -179,9 +160,9 @@ def decompose(
     w = uv / alpha - pb.pu(nodes)
     wp = upv / alpha - pb.pu_prime(nodes)
 
-    hv, hp = _h_diff(cg, R, nodes)
-    q = w + hv / math.sqrt(lam)
-    qp = wp + hp / math.sqrt(lam)
+    # (H_a - H_0)(0, .) and its radial derivative; H_0(0, .) = 1/R
+    q = w + (cg.h(nodes) - 1.0 / R) / math.sqrt(lam)
+    qp = wp + cg.dh(nodes) / math.sqrt(lam)
 
     # Gram system over {PU, lam dlam PU}: both have gradient norms of order
     # one, so the condition number stays near 3.2 at every lam (on the

@@ -30,6 +30,11 @@ __all__ = [
     "calculus_verdict",
 ]
 
+# lam ladder of lemma_b3_suite's coefficient fits (read-only: the suite
+# returns it)
+B3_LAMS = np.geomspace(1e2, 1e4, 9)
+B3_LAMS.flags.writeable = False
+
 
 def _u(lam, r):
     return np.sqrt(lam) / np.sqrt(1.0 + lam**2 * np.asarray(r, dtype=float) ** 2)
@@ -185,11 +190,7 @@ def _b3_integrals(lam: float, h, R: float) -> dict:
     return out
 
 
-def lemma_b3_suite(
-    a_const: float,
-    R: float = 1.0,
-    lams=None,
-) -> dict:
+def lemma_b3_suite(a_const: float, R: float = 1.0) -> dict:
     """Coefficient recovery for the five bubble-against-H integral identities.
 
     For constant coefficient b the predictions at the center are
@@ -198,11 +199,9 @@ def lemma_b3_suite(
         int U^4 dxU H      =  (2 pi/15) grad phi lam^{-1/2}   (= 0 at center)
         int U^4 H^2        =  pi^2 phi^2 lam^{-1}
         int U^3 dlamU H^2  = -(pi^2/4) phi^2 lam^{-2}
-    and each coefficient is recovered by a ladder fit.
+    and each coefficient is recovered by a fit over the ladder ``B3_LAMS``.
     """
-    if lams is None:
-        lams = np.geomspace(1e2, 1e4, 9)
-    lams = np.asarray(lams, dtype=float)
+    lams = B3_LAMS
     a = RadialCoefficient.constant_coeff(a_const)
     cg = ga_center(a, R)
     phi = cg.phi_a_at_0

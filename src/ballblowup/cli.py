@@ -30,6 +30,8 @@ EXIT_VERIFICATION = 3
 
 
 DEFAULT_TOLERANCES = {"quad": 1e-10, "ode": 1e-12, "shoot": 1e-7, "series": 1e-12}
+# the tolerances the numerics read, and so the only ones --tol-override takes
+OVERRIDABLE_TOLERANCES = ("ode", "shoot")
 
 
 class ConfigError(ValueError):
@@ -124,9 +126,14 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         cfg = RunConfig.from_dict(raw)
     if overrides:
         for key, val in overrides.items():
-            if key not in cfg.tolerances:
-                raise ConfigError("tolerances", f"unknown tolerance key {key!r}")
-            cfg.tolerances[key] = float(val)
+            if key not in OVERRIDABLE_TOLERANCES:
+                raise ConfigError("tolerances", f"cannot override {key!r}: only "
+                                  + ", ".join(OVERRIDABLE_TOLERANCES) + " reach the numerics")
+            try:
+                cfg.tolerances[key] = float(val)
+            except ValueError:
+                raise ConfigError("tolerances", f"{key}={val!r} is not a number") from None
+        cfg.validate()
     return cfg
 
 
@@ -181,7 +188,7 @@ def cmd_greens(args) -> int:
     report = {
         "a_star": a_star,
         "phi_a_at_0": cg.phi_a_at_0,
-        "qv": greenfn.qv_center(V, a, cfg.R),
+        "qv": greenfn.qv_center(V, a, cfg.R, cg),
         "profile": profile,
         "criticality": crit_dict,
         "config_hash": cfg.hash(),
@@ -420,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="config JSON path")
         sp.add_argument("--out", default=None, help="output path")
         sp.add_argument(
-            "--tol-override", action="append", metavar="KEY=VAL", default=[]
+            "--tol-override", action="append", metavar="KEY=VAL", default=[],
+            help="override the ode or shoot tolerance",
         )
 
     for name in ("greens", "critical", "qv", "bubbletest"):
@@ -434,10 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--resume", action="store_true")
 
-    for name in ("verify", "report"):
-        sp = sub.add_parser(name)
-        common(sp)
-        sp.add_argument("--records", required=True)
+    sp = sub.add_parser("verify")
+    common(sp)
+    sp.add_argument("--records", required=True)
+
+    # report reads only the records file: no config, no tolerances
+    sp = sub.add_parser("report")
+    sp.add_argument("--records", required=True)
+    sp.add_argument("--out", default=None, help="output path")
 
     return p
 
@@ -445,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.tol_override = _parse_tol_overrides(args.tol_override)
+        if "tol_override" in args:
+            args.tol_override = _parse_tol_overrides(args.tol_override)
         return globals()["cmd_" + args.command](args)
     except ConfigError as e:
         print(f"validation error: {e}", file=sys.stderr)

@@ -129,18 +129,14 @@ class CenterGreens:
     R: float
     phi_a_at_0: float
     a_at_0: float
-    _vp: Callable = field(repr=False)
-    _pair: Callable = field(repr=False)
+    _state: Callable = field(repr=False)  # r -> (z1, v, v') from one trajectory evaluation
 
     def v(self, r):
-        return self._pair(r)[1]
-
-    def vprime(self, r):
-        return self._vp(r)
+        return self._state(r)[1]
 
     def homogeneous_pair(self, r):
         """(z1, v) at r from one evaluation of the stored trajectory."""
-        return self._pair(r)
+        return self._state(r)[:2]
 
     def g(self, r):
         """G_a(0, r)."""
@@ -148,14 +144,37 @@ class CenterGreens:
         return self.v(r) / r
 
     def h(self, r):
-        """H_a(0, r) = (1 - v(r))/r, continuous up to r -> 0."""
-        scalar = np.ndim(r) == 0
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = np.empty_like(r)
-        small = r < 1e-8
-        out[small] = self.phi_a_at_0
-        out[~small] = (1.0 - self.v(r[~small])) / r[~small]
-        return float(out[0]) if scalar else out
+        """H_a(0, r) = (1 - v(r))/r.  Below r = 1e-5, where that quotient
+        cancels, its Taylor series phi - (a/2) r + (a phi/6) r^2 takes over
+        (phi = phi_a(0), a = a(0))."""
+        phi, a0 = self.phi_a_at_0, self.a_at_0
+        return _taylor_bridged(
+            r, lambda s: phi - 0.5 * a0 * s + (a0 * phi / 6.0) * s**2,
+            lambda s: (1.0 - self.v(s)) / s,
+        )
+
+    def dh(self, r):
+        """The radial derivative of H_a(0, r): -v'/r - (1 - v)/r^2, and the
+        derivative of ``h``'s Taylor series below r = 1e-5."""
+        phi, a0 = self.phi_a_at_0, self.a_at_0
+
+        def exact(s):
+            _, v, vp = self._state(s)
+            return -vp / s - (1.0 - v) / s**2
+
+        return _taylor_bridged(r, lambda s: -0.5 * a0 + (a0 * phi / 3.0) * s, exact)
+
+
+def _taylor_bridged(r, series, exact):
+    """``series`` at the radii below 1e-5 and ``exact`` at the others; a
+    float at a scalar r."""
+    scalar = np.ndim(r) == 0
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r)
+    small = r < 1e-5
+    out[small] = series(r[small])
+    out[~small] = exact(r[~small])
+    return float(out[0]) if scalar else out
 
 
 def phi0_ball(x, R: float = 1.0) -> float:
@@ -190,17 +209,11 @@ def ga_center(a: RadialCoefficient, R: float = 1.0) -> CenterGreens:
         raise ResonanceError("homogeneous solution vanishes at R")
     c = -vp_R / vh_R
 
-    def vprime(r):
+    def state(r):
         s = traj(np.asarray(r, dtype=float))
-        return s[1] + c * s[3]
+        return s[2], s[0] + c * s[2], s[1] + c * s[3]
 
-    def pair(r):
-        s = traj(np.asarray(r, dtype=float))
-        return s[2], s[0] + c * s[2]
-
-    return CenterGreens(
-        R=R, phi_a_at_0=float(-c), a_at_0=float(a(0.0)), _vp=vprime, _pair=pair
-    )
+    return CenterGreens(R=R, phi_a_at_0=float(-c), a_at_0=float(a(0.0)), _state=state)
 
 
 def critical_a(R: float = 1.0) -> float:
@@ -214,136 +227,104 @@ def critical_a(R: float = 1.0) -> float:
     return brent_root(f, (lo, hi), tol=1e-13).root
 
 
+# Bessel orders the phi_a series is evaluated at: past order 188, where
+# y_l(kR) overflows as kR -> pi, the largest kR coercivity allows.
+_SERIES_ORDERS = np.arange(200)
+# Finite-difference step and relative tolerance of phia_hessian's cross-check.
+HESSIAN_STEP = 1e-3
+HESSIAN_CROSS_TOL = 1e-6
+# na_scan: grid points on [0, 0.9 R], and the |phi_a| that counts as a zero.
+SCAN_POINTS = 46
+ZERO_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class HelmholtzSeries:
     """Spherical Bessel series for the diagonal of H_a, constant a = -k^2 < 0.
 
     H_a(x,y) = -k sum (2l+1) (y_l(kR)/j_l(kR)) j_l(k|x|) j_l(k|y|) P_l(cos t)
     with t the angle between x and y, which is 0 on the diagonal.  Stores
-    the boundary ratios, all orders of which come from one Bessel call per
-    kind.  A series built at a higher order has the lower one's terms as its
-    prefix, so one series serves every radius and each sum is cut at its
-    own order.
+    j_l(kR) and y_l(kR), each kind from one Bessel call, for every order
+    before the first non-finite y_l(kR) or subnormal j_l(kR): 161 terms at
+    kR = pi/2, 185 as kR -> pi.  Every radius sums all of them.
     """
 
     k: float
-    R: float
-    lmax: int
-    ratios: np.ndarray
-    _j_R: np.ndarray = field(repr=False, default=None)
-    _y_R: np.ndarray = field(repr=False, default=None)
+    j_R: np.ndarray = field(repr=False)
+    y_R: np.ndarray = field(repr=False)
 
     @staticmethod
-    def build(a_const: float, R: float, lmax: int) -> "HelmholtzSeries":
+    def build(a_const: float, R: float) -> "HelmholtzSeries":
         if a_const >= 0:
             raise ValueError("series form requires constant a < 0")
         k = math.sqrt(-a_const)
         x = k * R
-        ells = np.arange(lmax + 1)
-        js = sph_bessel("j", ells, x)
-        ys = sph_bessel("y", ells, x)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratios = ys / js
-        # y or y/j overflowing: truncate there; the dropped tail is below
-        # the (rho/R)^(2 ell) envelope at this order
-        bad = ~(np.isfinite(ys) & np.isfinite(ratios))
-        n = int(np.argmax(bad)) if bad.any() else lmax + 1
+        js = sph_bessel("j", _SERIES_ORDERS, x)
+        ys = sph_bessel("y", _SERIES_ORDERS, x)
+        # past here y overflows and j has lost its digits; the dropped tail
+        # is below the (rho/R)^(2 ell) envelope at this order
+        bad = ~np.isfinite(ys) | (np.abs(js) < np.finfo(float).tiny)
+        n = int(np.argmax(bad)) if bad.any() else len(js)
         # j_ell has no zeros below x ~ ell; a tiny value there is just the
         # small-argument decay x^ell/(2 ell + 1)!!, not a resonance.
-        resonant = np.flatnonzero((np.abs(js[: n + 1]) < 1e-13) & (x > ells[: n + 1]))
+        resonant = np.flatnonzero((np.abs(js[:n]) < 1e-13) & (x > _SERIES_ORDERS[:n]))
         if resonant.size:
             raise ResonanceError(f"j_{resonant[0]}(kR) vanishes at kR={x:g}")
-        return HelmholtzSeries(
-            k=k, R=R, lmax=n - 1, ratios=ratios[:n], _j_R=js[:n], _y_R=ys[:n]
-        )
+        return HelmholtzSeries(k=k, j_R=js[:n], y_R=ys[:n])
 
-    def h_diag(self, rho, lmax=None):
+    def h_diag(self, rho):
         """phi_a(rho) = H_a at coincident points |x| = |y| = rho, angle 0.
 
-        ``rho`` is one radius or an array of them; ``lmax`` (one order, or
-        one per radius, capped at the series' order) cuts each sum.  Each
-        term is evaluated as (2l+1) y_l(kR) j_l(kR) (j_l(k rho)/j_l(kR))^2 so
-        that the decaying j ratios never meet the growing y values.
+        ``rho`` is one radius or an array of them.  Each term is evaluated
+        as (2l+1) y_l(kR) j_l(kR) (j_l(k rho)/j_l(kR))^2 so that the
+        decaying j ratios never meet the growing y values.
         """
-        k = self.k
+        k, j_R = self.k, self.j_R
         rhos = np.ravel(np.asarray(rho, dtype=float))
-        orders = self.lmax if lmax is None else lmax
-        counts = np.minimum(np.broadcast_to(orders, rhos.shape), self.lmax) + 1
-        m = int(counts.max())
-        jr = sph_bessel("j", np.arange(m), k * rhos[:, None])
-        j_R = self._j_R[:m]
-        terms = (2 * np.arange(m) + 1) * self._y_R[:m] * j_R * (jr / j_R) ** 2
-        # each sum runs over its own contiguous slice: the same summation
-        # as a series built at that radius' order
-        out = np.array([-k * np.sum(t[:n]) for t, n in zip(terms, counts)])
+        ells = np.arange(len(j_R))
+        jr = sph_bessel("j", ells, k * rhos[:, None])
+        terms = (2 * ells + 1) * self.y_R * j_R * (jr / j_R) ** 2
+        out = -k * np.sum(terms, axis=1)
         return float(out[0]) if np.ndim(rho) == 0 else out.reshape(np.shape(rho))
 
 
-def _lmax_for(rho: float, R: float, tol: float) -> int:
-    """Truncation order from the geometric tail bound (rho/R)^(2 lmax) < tol."""
-    if rho <= 0:
-        return 2
-    ratio = min(rho / R, 0.999)
-    lmax = int(math.ceil(0.5 * math.log(tol) / math.log(ratio))) + 2
-    return max(4, min(lmax, 200))
-
-
-def _profile_series(rho, a_const: float, R: float, tol: float, lmax=None):
-    """One series at the highest order any of ``rho`` needs, and each
-    radius' own order (``lmax`` for all of them when given)."""
-    if np.any(np.asarray(rho) >= R):
-        raise ValueError("rho must be interior")
-    if lmax is None:
-        lmax = np.array([_lmax_for(float(r), R, tol) for r in np.ravel(rho)])
-    return HelmholtzSeries.build(a_const, R, int(np.max(lmax))), lmax
-
-
-def phia_profile(
-    rho,
-    a_const: float,
-    R: float = 1.0,
-    lmax: int | None = None,
-    tol: float = 1e-12,
-):
+def phia_profile(rho, a_const: float, R: float = 1.0):
     """phi_a at radius rho for constant a < 0 via the Bessel series.
 
     ``rho`` is one radius (giving a float) or an array of radii (giving an
-    array).  Each radius keeps its own truncation order; all are read from
-    one series, so an array call equals the per-radius calls exactly.
+    array); every radius sums the whole series, so an array call equals the
+    per-radius calls exactly.
     """
-    series, orders = _profile_series(rho, a_const, R, tol, lmax)
-    return series.h_diag(rho, orders)
+    if np.any(np.asarray(rho) >= R):
+        raise ValueError("rho must be interior")
+    return HelmholtzSeries.build(a_const, R).h_diag(rho)
 
 
-def phia_hessian(
-    a_const: float,
-    R: float = 1.0,
-    step: float = 1e-3,
-    cross_tol: float = 1e-6,
-) -> float:
+def phia_hessian(a_const: float, R: float = 1.0) -> float:
     """Second radial derivative of phi_a at the center.
 
     Computed two ways: Richardson finite differences on the profile, and
     the rho^2 coefficient of the series (l = 0 and l = 1 terms).  The two
-    must agree to ``cross_tol``; by radial symmetry the Hessian matrix is
-    this value times the identity.
+    must agree to ``HESSIAN_CROSS_TOL``; by radial symmetry the Hessian
+    matrix is this value times the identity.
     """
     # Finite-difference route (Richardson on central differences of the
     # even profile, phi(-h) = phi(h)), from one series.
-    rhos = np.array([0.0, step, step / 2])
-    series, orders = _profile_series(rhos, a_const, R, 1e-14)
-    p0, p_h, p_h2 = series.h_diag(rhos, orders)
+    step = HESSIAN_STEP
+    series = HelmholtzSeries.build(a_const, R)
+    p0, p_h, p_h2 = series.h_diag(np.array([0.0, step, step / 2]))
     d_h = (p_h - 2 * p0 + p_h) / step**2
     d_h2 = (p_h2 - 2 * p0 + p_h2) / (step / 2) ** 2
     fd = (4 * d_h2 - d_h) / 3
 
     # Series route: the rho^2 coefficient comes from l=0 and l=1 terms.
-    k = math.sqrt(-a_const)
+    k = series.k
+    ratios = series.y_R[:2] / series.j_R[:2]
     # j_0(x)^2 = 1 - x^2/3 + ..., j_1(x)^2 = x^2/9 + ...
-    c2 = -k * (series.ratios[0] * (-(k**2) / 3.0) + 3 * series.ratios[1] * (k**2 / 9.0))
+    c2 = -k * (ratios[0] * (-(k**2) / 3.0) + 3 * ratios[1] * (k**2 / 9.0))
     series_val = 2.0 * c2
 
-    if abs(fd - series_val) > cross_tol * max(1.0, abs(series_val)):
+    if abs(fd - series_val) > HESSIAN_CROSS_TOL * max(1.0, abs(series_val)):
         raise RuntimeError(
             f"hessian cross-check failed: fd={fd:.8g} series={series_val:.8g}"
         )
@@ -367,7 +348,6 @@ def qv_center(
 class CriticalityReport:
     a_star: float
     zeros: list
-    a_on_zeros: list
     hessian: float | None
     critical: bool
     negative_on_zeros: bool
@@ -375,55 +355,37 @@ class CriticalityReport:
     phi_at_0: float
 
 
-def na_scan(
-    a_const: float,
-    R: float = 1.0,
-    grid: Sequence[float] | None = None,
-    tol: float = 1e-9,
-) -> CriticalityReport:
+def na_scan(a_const: float, R: float = 1.0) -> CriticalityReport:
     """Scan the radial profile of phi_a for zeros and report the
     criticality / negativity / nondegeneracy flags.
 
-    One Bessel series, built at the order the outermost grid radius needs,
-    gives the whole grid in one evaluation and every step of the Brent
-    refinement of a sign change (each radius at its own order, as
-    ``phia_profile`` would take it).
+    One Bessel series gives the whole grid in one evaluation and every step
+    of the Brent refinement of a sign change.
     """
     a_star = critical_a(R)
-    if grid is None:
-        grid = np.linspace(0.0, 0.9 * R, 46)
-    grid = np.asarray(grid, dtype=float)
-
-    series, orders = _profile_series(grid, a_const, R, 1e-12)
-    vals = series.h_diag(grid, orders)
+    grid = np.linspace(0.0, 0.9 * R, SCAN_POINTS)
+    series = HelmholtzSeries.build(a_const, R)
+    vals = series.h_diag(grid)
     zeros: list[float] = []
-    if abs(vals[0]) <= tol:
+    if abs(vals[0]) <= ZERO_TOL:
         zeros.append(0.0)
     for i in range(len(grid) - 1):
         if vals[i] * vals[i + 1] < 0:
-            rr = brent_root(
-                lambda rho: series.h_diag(rho, _lmax_for(rho, R, 1e-12)),
-                (float(grid[i]), float(grid[i + 1])),
-                tol=1e-12,
-            )
+            rr = brent_root(series.h_diag, (float(grid[i]), float(grid[i + 1])), tol=1e-12)
             zeros.append(rr.root)
 
-    a_on_zeros = [a_const for _ in zeros]
     hess = None
     nondeg = False
     if zeros and zeros[0] == 0.0:
         hess = phia_hessian(a_const, R)
         nondeg = abs(hess) > 1e-10
 
-    critical = bool(zeros) and all(v >= -tol for v in vals)
-    negative = all(av < 0 for av in a_on_zeros) if zeros else False
     return CriticalityReport(
         a_star=a_star,
         zeros=zeros,
-        a_on_zeros=a_on_zeros,
         hessian=hess,
-        critical=critical,
-        negative_on_zeros=negative,
+        critical=bool(zeros) and all(v >= -ZERO_TOL for v in vals),
+        negative_on_zeros=bool(zeros) and a_const < 0,
         nondegenerate=nondeg,
         phi_at_0=float(vals[0]),
     )

@@ -1,10 +1,14 @@
 """Every public name is used by the program: each name in a module's
 ``__all__`` is read by code under ``src/``, ``scripts/`` or ``perfbench/``,
-not counting its definition, its import lines or its ``__all__`` entry.
-The package's own ``__all__`` only re-exports names of these modules."""
+not counting its definition, its import lines or its ``__all__`` entry,
+and every defaulted parameter of a public function is set by some call
+there.  The package's own ``__all__`` only re-exports names of these
+modules."""
 
 import ast
 import importlib
+import inspect
+import math
 import pkgutil
 from pathlib import Path
 
@@ -27,11 +31,14 @@ def _module_of(path: Path) -> str | None:
     return ".".join(rel.with_suffix("").parts)
 
 
-def _reads(path: Path) -> set:
-    """(module, name) pairs the code in ``path`` reads: a name imported from
-    a package module or defined in this file's own module, and an attribute
-    of a name bound to a package module (``asympt.decompose``, with
-    ``from . import bubble as bb`` also ``bb.u_prime``)."""
+def _scan(path: Path) -> tuple[set, list]:
+    """The (module, name) pairs the code in ``path`` reads, and its calls of
+    them as ((module, name), positional count, keyword names).  A name is
+    read when it is imported from a package module or defined in this file's
+    own module, and so is an attribute of a name bound to a package module
+    (``asympt.decompose``, with ``from . import bubble as bb`` also
+    ``bb.u_prime``).  A ``*args`` call counts as setting every position, a
+    ``**kwargs`` call every keyword."""
     tree = ast.parse(path.read_text(), str(path))
     own = _module_of(path)
     modules = {m.rsplit(".", 1)[1]: m for m in MODULES}  # short names
@@ -47,25 +54,68 @@ def _reads(path: Path) -> set:
                     modules[alias.asname or alias.name] = full
                 elif base in MODULES:
                     imported[alias.asname or alias.name] = (base, alias.name)
-    reads = set()
-    for node in ast.walk(tree):
+
+    def target(node):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             if node.id in imported:
-                reads.add(imported[node.id])
-            elif own is not None:
-                reads.add((own, node.id))
-        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                return imported[node.id]
+            return (own, node.id) if own is not None else None
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id in modules:
-                reads.add((modules[node.value.id], node.attr))
-    return reads
+                return (modules[node.value.id], node.attr)
+        return None
+
+    reads, calls = set(), []
+    for node in ast.walk(tree):
+        name = target(node)
+        if name is not None:
+            reads.add(name)
+        if isinstance(node, ast.Call) and target(node.func) is not None:
+            npos = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                npos = math.inf
+            keywords = {k.arg for k in node.keywords}
+            calls.append((target(node.func), npos, keywords))
+    return reads, calls
 
 
-READS = set().union(*(
-    _reads(path) for d in ("src", "scripts", "perfbench") for path in (ROOT / d).rglob("*.py")
-))
+SCANS = [_scan(path) for d in ("src", "scripts", "perfbench") for path in (ROOT / d).rglob("*.py")]
+READS = set().union(*(reads for reads, _ in SCANS))
+CALLS = [call for _, calls in SCANS for call in calls]
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_public_names_are_used(module):
     unused = [n for n in importlib.import_module(module).__all__ if (module, n) not in READS]
     assert not unused, f"{module}.__all__ names no program code reads: {unused}"
+
+
+def _is_set(name: tuple, index: int, param: inspect.Parameter) -> bool:
+    """Whether some program call of ``name`` sets ``param``, the parameter
+    at ``index`` of its signature."""
+    for called, npos, keywords in CALLS:
+        if called != name:
+            continue
+        if param.name in keywords or None in keywords:
+            return True
+        if param.kind is not inspect.Parameter.KEYWORD_ONLY and index < npos:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_defaulted_parameters_are_set(module):
+    # a default that no program call overrides is a knob only tests turn:
+    # it belongs in a module constant
+    mod = importlib.import_module(module)
+    unset = []
+    for name in mod.__all__:
+        fn = getattr(mod, name)
+        if not inspect.isfunction(fn):
+            continue
+        for i, param in enumerate(inspect.signature(fn).parameters.values()):
+            if param.default is not inspect.Parameter.empty and not _is_set(
+                (module, name), i, param
+            ):
+                unset.append(f"{name}({param.name})")
+    assert not unset, f"{module}: defaulted parameters no program call sets: {unset}"

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ballblowup.asympt import _h_diff
 from ballblowup.bubble import (
     _ball_integral,
     calculus_verdict,
@@ -99,7 +98,7 @@ class TestProjectedBubble:
         nodes, wts = radial_quadrature_rule(lam, R)
 
         v = -(cg.h(nodes) - 1.0 / R) / math.sqrt(lam)
-        vp = -(-cg.vprime(nodes) / nodes - (1.0 - cg.v(nodes)) / nodes**2) / math.sqrt(lam)
+        vp = -cg.dh(nodes) / math.sqrt(lam)
         lhs = 4 * math.pi * np.sum(wts * 3 * _u(lam, nodes) ** 5 * v * nodes**2)
         rhs = 4 * math.pi * np.sum(wts * u_prime(lam, nodes) * vp * nodes**2)
         assert lhs == pytest.approx(rhs, rel=1e-6)
@@ -107,24 +106,30 @@ class TestProjectedBubble:
 
 class TestPsi:
     """psi = PU - lam^{-1/2} (H_a - H_0)(0, .), whose H-difference
-    ``decompose`` takes from ``asympt._h_diff``."""
+    ``decompose`` takes from ``CenterGreens.h`` and ``CenterGreens.dh``
+    (H_0(0, .) = 1/R)."""
 
     def test_zero_coefficient_is_pu(self):
         rs = np.linspace(0.05, 0.95, 10)
-        hv, _ = _h_diff(ga_center(const(0.0), 1.0), 1.0, rs)
-        assert np.max(np.abs(hv)) <= 1e-10
+        cg = ga_center(const(0.0), 1.0)
+        assert np.max(np.abs(cg.h(rs) - 1.0)) <= 1e-10
+        assert np.max(np.abs(cg.dh(rs))) <= 1e-10
 
     def test_critical_closed_form(self):
+        # H_a(0, r) = (1 - cos(k r))/r with k = pi/(2R), and its derivative;
+        # r = 1e-6 and 9e-6 are on the Taylor side of the bridge at 1e-5
         R = 1.0
-        rs = np.array([0.3, 0.6, 0.9])
-        hv, _ = _h_diff(ga_center(const(critical_a(R)), R), R, rs)
-        expect = (1 - np.cos(math.pi * rs / 2)) / rs - 1.0
-        assert np.max(np.abs(hv - expect)) <= 1e-9
+        k = math.pi / (2 * R)
+        rs = np.array([1e-6, 9e-6, 0.3, 0.6, 0.9])
+        cg = ga_center(const(critical_a(R)), R)
+        expect = 2 * np.sin(k * rs / 2) ** 2 / rs
+        expect_d = k * np.sin(k * rs) / rs - expect / rs
+        assert np.max(np.abs(cg.h(rs) - expect)) <= 1e-9
+        assert np.max(np.abs(cg.dh(rs) - expect_d)) <= 1e-8
 
     def test_boundary(self):
         # PU(R) = 0, so psi(R) = 0 needs (H_a - H_0)(0, R) = 0
-        hv, _ = _h_diff(ga_center(const(-1.0), 1.0), 1.0, np.array([1.0]))
-        assert abs(hv[0]) <= 1e-10
+        assert abs(ga_center(const(-1.0), 1.0).h(1.0) - 1.0) <= 1e-10
 
 
 class TestGFun:

@@ -379,6 +379,28 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "mixes 2 config_hash values" in err
 
+    @pytest.mark.parametrize("key", ["quad", "series"])
+    def test_tol_override_outside_numerics(self, capsys, key):
+        # only the ode and shoot tolerances reach the numerics; another key
+        # would change config_hash and nothing else
+        assert main(["critical", "--tol-override", f"{key}=1e-3"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(key) in err
+
+    @pytest.mark.parametrize("item", ["ode=abc", "shoot=-1"])
+    def test_tol_override_bad_value(self, capsys, item):
+        assert main(["critical", "--tol-override", item]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "tolerances" in err
+
+    @pytest.mark.parametrize("flag", [["--config", "other.json"], ["--tol-override", "ode=1e-9"]])
+    def test_report_reads_no_config(self, tmp_path, canonical_records, flag):
+        # report prints the records as they are: a config would go unread
+        rec_path = write_records(tmp_path, canonical_records)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--records", rec_path, *flag])
+        assert exc.value.code == 2
+
     def test_resume_skips_non_object_line(self, fresh_sweep, tmp_path):
         cfg_path, fresh = fresh_sweep
         rec_path = tmp_path / "r.jsonl"

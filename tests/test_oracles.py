@@ -1,6 +1,7 @@
 """Closed forms of the paper's constants, evaluated to 30 digits with
 mpmath, against what the program computes: the targets ``verify`` checks
-the canonical records against, Q_V(0) and the critical coefficient."""
+the canonical records against, Q_V(0), the critical coefficient and the
+off-center diagonal phi_a."""
 
 import json
 import math
@@ -9,7 +10,7 @@ import mpmath
 import pytest
 
 from ballblowup.cli import EXIT_OK, main
-from ballblowup.greenfn import RadialCoefficient, critical_a, qv_center
+from ballblowup.greenfn import RadialCoefficient, critical_a, phia_profile, qv_center
 
 from test_cli import write_records
 
@@ -45,3 +46,32 @@ def test_qv_and_critical_a(R):
     assert critical_a(R) == pytest.approx(a_star, rel=1e-10)
     qv = qv_center(const(-1.0), const(-math.pi**2 / (4 * R**2)), R)
     assert qv == pytest.approx(_mp(lambda: -2 * mpmath.pi * R), rel=1e-12)
+
+
+def _phia_mp(rho, a, R):
+    """phi_a(rho) = -k sum (2l+1) (y_l(kR)/j_l(kR)) j_l(k rho)^2, k^2 = -a,
+    summed at 30 digits until a term is below 1e-20 of the sum."""
+    with mpmath.workdps(30):
+        k = mpmath.sqrt(-mpmath.mpf(a))
+
+        def sph(bessel, ell, x):
+            return mpmath.sqrt(mpmath.pi / (2 * x)) * bessel(ell + 0.5, x)
+
+        total, ell = mpmath.mpf(0), 0
+        while True:
+            term = (2 * ell + 1) * sph(mpmath.bessely, ell, k * R) \
+                / sph(mpmath.besselj, ell, k * R) * sph(mpmath.besselj, ell, k * rho) ** 2
+            total += term
+            if abs(term) < mpmath.mpf(10) ** -20 * abs(total):
+                return float(-k * total)
+            ell += 1
+
+
+@pytest.mark.parametrize("R", [1.0, 2.0])
+@pytest.mark.parametrize("a_unit", ["critical", -1.0])
+@pytest.mark.parametrize("frac", [0.5, 0.8, 0.9])
+def test_phia_off_center(R, a_unit, frac):
+    # the whole Bessel series: at 0.9 R it needs ~160 terms at 1e-12
+    a = -math.pi**2 / (4 * R**2) if a_unit == "critical" else a_unit
+    rho = frac * R
+    assert phia_profile(rho, a, R) == pytest.approx(_phia_mp(rho, a, R), rel=1e-12)

@@ -591,12 +591,12 @@ class TestGreensRepresentation:
         s = canonical_solutions[0]
         cg = ga_center(const(CRITICAL_A), 1.0)
 
-        def scaled_pair(r):
-            z1, v = cg.homogeneous_pair(r)
-            return z1, 4 * math.pi * v
+        def scaled_state(r):
+            z1, v, vp = cg._state(r)
+            return z1, 4 * math.pi * v, 4 * math.pi * vp
 
         good = greens_rep_residual(s, cg=cg)
-        bad = greens_rep_residual(s, cg=dataclasses.replace(cg, _pair=scaled_pair))
+        bad = greens_rep_residual(s, cg=dataclasses.replace(cg, _state=scaled_state))
         assert bad >= 10 * 1e-5
         assert bad > 100 * good
 
