@@ -1,5 +1,5 @@
 """Foundation numerics: bubble moments, spherical Bessel functions, the
-package's one radial quadrature rule, ODE integration with dense output,
+package's one radial quadrature rule, a DOP853 stepper with dense output,
 bracketed root finding and linear/quadratic limit extrapolation.
 
 Everything here is pure and reentrant; no shared mutable state.
@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
+from scipy.integrate._ivp import dop853_coefficients as _dop
 
 __all__ = [
     "OdeTrajectory",
@@ -30,6 +31,13 @@ __all__ = [
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
+
+# scipy's DOP853 tableau: each stage after the first, and each of the three
+# interpolant stages, with its row of A cut to the stages before it and node
+_STAGES = [(_dop.A[s, :s], _dop.C[s]) for s in range(1, 12)]
+_EXTRA = [(_dop.A[s, :s], _dop.C[s]) for s in range(13, 16)]
+_B, _E3, _E5, _D = _dop.B, _dop.E3, _dop.E5, _dop.D
+_EPS = np.finfo(float).eps
 
 
 class DivergentMomentError(ValueError):
@@ -48,24 +56,27 @@ class RootResult:
 
 
 class OdeTrajectory:
-    """DOP853 solution of ``solve_ivp(..., dense_output=True)``, or its
-    ``rows`` of the state, with one vectorised dense evaluator.
+    """A DOP853 solution from ``ode_solve``, or its ``rows`` of the state.
 
     ``nodes`` are the accepted step endpoints (strictly increasing) and
     ``states[i]`` is the state at ``nodes[i]``, so ``states[:-1]`` are the
     steps' start states y_old.  The steps' interpolant coefficients are
-    stacked by power as ``F`` (7, steps, states).  A call gives each point
-    the step scipy's ``OdeSolution`` gives it and the same seven alternating
-    updates in the same order, gathering one coefficient row per point and
-    update, so the values are scipy's bit for bit: (states,) at a scalar t,
-    (states,) + t.shape otherwise.
+    stacked by power as ``F`` (7, steps, states), or None for a trajectory
+    without dense output.  A call gives each point the step scipy's
+    ``OdeSolution`` gives it and the same seven alternating updates in the
+    same order, gathering one coefficient row per point and update, so the
+    values are scipy's bit for bit: (states,) at a scalar t, (states,) +
+    t.shape otherwise.
     """
 
-    def __init__(self, sol, rows=slice(None)) -> None:
-        self.nodes, self.states = sol.t, np.ascontiguousarray(sol.y[rows].T)
-        self.y_old = self.states[:-1]
-        F = np.array([p.F[:, rows] for p in sol.sol.interpolants])
-        self.F = np.ascontiguousarray(F.transpose(1, 0, 2))
+    def __init__(self, nodes, states, F) -> None:
+        self.nodes, self.states, self.F = nodes, states, F
+        self.y_old = states[:-1]
+
+    def rows(self, rows) -> OdeTrajectory:
+        """The same trajectory for ``rows`` of the state only."""
+        return OdeTrajectory(self.nodes, np.ascontiguousarray(self.states[:, rows]),
+                             np.ascontiguousarray(self.F[:, :, rows]))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -131,26 +142,85 @@ def ode_solve(
     rhs: Callable,
     y0: Sequence[float],
     span: tuple[float, float],
-    tol: float = 1e-12,
+    tol=1e-12,
+    atol=None,
+    dense: bool = True,
+    stop_at_zero: bool = False,
 ) -> OdeTrajectory:
-    """Adaptive high-order Runge-Kutta integration with dense output.
-
-    Local error per step is controlled at ``tol`` (relative and absolute).
-    The caller is responsible for starting away from any left-endpoint
-    singularity of ``rhs``.
+    """Integrate y' = rhs(t, y) from span[0] to span[1] > span[0] by DOP853,
+    taking scipy's first step, step control and error norm operation for
+    operation, so nodes, states and interpolants are those of scipy's DOP853
+    bit for bit.  rtol is ``tol`` (floored at 100 eps, as scipy does), atol
+    ``atol`` (default ``tol``), either per state.  ``dense`` keeps the
+    interpolants (three more ``rhs`` calls a step).  ``stop_at_zero`` ends
+    at the first downward zero of state 0, found by Brent on its step's
+    interpolant as scipy finds a terminal event, and keeps no interpolants.
+    The caller starts away from any left-endpoint singularity of ``rhs``.
     """
-    sol = integrate.solve_ivp(
-        rhs,
-        span,
-        np.asarray(y0, dtype=float),
-        method="DOP853",
-        rtol=max(tol, 1e-13),
-        atol=tol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    return OdeTrajectory(sol)
+    t, t1 = map(float, span)
+    y = np.asarray(y0, dtype=float)
+    rtol = np.maximum(tol, 100 * _EPS)
+    atol = np.asarray(tol if atol is None else atol, dtype=float)
+
+    def fun(t, y):
+        return np.asarray(rhs(t, y), dtype=float)
+
+    def rms(x):
+        return np.linalg.norm(x) / x.size**0.5
+
+    # the first step (Hairer, Norsett and Wanner, II.4), for an order-7 error
+    f = fun(t, y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = rms(y / scale), rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
+    d2 = rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100 * h0, h1, t1 - t)
+    K = np.empty((16, y.size))  # the stages, three more for the interpolant
+    nodes, states, interpolants = [t], [y], []
+    while t < t1:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:  # shrink the step until its error estimate passes
+            if h_abs < min_step:
+                raise RuntimeError(f"integration failed: step below {min_step:.3g} at t={t:g}")
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(_STAGES, start=1):
+                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
+            y_new = y + h * np.dot(K[:12].T, _B)
+            K[12] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            e5 = np.linalg.norm(np.dot(K[:13].T, _E5) / scale) ** 2
+            e3 = np.linalg.norm(np.dot(K[:13].T, _E3) / scale) ** 2
+            err = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
+            if err < 1:
+                factor = min(10, 0.9 * err**-0.125) if err else 10
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err**-0.125)
+            rejected = True
+        crossed = stop_at_zero and y[0] >= 0 and y_new[0] <= 0
+        if dense or crossed:
+            for s, (a, c) in enumerate(_EXTRA, start=13):
+                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
+            F = np.empty((7, y.size))
+            F[0] = dy = y_new - y
+            F[1] = h * K[0] - dy
+            F[2] = 2 * dy - h * (f_new + K[0])
+            F[3:] = h * np.dot(_D, K)
+            interpolants.append(F)
+        if crossed:
+            step = OdeTrajectory(np.array([t, t_new]), np.array([y, y_new]), F[:, None])
+            t_new = optimize.brentq(lambda s: step(s)[0], t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
+            y_new, t1, dense = step(t_new), t_new, False
+        nodes.append(t_new)
+        states.append(y_new)
+        t, y, f = t_new, y_new, f_new
+    return OdeTrajectory(np.array(nodes), np.array(states),
+                         np.stack(interpolants, axis=1) if dense else None)
 
 
 def brent_root(

@@ -6,7 +6,9 @@ Sobolev quotient).
 The center height is found by Newton on the endpoint map u(R; M), its
 derivative carried by the variational equation as two extra states of a lean
 shooting integration (shooting with sensitivities); a bracket scan and Brent
-remain as the fallback.  Without a continuation seed, Newton starts from the
+remain as the fallback.  Shooting integrates in the Emden-Fowler variables
+t = ln r, w = r^{1/2} u, in which M only shifts a bubble, so the steps do
+not shrink as M grows.  Without a continuation seed, Newton starts from the
 blow-up rate law eps lam -> 4 pi^2 |a(0)| / |Q_V(0)| with lam ~ M^2.  The
 quadrature integrals ride only on the single final integration of the
 converged profile.  The rungs of an eps ladder are solved in lockstep, their
@@ -22,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .greenfn import (
     BallDomain,
@@ -34,7 +35,7 @@ from .greenfn import (
     ga_center,
     qv_center,
 )
-from .numkit import OdeTrajectory, brent_root, radial_quadrature_rule
+from .numkit import brent_root, ode_solve, radial_quadrature_rule
 
 __all__ = [
     "ProblemConfig",
@@ -57,6 +58,10 @@ class NoBracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProblemConfig:
+    """One rung.  ``ode_tol`` is the integrations' relative tolerance;
+    ``shoot_tol`` bounds |u(R)| and any dip of u below 0, and a Newton step
+    that no longer halves ends the root solve once it is below shoot_tol M."""
+
     domain: BallDomain = field(default_factory=BallDomain)
     a: RadialCoefficient = field(
         default_factory=lambda: RadialCoefficient.constant_coeff(-math.pi**2 / 4)
@@ -97,8 +102,9 @@ class RadialSolution:
     integrator states for integrator-level accuracy.
 
     ``diagnostics`` also says how the profile was found: ``seed`` is
-    ``"caller"``, ``"rate_law"`` or ``"scan"`` and ``shoot_integrations``
-    counts the shooting integrations by phase (bracket, root, finalize).
+    ``"caller"``, ``"rate_law"`` or ``"scan"``, ``shoot_integrations``
+    counts the shooting integrations by phase (bracket, root, finalize) and
+    ``shoot_steps`` their accepted steps.
     """
 
     config: ProblemConfig
@@ -202,20 +208,24 @@ def _coefficient(cfg: ProblemConfig):
 
 
 def _shooting_rhs(ms):
-    """Lean shooting system, four states (u, u', w, w') per rung stacked in
-    rung order, with w = du/dM from the variational equation
-    w'' = (m - 15 u^4) w - 2 w'/r; ``ms`` holds each rung's coefficient."""
+    """Lean shooting system in t = ln r, four states (w, w', z, z') per rung
+    stacked in rung order.  u = r^{-1/2} w turns the radial equation into
+    w'' = (1/4 + m e^{2t} - 3 w^4) w, and z = dw/dM solves its variational
+    equation z'' = (1/4 + m e^{2t} - 15 w^4) z.  With m = 0 the bubble of
+    center height M is w = (2 cosh(t + 2 ln M))^{-1/2}.  ``ms`` holds each
+    rung's coefficient m(r)."""
     rungs = [(m, not callable(m)) for m in ms]
 
-    def rhs(r, y):
+    def rhs(t, y):
         vals = y.tolist()
+        r = math.exp(t)
+        r2 = r * r
         out = []
         for k, (m, const) in enumerate(rungs):
-            u, up, w, wp = vals[4 * k : 4 * k + 4]
-            mr = m if const else float(m(r))
-            u4 = u**4
-            upp = mr * u - 3.0 * u4 * u - 2.0 * up / r
-            out += (up, upp, wp, (mr - 15.0 * u4) * w - 2.0 * wp / r)
+            w, wp, z, zp = vals[4 * k : 4 * k + 4]
+            q = 0.25 + (m if const else float(m(r))) * r2
+            w4 = w**4
+            out += (wp, (q - 3.0 * w4) * w, zp, (q - 15.0 * w4) * z)
         return out
 
     return rhs
@@ -243,26 +253,22 @@ def _finalize_rhs(ms):
     return rhs
 
 
-def _zero_event(r, y):
-    return y[0]
-
-
-_zero_event.terminal = True
-_zero_event.direction = -1
-
-
 def _integrate(Ms, cfgs, finalize: bool = False, events: bool = False, tol_floor: float = 0.0):
     """Integrate the rungs ``cfgs`` from their Taylor starts at center
-    heights ``Ms`` to R in one stacked solve: the shooting system, or with
-    ``finalize`` the integrals and dense output.  The rungs share the ball,
-    the start delta = 1e-6 min(1, max(M)^-2) and so one step sequence; each
-    keeps an rtol of tol = max(ode_tol, ``tol_floor``) and an atol of
-    tol max(1, M) 1e-2.  ``events`` stops at the first zero of the first
-    rung's u (for one-rung callers)."""
+    heights ``Ms`` to R in one stacked solve; return its trajectory and the
+    start delta = 1e-6 min(1, max(M)^-2).  The rungs share delta and so one
+    step sequence; each keeps an rtol of tol = max(ode_tol, ``tol_floor``).
+    The shooting system runs in t = ln r from ln delta to ln R, from
+    sqrt(delta) (u, u/2 + r u') of the Taylor start and its M-derivative,
+    at an atol of tol 1e-2 sqrt(delta), below rtol |w| at the center;
+    ``events`` stops it at the first zero of the first rung's w.  With
+    ``finalize`` the integrals ride in r, at an atol of tol max(1, M) 1e-2,
+    with dense output."""
     R = cfgs[0].domain.R
     M_max = max(Ms)
     delta = 1e-6 * min(1.0, M_max**-2) if M_max > 0 else 1e-6
     ms = [_coefficient(cfg) for cfg in cfgs]
+    tols = [max(cfg.ode_tol, tol_floor) for cfg in cfgs]
     y0 = []
     for M, m in zip(Ms, ms):
         m0 = float(m(0.0)) if callable(m) else m
@@ -270,37 +276,51 @@ def _integrate(Ms, cfgs, finalize: bool = False, events: bool = False, tol_floor
         if finalize:
             y0 += (u0, up0, 0.0, 0.0, 0.0, 0.0)
         else:
-            # (w, w') start: the M-derivative of the Taylor start
+            # (z, z') start: the M-derivative of the (w, w') start
             c = m0 - 15.0 * M**4
-            y0 += (u0, up0, 1.0 + c * delta**2 / 6.0, c * delta / 3.0)
-    n = 6 if finalize else 4  # states per rung
-    tols = [max(cfg.ode_tol, tol_floor) for cfg in cfgs]
-    sol = integrate.solve_ivp(
-        (_finalize_rhs if finalize else _shooting_rhs)(ms),
-        (delta, R),
-        y0,
-        method="DOP853",
-        rtol=np.repeat(tols, n),
-        atol=np.repeat([tol * max(1.0, M) * 1e-2 for M, tol in zip(Ms, tols)], n),
-        dense_output=finalize,
-        events=_zero_event if events else None,
-    )
-    if not sol.success and sol.status != 1:
-        raise RuntimeError(f"integration failed at M={max(Ms):g}: {sol.message}")
-    return sol, delta
+            v0, vp0 = 1.0 + c * delta**2 / 6.0, c * delta / 3.0
+            y0 += [math.sqrt(delta) * x
+                   for x in (u0, u0 / 2 + delta * up0, v0, v0 / 2 + delta * vp0)]
+    if finalize:
+        atol = np.repeat([tol * max(1.0, M) * 1e-2 for M, tol in zip(Ms, tols)], 6)
+        return ode_solve(_finalize_rhs(ms), y0, (delta, R), np.repeat(tols, 6), atol=atol), delta
+    rtol = np.repeat(tols, 4)
+    return ode_solve(_shooting_rhs(ms), y0, (math.log(delta), math.log(R)), rtol,
+                     atol=rtol * 1e-2 * math.sqrt(delta), dense=False, stop_at_zero=events), delta
 
 
-def shoot(M: float, cfg: ProblemConfig) -> float:
+_PHASES = ("bracket", "root", "finalize")
+
+
+def _count(tally: Counter, phase: str, traj) -> None:
+    """One integration of ``phase`` and its accepted steps, in ``tally``."""
+    tally[phase] += 1
+    tally[phase + "_steps"] += len(traj.nodes) - 1
+
+
+def _tally_report(tally: Counter) -> dict:
+    """The shooting integrations and their accepted steps, by phase."""
+    return {"shoot_integrations": {p: tally[p] for p in _PHASES},
+            "shoot_steps": {p: tally[p + "_steps"] for p in _PHASES}}
+
+
+def shoot(M: float, cfg: ProblemConfig, tally: Counter | None = None,
+          phase: str = "root") -> float:
     """Integrate the radial equation from the center height M and return
     the continuous shooting functional: u(R) when u stays positive, and past
-    a first interior zero r0 its negative continuation u'(r0) (R - r0)."""
+    a first interior zero r0 its negative continuation u'(r0) (R - r0).
+    The integration is counted in ``tally`` under ``phase`` when given."""
     if M <= 0:
         raise ValueError("M must be positive")
-    sol, _ = _integrate([M], [cfg], events=True)
-    if sol.status == 1:  # crossed zero
-        r0 = float(sol.t_events[0][0])
-        return float(sol.y_events[0][0][1]) * (cfg.domain.R - r0)
-    return float(sol.y[0, -1])
+    traj, _ = _integrate([M], [cfg], events=True)
+    if tally is not None:
+        _count(tally, phase, traj)
+    R = cfg.domain.R
+    t, (w, wp) = traj.nodes[-1], traj.states[-1, :2]
+    if t < math.log(R):  # crossed zero at r0 = e^t, where u' = r0^{-3/2} w'
+        r0 = math.exp(t)
+        return float(wp * r0**-1.5 * (R - r0))
+    return float(w / math.sqrt(R))
 
 
 def _find_bracket(
@@ -311,15 +331,12 @@ def _find_bracket(
     tally: Counter | None = None,
 ):
     """Geometric scan from M_lo for a sign change of the endpoint map; each
-    integration is counted under ``tally["bracket"]`` when given."""
-    tally = Counter() if tally is None else tally
+    integration is counted in ``tally`` under "bracket" when given."""
     M = M_lo
-    f_prev = shoot(M, cfg)
-    tally["bracket"] += 1
+    f_prev = shoot(M, cfg, tally, "bracket")
     while M < M_hi:
         M_next = M * factor
-        f_next = shoot(M_next, cfg)
-        tally["bracket"] += 1
+        f_next = shoot(M_next, cfg, tally, "bracket")
         if f_prev * f_next < 0:
             return (M, M_next)
         M, f_prev = M_next, f_next
@@ -332,10 +349,11 @@ _LOOSE_TOL = 1e-9  # tol floor of each Newton call's first integration
 
 
 def _newton(cfgs, Ms, windows, tallies, max_iter: int = 12) -> list[float | None]:
-    """Newton on the endpoint maps u(R; M) of all rungs at once, with
-    du(R)/dM from the variational states, integrated to R without the zero
-    event (an iterate just above the root crosses zero at r0 ~ R).  Each
-    rung starts from its entry of ``Ms`` and leaves the batch once it stops.
+    """Newton on the endpoint maps u(R; M) = R^{-1/2} w(ln R; M) of all
+    rungs at once, with du(R)/dM from the variational states, integrated to
+    R without the zero event (an iterate just above the root crosses zero at
+    r0 ~ R).  Each rung starts from its entry of ``Ms`` and leaves the batch
+    once it stops.
 
     The first integration runs at tol max(ode_tol, 1e-9), an inexact step
     far from the root; every later one, and every step a rung stops on, at
@@ -344,10 +362,10 @@ def _newton(cfgs, Ms, windows, tallies, max_iter: int = 12) -> list[float | None
     K = r_k / r_{k-1}^2 from its last two relative steps at ode_tol), or at
     the noise floor of its root: the integration error in u(R) fixes the
     root only to about 1e-12 / |du(R)/dM|, which passes 1e-9 M for lam above
-    ~1e4, so a step that no longer halves while |u(R)| <= shoot_tol also
-    ends it.  Returns per rung its root, or None when the slope is not
-    negative, an iterate leaves its window, or there is no convergence in
-    ``max_iter`` steps; ``tallies[k]["root"]`` counts rung k's integrations.
+    ~1e4, so a step that no longer halves while |s| <= shoot_tol M also ends
+    it.  Returns per rung its root, or None when the slope is not negative,
+    an iterate leaves its window, or there is no convergence in
+    ``max_iter`` steps; ``tallies[k]`` counts rung k's integrations.
     """
     Ms = list(Ms)
     roots: list[float | None] = [None] * len(Ms)
@@ -357,16 +375,16 @@ def _newton(cfgs, Ms, windows, tallies, max_iter: int = 12) -> list[float | None
     for it in range(max_iter):
         if not active:
             break
-        sol, _ = _integrate([Ms[k] for k in active], [cfgs[k] for k in active],
-                            tol_floor=_LOOSE_TOL if it == 0 else 0.0)
-        ends = sol.y[:, -1].tolist()
+        traj, _ = _integrate([Ms[k] for k in active], [cfgs[k] for k in active],
+                             tol_floor=_LOOSE_TOL if it == 0 else 0.0)
+        ends = traj.states[-1].tolist()
         running = []
         for j, k in enumerate(active):
-            tallies[k]["root"] += 1
-            uR, wR = ends[4 * j], ends[4 * j + 2]
-            if not wR < 0.0:
+            _count(tallies[k], "root", traj)
+            wR, zR = ends[4 * j], ends[4 * j + 2]  # R^{1/2} u(R) and R^{1/2} du(R)/dM
+            if not zR < 0.0:
                 continue
-            step = -uR / wR
+            step = -wR / zR
             M = Ms[k] = Ms[k] + step
             lo, hi = windows[k]
             if not lo < M < hi:
@@ -378,7 +396,7 @@ def _newton(cfgs, Ms, windows, tallies, max_iter: int = 12) -> list[float | None
             r, r_prev = abs(step) / M, rel[k]
             rel[k] = r
             quadratic = r_prev is not None and r**3 <= 1e-12 * r_prev**2  # K r^2 <= 1e-12
-            stalled = abs(step) > 0.5 * prev_step and abs(uR) <= cfgs[k].shoot_tol
+            stalled = abs(step) > 0.5 * prev_step and abs(step) <= cfgs[k].shoot_tol * M
             if abs(step) <= 1e-9 * M or quadratic or stalled:
                 roots[k] = M
                 continue
@@ -411,23 +429,23 @@ def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeErro
     its own rows and its diagnostics, ``seed`` and ``tallies[k]`` among them.
     A rung whose profile turns negative inside the ball, or whose endpoint
     misses ``shoot_tol``, comes back as its error."""
-    sol, delta = _integrate(Ms, cfgs, finalize=True)
-    interior = sol.t < cfgs[0].domain.R * (1.0 - 1e-9)
+    traj, delta = _integrate(Ms, cfgs, finalize=True)
+    interior = traj.nodes < cfgs[0].domain.R * (1.0 - 1e-9)
     out = []
     for k, (M, cfg) in enumerate(zip(Ms, cfgs)):
-        tallies[k]["finalize"] += 1
-        rows = slice(6 * k, 6 * k + 6)
-        y = sol.y[rows]
+        _count(tallies[k], "finalize", traj)
+        dense = traj.rows(slice(6 * k, 6 * k + 6))
+        y = dense.states.T
         if np.any(y[0][interior] <= -cfg.shoot_tol):
             out.append(RuntimeError("positivity violated on the interior grid"))
             continue
         rs = RadialSolution(
             config=cfg,
             M=M,
-            nodes=sol.t,
+            nodes=traj.nodes,
             u=y[0],
             uprime=y[1],
-            dense=OdeTrajectory(sol, rows),
+            dense=dense,
             delta=delta,
             grad_norm_sq=float(y[2, -1]),
             int_m_u2=float(y[3, -1]),
@@ -445,7 +463,7 @@ def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeErro
         if cfg.a.is_constant and cfg.V.is_constant:
             rs.diagnostics["pohozaev_residual"] = pohozaev_residual(rs)
         rs.diagnostics["seed"] = seed
-        rs.diagnostics["shoot_integrations"] = dict(tallies[k])
+        rs.diagnostics.update(_tally_report(tallies[k]))
         out.append(rs)
     return out
 
@@ -495,15 +513,14 @@ def solve_profile(
     Q_V(0) >= 0) a bracket scan over ``_M_SCAN`` comes first and Newton
     starts from its lower (positive) end, kept inside the bracket.
     Diagnostics are populated on the converged profile, with the seed used
-    and the shooting integrations by phase.
+    and the shooting integrations and their steps by phase.
     """
     if cfg.eps <= 0:
         raise ValueError("existence regime requires eps > 0")
-    tally = Counter(bracket=0, root=0, finalize=0)
+    tally = Counter()
 
     def endpoint(M):
-        tally["root"] += 1
-        return shoot(M, cfg)
+        return shoot(M, cfg, tally)
 
     seed = "caller"
     if M_seed is None:
@@ -557,11 +574,12 @@ def solve_ladder(
     every rung outside the law's regime, is solved alone by
     ``solve_profile`` from the continuation seed of the nearest rung solved
     so far (M ~ eps^{-1/2}), or cold when none has.  Each
-    profile's ``diagnostics["shoot_integrations"]`` counts the
-    integrations, batched or its own, that the rung took part in.
+    profile's ``diagnostics["shoot_integrations"]`` and ``["shoot_steps"]``
+    count the integrations, batched or its own, that the rung took part in
+    and their steps.
     """
     cfgs = list(cfgs)
-    tallies = [Counter(bracket=0, root=0, finalize=0) for _ in cfgs]
+    tallies = [Counter() for _ in cfgs]
     batch = [k for k, cfg in enumerate(cfgs) if cfg.eps > 0]
     law = _rate_law(cfgs[batch[0]]) if batch else None
     solved: dict[int, RadialSolution | Exception] = {}
@@ -582,8 +600,10 @@ def solve_ladder(
         if k not in solved:
             try:
                 rs = solve_profile(cfg, M_seed=_continuation_seed(cfg, solved.values()))
-                tallies[k].update(rs.diagnostics["shoot_integrations"])
-                rs.diagnostics["shoot_integrations"] = dict(tallies[k])
+                for p in _PHASES:
+                    tallies[k][p] += rs.diagnostics["shoot_integrations"][p]
+                    tallies[k][p + "_steps"] += rs.diagnostics["shoot_steps"][p]
+                rs.diagnostics.update(_tally_report(tallies[k]))
                 solved[k] = rs
             except Exception as e:  # the rung fails alone; the ladder goes on
                 solved[k] = e

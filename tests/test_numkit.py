@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from ballblowup.numkit import (
     DivergentMomentError,
@@ -168,6 +169,27 @@ class TestOdeSolve:
         rs = np.linspace(0.01, 1.0, 50)
         exact = np.sqrt(lam) / np.sqrt(1 + lam**2 * rs**2)
         assert np.max(np.abs(traj(rs)[0] - exact)) <= 1e-8
+
+    def test_steps_are_scipys(self):
+        # scipy's DOP853 is the oracle: a forced Duffing oscillator and its
+        # integral of y^2, per-state tolerances, bit for bit
+        def duffing(t, y):
+            return [y[1], -9.0 * y[0] - math.sin(t) * y[0] ** 3, y[0] ** 2]
+
+        tol, atol = np.array([1e-10, 1e-10, 1e-8]), np.array([1e-12, 1e-12, 1e-9])
+        sol = integrate.solve_ivp(duffing, (0.0, 3.0), [1.0, 0.0, 0.0], method="DOP853",
+                                  rtol=tol, atol=atol, dense_output=True)
+        traj = ode_solve(duffing, [1.0, 0.0, 0.0], (0.0, 3.0), tol, atol=atol)
+        assert np.array_equal(traj.nodes, sol.t)
+        assert np.array_equal(traj.states, sol.y.T)
+        F = np.array([p.F for p in sol.sol.interpolants]).transpose(1, 0, 2)
+        assert np.array_equal(traj.F, F)
+        ts = np.linspace(0.0, 3.0, 301)
+        assert np.array_equal(traj(ts), sol.sol(ts))
+        assert np.array_equal(traj.rows(slice(1, 3))(ts), sol.sol(ts)[1:])
+        lean = ode_solve(duffing, [1.0, 0.0, 0.0], (0.0, 3.0), tol, atol=atol, dense=False)
+        assert lean.F is None
+        assert np.array_equal(lean.states, traj.states)
 
     def test_dense_matches_nodes(self):
         traj = ode_solve(self.rhs, [1.0, 0.0], (0.0, 1.0), tol=1e-12)

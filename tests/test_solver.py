@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ballblowup import solver
-from ballblowup.asympt import decompose, fit_bubble
+from ballblowup import greenfn, solver
+from ballblowup.asympt import build_report, decompose, fit_bubble, records_from_sweep
 from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center, qv_center
-from ballblowup.numkit import OdeTrajectory, ode_solve, radial_quadrature_rule
+from ballblowup.numkit import ode_solve, radial_quadrature_rule
 from ballblowup.solver import (
     SOBOLEV_CONSTANT,
     ProblemConfig,
@@ -27,6 +27,40 @@ from ballblowup.solver import (
 from conftest import CRITICAL_A, EPS_LADDER, make_config, quad_oracle
 
 const = RadialCoefficient.constant_coeff
+
+
+def _record(monkeypatch, module):
+    """Every ``ode_solve`` call that ``module`` makes from now on, as
+    (args, kwargs, trajectory)."""
+    calls, orig = [], module.ode_solve
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs, orig(*args, **kwargs)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(module, "ode_solve", recording)
+    return calls
+
+
+def _scipy_twin(rhs, y0, span, tol, atol=None, dense=True, stop_at_zero=False):
+    """scipy's DOP853 run of the ``ode_solve`` call with these arguments,
+    with dense output and, for ``stop_at_zero``, its terminal event."""
+    def zero(t, y):
+        return y[0]
+
+    zero.terminal, zero.direction = True, -1
+    return integrate.solve_ivp(rhs, span, y0, method="DOP853", rtol=tol,
+                               atol=tol if atol is None else atol, dense_output=True,
+                               events=zero if stop_at_zero else None)
+
+
+def _assert_same_steps(traj, sol):
+    """``traj`` took scipy's steps: the same nodes, states and interpolant
+    coefficients, bit for bit."""
+    assert np.array_equal(traj.nodes, sol.t)
+    assert np.array_equal(traj.states, sol.y.T)
+    F = np.array([p.F for p in sol.sol.interpolants]).transpose(1, 0, 2)
+    assert np.array_equal(traj.F, F)
 
 
 class TestTaylorStart:
@@ -138,22 +172,43 @@ class TestNewton:
     def test_sensitivity_matches_finite_difference(self):
         cfg = make_config(0.02)
         # the step balances truncation against the ~1e-12 noise in u(R)
+        # (w, z) at t = ln R = 0 are (u(R), du(R)/dM) on the unit ball
         M, dM = 27.0, 1e-3
-        sol, _ = solver._integrate([M], [cfg])
+        traj, _ = solver._integrate([M], [cfg])
         hi, _ = solver._integrate([M + dM], [cfg])
         lo, _ = solver._integrate([M - dM], [cfg])
-        fd = (hi.y[0, -1] - lo.y[0, -1]) / (2 * dM)
-        assert sol.y[2, -1] == pytest.approx(fd, rel=1e-6)
+        fd = (hi.states[-1, 0] - lo.states[-1, 0]) / (2 * dM)
+        assert traj.states[-1, 2] == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("lam", [1e2, 1e4])
+    def test_emden_fowler_bubble(self, lam):
+        # m = 0: the bubble of height M = lam^{1/2} is w = (2 cosh s)^{-1/2},
+        # s = t + 2 ln M, and z = dw/dM = -(2/M) sinh s (2 cosh s)^{-3/2}
+        cfg = ProblemConfig(domain=BallDomain(1.0), a=const(0.0), V=const(0.0))
+        M = math.sqrt(lam)
+        traj, _ = solver._integrate([M], [cfg])
+        assert traj.nodes[-1] == 0.0
+        w, _, z, _ = traj.states[-1]
+        s = 2 * math.log(M)
+        assert w == pytest.approx((2 * math.cosh(s)) ** -0.5, abs=1e-10)
+        assert z == pytest.approx(-(2 / M) * math.sinh(s) * (2 * math.cosh(s)) ** -1.5,
+                                  abs=1e-10)
+
+    def test_event_root_is_scipys(self, monkeypatch):
+        # past the root the profile crosses zero inside the ball: the
+        # stepper stops where scipy's terminal event does
+        calls = _record(monkeypatch, solver)
+        cfg = make_config(0.05)
+        assert shoot(30.0, cfg) < 0
+        ((args, kwargs, traj),) = calls
+        sol = _scipy_twin(*args, **kwargs)
+        assert sol.status == 1
+        assert np.array_equal(traj.nodes[:-1], sol.t[:-1])
+        assert traj.nodes[-1] == pytest.approx(sol.t_events[0][0], abs=1e-14)
+        assert np.array_equal(traj.states[-1], sol.y_events[0][0])
 
     def test_seeded_rung_integrations(self, canonical_solutions, monkeypatch):
-        calls = []
-        orig = integrate.solve_ivp
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(integrate, "solve_ivp", counting)
+        calls = _record(monkeypatch, solver)
         prev = canonical_solutions[0]
         eps = EPS_LADDER[1]
         seed = prev.M * math.sqrt(prev.config.eps / eps)
@@ -164,18 +219,13 @@ class TestNewton:
     def test_deep_rung_stops_at_noise_floor(self, monkeypatch):
         # at lam ~ 1.5e4 integration noise fixes the root only to ~1e-8
         # relative; Newton must stop there, not fall back to Brent
-        calls, brent_calls = [], []
-        orig_ivp, orig_brent = integrate.solve_ivp, solver.brent_root
-
-        def counting_ivp(*args, **kwargs):
-            calls.append(1)
-            return orig_ivp(*args, **kwargs)
+        brent_calls, orig_brent = [], solver.brent_root
 
         def counting_brent(*args, **kwargs):
             brent_calls.append(1)
             return orig_brent(*args, **kwargs)
 
-        monkeypatch.setattr(integrate, "solve_ivp", counting_ivp)
+        calls = _record(monkeypatch, solver)
         monkeypatch.setattr(solver, "brent_root", counting_brent)
         eps = 0.001
         s = solve_profile(make_config(eps), M_seed=math.sqrt(math.pi**3 / (2 * eps)))
@@ -307,51 +357,49 @@ class TestSolveLadder:
 
     def test_canonical_integrations(self, canonical_solutions):
         # one loose and two full-tolerance lockstep Newton batches plus one
-        # finalize, read off the rungs; no rung falls back
+        # finalize, read off the rungs; no rung falls back.  In t = ln r the
+        # Newton batches take 61 + 139 + 139 steps.
         for s in canonical_solutions:
             assert s.diagnostics["seed"] == "rate_law"
             assert s.diagnostics["shoot_integrations"] == {"bracket": 0, "root": 3, "finalize": 1}
+            steps = s.diagnostics["shoot_steps"]
+            assert steps["bracket"] == 0 and 0 < steps["finalize"]
+            assert steps["root"] <= 400
 
     def test_newton_tolerances(self, monkeypatch):
         # the first Newton integration at tol 1e-9, the later ones and the
-        # finalize at ode_tol = 1e-12; atol scales with the same tol
-        tols, orig = [], integrate.solve_ivp
-
-        def recording(*args, **kwargs):
-            rtol, atol = kwargs["rtol"], kwargs["atol"]
-            if isinstance(rtol, np.ndarray):  # a shooting integration, not ga_center's
-                tols.append((kwargs["dense_output"], set(rtol.tolist()), atol / rtol))
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(integrate, "solve_ivp", recording)
+        # finalize at ode_tol = 1e-12; each shooting atol is tol 1e-2
+        # sqrt(delta), delta = 1e-6 / max(M)^2
+        calls = _record(monkeypatch, solver)
         list(solve_ladder(_ladder_cfgs(const(-1.0))))
-        assert [t[:2] for t in tols] == [(False, {1e-9}), (False, {1e-12}), (False, {1e-12}),
-                                         (True, {1e-12})]
-        assert tols[0][2] == pytest.approx(tols[1][2], rel=0.05)  # max(1, M) 1e-2
+        tols = [(kwargs.get("dense", True), set(args[3].tolist())) for args, kwargs, _ in calls]
+        assert tols == [(False, {1e-9}), (False, {1e-12}), (False, {1e-12}), (True, {1e-12})]
+        for args, kwargs, _ in calls[:3]:
+            root_delta = math.exp(args[2][0] / 2)  # the span starts at ln delta
+            assert np.allclose(kwargs["atol"], args[3] * 1e-2 * root_delta, rtol=1e-12, atol=0)
 
-    def test_rung_dense_is_its_rows(self, canonical_solutions):
-        # the stacked finalize's dense output, and each rung's of its rows,
-        # are scipy's bit for bit
+    def test_rung_dense_is_its_rows(self, canonical_solutions, monkeypatch):
+        # the stacked finalize takes scipy's steps, and its dense output and
+        # each rung's of its rows are scipy's, bit for bit
+        calls = _record(monkeypatch, solver)
         Ms = [s.M for s in canonical_solutions]
         cfgs = [s.config for s in canonical_solutions]
-        sol, _ = solver._integrate(Ms, cfgs, finalize=True)
-        _assert_scipy_bits(sol, OdeTrajectory(sol))
         finals = solver._finalize(Ms, cfgs, [Counter() for _ in Ms], "rate_law")
+        ((args, kwargs, traj),) = calls
+        sol = _scipy_twin(*args, **kwargs)
+        _assert_same_steps(traj, sol)
+        _assert_scipy_bits(sol, traj)
         for k, rs in enumerate(finals):
             _assert_scipy_bits(sol, rs.dense, slice(6 * k, 6 * k + 6))
             assert np.array_equal(rs.u, sol.y[6 * k])
 
     def test_ga_center_dense_is_scipys(self, monkeypatch):
-        sols, orig = [], integrate.solve_ivp
-
-        def keeping(*args, **kwargs):
-            sols.append(orig(*args, **kwargs))
-            return sols[-1]
-
-        monkeypatch.setattr(integrate, "solve_ivp", keeping)
+        calls = _record(monkeypatch, greenfn)
         ga_center(const(CRITICAL_A), 1.0)
-        (sol,) = sols
-        _assert_scipy_bits(sol, OdeTrajectory(sol))
+        ((args, kwargs, traj),) = calls
+        sol = _scipy_twin(*args, **kwargs)
+        _assert_same_steps(traj, sol)
+        _assert_scipy_bits(sol, traj)
 
     def test_radius_scaling(self, canonical_solutions):
         # m / R^2 on radius R: u_R(x) = R^{-1/2} u_1(x / R), so lam_R = lam_1 / R
@@ -409,6 +457,43 @@ class TestSolveLadder:
         (e0, r0), (e1, r1) = solve_ladder(cfgs)
         assert (e0, e1) == (0.0, 0.04)
         assert isinstance(r0, ValueError) and isinstance(r1, RadialSolution)
+
+
+def _reference_M(cfg):
+    """The center height of ``cfg`` solved alone at ode_tol 3e-14 and
+    shoot_tol 1e-11; at ode_tol 1e-14 it moves <= 1e-11 relative."""
+    return solve_profile(dataclasses.replace(cfg, ode_tol=3e-14, shoot_tol=1e-11)).M
+
+
+class TestAccuracy:
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def x8():
+        """The canonical ladder's eps over 8: lam ~ 3e3 to 2.5e4."""
+        return [s for _, s in solve_ladder([make_config(eps / 8) for eps in EPS_LADDER])]
+
+    def test_canonical_rungs_match_tight_reference(self, canonical_solutions):
+        for s in canonical_solutions:
+            assert s.M == pytest.approx(_reference_M(s.config), rel=2e-9)
+
+    def test_deep_rung_matches_tight_reference(self, x8):
+        # at lam ~ 2.5e4 |u(R)| <= shoot_tol holds for any M within ~1e-4
+        # of the root, so only a relative step may stop Newton there
+        assert x8[-1].M == pytest.approx(_reference_M(x8[-1].config), rel=2.5e-7)
+
+    def test_deep_ladder_newton_batches(self, x8):
+        for s in x8:
+            assert s.diagnostics["seed"] == "rate_law"
+            assert s.diagnostics["shoot_integrations"]["root"] <= 3
+
+    def test_x32_ladder_verifies(self):
+        # lam up to ~1e5: eps lam still rises toward pi^3/2 and every law passes
+        sols = [s for _, s in solve_ladder([make_config(eps / 32) for eps in EPS_LADDER])]
+        a = const(CRITICAL_A)
+        records = records_from_sweep(sols, a, 1.0)
+        prods = [r.eps_lambda for r in records]
+        assert all(q > p for p, q in zip(prods, prods[1:]))
+        assert build_report(records, CRITICAL_A, qv_center(const(-1.0), a, 1.0), 1.0).all_passed
 
 
 class _Unmemoised(RadialSolution):
