@@ -279,7 +279,7 @@ def records_from_sweep(
                 farfield_error=ff,
                 sobolev_quotient=u.sobolev_quotient,
                 gradient_quotient=u.gradient_quotient,
-                energy_residual=u.diagnostics["energy_identity_residual"],
+                energy_residual=u.energy_identity_residual,
                 pohozaev_residual=u.diagnostics.get("pohozaev_residual", float("nan")),
                 greens_residual=greens_rep_residual(u, cg=cg),
                 fit_residual=fit_res,

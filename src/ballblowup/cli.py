@@ -178,15 +178,12 @@ def cmd_greens(args) -> int:
         rhos = np.linspace(0.0, 0.9 * cfg.R, 19)
         phis = greenfn.phia_profile(rhos, a.constant, cfg.R)
         profile = [{"rho": r, "phi_a": p} for r, p in zip(rhos.tolist(), phis.tolist())]
-        crit = greenfn.na_scan(a.constant, cfg.R)
-        a_star = crit.a_star
-        crit_dict = asdict(crit)
+        crit_dict = asdict(greenfn.na_scan(a.constant, cfg.R))
     else:
-        a_star = greenfn.critical_a(cfg.R)
         profile = [{"rho": 0.0, "phi_a": cg.phi_a_at_0}]
         crit_dict = None
     report = {
-        "a_star": a_star,
+        "a_star": greenfn.critical_a(cfg.R),
         "phi_a_at_0": cg.phi_a_at_0,
         "qv": greenfn.qv_center(V, a, cfg.R, cg),
         "profile": profile,

@@ -346,7 +346,6 @@ def qv_center(
 
 @dataclass(frozen=True)
 class CriticalityReport:
-    a_star: float
     zeros: list
     hessian: float | None
     critical: bool
@@ -362,7 +361,6 @@ def na_scan(a_const: float, R: float = 1.0) -> CriticalityReport:
     One Bessel series gives the whole grid in one evaluation and every step
     of the Brent refinement of a sign change.
     """
-    a_star = critical_a(R)
     grid = np.linspace(0.0, 0.9 * R, SCAN_POINTS)
     series = HelmholtzSeries.build(a_const, R)
     vals = series.h_diag(grid)
@@ -381,7 +379,6 @@ def na_scan(a_const: float, R: float = 1.0) -> CriticalityReport:
         nondeg = abs(hess) > 1e-10
 
     return CriticalityReport(
-        a_star=a_star,
         zeros=zeros,
         hessian=hess,
         critical=bool(zeros) and all(v >= -ZERO_TOL for v in vals),

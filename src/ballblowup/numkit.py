@@ -145,17 +145,14 @@ def ode_solve(
     tol=1e-12,
     atol=None,
     dense: bool = True,
-    stop_at_zero: bool = False,
 ) -> OdeTrajectory:
     """Integrate y' = rhs(t, y) from span[0] to span[1] > span[0] by DOP853,
     taking scipy's first step, step control and error norm operation for
     operation, so nodes, states and interpolants are those of scipy's DOP853
     bit for bit.  rtol is ``tol`` (floored at 100 eps, as scipy does), atol
     ``atol`` (default ``tol``), either per state.  ``dense`` keeps the
-    interpolants (three more ``rhs`` calls a step).  ``stop_at_zero`` ends
-    at the first downward zero of state 0, found by Brent on its step's
-    interpolant as scipy finds a terminal event, and keeps no interpolants.
-    The caller starts away from any left-endpoint singularity of ``rhs``.
+    interpolants (three more ``rhs`` calls a step).  The caller starts away
+    from any left-endpoint singularity of ``rhs``.
     """
     t, t1 = map(float, span)
     y = np.asarray(y0, dtype=float)
@@ -202,8 +199,7 @@ def ode_solve(
                 break
             h_abs *= max(0.2, 0.9 * err**-0.125)
             rejected = True
-        crossed = stop_at_zero and y[0] >= 0 and y_new[0] <= 0
-        if dense or crossed:
+        if dense:
             for s, (a, c) in enumerate(_EXTRA, start=13):
                 K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
             F = np.empty((7, y.size))
@@ -212,10 +208,6 @@ def ode_solve(
             F[2] = 2 * dy - h * (f_new + K[0])
             F[3:] = h * np.dot(_D, K)
             interpolants.append(F)
-        if crossed:
-            step = OdeTrajectory(np.array([t, t_new]), np.array([y, y_new]), F[:, None])
-            t_new = optimize.brentq(lambda s: step(s)[0], t, t_new, xtol=4 * _EPS, rtol=4 * _EPS)
-            y_new, t1, dense = step(t_new), t_new, False
         nodes.append(t_new)
         states.append(y_new)
         t, y, f = t_new, y_new, f_new

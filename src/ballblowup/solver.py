@@ -1,15 +1,16 @@
 """Positive radial solutions of -Delta u + (a + eps V) u = 3 u^5 on the ball
-by shooting on the center height, with continuation in eps and identity-based
-diagnostics (energy identity, dilation Pohozaev identity, Green representation,
-Sobolev quotient).
+by shooting on the center height, with identity-based diagnostics (energy
+identity, dilation Pohozaev identity, Green representation, Sobolev
+quotient).
 
 The center height is found by Newton on the endpoint map u(R; M), its
 derivative carried by the variational equation as two extra states of a lean
-shooting integration (shooting with sensitivities); a bracket scan and Brent
-remain as the fallback.  Shooting integrates in the Emden-Fowler variables
-t = ln r, w = r^{1/2} u, in which M only shifts a bubble, so the steps do
-not shrink as M grows.  Without a continuation seed, Newton starts from the
-blow-up rate law eps lam -> 4 pi^2 |a(0)| / |Q_V(0)| with lam ~ M^2.  The
+shooting integration (shooting with sensitivities).  Shooting integrates in
+the Emden-Fowler variables t = ln r, w = r^{1/2} u, in which M only shifts a
+bubble, so the steps do not shrink as M grows.  Where the blow-up rate law
+eps lam -> 4 pi^2 |a(0)| / |Q_V(0)| applies, Newton starts from its height
+(lam ~ M^2); elsewhere, and where that start fails, from a bracket scan of
+the same endpoint map, with Brent on the bracket as the last resort.  The
 quadrature integrals ride only on the single final integration of the
 converged profile.  The rungs of an eps ladder are solved in lockstep, their
 states stacked into one integration per Newton iteration and one final
@@ -102,9 +103,10 @@ class RadialSolution:
     integrator states for integrator-level accuracy.
 
     ``diagnostics`` also says how the profile was found: ``seed`` is
-    ``"caller"``, ``"rate_law"`` or ``"scan"``, ``shoot_integrations``
-    counts the shooting integrations by phase (bracket, root, finalize) and
-    ``shoot_steps`` their accepted steps.
+    ``"rate_law"`` when Newton converged from the rate-law height and
+    ``"scan"`` when the root came from the bracket scan,
+    ``shoot_integrations`` counts the shooting integrations by phase
+    (bracket, root, finalize) and ``shoot_steps`` their accepted steps.
     """
 
     config: ProblemConfig
@@ -253,17 +255,17 @@ def _finalize_rhs(ms):
     return rhs
 
 
-def _integrate(Ms, cfgs, finalize: bool = False, events: bool = False, tol_floor: float = 0.0):
+def _integrate(Ms, cfgs, finalize: bool = False, tol_floor: float = 0.0):
     """Integrate the rungs ``cfgs`` from their Taylor starts at center
     heights ``Ms`` to R in one stacked solve; return its trajectory and the
     start delta = 1e-6 min(1, max(M)^-2).  The rungs share delta and so one
     step sequence; each keeps an rtol of tol = max(ode_tol, ``tol_floor``).
     The shooting system runs in t = ln r from ln delta to ln R, from
     sqrt(delta) (u, u/2 + r u') of the Taylor start and its M-derivative,
-    at an atol of tol 1e-2 sqrt(delta), below rtol |w| at the center;
-    ``events`` stops it at the first zero of the first rung's w.  With
-    ``finalize`` the integrals ride in r, at an atol of tol max(1, M) 1e-2,
-    with dense output."""
+    at an atol of tol 1e-2 sqrt(delta), below rtol |w| at the center, and
+    always to R, also past an interior zero of w.  With ``finalize`` the
+    integrals ride in r, at an atol of tol max(1, M) 1e-2, with dense
+    output."""
     R = cfgs[0].domain.R
     M_max = max(Ms)
     delta = 1e-6 * min(1.0, M_max**-2) if M_max > 0 else 1e-6
@@ -286,7 +288,7 @@ def _integrate(Ms, cfgs, finalize: bool = False, events: bool = False, tol_floor
         return ode_solve(_finalize_rhs(ms), y0, (delta, R), np.repeat(tols, 6), atol=atol), delta
     rtol = np.repeat(tols, 4)
     return ode_solve(_shooting_rhs(ms), y0, (math.log(delta), math.log(R)), rtol,
-                     atol=rtol * 1e-2 * math.sqrt(delta), dense=False, stop_at_zero=events), delta
+                     atol=rtol * 1e-2 * math.sqrt(delta), dense=False), delta
 
 
 _PHASES = ("bracket", "root", "finalize")
@@ -298,44 +300,33 @@ def _count(tally: Counter, phase: str, traj) -> None:
     tally[phase + "_steps"] += len(traj.nodes) - 1
 
 
-def _tally_report(tally: Counter) -> dict:
-    """The shooting integrations and their accepted steps, by phase."""
-    return {"shoot_integrations": {p: tally[p] for p in _PHASES},
-            "shoot_steps": {p: tally[p + "_steps"] for p in _PHASES}}
-
-
 def shoot(M: float, cfg: ProblemConfig, tally: Counter | None = None,
           phase: str = "root") -> float:
-    """Integrate the radial equation from the center height M and return
-    the continuous shooting functional: u(R) when u stays positive, and past
-    a first interior zero r0 its negative continuation u'(r0) (R - r0).
-    The integration is counted in ``tally`` under ``phase`` when given."""
+    """The endpoint map u(R; M) = R^{-1/2} w(ln R; M) that Newton solves,
+    from one shooting integration from the center height M to R, past any
+    interior zero.  The integration is counted in ``tally`` under ``phase``
+    when given."""
     if M <= 0:
         raise ValueError("M must be positive")
-    traj, _ = _integrate([M], [cfg], events=True)
+    traj, _ = _integrate([M], [cfg])
     if tally is not None:
         _count(tally, phase, traj)
-    R = cfg.domain.R
-    t, (w, wp) = traj.nodes[-1], traj.states[-1, :2]
-    if t < math.log(R):  # crossed zero at r0 = e^t, where u' = r0^{-3/2} w'
-        r0 = math.exp(t)
-        return float(wp * r0**-1.5 * (R - r0))
-    return float(w / math.sqrt(R))
+    return float(traj.states[-1, 0] / math.sqrt(cfg.domain.R))
 
 
-def _find_bracket(
-    cfg: ProblemConfig,
-    M_lo: float,
-    M_hi: float,
-    factor: float = 1.3,
-    tally: Counter | None = None,
-):
-    """Geometric scan from M_lo for a sign change of the endpoint map; each
-    integration is counted in ``tally`` under "bracket" when given."""
+# center heights a rung's bracket scan covers, and its geometric factor
+_M_SCAN = (0.5, 1e4)
+_SCAN_FACTOR = 1.3
+
+
+def _find_bracket(cfg: ProblemConfig, tally: Counter):
+    """Geometric scan over ``_M_SCAN`` for a sign change of the endpoint
+    map; each integration is counted in ``tally`` under "bracket"."""
+    M_lo, M_hi = _M_SCAN
     M = M_lo
     f_prev = shoot(M, cfg, tally, "bracket")
     while M < M_hi:
-        M_next = M * factor
+        M_next = M * _SCAN_FACTOR
         f_next = shoot(M_next, cfg, tally, "bracket")
         if f_prev * f_next < 0:
             return (M, M_next)
@@ -346,14 +337,15 @@ def _find_bracket(
 
 
 _LOOSE_TOL = 1e-9  # tol floor of each Newton call's first integration
+_NEWTON_STEPS = 12  # Newton steps a rung may take
 
 
-def _newton(cfgs, Ms, windows, tallies, max_iter: int = 12) -> list[float | None]:
+def _newton(cfgs, Ms, windows, tallies) -> list[float | None]:
     """Newton on the endpoint maps u(R; M) = R^{-1/2} w(ln R; M) of all
-    rungs at once, with du(R)/dM from the variational states, integrated to
-    R without the zero event (an iterate just above the root crosses zero at
-    r0 ~ R).  Each rung starts from its entry of ``Ms`` and leaves the batch
-    once it stops.
+    rungs at once (``shoot``'s map), with du(R)/dM from the variational
+    states, integrated to R also past an interior zero (an iterate just
+    above the root crosses zero at r0 ~ R).  Each rung starts from its entry
+    of ``Ms`` and leaves the batch once it stops.
 
     The first integration runs at tol max(ode_tol, 1e-9), an inexact step
     far from the root; every later one, and every step a rung stops on, at
@@ -365,14 +357,14 @@ def _newton(cfgs, Ms, windows, tallies, max_iter: int = 12) -> list[float | None
     ~1e4, so a step that no longer halves while |s| <= shoot_tol M also ends
     it.  Returns per rung its root, or None when the slope is not negative,
     an iterate leaves its window, or there is no convergence in
-    ``max_iter`` steps; ``tallies[k]`` counts rung k's integrations.
+    ``_NEWTON_STEPS`` steps; ``tallies[k]`` counts rung k's integrations.
     """
     Ms = list(Ms)
     roots: list[float | None] = [None] * len(Ms)
     prev = [math.inf] * len(Ms)
     rel: list[float | None] = [None] * len(Ms)  # last relative step at ode_tol
     active = list(range(len(Ms)))
-    for it in range(max_iter):
+    for it in range(_NEWTON_STEPS):
         if not active:
             break
         traj, _ = _integrate([Ms[k] for k in active], [cfgs[k] for k in active],
@@ -457,13 +449,11 @@ def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeErro
             out.append(RuntimeError(f"endpoint {endpoint:.3e} above shoot_tol"))
             continue
         rs.diagnostics["pde_residual"] = _pde_residual(rs)
-        rs.diagnostics["energy_identity_residual"] = rs.energy_identity_residual
-        rs.diagnostics["sobolev_quotient"] = rs.sobolev_quotient
-        rs.diagnostics["gradient_quotient"] = rs.gradient_quotient
         if cfg.a.is_constant and cfg.V.is_constant:
             rs.diagnostics["pohozaev_residual"] = pohozaev_residual(rs)
-        rs.diagnostics["seed"] = seed
-        rs.diagnostics.update(_tally_report(tallies[k]))
+        tally = tallies[k]
+        rs.diagnostics.update(seed=seed, shoot_integrations={p: tally[p] for p in _PHASES},
+                              shoot_steps={p: tally[p + "_steps"] for p in _PHASES})
         out.append(rs)
     return out
 
@@ -473,8 +463,8 @@ def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeErro
 # so the bound sits three orders above that noise; since d phi_a(0)/da = R/2
 # at a*, it admits only constants within ~2e-9 / R^2 of a*.
 _CRITICAL_PHI = 1e-9
-# center heights a rung's cold bracket scan covers
-_M_SCAN = (0.5, 1e4)
+# a rung's Newton window around its rate-law height
+_LAW_WINDOW = (0.7, 1.45)
 
 
 def _rate_law(cfg: ProblemConfig) -> float | None:
@@ -496,64 +486,29 @@ def _rate_law(cfg: ProblemConfig) -> float | None:
     return 4.0 * math.pi**2 * abs(cg.a_at_0) / abs(qv0)
 
 
-def solve_profile(
-    cfg: ProblemConfig,
-    M_seed: float | None = None,
-) -> RadialSolution:
-    """Ground-state profile of one rung: the one-rung case of the batched
-    Newton and finalize, with bracketing + Brent as the fallback.
-
-    Newton starts from ``M_seed`` (a continuation seed) or, without one,
-    from the rate-law height (4 pi^2 |a(0)| / (|Q_V(0)| eps))^{1/2}, takes
-    its first step at tol 1e-9 and the rest at ode_tol (``_newton``), and
-    is kept inside (0.7, 1.45) times its start; when it fails (non-negative
-    slope, an iterate outside that window, or no convergence) Brent runs on
-    a bracket scanned in the window, or over ``_M_SCAN`` if the window holds
-    none.  Where the rate law does not apply (a not critical, a(0) >= 0 or
-    Q_V(0) >= 0) a bracket scan over ``_M_SCAN`` comes first and Newton
-    starts from its lower (positive) end, kept inside the bracket.
-    Diagnostics are populated on the converged profile, with the seed used
-    and the shooting integrations and their steps by phase.
-    """
+def _solve_rung(cfg: ProblemConfig, law: float | None, tally: Counter) -> RadialSolution:
+    """One rung alone: Newton from its rate-law height (law / eps)^{1/2},
+    kept in ``_LAW_WINDOW`` times it, when the law applies (``law`` is not
+    None); otherwise, or when that fails, the bracket scan over ``_M_SCAN``
+    and Newton from the bracket's lower end, kept inside it; Brent on the
+    bracket when that fails too.  Its integrations are counted in
+    ``tally``."""
     if cfg.eps <= 0:
         raise ValueError("existence regime requires eps > 0")
-    tally = Counter()
-
-    def endpoint(M):
-        return shoot(M, cfg, tally)
-
-    seed = "caller"
-    if M_seed is None:
-        law = _rate_law(cfg)
-        M_seed = None if law is None else math.sqrt(law / cfg.eps)
-        seed = "scan" if M_seed is None else "rate_law"
-    if M_seed is not None:
-        lo, hi = 0.7 * M_seed, 1.45 * M_seed
-        (M,) = _newton([cfg], [M_seed], [(lo, hi)], [tally])
-        if M is None:
-            try:
-                bracket = _find_bracket(cfg, lo, hi, factor=1.08, tally=tally)
-            except NoBracketError:
-                bracket = _find_bracket(cfg, *_M_SCAN, tally=tally)
-    else:
-        bracket = _find_bracket(cfg, *_M_SCAN, tally=tally)
-        (M,) = _newton([cfg], [bracket[0]], [bracket], [tally])
+    M = None
+    if law is not None:
+        start = math.sqrt(law / cfg.eps)
+        (M,) = _newton([cfg], [start], [tuple(f * start for f in _LAW_WINDOW)], [tally])
+    seed = "rate_law" if M is not None else "scan"
     if M is None:
-        M = brent_root(endpoint, bracket, tol=1e-13).root
+        bracket = _find_bracket(cfg, tally)
+        (M,) = _newton([cfg], [bracket[0]], [bracket], [tally])
+        if M is None:
+            M = brent_root(lambda M: shoot(M, cfg, tally), bracket, tol=1e-13).root
     (rs,) = _finalize([M], [cfg], [tally], seed)
     if isinstance(rs, Exception):
         raise rs
     return rs
-
-
-def _continuation_seed(cfg: ProblemConfig, solved) -> float | None:
-    """Center height for ``cfg`` from the solved rung nearest in eps, by
-    M ~ eps^{-1/2}; None when no rung has solved."""
-    ok = [s for s in solved if isinstance(s, RadialSolution)]
-    if cfg.eps <= 0 or not ok:
-        return None
-    near = min(ok, key=lambda s: abs(math.log(s.config.eps / cfg.eps)))
-    return near.M * math.sqrt(near.config.eps / cfg.eps)
 
 
 def solve_ladder(
@@ -567,16 +522,14 @@ def solve_ladder(
     applies, every rung starts Newton from its rate-law height, and all
     rungs run in lockstep: one stacked integration per Newton iteration,
     the first at tol 1e-9 and the rest at ode_tol, each rung in its own
-    (0.7, 1.45) window with its own stop rule, then one dense integration
+    ``_LAW_WINDOW`` with its own stop rule, then one dense integration
     that finalizes every converged rung, each keeping an ``OdeTrajectory``
     of its own rows (the canonical ladder takes 3 + 1).  A rung that
     leaves its window, every rung of a batch whose integration fails, and
-    every rung outside the law's regime, is solved alone by
-    ``solve_profile`` from the continuation seed of the nearest rung solved
-    so far (M ~ eps^{-1/2}), or cold when none has.  Each
-    profile's ``diagnostics["shoot_integrations"]`` and ``["shoot_steps"]``
-    count the integrations, batched or its own, that the rung took part in
-    and their steps.
+    every rung outside the law's regime, is solved alone and cold
+    (``_solve_rung``).  Each profile's ``diagnostics["shoot_integrations"]``
+    and ``["shoot_steps"]`` count the integrations, batched or its own,
+    that the rung took part in and their steps.
     """
     cfgs = list(cfgs)
     tallies = [Counter() for _ in cfgs]
@@ -585,7 +538,7 @@ def solve_ladder(
     solved: dict[int, RadialSolution | Exception] = {}
     if law is not None:
         seeds = [math.sqrt(law / cfgs[k].eps) for k in batch]
-        windows = [(0.7 * s, 1.45 * s) for s in seeds]
+        windows = [tuple(f * s for f in _LAW_WINDOW) for s in seeds]
         try:
             roots = _newton([cfgs[k] for k in batch], seeds, windows,
                             [tallies[k] for k in batch])
@@ -599,15 +552,21 @@ def solve_ladder(
     for k, cfg in enumerate(cfgs):
         if k not in solved:
             try:
-                rs = solve_profile(cfg, M_seed=_continuation_seed(cfg, solved.values()))
-                for p in _PHASES:
-                    tallies[k][p] += rs.diagnostics["shoot_integrations"][p]
-                    tallies[k][p + "_steps"] += rs.diagnostics["shoot_steps"][p]
-                rs.diagnostics.update(_tally_report(tallies[k]))
-                solved[k] = rs
+                solved[k] = _solve_rung(cfg, law, tallies[k])
             except Exception as e:  # the rung fails alone; the ladder goes on
                 solved[k] = e
         yield cfg.eps, solved[k]
+
+
+def solve_profile(cfg: ProblemConfig) -> RadialSolution:
+    """Ground-state profile of one rung: the one-rung ``solve_ladder``,
+    raising the rung's error.  Diagnostics are populated on the converged
+    profile, with the seed used and the shooting integrations and their
+    steps by phase."""
+    ((_, rs),) = solve_ladder([cfg])
+    if isinstance(rs, Exception):
+        raise rs
+    return rs
 
 
 def pohozaev_residual(u: RadialSolution) -> float:

@@ -1,9 +1,9 @@
 """Every public name is used by the program: each name in a module's
 ``__all__`` is read by code under ``src/``, ``scripts/`` or ``perfbench/``,
 not counting its definition, its import lines or its ``__all__`` entry,
-and every defaulted parameter of a public function is set by some call
-there.  The package's own ``__all__`` only re-exports names of these
-modules."""
+and every defaulted parameter of a public or module-level private function
+is set by some call there.  The package's own ``__all__`` only re-exports
+names of these modules."""
 
 import ast
 import importlib
@@ -108,8 +108,10 @@ def test_defaulted_parameters_are_set(module):
     # a default that no program call overrides is a knob only tests turn:
     # it belongs in a module constant
     mod = importlib.import_module(module)
+    private = [n for n, v in vars(mod).items() if n.startswith("_") and inspect.isfunction(v)
+               and v.__module__ == module]
     unset = []
-    for name in mod.__all__:
+    for name in [*mod.__all__, *private]:
         fn = getattr(mod, name)
         if not inspect.isfunction(fn):
             continue

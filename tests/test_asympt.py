@@ -138,7 +138,7 @@ class TestDecompose:
         # lam ~ 1.5e4: the Gram system over {PU, lam dlam PU} stays well
         # conditioned, and the zero-mode coefficients sit near their limits
         eps = 0.001
-        u = solve_profile(make_config(eps), M_seed=math.sqrt(math.pi**3 / (2 * eps)))
+        u = solve_profile(make_config(eps))
         alpha, lam, _ = fit_bubble(u)
         assert lam > 1e4
         d = decompose(u, alpha, lam, const(CRITICAL_A))

@@ -154,9 +154,12 @@ class TestScalarCommands:
         # critical a: the criticality report carries numpy bools
         out = tmp_path / "greens.json"
         assert main(["greens", "--out", str(out)]) == EXIT_OK
-        crit = json.loads(out.read_text())["criticality"]
+        rep = json.loads(out.read_text())
+        assert rep["a_star"] == pytest.approx(CRITICAL_A, abs=1e-10)
+        crit = rep["criticality"]
         assert crit["critical"] is True
         assert crit["nondegenerate"] is True
+        assert "a_star" not in crit  # a* is reported once, at the top level
 
     def test_validation_exit_code(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, eps_ladder=[0.01, 0.02])

@@ -234,6 +234,14 @@ class TestNaScan:
         assert rep.zeros and rep.zeros[0] == 0.0
         assert rep.critical and rep.negative_on_zeros and rep.nondegenerate
 
+    def test_calls_no_critical_a(self, monkeypatch):
+        # the report carries no a*: finding it is the caller's business
+        def refused(*args):
+            raise AssertionError("na_scan called critical_a")
+
+        monkeypatch.setattr(greenfn, "critical_a", refused)
+        assert na_scan(CRIT, 1.0).critical
+
     def test_above_critical(self):
         rep = na_scan(-2.0, 1.0)
         assert rep.zeros == []

@@ -42,16 +42,11 @@ def _record(monkeypatch, module):
     return calls
 
 
-def _scipy_twin(rhs, y0, span, tol, atol=None, dense=True, stop_at_zero=False):
+def _scipy_twin(rhs, y0, span, tol, atol=None, dense=True):
     """scipy's DOP853 run of the ``ode_solve`` call with these arguments,
-    with dense output and, for ``stop_at_zero``, its terminal event."""
-    def zero(t, y):
-        return y[0]
-
-    zero.terminal, zero.direction = True, -1
+    with dense output."""
     return integrate.solve_ivp(rhs, span, y0, method="DOP853", rtol=tol,
-                               atol=tol if atol is None else atol, dense_output=True,
-                               events=zero if stop_at_zero else None)
+                               atol=tol if atol is None else atol, dense_output=True)
 
 
 def _assert_same_steps(traj, sol):
@@ -98,6 +93,17 @@ class TestShoot:
                 break
             M *= 2.0
         assert signs == {True, False}
+
+    def test_endpoint_is_newtons_map(self):
+        # above the root the profile crosses zero inside the ball, and shoot
+        # still reads R^{-1/2} w(ln R) of the plain shooting integration
+        R = 2.0
+        cfg = ProblemConfig(domain=BallDomain(R), a=const(CRITICAL_A / R**2),
+                            V=const(-1.0 / R**2), eps=0.05)
+        traj, _ = solver._integrate([30.0], [cfg])
+        assert traj.nodes[-1] == math.log(R)
+        assert traj.states[-1, 0] < 0
+        assert shoot(30.0, cfg) == traj.states[-1, 0] / math.sqrt(R)
 
     def test_monotone_profile(self, canonical_solutions):
         u = canonical_solutions[0]
@@ -168,17 +174,29 @@ class TestSolveProfile:
         assert s.diagnostics["pde_residual"] <= 1e-8
 
 
+def _slope_and_quotient(eps, M, dM):
+    """du(R)/dM from the variational states and its central difference
+    quotient with step dM; (w, z) at t = ln R = 0 are (u(R), du(R)/dM) on
+    the unit ball."""
+    cfg = make_config(eps)
+    traj, _ = solver._integrate([M], [cfg])
+    hi, _ = solver._integrate([M + dM], [cfg])
+    lo, _ = solver._integrate([M - dM], [cfg])
+    return traj.states[-1, 2], (hi.states[-1, 0] - lo.states[-1, 0]) / (2 * dM)
+
+
 class TestNewton:
     def test_sensitivity_matches_finite_difference(self):
-        cfg = make_config(0.02)
         # the step balances truncation against the ~1e-12 noise in u(R)
-        # (w, z) at t = ln R = 0 are (u(R), du(R)/dM) on the unit ball
-        M, dM = 27.0, 1e-3
-        traj, _ = solver._integrate([M], [cfg])
-        hi, _ = solver._integrate([M + dM], [cfg])
-        lo, _ = solver._integrate([M - dM], [cfg])
-        fd = (hi.states[-1, 0] - lo.states[-1, 0]) / (2 * dM)
-        assert traj.states[-1, 2] == pytest.approx(fd, rel=1e-6)
+        slope, fd = _slope_and_quotient(0.02, 27.0, 1e-3)
+        assert slope == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("eps, M", [(3.125e-4, 222.7), (1.5625e-4, 315.0)])
+    def test_deep_sensitivity_matches_finite_difference(self, eps, M):
+        # lam ~ 5e4 and 1e5: the noise in u(R) scatters a quotient at
+        # dM = 1e-6 M by up to 3%, so the step is 1e-4 M
+        slope, fd = _slope_and_quotient(eps, M, 1e-4 * M)
+        assert slope == pytest.approx(fd, rel=1e-3)
 
     @pytest.mark.parametrize("lam", [1e2, 1e4])
     def test_emden_fowler_bubble(self, lam):
@@ -194,28 +212,6 @@ class TestNewton:
         assert z == pytest.approx(-(2 / M) * math.sinh(s) * (2 * math.cosh(s)) ** -1.5,
                                   abs=1e-10)
 
-    def test_event_root_is_scipys(self, monkeypatch):
-        # past the root the profile crosses zero inside the ball: the
-        # stepper stops where scipy's terminal event does
-        calls = _record(monkeypatch, solver)
-        cfg = make_config(0.05)
-        assert shoot(30.0, cfg) < 0
-        ((args, kwargs, traj),) = calls
-        sol = _scipy_twin(*args, **kwargs)
-        assert sol.status == 1
-        assert np.array_equal(traj.nodes[:-1], sol.t[:-1])
-        assert traj.nodes[-1] == pytest.approx(sol.t_events[0][0], abs=1e-14)
-        assert np.array_equal(traj.states[-1], sol.y_events[0][0])
-
-    def test_seeded_rung_integrations(self, canonical_solutions, monkeypatch):
-        calls = _record(monkeypatch, solver)
-        prev = canonical_solutions[0]
-        eps = EPS_LADDER[1]
-        seed = prev.M * math.sqrt(prev.config.eps / eps)
-        s = solve_profile(make_config(eps), M_seed=seed)
-        assert len(calls) <= 4  # Newton iterations + the final integration
-        assert s.M == pytest.approx(canonical_solutions[1].M, rel=1e-9)
-
     def test_deep_rung_stops_at_noise_floor(self, monkeypatch):
         # at lam ~ 1.5e4 integration noise fixes the root only to ~1e-8
         # relative; Newton must stop there, not fall back to Brent
@@ -227,41 +223,38 @@ class TestNewton:
 
         calls = _record(monkeypatch, solver)
         monkeypatch.setattr(solver, "brent_root", counting_brent)
-        eps = 0.001
-        s = solve_profile(make_config(eps), M_seed=math.sqrt(math.pi**3 / (2 * eps)))
+        s = solve_profile(make_config(0.001))
         assert not brent_calls
         assert len(calls) <= 6
         assert abs(s.diagnostics["endpoint"]) <= 1e-10
 
     def test_agrees_with_brent(self, canonical_solutions, monkeypatch):
-        # the same continuation with every Newton solve failing
-        monkeypatch.setattr(solver, "_newton", lambda cfgs, *args, **kwargs: [None])
-        prev = None
-        for s_newton, eps in zip(canonical_solutions, EPS_LADDER):
-            seed = prev.M * math.sqrt(prev.config.eps / eps) if prev else None
-            prev = solve_profile(make_config(eps), M_seed=seed)
-            assert s_newton.M == pytest.approx(prev.M, rel=1e-7)
+        # the same ladder with every Newton solve failing: scan and Brent
+        monkeypatch.setattr(solver, "_newton", lambda cfgs, *args: [None] * len(cfgs))
+        sols = [s for _, s in solve_ladder([s.config for s in canonical_solutions])]
+        for s_newton, s in zip(canonical_solutions, sols):
+            assert s.diagnostics["seed"] == "scan"
+            assert s_newton.M == pytest.approx(s.M, rel=1e-7)
 
-    def test_bad_seed_falls_back(self, canonical_solutions, monkeypatch):
-        brent_calls = []
-        orig = solver.brent_root
-
-        def counting(*args, **kwargs):
-            brent_calls.append(1)
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "brent_root", counting)
+    def test_bad_seed_falls_back(self, canonical_solutions):
+        # a start the window Newton fails from: the scan finds the root
         good = canonical_solutions[1]
-        s = solve_profile(make_config(good.config.eps), M_seed=1.4 * good.M)
-        assert brent_calls
+        s = _bad_start(good)
+        assert s.diagnostics["seed"] == "scan"
         assert s.M == pytest.approx(good.M, rel=1e-7)
         assert abs(s.diagnostics["endpoint"]) <= s.config.shoot_tol
+
+
+def _bad_start(good):
+    """``good``'s rung solved alone from a rate law that puts its Newton
+    start at 1.4 times the root."""
+    return solver._solve_rung(good.config, (1.4 * good.M) ** 2 * good.config.eps, Counter())
 
 
 def _scan_path(cfg):
     """Center height as a cold solve found it without the rate law: the
     bracket scan over the default M range, then Newton from its lower end."""
-    bracket = solver._find_bracket(cfg, 0.5, 1e4)
+    bracket = solver._find_bracket(cfg, Counter())
     return solver._newton([cfg], [bracket[0]], [bracket], [Counter()])[0]
 
 
@@ -275,20 +268,8 @@ class TestRateLawSeed:
         assert counts["finalize"] == 1
         assert s.M == pytest.approx(_scan_path(s.config), rel=1e-9)
 
-    def test_seeded_rung_reports_caller_seed(self, canonical_solutions):
-        # continuation seeds, as a ladder's fallback rung gets them
-        for prev, s in zip(canonical_solutions, canonical_solutions[1:]):
-            seed = prev.M * math.sqrt(prev.config.eps / s.config.eps)
-            seeded = solve_profile(s.config, M_seed=seed)
-            assert seeded.diagnostics["seed"] == "caller"
-            assert seeded.diagnostics["shoot_integrations"]["bracket"] == 0
-            assert seeded.M == pytest.approx(s.M, rel=1e-8)
-
     def test_fallback_phases_counted(self, canonical_solutions):
-        good = canonical_solutions[1]
-        s = solve_profile(make_config(good.config.eps), M_seed=1.4 * good.M)
-        counts = s.diagnostics["shoot_integrations"]
-        assert s.diagnostics["seed"] == "caller"
+        counts = _bad_start(canonical_solutions[1]).diagnostics["shoot_integrations"]
         assert counts["bracket"] > 0 and counts["root"] > 0 and counts["finalize"] == 1
 
     def test_supercritical_a_scans(self):
@@ -299,19 +280,24 @@ class TestRateLawSeed:
         cfg = ProblemConfig(domain=BallDomain(1.0), a=a, V=V, eps=eps)
         s = solve_profile(cfg)
         assert s.diagnostics["seed"] == "scan"
-        law_M = math.sqrt(4 * math.pi**2 * 3.0 / (abs(qv_center(V, a, 1.0)) * eps))
-        from_law = solve_profile(cfg, M_seed=law_M)
+        law = 4 * math.pi**2 * 3.0 / abs(qv_center(V, a, 1.0))
+        from_law = solver._solve_rung(cfg, law, Counter())
         spent = sum(s.diagnostics["shoot_integrations"].values())
         assert spent < sum(from_law.diagnostics["shoot_integrations"].values())
         assert s.M == pytest.approx(from_law.M, rel=1e-9)
 
     def test_outside_law_regime_scans(self):
-        # V = +1 gives Q_V(0) > 0: no rate law, the scan path runs unchanged
-        cfg = ProblemConfig(domain=BallDomain(1.0), a=const(-3.0), V=const(1.0), eps=0.05)
-        s = solve_profile(cfg)
-        assert s.diagnostics["seed"] == "scan"
-        assert s.diagnostics["shoot_integrations"]["bracket"] > 0
-        assert s.M == _scan_path(cfg)
+        # a = -3 is supercritical and V = +1 gives Q_V(0) > 0: no rate law,
+        # so every rung of a ladder runs the scan path cold, in <= 16
+        # integrations; a start from its neighbour's M ~ eps^{-1/2} took 34
+        for V in (1.0, -1.0):
+            cfgs = [ProblemConfig(domain=BallDomain(1.0), a=const(-3.0), V=const(V), eps=eps)
+                    for eps in (0.08, 0.05, 0.02)]
+            for cfg, (_, s) in zip(cfgs, solve_ladder(cfgs)):
+                assert s.diagnostics["seed"] == "scan"
+                assert s.diagnostics["shoot_integrations"]["bracket"] > 0
+                assert sum(s.diagnostics["shoot_integrations"].values()) <= 16
+                assert s.M == _scan_path(cfg)
 
 
 TABLE_R = np.linspace(0.0, 1.0, 65)
@@ -409,27 +395,27 @@ class TestSolveLadder:
             assert fit_bubble(s2)[1] * R == pytest.approx(fit_bubble(s1)[1], rel=1e-7)
 
     def test_window_exit_falls_back_with_continuation(self, canonical_solutions, monkeypatch):
-        # the first rung leaves the batch: it is solved alone from the
-        # continuation seed of the nearest rung the batch solved
-        newton, solve = solver._newton, solver.solve_profile
-        seeds = []
+        # the first rung leaves the batch: it is solved alone, again from
+        # its rate-law height, and its tally keeps the batch's integrations
+        newton, solve_rung = solver._newton, solver._solve_rung
+        alone = []
 
-        def newton_dropping(cfgs, Ms, *args, **kwargs):
-            roots = newton(cfgs, Ms, *args, **kwargs)
+        def newton_dropping(cfgs, Ms, *args):
+            roots = newton(cfgs, Ms, *args)
             if len(cfgs) > 1:
                 roots[0] = None
             return roots
 
-        def solve_spy(cfg, M_seed=None, **kwargs):
-            seeds.append(M_seed)
-            return solve(cfg, M_seed=M_seed, **kwargs)
+        def solve_spy(cfg, law, tally):
+            alone.append((cfg.eps, law))
+            return solve_rung(cfg, law, tally)
 
         monkeypatch.setattr(solver, "_newton", newton_dropping)
-        monkeypatch.setattr(solver, "solve_profile", solve_spy)
+        monkeypatch.setattr(solver, "_solve_rung", solve_spy)
         sols = [s for _, s in solve_ladder([s.config for s in canonical_solutions])]
-        first, second = canonical_solutions[:2]
-        assert seeds == [second.M * math.sqrt(second.config.eps / first.config.eps)]
-        assert sols[0].diagnostics["seed"] == "caller"
+        first = canonical_solutions[0]
+        assert alone == [(first.config.eps, solver._rate_law(first.config))]
+        assert sols[0].diagnostics["seed"] == "rate_law"
         counts = sols[0].diagnostics["shoot_integrations"]
         batched = first.diagnostics["shoot_integrations"]
         assert counts["root"] > batched["root"]
@@ -438,7 +424,7 @@ class TestSolveLadder:
 
     def test_failed_batch_solves_rungs_alone(self, canonical_solutions, monkeypatch):
         # a stacked integration that fails sends every rung down the
-        # one-rung path: cold for the first, continuation seeds after it
+        # one-rung path, each from its own rate-law height
         integrate_one = solver._integrate
 
         def failing(Ms, cfgs, *args, **kwargs):
@@ -448,7 +434,7 @@ class TestSolveLadder:
 
         monkeypatch.setattr(solver, "_integrate", failing)
         sols = [s for _, s in solve_ladder([s.config for s in canonical_solutions])]
-        assert [s.diagnostics["seed"] for s in sols] == ["rate_law"] + ["caller"] * 3
+        assert [s.diagnostics["seed"] for s in sols] == ["rate_law"] * 4
         for s, ref in zip(sols, canonical_solutions):
             assert s.M == pytest.approx(ref.M, rel=1e-8)
 
