@@ -3,9 +3,10 @@
 The bubble U_{x,lam}(y) = lam^{1/2} (1 + lam^2 |y-x|^2)^{-1/2} solves the
 whole-space equation -Delta U = 3 U^5.  This module provides its closed-form
 derivatives, the boundary-corrected (projected) bubble for a center bubble,
-the auxiliary tail function g, and a machine-checkable suite for the L^q-norm
-rates and the bubble-against-H integral identities used throughout the
-asymptotic analysis.
+the auxiliary tail function g, and one verdict table for the bubble calculus
+used throughout the asymptotic analysis: the bubble-against-H integral
+identities, the sharp constants and the L^q norms of U over the ball, each
+row against its target.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .greenfn import RadialCoefficient, ga_center
-from .numkit import bubble_moment, radial_quadrature_rule, richardson_fit
+from .numkit import radial_quadrature_rule, richardson_fit
 
 __all__ = [
     "CenterProjectedBubble",
@@ -24,14 +25,12 @@ __all__ = [
     "dlam_u_prime",
     "pu_center",
     "g",
-    "lemma_b1_check",
     "lemma_b3_suite",
     "grad_dlambda_pu_norm",
     "calculus_verdict",
 ]
 
-# lam ladder of lemma_b3_suite's coefficient fits (read-only: the suite
-# returns it)
+# lam ladder of lemma_b3_suite's coefficient fits (read-only)
 B3_LAMS = np.geomspace(1e2, 1e4, 9)
 B3_LAMS.flags.writeable = False
 
@@ -104,10 +103,6 @@ class CenterProjectedBubble:
     def dlam_pu_prime(self, r):
         return dlam_u_prime(self.lam, r)
 
-    def f_residual(self) -> float:
-        """correction - lam^{-1/2}/R; decays like lam^{-5/2}."""
-        return self.correction - 1.0 / (math.sqrt(self.lam) * self.R)
-
     def grad_norm_sq(self) -> float:
         """int_ball |grad PU|^2, approaching 3 pi^2 / 4 as lam grows."""
         return _ball_integral(self.lam, self.R, lambda r: u_prime(self.lam, r) ** 2)
@@ -125,36 +120,6 @@ def g(lam, r):
     t = lam * np.asarray(r, dtype=float)
     q = np.sqrt(1.0 + t * t)
     return np.sqrt(lam) / (t * q * (q + t))
-
-
-def lemma_b1_check(q: float, lams, R: float = 1.0) -> dict:
-    """L^q norm of the center bubble over the ball against its stated rate.
-
-    Rates: lam^{-1/2} for q < 3, lam^{-1/2} ln(lam) for q = 3, and
-    lam^{1/2 - 3/q} for q > 3.  Returns the raw norms and the ratio to the
-    rate across the lam ladder; the ratios must stay within fixed bounds.
-    """
-    if q < 1:
-        raise ValueError("q >= 1 required")
-    lams = np.asarray(lams, dtype=float)
-    norms = np.array(
-        [_ball_integral(lam, R, lambda r: _u(lam, r) ** q) ** (1.0 / q) for lam in lams]
-    )
-    if q < 3:
-        rate = lams**-0.5
-    elif q == 3:
-        rate = lams**-0.5 * np.log(lams)
-    else:
-        rate = lams ** (0.5 - 3.0 / q)
-    ratios = norms / rate
-    return {
-        "q": q,
-        "lams": lams,
-        "norms": norms,
-        "rate": rate,
-        "ratios": ratios,
-        "bounded": bool(np.max(ratios) < np.inf and np.min(ratios) > 0),
-    }
 
 
 def _b3_integrals(lam: float, h, R: float) -> dict:
@@ -190,82 +155,53 @@ def _b3_integrals(lam: float, h, R: float) -> dict:
     return out
 
 
-def lemma_b3_suite(a_const: float, R: float = 1.0) -> dict:
-    """Coefficient recovery for the five bubble-against-H integral identities.
 
-    For constant coefficient b the predictions at the center are
-        int U^5 H          =  (4 pi/3) phi lam^{-1/2} - (4 pi/3) b lam^{-3/2}
-        int U^4 dlamU H    = -(2 pi/15) phi lam^{-3/2} + (2 pi/5) b lam^{-5/2}
-        int U^4 dxU H      =  (2 pi/15) grad phi lam^{-1/2}   (= 0 at center)
-        int U^4 H^2        =  pi^2 phi^2 lam^{-1}
-        int U^3 dlamU H^2  = -(pi^2/4) phi^2 lam^{-2}
-    and each coefficient is recovered by a fit over the ladder ``B3_LAMS``.
+
+# The even B3 identities at the center for constant coefficient b,
+#     int (integrand) = lam^{-power} (c0 + c1 x + c2 x^2 + ...),
+# as (integrand, power, fit abscissa x, c0 per phi^n, n, c1 per b or None
+# when only c0 is judged):
+#     int U^5 H          =  (4 pi/3) phi lam^{-1/2} - (4 pi/3) b lam^{-3/2}
+#     int U^4 dlamU H    = -(2 pi/15) phi lam^{-3/2} + (2 pi/5) b lam^{-5/2}
+#     int U^4 H^2        =  pi^2 phi^2 lam^{-1}         (+ ln lam / lam^2 terms)
+#     int U^3 dlamU H^2  = -(pi^2/4) phi^2 lam^{-2}     (+ ln lam / lam^3 terms)
+_B3_IDENTITIES = (
+    ("U5_H", 0.5, "1/lam", 4.0 * math.pi / 3.0, 1, -4.0 * math.pi / 3.0),
+    ("U4_dlamU_H", 1.5, "1/lam", -2.0 * math.pi / 15.0, 1, 2.0 * math.pi / 5.0),
+    ("U4_H2", 1.0, "ln lam/lam", math.pi**2, 2, None),
+    ("U3_dlamU_H2", 2.0, "ln lam/lam", -math.pi**2 / 4.0, 2, None),
+)
+
+
+def lemma_b3_suite(a_const: float, R: float = 1.0) -> list:
+    """Coefficient recovery for the five bubble-against-H integral identities
+    at constant coefficient a_const, as verdict rows (name, kind, value,
+    target, rel_err).
+
+    Each even identity of ``_B3_IDENTITIES`` is scaled by its lam power and
+    fitted quadratically in its abscissa over the ladder ``B3_LAMS``, giving
+    a ``leading`` row and, where judged, a ``subleading`` row.  The odd
+    translation-derivative identity int U^4 dxU H = (2 pi/15) grad phi
+    lam^{-1/2} vanishes at the center: its ``leading`` row carries the
+    largest lam^{1/2} |int U^4 dxU H| on the ladder, relative to the scale
+    (4 pi/3) max(|phi|, 1).
     """
-    lams = B3_LAMS
-    a = RadialCoefficient.constant_coeff(a_const)
-    cg = ga_center(a, R)
+    cg = ga_center(RadialCoefficient.constant_coeff(a_const), R)
     phi = cg.phi_a_at_0
-
-    raw = {k: [] for k in ("U5_H", "U4_dlamU_H", "U4_dxU_H", "U4_H2", "U3_dlamU_H2")}
-    for lam in lams:
-        vals = _b3_integrals(float(lam), cg.h, R)
-        for k in raw:
-            raw[k].append(vals[k])
-    for k in raw:
-        raw[k] = np.array(raw[k])
-
-    x_lin = lams**-1.0
-    x_log = np.log(lams) / lams
-
-    def fit(y, x):
-        c0, c1, rms = richardson_fit(list(zip(x, y)), quadratic=True)
-        return c0, c1, rms
-
-    results = {}
-
-    c0, c1, rms = fit(raw["U5_H"] * lams**0.5, x_lin)
-    results["U5_H"] = {
-        "leading": c0,
-        "leading_target": 4.0 * math.pi / 3.0 * phi,
-        "subleading": c1,
-        "subleading_target": -4.0 * math.pi / 3.0 * a_const,
-        "rms": rms,
-    }
-
-    c0, c1, rms = fit(raw["U4_dlamU_H"] * lams**1.5, x_lin)
-    results["U4_dlamU_H"] = {
-        "leading": c0,
-        "leading_target": -2.0 * math.pi / 15.0 * phi,
-        "subleading": c1,
-        "subleading_target": 2.0 * math.pi / 5.0 * a_const,
-        "rms": rms,
-    }
-
-    # Gradient identity: target is (2 pi/15) grad phi = 0 at the center.
-    results["U4_dxU_H"] = {
-        "leading": float(np.max(np.abs(raw["U4_dxU_H"] * lams**0.5))),
-        "leading_target": 0.0,
-        "scale": 4.0 * math.pi / 3.0 * max(abs(phi), 1.0),
-    }
-
-    c0, c1, rms = fit(raw["U4_H2"] * lams, x_log)
-    results["U4_H2"] = {
-        "leading": c0,
-        "leading_target": math.pi**2 * phi**2,
-        "rms": rms,
-    }
-
-    c0, c1, rms = fit(raw["U3_dlamU_H2"] * lams**2.0, x_log)
-    results["U3_dlamU_H2"] = {
-        "leading": c0,
-        "leading_target": -math.pi**2 / 4.0 * phi**2,
-        "rms": rms,
-    }
-
-    results["phi"] = phi
-    results["lams"] = lams
-    results["raw"] = raw
-    return results
+    vals = [_b3_integrals(float(lam), cg.h, R) for lam in B3_LAMS]
+    abscissae = {"1/lam": B3_LAMS**-1.0, "ln lam/lam": np.log(B3_LAMS) / B3_LAMS}
+    rows = []
+    for name, power, x, lead, n, sub in _B3_IDENTITIES:
+        y = np.array([v[name] for v in vals]) * B3_LAMS**power
+        c0, c1, _ = richardson_fit(list(zip(abscissae[x], y)), quadratic=True)
+        judged = [("leading", c0, lead * phi**n)]
+        if sub is not None:
+            judged.append(("subleading", c1, sub * a_const))
+        for kind, val, tgt in judged:
+            rows.append((name, kind, val, tgt, abs(val - tgt) / max(abs(tgt), 1e-12)))
+    odd = float(np.max(np.abs(np.array([v["U4_dxU_H"] for v in vals]) * B3_LAMS**0.5)))
+    rows.append(("U4_dxU_H", "leading", odd, 0.0, odd / (4.0 * math.pi / 3.0 * max(abs(phi), 1.0))))
+    return rows
 
 
 def grad_dlambda_pu_norm(lam: float, R: float = 1.0) -> float:
@@ -273,30 +209,31 @@ def grad_dlambda_pu_norm(lam: float, R: float = 1.0) -> float:
     return _ball_integral(lam, R, lambda r: dlam_u_prime(lam, r) ** 2)
 
 
-def grad_dlambda_pu_dot_pu(lam: float, R: float = 1.0) -> float:
-    """int_ball grad dlam PU . grad PU; decays like lam^{-2}."""
-    return _ball_integral(lam, R, lambda r: dlam_u_prime(lam, r) * u_prime(lam, r))
+# int_B U^q over the ball of radius R in closed form, as a function of lam
+# and s = lam R; the L^q norm is its q-th root
+_LQ_CLOSED_FORMS = {
+    2: lambda lam, s: 4.0 * math.pi * lam**-2 * (s - math.atan(s)),
+    3: lambda lam, s: 4.0 * math.pi * lam**-1.5 * (math.asinh(s) - s / math.sqrt(1.0 + s * s)),
+    6: lambda lam, s: math.pi / 2.0 * (math.atan(s) + s * (s * s - 1.0) / (1.0 + s * s) ** 2),
+}
+# rel_err bound of a row judged against a closed form of the integral the
+# rule takes (the rule's own accuracy), and of every other row
+CLOSED_FORM_TOL = 1e-12
+VERDICT_TOL = 0.01
 
 
 def calculus_verdict(a_const: float, R: float = 1.0) -> tuple[list, bool]:
     """The bubble-calculus verdict at constant coefficient a_const.
 
     Rows (name, kind, value, target, rel_err): the B3 coefficients of
-    ``lemma_b3_suite``, the sharp constants (the last three extrapolated in
-    lam^{-1} from five rungs), and the L^q ratio ranges of ``lemma_b1_check``
-    (reported with rel_err 0, not judged).  Passes when every rel_err is
-    within 1%.
+    ``lemma_b3_suite``; the sharp constants (kind ``constant``, the last
+    three extrapolated in lam^{-1} from five rungs); and the L^q norms of U
+    over the ball for q = 2, 3, 6 (kind ``closed form``), each the rule's
+    norm and its closed form at the largest of those rungs, with the largest
+    rel_err over all five.  Passes when every ``closed form`` rel_err is
+    within ``CLOSED_FORM_TOL`` and every other one within ``VERDICT_TOL``.
     """
-    suite = lemma_b3_suite(a_const, R)
-    rows = []
-    for key in ("U5_H", "U4_dlamU_H", "U4_H2", "U3_dlamU_H2"):
-        for kind in ("leading", "subleading"):
-            if kind in suite[key]:
-                val, tgt = suite[key][kind], suite[key][f"{kind}_target"]
-                rows.append((key, kind, val, tgt, abs(val - tgt) / max(abs(tgt), 1e-12)))
-    ent = suite["U4_dxU_H"]
-    rows.append(("U4_dxU_H", "leading", ent["leading"], 0.0, ent["leading"] / ent["scale"]))
-
+    rows = lemma_b3_suite(a_const, R)
     lams = np.geomspace(1e2, 1e4, 5)
 
     def limit(vals):
@@ -309,7 +246,6 @@ def calculus_verdict(a_const: float, R: float = 1.0) -> tuple[list, bool]:
     r = s / (1.0 - s)
     g_dlam_u = 4.0 * math.pi * float(w @ (g(1.0, r) * _du_dlam(1.0, r) * (r / (1.0 - s)) ** 2))
     for name, val, tgt in (
-        ("moment t^4 (1+t^2)^-3", bubble_moment(4, 3), 3 * math.pi / 16),
         ("int g dlam U", g_dlam_u, 2 * math.pi * (3 - math.pi)),
         ("lam^2 int U^4 (dlam U)^2", limit(u4dl), math.pi**2 / 64),
         ("int |grad PU|^2", limit([pu_center(l, R).grad_norm_sq() for l in lams]),
@@ -319,8 +255,11 @@ def calculus_verdict(a_const: float, R: float = 1.0) -> tuple[list, bool]:
     ):
         rows.append((name, "constant", val, tgt, abs(val - tgt) / abs(tgt)))
 
-    for q in (2.0, 3.0, 6.0):
-        ratios = lemma_b1_check(q, lams, R)["ratios"]
-        rows.append((f"L^{q:g} rate", "ratio range",
-                     float(np.min(ratios)), float(np.max(ratios)), 0.0))
-    return rows, all(err <= 0.01 for *_, err in rows)
+    for q, closed in _LQ_CLOSED_FORMS.items():
+        norms = [_ball_integral(l, R, lambda r: _u(l, r) ** q) ** (1.0 / q) for l in lams]
+        exact = [closed(l, l * R) ** (1.0 / q) for l in lams]
+        err = max(abs(v - e) / e for v, e in zip(norms, exact))
+        rows.append((f"L^{q} norm", "closed form", norms[-1], exact[-1], err))
+    passed = all(err <= (CLOSED_FORM_TOL if kind == "closed form" else VERDICT_TOL)
+                 for _, kind, _, _, err in rows)
+    return rows, passed

@@ -1,6 +1,6 @@
-"""Foundation numerics: bubble moments, spherical Bessel functions, the
-package's one radial quadrature rule, a DOP853 stepper with dense output,
-bracketed root finding and linear/quadratic limit extrapolation.
+"""Foundation numerics: spherical Bessel functions, the package's one radial
+quadrature rule, a DOP853 stepper with dense output, bracketed root finding
+and linear/quadratic limit extrapolation.
 
 Everything here is pure and reentrant; no shared mutable state.
 """
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,9 +18,7 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 __all__ = [
     "OdeTrajectory",
     "RootResult",
-    "DivergentMomentError",
     "NoSignChangeError",
-    "bubble_moment",
     "sph_bessel",
     "ode_solve",
     "brent_root",
@@ -38,10 +35,6 @@ _STAGES = [(_dop.A[s, :s], _dop.C[s]) for s in range(1, 12)]
 _EXTRA = [(_dop.A[s, :s], _dop.C[s]) for s in range(13, 16)]
 _B, _E3, _E5, _D = _dop.B, _dop.E3, _dop.E5, _dop.D
 _EPS = np.finfo(float).eps
-
-
-class DivergentMomentError(ValueError):
-    """Raised when a requested bubble moment does not converge."""
 
 
 class NoSignChangeError(ValueError):
@@ -91,26 +84,6 @@ class OdeTrajectory:
             y *= x1 if i % 2 else x
         y += self.y_old.take(seg, axis=0)
         return np.moveaxis(y, -1, 0) if t.ndim else y
-
-
-def bubble_moment(p: int, q: float | Fraction) -> float:
-    """Closed-form moment integral(0, inf) t^p (1+t^2)^(-q) dt.
-
-    Equals (1/2) B((p+1)/2, q-(p+1)/2), evaluated via log-gamma for
-    stability.  Requires q > (p+1)/2 for convergence.
-    """
-    if p < 0 or p != int(p):
-        raise ValueError(f"p must be a nonnegative integer, got {p!r}")
-    q = float(q)
-    x = (p + 1) / 2.0
-    y = q - x
-    if y <= 0:
-        raise DivergentMomentError(
-            f"moment diverges: need q > (p+1)/2, got p={p}, q={q}"
-        )
-    return 0.5 * math.exp(
-        math.lgamma(x) + math.lgamma(y) - math.lgamma(q)
-    )
 
 
 def sph_bessel(kind: str, ell, x):

@@ -113,7 +113,6 @@ class RadialSolution:
     M: float
     nodes: np.ndarray
     u: np.ndarray
-    uprime: np.ndarray
     dense: object
     delta: float
     grad_norm_sq: float
@@ -436,7 +435,6 @@ def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeErro
             M=M,
             nodes=traj.nodes,
             u=y[0],
-            uprime=y[1],
             dense=dense,
             delta=delta,
             grad_norm_sq=float(y[2, -1]),
@@ -492,7 +490,9 @@ def _solve_rung(cfg: ProblemConfig, law: float | None, tally: Counter) -> Radial
     None); otherwise, or when that fails, the bracket scan over ``_M_SCAN``
     and Newton from the bracket's lower end, kept inside it; Brent on the
     bracket when that fails too.  Its integrations are counted in
-    ``tally``."""
+    ``tally``.  A constant m = a + eps V >= -pi^2/(4 R^2) raises
+    NoBracketError before the scan: the ball then has no positive solution
+    (Brezis & Nirenberg, Comm. Pure Appl. Math. 36, 1983)."""
     if cfg.eps <= 0:
         raise ValueError("existence regime requires eps > 0")
     M = None
@@ -501,6 +501,12 @@ def _solve_rung(cfg: ProblemConfig, law: float | None, tally: Counter) -> Radial
         (M,) = _newton([cfg], [start], [tuple(f * start for f in _LAW_WINDOW)], [tally])
     seed = "rate_law" if M is not None else "scan"
     if M is None:
+        if cfg.a.is_constant and cfg.V.is_constant:
+            m = cfg.a.constant + cfg.eps * cfg.V.constant
+            bound = -math.pi**2 / (4.0 * cfg.domain.R**2)
+            if m >= bound:
+                raise NoBracketError(f"no positive solution: constant a + eps V = {m:.6g}"
+                                     f" >= -pi^2/(4 R^2) = {bound:.6g}")
         bracket = _find_bracket(cfg, tally)
         (M,) = _newton([cfg], [bracket[0]], [bracket], [tally])
         if M is None:

@@ -1,9 +1,11 @@
 """Every public name is used by the program: each name in a module's
-``__all__`` is read by code under ``src/``, ``scripts/`` or ``perfbench/``,
-not counting its definition, its import lines or its ``__all__`` entry,
-and every defaulted parameter of a public or module-level private function
-is set by some call there.  The package's own ``__all__`` only re-exports
-names of these modules."""
+``__all__``, and each public module-level function outside it, is read by
+code under ``src/``, ``scripts/`` or ``perfbench/``, not counting its
+definition, its import lines or its ``__all__`` entry; each public method
+and property of a class in ``__all__`` is read there as an attribute of
+some object; and every defaulted parameter of a public or module-level
+private function is set by some call there.  The package's own ``__all__``
+only re-exports names of these modules."""
 
 import ast
 import importlib
@@ -31,9 +33,10 @@ def _module_of(path: Path) -> str | None:
     return ".".join(rel.with_suffix("").parts)
 
 
-def _scan(path: Path) -> tuple[set, list]:
-    """The (module, name) pairs the code in ``path`` reads, and its calls of
-    them as ((module, name), positional count, keyword names).  A name is
+def _scan(path: Path) -> tuple[set, list, set]:
+    """The (module, name) pairs the code in ``path`` reads, its calls of
+    them as ((module, name), positional count, keyword names), and the
+    attribute names it reads of any object.  A name is
     read when it is imported from a package module or defined in this file's
     own module, and so is an attribute of a name bound to a package module
     (``asympt.decompose``, with ``from . import bubble as bb`` also
@@ -65,8 +68,10 @@ def _scan(path: Path) -> tuple[set, list]:
                 return (modules[node.value.id], node.attr)
         return None
 
-    reads, calls = set(), []
+    reads, calls, attrs = set(), [], set()
     for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
         name = target(node)
         if name is not None:
             reads.add(name)
@@ -76,18 +81,37 @@ def _scan(path: Path) -> tuple[set, list]:
                 npos = math.inf
             keywords = {k.arg for k in node.keywords}
             calls.append((target(node.func), npos, keywords))
-    return reads, calls
+    return reads, calls, attrs
 
 
 SCANS = [_scan(path) for d in ("src", "scripts", "perfbench") for path in (ROOT / d).rglob("*.py")]
-READS = set().union(*(reads for reads, _ in SCANS))
-CALLS = [call for _, calls in SCANS for call in calls]
+READS = set().union(*(reads for reads, _, _ in SCANS))
+CALLS = [call for _, calls, _ in SCANS for call in calls]
+ATTRS = set().union(*(attrs for _, _, attrs in SCANS))
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_public_names_are_used(module):
-    unused = [n for n in importlib.import_module(module).__all__ if (module, n) not in READS]
-    assert not unused, f"{module}.__all__ names no program code reads: {unused}"
+    mod = importlib.import_module(module)
+    outside = [n for n, v in vars(mod).items() if inspect.isfunction(v) and v.__module__ == module
+               and not n.startswith("_") and n not in mod.__all__]
+    unused = [n for n in [*mod.__all__, *outside] if (module, n) not in READS]
+    assert not unused, f"{module}: public names no program code reads: {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_members_are_used(module):
+    # methods and properties are matched by attribute name alone: the
+    # receiver's type is not known to the scan
+    mod = importlib.import_module(module)
+    classes = [getattr(mod, n) for n in mod.__all__ if inspect.isclass(getattr(mod, n))]
+    unused = [
+        f"{cls.__name__}.{attr}"
+        for cls in classes for attr, v in vars(cls).items()
+        if not attr.startswith("_") and attr not in ATTRS
+        and (inspect.isfunction(v) or isinstance(v, (property, classmethod, staticmethod)))
+    ]
+    assert not unused, f"{module}: public members no program code reads: {unused}"
 
 
 def _is_set(name: tuple, index: int, param: inspect.Parameter) -> bool:

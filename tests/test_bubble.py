@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ballblowup import bubble
 from ballblowup.bubble import (
+    B3_LAMS,
+    _b3_integrals,
     _ball_integral,
     calculus_verdict,
     dlam_u_prime,
     g,
-    grad_dlambda_pu_dot_pu,
     grad_dlambda_pu_norm,
-    lemma_b1_check,
     lemma_b3_suite,
     pu_center,
     u_prime,
@@ -77,7 +78,8 @@ class TestProjectedBubble:
         # correction - lam^{-1/2}/R = -lam^{-5/2}/(2 R^3) + O(lam^{-9/2})
         for lam in (1e2, 1e3):
             pb = pu_center(lam, 1.0)
-            assert pb.f_residual() * lam**2.5 == pytest.approx(-0.5, rel=2e-4)
+            residual = pb.correction - 1.0 / (math.sqrt(lam) * pb.R)
+            assert residual * lam**2.5 == pytest.approx(-0.5, rel=2e-4)
 
     def test_grad_norm_limit(self):
         lams = np.geomspace(1e2, 1e4, 5)
@@ -165,66 +167,94 @@ class TestGFun:
 
 
 class TestLqRates:
+    """The L^q norms of U over the ball, which ``calculus_verdict`` judges
+    against their closed forms."""
+
     def test_q2_limit(self):
-        lams = np.geomspace(1e2, 1e4, 5)
-        chk = lemma_b1_check(2.0, lams, 1.0)
         # int U^2 = 4 pi lam^{-2}(lam R - arctan(lam R)), so the normalized
         # norm tends to sqrt(4 pi R)
-        assert chk["ratios"][-1] == pytest.approx(math.sqrt(4 * math.pi), rel=1e-2)
+        lam = 1e4
+        norm = math.sqrt(_ball_integral(lam, 1.0, lambda r: _u(lam, r) ** 2))
+        assert norm * lam**0.5 == pytest.approx(math.sqrt(4 * math.pi), rel=1e-2)
 
     def test_q6_limit(self):
-        lams = np.geomspace(1e2, 1e4, 5)
-        chk = lemma_b1_check(6.0, lams, 1.0)
-        assert chk["norms"][-1] ** 6 == pytest.approx(math.pi**2 / 4, rel=1e-2)
+        lam = 1e4
+        assert _ball_integral(lam, 1.0, lambda r: _u(lam, r) ** 6) == pytest.approx(
+            math.pi**2 / 4, rel=1e-2
+        )
 
-    def test_q3_log_rate_bounded(self):
-        lams = np.geomspace(1e2, 1e4, 5)
-        chk = lemma_b1_check(3.0, lams, 1.0)
-        assert 0 < np.min(chk["ratios"]) and np.max(chk["ratios"]) < math.inf
-        assert np.max(chk["ratios"]) / np.min(chk["ratios"]) <= 2.0
+    @pytest.mark.parametrize("R", [1.0, 1.25, 2.0])
+    def test_rows_match_closed_forms(self, R):
+        rows, passed = calculus_verdict(-1.0, R)
+        lq = [r for r in rows if r[1] == "closed form"]
+        assert [r[0] for r in lq] == ["L^2 norm", "L^3 norm", "L^6 norm"]
+        assert passed and all(err <= 1e-14 for *_, err in lq)
+
+    @pytest.mark.parametrize("q", [2, 3, 6])
+    def test_row_fails_on_a_shifted_norm(self, monkeypatch, q):
+        # a closed form q-th power divided by 1.001^q: the rule's norm then
+        # reads 1.001 times its target
+        closed = bubble._LQ_CLOSED_FORMS[q]
+        monkeypatch.setitem(bubble._LQ_CLOSED_FORMS, q,
+                            lambda lam, s: closed(lam, s) / 1.001**q)
+        rows, passed = calculus_verdict(-1.0, 1.0)
+        (row,) = [r for r in rows if r[0] == f"L^{q} norm"]
+        assert row[2] == pytest.approx(1.001 * row[3], rel=1e-12, abs=0)
+        assert not passed
+
+    def test_l3_row_rejects_the_log_rate(self, monkeypatch):
+        # lam^{-1/2} ln(lam) is not the L^3 rate: the norm goes like
+        # lam^{-1/2} (ln lam)^{1/3}
+        monkeypatch.setitem(bubble._LQ_CLOSED_FORMS, 3,
+                            lambda lam, s: (lam**-0.5 * math.log(lam)) ** 3)
+        rows, passed = calculus_verdict(-1.0, 1.0)
+        (row,) = [r for r in rows if r[0] == "L^3 norm"]
+        assert row[4] > 0.1 and not passed
 
 
 class TestB3Suite:
     @pytest.fixture(scope="class")
     @staticmethod
     def suite_m1():
-        return lemma_b3_suite(-1.0, 1.0)
+        return {(name, kind): row for name, kind, *row in lemma_b3_suite(-1.0, 1.0)}
 
     def test_u5h_leading(self, suite_m1):
         target = (4 * math.pi / 3) / math.tan(1.0)
-        assert suite_m1["U5_H"]["leading"] == pytest.approx(target, rel=1e-2)
+        assert suite_m1["U5_H", "leading"][0] == pytest.approx(target, rel=1e-2)
 
     def test_all_coefficients_within_one_percent(self, suite_m1):
-        for key in ("U5_H", "U4_dlamU_H", "U4_H2", "U3_dlamU_H2"):
-            ent = suite_m1[key]
-            assert ent["leading"] == pytest.approx(ent["leading_target"], rel=1e-2)
-            if "subleading" in ent:
-                assert ent["subleading"] == pytest.approx(
-                    ent["subleading_target"], rel=1e-2
-                )
+        assert sorted(suite_m1) == sorted([
+            ("U5_H", "leading"), ("U5_H", "subleading"), ("U4_dlamU_H", "leading"),
+            ("U4_dlamU_H", "subleading"), ("U4_H2", "leading"), ("U3_dlamU_H2", "leading"),
+            ("U4_dxU_H", "leading"),
+        ])
+        for (name, kind), (val, tgt, err) in suite_m1.items():
+            if name != "U4_dxU_H":
+                assert val == pytest.approx(tgt, rel=1e-2)
+                assert err == pytest.approx(abs(val - tgt) / abs(tgt), rel=1e-14, abs=0)
 
     def test_translation_identity_vanishes(self, suite_m1):
-        ent = suite_m1["U4_dxU_H"]
-        assert abs(ent["leading"]) <= 1e-8 * ent["scale"]
+        val, tgt, err = suite_m1["U4_dxU_H", "leading"]
+        assert tgt == 0.0 and err <= 1e-8
 
     def test_critical_coefficient_case(self):
         # at critical a the leading phi-term of int U^5 H vanishes and the
         # lam^{-3/2} coefficient is -(4 pi/3) a = pi^3/3
         a_star = critical_a(1.0)
-        suite = lemma_b3_suite(a_star, 1.0)
-        ent = suite["U5_H"]
+        suite = {(name, kind): row for name, kind, *row in lemma_b3_suite(a_star, 1.0)}
         target = math.pi**3 / 3
-        assert abs(ent["leading"]) <= 1e-3 * target
-        assert ent["subleading"] == pytest.approx(target, rel=1e-2)
+        assert abs(suite["U5_H", "leading"][0]) <= 1e-3 * target
+        assert suite["U5_H", "subleading"][0] == pytest.approx(target, rel=1e-2)
 
     def test_observed_orders(self, suite_m1):
         # subleading order check: after removing the fitted leading constant,
         # the scaled residual of U5_H decays ~ lam^{-1} (within 0.3 of the
         # nominal exponent)
-        lams = suite_m1["lams"]
+        h = ga_center(const(-1.0), 1.0).h
+        raw = [_b3_integrals(float(lam), h, 1.0) for lam in B3_LAMS]
         for key, power in (("U5_H", 0.5), ("U4_dlamU_H", 1.5)):
-            y = suite_m1["raw"][key] * lams**power - suite_m1[key]["leading"]
-            slope = np.polyfit(np.log(lams[:6]), np.log(np.abs(y[:6])), 1)[0]
+            y = np.array([v[key] for v in raw]) * B3_LAMS**power - suite_m1[key, "leading"][0]
+            slope = np.polyfit(np.log(B3_LAMS[:6]), np.log(np.abs(y[:6])), 1)[0]
             assert abs(slope + 1.0) <= 0.3
 
 
@@ -247,7 +277,9 @@ class TestDlambdaNorms:
         assert max(vals) / min(vals) <= 1.02
 
     def test_cross_term_decay(self):
-        vals = [abs(grad_dlambda_pu_dot_pu(l, 1.0)) * l**2 for l in (1e2, 1e3, 1e4)]
+        # int grad dlam PU . grad PU decays like lam^{-2}
+        vals = [abs(_ball_integral(l, 1.0, lambda r: dlam_u_prime(l, r) * u_prime(l, r))) * l**2
+                for l in (1e2, 1e3, 1e4)]
         assert max(vals) / min(vals) <= 1.01  # O(lam^{-2}) trend
 
 
@@ -261,13 +293,13 @@ class TestRuleAgainstOracle:
         def oracle(f):
             return 4 * math.pi * quad_oracle(lambda r: f(r) * r * r, 0.0, R)
 
-        u4dl = lambda r: _u(lam, r) ** 4 * _du_dlam(lam, r) ** 2  # noqa: E731
-        cases = [(lemma_b1_check(q, [lam], R)["norms"][0] ** q, lambda r, q=q: _u(lam, r) ** q)
-                 for q in (2.0, 3.0, 6.0)] + [
+        plain = [lambda r, q=q: _u(lam, r) ** q for q in (2, 3, 6)] + [
+            lambda r: dlam_u_prime(lam, r) * u_prime(lam, r),
+            lambda r: _u(lam, r) ** 4 * _du_dlam(lam, r) ** 2,
+        ]
+        cases = [(_ball_integral(lam, R, f), f) for f in plain] + [
             (pu_center(lam, R).grad_norm_sq(), lambda r: u_prime(lam, r) ** 2),
             (grad_dlambda_pu_norm(lam, R), lambda r: dlam_u_prime(lam, r) ** 2),
-            (grad_dlambda_pu_dot_pu(lam, R), lambda r: dlam_u_prime(lam, r) * u_prime(lam, r)),
-            (_ball_integral(lam, R, u4dl), u4dl),
         ]
         for val, f in cases:
             assert val == pytest.approx(oracle(f), rel=1e-10)

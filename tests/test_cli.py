@@ -322,12 +322,12 @@ class TestSweepAndReport:
         assert len(calls) == 2
 
     def test_no_solution_exit_code(self, tmp_path, capsys):
-        # a + eps V = -2.04 lies above a* = -pi^2/4: no positive solution, so
-        # the rate-law start fails and the scan ends in NoBracketError
+        # a + eps V = -2.04 lies above a* = -pi^2/4: no positive solution,
+        # which the rung solve says before it scans
         cfg_path = write_cfg(tmp_path, a={"constant": -2.0})
         assert main(["solve", "--config", cfg_path, "--eps", "0.04"]) == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "no sign change" in err
+        assert err.count("\n") == 1 and "no positive solution" in err and "-2.04" in err
 
     def test_report_table(self, tmp_path, capsys, canonical_records):
         rec_path = write_records(tmp_path, canonical_records)
@@ -531,14 +531,41 @@ class TestBubbletest:
         assert "U5_H" in out and "rel err" in out
 
     def test_off_coefficient_fails(self, tmp_path, monkeypatch):
-        suite = bubble.lemma_b3_suite
+        # int U^4 H^2 2% high on every rung: its fitted leading coefficient
+        # is 2% off its target
+        integrals = bubble._b3_integrals
 
         def off(*args):
-            s = suite(*args)
-            s["U4_H2"]["leading"] *= 1.02
-            return s
+            vals = integrals(*args)
+            vals["U4_H2"] *= 1.02
+            return vals
 
-        monkeypatch.setattr(bubble, "lemma_b3_suite", off)
+        monkeypatch.setattr(bubble, "_b3_integrals", off)
         out = tmp_path / "bubbletest.json"
         assert main(["bubbletest", "--out", str(out)]) == EXIT_VERIFICATION
-        assert json.loads(out.read_text())["passed"] is False
+        rows = json.loads(out.read_text())
+        assert rows["passed"] is False
+        (row,) = [r for r in rows["rows"] if r[:2] == ["U4_H2", "leading"]]
+        assert row[4] == pytest.approx(0.02, abs=1e-3)
+
+    @pytest.mark.parametrize("R", [1.0, 2.0])
+    def test_row_format(self, tmp_path, R):
+        # the rows perfbench/checks.py reads: (name, kind, value, target,
+        # rel_err), with every constant name one of its closed forms
+        cfg_path = write_cfg(tmp_path, R=R)
+        out = tmp_path / "bubbletest.json"
+        assert main(["bubbletest", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        rows = json.loads(out.read_text())["rows"]
+        assert all(len(row) == 5 for row in rows)
+        assert {kind for _, kind, *_ in rows} == {"leading", "subleading", "constant",
+                                                  "closed form"}
+        assert [name for name, kind, *_ in rows if kind == "constant"] == [
+            "int g dlam U", "lam^2 int U^4 (dlam U)^2", "int |grad PU|^2",
+            "lam^2 int |grad dlam PU|^2",
+        ]
+
+    def test_shifted_norm_fails(self, monkeypatch, capsys):
+        closed = bubble._LQ_CLOSED_FORMS[6]
+        monkeypatch.setitem(bubble._LQ_CLOSED_FORMS, 6,
+                            lambda lam, s: closed(lam, s) / 1.001**6)
+        assert main(["bubbletest"]) == EXIT_VERIFICATION

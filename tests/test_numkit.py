@@ -1,4 +1,4 @@
-"""Foundation numerics: moments, Bessel functions, the quadrature oracle,
+"""Foundation numerics: Bessel functions, the quadrature oracle,
 ODE, roots, extrapolation."""
 
 import math
@@ -10,45 +10,14 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from ballblowup.numkit import (
-    DivergentMomentError,
     NoSignChangeError,
     brent_root,
-    bubble_moment,
     ode_solve,
     richardson_fit,
     sph_bessel,
 )
 
 from conftest import quad_oracle
-
-
-class TestBubbleMoment:
-    def test_t4_over_cube(self):
-        assert bubble_moment(4, 3) == pytest.approx(3 * math.pi / 16, rel=1e-13)
-
-    def test_arctangent(self):
-        assert bubble_moment(0, 1) == pytest.approx(math.pi / 2, rel=1e-13)
-
-    def test_beta_identity(self):
-        # (1/2) B(2, 1/2) = 2/3
-        assert bubble_moment(3, 2.5) == pytest.approx(2.0 / 3.0, rel=1e-13)
-
-    def test_divergent(self):
-        with pytest.raises(DivergentMomentError):
-            bubble_moment(4, 2.5)
-
-    @given(
-        p=st.integers(min_value=0, max_value=6),
-        q2=st.integers(min_value=2, max_value=10),  # q = q2/2
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_agrees_with_quadrature(self, p, q2):
-        q = q2 / 2.0
-        if q <= (p + 1) / 2.0:
-            return
-        exact = bubble_moment(p, q)
-        quad = quad_oracle(lambda t: t**p * (1 + t * t) ** -q, 0.0, math.inf)
-        assert quad == pytest.approx(exact, abs=1e-10 * max(1, exact))
 
 
 class TestSphBessel:
@@ -124,7 +93,6 @@ class TestQuadRadial:
     def test_whole_space_u6(self):
         res = quad_oracle(lambda t: t * t * (1 + t * t) ** -3, 0.0, math.inf)
         assert 4 * math.pi * res == pytest.approx(math.pi**2 / 4, rel=1e-12)
-        assert res == pytest.approx(bubble_moment(2, 3), rel=1e-12)
 
 
 class TestOdeSolve:

@@ -1,7 +1,7 @@
 """Closed forms of the paper's constants, evaluated to 30 digits with
 mpmath, against what the program computes: the targets ``verify`` checks
-the canonical records against, Q_V(0), the critical coefficient and the
-off-center diagonal phi_a."""
+the canonical records against, Q_V(0), the critical coefficient, the
+off-center diagonal phi_a and the L^q norms of the bubble over the ball."""
 
 import json
 import math
@@ -9,6 +9,7 @@ import math
 import mpmath
 import pytest
 
+from ballblowup.bubble import calculus_verdict
 from ballblowup.cli import EXIT_OK, main
 from ballblowup.greenfn import RadialCoefficient, critical_a, phia_profile, qv_center
 
@@ -75,3 +76,22 @@ def test_phia_off_center(R, a_unit, frac):
     a = -math.pi**2 / (4 * R**2) if a_unit == "critical" else a_unit
     rho = frac * R
     assert phia_profile(rho, a, R) == pytest.approx(_phia_mp(rho, a, R), rel=1e-12)
+
+
+# int_B U^q over the ball of radius R, s = lam R
+_LQ_MP = {
+    2: lambda lam, s: 4 * mpmath.pi / lam**2 * (s - mpmath.atan(s)),
+    3: lambda lam, s: 4 * mpmath.pi / lam**1.5 * (mpmath.asinh(s) - s / mpmath.sqrt(1 + s**2)),
+    6: lambda lam, s: mpmath.pi / 2 * (mpmath.atan(s) + s * (s**2 - 1) / (1 + s**2) ** 2),
+}
+
+
+@pytest.mark.parametrize("R", [1.0, 2.0])
+def test_lq_norm_targets(R):
+    # bubbletest's L^q rows at lam = 1e4 carry the q-th roots as targets
+    rows, _ = calculus_verdict(-1.0, R)
+    targets = {name: tgt for name, kind, _, tgt, _ in rows if kind == "closed form"}
+    assert sorted(targets) == ["L^2 norm", "L^3 norm", "L^6 norm"]
+    for q, closed in _LQ_MP.items():
+        exact = _mp(lambda: closed(mpmath.mpf(10) ** 4, mpmath.mpf(10) ** 4 * R) ** (1 / mpmath.mpf(q)))
+        assert targets[f"L^{q} norm"] == pytest.approx(exact, rel=1e-14, abs=0)

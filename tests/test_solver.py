@@ -299,6 +299,17 @@ class TestRateLawSeed:
                 assert sum(s.diagnostics["shoot_integrations"].values()) <= 16
                 assert s.M == _scan_path(cfg)
 
+    @pytest.mark.parametrize("a", [-2.0, -1.0, 2.0])
+    def test_no_solution_raises_before_the_scan(self, a, monkeypatch):
+        # a + eps V >= -pi^2/4: the unit ball has no positive solution
+        # (Brezis & Nirenberg 1983), so no bracket is scanned
+        shots = []
+        monkeypatch.setattr(solver, "_integrate", lambda *args, **kw: shots.append(args))
+        cfg = ProblemConfig(domain=BallDomain(1.0), a=const(a), V=const(-1.0), eps=0.04)
+        with pytest.raises(solver.NoBracketError, match=r"no positive solution.*-pi\^2/\(4 R\^2\)"):
+            solve_profile(cfg)
+        assert shots == []
+
 
 TABLE_R = np.linspace(0.0, 1.0, 65)
 TABLE_V = RadialCoefficient(values=-(1 + 2 * TABLE_R**2), abscissae=TABLE_R)
