@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from ballblowup.asympt import fit_bubble
-from ballblowup.cli import RunConfig, _problem
+from ballblowup.cli import RunConfig
 from ballblowup.greenfn import ga_center
 from ballblowup.solver import solve_ladder
 
@@ -22,7 +22,7 @@ from ballblowup.solver import solve_ladder
 def run():
     cfg = RunConfig()
     sols = []
-    for _, s in solve_ladder([_problem(cfg, eps) for eps in cfg.eps_ladder]):
+    for _, s in solve_ladder([cfg.problem(eps) for eps in cfg.eps_ladder]):
         if isinstance(s, Exception):
             raise s
         sols.append(s)

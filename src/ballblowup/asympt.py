@@ -541,7 +541,7 @@ def coercivity_probe(
     mode_v = mode_v - coef.T @ basis_v
     mode_p = mode_p - coef.T @ basis_p
 
-    weight = -15.0 * bb._u(lam, nodes) ** 4
+    weight = -15.0 * pb.u(nodes) ** 4
     if a is not None:
         weight = weight + np.asarray(a(nodes))
     A_grad = (mode_p * r2w) @ mode_p.T

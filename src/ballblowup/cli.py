@@ -77,6 +77,10 @@ class RunConfig:
                 raise ConfigError(name, "must be an object")
             if not ({"constant", "critical", "table"} & spec.keys()):
                 raise ConfigError(name, "need 'constant', 'critical' or 'table'")
+            try:  # built once here, so every command gets a coefficient it can read
+                self.coefficient(name).check_span(self.R)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(name, str(e)) from None
         tols = self.tolerances
         if not isinstance(tols, dict) or tols.keys() != DEFAULT_TOLERANCES.keys():
             raise ConfigError(
@@ -103,9 +107,20 @@ class RunConfig:
             )
         if "constant" in spec:
             return greenfn.RadialCoefficient.constant_coeff(float(spec["constant"]))
-        table = spec["table"]
-        return greenfn.RadialCoefficient(
-            values=table["values"], abscissae=table["abscissae"]
+        table = spec.get("table")
+        if not isinstance(table, dict) or not {"values", "abscissae"} <= table.keys():
+            raise ValueError("table needs 'values' and 'abscissae'")
+        return greenfn.RadialCoefficient(values=table["values"], abscissae=table["abscissae"])
+
+    def problem(self, eps: float) -> solver.ProblemConfig:
+        """The rung of this run at ``eps``."""
+        return solver.ProblemConfig(
+            domain=greenfn.BallDomain(self.R),
+            a=self.coefficient("a"),
+            V=self.coefficient("V"),
+            eps=eps,
+            shoot_tol=self.tolerances["shoot"],
+            ode_tol=self.tolerances["ode"],
         )
 
     def canonical_json(self) -> str:
@@ -137,17 +152,6 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
-def _problem(cfg: RunConfig, eps: float) -> solver.ProblemConfig:
-    return solver.ProblemConfig(
-        domain=greenfn.BallDomain(cfg.R),
-        a=cfg.coefficient("a"),
-        V=cfg.coefficient("V"),
-        eps=eps,
-        shoot_tol=cfg.tolerances["shoot"],
-        ode_tol=cfg.tolerances["ode"],
-    )
-
-
 def _emit(obj, out: str | None):
     text = json.dumps(obj, indent=2, default=_json_default)
     if out:
@@ -172,7 +176,6 @@ def _json_default(o):
 def cmd_greens(args) -> int:
     cfg = load_config(args.config, args.tol_override)
     a = cfg.coefficient("a")
-    V = cfg.coefficient("V")
     cg = greenfn.ga_center(a, cfg.R)
     if a.is_constant and a.constant < 0:
         rhos = np.linspace(0.0, 0.9 * cfg.R, 19)
@@ -185,7 +188,7 @@ def cmd_greens(args) -> int:
     report = {
         "a_star": greenfn.critical_a(cfg.R),
         "phi_a_at_0": cg.phi_a_at_0,
-        "qv": greenfn.qv_center(V, a, cfg.R, cg),
+        "qv": greenfn.qv_center(cfg.coefficient("V"), a, cfg.R, cg),
         "profile": profile,
         "criticality": crit_dict,
         "config_hash": cfg.hash(),
@@ -213,9 +216,8 @@ def cmd_solve(args) -> int:
     eps = args.eps if args.eps is not None else cfg.eps_ladder[0]
     if not eps > 0:
         raise ConfigError("eps", "must be positive")
-    pcfg = _problem(cfg, eps)
-    rs = solver.solve_profile(pcfg)
-    recs = asympt.records_from_sweep([rs], pcfg.a, cfg.R, tuple(cfg.probes))
+    rs = solver.solve_profile(cfg.problem(eps))
+    recs = asympt.records_from_sweep([rs], rs.config.a, cfg.R, tuple(cfg.probes))
     _emit(_record_line(recs[0], cfg), args.out)
     return EXIT_OK
 
@@ -272,7 +274,7 @@ def cmd_sweep(args) -> int:
         if eps in done_eps:
             continue
         try:
-            rungs.append((eps, _problem(cfg, eps)))
+            rungs.append((eps, cfg.problem(eps)))
         except ValueError as e:  # e.g. eps V breaks coercivity: this rung fails alone
             rungs.append((eps, e))
     solved = solver.solve_ladder(
@@ -335,11 +337,9 @@ def cmd_verify(args) -> int:
         raise ConfigError("records", f"{args.records} has config_hash {config_hash}, "
                           f"not the config's {cfg.hash()}")
     a = cfg.coefficient("a")
-    V = cfg.coefficient("V")
-    a0 = float(a(0.0))
-    qv0 = greenfn.qv_center(V, a, cfg.R)
+    qv0 = greenfn.qv_center(cfg.coefficient("V"), a, cfg.R)
     phi0 = greenfn.phi0_ball([0.0, 0.0, 0.0], cfg.R)
-    report = asympt.build_report(records, a0, qv0, phi0)
+    report = asympt.build_report(records, a.at(0.0), qv0, phi0)
     print("verification against the blow-up laws")
     for check, value, target, passed in report.rows():
         mark = "PASS" if passed else "FAIL"

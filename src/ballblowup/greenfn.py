@@ -88,10 +88,19 @@ class RadialCoefficient:
             raise ValueError("coefficient is not constant")
         return float(self.values)
 
+    def at(self, r: float) -> float:
+        """The coefficient at one radius, unchecked (see ``check_span``)."""
+        return float(self.values) if self.abscissae is None else float(self._spline(r))
+
+    def check_span(self, R: float) -> None:
+        """Raise ValueError unless the coefficient covers [0, R]."""
+        lo, hi = (0.0, R) if self.is_constant else (self.abscissae[0], self.abscissae[-1])
+        if lo > 1e-12 or hi < R - 1e-12:
+            raise ValueError(f"table spans [{lo:g}, {hi:g}], not [0, R] = [0, {R:g}]")
+
     def __call__(self, r):
         if self.is_constant:
-            return np.full_like(np.asarray(r, dtype=float), float(self.values)) \
-                if np.ndim(r) else float(self.values)
+            return np.full(np.shape(r), float(self.values)) if np.ndim(r) else float(self.values)
         absc = np.asarray(self.abscissae, dtype=float)
         if np.any(np.asarray(r) < absc[0] - 1e-12) or np.any(np.asarray(r) > absc[-1] + 1e-12):
             raise ValueError("evaluation outside tabulated range")
@@ -102,21 +111,13 @@ class RadialCoefficient:
         return RadialCoefficient(values=float(c))
 
 
-def check_coercivity(a: RadialCoefficient, R: float) -> None:
-    """Guard against non-coercive -Delta + a on the ball.
-
-    Exact for constants (first Dirichlet eigenvalue pi^2/R^2); for tables
-    the guard is applied to the minimum value, which is conservative.
-    """
+def check_coercivity(a_min: float, R: float) -> None:
+    """Guard against non-coercive -Delta + a on the ball, given the least
+    value ``a_min`` of a: exact for a constant (first Dirichlet eigenvalue
+    pi^2/R^2), applied to the least tabulated or sampled value otherwise."""
     lam1 = math.pi**2 / R**2
-    if a.is_constant:
-        amin = a.constant
-    else:
-        amin = float(np.min(np.asarray(a.values, dtype=float)))
-    if amin <= -lam1:
-        raise CoercivityError(
-            f"coefficient min {amin:g} <= -pi^2/R^2 = {-lam1:g}"
-        )
+    if a_min <= -lam1:
+        raise CoercivityError(f"coefficient min {a_min:g} <= -pi^2/R^2 = {-lam1:g}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def _solve_v(a: RadialCoefficient, R: float):
     """Integrate -v'' + a(r) v = 0 for the (1,0) and (0,1) initial data."""
     def rhs(r, y):
         v1, v1p, v2, v2p = y
-        ar = a(r)
+        ar = a.at(r)
         return [v1p, ar * v1, v2p, ar * v2]
 
     return ode_solve(rhs, [1.0, 0.0, 0.0, 1.0], (0.0, R), tol=1e-12)
@@ -202,7 +203,8 @@ def ga_center(a: RadialCoefficient, R: float = 1.0) -> CenterGreens:
     a = -k^2 this reproduces v = cos(kr) + c sin(kr)/k and
     phi_a(0) = k cot(kR).
     """
-    check_coercivity(a, R)
+    a.check_span(R)
+    check_coercivity(float(np.min(np.asarray(a.values, dtype=float))), R)
     traj = _solve_v(a, R)
     vp_R, _, vh_R, _ = traj(R)
     if abs(vh_R) < 1e-13 * R:
@@ -213,7 +215,7 @@ def ga_center(a: RadialCoefficient, R: float = 1.0) -> CenterGreens:
         s = traj(np.asarray(r, dtype=float))
         return s[2], s[0] + c * s[2], s[1] + c * s[3]
 
-    return CenterGreens(R=R, phi_a_at_0=float(-c), a_at_0=float(a(0.0)), _state=state)
+    return CenterGreens(R=R, phi_a_at_0=float(-c), a_at_0=a.at(0.0), _state=state)
 
 
 def critical_a(R: float = 1.0) -> float:

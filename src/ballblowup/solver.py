@@ -77,18 +77,8 @@ class ProblemConfig:
     def __post_init__(self):
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
-        check_coercivity(self.effective_coefficient(), self.domain.R)
-
-    def effective_coefficient(self) -> RadialCoefficient:
-        """a + eps V as a single radial coefficient."""
-        a, V, eps = self.a, self.V, self.eps
-        if a.is_constant and V.is_constant:
-            return RadialCoefficient.constant_coeff(a.constant + eps * V.constant)
-        grid = np.linspace(0.0, self.domain.R, 257)
-        return RadialCoefficient(
-            values=np.asarray(a(grid)) + eps * np.asarray(V(grid)),
-            abscissae=grid,
-        )
+        m = self.m(np.linspace(0.0, self.domain.R, 257))  # a table off [0, R] raises
+        check_coercivity(float(np.min(m)), self.domain.R)
 
     def m(self, r):
         return np.asarray(self.a(r)) + self.eps * np.asarray(self.V(r))
@@ -201,30 +191,38 @@ def taylor_start(M: float, m: float, delta):
     return u, up
 
 
-def _coefficient(cfg: ProblemConfig):
-    """m = a + eps V for the right-hand sides: a float when constant (hoisted
-    out of the integrand), otherwise the effective coefficient's spline."""
-    m = cfg.effective_coefficient()
-    return m.constant if m.is_constant else m._spline
+def _rung_coefficients(a: RadialCoefficient, V: RadialCoefficient, epss):
+    """m_k = a + eps_k V of stacked rungs that share a and V: a list of
+    floats when both are constant, hoisted out of the right-hand sides;
+    otherwise a function of r that reads a(r) and V(r) once for every rung."""
+    if a.is_constant and V.is_constant:
+        return [a.constant + eps * V.constant for eps in epss]
+
+    def ms(r):
+        ar, Vr = a.at(r), V.at(r)
+        return [ar + eps * Vr for eps in epss]
+
+    return ms
 
 
-def _shooting_rhs(ms):
+def _shooting_rhs(a, V, epss):
     """Lean shooting system in t = ln r, four states (w, w', z, z') per rung
     stacked in rung order.  u = r^{-1/2} w turns the radial equation into
     w'' = (1/4 + m e^{2t} - 3 w^4) w, and z = dw/dM solves its variational
     equation z'' = (1/4 + m e^{2t} - 15 w^4) z.  With m = 0 the bubble of
-    center height M is w = (2 cosh(t + 2 ln M))^{-1/2}.  ``ms`` holds each
-    rung's coefficient m(r)."""
-    rungs = [(m, not callable(m)) for m in ms]
+    center height M is w = (2 cosh(t + 2 ln M))^{-1/2}.  Rung k's
+    coefficient is m = a + ``epss[k]`` V."""
+    ms = _rung_coefficients(a, V, epss)
+    hoisted = not callable(ms)
 
     def rhs(t, y):
         vals = y.tolist()
         r = math.exp(t)
         r2 = r * r
         out = []
-        for k, (m, const) in enumerate(rungs):
+        for k, m in enumerate(ms if hoisted else ms(r)):
             w, wp, z, zp = vals[4 * k : 4 * k + 4]
-            q = 0.25 + (m if const else float(m(r))) * r2
+            q = 0.25 + m * r2
             w4 = w**4
             out += (wp, (q - 3.0 * w4) * w, zp, (q - 15.0 * w4) * z)
         return out
@@ -232,19 +230,19 @@ def _shooting_rhs(ms):
     return rhs
 
 
-def _finalize_rhs(ms):
+def _finalize_rhs(a, V, epss):
     """(u, u') with the four quadrature integrals int |grad u|^2,
     int (a + eps V) u^2, int u^6 and int u^2 as augmented states, six states
-    per rung stacked in rung order."""
-    rungs = [(m, not callable(m)) for m in ms]
+    per rung stacked in rung order; rung k's eps is ``epss[k]``."""
+    ms = _rung_coefficients(a, V, epss)
+    hoisted = not callable(ms)
 
     def rhs(r, y):
         vals = y.tolist()
         fourpi_r2 = 4.0 * math.pi * r * r
         out = []
-        for k, (m, const) in enumerate(rungs):
+        for k, mr in enumerate(ms if hoisted else ms(r)):
             u, up = vals[6 * k : 6 * k + 2]
-            mr = m if const else float(m(r))
             upp = mr * u - 3.0 * u**5 - 2.0 * up / r
             u2 = u * u
             out += (up, upp, fourpi_r2 * up * up, fourpi_r2 * mr * u2,
@@ -258,7 +256,8 @@ def _integrate(Ms, cfgs, finalize: bool = False, tol_floor: float = 0.0):
     """Integrate the rungs ``cfgs`` from their Taylor starts at center
     heights ``Ms`` to R in one stacked solve; return its trajectory and the
     start delta = 1e-6 min(1, max(M)^-2).  The rungs share delta and so one
-    step sequence; each keeps an rtol of tol = max(ode_tol, ``tol_floor``).
+    step sequence, and a and V (``solve_ladder``'s contract); each keeps an
+    rtol of tol = max(ode_tol, ``tol_floor``).
     The shooting system runs in t = ln r from ln delta to ln R, from
     sqrt(delta) (u, u/2 + r u') of the Taylor start and its M-derivative,
     at an atol of tol 1e-2 sqrt(delta), below rtol |w| at the center, and
@@ -268,11 +267,11 @@ def _integrate(Ms, cfgs, finalize: bool = False, tol_floor: float = 0.0):
     R = cfgs[0].domain.R
     M_max = max(Ms)
     delta = 1e-6 * min(1.0, M_max**-2) if M_max > 0 else 1e-6
-    ms = [_coefficient(cfg) for cfg in cfgs]
+    a, V, epss = cfgs[0].a, cfgs[0].V, [cfg.eps for cfg in cfgs]
     tols = [max(cfg.ode_tol, tol_floor) for cfg in cfgs]
     y0 = []
-    for M, m in zip(Ms, ms):
-        m0 = float(m(0.0)) if callable(m) else m
+    for M, eps in zip(Ms, epss):
+        m0 = a.at(0.0) + eps * V.at(0.0)
         u0, up0 = taylor_start(M, m0, delta)
         if finalize:
             y0 += (u0, up0, 0.0, 0.0, 0.0, 0.0)
@@ -284,9 +283,10 @@ def _integrate(Ms, cfgs, finalize: bool = False, tol_floor: float = 0.0):
                    for x in (u0, u0 / 2 + delta * up0, v0, v0 / 2 + delta * vp0)]
     if finalize:
         atol = np.repeat([tol * max(1.0, M) * 1e-2 for M, tol in zip(Ms, tols)], 6)
-        return ode_solve(_finalize_rhs(ms), y0, (delta, R), np.repeat(tols, 6), atol=atol), delta
+        return ode_solve(_finalize_rhs(a, V, epss), y0, (delta, R), np.repeat(tols, 6),
+                         atol=atol), delta
     rtol = np.repeat(tols, 4)
-    return ode_solve(_shooting_rhs(ms), y0, (math.log(delta), math.log(R)), rtol,
+    return ode_solve(_shooting_rhs(a, V, epss), y0, (math.log(delta), math.log(R)), rtol,
                      atol=rtol * 1e-2 * math.sqrt(delta), dense=False), delta
 
 
@@ -583,9 +583,7 @@ def pohozaev_residual(u: RadialSolution) -> float:
 
     normalized by int |grad u|^2."""
     cfg = u.config
-    if not (cfg.a.is_constant and cfg.V.is_constant):
-        raise ValueError("dilation identity implemented for constant coefficients")
-    m = cfg.a.constant + cfg.eps * cfg.V.constant
+    m = cfg.a.constant + cfg.eps * cfg.V.constant  # a table raises ValueError
     R = cfg.domain.R
     upR = float(u.uprime_at(R))
     boundary = 0.5 * 4.0 * math.pi * R**3 * upR**2

@@ -5,7 +5,8 @@ definition, its import lines or its ``__all__`` entry; each public method
 and property of a class in ``__all__`` is read there as an attribute of
 some object; and every defaulted parameter of a public or module-level
 private function is set by some call there.  The package's own ``__all__``
-only re-exports names of these modules."""
+only re-exports names of these modules.  No file under ``src/`` or
+``scripts/`` reads a private name of another package module."""
 
 import ast
 import importlib
@@ -23,6 +24,7 @@ MODULES = [
     f"ballblowup.{m.name}" for m in pkgutil.iter_modules(ballblowup.__path__)
     if hasattr(importlib.import_module(f"ballblowup.{m.name}"), "__all__")
 ]
+PACKAGE = [f"ballblowup.{m.name}" for m in pkgutil.iter_modules(ballblowup.__path__)]
 
 
 def _module_of(path: Path) -> str | None:
@@ -44,7 +46,7 @@ def _scan(path: Path) -> tuple[set, list, set]:
     ``**kwargs`` call every keyword."""
     tree = ast.parse(path.read_text(), str(path))
     own = _module_of(path)
-    modules = {m.rsplit(".", 1)[1]: m for m in MODULES}  # short names
+    modules = {m.rsplit(".", 1)[1]: m for m in PACKAGE}  # short names
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -53,9 +55,9 @@ def _scan(path: Path) -> tuple[set, list, set]:
                 base = "ballblowup" + ("." + base if base else "")
             for alias in node.names:
                 full = f"{base}.{alias.name}"
-                if full in MODULES:
+                if full in PACKAGE:
                     modules[alias.asname or alias.name] = full
-                elif base in MODULES:
+                elif base in PACKAGE:
                     imported[alias.asname or alias.name] = (base, alias.name)
 
     def target(node):
@@ -84,7 +86,8 @@ def _scan(path: Path) -> tuple[set, list, set]:
     return reads, calls, attrs
 
 
-SCANS = [_scan(path) for d in ("src", "scripts", "perfbench") for path in (ROOT / d).rglob("*.py")]
+FILES = [path for d in ("src", "scripts", "perfbench") for path in (ROOT / d).rglob("*.py")]
+SCANS = [_scan(path) for path in FILES]
 READS = set().union(*(reads for reads, _, _ in SCANS))
 CALLS = [call for _, calls, _ in SCANS for call in calls]
 ATTRS = set().union(*(attrs for _, _, attrs in SCANS))
@@ -145,3 +148,14 @@ def test_defaulted_parameters_are_set(module):
             ):
                 unset.append(f"{name}({param.name})")
     assert not unset, f"{module}: defaulted parameters no program call sets: {unset}"
+
+
+def test_private_names_stay_in_their_module():
+    # what another module or a script needs of a module is public
+    crossing = [
+        f"{path.relative_to(ROOT)} reads {module}.{name}"
+        for path, (reads, _, _) in zip(FILES, SCANS) if ROOT / "perfbench" not in path.parents
+        for module, name in sorted(reads)
+        if module != _module_of(path) and name.startswith("_") and not name.startswith("__")
+    ]
+    assert not crossing, crossing

@@ -33,10 +33,10 @@ const = RadialCoefficient.constant_coeff
 
 class TestPointwise:
     def test_peak_value(self):
-        assert _u(7.0, 0.0) == pytest.approx(math.sqrt(7.0), rel=1e-14)
+        assert _u(7.0, 0.0) == pytest.approx(math.sqrt(7.0), rel=1e-14, abs=0)
 
     def test_dlambda_at_peak(self):
-        assert _du_dlam(7.0, 0.0) == pytest.approx(0.5 / math.sqrt(7.0), rel=1e-14)
+        assert _du_dlam(7.0, 0.0) == pytest.approx(0.5 / math.sqrt(7.0), rel=1e-14, abs=0)
 
     @given(
         lam=st.floats(min_value=0.5, max_value=50.0),
@@ -44,7 +44,7 @@ class TestPointwise:
     )
     @settings(max_examples=40, deadline=None)
     def test_scaling(self, lam, r):
-        assert _u(lam, r) == pytest.approx(math.sqrt(lam) * _u(1.0, lam * r), rel=1e-12)
+        assert _u(lam, r) == pytest.approx(math.sqrt(lam) * _u(1.0, lam * r), rel=1e-12, abs=0)
 
     def test_translation_derivative(self):
         # moving the center x of U_{x,lam}(y) = U(|y - x|) gives the
@@ -151,8 +151,8 @@ class TestGFun:
         )
         rows, _ = calculus_verdict(-1.0, 1.0)
         (val,) = [r[2] for r in rows if r[0] == "int g dlam U"]
-        assert val == pytest.approx(oracle, rel=1e-10)
-        assert val == pytest.approx(2 * math.pi * (3 - math.pi), rel=1e-14)
+        assert val == pytest.approx(oracle, rel=1e-10, abs=0)
+        assert val == pytest.approx(2 * math.pi * (3 - math.pi), rel=1e-14, abs=0)
 
     def test_endpoint_behavior(self):
         # g - 1/r -> -1 at the origin (the singular parts match);
@@ -302,4 +302,4 @@ class TestRuleAgainstOracle:
             (grad_dlambda_pu_norm(lam, R), lambda r: dlam_u_prime(lam, r) ** 2),
         ]
         for val, f in cases:
-            assert val == pytest.approx(oracle(f), rel=1e-10)
+            assert val == pytest.approx(oracle(f), rel=1e-10, abs=0)

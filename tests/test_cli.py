@@ -419,6 +419,23 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "'eps'" in err
 
+    @pytest.mark.parametrize("cmd", ["qv", "greens", "solve", "sweep"])
+    @pytest.mark.parametrize("name, spec", [
+        ("a", {"constant": "abc"}),
+        ("V", {"table": {"values": [-1.0, -1.0]}}),
+        ("V", {"table": {"values": [-1.0, -1.0, -1.0], "abscissae": [0.0, 1.0]}}),
+        ("a", {"table": {"values": [-2.0, -2.0, -2.0], "abscissae": [0.0, 0.6, 0.5]}}),
+        ("V", {"table": {"values": [-1.0, -1.0], "abscissae": [0.0, 0.5]}}),
+    ], ids=["constant-not-number", "no-abscissae", "lengths-differ", "not-increasing",
+            "short-of-R"])
+    def test_bad_coefficient(self, tmp_path, capsys, cmd, name, spec):
+        # a coefficient is built once, when the config is loaded
+        cfg_path = write_cfg(tmp_path, **{name: spec})
+        assert main([cmd, "--config", cfg_path, "--out", str(tmp_path / "out")]) \
+            == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"'{name}'" in err and "Traceback" not in err
+
     def test_non_integer_lmax(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="lmax"):
             RunConfig.from_dict({"lmax": "x"})

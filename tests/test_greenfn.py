@@ -44,10 +44,10 @@ class TestG0Ball:
 
 class TestPhi0Ball:
     def test_center(self):
-        assert phi0_ball([0, 0, 0], 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert phi0_ball([0, 0, 0], 1.0) == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_half_radius(self):
-        assert phi0_ball([0.5, 0, 0], 1.0) == pytest.approx(4.0 / 3.0, rel=1e-14)
+        assert phi0_ball([0.5, 0, 0], 1.0) == pytest.approx(4.0 / 3.0, rel=1e-14, abs=0)
 
     def test_radially_increasing(self):
         assert phi0_ball([0.2, 0, 0], 1.0) < phi0_ball([0.4, 0, 0], 1.0)
@@ -77,7 +77,17 @@ class TestGaCenter:
 
     def test_coercivity_guard(self):
         with pytest.raises(CoercivityError):
-            check_coercivity(const(-math.pi**2 - 0.1), 1.0)
+            check_coercivity(-math.pi**2 - 0.1, 1.0)
+
+    def test_short_table_refused_before_integrating(self, monkeypatch):
+        # the right-hand side reads a table unchecked, so ga_center checks
+        # its span once, before it integrates
+        calls = []
+        monkeypatch.setattr(greenfn, "ode_solve", lambda *args, **kw: calls.append(args))
+        short = RadialCoefficient(values=[-1.0, -1.0], abscissae=[0.0, 0.5])
+        with pytest.raises(ValueError, match="spans"):
+            ga_center(short, 1.0)
+        assert not calls
 
     def test_center_coefficient_and_regular_solution(self):
         # a = -k^2: the solution with data (0, 1) at the center is sin(kr)/k
@@ -215,7 +225,7 @@ class TestQvCenter:
     def test_linearity(self):
         a = const(-1.3)
         assert qv_center(const(-2.0), a, 1.0) == pytest.approx(
-            2 * qv_center(const(-1.0), a, 1.0), rel=1e-11
+            2 * qv_center(const(-1.0), a, 1.0), rel=1e-11, abs=0
         )
 
     @pytest.mark.parametrize("V", [lambda r: 1 - 4 * np.cos(np.pi * r / 2) ** 2,
@@ -225,7 +235,7 @@ class TestQvCenter:
         table = RadialCoefficient(values=V(absc), abscissae=absc)
         cg = ga_center(const(CRIT), 1.0)
         oracle = 4 * math.pi * quad_oracle(lambda r: table(r) * cg.v(r) ** 2, 0.0, 1.0)
-        assert qv_center(table, const(CRIT), 1.0, cg) == pytest.approx(oracle, rel=1e-10)
+        assert qv_center(table, const(CRIT), 1.0, cg) == pytest.approx(oracle, rel=1e-10, abs=0)
 
 
 class TestNaScan:

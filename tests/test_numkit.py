@@ -22,11 +22,11 @@ from conftest import quad_oracle
 
 class TestSphBessel:
     def test_j0(self):
-        assert sph_bessel("j", 0, math.pi / 2) == pytest.approx(2 / math.pi, rel=1e-13)
+        assert sph_bessel("j", 0, math.pi / 2) == pytest.approx(2 / math.pi, rel=1e-13, abs=0)
 
     def test_j1(self):
         assert sph_bessel("j", 1, math.pi / 2) == pytest.approx(
-            4 / math.pi**2, rel=1e-13
+            4 / math.pi**2, rel=1e-13, abs=0
         )
 
     def test_j0_small_limit(self):
@@ -69,7 +69,7 @@ class TestSphBessel:
         j, jp = pair("j")
         y, yp = pair("y")
         w = j * yp - jp * y
-        assert w == pytest.approx(1.0 / x**2, rel=1e-10)
+        assert w == pytest.approx(1.0 / x**2, rel=1e-10, abs=0)
 
 
 class TestQuadRadial:
@@ -87,12 +87,12 @@ class TestQuadRadial:
 
         res = quad_oracle(f, 0.0, math.inf)
         assert 4 * math.pi * res == pytest.approx(
-            2 * math.pi * (3 - math.pi), rel=1e-11
+            2 * math.pi * (3 - math.pi), rel=1e-11, abs=0
         )
 
     def test_whole_space_u6(self):
         res = quad_oracle(lambda t: t * t * (1 + t * t) ** -3, 0.0, math.inf)
-        assert 4 * math.pi * res == pytest.approx(math.pi**2 / 4, rel=1e-12)
+        assert 4 * math.pi * res == pytest.approx(math.pi**2 / 4, rel=1e-12, abs=0)
 
 
 class TestOdeSolve:

@@ -1,6 +1,7 @@
 """Radial shooting solver and its identity-based diagnostics."""
 
 import dataclasses
+import functools
 import math
 from collections import Counter
 
@@ -164,11 +165,12 @@ class TestSolveProfile:
 
     def test_tabulated_coefficient(self, sol_005):
         # V = -1 given as a table takes the spline path of the right-hand
-        # sides and must land on the constant-coefficient root
+        # sides, whose spline reads exactly -1: the constant-coefficient root
+        # bit for bit
         V = RadialCoefficient(values=[-1.0] * 5, abscissae=np.linspace(0.0, 1.0, 5))
         cfg = ProblemConfig(domain=BallDomain(1.0), a=const(CRITICAL_A), V=V, eps=0.05)
         s = solve_profile(cfg)
-        assert s.M == pytest.approx(sol_005.M, rel=1e-7)
+        assert s.M == sol_005.M
         assert abs(s.diagnostics["endpoint"]) <= cfg.shoot_tol
         assert s.energy_identity_residual <= 1e-10
         assert s.diagnostics["pde_residual"] <= 1e-8
@@ -266,7 +268,7 @@ class TestRateLawSeed:
         assert counts["bracket"] == 0
         assert counts["root"] <= 5
         assert counts["finalize"] == 1
-        assert s.M == pytest.approx(_scan_path(s.config), rel=1e-9)
+        assert s.M == pytest.approx(_scan_path(s.config), rel=1e-9, abs=0)
 
     def test_fallback_phases_counted(self, canonical_solutions):
         counts = _bad_start(canonical_solutions[1]).diagnostics["shoot_integrations"]
@@ -284,7 +286,7 @@ class TestRateLawSeed:
         from_law = solver._solve_rung(cfg, law, Counter())
         spent = sum(s.diagnostics["shoot_integrations"].values())
         assert spent < sum(from_law.diagnostics["shoot_integrations"].values())
-        assert s.M == pytest.approx(from_law.M, rel=1e-9)
+        assert s.M == pytest.approx(from_law.M, rel=1e-9, abs=0)
 
     def test_outside_law_regime_scans(self):
         # a = -3 is supercritical and V = +1 gives Q_V(0) > 0: no rate law,
@@ -334,6 +336,43 @@ def _assert_scipy_bits(sol, traj, rows=slice(None)):
         assert np.array_equal(traj(t), sol.sol(t)[rows])
     for t in (nodes[0], nodes[-1], float(inside[0]), *nodes[1:-1:13]):
         assert np.array_equal(traj(t), sol.sol(t)[rows])
+
+
+def _marking(build, calls, *args):
+    """The right-hand side ``build(*args)``, opening a list in ``calls`` at
+    each of its calls."""
+    rhs = build(*args)
+
+    def marked(t, y):
+        calls.append([])
+        return rhs(t, y)
+
+    return marked
+
+
+class TestCoefficientReads:
+    # a stacked integration of four rungs: every right-hand-side call reads
+    # a and V once for all rungs, and constant a and V not at all
+    @pytest.mark.parametrize("finalize", [False, True], ids=["shooting", "finalize"])
+    @pytest.mark.parametrize("V", [TABLE_V, const(-1.0)], ids=["table", "constant"])
+    def test_reads_per_call(self, monkeypatch, V, finalize):
+        calls, at = [], RadialCoefficient.at  # the coefficients each call reads
+
+        def reading(coeff, r):
+            if calls:  # not the Taylor start's reads, which come first
+                calls[-1].append(coeff)
+            return at(coeff, r)
+
+        monkeypatch.setattr(RadialCoefficient, "at", reading)
+        for name in ("_shooting_rhs", "_finalize_rhs"):
+            monkeypatch.setattr(solver, name,
+                                functools.partial(_marking, getattr(solver, name), calls))
+        cfgs = _ladder_cfgs(V)
+        solver._integrate([17.4, 24.7, 35.0, 49.5], cfgs, finalize=finalize)
+        expected = [] if V.is_constant else [cfgs[0].a, V]
+        assert len(calls) > 100
+        for read in calls:
+            assert len(read) == len(expected) and all(x is y for x, y in zip(read, expected))
 
 
 class TestSolveLadder:
@@ -700,10 +739,3 @@ class TestConfigGuards:
         cfg = dataclasses.replace(make_config(0.05), eps=0.0)
         with pytest.raises(ValueError):
             solve_profile(cfg)
-
-
-def test_effective_coefficient_constant():
-    cfg = make_config(0.05)
-    m = cfg.effective_coefficient()
-    assert m.is_constant
-    assert m.constant == pytest.approx(CRITICAL_A - 0.05, abs=1e-15)
