@@ -101,12 +101,17 @@ class RunConfig:
 
     def coefficient(self, name: str) -> greenfn.RadialCoefficient:
         spec = getattr(self, name)
-        if spec.get("critical"):
+        if "critical" in spec:
+            if spec["critical"] is not True:
+                raise ValueError(f"'critical' must be true, got {spec['critical']!r}")
             return greenfn.RadialCoefficient.constant_coeff(
                 -math.pi**2 / (4 * self.R**2)
             )
         if "constant" in spec:
-            return greenfn.RadialCoefficient.constant_coeff(float(spec["constant"]))
+            c = spec["constant"]
+            if isinstance(c, bool) or not isinstance(c, (int, float)):
+                raise ValueError(f"'constant' must be a JSON number, got {c!r}")
+            return greenfn.RadialCoefficient.constant_coeff(float(c))
         table = spec.get("table")
         if not isinstance(table, dict) or not {"values", "abscissae"} <= table.keys():
             raise ValueError("table needs 'values' and 'abscissae'")
@@ -230,23 +235,24 @@ def _record_line(rec: asympt.SweepRecord, cfg: RunConfig) -> dict:
     return d
 
 
+def _failure_line(eps: float, stage: str, error: Exception, cfg: RunConfig) -> dict:
+    """A failed rung's line: the ``stage`` it failed in ("problem", "solve"
+    or "analysis"), the exception's class name and its message."""
+    return {"status": "failed", "eps": eps, "stage": stage, "error_type": type(error).__name__,
+            "error": str(error), "config_hash": cfg.hash(), "tool_version": __version__}
+
+
 def _rung_line(eps: float, rs, cfg: RunConfig, center) -> dict:
     """A solved rung's record line, or a failure line when its solve or its
     analysis failed.  ``center()`` gives a's center Green's data."""
-    if isinstance(rs, solver.RadialSolution):
-        try:
-            rec = asympt.records_from_sweep([rs], rs.config.a, cfg.R, tuple(cfg.probes),
-                                            center())[0]
-            return _record_line(rec, cfg)
-        except Exception as e:  # per-rung failure recorded, sweep continues
-            rs = e
-    return {
-        "status": "failed",
-        "eps": eps,
-        "error": str(rs),
-        "config_hash": cfg.hash(),
-        "tool_version": __version__,
-    }
+    if not isinstance(rs, solver.RadialSolution):
+        return _failure_line(eps, "solve", rs, cfg)
+    try:
+        rec = asympt.records_from_sweep([rs], rs.config.a, cfg.R, tuple(cfg.probes),
+                                        center())[0]
+    except Exception as e:  # per-rung failure recorded, sweep continues
+        return _failure_line(eps, "analysis", e, cfg)
+    return _record_line(rec, cfg)
 
 
 def cmd_sweep(args) -> int:
@@ -286,8 +292,9 @@ def cmd_sweep(args) -> int:
     with out_path.open("a") as fh:
         for eps, rs in rungs:
             if isinstance(rs, solver.ProblemConfig):
-                rs = next(solved)[1]
-            line = _rung_line(eps, rs, cfg, center)
+                line = _rung_line(eps, next(solved)[1], cfg, center)
+            else:
+                line = _failure_line(eps, "problem", rs, cfg)
             failures += line["status"] == "failed"
             fh.write(json.dumps(line, default=_json_default) + "\n")
             fh.flush()

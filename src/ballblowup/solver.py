@@ -11,10 +11,12 @@ bubble, so the steps do not shrink as M grows.  Where the blow-up rate law
 eps lam -> 4 pi^2 |a(0)| / |Q_V(0)| applies, Newton starts from its height
 (lam ~ M^2); elsewhere, and where that start fails, from a bracket scan of
 the same endpoint map, with Brent on the bracket as the last resort.  The
-quadrature integrals ride only on the single final integration of the
-converged profile.  The rungs of an eps ladder are solved in lockstep, their
-states stacked into one integration per Newton iteration and one final
-integration (``solve_ladder``); ``solve_profile`` is the case of one rung.
+converged profile is integrated once more, with dense output and in the same
+variable t, as (w, v = r^{3/2} u'); its quadrature integrals are taken on the
+package's one radial rule (``numkit.radial_quadrature_rule``).  The rungs of
+an eps ladder are solved in lockstep, their states stacked into one
+integration per Newton iteration and one final integration
+(``solve_ladder``); ``solve_profile`` is the case of one rung.
 """
 
 from __future__ import annotations
@@ -88,9 +90,12 @@ class ProblemConfig:
 class RadialSolution:
     """Converged positive radial profile with diagnostics.
 
-    ``dense`` evaluates (u, u') at any radius in [delta, R]; below delta the
-    Taylor start applies.  Quadrature integrals are carried as augmented
-    integrator states for integrator-level accuracy.
+    ``dense`` evaluates (w, v) = (r^{1/2} u, r^{3/2} u') at any t = ln r in
+    [ln delta, ln R]; ``u_at`` and ``uprime_at`` map r to t and undo the
+    scaling, and below delta the Taylor start applies.  The four quadrature
+    integrals are taken by ``_finalize`` on the package's one radial rule,
+    ``radial_quadrature_rule(M^2, R)``, from one evaluation of the profile
+    that the fit, the decomposition and the Green representation then share.
 
     ``diagnostics`` also says how the profile was found: ``seed`` is
     ``"rate_law"`` when Newton converged from the rate-law height and
@@ -101,14 +106,12 @@ class RadialSolution:
 
     config: ProblemConfig
     M: float
-    nodes: np.ndarray
-    u: np.ndarray
     dense: object
     delta: float
-    grad_norm_sq: float
-    int_m_u2: float
-    int_u6: float
-    int_u2: float
+    grad_norm_sq: float = math.nan
+    int_m_u2: float = math.nan
+    int_u6: float = math.nan
+    int_u2: float = math.nan
     diagnostics: dict = field(default_factory=dict)
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -142,7 +145,9 @@ class RadialSolution:
         if np.any(small):
             out[:, small] = taylor_start(self.M, float(self.config.m(0.0)), r[small])
         if np.any(~small):
-            out[:, ~small] = self.dense(r[~small])[:2]
+            rs = r[~small]
+            w, v = self.dense(np.log(rs))
+            out[:, ~small] = w / np.sqrt(rs), v / rs**1.5
         return out
 
     def u_at(self, r):
@@ -205,15 +210,19 @@ def _rung_coefficients(a: RadialCoefficient, V: RadialCoefficient, epss):
     return ms
 
 
-def _shooting_rhs(a, V, epss):
-    """Lean shooting system in t = ln r, four states (w, w', z, z') per rung
-    stacked in rung order.  u = r^{-1/2} w turns the radial equation into
-    w'' = (1/4 + m e^{2t} - 3 w^4) w, and z = dw/dM solves its variational
-    equation z'' = (1/4 + m e^{2t} - 15 w^4) z.  With m = 0 the bubble of
-    center height M is w = (2 cosh(t + 2 ln M))^{-1/2}.  Rung k's
-    coefficient is m = a + ``epss[k]`` V."""
+def _rhs(a, V, epss, finalize: bool = False):
+    """The stacked rungs' system in t = ln r, rung k's coefficient
+    m = a + ``epss[k]`` V.  u = r^{-1/2} w turns the radial equation into
+    w'' = (1/4 + m e^{2t} - 3 w^4) w; with m = 0 the bubble of center height
+    M is w = (2 cosh(t + 2 ln M))^{-1/2}.  Shooting carries four states a
+    rung, (w, w', z, z'), where z = dw/dM solves the variational equation
+    z'' = (1/4 + m e^{2t} - 15 w^4) z.  The ``finalize`` carries two, (w, v)
+    with v = r^{3/2} u' = w' - w/2, so w' = v + w/2 and
+    v' = (m e^{2t} - 3 w^4) w - v/2: v is a state because w' - w/2 cancels
+    near the center."""
     ms = _rung_coefficients(a, V, epss)
     hoisted = not callable(ms)
+    n = 2 if finalize else 4
 
     def rhs(t, y):
         vals = y.tolist()
@@ -221,32 +230,14 @@ def _shooting_rhs(a, V, epss):
         r2 = r * r
         out = []
         for k, m in enumerate(ms if hoisted else ms(r)):
-            w, wp, z, zp = vals[4 * k : 4 * k + 4]
-            q = 0.25 + m * r2
+            w, x = vals[n * k : n * k + 2]  # x is w', or v in the finalize
             w4 = w**4
-            out += (wp, (q - 3.0 * w4) * w, zp, (q - 15.0 * w4) * z)
-        return out
-
-    return rhs
-
-
-def _finalize_rhs(a, V, epss):
-    """(u, u') with the four quadrature integrals int |grad u|^2,
-    int (a + eps V) u^2, int u^6 and int u^2 as augmented states, six states
-    per rung stacked in rung order; rung k's eps is ``epss[k]``."""
-    ms = _rung_coefficients(a, V, epss)
-    hoisted = not callable(ms)
-
-    def rhs(r, y):
-        vals = y.tolist()
-        fourpi_r2 = 4.0 * math.pi * r * r
-        out = []
-        for k, mr in enumerate(ms if hoisted else ms(r)):
-            u, up = vals[6 * k : 6 * k + 2]
-            upp = mr * u - 3.0 * u**5 - 2.0 * up / r
-            u2 = u * u
-            out += (up, upp, fourpi_r2 * up * up, fourpi_r2 * mr * u2,
-                    fourpi_r2 * u2**3, fourpi_r2 * u2)
+            if finalize:
+                out += (x + 0.5 * w, (m * r2 - 3.0 * w4) * w - 0.5 * x)
+            else:
+                z, zp = vals[n * k + 2 : n * k + 4]
+                q = 0.25 + m * r2
+                out += (x, (q - 3.0 * w4) * w, zp, (q - 15.0 * w4) * z)
         return out
 
     return rhs
@@ -254,40 +245,39 @@ def _finalize_rhs(a, V, epss):
 
 def _integrate(Ms, cfgs, finalize: bool = False, tol_floor: float = 0.0):
     """Integrate the rungs ``cfgs`` from their Taylor starts at center
-    heights ``Ms`` to R in one stacked solve; return its trajectory and the
-    start delta = 1e-6 min(1, max(M)^-2).  The rungs share delta and so one
-    step sequence, and a and V (``solve_ladder``'s contract); each keeps an
-    rtol of tol = max(ode_tol, ``tol_floor``).
-    The shooting system runs in t = ln r from ln delta to ln R, from
-    sqrt(delta) (u, u/2 + r u') of the Taylor start and its M-derivative,
-    at an atol of tol 1e-2 sqrt(delta), below rtol |w| at the center, and
-    always to R, also past an interior zero of w.  With ``finalize`` the
-    integrals ride in r, at an atol of tol max(1, M) 1e-2, with dense
-    output."""
+    heights ``Ms`` to R in one stacked solve in t = ln r, from ln delta to
+    ln R; return its trajectory and the start delta = 1e-6 min(1, max(M)^-2).
+    The rungs share delta and so one step sequence, and a and V
+    (``solve_ladder``'s contract); each keeps an rtol of
+    tol = max(ode_tol, ``tol_floor``).
+    The shooting system starts from sqrt(delta) (u, u/2 + r u') of the
+    Taylor start and its M-derivative, at an atol of tol 1e-2 sqrt(delta),
+    below rtol |w| at the center, and runs always to R, also past an
+    interior zero of w.  With ``finalize`` the (w, v) system starts from
+    (sqrt(delta) u, delta^{3/2} u') at an atol of tol |y0| per state, with
+    dense output."""
     R = cfgs[0].domain.R
     M_max = max(Ms)
     delta = 1e-6 * min(1.0, M_max**-2) if M_max > 0 else 1e-6
     a, V, epss = cfgs[0].a, cfgs[0].V, [cfg.eps for cfg in cfgs]
     tols = [max(cfg.ode_tol, tol_floor) for cfg in cfgs]
+    span = (math.log(delta), math.log(R))
     y0 = []
     for M, eps in zip(Ms, epss):
         m0 = a.at(0.0) + eps * V.at(0.0)
         u0, up0 = taylor_start(M, m0, delta)
         if finalize:
-            y0 += (u0, up0, 0.0, 0.0, 0.0, 0.0)
+            y0 += (math.sqrt(delta) * u0, delta**1.5 * up0)
         else:
             # (z, z') start: the M-derivative of the (w, w') start
             c = m0 - 15.0 * M**4
             v0, vp0 = 1.0 + c * delta**2 / 6.0, c * delta / 3.0
             y0 += [math.sqrt(delta) * x
                    for x in (u0, u0 / 2 + delta * up0, v0, v0 / 2 + delta * vp0)]
-    if finalize:
-        atol = np.repeat([tol * max(1.0, M) * 1e-2 for M, tol in zip(Ms, tols)], 6)
-        return ode_solve(_finalize_rhs(a, V, epss), y0, (delta, R), np.repeat(tols, 6),
-                         atol=atol), delta
-    rtol = np.repeat(tols, 4)
-    return ode_solve(_shooting_rhs(a, V, epss), y0, (math.log(delta), math.log(R)), rtol,
-                     atol=rtol * 1e-2 * math.sqrt(delta), dense=False), delta
+    rtol = np.repeat(tols, len(y0) // len(Ms))
+    atol = rtol * np.abs(y0) if finalize else rtol * 1e-2 * math.sqrt(delta)
+    return ode_solve(_rhs(a, V, epss, finalize), y0, span, rtol, atol=atol,
+                     dense=finalize), delta
 
 
 _PHASES = ("bracket", "root", "finalize")
@@ -419,34 +409,32 @@ def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeErro
     """Converged rungs in one dense integration, each with a dense output of
     its own rows and its diagnostics, ``seed`` and ``tallies[k]`` among them.
     A rung whose profile turns negative inside the ball, or whose endpoint
-    misses ``shoot_tol``, comes back as its error."""
+    misses ``shoot_tol``, comes back as its error.  Each rung's four
+    integrals come from one evaluation of its profile on the radial rule,
+    taken after the residual's samples, so the rung's evaluation memo holds
+    the rule for the fit that reads it next."""
     traj, delta = _integrate(Ms, cfgs, finalize=True)
-    interior = traj.nodes < cfgs[0].domain.R * (1.0 - 1e-9)
+    R = cfgs[0].domain.R
+    interior = traj.nodes < math.log(R * (1.0 - 1e-9))
+    root_r = np.exp(traj.nodes / 2)
     out = []
     for k, (M, cfg) in enumerate(zip(Ms, cfgs)):
         _count(tallies[k], "finalize", traj)
-        dense = traj.rows(slice(6 * k, 6 * k + 6))
-        y = dense.states.T
-        if np.any(y[0][interior] <= -cfg.shoot_tol):
+        dense = traj.rows(slice(2 * k, 2 * k + 2))
+        w = dense.states[:, 0]
+        if np.any(w[interior] <= -cfg.shoot_tol * root_r[interior]):
             out.append(RuntimeError("positivity violated on the interior grid"))
             continue
-        rs = RadialSolution(
-            config=cfg,
-            M=M,
-            nodes=traj.nodes,
-            u=y[0],
-            dense=dense,
-            delta=delta,
-            grad_norm_sq=float(y[2, -1]),
-            int_m_u2=float(y[3, -1]),
-            int_u6=float(y[4, -1]),
-            int_u2=float(y[5, -1]),
-        )
-        endpoint = rs.diagnostics["endpoint"] = float(y[0, -1])
+        rs = RadialSolution(config=cfg, M=M, dense=dense, delta=delta)
+        endpoint = rs.diagnostics["endpoint"] = float(w[-1] / math.sqrt(R))
         if abs(endpoint) > cfg.shoot_tol:
             out.append(RuntimeError(f"endpoint {endpoint:.3e} above shoot_tol"))
             continue
         rs.diagnostics["pde_residual"] = _pde_residual(rs)
+        nodes, wts = radial_quadrature_rule(M**2, R)
+        u, up = rs._state_at(nodes)
+        rs.grad_norm_sq, rs.int_m_u2, rs.int_u6, rs.int_u2 = (np.array(
+            [up**2, cfg.m(nodes) * u**2, u**6, u**2]) @ (4.0 * math.pi * wts * nodes**2)).tolist()
         if cfg.a.is_constant and cfg.V.is_constant:
             rs.diagnostics["pohozaev_residual"] = pohozaev_residual(rs)
         tally = tallies[k]
@@ -621,7 +609,7 @@ def greens_rep_residual(u: RadialSolution, cg: CenterGreens | None = None) -> fl
     probes = (0.3 * R, 0.5 * R, 0.7 * R)
     z1p, z2p = cg.homogeneous_pair(np.asarray(probes))
 
-    sup_u = float(np.max(np.abs(u.u)))
+    sup_u = float(np.max(np.abs(uv)))
     worst = 0.0
     for rp, z1, z2 in zip(probes, z1p, z2p):
         inner = nodes <= rp

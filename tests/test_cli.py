@@ -289,6 +289,38 @@ class TestSweepAndReport:
         assert [d["status"] for d in lines] == ["failed", "ok", "ok"]
         assert "coefficient" in lines[0]["error"]
 
+    @pytest.mark.parametrize("stage", ["problem", "solve", "analysis"])
+    def test_failure_line_names_stage(self, tmp_path, monkeypatch, stage):
+        # eps = 8 breaks coercivity; a = -1 has no positive solution; a fit
+        # that raises fails the analysis.  The other rungs still run.
+        ladder, a, error_type, message = {
+            "problem": ([8.0] + SHORT_LADDER[:2], {"critical": True}, "CoercivityError",
+                        "coefficient"),
+            "solve": ([0.1, 0.08], {"constant": -1.0}, "NoBracketError",
+                      "no positive solution"),
+            "analysis": (SHORT_LADDER[:2], {"critical": True}, "RegimeError", "no minimum"),
+        }[stage]
+        if stage == "analysis":
+            fit = asympt.fit_bubble
+
+            def fit_failing(u):
+                if u.config.eps == ladder[0]:
+                    raise asympt.RegimeError("no minimum")
+                return fit(u)
+
+            monkeypatch.setattr(asympt, "fit_bubble", fit_failing)
+        cfg_path = write_cfg(tmp_path, eps_ladder=ladder, a=a)
+        rec_path = tmp_path / "r.jsonl"
+        assert main(["sweep", "--config", cfg_path, "--out", str(rec_path)]) == EXIT_NUMERICAL
+        lines = [json.loads(l) for l in rec_path.read_text().splitlines()]
+        assert [d["eps"] for d in lines] == ladder
+        failed = lines[0]
+        assert (failed["status"], failed["stage"], failed["error_type"]) \
+            == ("failed", stage, error_type)
+        assert message in failed["error"]
+        if stage != "solve":  # a = -1 fails every rung
+            assert [d["status"] for d in lines[1:]] == ["ok"] * (len(ladder) - 1)
+
     @settings(max_examples=8, deadline=None)
     @example(on_file=(True, False, True, False))
     @given(on_file=st.tuples(*[st.booleans()] * len(RunConfig().eps_ladder)))
@@ -426,8 +458,13 @@ class TestInputErrors:
         ("V", {"table": {"values": [-1.0, -1.0, -1.0], "abscissae": [0.0, 1.0]}}),
         ("a", {"table": {"values": [-2.0, -2.0, -2.0], "abscissae": [0.0, 0.6, 0.5]}}),
         ("V", {"table": {"values": [-1.0, -1.0], "abscissae": [0.0, 0.5]}}),
+        ("V", {"constant": "-1.5"}),
+        ("V", {"constant": True}),
+        ("a", {"critical": 1}),
+        ("a", {"critical": False, "constant": -2.0}),
     ], ids=["constant-not-number", "no-abscissae", "lengths-differ", "not-increasing",
-            "short-of-R"])
+            "short-of-R", "constant-numeric-string", "constant-bool", "critical-not-true",
+            "critical-false"])
     def test_bad_coefficient(self, tmp_path, capsys, cmd, name, spec):
         # a coefficient is built once, when the config is loaded
         cfg_path = write_cfg(tmp_path, **{name: spec})

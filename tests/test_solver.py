@@ -131,11 +131,13 @@ class TestSolveProfile:
 
     def test_endpoint_and_positivity(self, sol_005):
         assert abs(sol_005.diagnostics["endpoint"]) <= sol_005.config.shoot_tol
-        interior = sol_005.nodes < 1.0 - 1e-9
-        assert np.all(sol_005.u[interior] > -sol_005.config.shoot_tol)
+        assert sol_005.diagnostics["endpoint"] == sol_005.u_at(1.0)
+        rs = np.exp(sol_005.dense.nodes)  # the finalize's steps, t = ln r
+        interior = rs[rs < 1.0 - 1e-9]
+        assert np.all(sol_005.u_at(interior) > -sol_005.config.shoot_tol)
 
     def test_pde_residual(self, sol_005):
-        assert sol_005.diagnostics["pde_residual"] <= 1e-8
+        assert sol_005.diagnostics["pde_residual"] <= 1e-9
 
     def test_determinism(self, sol_005):
         again = solve_profile(make_config(0.05))
@@ -173,7 +175,7 @@ class TestSolveProfile:
         assert s.M == sol_005.M
         assert abs(s.diagnostics["endpoint"]) <= cfg.shoot_tol
         assert s.energy_identity_residual <= 1e-10
-        assert s.diagnostics["pde_residual"] <= 1e-8
+        assert s.diagnostics["pde_residual"] <= 1e-9
 
 
 def _slope_and_quotient(eps, M, dM):
@@ -364,9 +366,7 @@ class TestCoefficientReads:
             return at(coeff, r)
 
         monkeypatch.setattr(RadialCoefficient, "at", reading)
-        for name in ("_shooting_rhs", "_finalize_rhs"):
-            monkeypatch.setattr(solver, name,
-                                functools.partial(_marking, getattr(solver, name), calls))
+        monkeypatch.setattr(solver, "_rhs", functools.partial(_marking, solver._rhs, calls))
         cfgs = _ladder_cfgs(V)
         solver._integrate([17.4, 24.7, 35.0, 49.5], cfgs, finalize=finalize)
         expected = [] if V.is_constant else [cfgs[0].a, V]
@@ -405,29 +405,42 @@ class TestSolveLadder:
     def test_newton_tolerances(self, monkeypatch):
         # the first Newton integration at tol 1e-9, the later ones and the
         # finalize at ode_tol = 1e-12; each shooting atol is tol 1e-2
-        # sqrt(delta), delta = 1e-6 / max(M)^2
+        # sqrt(delta), delta = 1e-6 / max(M)^2.  The finalize runs in t = ln r
+        # from ln delta to ln R, from (sqrt(delta) u, delta^{3/2} u') of each
+        # rung's Taylor start, at an atol of tol |y0| per state
         calls = _record(monkeypatch, solver)
-        list(solve_ladder(_ladder_cfgs(const(-1.0))))
+        sols = [s for _, s in solve_ladder(_ladder_cfgs(const(-1.0)))]
         tols = [(kwargs.get("dense", True), set(args[3].tolist())) for args, kwargs, _ in calls]
         assert tols == [(False, {1e-9}), (False, {1e-12}), (False, {1e-12}), (True, {1e-12})]
         for args, kwargs, _ in calls[:3]:
             root_delta = math.exp(args[2][0] / 2)  # the span starts at ln delta
             assert np.allclose(kwargs["atol"], args[3] * 1e-2 * root_delta, rtol=1e-12, atol=0)
+        (_, y0, span, rtol), kwargs, _ = calls[3]
+        delta = sols[0].delta
+        assert delta == pytest.approx(1e-6 / sols[-1].M ** 2, rel=1e-15, abs=0)
+        assert span == (math.log(delta), 0.0)
+        starts = []
+        for s in sols:
+            u0, up0 = taylor_start(s.M, CRITICAL_A - s.config.eps, delta)
+            starts += [math.sqrt(delta) * u0, delta**1.5 * up0]
+        assert y0 == starts
+        assert np.array_equal(kwargs["atol"], rtol * np.abs(starts))
 
     def test_rung_dense_is_its_rows(self, canonical_solutions, monkeypatch):
         # the stacked finalize takes scipy's steps, and its dense output and
-        # each rung's of its rows are scipy's, bit for bit
+        # each rung's of its two rows (w, v) are scipy's, bit for bit
         calls = _record(monkeypatch, solver)
         Ms = [s.M for s in canonical_solutions]
         cfgs = [s.config for s in canonical_solutions]
         finals = solver._finalize(Ms, cfgs, [Counter() for _ in Ms], "rate_law")
         ((args, kwargs, traj),) = calls
+        assert traj.states.shape[1] == 2 * len(Ms)
         sol = _scipy_twin(*args, **kwargs)
         _assert_same_steps(traj, sol)
         _assert_scipy_bits(sol, traj)
         for k, rs in enumerate(finals):
-            _assert_scipy_bits(sol, rs.dense, slice(6 * k, 6 * k + 6))
-            assert np.array_equal(rs.u, sol.y[6 * k])
+            _assert_scipy_bits(sol, rs.dense, slice(2 * k, 2 * k + 2))
+            assert np.array_equal(rs.dense.states, sol.y[2 * k : 2 * k + 2].T)
 
     def test_ga_center_dense_is_scipys(self, monkeypatch):
         calls = _record(monkeypatch, greenfn)
@@ -501,12 +514,56 @@ def _reference_M(cfg):
     return solve_profile(dataclasses.replace(cfg, ode_tol=3e-14, shoot_tol=1e-11)).M
 
 
+def _r_form(s):
+    """(u, u') of the constant-coefficient rung ``s`` by scipy's DOP853 in r
+    at rtol 1e-13, from the same center height and Taylor start at delta:
+    the radial equation as written, sharing no right-hand side, variable or
+    stepper with the finalize."""
+    m = s.config.a.constant + s.config.eps * s.config.V.constant
+
+    def rhs(r, y):
+        u, up = y
+        return [up, m * u - 3.0 * u**5 - 2.0 * up / r]
+
+    return integrate.solve_ivp(rhs, (s.delta, s.R), taylor_start(s.M, m, s.delta),
+                               method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True)
+
+
 class TestAccuracy:
     @pytest.fixture(scope="class")
     @staticmethod
     def x8():
         """The canonical ladder's eps over 8: lam ~ 3e3 to 2.5e4."""
         return [s for _, s in solve_ladder([make_config(eps / 8) for eps in EPS_LADDER])]
+
+    def test_profile_matches_r_form(self, canonical_solutions, x8):
+        # eps = 0.005 and 0.000625, on the rule nodes above delta; they read
+        # <= 1.4e-12 (u) and 3.2e-12 (u') of the sups
+        for s in (canonical_solutions[-1], x8[-1]):
+            nodes, _ = radial_quadrature_rule(s.M**2, s.R)
+            nodes = nodes[nodes > s.delta]
+            ref = _r_form(s).sol(nodes)
+            for got, want in zip((s.u_at(nodes), s.uprime_at(nodes)), ref):
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_integrals_match_quad_oracle(self, canonical_solutions, x8):
+        # the four integrals of the finalize's rule against adaptive
+        # quadrature of the same dense profile, split at the bubble's scales;
+        # they read <= 6.5e-13
+        for s in (canonical_solutions[0], canonical_solutions[-1], x8[-1]):
+            m = s.config.a.constant + s.config.eps * s.config.V.constant
+            lam = s.M**2
+            cuts = [0.0, *(x / lam for x in (0.1, 1.0, 10.0, 100.0, 1000.0) if x < lam), 1.0]
+
+            def oracle(f):
+                return 4 * math.pi * sum(quad_oracle(lambda r: f(r) * r * r, lo, hi)
+                                         for lo, hi in zip(cuts, cuts[1:]))
+
+            for got, f in [(s.grad_norm_sq, lambda r: s.uprime_at(r) ** 2),
+                           (s.int_m_u2, lambda r: m * s.u_at(r) ** 2),
+                           (s.int_u6, lambda r: s.u_at(r) ** 6),
+                           (s.int_u2, lambda r: s.u_at(r) ** 2)]:
+                assert got == pytest.approx(oracle(f), rel=2e-12, abs=0)
 
     def test_canonical_rungs_match_tight_reference(self, canonical_solutions):
         for s in canonical_solutions:
@@ -567,6 +624,27 @@ class TestEvaluationMemo:
             assert greens_rep_residual(memo, cg=cg) == greens_rep_residual(fresh, cg=cg)
             # one sampling of the profile serves all three
             assert memo.dense_calls == 1
+
+    def test_finalize_sample_serves_the_analysis(self, canonical_solutions, monkeypatch):
+        # the finalize samples each rung on the rule after the residual's
+        # probes, so the fit, the decomposition and the Green representation
+        # take no multi-point dense evaluation of their own
+        finals = solver._finalize([s.M for s in canonical_solutions],
+                                  [s.config for s in canonical_solutions],
+                                  [Counter() for _ in canonical_solutions], "rate_law")
+        sizes, evaluate = [], RadialSolution._evaluate
+
+        def counting(self, r):
+            sizes.append(r.size)
+            return evaluate(self, r)
+
+        monkeypatch.setattr(RadialSolution, "_evaluate", counting)
+        cg = ga_center(const(CRITICAL_A), 1.0)
+        for s in finals:
+            alpha, lam, _ = fit_bubble(s)
+            decompose(s, alpha, lam, cg)
+            greens_rep_residual(s, cg=cg)
+        assert sizes and max(sizes) == 1
 
     def test_memo_read_only_and_kept_by_point_probes(self, canonical_solutions):
         s = _copy(_Counting, canonical_solutions[1])
