@@ -243,8 +243,9 @@ def _failure_line(eps: float, stage: str, error: Exception, cfg: RunConfig) -> d
 
 
 def _rung_line(eps: float, rs, cfg: RunConfig, center) -> dict:
-    """A solved rung's record line, or a failure line when its solve or its
-    analysis failed.  ``center()`` gives a's center Green's data."""
+    """A solved rung's record line with what its solve cost, or a failure
+    line when its solve or its analysis failed.  ``center()`` gives a's
+    center Green's data."""
     if not isinstance(rs, solver.RadialSolution):
         return _failure_line(eps, "solve", rs, cfg)
     try:
@@ -252,7 +253,8 @@ def _rung_line(eps: float, rs, cfg: RunConfig, center) -> dict:
                                         center())[0]
     except Exception as e:  # per-rung failure recorded, sweep continues
         return _failure_line(eps, "analysis", e, cfg)
-    return _record_line(rec, cfg)
+    cost = ("seed", "shoot_integrations", "shoot_steps")
+    return _record_line(rec, cfg) | {k: rs.diagnostics[k] for k in cost}
 
 
 def cmd_sweep(args) -> int:
@@ -302,8 +304,8 @@ def cmd_sweep(args) -> int:
 
 
 def _load_records(path: str) -> tuple[list, list, str | None]:
-    """The ok records, the failure lines and the ``config_hash`` of a records
-    file, all of one config: lines under two hashes would mix two ladders."""
+    """The ok lines, with a number for every record field, the failure lines
+    and the ``config_hash`` of a records file, all of one config."""
     records, failed, hashes = [], [], set()
     try:
         text = Path(path).read_text()
@@ -326,7 +328,7 @@ def _load_records(path: str) -> tuple[list, list, str | None]:
                if type(d.get(k)) not in (int, float)]
         if bad:
             raise ConfigError("records", f"{path} line {n}: no number for {', '.join(bad)}")
-        records.append(asympt.SweepRecord.from_dict(d))
+        records.append(d)
     if len(hashes) > 1:
         raise ConfigError("records", f"{path} mixes {len(hashes)} config_hash values: "
                           + ", ".join(sorted(map(str, hashes))))
@@ -335,7 +337,8 @@ def _load_records(path: str) -> tuple[list, list, str | None]:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config, args.tol_override)
-    records, failed, config_hash = _load_records(args.records)
+    lines, failed, config_hash = _load_records(args.records)
+    records = [asympt.SweepRecord.from_dict(d) for d in lines]
     if len(records) < 3:
         print(f"insufficient data: {len(records)} successful rungs (< 3)",
               file=sys.stderr)
@@ -384,16 +387,21 @@ def cmd_bubbletest(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records, failed, _ = _load_records(args.records)
+    lines, failed, _ = _load_records(args.records)
     cols = [
         "eps", "lam", "eps_lambda", "alpha", "beta", "gamma",
         "norm_grad_w", "norm_grad_r", "sup_w_ratio", "farfield_error",
         "sobolev_quotient", "energy_residual", "pohozaev_residual",
-        "greens_residual",
+        "greens_residual", "shoot_steps",
     ]
+    rows = []
+    for line in lines:  # shoot_steps: all phases' steps, NaN on lines without them
+        steps = line.get("shoot_steps")
+        numbers = isinstance(steps, dict) and all(type(v) in (int, float) for v in steps.values())
+        total = float(sum(steps.values())) if numbers else math.nan
+        rows.append({**asympt.SweepRecord.from_dict(line).to_dict(), "shoot_steps": total})
     print("  ".join(f"{c:>14}" for c in cols))
-    for r in records:
-        d = r.to_dict()
+    for d in rows:
         print("  ".join(f"{d[c]:>14.6g}" for c in cols))
     if failed:
         print(f"{len(failed)} failed rung(s)", file=sys.stderr)
@@ -401,8 +409,7 @@ def cmd_report(args) -> int:
         with Path(args.out).open("w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
             writer.writeheader()
-            for r in records:
-                writer.writerow(r.to_dict())
+            writer.writerows(rows)
     return EXIT_OK if not failed else EXIT_NUMERICAL
 
 

@@ -92,6 +92,14 @@ class RadialCoefficient:
         """The coefficient at one radius, unchecked (see ``check_span``)."""
         return float(self.values) if self.abscissae is None else float(self._spline(r))
 
+    def center_polynomial(self) -> tuple[list[float], float]:
+        """Taylor coefficients f^(k)(0)/k!, k = 0..3, and the radius up to
+        which their cubic is the coefficient: a table's first knot interval."""
+        if self.is_constant:
+            return [float(self.values), 0.0, 0.0, 0.0], math.inf
+        return ([float(self._spline(0.0, k)) / math.factorial(k) for k in range(4)],
+                float(self.abscissae[1] - self.abscissae[0]))
+
     def check_span(self, R: float) -> None:
         """Raise ValueError unless the coefficient covers [0, R]."""
         lo, hi = (0.0, R) if self.is_constant else (self.abscissae[0], self.abscissae[-1])

@@ -7,16 +7,17 @@ The center height is found by Newton on the endpoint map u(R; M), its
 derivative carried by the variational equation as two extra states of a lean
 shooting integration (shooting with sensitivities).  Shooting integrates in
 the Emden-Fowler variables t = ln r, w = r^{1/2} u, in which M only shifts a
-bubble, so the steps do not shrink as M grows.  Where the blow-up rate law
-eps lam -> 4 pi^2 |a(0)| / |Q_V(0)| applies, Newton starts from its height
-(lam ~ M^2); elsewhere, and where that start fails, from a bracket scan of
-the same endpoint map, with Brent on the bracket as the last resort.  The
-converged profile is integrated once more, with dense output and in the same
-variable t, as (w, v = r^{3/2} u'); its quadrature integrals are taken on the
-package's one radial rule (``numkit.radial_quadrature_rule``).  The rungs of
-an eps ladder are solved in lockstep, their states stacked into one
-integration per Newton iteration and one final integration
-(``solve_ladder``); ``solve_profile`` is the case of one rung.
+bubble, so the steps do not shrink as M grows; they start in its core, from
+the center power series.  Where the rate law eps lam -> 4 pi^2 |a(0)| /
+|Q_V(0)| applies, Newton starts from its height (lam ~ M^2); elsewhere, and
+where that start fails, from a bracket scan of the same endpoint map, with
+Brent on the bracket as the last resort.  The converged profile is
+integrated once more, with dense output and in the same variable t, as
+(w, v = r^{3/2} u'); its quadrature integrals are taken on the package's one
+radial rule (``numkit.radial_quadrature_rule``).  The rungs of an eps ladder
+are solved in lockstep, their states stacked into one integration per Newton
+iteration and one final integration (``solve_ladder``); ``solve_profile`` is
+the case of one rung.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -85,6 +87,11 @@ class ProblemConfig:
     def m(self, r):
         return np.asarray(self.a(r)) + self.eps * np.asarray(self.V(r))
 
+    def m_center(self) -> tuple[list[float], float]:
+        """m's Taylor coefficients at 0, and the radius up to which their cubic is m."""
+        (pa, ra), (pV, rV) = self.a.center_polynomial(), self.V.center_polynomial()
+        return [x + self.eps * y for x, y in zip(pa, pV)], min(ra, rV)
+
 
 @dataclass
 class RadialSolution:
@@ -92,7 +99,7 @@ class RadialSolution:
 
     ``dense`` evaluates (w, v) = (r^{1/2} u, r^{3/2} u') at any t = ln r in
     [ln delta, ln R]; ``u_at`` and ``uprime_at`` map r to t and undo the
-    scaling, and below delta the Taylor start applies.  The four quadrature
+    scaling; at r <= delta the center series applies.  The four quadrature
     integrals are taken by ``_finalize`` on the package's one radial rule,
     ``radial_quadrature_rule(M^2, R)``, from one evaluation of the profile
     that the fit, the decomposition and the Green representation then share.
@@ -120,8 +127,8 @@ class RadialSolution:
         return self.config.domain.R
 
     def _state_at(self, r):
-        """(u, u') at r, vectorized over any shape; below delta the Taylor
-        start applies.
+        """(u, u') at r, vectorized over any shape; at r <= delta the center
+        series applies.
 
         The last multi-point evaluation is remembered: the same radii again
         give the same read-only array without a dense evaluation, so the fit,
@@ -143,7 +150,7 @@ class RadialSolution:
         out = np.empty((2,) + r.shape)
         small = r <= self.delta
         if np.any(small):
-            out[:, small] = taylor_start(self.M, float(self.config.m(0.0)), r[small])
+            out[:, small] = taylor_start(self.M, self.config.m_center()[0], r[small])[:2]
         if np.any(~small):
             rs = r[~small]
             w, v = self.dense(np.log(rs))
@@ -184,16 +191,35 @@ class RadialSolution:
         return abs(self.grad_norm_sq + self.int_m_u2 - 3.0 * self.int_u6) / self.grad_norm_sq
 
 
-def taylor_start(M: float, m: float, delta):
-    """Series start at the regular singular point r = 0:
-    u = M + (mM - 3M^5) r^2/6 + O(r^4), u' = (mM - 3M^5) r/3 + O(r^3)."""
-    delta = np.asarray(delta, dtype=float)
-    c = m * M - 3.0 * M**5
-    u = M + c * delta**2 / 6.0
-    up = c * delta / 3.0
-    if np.ndim(delta) == 0:
-        return float(u), float(up)
-    return u, up
+# Integrations start at lam delta = _START_SCALE in the bubble's core, where
+# the center series' terms fall by 1e-4 a power of r^2: degree 12 is roundoff.
+_START_SCALE = 1e-2
+_SERIES_DEGREE = 12
+
+
+def taylor_start(M: float, m, r):
+    """(u, u', z, z') at radii r from the center series u = sum c_j r^j and
+    its M-derivative z = sum d_j r^j; m is a + eps V's Taylor coefficients
+    at 0, or a constant.  Delta r^{j+2} = (j+2)(j+3) r^j turns
+    -Delta u + m u = 3 u^5 into c_{j+2} (j+2)(j+3) = [(m - 3 u^4) u]_j from
+    c_0 = M, c_1 = 0, and d_{j+2} (j+2)(j+3) = [(m - 15 u^4) z]_j from d_0 = 1."""
+    m, n = np.atleast_1d(m).tolist(), _SERIES_DEGREE + 1
+    c, d = [float(M)] + [0.0] * (n - 1), [1.0] + [0.0] * (n - 1)
+    u2, u4 = [], []  # the coefficients of u^2 and u^4 known so far
+    for j in range(n - 2):
+        cj, dj = c[j::-1], d[j::-1]  # c_{j-i} and d_{j-i} for i = 0..j
+        u2.append(sum(map(mul, c, cj)))
+        u4.append(sum(map(mul, u2, u2[::-1])))
+        k = (j + 2) * (j + 3)
+        c[j + 2] = (sum(map(mul, m, cj)) - 3.0 * sum(map(mul, u4, cj))) / k
+        d[j + 2] = (sum(map(mul, m, dj)) - 15.0 * sum(map(mul, u4, dj))) / k
+    r, out = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float), []
+    for coefs in (c, d):
+        p = dp = 0.0  # Horner's rule for the sum and its r-derivative
+        for cj in reversed(coefs):
+            p, dp = p * r + cj, dp * r + p
+        out += (p, dp)
+    return tuple(out)
 
 
 def _rung_coefficients(a: RadialCoefficient, V: RadialCoefficient, epss):
@@ -244,36 +270,32 @@ def _rhs(a, V, epss, finalize: bool = False):
 
 
 def _integrate(Ms, cfgs, finalize: bool = False, tol_floor: float = 0.0):
-    """Integrate the rungs ``cfgs`` from their Taylor starts at center
-    heights ``Ms`` to R in one stacked solve in t = ln r, from ln delta to
-    ln R; return its trajectory and the start delta = 1e-6 min(1, max(M)^-2).
-    The rungs share delta and so one step sequence, and a and V
-    (``solve_ladder``'s contract); each keeps an rtol of
-    tol = max(ode_tol, ``tol_floor``).
+    """Integrate the rungs ``cfgs`` from their center series at heights
+    ``Ms`` to R in one stacked solve in t = ln r, from ln delta to ln R;
+    return its trajectory and the start delta = 1e-2 / max(1, max(M)^2), at
+    most a table's first knot interval.  The rungs share delta and so one
+    step sequence, and a and V (``solve_ladder``'s contract); each keeps an
+    rtol of tol = max(ode_tol, ``tol_floor``).
     The shooting system starts from sqrt(delta) (u, u/2 + r u') of the
-    Taylor start and its M-derivative, at an atol of tol 1e-2 sqrt(delta),
-    below rtol |w| at the center, and runs always to R, also past an
-    interior zero of w.  With ``finalize`` the (w, v) system starts from
+    series and its M-derivative, at an atol of tol 1e-2 sqrt(delta), below
+    rtol |w| at the center, and runs always to R, also past an interior
+    zero of w.  With ``finalize`` the (w, v) system starts from
     (sqrt(delta) u, delta^{3/2} u') at an atol of tol |y0| per state, with
     dense output."""
     R = cfgs[0].domain.R
-    M_max = max(Ms)
-    delta = 1e-6 * min(1.0, M_max**-2) if M_max > 0 else 1e-6
     a, V, epss = cfgs[0].a, cfgs[0].V, [cfg.eps for cfg in cfgs]
+    ms, exact = zip(*(cfg.m_center() for cfg in cfgs))
+    delta = min(_START_SCALE / max(1.0, max(Ms) ** 2), *exact)
     tols = [max(cfg.ode_tol, tol_floor) for cfg in cfgs]
     span = (math.log(delta), math.log(R))
     y0 = []
-    for M, eps in zip(Ms, epss):
-        m0 = a.at(0.0) + eps * V.at(0.0)
-        u0, up0 = taylor_start(M, m0, delta)
+    for M, m in zip(Ms, ms):
+        u0, up0, z0, zp0 = taylor_start(M, m, delta)
         if finalize:
             y0 += (math.sqrt(delta) * u0, delta**1.5 * up0)
         else:
-            # (z, z') start: the M-derivative of the (w, w') start
-            c = m0 - 15.0 * M**4
-            v0, vp0 = 1.0 + c * delta**2 / 6.0, c * delta / 3.0
             y0 += [math.sqrt(delta) * x
-                   for x in (u0, u0 / 2 + delta * up0, v0, v0 / 2 + delta * vp0)]
+                   for x in (u0, u0 / 2 + delta * up0, z0, z0 / 2 + delta * zp0)]
     rtol = np.repeat(tols, len(y0) // len(Ms))
     atol = rtol * np.abs(y0) if finalize else rtol * 1e-2 * math.sqrt(delta)
     return ode_solve(_rhs(a, V, epss, finalize), y0, span, rtol, atol=atol,
@@ -387,13 +409,13 @@ def _newton(cfgs, Ms, windows, tallies) -> list[float | None]:
 
 
 def _pde_residual(sol_obj: "RadialSolution") -> float:
-    """Scaled sup-norm residual of the radial ODE on sampled interior radii,
-    using Richardson finite differences of the dense u' as an independent
-    second derivative."""
+    """Scaled sup-norm residual of the radial ODE on radii from 1e-5 / lam
+    (on the center series below delta) to 0.98 R, using Richardson finite
+    differences of the dense u' as an independent second derivative."""
     cfg = sol_obj.config
     R = cfg.domain.R
     lam_hat = sol_obj.M**2
-    rs = np.geomspace(max(10 * sol_obj.delta, 1e-5 / max(lam_hat, 1.0)), 0.98 * R, 60)
+    rs = np.geomspace(1e-5 / max(lam_hat, 1.0), 0.98 * R, 60)
     h = np.minimum(1e-4 * (rs + 1.0 / max(lam_hat, 1.0)), 0.45 * rs)
     u, up = sol_obj._state_at(np.stack([rs + h, rs - h, rs + h / 2, rs - h / 2, rs]))
     d1 = (up[0] - up[1]) / (2 * h)

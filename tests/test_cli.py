@@ -369,6 +369,36 @@ class TestSweepAndReport:
         assert "eps_lambda" in out
         rows = csv_path.read_text().splitlines()
         assert len(rows) == 1 + len(canonical_records)
+        # lines written without the solve's cost report NaN steps
+        assert all(row.endswith(",nan") for row in rows[1:])
+
+    def test_sweep_lines_carry_solve_cost(self, fresh_sweep, tmp_path, capsys):
+        # a canonical sweep's lines carry each rung's seed and shooting
+        # integrations and steps by phase; verify reads them, and report
+        # totals the steps in its last column
+        cfg_path, fresh = fresh_sweep
+        lines = [json.loads(l) for l in fresh]
+        for d in lines:
+            assert d["seed"] == "rate_law"
+            assert d["shoot_integrations"] == {"bracket": 0, "root": 3, "finalize": 1}
+            steps = d["shoot_steps"]
+            assert steps.keys() == {"bracket", "root", "finalize"} and steps["bracket"] == 0
+        rec_path = tmp_path / "r.jsonl"
+        rec_path.write_text("".join(l + "\n" for l in fresh))
+        assert main(["verify", "--config", cfg_path, "--records", str(rec_path)]) == EXIT_OK
+        capsys.readouterr()
+        csv_path = tmp_path / "table.csv"
+        assert main(["report", "--records", str(rec_path), "--out", str(csv_path)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].split()[-1] == "shoot_steps"
+        totals = [float(row.rsplit(",", 1)[1]) for row in csv_path.read_text().splitlines()[1:]]
+        assert totals == [float(sum(d["shoot_steps"].values())) for d in lines]
+        assert [float(row.split()[-1]) for row in out[1:]] == totals
+        # steps that are not numbers by phase read NaN, not a traceback
+        bad = [dict(lines[0], shoot_steps=s) for s in ({"root": "x"}, 7, None)]
+        rec_path.write_text("".join(json.dumps(d) + "\n" for d in bad))
+        assert main(["report", "--records", str(rec_path)]) == EXIT_OK
+        assert [row.split()[-1] for row in capsys.readouterr().out.splitlines()[1:]] == ["nan"] * 3
 
 
 class TestInputErrors:

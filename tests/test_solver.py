@@ -28,6 +28,8 @@ from ballblowup.solver import (
 from conftest import CRITICAL_A, EPS_LADDER, make_config, quad_oracle
 
 const = RadialCoefficient.constant_coeff
+TABLE_41 = RadialCoefficient(values=-3 * np.exp(-8 * np.linspace(0.0, 1.0, 41) ** 2),
+                             abscissae=np.linspace(0.0, 1.0, 41))
 
 
 def _record(monkeypatch, module):
@@ -61,21 +63,72 @@ def _assert_same_steps(traj, sol):
 
 class TestTaylorStart:
     def test_zero_height(self):
-        assert taylor_start(0.0, -1.0, 1e-6) == (0.0, 0.0)
+        assert taylor_start(0.0, -1.0, 1e-6)[:2] == (0.0, 0.0)
 
     def test_massless_series(self):
-        M, d = 1.7, 1e-4
-        u, _ = taylor_start(M, 0.0, d)
-        assert u == pytest.approx(M - 0.5 * M**5 * d**2, abs=1e-16)
+        # m = 0: the series is the bubble M (1 + M^4 r^2)^{-1/2} to roundoff
+        # at the start, where lam delta = 1e-2
+        for M in (0.5, 1.7, 20.0, 160.0):
+            r = 1e-2 / max(1.0, M**2)
+            x = 1.0 + M**4 * r**2
+            u, up = taylor_start(M, 0.0, r)[:2]
+            assert u == pytest.approx(M * x**-0.5, rel=1e-15, abs=0)
+            assert up == pytest.approx(-(M**5) * r * x**-1.5, rel=1e-15, abs=0)
 
     def test_matches_bubble(self):
         lam = 10.0
         M = math.sqrt(lam)
         for d in (1e-3, 5e-4):
-            u, up = taylor_start(M, 0.0, d)
+            u, up = taylor_start(M, 0.0, d)[:2]
             exact = math.sqrt(lam) / math.sqrt(1 + lam**2 * d**2)
             # series truncation error is O(d^4) with an O(lam^{9/2}) constant
             assert abs(u - exact) <= 10 * lam**4.5 * d**4
+
+    @pytest.mark.parametrize("M", [0.5, 20.0, 160.0])
+    @pytest.mark.parametrize("V", [const(-1.0), TABLE_41], ids=["constant", "table"])
+    def test_matches_r_form(self, V, M):
+        # the series at the start against scipy's DOP853 in r at rtol 1e-13
+        # from the two-term start at 1e-6 / max(1, M^2); they read <= 2.7e-15.
+        # The table's cubic matters: with m(0) alone the table reads 3.5e-9
+        # (u) and 1.2e-4 (u') at M = 0.5
+        a, eps = const(CRITICAL_A), 0.3
+        m, _ = ProblemConfig(domain=BallDomain(1.0), a=a, V=V, eps=eps).m_center()
+        old, delta = (s / max(1.0, M**2) for s in (1e-6, 1e-2))
+        c = m[0] * M - 3.0 * M**5
+
+        def rhs(r, y):
+            return [y[1], (a.at(r) + eps * V.at(r)) * y[0] - 3.0 * y[0] ** 5 - 2.0 * y[1] / r]
+
+        ref = integrate.solve_ivp(rhs, (old, delta), [M + c * old**2 / 6, c * old / 3],
+                                  method="DOP853", rtol=1e-13, atol=1e-300).y[:, -1]
+        for got, want in zip(taylor_start(M, m, delta)[:2], ref):
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("M", [0.5, 20.0, 160.0])
+    def test_sensitivity_start(self, M):
+        # (z, z') = d(u, u')/dM at the start against a central difference in
+        # M, step 1e-5 M; they read <= 5.1e-12 and 2.0e-10
+        m, _ = ProblemConfig(domain=BallDomain(1.0), a=const(CRITICAL_A), V=TABLE_41,
+                             eps=0.3).m_center()
+        delta, h = 1e-2 / max(1.0, M**2), 1e-5 * M
+        z = taylor_start(M, m, delta)[2:]
+        hi, lo = (taylor_start(M + s, m, delta)[:2] for s in (h, -h))
+        for got, x, y in zip(z, hi, lo):
+            assert got == pytest.approx((x - y) / (2 * h), rel=1e-8, abs=0)
+
+    def test_start_within_first_knot_interval(self):
+        # a 257-knot table's first piece ends at 1/256 < 1e-2: a low rung
+        # starts there, where the cubic of the series is still the spline
+        r = np.linspace(0.0, 1.0, 257)
+        V = RadialCoefficient(values=-3 * np.exp(-8 * r**2), abscissae=r)
+        cfg = ProblemConfig(domain=BallDomain(1.0), a=const(CRITICAL_A), V=V, eps=0.05)
+        for M in (0.5, 5.0, 20.0):
+            _, delta = solver._integrate([M], [cfg])
+            assert delta == min(1e-2 / max(1.0, M**2), r[1])
+        coefs, span = V.center_polynomial()
+        assert span == r[1]
+        x = np.linspace(0.0, span, 9)
+        assert np.allclose(np.polynomial.polynomial.polyval(x, coefs), V(x), rtol=1e-14, atol=0)
 
 
 class TestShoot:
@@ -150,7 +203,7 @@ class TestSolveProfile:
         # reference: the residual evaluated one radius at a time
         s = sol_005
         lam_hat = s.M**2
-        rs = np.geomspace(max(10 * s.delta, 1e-5 / max(lam_hat, 1.0)), 0.98, 60)
+        rs = np.geomspace(1e-5 / max(lam_hat, 1.0), 0.98, 60)
         res_max = scale = 0.0
         for r in rs:
             h = min(1e-4 * (r + 1.0 / max(lam_hat, 1.0)), 0.45 * r)
@@ -293,7 +346,8 @@ class TestRateLawSeed:
     def test_outside_law_regime_scans(self):
         # a = -3 is supercritical and V = +1 gives Q_V(0) > 0: no rate law,
         # so every rung of a ladder runs the scan path cold, in <= 16
-        # integrations; a start from its neighbour's M ~ eps^{-1/2} took 34
+        # integrations, and a finalize of <= 90 steps; a start from its
+        # neighbour's M ~ eps^{-1/2} took 34
         for V in (1.0, -1.0):
             cfgs = [ProblemConfig(domain=BallDomain(1.0), a=const(-3.0), V=const(V), eps=eps)
                     for eps in (0.08, 0.05, 0.02)]
@@ -301,6 +355,7 @@ class TestRateLawSeed:
                 assert s.diagnostics["seed"] == "scan"
                 assert s.diagnostics["shoot_integrations"]["bracket"] > 0
                 assert sum(s.diagnostics["shoot_integrations"].values()) <= 16
+                assert s.diagnostics["shoot_steps"]["finalize"] <= 90
                 assert s.M == _scan_path(cfg)
 
     @pytest.mark.parametrize("a", [-2.0, -1.0, 2.0])
@@ -361,7 +416,7 @@ class TestCoefficientReads:
         calls, at = [], RadialCoefficient.at  # the coefficients each call reads
 
         def reading(coeff, r):
-            if calls:  # not the Taylor start's reads, which come first
+            if calls:  # only the right-hand sides' reads
                 calls[-1].append(coeff)
             return at(coeff, r)
 
@@ -393,21 +448,22 @@ class TestSolveLadder:
 
     def test_canonical_integrations(self, canonical_solutions):
         # one loose and two full-tolerance lockstep Newton batches plus one
-        # finalize, read off the rungs; no rung falls back.  In t = ln r the
-        # Newton batches take 61 + 139 + 139 steps.
+        # finalize, read off the rungs; no rung falls back.  In t = ln r from
+        # the center series at 1e-2 / max(M)^2 the Newton batches take
+        # 50 + 113 + 113 steps and the finalize 108.
         for s in canonical_solutions:
             assert s.diagnostics["seed"] == "rate_law"
             assert s.diagnostics["shoot_integrations"] == {"bracket": 0, "root": 3, "finalize": 1}
             steps = s.diagnostics["shoot_steps"]
             assert steps["bracket"] == 0 and 0 < steps["finalize"]
-            assert steps["root"] <= 400
+            assert steps["root"] <= 300 and steps["finalize"] <= 120
 
     def test_newton_tolerances(self, monkeypatch):
         # the first Newton integration at tol 1e-9, the later ones and the
         # finalize at ode_tol = 1e-12; each shooting atol is tol 1e-2
-        # sqrt(delta), delta = 1e-6 / max(M)^2.  The finalize runs in t = ln r
+        # sqrt(delta), delta = 1e-2 / max(M)^2.  The finalize runs in t = ln r
         # from ln delta to ln R, from (sqrt(delta) u, delta^{3/2} u') of each
-        # rung's Taylor start, at an atol of tol |y0| per state
+        # rung's center series, at an atol of tol |y0| per state
         calls = _record(monkeypatch, solver)
         sols = [s for _, s in solve_ladder(_ladder_cfgs(const(-1.0)))]
         tols = [(kwargs.get("dense", True), set(args[3].tolist())) for args, kwargs, _ in calls]
@@ -417,11 +473,11 @@ class TestSolveLadder:
             assert np.allclose(kwargs["atol"], args[3] * 1e-2 * root_delta, rtol=1e-12, atol=0)
         (_, y0, span, rtol), kwargs, _ = calls[3]
         delta = sols[0].delta
-        assert delta == pytest.approx(1e-6 / sols[-1].M ** 2, rel=1e-15, abs=0)
+        assert delta == pytest.approx(1e-2 / sols[-1].M ** 2, rel=1e-15, abs=0)
         assert span == (math.log(delta), 0.0)
         starts = []
         for s in sols:
-            u0, up0 = taylor_start(s.M, CRITICAL_A - s.config.eps, delta)
+            u0, up0 = taylor_start(s.M, CRITICAL_A - s.config.eps, delta)[:2]
             starts += [math.sqrt(delta) * u0, delta**1.5 * up0]
         assert y0 == starts
         assert np.array_equal(kwargs["atol"], rtol * np.abs(starts))
@@ -516,7 +572,7 @@ def _reference_M(cfg):
 
 def _r_form(s):
     """(u, u') of the constant-coefficient rung ``s`` by scipy's DOP853 in r
-    at rtol 1e-13, from the same center height and Taylor start at delta:
+    at rtol 1e-13, from the same center height and center series at delta:
     the radial equation as written, sharing no right-hand side, variable or
     stepper with the finalize."""
     m = s.config.a.constant + s.config.eps * s.config.V.constant
@@ -525,7 +581,7 @@ def _r_form(s):
         u, up = y
         return [up, m * u - 3.0 * u**5 - 2.0 * up / r]
 
-    return integrate.solve_ivp(rhs, (s.delta, s.R), taylor_start(s.M, m, s.delta),
+    return integrate.solve_ivp(rhs, (s.delta, s.R), taylor_start(s.M, m, s.delta)[:2],
                                method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True)
 
 
