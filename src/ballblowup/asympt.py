@@ -19,7 +19,7 @@ import numpy as np
 from . import bubble as bb
 from .greenfn import CenterGreens, RadialCoefficient, ga_center
 from .numkit import brent_root, radial_quadrature_rule, richardson_fit
-from .solver import RadialSolution
+from .solver import RadialSolution, greens_rep_residual
 
 __all__ = [
     "Decomposition",
@@ -67,11 +67,11 @@ def fit_bubble(u: RadialSolution) -> tuple[float, float, float]:
     between the outer ends of a bracket of the misfit's minimum around
     u(0)^2.  The root is found to rounding, where a minimizer of the flat
     misfit is good only to its square root.  There w = u/alpha - PU is
-    gradient-orthogonal to PU and dlam PU.  Returns (alpha, lam, residual_norm).
+    gradient-orthogonal to PU and dlam PU.  The inner products are taken on
+    the rung's sample.  Returns (alpha, lam, residual_norm).
     """
     lam0 = u.M**2
-    nodes, wts = radial_quadrature_rule(lam0, u.R)
-    upv = u.uprime_at(nodes)
+    nodes, wts, _, upv = u.sample
     wn = 4.0 * math.pi * wts * nodes**2  # <f', g'> = (wn f') @ g'
     wu = wn * upv
     gn_u = float(wu @ upv)
@@ -137,26 +137,22 @@ class Decomposition:
         return self.sup_w / math.sqrt(self.lam)
 
 
-def decompose(
-    u: RadialSolution,
-    alpha: float,
-    lam: float,
-    a: RadialCoefficient | CenterGreens,
-) -> Decomposition:
+def decompose(u: RadialSolution, alpha: float, lam: float, cg: CenterGreens) -> Decomposition:
     """Split u/alpha - PU into zero modes and orthogonal remainder.
 
-    Builds w, q = w + lam^{-1/2}(H_a - H_0), solves the 2x2 Gram system over
+    Builds w, q = w + lam^{-1/2}(H_a - H_0), with (H_a - H_0)(0, .) from a's
+    center Green's data ``cg``, solves the 2x2 Gram system over
     span{PU, dlam PU} in the gradient inner product (radial symmetry
     annihilates the translation modes), and extracts beta, gamma with the
     normalization s = beta lam^{-1} PU + gamma dlam PU.
+
+    The fields live on the rung's sample, the rule at M^2 rather than at the
+    fitted lam; the two rules have the same nodes for lam, M^2 <= 2e6, where
+    both start their panels at r_min = 1e-8.
     """
     R = u.R
-    cg = a if isinstance(a, CenterGreens) else ga_center(a, R)
-    nodes, wts = radial_quadrature_rule(lam, R)
-
+    nodes, wts, uv, upv = u.sample
     pb = bb.pu_center(lam, R)
-    uv = u.u_at(nodes)
-    upv = u.uprime_at(nodes)
     w = uv / alpha - pb.pu(nodes)
     wp = upv / alpha - pb.pu_prime(nodes)
 
@@ -250,18 +246,17 @@ class SweepRecord:
 
 def records_from_sweep(
     solutions,
-    a: RadialCoefficient,
-    R: float = 1.0,
     probes=(0.3, 0.5, 0.7, 0.9),
     cg: CenterGreens | None = None,
 ) -> list[SweepRecord]:
-    """Full per-rung pipeline: fit, decompose, far field, diagnostics.
-    ``cg`` is a's center Green's data, built here when not given."""
-    from .solver import greens_rep_residual
-
-    cg = cg or ga_center(a, R)
+    """Full per-rung pipeline: fit, decompose, far field, diagnostics, for
+    the rungs of one ladder, which share a and R.  ``cg`` is their a's
+    center Green's data, built from the first rung's config when not given.
+    Every quadrature reads a rung's sample; only the far field and the Green
+    representation's probes evaluate its dense output."""
     out = []
     for u in solutions:
+        cg = cg or ga_center(u.config.a, u.R)
         alpha, lam, fit_res = fit_bubble(u)
         dec = decompose(u, alpha, lam, cg)
         ff = verify_farfield(u, lam, cg, probes)
@@ -309,7 +304,6 @@ class RateEntry:
     target: float
     rel_err: float
     passed: bool
-    diverging: bool = False
 
 
 @dataclass
@@ -354,14 +348,8 @@ class TheoremReport:
     def rows(self):
         """Yield (check, value, target, passed) for every law, value and
         target as printed."""
-        r = self.rate
-        if r.diverging:
-            yield "rate eps*lam", "inf (diverging)", "inf", r.passed
-        else:
-            yield "rate eps*lam", f"{r.limit:.6g}", f"{r.target:.6g}", r.passed
-        a = self.alpha_slope
-        if not math.isnan(a.target):
-            yield "alpha slope", f"{a.limit:.6g}", f"{a.target:.6g}", a.passed
+        for name, r in (("rate eps*lam", self.rate), ("alpha slope", self.alpha_slope)):
+            yield name, f"{r.limit:.6g}", f"{r.target:.6g}", r.passed
         yield ("farfield trend", f"{self.farfield.values[-1]:.3g}",
                f"decreasing, <= {FARFIELD_TOL:g}", self.farfield.decreasing)
         for name, b in (("grad_w bound", self.grad_w_bound),
@@ -381,23 +369,19 @@ def _trust(records):
     return sorted(recs, key=lambda r: -r.eps)
 
 
+def _check_regime(a0: float, qv0: float) -> None:
+    """Raise RegimeError unless a(0) < 0 and Q_V(0) < 0, where the laws hold
+    (with V = 0 at critical a no rung has a solution to judge)."""
+    if a0 >= 0 or qv0 >= 0:
+        raise RegimeError(f"the blow-up laws need a(0) < 0 and Q_V(0) < 0, "
+                          f"not a(0) = {a0:.6g}, Q_V(0) = {qv0:.6g}")
+
+
 def verify_rate(records, a0: float, qv0: float) -> RateEntry:
     """Extrapolate eps*lam to eps -> 0 and compare with 4 pi^2 |a(0)|/|Q_V(0)|."""
+    _check_regime(a0, qv0)
     recs = _trust(records)
     pairs = [(r.eps, r.eps_lambda) for r in recs]
-    if qv0 == 0.0:
-        # degenerate speed: eps*lam must diverge
-        vals = [r.eps_lambda for r in recs]
-        diverging = all(b > a for a, b in zip(vals, vals[1:]))
-        return RateEntry(
-            limit=float("inf"),
-            slope=float("nan"),
-            residual=float("nan"),
-            target=float("inf"),
-            rel_err=float("nan"),
-            passed=diverging,
-            diverging=diverging,
-        )
     L, c, rms = richardson_fit(pairs, quadratic=len(pairs) >= 4)
     target = 4.0 * math.pi**2 * abs(a0) / abs(qv0)
     rel = abs(L - target) / target
@@ -415,8 +399,7 @@ def verify_rate(records, a0: float, qv0: float) -> RateEntry:
 def verify_alpha(records, a0: float, qv0: float, phi0: float) -> RateEntry:
     """Fit the eps-slope of alpha - 1 and compare with
     (4/3 pi^3) phi_0(0) |Q_V(0)| / |a(0)|."""
-    if a0 >= 0 or qv0 >= 0:
-        raise RegimeError("alpha slope requires critical a < 0 and Q_V < 0")
+    _check_regime(a0, qv0)
     recs = _trust(records)
     pairs = [(r.eps, (r.alpha - 1.0) / r.eps) for r in recs]
     slope, _, rms = richardson_fit(pairs, quadratic=len(pairs) >= 4)
@@ -464,14 +447,11 @@ def sup_w_check(records) -> TrendEntry:
 
 def build_report(records, a0: float, qv0: float, phi0: float) -> TheoremReport:
     """Assemble the full verification report from ladder records; the
-    zero-mode targets take phi_a(0) = 0, as at critical a."""
-    recs = _trust(records)
+    zero-mode targets take phi_a(0) = 0, as at critical a.  Raises
+    RegimeError before any fit unless a(0) < 0 and Q_V(0) < 0."""
     rate = verify_rate(records, a0, qv0)
-    if qv0 != 0.0:
-        alpha = verify_alpha(records, a0, qv0, phi0)
-    else:
-        alpha = RateEntry(float("nan"), float("nan"), float("nan"),
-                          float("nan"), float("nan"), True)
+    alpha = verify_alpha(records, a0, qv0, phi0)
+    recs = _trust(records)
     ff_vals = [r.farfield_error for r in recs]
     ff_tail = ff_vals[-3:]
     ff = TrendEntry(

@@ -222,7 +222,7 @@ def cmd_solve(args) -> int:
     if not eps > 0:
         raise ConfigError("eps", "must be positive")
     rs = solver.solve_profile(cfg.problem(eps))
-    recs = asympt.records_from_sweep([rs], rs.config.a, cfg.R, tuple(cfg.probes))
+    recs = asympt.records_from_sweep([rs], tuple(cfg.probes))
     _emit(_record_line(recs[0], cfg), args.out)
     return EXIT_OK
 
@@ -249,8 +249,7 @@ def _rung_line(eps: float, rs, cfg: RunConfig, center) -> dict:
     if not isinstance(rs, solver.RadialSolution):
         return _failure_line(eps, "solve", rs, cfg)
     try:
-        rec = asympt.records_from_sweep([rs], rs.config.a, cfg.R, tuple(cfg.probes),
-                                        center())[0]
+        rec = asympt.records_from_sweep([rs], tuple(cfg.probes), center())[0]
     except Exception as e:  # per-rung failure recorded, sweep continues
         return _failure_line(eps, "analysis", e, cfg)
     cost = ("seed", "shoot_integrations", "shoot_steps")

@@ -243,8 +243,8 @@ def radial_quadrature_rule(lam: float, R: float) -> tuple[np.ndarray, np.ndarray
 
     Composite 12-point Gauss-Legendre on 260 panels: [0, r_min] and 259
     geometric panels from r_min = min(1e-8, 0.02/lam) to R.  Every radial
-    integral of the package is taken on this rule, so for lam <= 2e6 a
-    rung's fit, decomposition and Green representation share its nodes.
+    integral of the package is taken on this rule; a solved profile is
+    sampled on it once, at lam = M^2 (``RadialSolution.sample``).
     """
     edges = np.concatenate(([0.0], np.geomspace(min(1e-8, 0.02 / lam), R, 260)))
     lo, hi = edges[:-1], edges[1:]

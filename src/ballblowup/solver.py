@@ -13,11 +13,11 @@ the center power series.  Where the rate law eps lam -> 4 pi^2 |a(0)| /
 where that start fails, from a bracket scan of the same endpoint map, with
 Brent on the bracket as the last resort.  The converged profile is
 integrated once more, with dense output and in the same variable t, as
-(w, v = r^{3/2} u'); its quadrature integrals are taken on the package's one
-radial rule (``numkit.radial_quadrature_rule``).  The rungs of an eps ladder
-are solved in lockstep, their states stacked into one integration per Newton
-iteration and one final integration (``solve_ladder``); ``solve_profile`` is
-the case of one rung.
+(w, v = r^{3/2} u'), and sampled once on the package's one radial rule
+(``numkit.radial_quadrature_rule``), where every quadrature integral of the
+profile is taken.  The rungs of an eps ladder are solved in lockstep, their
+states stacked into one integration per Newton iteration and one final
+integration (``solve_ladder``); ``solve_profile`` is the case of one rung.
 """
 
 from __future__ import annotations
@@ -99,10 +99,12 @@ class RadialSolution:
 
     ``dense`` evaluates (w, v) = (r^{1/2} u, r^{3/2} u') at any t = ln r in
     [ln delta, ln R]; ``u_at`` and ``uprime_at`` map r to t and undo the
-    scaling; at r <= delta the center series applies.  The four quadrature
-    integrals are taken by ``_finalize`` on the package's one radial rule,
-    ``radial_quadrature_rule(M^2, R)``, from one evaluation of the profile
-    that the fit, the decomposition and the Green representation then share.
+    scaling; at r <= delta the center series applies.  ``sample`` is the
+    profile on the package's one radial rule, (nodes, weights, u, u') with
+    (nodes, weights) = ``radial_quadrature_rule(M^2, R)``, taken once from
+    the dense output when the solution is built.  The four quadrature
+    integrals, the bubble fit, the decomposition and the Green
+    representation all read it; point probes go to the dense output.
 
     ``diagnostics`` also says how the profile was found: ``seed`` is
     ``"rate_law"`` when Newton converged from the rate-law height and
@@ -120,7 +122,11 @@ class RadialSolution:
     int_u6: float = math.nan
     int_u2: float = math.nan
     diagnostics: dict = field(default_factory=dict)
-    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    sample: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nodes, weights = radial_quadrature_rule(self.M**2, self.R)
+        self.sample = (nodes, weights, *self._state_at(nodes))
 
     @property
     def R(self) -> float:
@@ -128,25 +134,8 @@ class RadialSolution:
 
     def _state_at(self, r):
         """(u, u') at r, vectorized over any shape; at r <= delta the center
-        series applies.
-
-        The last multi-point evaluation is remembered: the same radii again
-        give the same read-only array without a dense evaluation, so the fit,
-        the decomposition and the Green representation of a rung sample the
-        profile once on their shared quadrature rule.  Single-point calls
-        neither use nor replace it.
-        """
+        series applies."""
         r = np.asarray(r, dtype=float)
-        if r.size > 1:
-            if self._memo is not None and np.array_equal(self._memo[0], r):
-                return self._memo[1]
-            out = self._evaluate(r)
-            out.flags.writeable = False
-            self._memo = (r.copy(), out)
-            return out
-        return self._evaluate(r)
-
-    def _evaluate(self, r):
         out = np.empty((2,) + r.shape)
         small = r <= self.delta
         if np.any(small):
@@ -429,32 +418,26 @@ def _pde_residual(sol_obj: "RadialSolution") -> float:
 
 def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeError]:
     """Converged rungs in one dense integration, each with a dense output of
-    its own rows and its diagnostics, ``seed`` and ``tallies[k]`` among them.
-    A rung whose profile turns negative inside the ball, or whose endpoint
-    misses ``shoot_tol``, comes back as its error.  Each rung's four
-    integrals come from one evaluation of its profile on the radial rule,
-    taken after the residual's samples, so the rung's evaluation memo holds
-    the rule for the fit that reads it next."""
+    its own rows, its sample on the radial rule and its diagnostics,
+    ``seed`` and ``tallies[k]`` among them.  A rung whose profile dips to
+    -shoot_tol on the sample's nodes, all inside the ball, or whose
+    endpoint misses ``shoot_tol``, comes back as its error.  Each rung's
+    four integrals are taken on its sample."""
     traj, delta = _integrate(Ms, cfgs, finalize=True)
-    R = cfgs[0].domain.R
-    interior = traj.nodes < math.log(R * (1.0 - 1e-9))
-    root_r = np.exp(traj.nodes / 2)
     out = []
     for k, (M, cfg) in enumerate(zip(Ms, cfgs)):
         _count(tallies[k], "finalize", traj)
-        dense = traj.rows(slice(2 * k, 2 * k + 2))
-        w = dense.states[:, 0]
-        if np.any(w[interior] <= -cfg.shoot_tol * root_r[interior]):
-            out.append(RuntimeError("positivity violated on the interior grid"))
+        rs = RadialSolution(config=cfg, M=M, dense=traj.rows(slice(2 * k, 2 * k + 2)),
+                            delta=delta)
+        nodes, wts, u, up = rs.sample
+        if np.any(u <= -cfg.shoot_tol):
+            out.append(RuntimeError("positivity violated at the radial rule's nodes"))
             continue
-        rs = RadialSolution(config=cfg, M=M, dense=dense, delta=delta)
-        endpoint = rs.diagnostics["endpoint"] = float(w[-1] / math.sqrt(R))
+        endpoint = rs.diagnostics["endpoint"] = float(rs.dense.states[-1, 0] / math.sqrt(rs.R))
         if abs(endpoint) > cfg.shoot_tol:
             out.append(RuntimeError(f"endpoint {endpoint:.3e} above shoot_tol"))
             continue
         rs.diagnostics["pde_residual"] = _pde_residual(rs)
-        nodes, wts = radial_quadrature_rule(M**2, R)
-        u, up = rs._state_at(nodes)
         rs.grad_norm_sq, rs.int_m_u2, rs.int_u6, rs.int_u2 = (np.array(
             [up**2, cfg.m(nodes) * u**2, u**6, u**2]) @ (4.0 * math.pi * wts * nodes**2)).tolist()
         if cfg.a.is_constant and cfg.V.is_constant:
@@ -527,6 +510,12 @@ def _solve_rung(cfg: ProblemConfig, law: float | None, tally: Counter) -> Radial
     return rs
 
 
+def _same_coefficient(c: RadialCoefficient, d: RadialCoefficient) -> bool:
+    """c and d are the same coefficient by value: a table's values and
+    abscissae may be arrays, and each rung may hold its own instance."""
+    return np.array_equal(c.values, d.values) and np.array_equal(c.abscissae, d.abscissae)
+
+
 def solve_ladder(
     cfgs: Sequence[ProblemConfig],
 ) -> Iterator[tuple[float, RadialSolution | Exception]]:
@@ -534,7 +523,8 @@ def solve_ladder(
     ladder order, or ``(eps, error)`` for a rung that failed; a failed rung
     does not stop the others.
 
-    The rungs share a, V and the ball; only eps varies.  Where the rate law
+    The rungs share a, V and the ball, compared by value, and only eps
+    varies: a ladder that mixes them raises ValueError.  Where the rate law
     applies, every rung starts Newton from its rate-law height, and all
     rungs run in lockstep: one stacked integration per Newton iteration,
     the first at tol 1e-9 and the rest at ode_tol, each rung in its own
@@ -548,6 +538,10 @@ def solve_ladder(
     that the rung took part in and their steps.
     """
     cfgs = list(cfgs)
+    for cfg in cfgs[1:]:
+        if cfg.domain != cfgs[0].domain or not (_same_coefficient(cfg.a, cfgs[0].a)
+                                                and _same_coefficient(cfg.V, cfgs[0].V)):
+            raise ValueError("the rungs of a ladder must share R, a and V")
     tallies = [Counter() for _ in cfgs]
     batch = [k for k, cfg in enumerate(cfgs) if cfg.eps > 0]
     law = _rate_law(cfgs[batch[0]]) if batch else None
@@ -616,15 +610,13 @@ def greens_rep_residual(u: RadialSolution, cg: CenterGreens | None = None) -> fl
     normalized by the sup norm of u.  The homogeneous pair is read off the
     center Green's data ``cg`` (built for a when not given): Z1, regular at
     0, and Z2 = v, vanishing at R, with Wronskian Z1 Z2' - Z1' Z2 = -1.  The
-    profile is sampled on the same quadrature rule as the fit and the
-    decomposition for lam <= 2e6, so a rung's memoised evaluation serves it.
+    integrals are taken on the rung's sample, the probes on its dense output.
     """
     cfg = u.config
     R = cfg.domain.R
     cg = cg or ga_center(cfg.a, R)
 
-    nodes, wts = radial_quadrature_rule(u.M**2, R)
-    uv = u.u_at(nodes)
+    nodes, wts, uv, _ = u.sample
     hv = 3.0 * uv**5 - cfg.eps * np.asarray(cfg.V(nodes)) * uv
     F = nodes * hv  # source for the reduced 1d problem
     z1v, z2v = cg.homogeneous_pair(nodes)

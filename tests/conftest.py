@@ -53,10 +53,10 @@ def canonical_solutions():
 
 @pytest.fixture(scope="session")
 def canonical_records(canonical_solutions):
-    return records_from_sweep(canonical_solutions, const(CRITICAL_A), 1.0)
+    return records_from_sweep(canonical_solutions)
 
 
 @pytest.fixture(scope="session")
 def v2_records():
     """Records for V = -2, used to check linearity of the rate in Q_V."""
-    return records_from_sweep(ladder(V_const=-2.0), const(CRITICAL_A), 1.0)
+    return records_from_sweep(ladder(V_const=-2.0))

@@ -34,7 +34,8 @@ GAMMA_TARGET = 128.0 / (15.0 * math.pi)
 
 
 class _SyntheticProfile:
-    """Minimal stand-in exposing the RadialSolution evaluation surface."""
+    """Minimal stand-in exposing the RadialSolution evaluation surface: its
+    sample on the rule at M^2 and its point values."""
 
     def __init__(self, u_fn, up_fn, M, eps=0.01, R=1.0):
         self._u = u_fn
@@ -42,6 +43,8 @@ class _SyntheticProfile:
         self.M = M
         self.R = R
         self.config = type("C", (), {"eps": eps})()
+        nodes, wts = radial_quadrature_rule(M**2, R)
+        self.sample = (nodes, wts, self.u_at(nodes), self.uprime_at(nodes))
 
     def u_at(self, r):
         return self._u(np.asarray(r, dtype=float))
@@ -91,7 +94,7 @@ class TestDecompose:
     def decomp(canonical_solutions):
         u = canonical_solutions[-1]
         alpha, lam, _ = fit_bubble(u)
-        return u, alpha, lam, decompose(u, alpha, lam, const(CRITICAL_A))
+        return u, alpha, lam, decompose(u, alpha, lam, ga_center(const(CRITICAL_A), 1.0))
 
     def test_orthogonality(self, decomp):
         _, _, _, d = decomp
@@ -129,7 +132,7 @@ class TestDecompose:
         u = _SyntheticProfile(
             lambda r: pb.pu(r), lambda r: pb.pu_prime(r), M=math.sqrt(lam0)
         )
-        d = decompose(u, 1.0, lam0, const(0.0))
+        d = decompose(u, 1.0, lam0, ga_center(const(0.0), 1.0))
         assert abs(d.beta) <= 1e-6
         assert abs(d.gamma) <= 1e-8
 
@@ -141,7 +144,7 @@ class TestDecompose:
         u = solve_profile(make_config(eps))
         alpha, lam, _ = fit_bubble(u)
         assert lam > 1e4
-        d = decompose(u, alpha, lam, const(CRITICAL_A))
+        d = decompose(u, alpha, lam, ga_center(const(CRITICAL_A), 1.0))
         assert d.beta == pytest.approx(BETA_TARGET, rel=0.01)
         assert d.gamma == pytest.approx(GAMMA_TARGET, rel=0.01)
         assert d.ortho_residual <= 1e-9
@@ -168,12 +171,13 @@ class TestVerifiers:
         assert entry.passed
         assert entry.limit == pytest.approx(math.pi**3 / 2, rel=0.02)
 
-    def test_rate_divergent_flag(self, canonical_records):
-        # with Q_V = 0 the product eps*lam must diverge; the canonical
-        # records have increasing eps*lam so the verdict is "diverging"
-        entry = verify_rate(canonical_records, CRITICAL_A, 0.0)
-        assert entry.diverging and entry.passed
-        assert math.isinf(entry.limit)
+    @pytest.mark.parametrize("a0, qv0", [(CRITICAL_A, 0.0), (CRITICAL_A, 2 * math.pi),
+                                         (0.0, -2 * math.pi)], ids=["qv0=0", "qv0>0", "a0=0"])
+    def test_report_refuses_outside_regime(self, canonical_records, a0, qv0):
+        # Q_V(0) = 0 leaves no finite rate to judge, and at critical a with
+        # V = 0 no rung has a solution: the report refuses such inputs
+        with pytest.raises(RegimeError, match=r"a\(0\) < 0 and Q_V\(0\) < 0"):
+            build_report(canonical_records, a0, qv0, 1.0)
 
     def test_alpha(self, canonical_records):
         entry = verify_alpha(canonical_records, CRITICAL_A, -2 * math.pi, 1.0)

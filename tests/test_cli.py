@@ -538,16 +538,17 @@ class TestVerify:
         assert payload["report"]["all_passed"] is True
         assert out_path.with_suffix(".csv").exists()
 
-    def test_zero_potential_diverges(self, tmp_path, capsys, canonical_records):
-        # with V = 0 the centred potential integral vanishes and the product
-        # eps*lam must be reported as diverging, not convergent.  At critical
-        # a there is no V = 0 solution to sweep, so the V = -1 rungs stand in
-        # under the V = 0 config's hash.
+    def test_zero_potential_refused(self, tmp_path, capsys, canonical_records):
+        # with V = 0 the centred potential integral vanishes and no rate law
+        # applies; at critical a no V = 0 rung has a solution, so the V = -1
+        # rungs stand in under the V = 0 config's hash, and verify refuses
         cfg_path = write_cfg(tmp_path, V={"constant": 0.0})
         rec_path = write_records(tmp_path, canonical_records, load_config(cfg_path))
         code = main(["verify", "--config", cfg_path, "--records", rec_path])
-        assert code == EXIT_OK
-        assert "diverging" in capsys.readouterr().out
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "Q_V(0) = 0" in captured.err
 
     def test_config_mismatch_rejected(self, tmp_path, capsys, canonical_records):
         # V = -1 records judged against the V = -2 laws would read as a

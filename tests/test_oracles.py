@@ -86,7 +86,7 @@ def test_tabulated_v(name):
     assert qv_center(V, a, 1.0) == pytest.approx(exact, rel=bound, abs=0)
     sols = [s for _, s in solve_ladder(
         [ProblemConfig(domain=BallDomain(1.0), a=a, V=V, eps=eps) for eps in EPS_LADDER])]
-    report = build_report(records_from_sweep(sols, a, 1.0), CRITICAL_A, exact,
+    report = build_report(records_from_sweep(sols), CRITICAL_A, exact,
                           phi0_ball([0.0, 0.0, 0.0], 1.0))
     assert report.all_passed, list(report.rows())
 

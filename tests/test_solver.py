@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate
 
 from ballblowup import greenfn, solver
-from ballblowup.asympt import build_report, decompose, fit_bubble, records_from_sweep
+from ballblowup.asympt import build_report, fit_bubble, records_from_sweep
 from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center, qv_center
 from ballblowup.numkit import ode_solve, radial_quadrature_rule
 from ballblowup.solver import (
@@ -185,9 +185,17 @@ class TestSolveProfile:
     def test_endpoint_and_positivity(self, sol_005):
         assert abs(sol_005.diagnostics["endpoint"]) <= sol_005.config.shoot_tol
         assert sol_005.diagnostics["endpoint"] == sol_005.u_at(1.0)
-        rs = np.exp(sol_005.dense.nodes)  # the finalize's steps, t = ln r
-        interior = rs[rs < 1.0 - 1e-9]
-        assert np.all(sol_005.u_at(interior) > -sol_005.config.shoot_tol)
+        nodes, _, u, _ = sol_005.sample
+        assert nodes[-1] < 1.0 and np.all(u > -sol_005.config.shoot_tol)
+
+    @pytest.mark.parametrize("factor", [1.3, 2.0, 3.0, 30.0])
+    def test_positivity_violated(self, sol_005, factor):
+        # above the root the profile crosses zero at r ~ 0.992 .. 0.997,
+        # inside the finalize's last step; the sample's last node sits at
+        # ~0.9997 R, past the crossing
+        cfg = sol_005.config
+        (out,) = solver._finalize([factor * sol_005.M], [cfg], [Counter()], "rate_law")
+        assert isinstance(out, RuntimeError) and "positivity violated" in str(out)
 
     def test_pde_residual(self, sol_005):
         assert sol_005.diagnostics["pde_residual"] <= 1e-9
@@ -557,6 +565,24 @@ class TestSolveLadder:
         for s, ref in zip(sols, canonical_solutions):
             assert s.M == pytest.approx(ref.M, rel=1e-8)
 
+    @pytest.mark.parametrize("change", [{"V_const": -2.0}, {"R": 2.0}], ids=["V", "R"])
+    def test_mixed_rungs_refused(self, change):
+        # a stacked integration reads the first rung's a, V and R for all:
+        # a second rung with its own would get the first one's profile
+        a = CRITICAL_A / 4  # coercive on both balls
+        cfgs = [make_config(0.04, a_const=a), make_config(0.02, a_const=a, **change)]
+        with pytest.raises(ValueError, match="share R, a and V"):
+            list(solve_ladder(cfgs))
+
+    def test_tables_compared_by_value(self):
+        # each rung holds its own table instance, with array values
+        def table():
+            return RadialCoefficient(values=-(1 + 2 * TABLE_R**2), abscissae=TABLE_R.copy())
+
+        cfgs = [ProblemConfig(domain=BallDomain(1.0), a=const(CRITICAL_A), V=table(), eps=eps)
+                for eps in (0.04, 0.02)]
+        assert all(isinstance(s, RadialSolution) for _, s in solve_ladder(cfgs))
+
     def test_failed_rung_yields_error(self):
         cfgs = [dataclasses.replace(make_config(0.05), eps=0.0), make_config(0.04)]
         (e0, r0), (e1, r1) = solve_ladder(cfgs)
@@ -639,85 +665,42 @@ class TestAccuracy:
         # lam up to ~1e5: eps lam still rises toward pi^3/2 and every law passes
         sols = [s for _, s in solve_ladder([make_config(eps / 32) for eps in EPS_LADDER])]
         a = const(CRITICAL_A)
-        records = records_from_sweep(sols, a, 1.0)
+        records = records_from_sweep(sols)
         prods = [r.eps_lambda for r in records]
         assert all(q > p for p, q in zip(prods, prods[1:]))
         assert build_report(records, CRITICAL_A, qv_center(const(-1.0), a, 1.0), 1.0).all_passed
 
 
-class _Unmemoised(RadialSolution):
-    """Every evaluation goes to the dense output."""
-
-    def _state_at(self, r):
-        return self._evaluate(np.asarray(r, dtype=float))
-
-
-class _Counting(RadialSolution):
-    """Counts the multi-point dense evaluations."""
-
-    dense_calls = 0
-
-    def _evaluate(self, r):
-        self.dense_calls += r.size > 1
-        return super()._evaluate(r)
+def _counting_call(dense, sizes, t):
+    """``dense(t)``, with the number of points in ``sizes``."""
+    sizes.append(np.size(t))
+    return dense(t)
 
 
-def _copy(cls, s):
-    return cls(**{f.name: getattr(s, f.name) for f in dataclasses.fields(s) if f.init})
+class TestRungSample:
+    def test_sample_is_the_rule(self, canonical_solutions):
+        for s in canonical_solutions:
+            nodes, wts, _, _ = s.sample
+            rule_nodes, rule_wts = radial_quadrature_rule(s.M**2, s.R)
+            assert np.array_equal(nodes, rule_nodes) and np.array_equal(wts, rule_wts)
 
+    def test_sample_is_the_dense_output(self, canonical_solutions):
+        for s in canonical_solutions:
+            nodes, _, u, up = s.sample
+            assert np.array_equal(u, s.u_at(nodes))
+            assert np.array_equal(up, s.uprime_at(nodes))
 
-class TestEvaluationMemo:
-    def test_rung_analysis_bit_identical(self, canonical_solutions):
-        cg = ga_center(const(CRITICAL_A), 1.0)
-        for s in (canonical_solutions[0], canonical_solutions[-1]):
-            memo, fresh = _copy(_Counting, s), _copy(_Unmemoised, s)
-            fit = fit_bubble(memo)
-            assert fit == fit_bubble(fresh)
-            d_memo = decompose(memo, fit[0], fit[1], cg)
-            d_fresh = decompose(fresh, fit[0], fit[1], cg)
-            for f in dataclasses.fields(d_memo):
-                assert np.array_equal(getattr(d_memo, f.name), getattr(d_fresh, f.name))
-            assert greens_rep_residual(memo, cg=cg) == greens_rep_residual(fresh, cg=cg)
-            # one sampling of the profile serves all three
-            assert memo.dense_calls == 1
-
-    def test_finalize_sample_serves_the_analysis(self, canonical_solutions, monkeypatch):
-        # the finalize samples each rung on the rule after the residual's
-        # probes, so the fit, the decomposition and the Green representation
-        # take no multi-point dense evaluation of their own
+    def test_finalize_sample_serves_the_analysis(self, canonical_solutions):
+        # after the finalize, a rung's records evaluate the dense output only
+        # at single points: the far field and the Green probes
         finals = solver._finalize([s.M for s in canonical_solutions],
                                   [s.config for s in canonical_solutions],
                                   [Counter() for _ in canonical_solutions], "rate_law")
-        sizes, evaluate = [], RadialSolution._evaluate
-
-        def counting(self, r):
-            sizes.append(r.size)
-            return evaluate(self, r)
-
-        monkeypatch.setattr(RadialSolution, "_evaluate", counting)
-        cg = ga_center(const(CRITICAL_A), 1.0)
+        sizes = []
         for s in finals:
-            alpha, lam, _ = fit_bubble(s)
-            decompose(s, alpha, lam, cg)
-            greens_rep_residual(s, cg=cg)
+            s.dense = functools.partial(_counting_call, s.dense, sizes)
+        records_from_sweep(finals)
         assert sizes and max(sizes) == 1
-
-    def test_memo_read_only_and_kept_by_point_probes(self, canonical_solutions):
-        s = _copy(_Counting, canonical_solutions[1])
-        nodes = np.linspace(0.01, 0.9, 50)
-        u = s.u_at(nodes)
-        assert not u.flags.writeable
-        with pytest.raises(ValueError):
-            u[0] = 0.0
-        s.u_at(0.5)
-        s.uprime_at(0.5)
-        up = s.uprime_at(nodes)
-        assert not up.flags.writeable
-        assert s.dense_calls == 1
-        assert np.array_equal(u, _copy(_Unmemoised, s).u_at(nodes))
-        shifted = nodes + 0.01  # other radii, same shape: a new evaluation
-        assert np.array_equal(s.u_at(shifted), _copy(_Unmemoised, s).u_at(shifted))
-        assert s.dense_calls == 2
 
     def test_greens_residual_with_given_center_data(self, canonical_solutions):
         s = canonical_solutions[0]
