@@ -114,7 +114,8 @@ def _log_bracket(f, lam0: float):
 
 @dataclass
 class Decomposition:
-    """Blow-up parameters and remainder fields of one profile."""
+    """Blow-up parameters and remainder norms of one profile: what its
+    record reads."""
 
     alpha: float
     lam: float
@@ -123,14 +124,7 @@ class Decomposition:
     gamma: float
     norm_grad_w: float
     norm_grad_r: float
-    norm_grad_s: float
     sup_w: float
-    ortho_residual: float
-    nodes: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
-    s: np.ndarray = field(repr=False)
-    r: np.ndarray = field(repr=False)
 
     @property
     def sup_w_ratio(self) -> float:
@@ -146,9 +140,9 @@ def decompose(u: RadialSolution, alpha: float, lam: float, cg: CenterGreens) -> 
     annihilates the translation modes), and extracts beta, gamma with the
     normalization s = beta lam^{-1} PU + gamma dlam PU.
 
-    The fields live on the rung's sample, the rule at M^2 rather than at the
-    fitted lam; the two rules have the same nodes for lam, M^2 <= 2e6, where
-    both start their panels at r_min = 1e-8.
+    Its integrals are taken on the rung's sample, the rule at M^2 rather
+    than at the fitted lam; the two rules have the same nodes for lam,
+    M^2 <= 2e6, where both start their panels at r_min = 1e-8.
     """
     R = u.R
     nodes, wts, uv, upv = u.sample
@@ -156,8 +150,7 @@ def decompose(u: RadialSolution, alpha: float, lam: float, cg: CenterGreens) -> 
     w = uv / alpha - pb.pu(nodes)
     wp = upv / alpha - pb.pu_prime(nodes)
 
-    # (H_a - H_0)(0, .) and its radial derivative; H_0(0, .) = 1/R
-    q = w + (cg.h(nodes) - 1.0 / R) / math.sqrt(lam)
+    # the radial derivative of q = w + lam^{-1/2} (H_a - H_0)(0, .), H_0(0, .) = 1/R
     qp = wp + cg.dh(nodes) / math.sqrt(lam)
 
     # Gram system over {PU, lam dlam PU}: both have gradient norms of order
@@ -178,33 +171,16 @@ def decompose(u: RadialSolution, alpha: float, lam: float, cg: CenterGreens) -> 
     c_pu, c_ldl = np.linalg.solve(G, [b1, b2])
     c_dl = c_ldl * lam
 
-    s = c_pu * pb.pu(nodes) + c_dl * pb.dlam_pu(nodes)
-    sp = c_pu * pup + c_dl * dpup
-    r = q - s
-    rp = qp - sp
-
-    ngw = math.sqrt(max(_ip(wts, nodes, wp, wp), 0.0))
-    ngs = math.sqrt(max(_ip(wts, nodes, sp, sp), 0.0))
-    ngr = math.sqrt(max(_ip(wts, nodes, rp, rp), 0.0))
-    ortho = abs(_ip(wts, nodes, rp, pup)) / max(ngr * math.sqrt(g11), 1e-300)
-
-    sup_w = float(np.max(np.abs(w)))
+    rp = qp - (c_pu * pup + c_dl * dpup)  # r' = q' - s'
     return Decomposition(
         alpha=alpha,
         lam=lam,
         eps=u.config.eps,
         beta=float(c_pu * lam),
         gamma=float(c_dl),
-        norm_grad_w=ngw,
-        norm_grad_r=ngr,
-        norm_grad_s=ngs,
-        sup_w=sup_w,
-        ortho_residual=ortho,
-        nodes=nodes,
-        w=w,
-        q=q,
-        s=s,
-        r=r,
+        norm_grad_w=math.sqrt(max(_ip(wts, nodes, wp, wp), 0.0)),
+        norm_grad_r=math.sqrt(max(_ip(wts, nodes, rp, rp), 0.0)),
+        sup_w=float(np.max(np.abs(w))),
     )
 
 

@@ -40,6 +40,11 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
+def _is_number(x) -> bool:
+    """x is a JSON number: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration.
@@ -59,6 +64,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ConfigError("<file>", "must be a JSON object")
         cfg = RunConfig()
         known = set(cfg.__dataclass_fields__)
         for k in d:
@@ -70,7 +77,7 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        if not isinstance(self.R, (int, float)) or self.R <= 0:
+        if not _is_number(self.R) or not self.R > 0:
             raise ConfigError("R", "must be a positive number")
         for name, spec in (("a", self.a), ("V", self.V)):
             if not isinstance(spec, dict):
@@ -86,15 +93,17 @@ class RunConfig:
             raise ConfigError(
                 "tolerances", f"need exactly the keys {sorted(DEFAULT_TOLERANCES)}"
             )
-        if any(not isinstance(v, (int, float)) or v <= 0 for v in tols.values()):
+        if any(not _is_number(v) or not v > 0 for v in tols.values()):
             raise ConfigError("tolerances", "must be positive numbers")
         lad = self.eps_ladder
-        if not lad or any(e <= 0 for e in lad):
-            raise ConfigError("eps_ladder", "must be positive values")
+        if not (isinstance(lad, list) and lad and all(_is_number(e) and e > 0 for e in lad)):
+            raise ConfigError("eps_ladder", "must be a list of positive numbers")
         if any(b >= a for a, b in zip(lad, lad[1:])):
             raise ConfigError("eps_ladder", "must be strictly decreasing")
         if isinstance(self.lmax, bool) or not isinstance(self.lmax, int) or self.lmax < 1:
             raise ConfigError("lmax", "must be an integer >= 1")
+        if not isinstance(self.probes, list) or not all(map(_is_number, self.probes)):
+            raise ConfigError("probes", "must be a list of numbers")
         for p in self.probes:
             if not 0 < p < self.R:
                 raise ConfigError("probes", f"probe {p} outside (0, R)")
@@ -109,7 +118,7 @@ class RunConfig:
             )
         if "constant" in spec:
             c = spec["constant"]
-            if isinstance(c, bool) or not isinstance(c, (int, float)):
+            if not _is_number(c):
                 raise ValueError(f"'constant' must be a JSON number, got {c!r}")
             return greenfn.RadialCoefficient.constant_coeff(float(c))
         table = spec.get("table")
@@ -141,6 +150,8 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     else:
         try:
             raw = json.loads(Path(path).read_text())
+        except OSError as e:
+            raise ConfigError("<file>", f"cannot read {path}: {e.strerror}") from None
         except json.JSONDecodeError as e:
             raise ConfigError("<file>", f"invalid JSON at line {e.lineno}: {e.msg}")
         cfg = RunConfig.from_dict(raw)
@@ -346,7 +357,11 @@ def cmd_verify(args) -> int:
         raise ConfigError("records", f"{args.records} has config_hash {config_hash}, "
                           f"not the config's {cfg.hash()}")
     a = cfg.coefficient("a")
-    qv0 = greenfn.qv_center(cfg.coefficient("V"), a, cfg.R)
+    cg = greenfn.ga_center(a, cfg.R)
+    if not cg.is_critical:
+        raise asympt.RegimeError(f"the blow-up laws need a critical a, phi_a(0) = 0, "
+                                 f"not phi_a(0) = {cg.phi_a_at_0:.6g}")
+    qv0 = greenfn.qv_center(cfg.coefficient("V"), a, cfg.R, cg)
     phi0 = greenfn.phi0_ball([0.0, 0.0, 0.0], cfg.R)
     report = asympt.build_report(records, a.at(0.0), qv0, phi0)
     print("verification against the blow-up laws")
@@ -469,6 +484,8 @@ def main(argv=None) -> int:
     try:
         if "tol_override" in args:
             args.tol_override = _parse_tol_overrides(args.tol_override)
+        if args.out and not Path(args.out).parent.is_dir():
+            raise ConfigError("out", f"no directory {Path(args.out).parent}")
         return globals()["cmd_" + args.command](args)
     except ConfigError as e:
         print(f"validation error: {e}", file=sys.stderr)

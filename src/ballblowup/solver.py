@@ -10,14 +10,15 @@ the Emden-Fowler variables t = ln r, w = r^{1/2} u, in which M only shifts a
 bubble, so the steps do not shrink as M grows; they start in its core, from
 the center power series.  Where the rate law eps lam -> 4 pi^2 |a(0)| /
 |Q_V(0)| applies, Newton starts from its height (lam ~ M^2); elsewhere, and
-where that start fails, from a bracket scan of the same endpoint map, with
-Brent on the bracket as the last resort.  The converged profile is
-integrated once more, with dense output and in the same variable t, as
-(w, v = r^{3/2} u'), and sampled once on the package's one radial rule
+where that start fails, from the lower end of a bracket that a scan of the
+same endpoint map finds.  The converged profile is integrated once more,
+with dense output and in the same variable t, as (w, v = r^{3/2} u'), and
+sampled once on the package's one radial rule
 (``numkit.radial_quadrature_rule``), where every quadrature integral of the
-profile is taken.  The rungs of an eps ladder are solved in lockstep, their
-states stacked into one integration per Newton iteration and one final
-integration (``solve_ladder``); ``solve_profile`` is the case of one rung.
+profile is taken.  One driver solves the rungs of an eps ladder in
+lockstep, their states stacked into one integration per Newton iteration
+and one final integration (``solve_ladder``); ``solve_profile`` is the case
+of one rung.
 """
 
 from __future__ import annotations
@@ -40,14 +41,13 @@ from .greenfn import (
     ga_center,
     qv_center,
 )
-from .numkit import brent_root, ode_solve, radial_quadrature_rule
+from .numkit import ode_solve, radial_quadrature_rule
 
 __all__ = [
     "ProblemConfig",
     "RadialSolution",
     "NoBracketError",
     "taylor_start",
-    "shoot",
     "solve_profile",
     "solve_ladder",
     "pohozaev_residual",
@@ -300,34 +300,35 @@ def _count(tally: Counter, phase: str, traj) -> None:
     tally[phase + "_steps"] += len(traj.nodes) - 1
 
 
-def shoot(M: float, cfg: ProblemConfig, tally: Counter | None = None,
-          phase: str = "root") -> float:
-    """The endpoint map u(R; M) = R^{-1/2} w(ln R; M) that Newton solves,
-    from one shooting integration from the center height M to R, past any
-    interior zero.  The integration is counted in ``tally`` under ``phase``
-    when given."""
-    if M <= 0:
-        raise ValueError("M must be positive")
-    traj, _ = _integrate([M], [cfg])
-    if tally is not None:
-        _count(tally, phase, traj)
-    return float(traj.states[-1, 0] / math.sqrt(cfg.domain.R))
-
-
 # center heights a rung's bracket scan covers, and its geometric factor
 _M_SCAN = (0.5, 1e4)
 _SCAN_FACTOR = 1.3
 
 
 def _find_bracket(cfg: ProblemConfig, tally: Counter):
-    """Geometric scan over ``_M_SCAN`` for a sign change of the endpoint
-    map; each integration is counted in ``tally`` under "bracket"."""
+    """Geometric scan over ``_M_SCAN`` for a sign change of the endpoint map
+    u(R; M), read off one shooting integration per height, past any interior
+    zero; each is counted in ``tally`` under "bracket".  A constant
+    m = a + eps V >= -pi^2/(4 R^2) raises NoBracketError before the scan:
+    the ball then has no positive solution (Brezis & Nirenberg, Comm. Pure
+    Appl. Math. 36, 1983)."""
+    if cfg.a.is_constant and cfg.V.is_constant:
+        m = cfg.a.constant + cfg.eps * cfg.V.constant
+        bound = -math.pi**2 / (4.0 * cfg.domain.R**2)
+        if m >= bound:
+            raise NoBracketError(f"no positive solution: constant a + eps V = {m:.6g}"
+                                 f" >= -pi^2/(4 R^2) = {bound:.6g}")
+
+    def endpoint(M):  # R^{1/2} u(R; M), of u(R)'s sign
+        traj, _ = _integrate([M], [cfg])
+        _count(tally, "bracket", traj)
+        return traj.states[-1, 0]
+
     M_lo, M_hi = _M_SCAN
-    M = M_lo
-    f_prev = shoot(M, cfg, tally, "bracket")
+    M, f_prev = M_lo, endpoint(M_lo)
     while M < M_hi:
         M_next = M * _SCAN_FACTOR
-        f_next = shoot(M_next, cfg, tally, "bracket")
+        f_next = endpoint(M_next)
         if f_prev * f_next < 0:
             return (M, M_next)
         M, f_prev = M_next, f_next
@@ -342,10 +343,10 @@ _NEWTON_STEPS = 12  # Newton steps a rung may take
 
 def _newton(cfgs, Ms, windows, tallies) -> list[float | None]:
     """Newton on the endpoint maps u(R; M) = R^{-1/2} w(ln R; M) of all
-    rungs at once (``shoot``'s map), with du(R)/dM from the variational
-    states, integrated to R also past an interior zero (an iterate just
-    above the root crosses zero at r0 ~ R).  Each rung starts from its entry
-    of ``Ms`` and leaves the batch once it stops.
+    rungs at once, with du(R)/dM from the variational states, integrated to
+    R also past an interior zero (an iterate just above the root crosses
+    zero at r0 ~ R).  Each rung starts from its entry of ``Ms`` and leaves
+    the batch once it stops.
 
     The first integration runs at tol max(ode_tol, 1e-9), an inexact step
     far from the root; every later one, and every step a rung stops on, at
@@ -416,10 +417,10 @@ def _pde_residual(sol_obj: "RadialSolution") -> float:
     return res_max / max(scale, 1.0)
 
 
-def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeError]:
+def _finalize(Ms, cfgs, tallies, seeds) -> list[RadialSolution | RuntimeError]:
     """Converged rungs in one dense integration, each with a dense output of
     its own rows, its sample on the radial rule and its diagnostics,
-    ``seed`` and ``tallies[k]`` among them.  A rung whose profile dips to
+    ``seeds[k]`` and ``tallies[k]`` among them.  A rung whose profile dips to
     -shoot_tol on the sample's nodes, all inside the ball, or whose
     endpoint misses ``shoot_tol``, comes back as its error.  Each rung's
     four integrals are taken on its sample."""
@@ -443,24 +444,19 @@ def _finalize(Ms, cfgs, tallies, seed: str) -> list[RadialSolution | RuntimeErro
         if cfg.a.is_constant and cfg.V.is_constant:
             rs.diagnostics["pohozaev_residual"] = pohozaev_residual(rs)
         tally = tallies[k]
-        rs.diagnostics.update(seed=seed, shoot_integrations={p: tally[p] for p in _PHASES},
+        rs.diagnostics.update(seed=seeds[k], shoot_integrations={p: tally[p] for p in _PHASES},
                               shoot_steps={p: tally[p + "_steps"] for p in _PHASES})
         out.append(rs)
     return out
 
 
-# phi_a(0) R at or below this counts as zero, i.e. a as critical.  ga_center
-# integrates at tol 1e-12 and reads 3.7e-13 at a* = -pi^2/4 on the unit ball,
-# so the bound sits three orders above that noise; since d phi_a(0)/da = R/2
-# at a*, it admits only constants within ~2e-9 / R^2 of a*.
-_CRITICAL_PHI = 1e-9
 # a rung's Newton window around its rate-law height
 _LAW_WINDOW = (0.7, 1.45)
 
 
 def _rate_law(cfg: ProblemConfig) -> float | None:
     """The blow-up rate law's limit of eps lam, 4 pi^2 |a(0)| / |Q_V(0)|,
-    where it applies: a critical (phi_a(0) = 0 up to integration noise),
+    where it applies: a critical (``CenterGreens.is_critical``),
     a(0) < 0 and Q_V(0) < 0.  None elsewhere, also for a supercritical a,
     whose M stays bounded as eps -> 0.  phi_a(0) and Q_V(0) come from one
     ``ga_center``; neither depends on eps."""
@@ -469,7 +465,7 @@ def _rate_law(cfg: ProblemConfig) -> float | None:
         cg = ga_center(cfg.a, R)
     except (CoercivityError, ResonanceError):  # a alone has no center Green's data
         return None
-    if abs(cg.phi_a_at_0) * R > _CRITICAL_PHI or cg.a_at_0 >= 0:
+    if not cg.is_critical or cg.a_at_0 >= 0:
         return None
     qv0 = qv_center(cfg.V, cfg.a, R, cg=cg)
     if qv0 >= 0:
@@ -477,37 +473,55 @@ def _rate_law(cfg: ProblemConfig) -> float | None:
     return 4.0 * math.pi**2 * abs(cg.a_at_0) / abs(qv0)
 
 
-def _solve_rung(cfg: ProblemConfig, law: float | None, tally: Counter) -> RadialSolution:
-    """One rung alone: Newton from its rate-law height (law / eps)^{1/2},
-    kept in ``_LAW_WINDOW`` times it, when the law applies (``law`` is not
-    None); otherwise, or when that fails, the bracket scan over ``_M_SCAN``
-    and Newton from the bracket's lower end, kept inside it; Brent on the
-    bracket when that fails too.  Its integrations are counted in
-    ``tally``.  A constant m = a + eps V >= -pi^2/(4 R^2) raises
-    NoBracketError before the scan: the ball then has no positive solution
-    (Brezis & Nirenberg, Comm. Pure Appl. Math. 36, 1983)."""
-    if cfg.eps <= 0:
-        raise ValueError("existence regime requires eps > 0")
-    M = None
-    if law is not None:
-        start = math.sqrt(law / cfg.eps)
-        (M,) = _newton([cfg], [start], [tuple(f * start for f in _LAW_WINDOW)], [tally])
-    seed = "rate_law" if M is not None else "scan"
-    if M is None:
-        if cfg.a.is_constant and cfg.V.is_constant:
-            m = cfg.a.constant + cfg.eps * cfg.V.constant
-            bound = -math.pi**2 / (4.0 * cfg.domain.R**2)
-            if m >= bound:
-                raise NoBracketError(f"no positive solution: constant a + eps V = {m:.6g}"
-                                     f" >= -pi^2/(4 R^2) = {bound:.6g}")
-        bracket = _find_bracket(cfg, tally)
-        (M,) = _newton([cfg], [bracket[0]], [bracket], [tally])
-        if M is None:
-            M = brent_root(lambda M: shoot(M, cfg, tally), bracket, tol=1e-13).root
-    (rs,) = _finalize([M], [cfg], [tally], seed)
-    if isinstance(rs, Exception):
-        raise rs
-    return rs
+def _solve(cfgs, tallies, law) -> list[RadialSolution | Exception]:
+    """Every rung of ``cfgs``, a ladder by ``solve_ladder``'s contract, as its
+    profile or the error it failed with; ``tallies[k]`` counts rung k's
+    integrations.
+
+    Where the rate law applies (``law``, the limit of eps lam, is not None),
+    all rungs run Newton in lockstep, each from its rate-law height
+    (law / eps)^{1/2} and kept in ``_LAW_WINDOW`` times it.  Every rung left
+    without a root scans for a bracket (``_find_bracket``), and those rungs
+    run Newton in lockstep, each from its bracket's lower end and kept
+    inside the bracket.  One dense integration finalizes every root.  A
+    step that raises fails its rung when it is the only one; otherwise each
+    rung goes through ``_solve`` alone, so a failing rung fails alone."""
+    out: list = [None if cfg.eps > 0 else ValueError("existence regime requires eps > 0")
+                 for cfg in cfgs]
+    try:
+        roots, brackets = {}, {}  # rung -> (M, seed), rung -> its bracket
+        live = [k for k, e in enumerate(out) if e is None]
+        if law is not None:
+            starts = [math.sqrt(law / cfgs[k].eps) for k in live]
+            found = _newton([cfgs[k] for k in live], starts,
+                            [tuple(f * s for f in _LAW_WINDOW) for s in starts],
+                            [tallies[k] for k in live])
+            roots = {k: (M, "rate_law") for k, M in zip(live, found) if M is not None}
+        for k in live:
+            if k not in roots:
+                try:
+                    brackets[k] = _find_bracket(cfgs[k], tallies[k])
+                except Exception as e:  # the scan is the rung's own
+                    out[k] = e
+        found = _newton([cfgs[k] for k in brackets], [lo for lo, _ in brackets.values()],
+                        list(brackets.values()), [tallies[k] for k in brackets])
+        for k, M in zip(brackets, found):
+            if M is None:
+                out[k] = RuntimeError("Newton found no root in the bracket "
+                                      "[{:.6g}, {:.6g}]".format(*brackets[k]))
+            else:
+                roots[k] = (M, "scan")
+        done = sorted(roots)
+        if done:
+            Ms, seeds = zip(*(roots[k] for k in done))
+            finals = _finalize(Ms, [cfgs[k] for k in done], [tallies[k] for k in done], seeds)
+            for k, rs in zip(done, finals):
+                out[k] = rs
+    except Exception as e:
+        if len(cfgs) == 1:
+            return [e]
+        return [_solve([cfg], [tally], law)[0] for cfg, tally in zip(cfgs, tallies)]
+    return out
 
 
 def _same_coefficient(c: RadialCoefficient, d: RadialCoefficient) -> bool:
@@ -524,48 +538,22 @@ def solve_ladder(
     does not stop the others.
 
     The rungs share a, V and the ball, compared by value, and only eps
-    varies: a ladder that mixes them raises ValueError.  Where the rate law
-    applies, every rung starts Newton from its rate-law height, and all
-    rungs run in lockstep: one stacked integration per Newton iteration,
-    the first at tol 1e-9 and the rest at ode_tol, each rung in its own
-    ``_LAW_WINDOW`` with its own stop rule, then one dense integration
-    that finalizes every converged rung, each keeping an ``OdeTrajectory``
-    of its own rows (the canonical ladder takes 3 + 1).  A rung that
-    leaves its window, every rung of a batch whose integration fails, and
-    every rung outside the law's regime, is solved alone and cold
-    (``_solve_rung``).  Each profile's ``diagnostics["shoot_integrations"]``
-    and ``["shoot_steps"]`` count the integrations, batched or its own,
-    that the rung took part in and their steps.
+    varies: a ladder that mixes them raises ValueError.  One driver
+    (``_solve``) solves them all in lockstep, with one stacked integration
+    per Newton iteration and one dense integration that finalizes every
+    root, each rung keeping an ``OdeTrajectory`` of its own rows; the
+    canonical ladder takes 3 + 1.  Each profile's
+    ``diagnostics["shoot_integrations"]`` and ``["shoot_steps"]`` count the
+    integrations that the rung took part in and their steps.
     """
     cfgs = list(cfgs)
     for cfg in cfgs[1:]:
         if cfg.domain != cfgs[0].domain or not (_same_coefficient(cfg.a, cfgs[0].a)
                                                 and _same_coefficient(cfg.V, cfgs[0].V)):
             raise ValueError("the rungs of a ladder must share R, a and V")
-    tallies = [Counter() for _ in cfgs]
-    batch = [k for k, cfg in enumerate(cfgs) if cfg.eps > 0]
-    law = _rate_law(cfgs[batch[0]]) if batch else None
-    solved: dict[int, RadialSolution | Exception] = {}
-    if law is not None:
-        seeds = [math.sqrt(law / cfgs[k].eps) for k in batch]
-        windows = [tuple(f * s for f in _LAW_WINDOW) for s in seeds]
-        try:
-            roots = _newton([cfgs[k] for k in batch], seeds, windows,
-                            [tallies[k] for k in batch])
-            ks = [k for k, M in zip(batch, roots) if M is not None]
-            if ks:
-                finals = _finalize([M for M in roots if M is not None], [cfgs[k] for k in ks],
-                                   [tallies[k] for k in ks], "rate_law")
-                solved.update(zip(ks, finals))
-        except RuntimeError:  # a stacked integration failed: every rung goes alone
-            pass
-    for k, cfg in enumerate(cfgs):
-        if k not in solved:
-            try:
-                solved[k] = _solve_rung(cfg, law, tallies[k])
-            except Exception as e:  # the rung fails alone; the ladder goes on
-                solved[k] = e
-        yield cfg.eps, solved[k]
+    law = _rate_law(cfgs[0]) if any(cfg.eps > 0 for cfg in cfgs) else None
+    sols = _solve(cfgs, [Counter() for _ in cfgs], law)
+    yield from zip([cfg.eps for cfg in cfgs], sols)
 
 
 def solve_profile(cfg: ProblemConfig) -> RadialSolution:

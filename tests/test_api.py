@@ -1,7 +1,8 @@
 """Every public name is used by the program: each name in a module's
 ``__all__``, and each public module-level function outside it, is read by
 code under ``src/``, ``scripts/`` or ``perfbench/``, not counting its
-definition, its import lines or its ``__all__`` entry; each public method
+definition, its import lines or its ``__all__`` entry, and so is each
+private module-level function of a package module; each public method
 and property of a class in ``__all__`` is read there as an attribute of
 some object; and every defaulted parameter of a public or module-level
 private function is set by some call there.  The package's own ``__all__``
@@ -100,6 +101,16 @@ def test_public_names_are_used(module):
                and not n.startswith("_") and n not in mod.__all__]
     unused = [n for n in [*mod.__all__, *outside] if (module, n) not in READS]
     assert not unused, f"{module}: public names no program code reads: {unused}"
+
+
+@pytest.mark.parametrize("module", PACKAGE)
+def test_private_functions_are_used(module):
+    # a private helper that only tests call is a test hook, and the tests
+    # then check a path the program never takes
+    mod = importlib.import_module(module)
+    unused = [n for n, v in vars(mod).items() if inspect.isfunction(v) and v.__module__ == module
+              and n.startswith("_") and not n.startswith("__") and (module, n) not in READS]
+    assert not unused, f"{module}: private functions no program code calls: {unused}"
 
 
 @pytest.mark.parametrize("module", MODULES)

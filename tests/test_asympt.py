@@ -88,6 +88,34 @@ class TestFitBubble:
         assert max(ratios) / min(ratios) <= 3.0
 
 
+def _grad_ip(u, f, g):
+    """Gradient inner product 4 pi int f g r^2 dr of radial derivatives f
+    and g on u's sample."""
+    nodes, wts = u.sample[:2]
+    return 4.0 * math.pi * float(np.sum(wts * f * g * nodes**2))
+
+
+def _split(u, alpha, lam, d):
+    """(q, s, r) and their radial derivatives of the split q = s + r that
+    ``d`` reports, rebuilt on u's sample from beta, gamma and the public
+    bubble functions: w = u/alpha - PU, q = w + lam^{-1/2}(H_a - H_0)(0, .)
+    and s = (beta/lam) PU + gamma dlam PU."""
+    nodes, _, uv, upv = u.sample
+    pb, cg = pu_center(lam, u.R), ga_center(u.config.a, u.R)
+    q = uv / alpha - pb.pu(nodes) + (cg.h(nodes) - 1.0 / u.R) / math.sqrt(lam)
+    qp = upv / alpha - pb.pu_prime(nodes) + cg.dh(nodes) / math.sqrt(lam)
+    s = d.beta / lam * pb.pu(nodes) + d.gamma * pb.dlam_pu(nodes)
+    sp = d.beta / lam * pb.pu_prime(nodes) + d.gamma * pb.dlam_pu_prime(nodes)
+    return (q, s, q - s), (qp, sp, qp - sp)
+
+
+def _orthogonality(u, alpha, lam, d):
+    """|<r, PU>| / (|r| |PU|) in the gradient inner product."""
+    rp = _split(u, alpha, lam, d)[1][2]
+    pup = pu_center(lam, u.R).pu_prime(u.sample[0])
+    return abs(_grad_ip(u, rp, pup)) / math.sqrt(_grad_ip(u, rp, rp) * _grad_ip(u, pup, pup))
+
+
 class TestDecompose:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -97,24 +125,24 @@ class TestDecompose:
         return u, alpha, lam, decompose(u, alpha, lam, ga_center(const(CRITICAL_A), 1.0))
 
     def test_orthogonality(self, decomp):
-        _, _, _, d = decomp
-        assert d.ortho_residual <= 1e-9
+        assert _orthogonality(*decomp) <= 1e-9
 
     def test_reconstruction(self, decomp):
+        # u = alpha (PU + s + r - lam^{-1/2}(H_a - H_0)) against the dense output
         u, alpha, lam, d = decomp
-        pb = pu_center(lam, 1.0)
-        rebuilt = alpha * (pb.pu(d.nodes) + d.w)
-        assert np.max(np.abs(rebuilt - u.u_at(d.nodes))) <= 1e-12 * u.M
-
-    def test_q_split_exact(self, decomp):
-        _, _, _, d = decomp
-        assert np.max(np.abs(d.s + d.r - d.q)) <= 1e-14
+        (_, s, r), _ = _split(*decomp)
+        nodes = u.sample[0]
+        h_diff = (ga_center(const(CRITICAL_A), 1.0).h(nodes) - 1.0) / math.sqrt(lam)
+        rebuilt = alpha * (pu_center(lam, 1.0).pu(nodes) + s + r - h_diff)
+        assert np.max(np.abs(rebuilt - u.u_at(nodes))) <= 1e-12 * u.M
 
     def test_zero_mode_part_dominates(self, decomp):
         # q = s + r with s in the zero-mode span; near the blow-up regime the
         # zero-mode content carries almost all of the gradient energy
-        _, _, _, d = decomp
-        assert d.norm_grad_s > 10 * d.norm_grad_r
+        u, _, _, d = decomp
+        _, (_, sp, rp) = _split(*decomp)
+        assert math.sqrt(_grad_ip(u, rp, rp)) == pytest.approx(d.norm_grad_r, rel=1e-6)
+        assert math.sqrt(_grad_ip(u, sp, sp)) > 10 * d.norm_grad_r
 
     def test_grad_w_bound(self, canonical_records):
         vals = [r.norm_grad_w * math.sqrt(r.lam) for r in canonical_records]
@@ -147,7 +175,7 @@ class TestDecompose:
         d = decompose(u, alpha, lam, ga_center(const(CRITICAL_A), 1.0))
         assert d.beta == pytest.approx(BETA_TARGET, rel=0.01)
         assert d.gamma == pytest.approx(GAMMA_TARGET, rel=0.01)
-        assert d.ortho_residual <= 1e-9
+        assert _orthogonality(u, alpha, lam, d) <= 1e-9
 
 
 class TestBetaGamma:

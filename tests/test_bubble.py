@@ -107,9 +107,9 @@ class TestProjectedBubble:
 
 
 class TestPsi:
-    """psi = PU - lam^{-1/2} (H_a - H_0)(0, .), whose H-difference
-    ``decompose`` takes from ``CenterGreens.h`` and ``CenterGreens.dh``
-    (H_0(0, .) = 1/R)."""
+    """psi = PU - lam^{-1/2} (H_a - H_0)(0, .), whose H-difference is
+    ``CenterGreens.h`` and its derivative ``CenterGreens.dh``, which
+    ``decompose`` takes (H_0(0, .) = 1/R)."""
 
     def test_zero_coefficient_is_pu(self):
         rs = np.linspace(0.05, 0.95, 10)

@@ -339,6 +339,26 @@ class TestSweepAndReport:
             assert resumed[d["eps"]]["M"] == pytest.approx(d["M"], rel=1e-8)
             assert resumed[d["eps"]]["lam"] == pytest.approx(d["lam"], rel=1e-7)
 
+    def test_cold_newton_failure_fails_its_rung(self, tmp_path, monkeypatch):
+        # a = -3 lies outside the rate law's regime, so every rung scans;
+        # the rung whose Newton finds no root in its bracket fails alone
+        newton = solver._newton
+
+        def failing(cfgs, *args):
+            return [None if cfg.eps == 0.05 else M for cfg, M in zip(cfgs, newton(cfgs, *args))]
+
+        monkeypatch.setattr(solver, "_newton", failing)
+        ladder = [0.08, 0.05, 0.02]
+        cfg_path = write_cfg(tmp_path, eps_ladder=ladder, a={"constant": -3.0})
+        rec_path = tmp_path / "r.jsonl"
+        assert main(["sweep", "--config", cfg_path, "--out", str(rec_path)]) == EXIT_NUMERICAL
+        lines = [json.loads(l) for l in rec_path.read_text().splitlines()]
+        assert [(d["eps"], d["status"]) for d in lines] == [(0.08, "ok"), (0.05, "failed"),
+                                                            (0.02, "ok")]
+        assert lines[0]["seed"] == lines[2]["seed"] == "scan"
+        assert (lines[1]["stage"], lines[1]["error_type"]) == ("solve", "RuntimeError")
+        assert "no root in the bracket" in lines[1]["error"]
+
     def test_sweep_builds_center_data_once(self, tmp_path, monkeypatch):
         # one ga_center for the rate law and one for the analysis of all rungs
         calls, orig = [], greenfn.ga_center
@@ -503,6 +523,39 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"'{name}'" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("doc, args", [
+        (None, ["critical", "--config", "{tmp}/absent.json"]),
+        (5, ["critical"]),
+        ({"eps_ladder": "abc"}, ["critical"]),
+        ({"eps_ladder": [0.04, None]}, ["critical"]),
+        ({"probes": 3}, ["critical"]),
+        ({"R": True}, ["critical"]),
+        ({"tolerances": {"quad": 1e-10, "ode": True, "shoot": 1e-7, "series": 1e-12}},
+         ["critical"]),
+        ({"eps_ladder": [True]}, ["critical"]),
+        ({"R": 2.0, "probes": [True]}, ["critical"]),
+        *[(None, [cmd, "--out", "{tmp}/absent/out"])
+          for cmd in ("greens", "critical", "qv", "solve", "sweep", "bubbletest")],
+        (None, ["verify", "--records", "{tmp}/records.jsonl", "--out", "{tmp}/absent/v.json"]),
+        (None, ["report", "--records", "{tmp}/records.jsonl", "--out", "{tmp}/absent/t.csv"]),
+    ], ids=["missing-config", "not-an-object", "ladder-string", "ladder-null", "probes-number",
+            "R-bool", "tolerance-bool", "ladder-bool", "probe-bool", "out-greens",
+            "out-critical", "out-qv", "out-solve", "out-sweep", "out-bubbletest",
+            "out-verify", "out-report"])
+    def test_malformed_input(self, tmp_path, capsys, canonical_records, doc, args):
+        # verify and report get good records, so only --out is at fault
+        write_records(tmp_path, canonical_records)
+        argv = [a.format(tmp=tmp_path) for a in args]
+        if doc is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({**asdict(RunConfig()), **doc} if isinstance(doc, dict)
+                                       else doc))
+            argv += ["--config", str(path)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error:")
+        assert "Traceback" not in err
+
     def test_non_integer_lmax(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="lmax"):
             RunConfig.from_dict({"lmax": "x"})
@@ -549,6 +602,18 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert "Q_V(0) = 0" in captured.err
+
+    @pytest.mark.parametrize("a", [-2.48, -3.0])
+    def test_non_critical_a_refused(self, tmp_path, capsys, canonical_records, monkeypatch, a):
+        # a supercritical a has phi_a(0) < 0 and none of the critical-a laws:
+        # verify says so before any fit
+        monkeypatch.setattr(asympt, "build_report", lambda *args: pytest.fail("judged"))
+        cfg_path = write_cfg(tmp_path, a={"constant": a})
+        rec_path = write_records(tmp_path, canonical_records, load_config(cfg_path))
+        assert main(["verify", "--config", cfg_path, "--records", rec_path]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "phi_a(0) = -" in captured.err
 
     def test_config_mismatch_rejected(self, tmp_path, capsys, canonical_records):
         # V = -1 records judged against the V = -2 laws would read as a

@@ -19,7 +19,6 @@ from ballblowup.solver import (
     RadialSolution,
     greens_rep_residual,
     pohozaev_residual,
-    shoot,
     solve_ladder,
     solve_profile,
     taylor_start,
@@ -131,33 +130,44 @@ class TestTaylorStart:
         assert np.allclose(np.polynomial.polynomial.polyval(x, coefs), V(x), rtol=1e-14, atol=0)
 
 
+def _endpoint(M, cfg):
+    """The endpoint map u(R; M) = R^{-1/2} w(ln R; M) of one shooting
+    integration from the center height M, past any interior zero."""
+    traj, _ = solver._integrate([M], [cfg])
+    return traj.states[-1, 0] / math.sqrt(cfg.domain.R)
+
+
 class TestShoot:
     def test_linear_regime_positive(self):
         # for small M the profile is essentially M sin(k r)/(k r) with
         # k = sqrt(|m|) < pi, positive up to the boundary
-        assert shoot(1e-3, make_config(0.05)) > 0
+        assert _endpoint(1e-3, make_config(0.05)) > 0
 
     def test_endpoint_changes_sign(self):
         cfg = make_config(0.05)
         signs = set()
         M = 1.0
         while M <= 1e3:
-            signs.add(shoot(M, cfg) > 0)
+            signs.add(_endpoint(M, cfg) > 0)
             if len(signs) == 2:
                 break
             M *= 2.0
         assert signs == {True, False}
 
     def test_endpoint_is_newtons_map(self):
-        # above the root the profile crosses zero inside the ball, and shoot
-        # still reads R^{-1/2} w(ln R) of the plain shooting integration
+        # above the root the profile crosses zero inside the ball, and the
+        # map still reads R^{-1/2} w(ln R) of the plain shooting integration;
+        # the bracket scan finds its sign change, one integration a height
         R = 2.0
         cfg = ProblemConfig(domain=BallDomain(R), a=const(CRITICAL_A / R**2),
                             V=const(-1.0 / R**2), eps=0.05)
         traj, _ = solver._integrate([30.0], [cfg])
         assert traj.nodes[-1] == math.log(R)
         assert traj.states[-1, 0] < 0
-        assert shoot(30.0, cfg) == traj.states[-1, 0] / math.sqrt(R)
+        tally = Counter()
+        lo, hi = solver._find_bracket(cfg, tally)
+        assert hi == 1.3 * lo and _endpoint(lo, cfg) > 0 > _endpoint(hi, cfg)
+        assert tally["bracket"] == round(math.log(lo / 0.5) / math.log(1.3)) + 2
 
     def test_monotone_profile(self, canonical_solutions):
         u = canonical_solutions[0]
@@ -194,7 +204,7 @@ class TestSolveProfile:
         # inside the finalize's last step; the sample's last node sits at
         # ~0.9997 R, past the crossing
         cfg = sol_005.config
-        (out,) = solver._finalize([factor * sol_005.M], [cfg], [Counter()], "rate_law")
+        (out,) = solver._finalize([factor * sol_005.M], [cfg], [Counter()], ["rate_law"])
         assert isinstance(out, RuntimeError) and "positivity violated" in str(out)
 
     def test_pde_residual(self, sol_005):
@@ -279,27 +289,22 @@ class TestNewton:
 
     def test_deep_rung_stops_at_noise_floor(self, monkeypatch):
         # at lam ~ 1.5e4 integration noise fixes the root only to ~1e-8
-        # relative; Newton must stop there, not fall back to Brent
-        brent_calls, orig_brent = [], solver.brent_root
-
-        def counting_brent(*args, **kwargs):
-            brent_calls.append(1)
-            return orig_brent(*args, **kwargs)
-
+        # relative; Newton must stop there, not leave it to the scan
         calls = _record(monkeypatch, solver)
-        monkeypatch.setattr(solver, "brent_root", counting_brent)
         s = solve_profile(make_config(0.001))
-        assert not brent_calls
+        assert s.diagnostics["seed"] == "rate_law"
         assert len(calls) <= 6
         assert abs(s.diagnostics["endpoint"]) <= 1e-10
 
-    def test_agrees_with_brent(self, canonical_solutions, monkeypatch):
-        # the same ladder with every Newton solve failing: scan and Brent
-        monkeypatch.setattr(solver, "_newton", lambda cfgs, *args: [None] * len(cfgs))
+    def test_scan_agrees_with_rate_law(self, canonical_solutions, monkeypatch):
+        # the same ladder without the rate law: every rung scans, and Newton
+        # from the brackets lands on the rate-law roots; the deepest rung
+        # reads 2.6e-9
+        monkeypatch.setattr(solver, "_rate_law", lambda cfg: None)
         sols = [s for _, s in solve_ladder([s.config for s in canonical_solutions])]
-        for s_newton, s in zip(canonical_solutions, sols):
+        for s_law, s in zip(canonical_solutions, sols):
             assert s.diagnostics["seed"] == "scan"
-            assert s_newton.M == pytest.approx(s.M, rel=1e-7)
+            assert s_law.M == pytest.approx(s.M, rel=1e-7)
 
     def test_bad_seed_falls_back(self, canonical_solutions):
         # a start the window Newton fails from: the scan finds the root
@@ -313,14 +318,18 @@ class TestNewton:
 def _bad_start(good):
     """``good``'s rung solved alone from a rate law that puts its Newton
     start at 1.4 times the root."""
-    return solver._solve_rung(good.config, (1.4 * good.M) ** 2 * good.config.eps, Counter())
+    law = (1.4 * good.M) ** 2 * good.config.eps
+    (s,) = solver._solve([good.config], [Counter()], law)
+    return s
 
 
-def _scan_path(cfg):
-    """Center height as a cold solve found it without the rate law: the
-    bracket scan over the default M range, then Newton from its lower end."""
-    bracket = solver._find_bracket(cfg, Counter())
-    return solver._newton([cfg], [bracket[0]], [bracket], [Counter()])[0]
+def _scan_path(cfgs):
+    """Center heights as the driver finds them without the rate law: each
+    rung's bracket scan over the default M range, then Newton in lockstep
+    from the brackets' lower ends."""
+    brackets = [solver._find_bracket(cfg, Counter()) for cfg in cfgs]
+    return solver._newton(cfgs, [lo for lo, _ in brackets], brackets,
+                          [Counter() for _ in cfgs])
 
 
 class TestRateLawSeed:
@@ -331,7 +340,7 @@ class TestRateLawSeed:
         assert counts["bracket"] == 0
         assert counts["root"] <= 5
         assert counts["finalize"] == 1
-        assert s.M == pytest.approx(_scan_path(s.config), rel=1e-9, abs=0)
+        assert s.M == pytest.approx(_scan_path([s.config])[0], rel=1e-9, abs=0)
 
     def test_fallback_phases_counted(self, canonical_solutions):
         counts = _bad_start(canonical_solutions[1]).diagnostics["shoot_integrations"]
@@ -346,25 +355,26 @@ class TestRateLawSeed:
         s = solve_profile(cfg)
         assert s.diagnostics["seed"] == "scan"
         law = 4 * math.pi**2 * 3.0 / abs(qv_center(V, a, 1.0))
-        from_law = solver._solve_rung(cfg, law, Counter())
+        (from_law,) = solver._solve([cfg], [Counter()], law)
         spent = sum(s.diagnostics["shoot_integrations"].values())
         assert spent < sum(from_law.diagnostics["shoot_integrations"].values())
         assert s.M == pytest.approx(from_law.M, rel=1e-9, abs=0)
 
     def test_outside_law_regime_scans(self):
         # a = -3 is supercritical and V = +1 gives Q_V(0) > 0: no rate law,
-        # so every rung of a ladder runs the scan path cold, in <= 16
-        # integrations, and a finalize of <= 90 steps; a start from its
-        # neighbour's M ~ eps^{-1/2} took 34
+        # so every rung of a ladder scans and the rungs run Newton in
+        # lockstep from their brackets, in <= 16 integrations a rung, and a
+        # finalize of <= 90 steps; a start from its neighbour's
+        # M ~ eps^{-1/2} took 34
         for V in (1.0, -1.0):
             cfgs = [ProblemConfig(domain=BallDomain(1.0), a=const(-3.0), V=const(V), eps=eps)
                     for eps in (0.08, 0.05, 0.02)]
-            for cfg, (_, s) in zip(cfgs, solve_ladder(cfgs)):
+            for M, (_, s) in zip(_scan_path(cfgs), solve_ladder(cfgs)):
                 assert s.diagnostics["seed"] == "scan"
                 assert s.diagnostics["shoot_integrations"]["bracket"] > 0
                 assert sum(s.diagnostics["shoot_integrations"].values()) <= 16
                 assert s.diagnostics["shoot_steps"]["finalize"] <= 90
-                assert s.M == _scan_path(cfg)
+                assert s.M == M
 
     @pytest.mark.parametrize("a", [-2.0, -1.0, 2.0])
     def test_no_solution_raises_before_the_scan(self, a, monkeypatch):
@@ -496,7 +506,7 @@ class TestSolveLadder:
         calls = _record(monkeypatch, solver)
         Ms = [s.M for s in canonical_solutions]
         cfgs = [s.config for s in canonical_solutions]
-        finals = solver._finalize(Ms, cfgs, [Counter() for _ in Ms], "rate_law")
+        finals = solver._finalize(Ms, cfgs, [Counter() for _ in Ms], ["rate_law"] * len(Ms))
         ((args, kwargs, traj),) = calls
         assert traj.states.shape[1] == 2 * len(Ms)
         sol = _scipy_twin(*args, **kwargs)
@@ -522,10 +532,11 @@ class TestSolveLadder:
             assert fit_bubble(s2)[1] * R == pytest.approx(fit_bubble(s1)[1], rel=1e-7)
 
     def test_window_exit_falls_back_with_continuation(self, canonical_solutions, monkeypatch):
-        # the first rung leaves the batch: it is solved alone, again from
-        # its rate-law height, and its tally keeps the batch's integrations
-        newton, solve_rung = solver._newton, solver._solve_rung
-        alone = []
+        # the first rung leaves the batch: it alone scans for a bracket and
+        # runs Newton from it, and its tally keeps the batch's integrations;
+        # the other rungs keep their roots bit for bit
+        newton, find_bracket = solver._newton, solver._find_bracket
+        scanned = []
 
         def newton_dropping(cfgs, Ms, *args):
             roots = newton(cfgs, Ms, *args)
@@ -533,25 +544,25 @@ class TestSolveLadder:
                 roots[0] = None
             return roots
 
-        def solve_spy(cfg, law, tally):
-            alone.append((cfg.eps, law))
-            return solve_rung(cfg, law, tally)
+        def bracket_spy(cfg, tally):
+            scanned.append(cfg.eps)
+            return find_bracket(cfg, tally)
 
         monkeypatch.setattr(solver, "_newton", newton_dropping)
-        monkeypatch.setattr(solver, "_solve_rung", solve_spy)
+        monkeypatch.setattr(solver, "_find_bracket", bracket_spy)
         sols = [s for _, s in solve_ladder([s.config for s in canonical_solutions])]
         first = canonical_solutions[0]
-        assert alone == [(first.config.eps, solver._rate_law(first.config))]
-        assert sols[0].diagnostics["seed"] == "rate_law"
+        assert scanned == [first.config.eps]
+        assert sols[0].diagnostics["seed"] == "scan"
         counts = sols[0].diagnostics["shoot_integrations"]
         batched = first.diagnostics["shoot_integrations"]
-        assert counts["root"] > batched["root"]
-        for s, ref in zip(sols, canonical_solutions):
-            assert s.M == pytest.approx(ref.M, rel=1e-8)
+        assert counts["bracket"] > 0 and counts["root"] > batched["root"]
+        assert sols[0].M == pytest.approx(first.M, rel=1e-8)
+        assert [s.M for s in sols[1:]] == [s.M for s in canonical_solutions[1:]]
 
     def test_failed_batch_solves_rungs_alone(self, canonical_solutions, monkeypatch):
-        # a stacked integration that fails sends every rung down the
-        # one-rung path, each from its own rate-law height
+        # a stacked integration that fails sends every rung through the
+        # driver alone, each from its own rate-law height
         integrate_one = solver._integrate
 
         def failing(Ms, cfgs, *args, **kwargs):
@@ -564,6 +575,24 @@ class TestSolveLadder:
         assert [s.diagnostics["seed"] for s in sols] == ["rate_law"] * 4
         for s, ref in zip(sols, canonical_solutions):
             assert s.M == pytest.approx(ref.M, rel=1e-8)
+
+    def test_failing_rung_fails_alone(self, canonical_solutions, monkeypatch):
+        # every integration that carries the eps = 0.02 rung raises: the
+        # stacked batch fails, each rung goes through the driver alone, and
+        # only that rung fails
+        integrate = solver._integrate
+
+        def failing(Ms, cfgs, *args, **kwargs):
+            if any(cfg.eps == 0.02 for cfg in cfgs):
+                raise RuntimeError("integration failed")
+            return integrate(Ms, cfgs, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_integrate", failing)
+        sols = [s for _, s in solve_ladder([s.config for s in canonical_solutions])]
+        assert isinstance(sols[1], RuntimeError) and str(sols[1]) == "integration failed"
+        for k in (0, 2, 3):
+            assert sols[k].diagnostics["seed"] == "rate_law"
+            assert sols[k].M == pytest.approx(canonical_solutions[k].M, rel=1e-8)
 
     @pytest.mark.parametrize("change", [{"V_const": -2.0}, {"R": 2.0}], ids=["V", "R"])
     def test_mixed_rungs_refused(self, change):
@@ -588,6 +617,22 @@ class TestSolveLadder:
         (e0, r0), (e1, r1) = solve_ladder(cfgs)
         assert (e0, e1) == (0.0, 0.04)
         assert isinstance(r0, ValueError) and isinstance(r1, RadialSolution)
+
+    def test_rung_without_solution_fails_alone(self, monkeypatch):
+        # a = -2, V = -1: at eps = 0.6 m = -2.6 lies below -pi^2/4 and the
+        # rung scans to a profile; at eps = 0.04 m = -2.04 has no positive
+        # solution, refused before any integration of that rung
+        integrate, stacked = solver._integrate, []
+
+        def recording(Ms, cfgs, *args, **kwargs):
+            stacked.append([cfg.eps for cfg in cfgs])
+            return integrate(Ms, cfgs, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_integrate", recording)
+        (_, s), (_, e) = solve_ladder([make_config(eps, a_const=-2.0) for eps in (0.6, 0.04)])
+        assert isinstance(s, RadialSolution) and s.diagnostics["seed"] == "scan"
+        assert isinstance(e, solver.NoBracketError) and "no positive solution" in str(e)
+        assert stacked and all(epss == [0.6] for epss in stacked)
 
 
 def _reference_M(cfg):
@@ -695,7 +740,8 @@ class TestRungSample:
         # at single points: the far field and the Green probes
         finals = solver._finalize([s.M for s in canonical_solutions],
                                   [s.config for s in canonical_solutions],
-                                  [Counter() for _ in canonical_solutions], "rate_law")
+                                  [Counter() for _ in canonical_solutions],
+                                  ["rate_law"] * len(canonical_solutions))
         sizes = []
         for s in finals:
             s.dense = functools.partial(_counting_call, s.dense, sizes)
