@@ -345,9 +345,13 @@ def _trust(records):
     return sorted(recs, key=lambda r: -r.eps)
 
 
-def _check_regime(a0: float, qv0: float) -> None:
-    """Raise RegimeError unless a(0) < 0 and Q_V(0) < 0, where the laws hold
-    (with V = 0 at critical a no rung has a solution to judge)."""
+def _check_regime(a0: float, qv0: float, cg: CenterGreens | None = None) -> None:
+    """Raise RegimeError unless a is critical (``cg.is_critical``, when a's
+    center Green's data ``cg`` is given), a(0) < 0 and Q_V(0) < 0, where the
+    laws hold (with V = 0 at critical a no rung has a solution to judge)."""
+    if cg is not None and not cg.is_critical:
+        raise RegimeError(f"the blow-up laws need a critical a, phi_a(0) = 0, "
+                          f"not phi_a(0) = {cg.phi_a_at_0:.6g}")
     if a0 >= 0 or qv0 >= 0:
         raise RegimeError(f"the blow-up laws need a(0) < 0 and Q_V(0) < 0, "
                           f"not a(0) = {a0:.6g}, Q_V(0) = {qv0:.6g}")
@@ -421,10 +425,13 @@ def sup_w_check(records) -> TrendEntry:
     return TrendEntry(values=vals, decreasing=dec)
 
 
-def build_report(records, a0: float, qv0: float, phi0: float) -> TheoremReport:
-    """Assemble the full verification report from ladder records; the
-    zero-mode targets take phi_a(0) = 0, as at critical a.  Raises
-    RegimeError before any fit unless a(0) < 0 and Q_V(0) < 0."""
+def build_report(records, cg: CenterGreens, qv0: float, phi0: float) -> TheoremReport:
+    """Assemble the full verification report from ladder records, given a's
+    center Green's data ``cg``, Q_V(0) and phi_0(0); the zero-mode targets
+    take phi_a(0) = 0.  Raises RegimeError before any fit unless a is
+    critical, a(0) < 0 and Q_V(0) < 0."""
+    a0 = cg.a_at_0
+    _check_regime(a0, qv0, cg)
     rate = verify_rate(records, a0, qv0)
     alpha = verify_alpha(records, a0, qv0, phi0)
     recs = _trust(records)

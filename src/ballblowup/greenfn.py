@@ -119,19 +119,22 @@ class RadialCoefficient:
         return RadialCoefficient(values=float(c))
 
 
-def check_coercivity(a_min: float, R: float) -> None:
-    """Guard against non-coercive -Delta + a on the ball, given the least
-    value ``a_min`` of a: exact for a constant (first Dirichlet eigenvalue
-    pi^2/R^2), applied to the least tabulated or sampled value otherwise."""
+def check_coercivity(m: Callable, R: float) -> None:
+    """Guard against non-coercive -Delta + m on the ball: refuse unless the
+    least value of m on 257 equispaced radii of [0, R] lies above minus the
+    first Dirichlet eigenvalue, -pi^2/R^2.  Exact for a constant; for a table
+    it reads the spline between the knots, where it can dip below them."""
+    m_min = float(np.min(m(np.linspace(0.0, R, 257))))
     lam1 = math.pi**2 / R**2
-    if a_min <= -lam1:
-        raise CoercivityError(f"coefficient min {a_min:g} <= -pi^2/R^2 = {-lam1:g}")
+    if m_min <= -lam1:
+        raise CoercivityError(f"coefficient min {m_min:g} <= -pi^2/R^2 = {-lam1:g}")
 
 
 # phi_a(0) R at or below this counts as zero, i.e. a as critical.  ga_center
-# integrates at tol 1e-12 and reads 3.7e-13 at a* = -pi^2/4 on the unit ball,
-# so the bound sits three orders above that noise; since d phi_a(0)/da = R/2
-# at a*, it admits only constants within ~2e-9 / R^2 of a*.
+# integrates at tol 1e-12; at R = 0.5, 1, 1.25 and 2 it reads at most 3.8e-13
+# at the closed form a* = -pi^2/(4R^2) and 3.2e-13 at critical_a(R), so the
+# bound sits three orders above that noise; since d phi_a(0)/da = R/2 at a*,
+# it admits only constants within ~2e-9 / R^2 of a*.
 _CRITICAL_PHI = 1e-9
 
 
@@ -224,7 +227,7 @@ def ga_center(a: RadialCoefficient, R: float = 1.0) -> CenterGreens:
     phi_a(0) = k cot(kR).
     """
     a.check_span(R)
-    check_coercivity(float(np.min(np.asarray(a.values, dtype=float))), R)
+    check_coercivity(a, R)
     traj = _solve_v(a, R)
     vp_R, _, vh_R, _ = traj(R)
     if abs(vh_R) < 1e-13 * R:
@@ -240,13 +243,32 @@ def ga_center(a: RadialCoefficient, R: float = 1.0) -> CenterGreens:
 
 def critical_a(R: float = 1.0) -> float:
     """Constant coefficient at which phi_a(0) vanishes; analytically
-    -pi^2/(4R^2), located here by root finding on the center profile."""
+    -pi^2/(4R^2), located here by Newton on v1(R; a), the endpoint of the
+    (1, 0) center solution of v'' = a v: phi_a(0) = v1(R)/v2(R) vanishes
+    where v1(R) does.  The slope dv1(R)/da is w(R) of the variational
+    equation w'' = a w + v1, w(0) = w'(0) = 0, two more states of the same
+    lean integration (tol 1e-12, no dense output).  Newton starts at the
+    midpoint of the bracket (-0.9 pi^2/R^2, -1e-6/R^2), on which v1(R)
+    rises with a; the sign of v1(R) narrows the bracket, a step that leaves
+    it is replaced by its midpoint, and a step of at most 1e-12 |a| ends the
+    solve: six integrations at R = 0.5, 1, 1.25 and 2.
+    """
     lo, hi = -0.9 * math.pi**2 / R**2, -1e-6 / R**2
+    a = 0.5 * (lo + hi)
 
-    def f(c):
-        return ga_center(RadialCoefficient.constant_coeff(c), R).phi_a_at_0
+    def rhs(r, y):
+        v, vp, w, wp = y
+        return [vp, a * v, wp, a * w + v]
 
-    return brent_root(f, (lo, hi), tol=1e-13).root
+    for _ in range(100):
+        v, _, w, _ = ode_solve(rhs, [1.0, 0.0, 0.0, 0.0], (0.0, R), tol=1e-12,
+                               dense=False).states[-1]
+        lo, hi = (lo, a) if v > 0 else (a, hi)
+        step = -v / w
+        if abs(step) <= 1e-12 * abs(a):
+            return a + step
+        a = a + step if lo < a + step < hi else 0.5 * (lo + hi)
+    raise RuntimeError(f"critical_a: Newton did not converge at R = {R:g}")
 
 
 # Bessel orders the phi_a series is evaluated at: past order 188, where

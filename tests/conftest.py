@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from ballblowup.asympt import records_from_sweep
-from ballblowup.greenfn import BallDomain, RadialCoefficient
+from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center
 from ballblowup.solver import ProblemConfig, solve_ladder
 
 CRITICAL_A = -math.pi**2 / 4.0
@@ -43,6 +43,13 @@ def ladder(**kw):
             raise s
         sols.append(s)
     return sols
+
+
+@pytest.fixture(scope="session")
+def critical_cg():
+    """Center Green's data of the critical a on the unit ball, which
+    ``build_report`` takes for the canonical ladders."""
+    return ga_center(const(CRITICAL_A), 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -52,13 +52,13 @@ def closed(value, target):
 
 
 @pytest.fixture(scope="module")
-def report(canonical_records):
-    return build_report(canonical_records, CRITICAL_A, -2 * math.pi, 1.0)
+def report(canonical_records, critical_cg):
+    return build_report(canonical_records, critical_cg, -2 * math.pi, 1.0)
 
 
-def test_criterion_3_rate(report, v2_records):
+def test_criterion_3_rate(report, v2_records, critical_cg):
     r1 = report.rate
-    r2 = build_report(v2_records, CRITICAL_A, -4 * math.pi, 1.0).rate
+    r2 = build_report(v2_records, critical_cg, -4 * math.pi, 1.0).rate
     ok = (
         r1.passed and closed(r1.target, math.pi**3 / 2)
         and r2.passed and closed(r2.target, math.pi**3 / 4)

@@ -21,7 +21,7 @@ from ballblowup.asympt import (
     verify_rate,
 )
 from ballblowup.bubble import dlam_u_prime, pu_center, u_prime, _u
-from ballblowup.greenfn import RadialCoefficient, ga_center
+from ballblowup.greenfn import RadialCoefficient, ga_center, qv_center
 from ballblowup.numkit import radial_quadrature_rule
 from ballblowup.solver import solve_profile
 
@@ -201,11 +201,21 @@ class TestVerifiers:
 
     @pytest.mark.parametrize("a0, qv0", [(CRITICAL_A, 0.0), (CRITICAL_A, 2 * math.pi),
                                          (0.0, -2 * math.pi)], ids=["qv0=0", "qv0>0", "a0=0"])
-    def test_report_refuses_outside_regime(self, canonical_records, a0, qv0):
+    def test_report_refuses_outside_regime(self, canonical_records, critical_cg, a0, qv0):
         # Q_V(0) = 0 leaves no finite rate to judge, and at critical a with
-        # V = 0 no rung has a solution: the report refuses such inputs
+        # V = 0 no rung has a solution: the report refuses such inputs.  A
+        # critical table may have a(0) = 0; a constant one cannot.
+        cg = dataclasses.replace(critical_cg, a_at_0=a0)
         with pytest.raises(RegimeError, match=r"a\(0\) < 0 and Q_V\(0\) < 0"):
-            build_report(canonical_records, a0, qv0, 1.0)
+            build_report(canonical_records, cg, qv0, 1.0)
+
+    def test_report_refuses_noncritical_a(self, canonical_records, monkeypatch):
+        # a = -2.48 has phi_a(0) < 0 and negative a(0) and Q_V(0): only the
+        # criticality test stands between its data and the fits
+        monkeypatch.setattr(asympt, "verify_rate", lambda *args: pytest.fail("fitted"))
+        cg = ga_center(const(-2.48), 1.0)
+        with pytest.raises(RegimeError, match=r"phi_a\(0\) = -"):
+            build_report(canonical_records, cg, qv_center(const(-1.0), const(-2.48), 1.0), 1.0)
 
     def test_alpha(self, canonical_records):
         entry = verify_alpha(canonical_records, CRITICAL_A, -2 * math.pi, 1.0)
@@ -264,7 +274,7 @@ class TestVerifiers:
 class TestReportRows:
     @staticmethod
     def rows(records):
-        report = build_report(records, CRITICAL_A, -2 * math.pi, 1.0)
+        report = build_report(records, ga_center(const(CRITICAL_A), 1.0), -2 * math.pi, 1.0)
         return {check: (value, target, passed) for check, value, target, passed in report.rows()}
 
     @pytest.mark.parametrize("tol, factor", [(0.1, 3.0), (1e-4, 1.01)])

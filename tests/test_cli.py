@@ -150,6 +150,18 @@ class TestScalarCommands:
         assert rep["phi_a_at_0"] == pytest.approx(1 / math.tan(1.0), abs=1e-10)
         assert rep["criticality"]["critical"] is False
 
+    @pytest.mark.parametrize("cmd", ["qv", "greens"])
+    def test_spline_dip_refused(self, tmp_path, capsys, cmd):
+        # every tabulated value is above -pi^2, but the spline between them
+        # dips to -35.46: ga_center reads the grid ProblemConfig reads
+        table = {"values": [-9.0, -9.8, -2.0, -9.8, -9.0],
+                 "abscissae": [0.0, 0.3, 0.35, 0.6, 1.0]}
+        cfg = write_cfg(tmp_path, a={"table": table})
+        assert main([cmd, "--config", cfg]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "coefficient min -35.46" in captured.err
+
     def test_greens_default_critical(self, tmp_path):
         # critical a: the criticality report carries numpy bools
         out = tmp_path / "greens.json"
@@ -606,8 +618,8 @@ class TestVerify:
     @pytest.mark.parametrize("a", [-2.48, -3.0])
     def test_non_critical_a_refused(self, tmp_path, capsys, canonical_records, monkeypatch, a):
         # a supercritical a has phi_a(0) < 0 and none of the critical-a laws:
-        # verify says so before any fit
-        monkeypatch.setattr(asympt, "build_report", lambda *args: pytest.fail("judged"))
+        # build_report, which verify calls, says so before any fit
+        monkeypatch.setattr(asympt, "verify_rate", lambda *args: pytest.fail("fitted"))
         cfg_path = write_cfg(tmp_path, a={"constant": a})
         rec_path = write_records(tmp_path, canonical_records, load_config(cfg_path))
         assert main(["verify", "--config", cfg_path, "--records", rec_path]) == EXIT_NUMERICAL
@@ -644,12 +656,12 @@ class TestVerify:
         assert fails == [law]
 
     @pytest.mark.parametrize("scale", [1.0, 1.02])
-    def test_csv_is_the_report(self, tmp_path, canonical_records, scale):
+    def test_csv_is_the_report(self, tmp_path, canonical_records, critical_cg, scale):
         recs = [dataclasses.replace(r, gamma=r.gamma * scale) for r in canonical_records]
         out_path = tmp_path / "verdict.json"
         code = main(["verify", "--records", write_records(tmp_path, recs),
                      "--out", str(out_path)])
-        report = asympt.build_report(recs, CRITICAL_A, -2 * math.pi, 1.0)
+        report = asympt.build_report(recs, critical_cg, -2 * math.pi, 1.0)
         expected = [[c, v, t, str(p)] for c, v, t, p in report.rows()]
         expected.append(["center pinned by symmetry", "satisfied", "symmetry", "True"])
         with out_path.with_suffix(".csv").open(newline="") as fh:

@@ -77,7 +77,7 @@ class TestGaCenter:
 
     def test_coercivity_guard(self):
         with pytest.raises(CoercivityError):
-            check_coercivity(-math.pi**2 - 0.1, 1.0)
+            check_coercivity(const(-math.pi**2 - 0.1), 1.0)
 
     def test_short_table_refused_before_integrating(self, monkeypatch):
         # the right-hand side reads a table unchecked, so ga_center checks
@@ -104,14 +104,32 @@ class TestGaCenter:
 
 class TestCriticalA:
     def test_unit_ball(self):
-        assert critical_a(1.0) == pytest.approx(-math.pi**2 / 4, abs=1e-10)
+        assert critical_a(1.0) == pytest.approx(-math.pi**2 / 4, abs=1e-12)
 
     def test_radius_two(self):
-        assert critical_a(2.0) == pytest.approx(-math.pi**2 / 16, abs=1e-10)
+        assert critical_a(2.0) == pytest.approx(-math.pi**2 / 16, abs=1e-12)
 
     def test_dilation_scaling(self):
         vals = [critical_a(R) * R**2 for R in (0.5, 1.0, 2.0)]
-        assert max(vals) - min(vals) <= 1e-9
+        assert max(vals) - min(vals) <= 1e-12
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.25, 2.0])
+    def test_few_lean_integrations(self, monkeypatch, R):
+        # Newton with the a-sensitivity: at most 7 integrations, none with
+        # dense output
+        calls, orig = [], greenfn.ode_solve
+
+        def counting(*args, **kw):
+            calls.append(kw.get("dense", True))
+            return orig(*args, **kw)
+
+        monkeypatch.setattr(greenfn, "ode_solve", counting)
+        critical_a(R)
+        assert 0 < len(calls) <= 7 and not any(calls)
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.25, 2.0])
+    def test_phi_vanishes_at_root(self, R):
+        assert abs(ga_center(const(critical_a(R)), R).phi_a_at_0) * R <= 1e-12
 
 
 class TestPhiaProfile:

@@ -56,7 +56,7 @@ def test_qv_and_critical_a(R):
     # so Q_V(0) = 4 pi int_0^R -cos^2 = -2 pi R for V = -1; verify's rate
     # target inherits Q_V(0)'s error
     a_star = _mp(lambda: -mpmath.pi**2 / (4 * mpmath.mpf(R) ** 2))
-    assert critical_a(R) == pytest.approx(a_star, rel=1e-10, abs=0)
+    assert critical_a(R) == pytest.approx(a_star, rel=1e-12, abs=0)
     qv = qv_center(const(-1.0), const(-math.pi**2 / (4 * R**2)), R)
     assert qv == pytest.approx(_mp(lambda: -2 * mpmath.pi * R), rel=1e-12, abs=0)
 
@@ -73,7 +73,7 @@ _TABULATED_V = {
 
 
 @pytest.mark.parametrize("name", _TABULATED_V)
-def test_tabulated_v(name):
+def test_tabulated_v(name, critical_cg):
     # a V that is a function, not a constant: Q_V(0) of its table, and the
     # canonical ladder passes every law against that closed form
     V_of, closed, bound = _TABULATED_V[name]
@@ -86,7 +86,7 @@ def test_tabulated_v(name):
     assert qv_center(V, a, 1.0) == pytest.approx(exact, rel=bound, abs=0)
     sols = [s for _, s in solve_ladder(
         [ProblemConfig(domain=BallDomain(1.0), a=a, V=V, eps=eps) for eps in EPS_LADDER])]
-    report = build_report(records_from_sweep(sols), CRITICAL_A, exact,
+    report = build_report(records_from_sweep(sols), critical_cg, exact,
                           phi0_ball([0.0, 0.0, 0.0], 1.0))
     assert report.all_passed, list(report.rows())
 

@@ -706,14 +706,14 @@ class TestAccuracy:
             assert s.diagnostics["seed"] == "rate_law"
             assert s.diagnostics["shoot_integrations"]["root"] <= 3
 
-    def test_x32_ladder_verifies(self):
+    def test_x32_ladder_verifies(self, critical_cg):
         # lam up to ~1e5: eps lam still rises toward pi^3/2 and every law passes
         sols = [s for _, s in solve_ladder([make_config(eps / 32) for eps in EPS_LADDER])]
         a = const(CRITICAL_A)
         records = records_from_sweep(sols)
         prods = [r.eps_lambda for r in records]
         assert all(q > p for p, q in zip(prods, prods[1:]))
-        assert build_report(records, CRITICAL_A, qv_center(const(-1.0), a, 1.0), 1.0).all_passed
+        assert build_report(records, critical_cg, qv_center(const(-1.0), a, 1.0), 1.0).all_passed
 
 
 def _counting_call(dense, sizes, t):
