@@ -304,36 +304,39 @@ _M_SCAN = (0.5, 1e4)
 _SCAN_FACTOR = 1.3
 
 
-def _find_bracket(cfg: ProblemConfig, tally: Counter):
-    """Geometric scan over ``_M_SCAN`` for a sign change of the endpoint map
-    u(R; M), read off one shooting integration per height, past any interior
-    zero; each is counted in ``tally`` under "bracket".  A constant
-    m = a + eps V >= -pi^2/(4 R^2) raises NoBracketError before the scan:
+def _find_bracket(cfgs, tallies) -> list[tuple[float, float] | NoBracketError]:
+    """Per rung of ``cfgs``, a bracket (M, 1.3 M) of a sign change of its
+    endpoint map u(R; M), or the NoBracketError it failed with.  The rungs
+    scan the heights 0.5 1.3^k up to 1e4 (``_M_SCAN``) together, one stacked
+    shooting integration a height, read past any interior zero, each rung
+    leaving at its first sign change; each integration is counted under
+    "bracket" in the ``tallies`` of the rungs it carries.  A rung whose
+    constant m = a + eps V >= -pi^2/(4 R^2) fails before any integration:
     the ball then has no positive solution (Brezis & Nirenberg, Comm. Pure
     Appl. Math. 36, 1983)."""
-    if cfg.a.is_constant and cfg.V.is_constant:
-        m = cfg.a.constant + cfg.eps * cfg.V.constant
-        bound = -math.pi**2 / (4.0 * cfg.domain.R**2)
-        if m >= bound:
-            raise NoBracketError(f"no positive solution: constant a + eps V = {m:.6g}"
-                                 f" >= -pi^2/(4 R^2) = {bound:.6g}")
-
-    def endpoint(M):  # R^{1/2} u(R; M), of u(R)'s sign
-        traj, _ = _integrate([M], [cfg])
-        _count(tally, "bracket", traj)
-        return traj.states[-1, 0]
-
+    out: list = [None] * len(cfgs)
+    for k, cfg in enumerate(cfgs):
+        if cfg.a.is_constant and cfg.V.is_constant:
+            m = cfg.a.constant + cfg.eps * cfg.V.constant
+            bound = -math.pi**2 / (4.0 * cfg.domain.R**2)
+            if m >= bound:
+                out[k] = NoBracketError(f"no positive solution: constant a + eps V = {m:.6g}"
+                                        f" >= -pi^2/(4 R^2) = {bound:.6g}")
     M_lo, M_hi = _M_SCAN
-    M, f_prev = M_lo, endpoint(M_lo)
-    while M < M_hi:
-        M_next = M * _SCAN_FACTOR
-        f_next = endpoint(M_next)
-        if f_prev * f_next < 0:
-            return (M, M_next)
-        M, f_prev = M_next, f_next
-    raise NoBracketError(
-        f"no sign change of the endpoint map for M in [{M_lo:g}, {M_hi:g}]"
-    )
+    live = [k for k, b in enumerate(out) if b is None]
+    prev, M, f_prev = None, M_lo, {}  # rung -> R^{1/2} u(R; prev), of u(R)'s sign
+    while live:
+        traj, _ = _integrate([M] * len(live), [cfgs[k] for k in live])
+        for k, f in zip(live, traj.states[-1, ::4].tolist()):
+            _count(tallies[k], "bracket", traj)
+            if f_prev.get(k, f) * f < 0:  # no sign change at the first height
+                out[k] = (prev, M)
+            elif M >= M_hi:
+                out[k] = NoBracketError(
+                    f"no sign change of the endpoint map for M in [{M_lo:g}, {M_hi:g}]")
+            f_prev[k] = f
+        live, prev, M = [k for k in live if out[k] is None], M, M * _SCAN_FACTOR
+    return out
 
 
 _LOOSE_TOL = 1e-9  # tol floor of each Newton call's first integration
@@ -479,12 +482,13 @@ def _solve(cfgs, tallies, law) -> list[RadialSolution | Exception]:
 
     Where the rate law applies (``law``, the limit of eps lam, is not None),
     all rungs run Newton in lockstep, each from its rate-law height
-    (law / eps)^{1/2} and kept in ``_LAW_WINDOW`` times it.  Every rung left
-    without a root scans for a bracket (``_find_bracket``), and those rungs
-    run Newton in lockstep, each from its bracket's lower end and kept
-    inside the bracket.  One dense integration finalizes every root.  A
-    step that raises fails its rung when it is the only one; otherwise each
-    rung goes through ``_solve`` alone, so a failing rung fails alone."""
+    (law / eps)^{1/2} and kept in ``_LAW_WINDOW`` times it.  The rungs left
+    without a root scan for brackets together, one stacked integration a
+    height (``_find_bracket``); a rung the scan fails keeps its error, and
+    the others run Newton in lockstep, each from its bracket's lower end and
+    kept inside the bracket.  One dense integration finalizes every root.
+    A step that raises fails its rung when it is the only one; otherwise
+    each rung goes through ``_solve`` alone, so a failing rung fails alone."""
     out: list = [None if cfg.eps > 0 else ValueError("existence regime requires eps > 0")
                  for cfg in cfgs]
     try:
@@ -496,12 +500,12 @@ def _solve(cfgs, tallies, law) -> list[RadialSolution | Exception]:
                             [tuple(f * s for f in _LAW_WINDOW) for s in starts],
                             [tallies[k] for k in live])
             roots = {k: (M, "rate_law") for k, M in zip(live, found) if M is not None}
-        for k in live:
-            if k not in roots:
-                try:
-                    brackets[k] = _find_bracket(cfgs[k], tallies[k])
-                except Exception as e:  # the scan is the rung's own
-                    out[k] = e
+        cold = [k for k in live if k not in roots]
+        for k, b in zip(cold, _find_bracket([cfgs[k] for k in cold], [tallies[k] for k in cold])):
+            if isinstance(b, NoBracketError):
+                out[k] = b
+            else:
+                brackets[k] = b
         found = _newton([cfgs[k] for k in brackets], [lo for lo, _ in brackets.values()],
                         list(brackets.values()), [tallies[k] for k in brackets])
         for k, M in zip(brackets, found):

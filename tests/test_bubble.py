@@ -23,7 +23,7 @@ from ballblowup.bubble import (
     _du_dlam,
     _u,
 )
-from ballblowup.greenfn import RadialCoefficient, critical_a, ga_center
+from ballblowup.greenfn import CenterGreens, RadialCoefficient, critical_a, ga_center
 from ballblowup.numkit import radial_quadrature_rule
 
 from conftest import quad_oracle
@@ -250,12 +250,48 @@ class TestB3Suite:
         # subleading order check: after removing the fitted leading constant,
         # the scaled residual of U5_H decays ~ lam^{-1} (within 0.3 of the
         # nominal exponent)
-        h = ga_center(const(-1.0), 1.0).h
-        raw = [_b3_integrals(float(lam), h, 1.0) for lam in B3_LAMS]
+        raw = _b3_integrals(B3_LAMS, ga_center(const(-1.0), 1.0).h, 1.0)
         for key, power in (("U5_H", 0.5), ("U4_dlamU_H", 1.5)):
-            y = np.array([v[key] for v in raw]) * B3_LAMS**power - suite_m1[key, "leading"][0]
+            y = raw[key] * B3_LAMS**power - suite_m1[key, "leading"][0]
             slope = np.polyfit(np.log(B3_LAMS[:6]), np.log(np.abs(y[:6])), 1)[0]
             assert abs(slope + 1.0) <= 0.3
+
+    @pytest.mark.parametrize("R", [1.0, 2.0])
+    def test_batched_integrals_are_per_lam(self, R):
+        # the ladder's integrals on the one rule of its largest lam, against
+        # each lam's own rule and its own evaluation of H: the even ones to
+        # 1e-13 relative, and the odd one a roundoff zero on the row's scale
+        cg = ga_center(const(-1.0), R)
+        batched = _b3_integrals(B3_LAMS, cg.h, R)
+        for k, lam in enumerate(B3_LAMS):
+            r, w = radial_quadrature_rule(lam, R)
+            u, du, hv = _u(lam, r), _du_dlam(lam, r), cg.h(r)
+            for name, f in (("U5_H", u**5 * hv), ("U4_dlamU_H", u**4 * du * hv),
+                            ("U4_H2", u**4 * hv**2), ("U3_dlamU_H2", u**3 * du * hv**2)):
+                expected = 4 * math.pi * np.sum(w * f * r**2)
+                assert batched[name][k] == pytest.approx(expected, rel=1e-13, abs=0)
+        odd = np.abs(batched["U4_dxU_H"]) * B3_LAMS**0.5
+        assert np.all(odd <= 1e-13 * (4 * math.pi / 3) * max(abs(cg.phi_a_at_0), 1.0))
+
+    def test_one_rule_and_one_h_evaluation(self, monkeypatch):
+        # the suite takes all of B3_LAMS on one radial rule, with H_a(0, .)
+        # evaluated once on its nodes
+        rules, hs = [], []
+        build, h = bubble.radial_quadrature_rule, CenterGreens.h
+
+        def counted_rule(*args):
+            rules.append(args)
+            return build(*args)
+
+        def counted_h(self, r):
+            hs.append(np.shape(r))
+            return h(self, r)
+
+        monkeypatch.setattr(bubble, "radial_quadrature_rule", counted_rule)
+        monkeypatch.setattr(CenterGreens, "h", counted_h)
+        lemma_b3_suite(-1.0, 1.0)
+        assert rules == [(float(B3_LAMS[-1]), 1.0)]
+        assert hs == [build(*rules[0])[0].shape]
 
 
 class TestDlambdaNorms:

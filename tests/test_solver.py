@@ -165,7 +165,7 @@ class TestShoot:
         assert traj.nodes[-1] == math.log(R)
         assert traj.states[-1, 0] < 0
         tally = Counter()
-        lo, hi = solver._find_bracket(cfg, tally)
+        ((lo, hi),) = solver._find_bracket([cfg], [tally])
         assert hi == 1.3 * lo and _endpoint(lo, cfg) > 0 > _endpoint(hi, cfg)
         assert tally["bracket"] == round(math.log(lo / 0.5) / math.log(1.3)) + 2
 
@@ -325,9 +325,9 @@ def _bad_start(good):
 
 def _scan_path(cfgs):
     """Center heights as the driver finds them without the rate law: each
-    rung's bracket scan over the default M range, then Newton in lockstep
-    from the brackets' lower ends."""
-    brackets = [solver._find_bracket(cfg, Counter()) for cfg in cfgs]
+    rung's bracket from a scan of its own over the default M range, then
+    Newton in lockstep from the brackets' lower ends."""
+    brackets = [solver._find_bracket([cfg], [Counter()])[0] for cfg in cfgs]
     return solver._newton(cfgs, [lo for lo, _ in brackets], brackets,
                           [Counter() for _ in cfgs])
 
@@ -375,6 +375,49 @@ class TestRateLawSeed:
                 assert sum(s.diagnostics["shoot_integrations"].values()) <= 16
                 assert s.diagnostics["shoot_steps"]["finalize"] <= 90
                 assert s.M == M
+
+    def test_cold_rungs_scan_stacked(self, monkeypatch):
+        # a = -2.48 is supercritical, so the canonical rungs all scan: they
+        # integrate each height once together, and each leaves at its first
+        # sign change, in 17 integrations in all (15 + 16 + 17 + 17 when
+        # each rung scans alone); every rung keeps its own scan's bracket and
+        # integration count, and Newton from there its root, bit for bit
+        cfgs = [make_config(eps, a_const=-2.48) for eps in EPS_LADDER]
+        integrate, find_bracket = solver._integrate, solver._find_bracket
+        calls, scans = [], []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        def scanning(cfgs, tallies):
+            before = len(calls)
+            brackets = find_bracket(cfgs, tallies)
+            scans.append((brackets, len(calls) - before))
+            return brackets
+
+        monkeypatch.setattr(solver, "_integrate", recording)
+        monkeypatch.setattr(solver, "_find_bracket", scanning)
+        sols = [s for _, s in solve_ladder(cfgs)]
+        monkeypatch.undo()
+        ((brackets, stacked),) = scans
+        assert stacked <= 17
+        alone = [find_bracket([cfg], [Counter()])[0] for cfg in cfgs]
+        assert brackets == alone
+        assert [s.diagnostics["shoot_integrations"]["bracket"] for s in sols] == [15, 16, 17, 17]
+        assert [s.M for s in sols] == solver._newton(cfgs, [lo for lo, _ in alone], alone,
+                                                     [Counter() for _ in cfgs])
+
+    def test_scan_failure_is_the_rungs_own(self, monkeypatch):
+        # with the scan cut at M = 20, the last height is 25.6: the rungs at
+        # M = 17.07 and 21.73 find their sign change, the two above fail
+        # alone, and the others still solve
+        monkeypatch.setattr(solver, "_M_SCAN", (0.5, 20.0))
+        sols = [s for _, s in solve_ladder([make_config(eps, a_const=-2.48)
+                                            for eps in EPS_LADDER])]
+        assert [s.M for s in sols[:2]] == pytest.approx([17.0719444229, 21.7271465929], rel=1e-10)
+        for e in sols[2:]:
+            assert isinstance(e, solver.NoBracketError) and "no sign change" in str(e)
 
     @pytest.mark.parametrize("a", [-2.0, -1.0, 2.0])
     def test_no_solution_raises_before_the_scan(self, a, monkeypatch):
@@ -544,15 +587,15 @@ class TestSolveLadder:
                 roots[0] = None
             return roots
 
-        def bracket_spy(cfg, tally):
-            scanned.append(cfg.eps)
-            return find_bracket(cfg, tally)
+        def bracket_spy(cfgs, tallies):
+            scanned.append([cfg.eps for cfg in cfgs])
+            return find_bracket(cfgs, tallies)
 
         monkeypatch.setattr(solver, "_newton", newton_dropping)
         monkeypatch.setattr(solver, "_find_bracket", bracket_spy)
         sols = [s for _, s in solve_ladder([s.config for s in canonical_solutions])]
         first = canonical_solutions[0]
-        assert scanned == [first.config.eps]
+        assert scanned == [[first.config.eps]]
         assert sols[0].diagnostics["seed"] == "scan"
         counts = sols[0].diagnostics["shoot_integrations"]
         batched = first.diagnostics["shoot_integrations"]
