@@ -295,11 +295,12 @@ def cmd_sweep(args) -> int:
             rungs.append((eps, cfg.problem(eps)))
         except ValueError as e:  # e.g. eps V breaks coercivity: this rung fails alone
             rungs.append((eps, e))
-    solved = solver.solve_ladder(
-        [p for _, p in rungs if isinstance(p, solver.ProblemConfig)]
-    )
-    # built once, on the first rung analysed; a failure is that rung's
+    # a's center Green's data, built once for the rate law and the analysis;
+    # a failure is not kept, so each rung analysed fails with it
     center = functools.cache(lambda: greenfn.ga_center(cfg.coefficient("a"), cfg.R))
+    solved = solver.solve_ladder(
+        [p for _, p in rungs if isinstance(p, solver.ProblemConfig)], center
+    )
     failures = 0
     with out_path.open("a") as fh:
         for eps, rs in rungs:

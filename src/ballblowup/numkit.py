@@ -29,10 +29,10 @@ __all__ = [
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 
-# scipy's DOP853 tableau: each stage after the first, and each of the three
-# interpolant stages, with its row of A cut to the stages before it and node
-_STAGES = [(_dop.A[s, :s], _dop.C[s]) for s in range(1, 12)]
-_EXTRA = [(_dop.A[s, :s], _dop.C[s]) for s in range(13, 16)]
+# scipy's DOP853 tableau as (index, row of A cut to the stages before it, node)
+# for each stage after the first and each of the three interpolant stages
+_STAGES = [(s, _dop.A[s, :s], float(_dop.C[s])) for s in range(1, 12)]
+_EXTRA = [(s, _dop.A[s, :s], float(_dop.C[s])) for s in range(13, 16)]
 _B, _E3, _E5, _D = _dop.B, _dop.E3, _dop.E5, _dop.D
 _EPS = np.finfo(float).eps
 
@@ -125,57 +125,62 @@ def ode_solve(
     bit for bit.  rtol is ``tol`` (floored at 100 eps, as scipy does), atol
     ``atol`` (default ``tol``), either per state.  ``dense`` keeps the
     interpolants (three more ``rhs`` calls a step).  The caller starts away
-    from any left-endpoint singularity of ``rhs``.
+    from any left-endpoint singularity of ``rhs``, which gets t as a float and
+    the state as a float64 array, returns a sequence of len(y) floats and is
+    called exactly as often as scipy's ``nfev``.
     """
     t, t1 = map(float, span)
     y = np.asarray(y0, dtype=float)
     rtol = np.maximum(tol, 100 * _EPS)
     atol = np.asarray(tol if atol is None else atol, dtype=float)
+    n = y.size
 
-    def fun(t, y):
-        return np.asarray(rhs(t, y), dtype=float)
-
-    def rms(x):
-        return np.linalg.norm(x) / x.size**0.5
+    def rms(x):  # np.linalg.norm's sqrt(x.dot(x)), over sqrt(n)
+        return math.sqrt(x.dot(x)) / n**0.5
 
     # the first step (Hairer, Norsett and Wanner, II.4), for an order-7 error
-    f = fun(t, y)
+    f = np.asarray(rhs(t, y), dtype=float)
     scale = atol + np.abs(y) * rtol
     d0, d1 = rms(y / scale), rms(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
-    d2 = rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    d2 = rms((np.asarray(rhs(t + h0, y + h0 * f), dtype=float) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, t1 - t)
-    K = np.empty((16, y.size))  # the stages, three more for the interpolant
+    K = np.empty((16, n))  # the stages, three more for the interpolant
+    # the stage table: index, the stages before it as K[:s].T, row of A, node
+    stages = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
+    extra = [(s, K[:s].T, a, c) for s, a, c in _EXTRA]
+    K12, K13 = K[:12].T, K[:13].T
     nodes, states, interpolants = [t], [y], []
     while t < t1:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
         while True:  # shrink the step until its error estimate passes
             if h_abs < min_step:
                 raise RuntimeError(f"integration failed: step below {min_step:.3g} at t={t:g}")
             t_new = min(t + h_abs, t1)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
-            for s, (a, c) in enumerate(_STAGES, start=1):
-                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
-            y_new = y + h * np.dot(K[:12].T, _B)
-            K[12] = f_new = fun(t + h, y_new)
+            for s, prior, a, c in stages:
+                K[s] = rhs(t + c * h, y + prior.dot(a) * h)
+            y_new = y + h * K12.dot(_B)
+            K[12] = rhs(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            e5 = np.linalg.norm(np.dot(K[:13].T, _E5) / scale) ** 2
-            e3 = np.linalg.norm(np.dot(K[:13].T, _E3) / scale) ** 2
-            err = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * len(scale)) if e5 or e3 else 0.0
+            x5, x3 = K13.dot(_E5) / scale, K13.dot(_E3) / scale
+            e5, e3 = math.sqrt(x5.dot(x5)) ** 2, math.sqrt(x3.dot(x3)) ** 2
+            err = abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 or e3 else 0.0
             if err < 1:
                 factor = min(10, 0.9 * err**-0.125) if err else 10
                 h_abs *= min(1, factor) if rejected else factor
                 break
             h_abs *= max(0.2, 0.9 * err**-0.125)
             rejected = True
+        f_new = K[12].copy()
         if dense:
-            for s, (a, c) in enumerate(_EXTRA, start=13):
-                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
-            F = np.empty((7, y.size))
+            for s, prior, a, c in extra:
+                K[s] = rhs(t + c * h, y + prior.dot(a) * h)
+            F = np.empty((7, n))
             F[0] = dy = y_new - y
             F[1] = h * K[0] - dy
             F[2] = 2 * dy - h * (f_new + K[0])

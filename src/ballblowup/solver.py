@@ -236,20 +236,20 @@ def _rhs(a, V, epss, finalize: bool = False):
     near the center."""
     ms = _rung_coefficients(a, V, epss)
     hoisted = not callable(ms)
-    n = 2 if finalize else 4
 
     def rhs(t, y):
         vals = y.tolist()
         r = math.exp(t)
         r2 = r * r
         out = []
-        for k, m in enumerate(ms if hoisted else ms(r)):
-            w, x = vals[n * k : n * k + 2]  # x is w', or v in the finalize
-            w4 = w**4
-            if finalize:
-                out += (x + 0.5 * w, (m * r2 - 3.0 * w4) * w - 0.5 * x)
-            else:
-                z, zp = vals[n * k + 2 : n * k + 4]
+        m_now = ms if hoisted else ms(r)
+        if finalize:
+            for m, w, v in zip(m_now, vals[0::2], vals[1::2]):
+                w4 = w**4
+                out += (v + 0.5 * w, (m * r2 - 3.0 * w4) * w - 0.5 * v)
+        else:
+            for m, w, x, z, zp in zip(m_now, vals[0::4], vals[1::4], vals[2::4], vals[3::4]):
+                w4 = w**4
                 q = 0.25 + m * r2
                 out += (x, (q - 3.0 * w4) * w, zp, (q - 15.0 * w4) * z)
         return out
@@ -456,15 +456,15 @@ def _finalize(Ms, cfgs, tallies, seeds) -> list[RadialSolution | RuntimeError]:
 _LAW_WINDOW = (0.7, 1.45)
 
 
-def _rate_law(cfg: ProblemConfig) -> float | None:
+def _rate_law(cfg: ProblemConfig, center) -> float | None:
     """The blow-up rate law's limit of eps lam, 4 pi^2 |a(0)| / |Q_V(0)|,
     where it applies: a critical (``CenterGreens.is_critical``),
     a(0) < 0 and Q_V(0) < 0.  None elsewhere, also for a supercritical a,
     whose M stays bounded as eps -> 0.  phi_a(0) and Q_V(0) come from one
-    ``ga_center``; neither depends on eps."""
+    ``ga_center``, ``center()`` when given; neither depends on eps."""
     R = cfg.domain.R
     try:
-        cg = ga_center(cfg.a, R)
+        cg = center() if center else ga_center(cfg.a, R)
     except (CoercivityError, ResonanceError):  # a alone has no center Green's data
         return None
     if not cg.is_critical or cg.a_at_0 >= 0:
@@ -535,6 +535,7 @@ def _same_coefficient(c: RadialCoefficient, d: RadialCoefficient) -> bool:
 
 def solve_ladder(
     cfgs: Sequence[ProblemConfig],
+    center=None,
 ) -> Iterator[tuple[float, RadialSolution | Exception]]:
     """Ground states of an eps ladder, yielded as ``(eps, profile)`` in
     ladder order, or ``(eps, error)`` for a rung that failed; a failed rung
@@ -547,14 +548,16 @@ def solve_ladder(
     root, each rung keeping an ``OdeTrajectory`` of its own rows; the
     canonical ladder takes 3 + 1.  Each profile's
     ``diagnostics["shoot_integrations"]`` and ``["shoot_steps"]`` count the
-    integrations that the rung took part in and their steps.
+    integrations that the rung took part in and their steps.  ``center()``,
+    when given, is a's ``ga_center`` on the ball, so that a caller that reads
+    it as well builds it once.
     """
     cfgs = list(cfgs)
     for cfg in cfgs[1:]:
         if cfg.domain != cfgs[0].domain or not (_same_coefficient(cfg.a, cfgs[0].a)
                                                 and _same_coefficient(cfg.V, cfgs[0].V)):
             raise ValueError("the rungs of a ladder must share R, a and V")
-    law = _rate_law(cfgs[0]) if any(cfg.eps > 0 for cfg in cfgs) else None
+    law = _rate_law(cfgs[0], center) if any(cfg.eps > 0 for cfg in cfgs) else None
     sols = _solve(cfgs, [Counter() for _ in cfgs], law)
     yield from zip([cfg.eps for cfg in cfgs], sols)
 

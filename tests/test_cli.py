@@ -372,7 +372,7 @@ class TestSweepAndReport:
         assert "no root in the bracket" in lines[1]["error"]
 
     def test_sweep_builds_center_data_once(self, tmp_path, monkeypatch):
-        # one ga_center for the rate law and one for the analysis of all rungs
+        # one ga_center, shared by the rate law and the analysis of all rungs
         calls, orig = [], greenfn.ga_center
 
         def counting(*args, **kwargs):
@@ -383,7 +383,18 @@ class TestSweepAndReport:
             monkeypatch.setattr(mod, "ga_center", counting)
         cfg_path = write_cfg(tmp_path)
         assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "r.jsonl")]) == EXIT_OK
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_sweep_without_center_data(self, tmp_path):
+        # a = -10 alone breaks coercivity, so it has no center data, while
+        # a + eps V does not: the rungs get no rate law and scan, and each
+        # analysis fails on the center data
+        cfg_path = write_cfg(tmp_path, a={"constant": -10.0}, V={"constant": 1.0},
+                             eps_ladder=[0.5, 0.3])
+        rec_path = tmp_path / "r.jsonl"
+        assert main(["sweep", "--config", cfg_path, "--out", str(rec_path)]) == EXIT_NUMERICAL
+        lines = [json.loads(l) for l in rec_path.read_text().splitlines()]
+        assert [(d["stage"], d["error_type"]) for d in lines] == [("analysis", "CoercivityError")] * 2
 
     def test_no_solution_exit_code(self, tmp_path, capsys):
         # a + eps V = -2.04 lies above a* = -pi^2/4: no positive solution,

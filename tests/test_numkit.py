@@ -140,14 +140,21 @@ class TestOdeSolve:
 
     def test_steps_are_scipys(self):
         # scipy's DOP853 is the oracle: a forced Duffing oscillator and its
-        # integral of y^2, per-state tolerances, bit for bit
+        # integral of y^2, per-state tolerances, bit for bit, from as many
+        # right-hand side calls as scipy's, rejected steps among them
+        calls = []
+
         def duffing(t, y):
+            calls.append(t)
             return [y[1], -9.0 * y[0] - math.sin(t) * y[0] ** 3, y[0] ** 2]
 
         tol, atol = np.array([1e-10, 1e-10, 1e-8]), np.array([1e-12, 1e-12, 1e-9])
         sol = integrate.solve_ivp(duffing, (0.0, 3.0), [1.0, 0.0, 0.0], method="DOP853",
                                   rtol=tol, atol=atol, dense_output=True)
+        calls.clear()
         traj = ode_solve(duffing, [1.0, 0.0, 0.0], (0.0, 3.0), tol, atol=atol)
+        # 2 first-step calls and 15 a step, 12 more for each rejected step
+        assert len(calls) == sol.nfev > 2 + 15 * (len(sol.t) - 1)
         assert np.array_equal(traj.nodes, sol.t)
         assert np.array_equal(traj.states, sol.y.T)
         F = np.array([p.F for p in sol.sol.interpolants]).transpose(1, 0, 2)
