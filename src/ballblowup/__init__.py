@@ -25,7 +25,7 @@ from .asympt import (
     fit_bubble,
     records_from_sweep,
 )
-from .bubble import CenterProjectedBubble, lemma_b3_suite, pu_center
+from .bubble import CenterProjectedBubble
 from .greenfn import (
     BallDomain,
     CenterGreens,
@@ -64,11 +64,9 @@ __all__ = [
     "decompose",
     "fit_bubble",
     "ga_center",
-    "lemma_b3_suite",
     "na_scan",
     "phia_hessian",
     "phia_profile",
-    "pu_center",
     "qv_center",
     "records_from_sweep",
     "solve_ladder",

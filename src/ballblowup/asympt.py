@@ -143,10 +143,15 @@ def decompose(u: RadialSolution, alpha: float, lam: float, cg: CenterGreens) -> 
     Its integrals are taken on the rung's sample, the rule at M^2 rather
     than at the fitted lam; the two rules have the same nodes for lam,
     M^2 <= 2e6, where both start their panels at r_min = 1e-8.
+
+    ``fit_bubble`` leaves w' orthogonal to PU' and lam dlam PU' (to 1.3e-15
+    on the canonical rungs), so beta and gamma depend on the profile only
+    through lam: they are the zero-mode projection of lam^{-1/2}(H_a - H_0)'
+    alone, to all 12 printed digits on those rungs.
     """
     R = u.R
     nodes, wts, uv, upv = u.sample
-    pb = bb.pu_center(lam, R)
+    pb = bb.CenterProjectedBubble(lam, R)
     w = uv / alpha - pb.pu(nodes)
     wp = upv / alpha - pb.pu_prime(nodes)
 
@@ -251,7 +256,7 @@ def records_from_sweep(
                 sobolev_quotient=u.sobolev_quotient,
                 gradient_quotient=u.gradient_quotient,
                 energy_residual=u.energy_identity_residual,
-                pohozaev_residual=u.diagnostics.get("pohozaev_residual", float("nan")),
+                pohozaev_residual=u.diagnostics["pohozaev_residual"],
                 greens_residual=greens_rep_residual(u, cg=cg),
                 fit_residual=fit_res,
             )
@@ -315,7 +320,6 @@ class TheoremReport:
     grad_r_bound: BoundEntry
     sup_w_trend: TrendEntry
     zero_modes: dict[str, LimitEntry]
-    center_pinned_by_symmetry: bool = True
     all_passed: bool = field(init=False)
 
     def __post_init__(self):
@@ -487,7 +491,7 @@ def coercivity_probe(
     nodes, wts = radial_quadrature_rule(lam, R)
     r2w = 4.0 * math.pi * wts * nodes**2
 
-    pb = bb.pu_center(lam, R)
+    pb = bb.CenterProjectedBubble(lam, R)
     basis_p = np.array([pb.pu_prime(nodes), pb.dlam_pu_prime(nodes)])
     basis_v = np.array([pb.pu(nodes), pb.dlam_pu(nodes)])
 

@@ -92,6 +92,10 @@ class RadialCoefficient:
         """The coefficient at one radius, unchecked (see ``check_span``)."""
         return float(self.values) if self.abscissae is None else float(self._spline(r))
 
+    def slope(self, r):
+        """The radial derivative at the radii r, unchecked (0 for a constant)."""
+        return np.zeros(np.shape(r)) if self.is_constant else self._spline(r, 1)
+
     def center_polynomial(self) -> tuple[list[float], float]:
         """Taylor coefficients f^(k)(0)/k!, k = 0..3, and the radius up to
         which their cubic is the coefficient: a table's first knot interval."""

@@ -119,7 +119,7 @@ class RadialSolution:
     grad_norm_sq: float = math.nan
     int_m_u2: float = math.nan
     int_u6: float = math.nan
-    int_u2: float = math.nan
+    int_r_dm_u2: float = math.nan
     diagnostics: dict = field(default_factory=dict)
     sample: tuple = field(init=False, repr=False, compare=False)
 
@@ -441,10 +441,11 @@ def _finalize(Ms, cfgs, tallies, seeds) -> list[RadialSolution | RuntimeError]:
             out.append(RuntimeError(f"endpoint {endpoint:.3e} above shoot_tol"))
             continue
         rs.diagnostics["pde_residual"] = _pde_residual(rs)
-        rs.grad_norm_sq, rs.int_m_u2, rs.int_u6, rs.int_u2 = (np.array(
-            [up**2, cfg.m(nodes) * u**2, u**6, u**2]) @ (4.0 * math.pi * wts * nodes**2)).tolist()
-        if cfg.a.is_constant and cfg.V.is_constant:
-            rs.diagnostics["pohozaev_residual"] = pohozaev_residual(rs)
+        r_dm = nodes * (cfg.a.slope(nodes) + cfg.eps * cfg.V.slope(nodes))
+        rs.grad_norm_sq, rs.int_m_u2, rs.int_u6, rs.int_r_dm_u2 = (np.array(
+            [up**2, cfg.m(nodes) * u**2, u**6, r_dm * u**2])
+            @ (4.0 * math.pi * wts * nodes**2)).tolist()
+        rs.diagnostics["pohozaev_residual"] = pohozaev_residual(rs)
         tally = tallies[k]
         rs.diagnostics.update(seed=seeds[k], shoot_integrations={p: tally[p] for p in _PHASES},
                               shoot_steps={p: tally[p + "_steps"] for p in _PHASES})
@@ -574,23 +575,17 @@ def solve_profile(cfg: ProblemConfig) -> RadialSolution:
 
 
 def pohozaev_residual(u: RadialSolution) -> float:
-    """Dilation Pohozaev residual for constant m = a + eps V:
+    """Dilation Pohozaev residual for m = a + eps V:
 
-        1/2 int |grad u|^2 + (3/2) m int u^2 - (3/2) int u^6
-            + (1/2) oint (x.n) (du/dn)^2  = 0
+        1/2 int |grad u|^2 + (3/2) int m u^2 + (1/2) int r m' u^2
+            - (3/2) int u^6 + (1/2) oint (x.n) (du/dn)^2  = 0
 
-    normalized by int |grad u|^2."""
-    cfg = u.config
-    m = cfg.a.constant + cfg.eps * cfg.V.constant  # a table raises ValueError
-    R = cfg.domain.R
-    upR = float(u.uprime_at(R))
-    boundary = 0.5 * 4.0 * math.pi * R**3 * upR**2
-    resid = (
-        0.5 * u.grad_norm_sq
-        + 1.5 * m * u.int_u2
-        - 1.5 * u.int_u6
-        + boundary
-    )
+    normalized by int |grad u|^2.  m' = a' + eps V' is 0 for a constant and
+    the spline's derivative for a table."""
+    R = u.R
+    boundary = 0.5 * 4.0 * math.pi * R**3 * float(u.uprime_at(R)) ** 2
+    resid = (0.5 * u.grad_norm_sq + 1.5 * u.int_m_u2 + 0.5 * u.int_r_dm_u2
+             - 1.5 * u.int_u6 + boundary)
     return abs(resid) / u.grad_norm_sq
 
 

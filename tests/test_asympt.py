@@ -20,7 +20,7 @@ from ballblowup.asympt import (
     verify_farfield,
     verify_rate,
 )
-from ballblowup.bubble import dlam_u_prime, pu_center, u_prime, _u
+from ballblowup.bubble import CenterProjectedBubble, dlam_u_prime, u_prime, _u
 from ballblowup.greenfn import RadialCoefficient, ga_center, qv_center
 from ballblowup.numkit import radial_quadrature_rule
 from ballblowup.solver import solve_profile
@@ -56,7 +56,7 @@ class _SyntheticProfile:
 class TestFitBubble:
     def test_synthetic_round_trip(self):
         lam0, alpha0 = 500.0, 1.01
-        pb = pu_center(lam0, 1.0)
+        pb = CenterProjectedBubble(lam0, 1.0)
         u = _SyntheticProfile(
             lambda r: alpha0 * pb.pu(r),
             lambda r: alpha0 * pb.pu_prime(r),
@@ -101,7 +101,7 @@ def _split(u, alpha, lam, d):
     bubble functions: w = u/alpha - PU, q = w + lam^{-1/2}(H_a - H_0)(0, .)
     and s = (beta/lam) PU + gamma dlam PU."""
     nodes, _, uv, upv = u.sample
-    pb, cg = pu_center(lam, u.R), ga_center(u.config.a, u.R)
+    pb, cg = CenterProjectedBubble(lam, u.R), ga_center(u.config.a, u.R)
     q = uv / alpha - pb.pu(nodes) + (cg.h(nodes) - 1.0 / u.R) / math.sqrt(lam)
     qp = upv / alpha - pb.pu_prime(nodes) + cg.dh(nodes) / math.sqrt(lam)
     s = d.beta / lam * pb.pu(nodes) + d.gamma * pb.dlam_pu(nodes)
@@ -112,7 +112,7 @@ def _split(u, alpha, lam, d):
 def _orthogonality(u, alpha, lam, d):
     """|<r, PU>| / (|r| |PU|) in the gradient inner product."""
     rp = _split(u, alpha, lam, d)[1][2]
-    pup = pu_center(lam, u.R).pu_prime(u.sample[0])
+    pup = CenterProjectedBubble(lam, u.R).pu_prime(u.sample[0])
     return abs(_grad_ip(u, rp, pup)) / math.sqrt(_grad_ip(u, rp, rp) * _grad_ip(u, pup, pup))
 
 
@@ -133,7 +133,7 @@ class TestDecompose:
         (_, s, r), _ = _split(*decomp)
         nodes = u.sample[0]
         h_diff = (ga_center(const(CRITICAL_A), 1.0).h(nodes) - 1.0) / math.sqrt(lam)
-        rebuilt = alpha * (pu_center(lam, 1.0).pu(nodes) + s + r - h_diff)
+        rebuilt = alpha * (CenterProjectedBubble(lam, 1.0).pu(nodes) + s + r - h_diff)
         assert np.max(np.abs(rebuilt - u.u_at(nodes))) <= 1e-12 * u.M
 
     def test_zero_mode_part_dominates(self, decomp):
@@ -156,7 +156,7 @@ class TestDecompose:
         # with a = 0 the regular parts cancel, q = w, and the zero-mode
         # coefficients of a pure projected bubble vanish
         lam0 = 400.0
-        pb = pu_center(lam0, 1.0)
+        pb = CenterProjectedBubble(lam0, 1.0)
         u = _SyntheticProfile(
             lambda r: pb.pu(r), lambda r: pb.pu_prime(r), M=math.sqrt(lam0)
         )
@@ -315,7 +315,7 @@ def coercivity_by_loop(lam, a, R, samples=200, seed=7, n_modes=8):
     rng = np.random.default_rng(seed)
     nodes, wts = radial_quadrature_rule(lam, R)
     r2 = nodes**2
-    pb = pu_center(lam, R)
+    pb = CenterProjectedBubble(lam, R)
     basis_p = [pb.pu_prime(nodes), pb.dlam_pu_prime(nodes)]
     basis_v = [pb.pu(nodes), pb.dlam_pu(nodes)]
     G = np.array([[ip(wts, nodes, bi, bj) for bj in basis_p] for bi in basis_p])
@@ -365,7 +365,7 @@ class TestCoercivity:
         # negative, confirming the projection is essential
         lam, R = 1e3, 1.0
         nodes, wts = radial_quadrature_rule(lam, R)
-        pb = pu_center(lam, R)
+        pb = CenterProjectedBubble(lam, R)
         grad = 4 * math.pi * np.sum(wts * pb.pu_prime(nodes) ** 2 * nodes**2)
         mass = 4 * math.pi * np.sum(wts * CRITICAL_A * pb.pu(nodes) ** 2 * nodes**2)
         pot = 4 * math.pi * np.sum(

@@ -11,24 +11,51 @@ from hypothesis import strategies as st
 from ballblowup import bubble
 from ballblowup.bubble import (
     B3_LAMS,
-    _b3_integrals,
-    _ball_integral,
+    CenterProjectedBubble,
+    _ladder_integrals,
     calculus_verdict,
     dlam_u_prime,
     g,
-    grad_dlambda_pu_norm,
-    lemma_b3_suite,
-    pu_center,
     u_prime,
     _du_dlam,
     _u,
 )
 from ballblowup.greenfn import CenterGreens, RadialCoefficient, critical_a, ga_center
-from ballblowup.numkit import radial_quadrature_rule
+from ballblowup.numkit import radial_quadrature_rule, richardson_fit
 
 from conftest import quad_oracle
 
 const = RadialCoefficient.constant_coeff
+
+
+def _ball(lam, R, f):
+    """4 pi int_0^R f(r) r^2 dr on lam's own radial rule."""
+    r, w = radial_quadrature_rule(lam, R)
+    return 4 * math.pi * float(np.sum(w * f(r) * r * r))
+
+
+def _integrands(lam, h):
+    """The integrand of each key of ``_ladder_integrals`` at one lam, as a
+    function of r, with H_a(0, .) given by ``h``."""
+    u, du = (lambda r: _u(lam, r)), (lambda r: _du_dlam(lam, r))
+    return {
+        "U5_H": lambda r: u(r) ** 5 * h(r),
+        "U4_dlamU_H": lambda r: u(r) ** 4 * du(r) * h(r),
+        "U4_H2": lambda r: u(r) ** 4 * h(r) ** 2,
+        "U3_dlamU_H2": lambda r: u(r) ** 3 * du(r) * h(r) ** 2,
+        "U4_dlamU2": lambda r: u(r) ** 4 * du(r) ** 2,
+        "grad_PU2": lambda r: u_prime(lam, r) ** 2,
+        "grad_dlamPU2": lambda r: dlam_u_prime(lam, r) ** 2,
+        "U2": lambda r: u(r) ** 2,
+        "U3": lambda r: u(r) ** 3,
+        "U6": lambda r: u(r) ** 6,
+    }
+
+
+@pytest.fixture(scope="module")
+def ladder_m1():
+    """The verdict's one pass at a = -1 on the unit ball."""
+    return _ladder_integrals(ga_center(const(-1.0), 1.0).h, 1.0)
 
 
 class TestPointwise:
@@ -71,21 +98,18 @@ class TestPointwise:
 
 class TestProjectedBubble:
     def test_boundary_zero(self):
-        pb = pu_center(250.0, 1.0)
+        pb = CenterProjectedBubble(250.0, 1.0)
         assert pb.pu(1.0) == 0.0
 
     def test_f_residual_decay(self):
         # correction - lam^{-1/2}/R = -lam^{-5/2}/(2 R^3) + O(lam^{-9/2})
         for lam in (1e2, 1e3):
-            pb = pu_center(lam, 1.0)
+            pb = CenterProjectedBubble(lam, 1.0)
             residual = pb.correction - 1.0 / (math.sqrt(lam) * pb.R)
             assert residual * lam**2.5 == pytest.approx(-0.5, rel=2e-4)
 
-    def test_grad_norm_limit(self):
-        lams = np.geomspace(1e2, 1e4, 5)
-        vals = [pu_center(l, 1.0).grad_norm_sq() for l in lams]
-        from ballblowup.numkit import richardson_fit
-
+    def test_grad_norm_limit(self, ladder_m1):
+        lams, vals = B3_LAMS[::2], ladder_m1["grad_PU2"][::2]
         L, c, _ = richardson_fit(list(zip(1 / lams, vals)))
         assert L == pytest.approx(3 * math.pi**2 / 4, rel=1e-3)
         # O(lam^{-1}) defect: the linear coefficient is an O(1) number
@@ -140,7 +164,7 @@ class TestGFun:
         # stable across a decade ladder.
         ratios = []
         for lam in (10.0, 100.0, 1000.0):
-            res = _ball_integral(lam, 1.0, lambda r: g(lam, r) ** 2)
+            res = _ball(lam, 1.0, lambda r: g(lam, r) ** 2)
             ratios.append(math.sqrt(res) / lam**-1.0)
         assert max(ratios) / min(ratios) <= 1.5
 
@@ -170,18 +194,14 @@ class TestLqRates:
     """The L^q norms of U over the ball, which ``calculus_verdict`` judges
     against their closed forms."""
 
-    def test_q2_limit(self):
+    def test_q2_limit(self, ladder_m1):
         # int U^2 = 4 pi lam^{-2}(lam R - arctan(lam R)), so the normalized
-        # norm tends to sqrt(4 pi R)
-        lam = 1e4
-        norm = math.sqrt(_ball_integral(lam, 1.0, lambda r: _u(lam, r) ** 2))
-        assert norm * lam**0.5 == pytest.approx(math.sqrt(4 * math.pi), rel=1e-2)
+        # norm tends to sqrt(4 pi R); the pass's last rung is lam = 1e4
+        norm = math.sqrt(ladder_m1["U2"][-1])
+        assert norm * B3_LAMS[-1] ** 0.5 == pytest.approx(math.sqrt(4 * math.pi), rel=1e-2)
 
-    def test_q6_limit(self):
-        lam = 1e4
-        assert _ball_integral(lam, 1.0, lambda r: _u(lam, r) ** 6) == pytest.approx(
-            math.pi**2 / 4, rel=1e-2
-        )
+    def test_q6_limit(self, ladder_m1):
+        assert ladder_m1["U6"][-1] == pytest.approx(math.pi**2 / 4, rel=1e-2)
 
     @pytest.mark.parametrize("R", [1.0, 1.25, 2.0])
     def test_rows_match_closed_forms(self, R):
@@ -216,7 +236,9 @@ class TestB3Suite:
     @pytest.fixture(scope="class")
     @staticmethod
     def suite_m1():
-        return {(name, kind): row for name, kind, *row in lemma_b3_suite(-1.0, 1.0)}
+        rows, _ = calculus_verdict(-1.0, 1.0)
+        return {(name, kind): row for name, kind, *row in rows
+                if kind in ("leading", "subleading")}
 
     def test_u5h_leading(self, suite_m1):
         target = (4 * math.pi / 3) / math.tan(1.0)
@@ -226,56 +248,61 @@ class TestB3Suite:
         assert sorted(suite_m1) == sorted([
             ("U5_H", "leading"), ("U5_H", "subleading"), ("U4_dlamU_H", "leading"),
             ("U4_dlamU_H", "subleading"), ("U4_H2", "leading"), ("U3_dlamU_H2", "leading"),
-            ("U4_dxU_H", "leading"),
         ])
-        for (name, kind), (val, tgt, err) in suite_m1.items():
-            if name != "U4_dxU_H":
-                assert val == pytest.approx(tgt, rel=1e-2)
-                assert err == pytest.approx(abs(val - tgt) / abs(tgt), rel=1e-14, abs=0)
-
-    def test_translation_identity_vanishes(self, suite_m1):
-        val, tgt, err = suite_m1["U4_dxU_H", "leading"]
-        assert tgt == 0.0 and err <= 1e-8
+        for val, tgt, err in suite_m1.values():
+            assert val == pytest.approx(tgt, rel=1e-2)
+            assert err == pytest.approx(abs(val - tgt) / abs(tgt), rel=1e-14, abs=0)
 
     def test_critical_coefficient_case(self):
         # at critical a the leading phi-term of int U^5 H vanishes and the
         # lam^{-3/2} coefficient is -(4 pi/3) a = pi^3/3
         a_star = critical_a(1.0)
-        suite = {(name, kind): row for name, kind, *row in lemma_b3_suite(a_star, 1.0)}
+        rows, _ = calculus_verdict(a_star, 1.0)
+        suite = {(name, kind): row for name, kind, *row in rows}
         target = math.pi**3 / 3
         assert abs(suite["U5_H", "leading"][0]) <= 1e-3 * target
         assert suite["U5_H", "subleading"][0] == pytest.approx(target, rel=1e-2)
 
-    def test_observed_orders(self, suite_m1):
+    def test_observed_orders(self, suite_m1, ladder_m1):
         # subleading order check: after removing the fitted leading constant,
         # the scaled residual of U5_H decays ~ lam^{-1} (within 0.3 of the
         # nominal exponent)
-        raw = _b3_integrals(B3_LAMS, ga_center(const(-1.0), 1.0).h, 1.0)
         for key, power in (("U5_H", 0.5), ("U4_dlamU_H", 1.5)):
-            y = raw[key] * B3_LAMS**power - suite_m1[key, "leading"][0]
+            y = ladder_m1[key] * B3_LAMS**power - suite_m1[key, "leading"][0]
             slope = np.polyfit(np.log(B3_LAMS[:6]), np.log(np.abs(y[:6])), 1)[0]
             assert abs(slope + 1.0) <= 0.3
 
     @pytest.mark.parametrize("R", [1.0, 2.0])
     def test_batched_integrals_are_per_lam(self, R):
-        # the ladder's integrals on the one rule of its largest lam, against
-        # each lam's own rule and its own evaluation of H: the even ones to
-        # 1e-13 relative, and the odd one a roundoff zero on the row's scale
+        # every integral of the pass, taken on the one rule of the ladder's
+        # largest lam, against each lam's own rule and its own evaluation of
+        # H, to 1e-13 relative
         cg = ga_center(const(-1.0), R)
-        batched = _b3_integrals(B3_LAMS, cg.h, R)
+        batched = _ladder_integrals(cg.h, R)
         for k, lam in enumerate(B3_LAMS):
-            r, w = radial_quadrature_rule(lam, R)
-            u, du, hv = _u(lam, r), _du_dlam(lam, r), cg.h(r)
-            for name, f in (("U5_H", u**5 * hv), ("U4_dlamU_H", u**4 * du * hv),
-                            ("U4_H2", u**4 * hv**2), ("U3_dlamU_H2", u**3 * du * hv**2)):
-                expected = 4 * math.pi * np.sum(w * f * r**2)
+            integrands = _integrands(lam, cg.h)
+            assert integrands.keys() == batched.keys()
+            for name, f in integrands.items():
+                expected = _ball(lam, R, f)
                 assert batched[name][k] == pytest.approx(expected, rel=1e-13, abs=0)
-        odd = np.abs(batched["U4_dxU_H"]) * B3_LAMS**0.5
-        assert np.all(odd <= 1e-13 * (4 * math.pi / 3) * max(abs(cg.phi_a_at_0), 1.0))
+
+    @pytest.mark.parametrize("key", ["grad_PU2", "U6"])
+    def test_off_integral_fails(self, monkeypatch, key):
+        # the constant and closed-form rows read the pass: one of its
+        # integrals 2% high on every rung fails the verdict
+        integrals = bubble._ladder_integrals
+
+        def off(*args):
+            vals = integrals(*args)
+            vals[key] = vals[key] * 1.02
+            return vals
+
+        monkeypatch.setattr(bubble, "_ladder_integrals", off)
+        assert not calculus_verdict(-1.0, 1.0)[1]
 
     def test_one_rule_and_one_h_evaluation(self, monkeypatch):
-        # the suite takes all of B3_LAMS on one radial rule, with H_a(0, .)
-        # evaluated once on its nodes
+        # the verdict takes all of B3_LAMS on one radial rule, with H_a(0, .)
+        # evaluated once on its nodes; the g row builds the rule for [0, 1]
         rules, hs = [], []
         build, h = bubble.radial_quadrature_rule, CenterGreens.h
 
@@ -289,53 +316,52 @@ class TestB3Suite:
 
         monkeypatch.setattr(bubble, "radial_quadrature_rule", counted_rule)
         monkeypatch.setattr(CenterGreens, "h", counted_h)
-        lemma_b3_suite(-1.0, 1.0)
-        assert rules == [(float(B3_LAMS[-1]), 1.0)]
+        calculus_verdict(-1.0, 2.0)
+        assert rules == [(float(B3_LAMS[-1]), 2.0), (1.0, 1.0)]
         assert hs == [build(*rules[0])[0].shape]
 
 
 class TestDlambdaNorms:
-    def test_norm_constant(self):
+    def test_norm_constant(self, ladder_m1):
         # at lam = 100 the O(lam^{-1}) tail is still ~1.4%; the extrapolated
         # constant over the ladder is what must hit 15 pi^2/64
-        assert grad_dlambda_pu_norm(100.0, 1.0) == pytest.approx(
-            (15 * math.pi**2 / 64) * 1e-4, rel=2e-2
-        )
-        from ballblowup.numkit import richardson_fit
-
-        lams = np.geomspace(1e2, 1e4, 5)
-        vals = [grad_dlambda_pu_norm(l, 1.0) * l**2 for l in lams]
-        L, _, _ = richardson_fit(list(zip(1 / lams, vals)))
+        norms = ladder_m1["grad_dlamPU2"]
+        assert B3_LAMS[0] == 100.0
+        assert norms[0] == pytest.approx((15 * math.pi**2 / 64) * 1e-4, rel=2e-2)
+        lams = B3_LAMS[::2]
+        L, _, _ = richardson_fit(list(zip(1 / lams, norms[::2] * lams**2)))
         assert L == pytest.approx(15 * math.pi**2 / 64, rel=1e-3)
 
-    def test_ratio_stable(self):
-        vals = [grad_dlambda_pu_norm(l, 1.0) * l**2 for l in (1e2, 1e3, 1e4)]
+    def test_ratio_stable(self, ladder_m1):
+        # lam = 1e2, 1e3 and 1e4
+        vals = (ladder_m1["grad_dlamPU2"] * B3_LAMS**2)[::4]
         assert max(vals) / min(vals) <= 1.02
 
     def test_cross_term_decay(self):
         # int grad dlam PU . grad PU decays like lam^{-2}
-        vals = [abs(_ball_integral(l, 1.0, lambda r: dlam_u_prime(l, r) * u_prime(l, r))) * l**2
+        vals = [abs(_ball(l, 1.0, lambda r: dlam_u_prime(l, r) * u_prime(l, r))) * l**2
                 for l in (1e2, 1e3, 1e4)]
         assert max(vals) / min(vals) <= 1.01  # O(lam^{-2}) trend
 
 
 class TestRuleAgainstOracle:
-    """The bubble integrals, all taken on ``numkit.radial_quadrature_rule``,
-    against the adaptive oracle."""
+    """The verdict's pass, on ``numkit.radial_quadrature_rule``, against the
+    adaptive oracle, with the critical coefficient's closed form
+    H_a(0, r) = (1 - cos(k r))/r, k = pi/(2R), for H."""
 
     @pytest.mark.parametrize("R", [1.0, 1.25, 2.0])
     @pytest.mark.parametrize("lam", [1e2, 1e3, 1e4])
     def test_ball_integrals(self, lam, R):
-        def oracle(f):
-            return 4 * math.pi * quad_oracle(lambda r: f(r) * r * r, 0.0, R)
+        k = math.pi / (2 * R)
 
-        plain = [lambda r, q=q: _u(lam, r) ** q for q in (2, 3, 6)] + [
-            lambda r: dlam_u_prime(lam, r) * u_prime(lam, r),
-            lambda r: _u(lam, r) ** 4 * _du_dlam(lam, r) ** 2,
-        ]
-        cases = [(_ball_integral(lam, R, f), f) for f in plain] + [
-            (pu_center(lam, R).grad_norm_sq(), lambda r: u_prime(lam, r) ** 2),
-            (grad_dlambda_pu_norm(lam, R), lambda r: dlam_u_prime(lam, r) ** 2),
-        ]
-        for val, f in cases:
-            assert val == pytest.approx(oracle(f), rel=1e-10, abs=0)
+        def h(r):
+            return 2 * np.sin(k * r / 2) ** 2 / r
+
+        (index,) = np.flatnonzero(B3_LAMS == lam)
+        vals = _ladder_integrals(h, R)
+        for name, f in _integrands(lam, h).items():
+            # the oracle's integrand scaled to an O(1) integral, on which its
+            # absolute tolerance is a relative one
+            scale = abs(vals[name][index])
+            oracle = 4 * math.pi * scale * quad_oracle(lambda r: f(r) * r * r / scale, 0.0, R)
+            assert vals[name][index] == pytest.approx(oracle, rel=1e-10, abs=0), name

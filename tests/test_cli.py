@@ -371,8 +371,9 @@ class TestSweepAndReport:
         assert (lines[1]["stage"], lines[1]["error_type"]) == ("solve", "RuntimeError")
         assert "no root in the bracket" in lines[1]["error"]
 
-    def test_sweep_builds_center_data_once(self, tmp_path, monkeypatch):
-        # one ga_center, shared by the rate law and the analysis of all rungs
+    @staticmethod
+    def _count_ga_center(monkeypatch) -> list:
+        """A list that gains an entry at every ``ga_center`` call."""
         calls, orig = [], greenfn.ga_center
 
         def counting(*args, **kwargs):
@@ -381,20 +382,28 @@ class TestSweepAndReport:
 
         for mod in (greenfn, solver, asympt):
             monkeypatch.setattr(mod, "ga_center", counting)
+        return calls
+
+    def test_sweep_builds_center_data_once(self, tmp_path, monkeypatch):
+        # one ga_center, shared by the rate law and the analysis of all rungs
+        calls = self._count_ga_center(monkeypatch)
         cfg_path = write_cfg(tmp_path)
         assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "r.jsonl")]) == EXIT_OK
         assert len(calls) == 1
 
-    def test_sweep_without_center_data(self, tmp_path):
+    def test_sweep_without_center_data(self, tmp_path, monkeypatch):
         # a = -10 alone breaks coercivity, so it has no center data, while
         # a + eps V does not: the rungs get no rate law and scan, and each
-        # analysis fails on the center data
+        # analysis fails on the center data, which ga_center was asked for
+        # once
+        calls = self._count_ga_center(monkeypatch)
         cfg_path = write_cfg(tmp_path, a={"constant": -10.0}, V={"constant": 1.0},
                              eps_ladder=[0.5, 0.3])
         rec_path = tmp_path / "r.jsonl"
         assert main(["sweep", "--config", cfg_path, "--out", str(rec_path)]) == EXIT_NUMERICAL
         lines = [json.loads(l) for l in rec_path.read_text().splitlines()]
         assert [(d["stage"], d["error_type"]) for d in lines] == [("analysis", "CoercivityError")] * 2
+        assert len(calls) == 1
 
     def test_no_solution_exit_code(self, tmp_path, capsys):
         # a + eps V = -2.04 lies above a* = -pi^2/4: no positive solution,
@@ -674,7 +683,6 @@ class TestVerify:
                      "--out", str(out_path)])
         report = asympt.build_report(recs, critical_cg, -2 * math.pi, 1.0)
         expected = [[c, v, t, str(p)] for c, v, t, p in report.rows()]
-        expected.append(["center pinned by symmetry", "satisfied", "symmetry", "True"])
         with out_path.with_suffix(".csv").open(newline="") as fh:
             assert list(csv.reader(fh)) == [["check", "value", "target", "passed"], *expected]
         all_passed = json.loads(out_path.read_text())["report"]["all_passed"]
@@ -706,14 +714,14 @@ class TestBubbletest:
     def test_off_coefficient_fails(self, tmp_path, monkeypatch):
         # int U^4 H^2 2% high on every rung: its fitted leading coefficient
         # is 2% off its target
-        integrals = bubble._b3_integrals
+        integrals = bubble._ladder_integrals
 
         def off(*args):
             vals = integrals(*args)
             vals["U4_H2"] *= 1.02
             return vals
 
-        monkeypatch.setattr(bubble, "_b3_integrals", off)
+        monkeypatch.setattr(bubble, "_ladder_integrals", off)
         out = tmp_path / "bubbletest.json"
         assert main(["bubbletest", "--out", str(out)]) == EXIT_VERIFICATION
         rows = json.loads(out.read_text())

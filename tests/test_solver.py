@@ -745,7 +745,7 @@ class TestAccuracy:
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_integrals_match_quad_oracle(self, canonical_solutions, x8):
-        # the four integrals of the finalize's rule against adaptive
+        # the integrals of the finalize's rule against adaptive
         # quadrature of the same dense profile, split at the bubble's scales;
         # they read <= 6.5e-13
         for s in (canonical_solutions[0], canonical_solutions[-1], x8[-1]):
@@ -759,8 +759,7 @@ class TestAccuracy:
 
             for got, f in [(s.grad_norm_sq, lambda r: s.uprime_at(r) ** 2),
                            (s.int_m_u2, lambda r: m * s.u_at(r) ** 2),
-                           (s.int_u6, lambda r: s.u_at(r) ** 6),
-                           (s.int_u2, lambda r: s.u_at(r) ** 2)]:
+                           (s.int_u6, lambda r: s.u_at(r) ** 6)]:
                 assert got == pytest.approx(oracle(f), rel=2e-12, abs=0)
 
     def test_canonical_rungs_match_tight_reference(self, canonical_solutions):
@@ -854,6 +853,21 @@ class TestPohozaev:
     def test_converged_residual(self, canonical_solutions):
         for s in canonical_solutions:
             assert pohozaev_residual(s) <= 1e-6
+
+    @pytest.mark.parametrize("V", [lambda r: -(1 + 2 * r**2), lambda r: -3 * np.exp(-8 * r**2),
+                                   lambda r: 1 - 4 * np.cos(np.pi * r / 2) ** 2],
+                             ids=["-(1+2r^2)", "-3exp(-8r^2)", "1-4cos^2"])
+    def test_tabulated_ladder(self, V):
+        # a 41-knot table's ladder satisfies the identity with its r m' term
+        # to <= 1e-10 (it reads <= 3.5e-12); without that term the ladder's
+        # largest residual reads 3.0e-5 to 1.3e-4
+        r = np.linspace(0.0, 1.0, 41)
+        sols = [s for _, s in solve_ladder(_ladder_cfgs(RadialCoefficient(values=V(r),
+                                                                         abscissae=r)))]
+        for s in sols:
+            assert s.diagnostics["pohozaev_residual"] == pohozaev_residual(s) <= 1e-10
+            s.int_r_dm_u2 = 0.0
+        assert max(pohozaev_residual(s) for s in sols) > 1e-6
 
     def test_exact_bubble_whole_space(self):
         # U with m = 0: (1/2) int |grad U|^2 - (3/2) int U^6
