@@ -63,12 +63,14 @@ def fit_bubble(u: RadialSolution) -> tuple[float, float, float]:
     Minimizes the gradient norm of u - alpha PU_{0,lam}; alpha is eliminated
     in closed form per lam, and lam is the root, on a log axis, of the
     stationarity condition <u', dlam U'><U', U'> - <u', U'><U', dlam U'> = 0
-    (gradient inner products; proportional to the misfit's derivative),
-    between the outer ends of a bracket of the misfit's minimum around
-    u(0)^2.  The root is found to rounding, where a minimizer of the flat
-    misfit is good only to its square root.  There w = u/alpha - PU is
-    gradient-orthogonal to PU and dlam PU.  The inner products are taken on
-    the rung's sample.  Returns (alpha, lam, residual_norm).
+    (gradient inner products), found to rounding, where a minimizer of the
+    flat misfit is good only to its square root.  The misfit's
+    lam-derivative is -2 <u', U'> / <U', U'>^2 times the condition, and
+    <u', U'> > 0, so its sign brackets the root: from (0.9, 1.1) u(0)^2,
+    each factor squared until it is > 0 below and < 0 above.  There
+    w = u/alpha - PU is gradient-orthogonal to PU and dlam PU.  The inner
+    products are taken on the rung's sample.  Returns (alpha, lam,
+    residual_norm).
     """
     lam0 = u.M**2
     nodes, wts, _, upv = u.sample
@@ -76,40 +78,23 @@ def fit_bubble(u: RadialSolution) -> tuple[float, float, float]:
     wu = wn * upv
     gn_u = float(wu @ upv)
 
-    def misfit(loglam):
-        pup = bb.u_prime(math.exp(loglam), nodes)
-        return gn_u - float(wu @ pup) ** 2 / float(wn * pup @ pup)
-
     def stationarity(loglam):
         lam = math.exp(loglam)
         pup, dpup = bb.u_prime(lam, nodes), bb.dlam_u_prime(lam, nodes)
         wp = wn * pup
         return float(wu @ dpup) * float(wp @ pup) - float(wu @ pup) * float(wp @ dpup)
 
-    lo, _, hi = _log_bracket(misfit, lam0)
-    lam = math.exp(brent_root(stationarity, (lo, hi), tol=1e-12).root)
-    pup = bb.u_prime(lam, nodes)
-    cross, gn_pu = float(wu @ pup), float(wn * pup @ pup)
-    return cross / gn_pu, lam, math.sqrt(max(gn_u - cross**2 / gn_pu, 0.0))
-
-
-def _log_bracket(f, lam0: float):
-    """Bracket (lo, mid, hi) in log lam of a minimum of f around lam0.
-
-    Starts at the logs of (0.9, 1, 1.1) lam0 and squares each outer factor
-    in turn until f(mid) lies below f at both ends.  At low lam the fit's
-    minimum can sit well below u(0)^2, outside the starting triple.
-    """
-    mid = math.log(lam0)
-    f_mid = f(mid)
     ends = []
-    for factor in (0.9, 1.1):
-        while f(math.log(lam0 * factor)) <= f_mid:
+    for factor, sign in ((0.9, 1.0), (1.1, -1.0)):
+        while sign * stationarity(math.log(lam0 * factor)) <= 0:
             factor *= factor
             if not 1e-3 <= factor <= 1e3:
                 raise RegimeError("fit_bubble: no minimum within 3 decades of u(0)^2")
         ends.append(math.log(lam0 * factor))
-    return ends[0], mid, ends[1]
+    lam = math.exp(brent_root(stationarity, tuple(ends), tol=1e-12).root)
+    pup = bb.u_prime(lam, nodes)
+    cross, gn_pu = float(wu @ pup), float(wn * pup @ pup)
+    return cross / gn_pu, lam, math.sqrt(max(gn_u - cross**2 / gn_pu, 0.0))
 
 
 @dataclass

@@ -254,17 +254,17 @@ def _failure_line(eps: float, stage: str, error: Exception, cfg: RunConfig) -> d
 
 
 def _rung_line(eps: float, rs, cfg: RunConfig, center) -> dict:
-    """A solved rung's record line with what its solve cost, or a failure
-    line when its solve or its analysis failed.  ``center()`` gives a's
-    center Green's data."""
+    """A solved rung's record line with what its solve cost and how well it
+    converged, or a failure line when its solve or its analysis failed.
+    ``center()`` gives a's center Green's data."""
     if not isinstance(rs, solver.RadialSolution):
         return _failure_line(eps, "solve", rs, cfg)
     try:
         rec = asympt.records_from_sweep([rs], tuple(cfg.probes), center())[0]
     except Exception as e:  # per-rung failure recorded, sweep continues
         return _failure_line(eps, "analysis", e, cfg)
-    cost = ("seed", "shoot_integrations", "shoot_steps")
-    return _record_line(rec, cfg) | {k: rs.diagnostics[k] for k in cost}
+    keys = ("seed", "shoot_integrations", "shoot_steps", "endpoint", "pde_residual")
+    return _record_line(rec, cfg) | {k: rs.diagnostics[k] for k in keys}
 
 
 def cmd_sweep(args) -> int:

@@ -59,7 +59,7 @@ class OdeTrajectory:
     ``OdeSolution`` gives it and the same seven alternating updates in the
     same order, gathering one coefficient row per point and update, so the
     values are scipy's bit for bit: (states,) at a scalar t, (states,) +
-    t.shape otherwise.
+    t.shape otherwise.  ``derivative`` gives dy/dt of the same interpolant.
     """
 
     def __init__(self, nodes, states, F) -> None:
@@ -71,12 +71,17 @@ class OdeTrajectory:
         return OdeTrajectory(self.nodes, np.ascontiguousarray(self.states[:, rows]),
                              np.ascontiguousarray(self.F[:, :, rows]))
 
-    def __call__(self, t):
+    def _locate(self, t):
+        """t as an array, each point's step, and its step length and x in [0, 1]."""
         t = np.asarray(t, dtype=float)
         # on the interior nodes: scipy's searchsorted(ts, t, "left") - 1, clipped
         seg = np.searchsorted(self.nodes[1:-1], t, side="left")
         t_old = self.nodes[seg]
-        x = ((t - t_old) / (self.nodes[seg + 1] - t_old))[..., None]
+        h = (self.nodes[seg + 1] - t_old)[..., None]
+        return t, seg, h, (t - t_old)[..., None] / h
+
+    def __call__(self, t):
+        t, seg, _, x = self._locate(t)
         x1 = 1 - x
         y = np.zeros(t.shape + self.y_old.shape[1:])
         for i, f in enumerate(self.F[::-1]):
@@ -84,6 +89,18 @@ class OdeTrajectory:
             y *= x1 if i % 2 else x
         y += self.y_old.take(seg, axis=0)
         return np.moveaxis(y, -1, 0) if t.ndim else y
+
+    def derivative(self, t):
+        """dy/dt, shaped as a call's value: forward mode through the call's
+        updates, dy/dx carried beside y, over the step length."""
+        t, seg, h, x = self._locate(t)
+        y, dy = np.zeros((2,) + t.shape + self.y_old.shape[1:])
+        for i, f in enumerate(self.F[::-1]):
+            y += f.take(seg, axis=0)
+            s, sign = (1 - x, -1.0) if i % 2 else (x, 1.0)
+            dy = dy * s + sign * y
+            y *= s
+        return np.moveaxis(dy / h, -1, 0) if t.ndim else dy / h
 
 
 def sph_bessel(kind: str, ell, x):

@@ -15,10 +15,11 @@ EPS_LADDER = [0.04, 0.02, 0.01, 0.005]
 
 
 def quad_oracle(f, a, b):
-    """Adaptive quadrature (scipy's ``quad``, tolerance 1e-12) of the scalar
-    function f on (a, b), b possibly math.inf: the reference the package's
-    one radial rule is checked against."""
-    return integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    """Adaptive quadrature (scipy's ``quad``, 1e-12 relative and no absolute
+    tolerance, so small integrals are held to it too) of the scalar function
+    f on (a, b), b possibly math.inf: the reference the package's one radial
+    rule is checked against."""
+    return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
 
 def const(c):

@@ -452,6 +452,14 @@ class TestSweepAndReport:
         assert main(["report", "--records", str(rec_path)]) == EXIT_OK
         assert [row.split()[-1] for row in capsys.readouterr().out.splitlines()[1:]] == ["nan"] * 3
 
+    def test_sweep_lines_carry_convergence(self, fresh_sweep):
+        # a canonical sweep's lines say how well each rung converged: its
+        # endpoint u(R) within shoot_tol and its pde_residual within 1e-9
+        _, fresh = fresh_sweep
+        for d in map(json.loads, fresh):
+            assert abs(d["endpoint"]) <= RunConfig().tolerances["shoot"]
+            assert 0.0 < d["pde_residual"] <= 1e-9
+
 
 class TestInputErrors:
     """Bad input ends with exit 1 and a one-line message, not a traceback."""

@@ -12,7 +12,7 @@ from scipy import integrate
 from ballblowup import greenfn, solver
 from ballblowup.asympt import build_report, fit_bubble, records_from_sweep
 from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center, qv_center
-from ballblowup.numkit import ode_solve, radial_quadrature_rule
+from ballblowup.numkit import OdeTrajectory, ode_solve, radial_quadrature_rule
 from ballblowup.solver import (
     SOBOLEV_CONSTANT,
     ProblemConfig,
@@ -229,26 +229,6 @@ class TestSolveProfile:
         rs = np.linspace(0.1, 0.9, 9)
         assert np.array_equal(again.u_at(rs), sol_005.u_at(rs))
 
-
-    def test_pde_residual_matches_pointwise_loop(self, sol_005):
-        # reference: the residual evaluated one radius at a time
-        s = sol_005
-        lam_hat = s.M**2
-        rs = np.geomspace(1e-5 / max(lam_hat, 1.0), 0.98, 60)
-        res_max = scale = 0.0
-        for r in rs:
-            h = min(1e-4 * (r + 1.0 / max(lam_hat, 1.0)), 0.45 * r)
-            up = s.uprime_at
-            d1 = (up(r + h) - up(r - h)) / (2 * h)
-            d2 = (up(r + h / 2) - up(r - h / 2)) / h
-            upp_fd = (4 * d2 - d1) / 3.0
-            u = s.u_at(r)
-            rhs = float(s.config.m(r)) * u - 3.0 * u**5 - 2.0 * up(r) / r
-            res_max = max(res_max, abs(upp_fd - rhs))
-            scale = max(scale, abs(rhs), abs(upp_fd))
-        ref = res_max / max(scale, 1.0)
-        assert solver._pde_residual(s) == pytest.approx(ref, abs=1e-12)
-
     def test_tabulated_coefficient(self, sol_005):
         # V = -1 given as a table takes the spline path of the right-hand
         # sides, whose spline reads exactly -1: the constant-coefficient root
@@ -260,6 +240,31 @@ class TestSolveProfile:
         assert abs(s.diagnostics["endpoint"]) <= cfg.shoot_tol
         assert s.energy_identity_residual <= 1e-10
         assert s.diagnostics["pde_residual"] <= 1e-9
+
+
+class TestPdeResidual:
+    """``pde_residual`` is the defect of the finalize's dense output: its
+    own derivative against the radial equation with the config's m.  It
+    rejects the canonical eps = 0.005 rung judged against a coefficient it
+    does not solve, and an interpolant that is off its steps."""
+
+    @pytest.mark.parametrize("change", [
+        pytest.param(lambda c: {"eps": 1.001 * c.eps}, id="eps-x1.001"),  # reads 2.5e-8
+        pytest.param(lambda c: {"a": const(c.a.constant + 1e-6)}, id="a-plus-1e-6"),  # 4.9e-9
+    ])
+    def test_wrong_coefficient_fails(self, canonical_solutions, change):
+        sol = canonical_solutions[-1]
+        judged = dataclasses.replace(sol, config=dataclasses.replace(sol.config,
+                                                                     **change(sol.config)))
+        assert solver._pde_residual(judged) > 1e-9
+
+    def test_perturbed_interpolant_fails(self, canonical_solutions):
+        # every step's F[0] = y_new - y_old scaled by 1 + 1e-8: reads 3.7e-9
+        sol = canonical_solutions[-1]
+        F = sol.dense.F.copy()
+        F[0] *= 1 + 1e-8
+        judged = dataclasses.replace(sol, dense=OdeTrajectory(sol.dense.nodes, sol.dense.states, F))
+        assert solver._pde_residual(judged) > 1e-9
 
 
 def _slope_and_quotient(eps, M, dM):
@@ -575,6 +580,23 @@ class TestSolveLadder:
         ((args, kwargs, traj),) = calls
         sol = _scipy_twin(args, kwargs, traj)
         _assert_scipy_bits(sol, traj)
+
+    @pytest.mark.parametrize("module", [solver, greenfn])
+    def test_derivative_at_nodes_is_the_rhs(self, module, monkeypatch):
+        # the canonical finalize and ga_center's integration: at every step
+        # node the interpolant's value is the state, bit for bit, and its
+        # derivative the right-hand side there, to rounding
+        calls = _record(monkeypatch, module)
+        if module is solver:
+            list(solve_ladder(_ladder_cfgs(const(-1.0))))
+        else:
+            ga_center(const(CRITICAL_A), 1.0)
+        args, _, traj = calls[-1]
+        assert traj.F is not None
+        assert np.array_equal(traj(traj.nodes), traj.states.T)
+        f = np.array([args[0](float(t), y) for t, y in zip(traj.nodes, traj.states)]).T
+        err = np.abs(traj.derivative(traj.nodes) - f) / np.maximum(np.abs(f), 1.0)
+        assert np.max(err) <= 1e-15
 
     def test_newton_batch_is_scipys(self, monkeypatch):
         # a canonical full-tolerance Newton batch: 4 rungs of 4 states, lean,
