@@ -15,7 +15,6 @@ import numpy as np
 
 from ballblowup.asympt import fit_bubble
 from ballblowup.cli import RunConfig
-from ballblowup.greenfn import ga_center
 from ballblowup.solver import solve_ladder
 
 
@@ -27,7 +26,7 @@ def run():
             raise s
         sols.append(s)
     lams = [fit_bubble(s)[1] for s in sols]
-    cg = ga_center(cfg.coefficient("a"), cfg.R)
+    cg = sols[0].laws.cg  # a's center Green's data, built once by the ladder
     ts = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
     print("inner region: sqrt(lam)^-1 u(t/lam) vs (1+t^2)^-1/2")
     print(f"{'eps':>8} " + " ".join(f"{t:>9.1f}" for t in ts))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bubble as bb
-from .greenfn import CenterGreens, RadialCoefficient, ga_center
+from .greenfn import BlowupLaws, CenterGreens, RadialCoefficient
 from .numkit import brent_root, radial_quadrature_rule, richardson_fit
 from .solver import RadialSolution, greens_rep_residual
 
@@ -210,19 +210,17 @@ class SweepRecord:
         return SweepRecord(**{k: d[k] for k in keys})
 
 
-def records_from_sweep(
-    solutions,
-    probes=(0.3, 0.5, 0.7, 0.9),
-    cg: CenterGreens | None = None,
-) -> list[SweepRecord]:
-    """Full per-rung pipeline: fit, decompose, far field, diagnostics, for
-    the rungs of one ladder, which share a and R.  ``cg`` is their a's
-    center Green's data, built from the first rung's config when not given.
-    Every quadrature reads a rung's sample; only the far field and the Green
-    representation's probes evaluate its dense output."""
+def records_from_sweep(solutions, probes) -> list[SweepRecord]:
+    """Full per-rung pipeline: fit, decompose, far field at the radii
+    ``probes``, diagnostics.  a's center Green's data is read off each
+    profile's ``laws``; a profile that carries the error a failed with
+    raises it.  Every quadrature reads a rung's sample; only the far field
+    and the Green representation's probes evaluate its dense output."""
     out = []
     for u in solutions:
-        cg = cg or ga_center(u.config.a, u.R)
+        if isinstance(u.laws, Exception):
+            raise u.laws
+        cg = u.laws.cg
         alpha, lam, fit_res = fit_bubble(u)
         dec = decompose(u, alpha, lam, cg)
         ff = verify_farfield(u, lam, cg, probes)
@@ -242,7 +240,7 @@ def records_from_sweep(
                 gradient_quotient=u.gradient_quotient,
                 energy_residual=u.energy_identity_residual,
                 pohozaev_residual=u.diagnostics["pohozaev_residual"],
-                greens_residual=greens_rep_residual(u, cg=cg),
+                greens_residual=greens_rep_residual(u),
                 fit_residual=fit_res,
             )
         )
@@ -334,25 +332,12 @@ def _trust(records):
     return sorted(recs, key=lambda r: -r.eps)
 
 
-def _check_regime(a0: float, qv0: float, cg: CenterGreens | None = None) -> None:
-    """Raise RegimeError unless a is critical (``cg.is_critical``, when a's
-    center Green's data ``cg`` is given), a(0) < 0 and Q_V(0) < 0, where the
-    laws hold (with V = 0 at critical a no rung has a solution to judge)."""
-    if cg is not None and not cg.is_critical:
-        raise RegimeError(f"the blow-up laws need a critical a, phi_a(0) = 0, "
-                          f"not phi_a(0) = {cg.phi_a_at_0:.6g}")
-    if a0 >= 0 or qv0 >= 0:
-        raise RegimeError(f"the blow-up laws need a(0) < 0 and Q_V(0) < 0, "
-                          f"not a(0) = {a0:.6g}, Q_V(0) = {qv0:.6g}")
-
-
-def verify_rate(records, a0: float, qv0: float) -> RateEntry:
-    """Extrapolate eps*lam to eps -> 0 and compare with 4 pi^2 |a(0)|/|Q_V(0)|."""
-    _check_regime(a0, qv0)
+def verify_rate(records, target: float) -> RateEntry:
+    """Extrapolate eps*lam to eps -> 0 and compare with ``target``
+    (``BlowupLaws.rate``)."""
     recs = _trust(records)
     pairs = [(r.eps, r.eps_lambda) for r in recs]
     L, c, rms = richardson_fit(pairs, quadratic=len(pairs) >= 4)
-    target = 4.0 * math.pi**2 * abs(a0) / abs(qv0)
     rel = abs(L - target) / target
     poor = rms > 0.1 * abs(c) * max(r.eps for r in recs) if c != 0 else False
     return RateEntry(
@@ -365,14 +350,12 @@ def verify_rate(records, a0: float, qv0: float) -> RateEntry:
     )
 
 
-def verify_alpha(records, a0: float, qv0: float, phi0: float) -> RateEntry:
-    """Fit the eps-slope of alpha - 1 and compare with
-    (4/3 pi^3) phi_0(0) |Q_V(0)| / |a(0)|."""
-    _check_regime(a0, qv0)
+def verify_alpha(records, target: float) -> RateEntry:
+    """Fit the eps-slope of alpha - 1 and compare with ``target``
+    (``BlowupLaws.alpha_slope``)."""
     recs = _trust(records)
     pairs = [(r.eps, (r.alpha - 1.0) / r.eps) for r in recs]
     slope, _, rms = richardson_fit(pairs, quadratic=len(pairs) >= 4)
-    target = 4.0 / (3.0 * math.pi**3) * phi0 * abs(qv0) / abs(a0)
     rel = abs(slope - target) / target
     return RateEntry(
         limit=slope,
@@ -388,7 +371,7 @@ def verify_farfield(
     u: RadialSolution,
     lam: float,
     cg: CenterGreens,
-    probes=(0.3, 0.5, 0.7, 0.9),
+    probes,
 ) -> float:
     """max over probe radii of |lam^{1/2} u(r)/G_a(0,r) - 1|."""
     worst = 0.0
@@ -414,15 +397,14 @@ def sup_w_check(records) -> TrendEntry:
     return TrendEntry(values=vals, decreasing=dec)
 
 
-def build_report(records, cg: CenterGreens, qv0: float, phi0: float) -> TheoremReport:
-    """Assemble the full verification report from ladder records, given a's
-    center Green's data ``cg``, Q_V(0) and phi_0(0); the zero-mode targets
-    take phi_a(0) = 0.  Raises RegimeError before any fit unless a is
-    critical, a(0) < 0 and Q_V(0) < 0."""
-    a0 = cg.a_at_0
-    _check_regime(a0, qv0, cg)
-    rate = verify_rate(records, a0, qv0)
-    alpha = verify_alpha(records, a0, qv0, phi0)
+def build_report(records, laws: BlowupLaws) -> TheoremReport:
+    """Assemble the full verification report from ladder records, every
+    target taken from the blow-up ``laws``.  Raises RegimeError, naming
+    ``laws.outside``, before any fit where the laws do not hold."""
+    if laws.outside is not None:
+        raise RegimeError(laws.outside)
+    rate = verify_rate(records, laws.rate)
+    alpha = verify_alpha(records, laws.alpha_slope)
     recs = _trust(records)
     ff_vals = [r.farfield_error for r in recs]
     ff_tail = ff_vals[-3:]
@@ -434,10 +416,9 @@ def build_report(records, cg: CenterGreens, qv0: float, phi0: float) -> TheoremR
     gw = _bound_entry([r.norm_grad_w * math.sqrt(r.lam) for r in recs])
     gr = _bound_entry([r.norm_grad_r / (r.eps / math.sqrt(r.lam)) for r in recs])
     sw = sup_w_check(records)
-    beta_t = -16.0 * phi0 / (3.0 * math.pi)
     zero_modes = {}
     for name, lim, tgt in zip(("beta", "gamma"), beta_gamma_limits(recs),
-                              (beta_t, -(8.0 / 5.0) * beta_t)):
+                              (laws.beta, laws.gamma)):
         rel = abs(lim - tgt) / abs(tgt)
         zero_modes[name] = LimitEntry(lim, tgt, rel, rel <= ZERO_MODE_TOL)
     return TheoremReport(
@@ -454,9 +435,9 @@ def build_report(records, cg: CenterGreens, qv0: float, phi0: float) -> TheoremR
 def coercivity_probe(
     lam: float,
     a: RadialCoefficient | None,
-    R: float = 1.0,
-    samples: int = 200,
-    seed: int = 7,
+    R: float,
+    samples: int,
+    seed: int,
 ) -> float:
     """Empirical coercivity constant of the linearized form.
 

@@ -161,7 +161,7 @@ CLOSED_FORM_TOL = 1e-12
 VERDICT_TOL = 0.01
 
 
-def calculus_verdict(a_const: float, R: float = 1.0) -> tuple[list, bool]:
+def calculus_verdict(a_const: float, R: float) -> tuple[list, bool]:
     """The bubble-calculus verdict at constant coefficient a_const.
 
     Rows (name, kind, value, target, rel_err), every ball integral from one
@@ -173,6 +173,8 @@ def calculus_verdict(a_const: float, R: float = 1.0) -> tuple[list, bool]:
     from every other rung); and the L^q norms of U over the ball for
     q = 2, 3, 6 (kind ``closed form``), each the rule's norm and its closed
     form at the largest of those rungs, with the largest rel_err over them.
+    A row's rel_err is taken against its target, or, where that is 0 (a
+    subleading row at a_const = 0), against its identity's leading target.
     Passes when every ``closed form`` rel_err is within ``CLOSED_FORM_TOL``
     and every other one within ``VERDICT_TOL``.
     """
@@ -184,11 +186,13 @@ def calculus_verdict(a_const: float, R: float = 1.0) -> tuple[list, bool]:
     for name, power, x, lead, n, sub in _B3_IDENTITIES:
         y = vals[name] * B3_LAMS**power
         c0, c1, _ = richardson_fit(list(zip(abscissae[x], y)), quadratic=True)
-        judged = [("leading", c0, lead * phi**n)]
+        lead_tgt = lead * phi**n
+        judged = [("leading", c0, lead_tgt)]
         if sub is not None:
             judged.append(("subleading", c1, sub * a_const))
         for kind, val, tgt in judged:
-            rows.append((name, kind, val, tgt, abs(val - tgt) / max(abs(tgt), 1e-12)))
+            rows.append((name, kind, val, tgt,
+                         abs(val - tgt) / max(abs(tgt) or abs(lead_tgt), 1e-12)))
 
     lams = B3_LAMS[::2]
 

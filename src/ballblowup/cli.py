@@ -32,6 +32,8 @@ EXIT_VERIFICATION = 3
 DEFAULT_TOLERANCES = {"quad": 1e-10, "ode": 1e-12, "shoot": 1e-7, "series": 1e-12}
 # the tolerances the numerics read, and so the only ones --tol-override takes
 OVERRIDABLE_TOLERANCES = ("ode", "shoot")
+# the far-field probe radii, in units of R, of a config that gives none
+DEFAULT_PROBES = (0.3, 0.5, 0.7, 0.9)
 
 
 class ConfigError(ValueError):
@@ -60,7 +62,7 @@ class RunConfig:
     eps_ladder: list = field(default_factory=lambda: [0.04, 0.02, 0.01, 0.005])
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     lmax: int = 40
-    probes: list = field(default_factory=lambda: [0.3, 0.5, 0.7, 0.9])
+    probes: list = field(default_factory=lambda: list(DEFAULT_PROBES))  # at R = 1
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -73,6 +75,8 @@ class RunConfig:
                 raise ConfigError(k, "unknown field")
         for k, v in d.items():
             setattr(cfg, k, v)
+        if "probes" not in d and _is_number(cfg.R):
+            cfg.probes = [p * cfg.R for p in DEFAULT_PROBES]
         cfg.validate()
         return cfg
 
@@ -192,19 +196,19 @@ def _json_default(o):
 def cmd_greens(args) -> int:
     cfg = load_config(args.config, args.tol_override)
     a = cfg.coefficient("a")
-    cg = greenfn.ga_center(a, cfg.R)
+    laws = greenfn.blowup_laws(a, cfg.coefficient("V"), cfg.R)
     if a.is_constant and a.constant < 0:
         rhos = np.linspace(0.0, 0.9 * cfg.R, 19)
         phis = greenfn.phia_profile(rhos, a.constant, cfg.R)
         profile = [{"rho": r, "phi_a": p} for r, p in zip(rhos.tolist(), phis.tolist())]
         crit_dict = asdict(greenfn.na_scan(a.constant, cfg.R))
     else:
-        profile = [{"rho": 0.0, "phi_a": cg.phi_a_at_0}]
+        profile = [{"rho": 0.0, "phi_a": laws.cg.phi_a_at_0}]
         crit_dict = None
     report = {
         "a_star": greenfn.critical_a(cfg.R),
-        "phi_a_at_0": cg.phi_a_at_0,
-        "qv": greenfn.qv_center(cfg.coefficient("V"), a, cfg.R, cg),
+        "phi_a_at_0": laws.cg.phi_a_at_0,
+        "qv": laws.qv0,
         "profile": profile,
         "criticality": crit_dict,
         "config_hash": cfg.hash(),
@@ -222,8 +226,8 @@ def cmd_critical(args) -> int:
 
 def cmd_qv(args) -> int:
     cfg = load_config(args.config, args.tol_override)
-    val = greenfn.qv_center(cfg.coefficient("V"), cfg.coefficient("a"), cfg.R)
-    _emit({"qv": val, "config_hash": cfg.hash()}, args.out)
+    laws = greenfn.blowup_laws(cfg.coefficient("a"), cfg.coefficient("V"), cfg.R)
+    _emit({"qv": laws.qv0, "config_hash": cfg.hash()}, args.out)
     return EXIT_OK
 
 
@@ -253,14 +257,13 @@ def _failure_line(eps: float, stage: str, error: Exception, cfg: RunConfig) -> d
             "error": str(error), "config_hash": cfg.hash(), "tool_version": __version__}
 
 
-def _rung_line(eps: float, rs, cfg: RunConfig, center) -> dict:
+def _rung_line(eps: float, rs, cfg: RunConfig) -> dict:
     """A solved rung's record line with what its solve cost and how well it
-    converged, or a failure line when its solve or its analysis failed.
-    ``center()`` gives a's center Green's data."""
+    converged, or a failure line when its solve or its analysis failed."""
     if not isinstance(rs, solver.RadialSolution):
         return _failure_line(eps, "solve", rs, cfg)
     try:
-        rec = asympt.records_from_sweep([rs], tuple(cfg.probes), center())[0]
+        rec = asympt.records_from_sweep([rs], tuple(cfg.probes))[0]
     except Exception as e:  # per-rung failure recorded, sweep continues
         return _failure_line(eps, "analysis", e, cfg)
     keys = ("seed", "shoot_integrations", "shoot_steps", "endpoint", "pde_residual")
@@ -295,28 +298,12 @@ def cmd_sweep(args) -> int:
             rungs.append((eps, cfg.problem(eps)))
         except ValueError as e:  # e.g. eps V breaks coercivity: this rung fails alone
             rungs.append((eps, e))
-    # a's center Green's data, built once for the rate law and the analysis;
-    # a failure is kept too, so each rung analysed fails with it
-    outcome = []
-
-    def center():
-        if not outcome:
-            try:
-                outcome.append(greenfn.ga_center(cfg.coefficient("a"), cfg.R))
-            except ValueError as e:  # CoercivityError, ResonanceError, a table off [0, R]
-                outcome.append(e)
-        if isinstance(outcome[0], ValueError):
-            raise outcome[0]
-        return outcome[0]
-
-    solved = solver.solve_ladder(
-        [p for _, p in rungs if isinstance(p, solver.ProblemConfig)], center
-    )
+    solved = solver.solve_ladder([p for _, p in rungs if isinstance(p, solver.ProblemConfig)])
     failures = 0
     with out_path.open("a") as fh:
         for eps, rs in rungs:
             if isinstance(rs, solver.ProblemConfig):
-                line = _rung_line(eps, next(solved)[1], cfg, center)
+                line = _rung_line(eps, next(solved)[1], cfg)
             else:
                 line = _failure_line(eps, "problem", rs, cfg)
             failures += line["status"] == "failed"
@@ -368,11 +355,8 @@ def cmd_verify(args) -> int:
     if config_hash != cfg.hash():
         raise ConfigError("records", f"{args.records} has config_hash {config_hash}, "
                           f"not the config's {cfg.hash()}")
-    a = cfg.coefficient("a")
-    cg = greenfn.ga_center(a, cfg.R)
-    qv0 = greenfn.qv_center(cfg.coefficient("V"), a, cfg.R, cg)
-    phi0 = greenfn.phi0_ball([0.0, 0.0, 0.0], cfg.R)
-    report = asympt.build_report(records, cg, qv0, phi0)
+    laws = greenfn.blowup_laws(cfg.coefficient("a"), cfg.coefficient("V"), cfg.R)
+    report = asympt.build_report(records, laws)
     print("verification against the blow-up laws")
     for check, value, target, passed in report.rows():
         mark = "PASS" if passed else "FAIL"

@@ -24,6 +24,7 @@ __all__ = [
     "CenterGreens",
     "HelmholtzSeries",
     "CriticalityReport",
+    "BlowupLaws",
     "CoercivityError",
     "ResonanceError",
     "phi0_ball",
@@ -32,6 +33,7 @@ __all__ = [
     "phia_profile",
     "phia_hessian",
     "qv_center",
+    "blowup_laws",
     "na_scan",
 ]
 
@@ -205,7 +207,7 @@ def _taylor_bridged(r, series, exact):
     return float(out[0]) if scalar else out
 
 
-def phi0_ball(x, R: float = 1.0) -> float:
+def phi0_ball(x, R: float) -> float:
     """Diagonal of the regular part for a = 0: R/(R^2 - |x|^2)."""
     nx = float(np.linalg.norm(np.asarray(x, dtype=float)))
     if nx >= R:
@@ -223,7 +225,7 @@ def _solve_v(a: RadialCoefficient, R: float):
     return ode_solve(rhs, [1.0, 0.0, 0.0, 1.0], (0.0, R), tol=1e-12)
 
 
-def ga_center(a: RadialCoefficient, R: float = 1.0) -> CenterGreens:
+def ga_center(a: RadialCoefficient, R: float) -> CenterGreens:
     """Center Green's profile v and phi_a(0) for radial coefficient a.
 
     v = v_p + c v_h with the combination chosen so v(R) = 0; for constant
@@ -245,7 +247,7 @@ def ga_center(a: RadialCoefficient, R: float = 1.0) -> CenterGreens:
     return CenterGreens(R=R, phi_a_at_0=float(-c), a_at_0=a.at(0.0), _state=state)
 
 
-def critical_a(R: float = 1.0) -> float:
+def critical_a(R: float) -> float:
     """Constant coefficient at which phi_a(0) vanishes; analytically
     -pi^2/(4R^2), located here by Newton on v1(R; a), the endpoint of the
     (1, 0) center solution of v'' = a v: phi_a(0) = v1(R)/v2(R) vanishes
@@ -336,7 +338,7 @@ class HelmholtzSeries:
         return float(out[0]) if np.ndim(rho) == 0 else out.reshape(np.shape(rho))
 
 
-def phia_profile(rho, a_const: float, R: float = 1.0):
+def phia_profile(rho, a_const: float, R: float):
     """phi_a at radius rho for constant a < 0 via the Bessel series.
 
     ``rho`` is one radius (giving a float) or an array of radii (giving an
@@ -348,7 +350,7 @@ def phia_profile(rho, a_const: float, R: float = 1.0):
     return HelmholtzSeries.build(a_const, R).h_diag(rho)
 
 
-def phia_hessian(a_const: float, R: float = 1.0) -> float:
+def phia_hessian(a_const: float, R: float) -> float:
     """Second radial derivative of phi_a at the center.
 
     Computed two ways: Richardson finite differences on the profile, and
@@ -379,17 +381,62 @@ def phia_hessian(a_const: float, R: float = 1.0) -> float:
     return series_val
 
 
-def qv_center(
-    V: RadialCoefficient,
-    a: RadialCoefficient,
-    R: float = 1.0,
-    cg: CenterGreens | None = None,
-) -> float:
+def qv_center(V: RadialCoefficient, cg: CenterGreens) -> float:
     """Q_V(0) = int V(y) G_a(0,y)^2 dy = 4 pi int_0^R V(r) v(r)^2 dr, with v
-    from the center Green's data ``cg`` (built for a when not given)."""
-    cg = cg or ga_center(a, R)
-    nodes, wts = radial_quadrature_rule(1.0, R)  # v varies on the scale R: no bubble
+    from a's center Green's data ``cg``."""
+    nodes, wts = radial_quadrature_rule(1.0, cg.R)  # v varies on the scale R: no bubble
     return 4.0 * math.pi * float(wts @ (V(nodes) * cg.v(nodes) ** 2))
+
+
+@dataclass(frozen=True)
+class BlowupLaws:
+    """The paper's blow-up laws for a and V on the ball, from a's center
+    Green's data ``cg`` and ``qv0`` = Q_V(0): the one regime decision
+    (``outside``) and the target of every law."""
+
+    cg: CenterGreens
+    qv0: float
+
+    @property
+    def outside(self) -> str | None:
+        """Why the laws do not hold, or None: they need a critical a
+        (``CenterGreens.is_critical``), a(0) < 0 and Q_V(0) < 0."""
+        cg, qv0 = self.cg, self.qv0
+        if not cg.is_critical:
+            return (f"the blow-up laws need a critical a, phi_a(0) = 0, "
+                    f"not phi_a(0) = {cg.phi_a_at_0:.6g}")
+        if cg.a_at_0 >= 0 or qv0 >= 0:
+            return (f"the blow-up laws need a(0) < 0 and Q_V(0) < 0, "
+                    f"not a(0) = {cg.a_at_0:.6g}, Q_V(0) = {qv0:.6g}")
+        return None
+
+    @property
+    def rate(self) -> float:
+        """The limit of eps lam, 4 pi^2 |a(0)| / |Q_V(0)|."""
+        return 4.0 * math.pi**2 * abs(self.cg.a_at_0) / abs(self.qv0)
+
+    @property
+    def alpha_slope(self) -> float:
+        """The eps-slope of alpha - 1, (4/3 pi^3) phi_0(0) |Q_V(0)| / |a(0)|."""
+        phi0 = phi0_ball([0.0, 0.0, 0.0], self.cg.R)
+        return 4.0 / (3.0 * math.pi**3) * phi0 * abs(self.qv0) / abs(self.cg.a_at_0)
+
+    @property
+    def beta(self) -> float:
+        """The limit of beta, (16/3 pi)(phi_a(0) - phi_0(0)) at phi_a(0) = 0."""
+        return -16.0 * phi0_ball([0.0, 0.0, 0.0], self.cg.R) / (3.0 * math.pi)
+
+    @property
+    def gamma(self) -> float:
+        """The limit of gamma, -(8/5) beta."""
+        return -(8.0 / 5.0) * self.beta
+
+
+def blowup_laws(a: RadialCoefficient, V: RadialCoefficient, R: float) -> BlowupLaws:
+    """The blow-up laws of a and V on the ball of radius R: a's center
+    Green's data from one ``ga_center``, and Q_V(0) from it."""
+    cg = ga_center(a, R)
+    return BlowupLaws(cg, qv_center(V, cg))
 
 
 @dataclass(frozen=True)
@@ -402,7 +449,7 @@ class CriticalityReport:
     phi_at_0: float
 
 
-def na_scan(a_const: float, R: float = 1.0) -> CriticalityReport:
+def na_scan(a_const: float, R: float) -> CriticalityReport:
     """Scan the radial profile of phi_a for zeros and report the
     criticality / negativity / nondegeneracy flags.
 

@@ -132,7 +132,7 @@ def ode_solve(
     rhs: Callable,
     y0: Sequence[float],
     span: tuple[float, float],
-    tol=1e-12,
+    tol,
     atol=None,
     dense: bool = True,
 ) -> OdeTrajectory:
@@ -213,7 +213,7 @@ def ode_solve(
 def brent_root(
     f: Callable[[float], float],
     bracket: tuple[float, float],
-    tol: float = 1e-12,
+    tol: float,
 ) -> RootResult:
     """Brent's method on a sign-changing bracket."""
     a, b = bracket

@@ -31,16 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .greenfn import (
-    BallDomain,
-    CenterGreens,
-    CoercivityError,
-    RadialCoefficient,
-    ResonanceError,
-    check_coercivity,
-    ga_center,
-    qv_center,
-)
+from .greenfn import BallDomain, BlowupLaws, RadialCoefficient, blowup_laws, check_coercivity
 from .numkit import ode_solve, radial_quadrature_rule
 
 __all__ = [
@@ -110,6 +101,8 @@ class RadialSolution:
     ``"scan"`` when the root came from the bracket scan,
     ``shoot_integrations`` counts the shooting integrations by phase
     (bracket, root, finalize) and ``shoot_steps`` their accepted steps.
+    ``laws`` is the ladder's ``BlowupLaws``, shared by its rungs, or the
+    ValueError a alone failed with when it has no center Green's data.
     """
 
     config: ProblemConfig
@@ -121,6 +114,7 @@ class RadialSolution:
     int_u6: float = math.nan
     int_r_dm_u2: float = math.nan
     diagnostics: dict = field(default_factory=dict)
+    laws: BlowupLaws | ValueError | None = None
     sample: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -224,7 +218,7 @@ def _rung_coefficients(a: RadialCoefficient, V: RadialCoefficient, epss):
     return ms
 
 
-def _rhs(a, V, epss, finalize: bool = False):
+def _rhs(a, V, epss, finalize: bool):
     """The stacked rungs' system in t = ln r, rung k's coefficient
     m = a + ``epss[k]`` V.  u = r^{-1/2} w turns the radial equation into
     w'' = (1/4 + m e^{2t} - 3 w^4) w; with m = 0 the bubble of center height
@@ -415,19 +409,19 @@ def _pde_residual(sol_obj: "RadialSolution") -> float:
     return float(np.max(np.abs(sol_obj.dense.derivative(t) - f) / np.maximum(np.abs(f), 1.0)))
 
 
-def _finalize(Ms, cfgs, tallies, seeds) -> list[RadialSolution | RuntimeError]:
+def _finalize(Ms, cfgs, tallies, seeds, laws) -> list[RadialSolution | RuntimeError]:
     """Converged rungs in one dense integration, each with a dense output of
-    its own rows, its sample on the radial rule and its diagnostics,
-    ``seeds[k]`` and ``tallies[k]`` among them.  A rung whose profile dips to
-    -shoot_tol on the sample's nodes, all inside the ball, or whose
-    endpoint misses ``shoot_tol``, comes back as its error.  Each rung's
-    four integrals are taken on its sample."""
+    its own rows, its sample on the radial rule, the ladder's ``laws`` and
+    its diagnostics, ``seeds[k]`` and ``tallies[k]`` among them.  A rung
+    whose profile dips to -shoot_tol on the sample's nodes, all inside the
+    ball, or whose endpoint misses ``shoot_tol``, comes back as its error.
+    Each rung's four integrals are taken on its sample."""
     traj, delta = _integrate(Ms, cfgs, finalize=True)
     out = []
     for k, (M, cfg) in enumerate(zip(Ms, cfgs)):
         _count(tallies[k], "finalize", traj)
         rs = RadialSolution(config=cfg, M=M, dense=traj.rows(slice(2 * k, 2 * k + 2)),
-                            delta=delta)
+                            delta=delta, laws=laws)
         nodes, wts, u, up = rs.sample
         if np.any(u <= -cfg.shoot_tol):
             out.append(RuntimeError("positivity violated at the radial rule's nodes"))
@@ -453,46 +447,28 @@ def _finalize(Ms, cfgs, tallies, seeds) -> list[RadialSolution | RuntimeError]:
 _LAW_WINDOW = (0.7, 1.45)
 
 
-def _rate_law(cfg: ProblemConfig, center) -> float | None:
-    """The blow-up rate law's limit of eps lam, 4 pi^2 |a(0)| / |Q_V(0)|,
-    where it applies: a critical (``CenterGreens.is_critical``),
-    a(0) < 0 and Q_V(0) < 0.  None elsewhere, also for a supercritical a,
-    whose M stays bounded as eps -> 0.  phi_a(0) and Q_V(0) come from one
-    ``ga_center``, ``center()`` when given; neither depends on eps."""
-    R = cfg.domain.R
-    try:
-        cg = center() if center else ga_center(cfg.a, R)
-    except (CoercivityError, ResonanceError):  # a alone has no center Green's data
-        return None
-    if not cg.is_critical or cg.a_at_0 >= 0:
-        return None
-    qv0 = qv_center(cfg.V, cfg.a, R, cg=cg)
-    if qv0 >= 0:
-        return None
-    return 4.0 * math.pi**2 * abs(cg.a_at_0) / abs(qv0)
-
-
-def _solve(cfgs, tallies, law) -> list[RadialSolution | Exception]:
+def _solve(cfgs, tallies, laws) -> list[RadialSolution | Exception]:
     """Every rung of ``cfgs``, a ladder by ``solve_ladder``'s contract, as its
     profile or the error it failed with; ``tallies[k]`` counts rung k's
-    integrations.
+    integrations, and each profile carries ``laws``.
 
-    Where the rate law applies (``law``, the limit of eps lam, is not None),
-    all rungs run Newton in lockstep, each from its rate-law height
-    (law / eps)^{1/2} and kept in ``_LAW_WINDOW`` times it.  The rungs left
-    without a root scan for brackets together, one stacked integration a
-    height (``_find_bracket``); a rung the scan fails keeps its error, and
-    the others run Newton in lockstep, each from its bracket's lower end and
-    kept inside the bracket.  One dense integration finalizes every root.
-    A step that raises fails its rung when it is the only one; otherwise
-    each rung goes through ``_solve`` alone, so a failing rung fails alone."""
+    Where the blow-up laws hold (``laws.outside`` is None), all rungs run
+    Newton in lockstep, each from its rate-law height (rate / eps)^{1/2},
+    with ``laws.rate`` the limit of eps lam, and kept in ``_LAW_WINDOW``
+    times it.  The rungs left without a root scan for brackets together,
+    one stacked integration a height (``_find_bracket``); a rung the scan
+    fails keeps its error, and the others run Newton in lockstep, each from
+    its bracket's lower end and kept inside the bracket.  One dense
+    integration finalizes every root.  A step that raises fails its rung
+    when it is the only one; otherwise each rung goes through ``_solve``
+    alone, so a failing rung fails alone."""
     out: list = [None if cfg.eps > 0 else ValueError("existence regime requires eps > 0")
                  for cfg in cfgs]
     try:
         roots, brackets = {}, {}  # rung -> (M, seed), rung -> its bracket
         live = [k for k, e in enumerate(out) if e is None]
-        if law is not None:
-            starts = [math.sqrt(law / cfgs[k].eps) for k in live]
+        if isinstance(laws, BlowupLaws) and laws.outside is None:
+            starts = [math.sqrt(laws.rate / cfgs[k].eps) for k in live]
             found = _newton([cfgs[k] for k in live], starts,
                             [tuple(f * s for f in _LAW_WINDOW) for s in starts],
                             [tallies[k] for k in live])
@@ -514,13 +490,14 @@ def _solve(cfgs, tallies, law) -> list[RadialSolution | Exception]:
         done = sorted(roots)
         if done:
             Ms, seeds = zip(*(roots[k] for k in done))
-            finals = _finalize(Ms, [cfgs[k] for k in done], [tallies[k] for k in done], seeds)
+            finals = _finalize(Ms, [cfgs[k] for k in done], [tallies[k] for k in done], seeds,
+                               laws)
             for k, rs in zip(done, finals):
                 out[k] = rs
     except Exception as e:
         if len(cfgs) == 1:
             return [e]
-        return [_solve([cfg], [tally], law)[0] for cfg, tally in zip(cfgs, tallies)]
+        return [_solve([cfg], [tally], laws)[0] for cfg, tally in zip(cfgs, tallies)]
     return out
 
 
@@ -532,7 +509,6 @@ def _same_coefficient(c: RadialCoefficient, d: RadialCoefficient) -> bool:
 
 def solve_ladder(
     cfgs: Sequence[ProblemConfig],
-    center=None,
 ) -> Iterator[tuple[float, RadialSolution | Exception]]:
     """Ground states of an eps ladder, yielded as ``(eps, profile)`` in
     ladder order, or ``(eps, error)`` for a rung that failed; a failed rung
@@ -545,17 +521,22 @@ def solve_ladder(
     root, each rung keeping an ``OdeTrajectory`` of its own rows; the
     canonical ladder takes 3 + 1.  Each profile's
     ``diagnostics["shoot_integrations"]`` and ``["shoot_steps"]`` count the
-    integrations that the rung took part in and their steps.  ``center()``,
-    when given, is a's ``ga_center`` on the ball, so that a caller that reads
-    it as well builds it once.
+    integrations that the rung took part in and their steps.  When some
+    rung has eps > 0, the ladder's ``blowup_laws`` are built once: they seed
+    the rungs where they hold, and every profile carries them as ``laws``.
     """
     cfgs = list(cfgs)
     for cfg in cfgs[1:]:
         if cfg.domain != cfgs[0].domain or not (_same_coefficient(cfg.a, cfgs[0].a)
                                                 and _same_coefficient(cfg.V, cfgs[0].V)):
             raise ValueError("the rungs of a ladder must share R, a and V")
-    law = _rate_law(cfgs[0], center) if any(cfg.eps > 0 for cfg in cfgs) else None
-    sols = _solve(cfgs, [Counter() for _ in cfgs], law)
+    laws = None
+    if any(cfg.eps > 0 for cfg in cfgs):
+        try:
+            laws = blowup_laws(cfgs[0].a, cfgs[0].V, cfgs[0].domain.R)
+        except ValueError as e:  # CoercivityError or ResonanceError of a alone
+            laws = e
+    sols = _solve(cfgs, [Counter() for _ in cfgs], laws)
     yield from zip([cfg.eps for cfg in cfgs], sols)
 
 
@@ -585,21 +566,20 @@ def pohozaev_residual(u: RadialSolution) -> float:
     return abs(resid) / u.grad_norm_sq
 
 
-def greens_rep_residual(u: RadialSolution, cg: CenterGreens | None = None) -> float:
+def greens_rep_residual(u: RadialSolution) -> float:
     """Residual of the resolvent representation
 
         u = (3/4 pi) int G_a u^5 - (eps/4 pi) int G_a V u
 
     evaluated by solving the radial problem (-Delta + a) z = 3 u^5 - eps V u
     by variation of parameters and comparing z to u at r = 0.3R, 0.5R, 0.7R,
-    normalized by the sup norm of u.  The homogeneous pair is read off the
-    center Green's data ``cg`` (built for a when not given): Z1, regular at
-    0, and Z2 = v, vanishing at R, with Wronskian Z1 Z2' - Z1' Z2 = -1.  The
+    normalized by the sup norm of u.  The homogeneous pair is read off a's
+    center Green's data in the profile's ``laws``: Z1, regular at 0, and
+    Z2 = v, vanishing at R, with Wronskian Z1 Z2' - Z1' Z2 = -1.  The
     integrals are taken on the rung's sample, the probes on its dense output.
     """
-    cfg = u.config
+    cfg, cg = u.config, u.laws.cg
     R = cfg.domain.R
-    cg = cg or ga_center(cfg.a, R)
 
     nodes, wts, uv, _ = u.sample
     hv = 3.0 * uv**5 - cfg.eps * np.asarray(cfg.V(nodes)) * uv

@@ -7,7 +7,8 @@ import pytest
 from scipy import integrate
 
 from ballblowup.asympt import records_from_sweep
-from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center
+from ballblowup.cli import DEFAULT_PROBES
+from ballblowup.greenfn import BallDomain, RadialCoefficient, blowup_laws, ga_center
 from ballblowup.solver import ProblemConfig, solve_ladder
 
 CRITICAL_A = -math.pi**2 / 4.0
@@ -54,6 +55,13 @@ def critical_cg():
 
 
 @pytest.fixture(scope="session")
+def canonical_laws():
+    """The blow-up laws of the canonical ladders' a and V = -1, as
+    ``verify`` builds them."""
+    return blowup_laws(const(CRITICAL_A), const(-1.0), 1.0)
+
+
+@pytest.fixture(scope="session")
 def canonical_solutions():
     """Ground states for V = -1, critical a, over the standard eps ladder."""
     return ladder()
@@ -61,10 +69,10 @@ def canonical_solutions():
 
 @pytest.fixture(scope="session")
 def canonical_records(canonical_solutions):
-    return records_from_sweep(canonical_solutions)
+    return records_from_sweep(canonical_solutions, DEFAULT_PROBES)
 
 
 @pytest.fixture(scope="session")
 def v2_records():
     """Records for V = -2, used to check linearity of the rate in Q_V."""
-    return records_from_sweep(ladder(V_const=-2.0))
+    return records_from_sweep(ladder(V_const=-2.0), DEFAULT_PROBES)

@@ -5,9 +5,10 @@ definition, its import lines or its ``__all__`` entry, and so is each
 private module-level function of a package module; each public method
 and property of a class in ``__all__`` is read there as an attribute of
 some object; and every defaulted parameter of a public or module-level
-private function is set by some call there.  The package's own ``__all__``
-only re-exports names of these modules.  No file under ``src/`` or
-``scripts/`` reads a private name of another package module."""
+private function is set by some call there and left unset by another.
+The package's own ``__all__`` only re-exports names of these modules.  No
+file under ``src/`` or ``scripts/`` reads a private name of another
+package module."""
 
 import ast
 import importlib
@@ -128,37 +129,47 @@ def test_public_members_are_used(module):
     assert not unused, f"{module}: public members no program code reads: {unused}"
 
 
-def _is_set(name: tuple, index: int, param: inspect.Parameter) -> bool:
-    """Whether some program call of ``name`` sets ``param``, the parameter
-    at ``index`` of its signature."""
-    for called, npos, keywords in CALLS:
-        if called != name:
+def _sets(call, index: int, param: inspect.Parameter) -> bool:
+    """Whether the program call ``call`` sets ``param``, the parameter at
+    ``index`` of the called function's signature."""
+    _, npos, keywords = call
+    if param.name in keywords or None in keywords:
+        return True
+    return param.kind is not inspect.Parameter.KEYWORD_ONLY and index < npos
+
+
+def _defaulted(module):
+    """(name, index, param, the program calls of name) for every defaulted
+    parameter of a public or module-level private function of ``module``."""
+    mod = importlib.import_module(module)
+    private = [n for n, v in vars(mod).items() if n.startswith("_") and inspect.isfunction(v)
+               and v.__module__ == module]
+    for name in [*mod.__all__, *private]:
+        fn = getattr(mod, name)
+        if not inspect.isfunction(fn):
             continue
-        if param.name in keywords or None in keywords:
-            return True
-        if param.kind is not inspect.Parameter.KEYWORD_ONLY and index < npos:
-            return True
-    return False
+        calls = [call for call in CALLS if call[0] == (module, name)]
+        for i, param in enumerate(inspect.signature(fn).parameters.values()):
+            if param.default is not inspect.Parameter.empty:
+                yield name, i, param, calls
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_defaulted_parameters_are_set(module):
     # a default that no program call overrides is a knob only tests turn:
     # it belongs in a module constant
-    mod = importlib.import_module(module)
-    private = [n for n, v in vars(mod).items() if n.startswith("_") and inspect.isfunction(v)
-               and v.__module__ == module]
-    unset = []
-    for name in [*mod.__all__, *private]:
-        fn = getattr(mod, name)
-        if not inspect.isfunction(fn):
-            continue
-        for i, param in enumerate(inspect.signature(fn).parameters.values()):
-            if param.default is not inspect.Parameter.empty and not _is_set(
-                (module, name), i, param
-            ):
-                unset.append(f"{name}({param.name})")
+    unset = [f"{name}({param.name})" for name, i, param, calls in _defaulted(module)
+             if not any(_sets(call, i, param) for call in calls)]
     assert not unset, f"{module}: defaulted parameters no program call sets: {unset}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_defaulted_parameters_are_left_unset(module):
+    # a default that every program call overrides is one only tests take:
+    # the parameter is required
+    always = [f"{name}({param.name})" for name, i, param, calls in _defaulted(module)
+              if all(_sets(call, i, param) for call in calls)]
+    assert not always, f"{module}: defaulted parameters every program call sets: {always}"
 
 
 def test_private_names_stay_in_their_module():

@@ -102,6 +102,17 @@ class TestRunConfig:
     def test_hash_sensitivity(self):
         assert RunConfig().hash() != RunConfig(R=2.0).hash()
 
+    def test_default_hash(self):
+        # the default config's provenance hash, which resumed records match
+        assert RunConfig().hash() == "dc670d1df9522569"
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 1.25, 2.0])
+    def test_default_probes_scale_with_the_ball(self, R):
+        # a config that gives no probes reads the far field at 0.3 ... 0.9 R
+        cfg = RunConfig.from_dict({"R": R})
+        assert cfg.probes == [p * R for p in cli.DEFAULT_PROBES]
+        assert RunConfig.from_dict({"R": R, "probes": [0.1 * R]}).probes == [0.1 * R]
+
     def test_partial_tolerances(self, tmp_path, capsys):
         with pytest.raises(ConfigError) as ei:
             RunConfig.from_dict({"tolerances": {"ode": 1e-10}})
@@ -211,6 +222,26 @@ class TestScalarCommands:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+    def test_small_ball(self, tmp_path, capsys):
+        # R = 0.5 with no probes given: no command refuses the config, and a
+        # sweep verifies at the critical a of that ball.  bubbletest judges
+        # its own a = -1 there (its U4_dlamU_H subleading row reads 1.05e-2)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"R": 0.5}))
+        for cmd in ("critical", "qv", "greens", "solve"):
+            assert main([cmd, "--config", str(cfg_path)]) == EXIT_OK, cmd
+        assert main(["bubbletest", "--config", str(cfg_path)]) in (EXIT_OK, EXIT_VERIFICATION)
+        rec_path = tmp_path / "r.jsonl"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(rec_path)]) == EXIT_OK
+        assert main(["verify", "--config", str(cfg_path), "--records", str(rec_path)]) == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_solve_builds_center_data_once(self, monkeypatch, capsys):
+        # the ladder's one blow-up laws seed the rung and serve its analysis
+        calls = TestSweepAndReport._count_ga_center(monkeypatch)
+        assert main(["solve", "--eps", "0.01"]) == EXIT_OK
+        assert len(calls) == 1
 
     def test_regime_error_exit_code(self, monkeypatch, capsys):
         def outside(*args, **kwargs):
@@ -380,8 +411,7 @@ class TestSweepAndReport:
             calls.append(1)
             return orig(*args, **kwargs)
 
-        for mod in (greenfn, solver, asympt):
-            monkeypatch.setattr(mod, "ga_center", counting)
+        monkeypatch.setattr(greenfn, "ga_center", counting)
         return calls
 
     def test_sweep_builds_center_data_once(self, tmp_path, monkeypatch):
@@ -684,18 +714,32 @@ class TestVerify:
         assert fails == [law]
 
     @pytest.mark.parametrize("scale", [1.0, 1.02])
-    def test_csv_is_the_report(self, tmp_path, canonical_records, critical_cg, scale):
+    def test_csv_is_the_report(self, tmp_path, canonical_records, canonical_laws, scale):
         recs = [dataclasses.replace(r, gamma=r.gamma * scale) for r in canonical_records]
         out_path = tmp_path / "verdict.json"
         code = main(["verify", "--records", write_records(tmp_path, recs),
                      "--out", str(out_path)])
-        report = asympt.build_report(recs, critical_cg, -2 * math.pi, 1.0)
+        report = asympt.build_report(recs, canonical_laws)
         expected = [[c, v, t, str(p)] for c, v, t, p in report.rows()]
         with out_path.with_suffix(".csv").open(newline="") as fh:
             assert list(csv.reader(fh)) == [["check", "value", "target", "passed"], *expected]
         all_passed = json.loads(out_path.read_text())["report"]["all_passed"]
         assert all_passed == ("False" not in {row[3] for row in expected})
         assert all_passed == (scale == 1.0) == (code == EXIT_OK)
+
+    @pytest.mark.parametrize("V", [-1.0, -2.0])
+    def test_json_is_the_report(self, tmp_path, canonical_records, V):
+        # verify's report is build_report's on the same records, with the
+        # laws built by the same call
+        cfg_path = write_cfg(tmp_path, V={"constant": V})
+        rec_path = write_records(tmp_path, canonical_records, load_config(cfg_path))
+        out_path = tmp_path / "verdict.json"
+        main(["verify", "--config", cfg_path, "--records", rec_path, "--out", str(out_path)])
+        laws = greenfn.blowup_laws(greenfn.RadialCoefficient.constant_coeff(CRITICAL_A),
+                                   greenfn.RadialCoefficient.constant_coeff(V), 1.0)
+        report = asdict(asympt.build_report(canonical_records, laws))
+        expected = json.loads(json.dumps(report, default=cli._json_default))
+        assert json.loads(out_path.read_text())["report"] == expected
 
 
 class TestMain:
@@ -752,6 +796,16 @@ class TestBubbletest:
             "int g dlam U", "lam^2 int U^4 (dlam U)^2", "int |grad PU|^2",
             "lam^2 int |grad dlam PU|^2",
         ]
+
+    def test_zero_coefficient_passes(self, tmp_path, capsys):
+        # at a = 0 the subleading targets are 0: each row is judged on its
+        # identity's leading scale, not on 1e-12
+        cfg_path = write_cfg(tmp_path, a={"constant": 0.0})
+        out = tmp_path / "bubbletest.json"
+        assert main(["bubbletest", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+        rows = json.loads(out.read_text())["rows"]
+        subs = [r for r in rows if r[1] == "subleading"]
+        assert subs and all(r[3] == 0.0 and r[4] <= 1e-4 for r in subs)
 
     def test_shifted_norm_fails(self, monkeypatch, capsys):
         closed = bubble._LQ_CLOSED_FORMS[6]

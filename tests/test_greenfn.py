@@ -238,12 +238,12 @@ class TestPhiaHessian:
 
 class TestQvCenter:
     def test_zero_potential(self):
-        assert qv_center(const(0.0), const(CRIT), 1.0) == 0.0
+        assert qv_center(const(0.0), ga_center(const(CRIT), 1.0)) == 0.0
 
     def test_linearity(self):
-        a = const(-1.3)
-        assert qv_center(const(-2.0), a, 1.0) == pytest.approx(
-            2 * qv_center(const(-1.0), a, 1.0), rel=1e-11, abs=0
+        cg = ga_center(const(-1.3), 1.0)
+        assert qv_center(const(-2.0), cg) == pytest.approx(
+            2 * qv_center(const(-1.0), cg), rel=1e-11, abs=0
         )
 
     @pytest.mark.parametrize("V", [lambda r: 1 - 4 * np.cos(np.pi * r / 2) ** 2,
@@ -253,7 +253,7 @@ class TestQvCenter:
         table = RadialCoefficient(values=V(absc), abscissae=absc)
         cg = ga_center(const(CRIT), 1.0)
         oracle = 4 * math.pi * quad_oracle(lambda r: table(r) * cg.v(r) ** 2, 0.0, 1.0)
-        assert qv_center(table, const(CRIT), 1.0, cg) == pytest.approx(oracle, rel=1e-10, abs=0)
+        assert qv_center(table, cg) == pytest.approx(oracle, rel=1e-10, abs=0)
 
 
 class TestNaScan:

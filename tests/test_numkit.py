@@ -187,7 +187,7 @@ class TestOdeSolve:
 
 class TestBrentRoot:
     def test_cot(self):
-        res = brent_root(lambda k: math.cos(k) / math.sin(k), (1.0, 2.0))
+        res = brent_root(lambda k: math.cos(k) / math.sin(k), (1.0, 2.0), tol=1e-12)
         assert res.root == pytest.approx(math.pi / 2, abs=1e-12)
         assert 1.0 <= res.root <= 2.0
 
@@ -202,12 +202,12 @@ class TestBrentRoot:
             else:
                 lo = mid
         oracle = 0.5 * (lo + hi)
-        res = brent_root(f, (1.5, 2.5))
+        res = brent_root(f, (1.5, 2.5), tol=1e-12)
         assert res.root == pytest.approx(oracle, abs=1e-10)
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
-            brent_root(lambda x: x * x + 1.0, (0.0, 1.0))
+            brent_root(lambda x: x * x + 1.0, (0.0, 1.0), tol=1e-12)
 
 
 class TestRichardsonFit:

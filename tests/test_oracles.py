@@ -13,12 +13,13 @@ import pytest
 
 from ballblowup.asympt import build_report, records_from_sweep
 from ballblowup.bubble import calculus_verdict
-from ballblowup.cli import EXIT_OK, main
+from ballblowup.cli import DEFAULT_PROBES, EXIT_OK, main
 from ballblowup.greenfn import (
     BallDomain,
+    BlowupLaws,
     RadialCoefficient,
     critical_a,
-    phi0_ball,
+    ga_center,
     phia_profile,
     qv_center,
 )
@@ -57,7 +58,7 @@ def test_qv_and_critical_a(R):
     # target inherits Q_V(0)'s error
     a_star = _mp(lambda: -mpmath.pi**2 / (4 * mpmath.mpf(R) ** 2))
     assert critical_a(R) == pytest.approx(a_star, rel=1e-12, abs=0)
-    qv = qv_center(const(-1.0), const(-math.pi**2 / (4 * R**2)), R)
+    qv = qv_center(const(-1.0), ga_center(const(-math.pi**2 / (4 * R**2)), R))
     assert qv == pytest.approx(_mp(lambda: -2 * mpmath.pi * R), rel=1e-12, abs=0)
 
 
@@ -83,11 +84,11 @@ def test_tabulated_v(name, critical_cg):
     assert quad == pytest.approx(exact, rel=1e-15, abs=0)
     knots = np.linspace(0.0, 1.0, 41)
     V, a = RadialCoefficient(values=V_of(knots, np), abscissae=knots), const(CRITICAL_A)
-    assert qv_center(V, a, 1.0) == pytest.approx(exact, rel=bound, abs=0)
+    assert qv_center(V, critical_cg) == pytest.approx(exact, rel=bound, abs=0)
     sols = [s for _, s in solve_ladder(
         [ProblemConfig(domain=BallDomain(1.0), a=a, V=V, eps=eps) for eps in EPS_LADDER])]
-    report = build_report(records_from_sweep(sols), critical_cg, exact,
-                          phi0_ball([0.0, 0.0, 0.0], 1.0))
+    report = build_report(records_from_sweep(sols, DEFAULT_PROBES),
+                          BlowupLaws(critical_cg, exact))
     assert report.all_passed, list(report.rows())
 
 

@@ -11,7 +11,8 @@ from scipy import integrate
 
 from ballblowup import greenfn, solver
 from ballblowup.asympt import build_report, fit_bubble, records_from_sweep
-from ballblowup.greenfn import BallDomain, RadialCoefficient, ga_center, qv_center
+from ballblowup.cli import DEFAULT_PROBES
+from ballblowup.greenfn import BallDomain, BlowupLaws, RadialCoefficient, ga_center, qv_center
 from ballblowup.numkit import OdeTrajectory, ode_solve, radial_quadrature_rule
 from ballblowup.solver import (
     SOBOLEV_CONSTANT,
@@ -217,7 +218,8 @@ class TestSolveProfile:
         # inside the finalize's last step; the sample's last node sits at
         # ~0.9997 R, past the crossing
         cfg = sol_005.config
-        (out,) = solver._finalize([factor * sol_005.M], [cfg], [Counter()], ["rate_law"])
+        (out,) = solver._finalize([factor * sol_005.M], [cfg], [Counter()], ["rate_law"],
+                                  sol_005.laws)
         assert isinstance(out, RuntimeError) and "positivity violated" in str(out)
 
     def test_pde_residual(self, sol_005):
@@ -318,7 +320,7 @@ class TestNewton:
         # the same ladder without the rate law: every rung scans, and Newton
         # from the brackets lands on the rate-law roots; the deepest rung
         # reads 2.6e-9
-        monkeypatch.setattr(solver, "_rate_law", lambda cfg, center: None)
+        monkeypatch.setattr(BlowupLaws, "outside", property(lambda laws: "no seed"))
         sols = [s for _, s in solve_ladder([s.config for s in canonical_solutions])]
         for s_law, s in zip(canonical_solutions, sols):
             assert s.diagnostics["seed"] == "scan"
@@ -337,7 +339,9 @@ def _bad_start(good):
     """``good``'s rung solved alone from a rate law that puts its Newton
     start at 1.4 times the root."""
     law = (1.4 * good.M) ** 2 * good.config.eps
-    (s,) = solver._solve([good.config], [Counter()], law)
+    cg = good.laws.cg  # rate = 4 pi^2 |a(0)| / |Q_V(0)| = law
+    (s,) = solver._solve([good.config], [Counter()],
+                         BlowupLaws(cg, -4 * math.pi**2 * abs(cg.a_at_0) / law))
     return s
 
 
@@ -372,8 +376,9 @@ class TestRateLawSeed:
         cfg = ProblemConfig(domain=BallDomain(1.0), a=a, V=V, eps=eps)
         s = solve_profile(cfg)
         assert s.diagnostics["seed"] == "scan"
-        law = 4 * math.pi**2 * 3.0 / abs(qv_center(V, a, 1.0))
-        (from_law,) = solver._solve([cfg], [Counter()], law)
+        cg = ga_center(a, 1.0)  # the laws as if a were critical
+        (from_law,) = solver._solve([cfg], [Counter()], BlowupLaws(
+            dataclasses.replace(cg, phi_a_at_0=0.0), qv_center(V, cg)))
         spent = sum(s.diagnostics["shoot_integrations"].values())
         assert spent < sum(from_law.diagnostics["shoot_integrations"].values())
         assert s.M == pytest.approx(from_law.M, rel=1e-9, abs=0)
@@ -565,7 +570,8 @@ class TestSolveLadder:
         calls = _record(monkeypatch, solver)
         Ms = [s.M for s in canonical_solutions]
         cfgs = [s.config for s in canonical_solutions]
-        finals = solver._finalize(Ms, cfgs, [Counter() for _ in Ms], ["rate_law"] * len(Ms))
+        finals = solver._finalize(Ms, cfgs, [Counter() for _ in Ms], ["rate_law"] * len(Ms),
+                                  canonical_solutions[0].laws)
         ((args, kwargs, traj),) = calls
         assert traj.states.shape[1] == 2 * len(Ms)
         sol = _scipy_twin(args, kwargs, traj)
@@ -798,14 +804,13 @@ class TestAccuracy:
             assert s.diagnostics["seed"] == "rate_law"
             assert s.diagnostics["shoot_integrations"]["root"] <= 3
 
-    def test_x32_ladder_verifies(self, critical_cg):
+    def test_x32_ladder_verifies(self, canonical_laws):
         # lam up to ~1e5: eps lam still rises toward pi^3/2 and every law passes
         sols = [s for _, s in solve_ladder([make_config(eps / 32) for eps in EPS_LADDER])]
-        a = const(CRITICAL_A)
-        records = records_from_sweep(sols)
+        records = records_from_sweep(sols, DEFAULT_PROBES)
         prods = [r.eps_lambda for r in records]
         assert all(q > p for p, q in zip(prods, prods[1:]))
-        assert build_report(records, critical_cg, qv_center(const(-1.0), a, 1.0), 1.0).all_passed
+        assert build_report(records, canonical_laws).all_passed
 
 
 def _counting_call(dense, sizes, t):
@@ -833,17 +838,21 @@ class TestRungSample:
         finals = solver._finalize([s.M for s in canonical_solutions],
                                   [s.config for s in canonical_solutions],
                                   [Counter() for _ in canonical_solutions],
-                                  ["rate_law"] * len(canonical_solutions))
+                                  ["rate_law"] * len(canonical_solutions),
+                                  canonical_solutions[0].laws)
         sizes = []
         for s in finals:
             s.dense = functools.partial(_counting_call, s.dense, sizes)
-        records_from_sweep(finals)
+        records_from_sweep(finals, DEFAULT_PROBES)
         assert sizes and max(sizes) == 1
 
-    def test_greens_residual_with_given_center_data(self, canonical_solutions):
+    def test_greens_residual_with_given_center_data(self, canonical_solutions, canonical_laws):
+        # the residual reads a's center data off the profile's laws, the
+        # ladder's, the same as verify's
         s = canonical_solutions[0]
-        cg = ga_center(const(CRITICAL_A), 1.0)
-        assert greens_rep_residual(s, cg=cg) == greens_rep_residual(s)
+        assert all(t.laws is s.laws for t in canonical_solutions)
+        given = dataclasses.replace(s, laws=canonical_laws)
+        assert greens_rep_residual(given) == greens_rep_residual(s)
 
 
 class TestSweep:
@@ -986,8 +995,9 @@ class TestGreensRepresentation:
             z1, v, vp = cg._state(r)
             return z1, 4 * math.pi * v, 4 * math.pi * vp
 
-        good = greens_rep_residual(s, cg=cg)
-        bad = greens_rep_residual(s, cg=dataclasses.replace(cg, _state=scaled_state))
+        good = greens_rep_residual(dataclasses.replace(s, laws=BlowupLaws(cg, -2 * math.pi)))
+        bad = greens_rep_residual(dataclasses.replace(
+            s, laws=BlowupLaws(dataclasses.replace(cg, _state=scaled_state), -2 * math.pi)))
         assert bad >= 10 * 1e-5
         assert bad > 100 * good
 
