@@ -28,24 +28,23 @@ __all__ = [
     "fit_bubble",
     "decompose",
     "beta_gamma_limits",
-    "verify_rate",
-    "verify_alpha",
     "verify_farfield",
-    "sup_w_check",
     "coercivity_probe",
     "records_from_sweep",
 ]
 
 LAMBDA_TRUST = 1e2  # asymptotic trust region: verdicts use rungs with lam >= this
-# Verdict bounds.  Rate and alpha slope: relative error of the extrapolated
-# limit.  Far field: its last value.  Remainder bounds: max/median of the
-# scaled norms over the trust-region rungs.
+# Verdict bounds.  Rate, alpha slope, beta and gamma: relative error of the
+# extrapolated limit, and the largest rms of its fit, as a share of |slope| *
+# max(abscissa).  Far field: its last value.  Remainder bounds: max/median of
+# the scaled norms over the trust-region rungs.
 RATE_TOL = 0.02
 ALPHA_TOL = 0.05
 FARFIELD_TOL = 0.1
 BOUND_FACTOR = 3.0
 # gamma carries ~300x the solver noise of lam, so no tighter than this
 ZERO_MODE_TOL = 0.01
+FIT_RMS_FACTOR = 0.1
 
 
 class RegimeError(ValueError):
@@ -247,27 +246,18 @@ def records_from_sweep(solutions, probes) -> list[SweepRecord]:
     return out
 
 
-def beta_gamma_limits(decomps) -> tuple[float, float]:
-    """Extrapolate the zero-mode coefficients in lam^{-1}.
-
-    Targets: beta -> (16/3 pi)(phi_a(0) - phi_0(0)) and gamma -> -(8/5) beta.
-    """
-    if len(decomps) < 3:
-        raise ValueError("need at least 3 rungs")
-    xs = [1.0 / d.lam for d in decomps]
-    b, _, _ = richardson_fit(list(zip(xs, [d.beta for d in decomps])))
-    g, _, _ = richardson_fit(list(zip(xs, [d.gamma for d in decomps])))
-    return b, g
-
-
-@dataclass
-class RateEntry:
-    limit: float
-    slope: float
-    residual: float
-    target: float
-    rel_err: float
-    passed: bool
+# The extrapolated laws, one row each: the report field, which is also the
+# BlowupLaws property holding its target; the printed check; the abscissa
+# the record value is fitted in, and whether the fit takes its square too
+# (where there are >= 4 rungs); the record value; and the name of the module
+# constant bounding the relative error of its limit.
+_LIMIT_LAWS = (
+    ("rate", "rate eps*lam", "eps", True, lambda r: r.eps_lambda, "RATE_TOL"),
+    ("alpha_slope", "alpha slope", "eps", True, lambda r: (r.alpha - 1.0) / r.eps, "ALPHA_TOL"),
+    ("beta", "beta limit", "1/lam", False, lambda r: r.beta, "ZERO_MODE_TOL"),
+    ("gamma", "gamma limit", "1/lam", False, lambda r: r.gamma, "ZERO_MODE_TOL"),
+)
+_ABSCISSAE = {"eps": lambda r: r.eps, "1/lam": lambda r: 1.0 / r.lam}
 
 
 @dataclass
@@ -288,83 +278,72 @@ class LimitEntry:
     limit: float
     target: float
     rel_err: float
+    residual: float
     passed: bool
+
+
+def _limit_entry(law, recs, target: float) -> LimitEntry:
+    """Fit the law's record value over ``recs`` in its abscissa x and judge
+    the limit against ``target``.  The row fails where the limit is off by
+    more than its tolerance or the fit's rms residual is above
+    FIT_RMS_FACTOR |c| max(x), c the fit's slope."""
+    _, _, x, quadratic, value, tol = law
+    xs = [_ABSCISSAE[x](r) for r in recs]
+    L, c, rms = richardson_fit(zip(xs, map(value, recs)), quadratic=quadratic and len(recs) >= 4)
+    rel = abs(L - target) / abs(target)
+    poor = c != 0 and rms > FIT_RMS_FACTOR * abs(c) * max(xs)
+    return LimitEntry(limit=L, target=target, rel_err=rel, residual=rms,
+                      passed=rel <= globals()[tol] and not poor)
+
+
+def beta_gamma_limits(decomps) -> tuple[float, float]:
+    """The beta and gamma limits of ``decomps`` (records or
+    decompositions), fitted as ``build_report`` fits them.
+
+    Targets: beta -> (16/3 pi)(phi_a(0) - phi_0(0)) and gamma -> -(8/5) beta.
+    """
+    if len(decomps) < 3:
+        raise ValueError("need at least 3 rungs")
+    b, g = (_limit_entry(law, decomps, math.nan).limit
+            for law in _LIMIT_LAWS if law[0] in ("beta", "gamma"))
+    return b, g
 
 
 @dataclass
 class TheoremReport:
-    """Every ladder law's verdict.  ``rows`` lists them, one row per law,
-    and ``all_passed`` is the AND of those rows."""
+    """Every ladder law's verdict, on the trust-region rungs at ``rungs``
+    (their eps).  ``rows`` lists them, one row per law, and ``all_passed``
+    is the AND of those rows."""
 
-    rate: RateEntry
-    alpha_slope: RateEntry
+    rate: LimitEntry
+    alpha_slope: LimitEntry
     farfield: TrendEntry
     grad_w_bound: BoundEntry
     grad_r_bound: BoundEntry
     sup_w_trend: TrendEntry
-    zero_modes: dict[str, LimitEntry]
+    beta: LimitEntry
+    gamma: LimitEntry
+    rungs: list
     all_passed: bool = field(init=False)
 
     def __post_init__(self):
         self.all_passed = all(passed for *_, passed in self.rows())
 
     def rows(self):
-        """Yield (check, value, target, passed) for every law, value and
-        target as printed."""
-        for name, r in (("rate eps*lam", self.rate), ("alpha slope", self.alpha_slope)):
-            yield name, f"{r.limit:.6g}", f"{r.target:.6g}", r.passed
-        yield ("farfield trend", f"{self.farfield.values[-1]:.3g}",
-               f"decreasing, <= {FARFIELD_TOL:g}", self.farfield.decreasing)
-        for name, b in (("grad_w bound", self.grad_w_bound),
-                        ("grad_r bound", self.grad_r_bound)):
-            yield (name, f"{b.max_over_median:.3f}", f"max/median <= {BOUND_FACTOR:g}",
-                   b.passed)
-        yield ("sup_w trend", f"{self.sup_w_trend.values[-1]:.3g}",
-               "decreasing", self.sup_w_trend.decreasing)
-        for name, z in self.zero_modes.items():
-            yield f"{name} limit", f"{z.limit:.6g}", f"{z.target:.6g}", z.passed
-
-
-def _trust(records):
-    recs = [r for r in records if r.lam >= LAMBDA_TRUST]
-    if len(recs) < 3:
-        raise RegimeError("need >= 3 rungs inside the asymptotic trust region")
-    return sorted(recs, key=lambda r: -r.eps)
-
-
-def verify_rate(records, target: float) -> RateEntry:
-    """Extrapolate eps*lam to eps -> 0 and compare with ``target``
-    (``BlowupLaws.rate``)."""
-    recs = _trust(records)
-    pairs = [(r.eps, r.eps_lambda) for r in recs]
-    L, c, rms = richardson_fit(pairs, quadratic=len(pairs) >= 4)
-    rel = abs(L - target) / target
-    poor = rms > 0.1 * abs(c) * max(r.eps for r in recs) if c != 0 else False
-    return RateEntry(
-        limit=L,
-        slope=c,
-        residual=rms,
-        target=target,
-        rel_err=rel,
-        passed=(rel <= RATE_TOL) and not poor,
-    )
-
-
-def verify_alpha(records, target: float) -> RateEntry:
-    """Fit the eps-slope of alpha - 1 and compare with ``target``
-    (``BlowupLaws.alpha_slope``)."""
-    recs = _trust(records)
-    pairs = [(r.eps, (r.alpha - 1.0) / r.eps) for r in recs]
-    slope, _, rms = richardson_fit(pairs, quadratic=len(pairs) >= 4)
-    rel = abs(slope - target) / target
-    return RateEntry(
-        limit=slope,
-        slope=float("nan"),
-        residual=rms,
-        target=target,
-        rel_err=rel,
-        passed=rel <= ALPHA_TOL,
-    )
+        """Yield (check, value, target, passed) for every law in field
+        order, value and target as printed."""
+        checks = {name: check for name, check, *_ in _LIMIT_LAWS}
+        for name, e in vars(self).items():
+            if name in checks:
+                yield checks[name], f"{e.limit:.6g}", f"{e.target:.6g}", e.passed
+            elif isinstance(e, BoundEntry):
+                yield (name.replace("_bound", " bound"), f"{e.max_over_median:.3f}",
+                       f"max/median <= {BOUND_FACTOR:g}", e.passed)
+            elif name == "farfield":
+                yield ("farfield trend", f"{e.values[-1]:.3g}",
+                       f"decreasing, <= {FARFIELD_TOL:g}", e.decreasing)
+            elif name == "sup_w_trend":
+                yield "sup_w trend", f"{e.values[-1]:.3g}", "decreasing", e.decreasing
 
 
 def verify_farfield(
@@ -390,45 +369,31 @@ def _bound_entry(values) -> BoundEntry:
     return BoundEntry(values=vals, max_over_median=ratio, passed=ratio <= BOUND_FACTOR)
 
 
-def sup_w_check(records) -> TrendEntry:
-    recs = _trust(records)
-    vals = [r.sup_w_ratio for r in recs]
-    dec = all(b < a for a, b in zip(vals, vals[1:]))
-    return TrendEntry(values=vals, decreasing=dec)
+def _decreasing(vals) -> bool:
+    return all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def build_report(records, laws: BlowupLaws) -> TheoremReport:
     """Assemble the full verification report from ladder records, every
     target taken from the blow-up ``laws``.  Raises RegimeError, naming
-    ``laws.outside``, before any fit where the laws do not hold."""
+    ``laws.outside``, before any fit where the laws do not hold, and where
+    fewer than 3 rungs have lam >= LAMBDA_TRUST; every row reads those
+    rungs."""
     if laws.outside is not None:
         raise RegimeError(laws.outside)
-    rate = verify_rate(records, laws.rate)
-    alpha = verify_alpha(records, laws.alpha_slope)
-    recs = _trust(records)
-    ff_vals = [r.farfield_error for r in recs]
-    ff_tail = ff_vals[-3:]
-    ff = TrendEntry(
-        values=ff_vals,
-        decreasing=all(b < a for a, b in zip(ff_tail, ff_tail[1:]))
-        and ff_vals[-1] <= FARFIELD_TOL,
-    )
-    gw = _bound_entry([r.norm_grad_w * math.sqrt(r.lam) for r in recs])
-    gr = _bound_entry([r.norm_grad_r / (r.eps / math.sqrt(r.lam)) for r in recs])
-    sw = sup_w_check(records)
-    zero_modes = {}
-    for name, lim, tgt in zip(("beta", "gamma"), beta_gamma_limits(recs),
-                              (laws.beta, laws.gamma)):
-        rel = abs(lim - tgt) / abs(tgt)
-        zero_modes[name] = LimitEntry(lim, tgt, rel, rel <= ZERO_MODE_TOL)
+    recs = sorted((r for r in records if r.lam >= LAMBDA_TRUST), key=lambda r: -r.eps)
+    if len(recs) < 3:
+        raise RegimeError("need >= 3 rungs inside the asymptotic trust region")
+    limits = {law[0]: _limit_entry(law, recs, getattr(laws, law[0])) for law in _LIMIT_LAWS}
+    ff = [r.farfield_error for r in recs]
+    sw = [r.sup_w_ratio for r in recs]
     return TheoremReport(
-        rate=rate,
-        alpha_slope=alpha,
-        farfield=ff,
-        grad_w_bound=gw,
-        grad_r_bound=gr,
-        sup_w_trend=sw,
-        zero_modes=zero_modes,
+        farfield=TrendEntry(ff, _decreasing(ff[-3:]) and ff[-1] <= FARFIELD_TOL),
+        grad_w_bound=_bound_entry([r.norm_grad_w * math.sqrt(r.lam) for r in recs]),
+        grad_r_bound=_bound_entry([r.norm_grad_r / (r.eps / math.sqrt(r.lam)) for r in recs]),
+        sup_w_trend=TrendEntry(sw, _decreasing(sw)),
+        rungs=[r.eps for r in recs],
+        **limits,
     )
 
 

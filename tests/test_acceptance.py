@@ -89,7 +89,7 @@ def test_criterion_6_remainder_bounds(report):
 
 
 def test_criterion_7_zero_mode_limits(report):
-    beta, gamma = report.zero_modes["beta"], report.zero_modes["gamma"]
+    beta, gamma = report.beta, report.gamma
     ok = (
         beta.passed and closed(beta.target, -16 / (3 * math.pi))
         and gamma.passed and closed(gamma.target, 128 / (15 * math.pi))

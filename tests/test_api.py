@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import ballblowup
+from ballblowup import asympt, greenfn
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [
@@ -93,6 +94,9 @@ SCANS = [_scan(path) for path in FILES]
 READS = set().union(*(reads for reads, _, _ in SCANS))
 CALLS = [call for _, calls, _ in SCANS for call in calls]
 ATTRS = set().union(*(attrs for _, _, attrs in SCANS))
+# build_report reads each extrapolated law's target as getattr(laws, field),
+# field one of asympt's law table (test_limit_laws_have_target_and_entry)
+ATTRS |= {name for name, *_ in asympt._LIMIT_LAWS}
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -181,3 +185,11 @@ def test_private_names_stay_in_their_module():
         if module != _module_of(path) and name.startswith("_") and not name.startswith("__")
     ]
     assert not crossing, crossing
+
+
+def test_limit_laws_have_target_and_entry():
+    # a law of the table is judged against its BlowupLaws property and
+    # reported in its TheoremReport field, so it cannot land without either
+    for name, *_ in asympt._LIMIT_LAWS:
+        assert name in asympt.TheoremReport.__dataclass_fields__
+        assert isinstance(inspect.getattr_static(greenfn.BlowupLaws, name), property)

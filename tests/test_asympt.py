@@ -15,10 +15,7 @@ from ballblowup.asympt import (
     coercivity_probe,
     decompose,
     fit_bubble,
-    sup_w_check,
-    verify_alpha,
     verify_farfield,
-    verify_rate,
 )
 from ballblowup.bubble import CenterProjectedBubble, dlam_u_prime, u_prime, _u
 from ballblowup.cli import DEFAULT_PROBES
@@ -193,10 +190,15 @@ class TestBetaGamma:
         with pytest.raises(ValueError):
             beta_gamma_limits(canonical_records[:2])
 
+    def test_is_the_reports_fit(self, canonical_records, canonical_laws):
+        # bit for bit the report's beta and gamma limits
+        report = build_report(canonical_records, canonical_laws)
+        assert beta_gamma_limits(canonical_records) == (report.beta.limit, report.gamma.limit)
+
 
 class TestVerifiers:
     def test_rate(self, canonical_records, canonical_laws):
-        entry = verify_rate(canonical_records, canonical_laws.rate)
+        entry = build_report(canonical_records, canonical_laws).rate
         assert entry.passed
         assert entry.limit == pytest.approx(math.pi**3 / 2, rel=0.02)
 
@@ -213,20 +215,20 @@ class TestVerifiers:
     def test_report_refuses_noncritical_a(self, canonical_records, monkeypatch):
         # a = -2.48 has phi_a(0) < 0 and negative a(0) and Q_V(0): only the
         # criticality test stands between its data and the fits
-        monkeypatch.setattr(asympt, "verify_rate", lambda *args: pytest.fail("fitted"))
+        monkeypatch.setattr(asympt, "_limit_entry", lambda *args: pytest.fail("fitted"))
         cg = ga_center(const(-2.48), 1.0)
         with pytest.raises(RegimeError, match=r"phi_a\(0\) = -"):
             build_report(canonical_records, BlowupLaws(cg, qv_center(const(-1.0), cg)))
 
     def test_alpha(self, canonical_records, canonical_laws):
-        entry = verify_alpha(canonical_records, canonical_laws.alpha_slope)
+        entry = build_report(canonical_records, canonical_laws).alpha_slope
         assert entry.passed
         assert entry.limit == pytest.approx(32 / (3 * math.pi**4), rel=0.05)
 
     def test_alpha_refuses_noncritical(self, canonical_records, critical_cg, monkeypatch):
         # the alpha slope is judged only where the laws hold: a(0) = 0 stops
         # the report before its fit
-        monkeypatch.setattr(asympt, "verify_alpha", lambda *args: pytest.fail("fitted"))
+        monkeypatch.setattr(asympt, "_limit_entry", lambda *args: pytest.fail("fitted"))
         laws = BlowupLaws(dataclasses.replace(critical_cg, a_at_0=0.0), -2 * math.pi)
         with pytest.raises(RegimeError):
             build_report(canonical_records, laws)
@@ -246,22 +248,22 @@ class TestVerifiers:
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= 0.1
 
-    def test_sup_w_decreasing(self, canonical_records):
-        assert sup_w_check(canonical_records).decreasing
+    def test_sup_w_decreasing(self, canonical_records, canonical_laws):
+        assert build_report(canonical_records, canonical_laws).sup_w_trend.decreasing
 
-    def test_sup_w_log_detector(self, canonical_records):
+    def test_sup_w_log_detector(self, canonical_records, canonical_laws):
         # synthetic ratio ~ 1/ln(lam): decreasing, detector must accept
         recs = [
             dataclasses.replace(r, sup_w_ratio=1.0 / math.log(r.lam))
             for r in canonical_records
         ]
-        assert sup_w_check(recs).decreasing
+        assert build_report(recs, canonical_laws).sup_w_trend.decreasing
 
-    def test_sup_w_constant_guard(self, canonical_records):
+    def test_sup_w_constant_guard(self, canonical_records, canonical_laws):
         recs = [
             dataclasses.replace(r, sup_w_ratio=0.5) for r in canonical_records
         ]
-        assert not sup_w_check(recs).decreasing
+        assert not build_report(recs, canonical_laws).sup_w_trend.decreasing
 
     def test_rate_expansion_consistency(self, canonical_records):
         # pi a(0) lam^{-1} - (eps/4 pi) Q_V(0) -> 0 along the ladder:
@@ -308,6 +310,38 @@ class TestReportRows:
         monkeypatch.setattr(asympt, tol, 0.0)
         rows = self.rows(canonical_records)
         assert [c for c, (_, _, passed) in rows.items() if not passed] == checks
+
+    @pytest.mark.parametrize("law", ["alpha_slope", "beta", "gamma"])
+    def test_rough_fit_fails_its_row(self, canonical_records, canonical_laws, law):
+        # the record values moved orthogonally to the fit's columns: the
+        # limit stays, the rms goes to twice FIT_RMS_FACTOR |c| max(x), and
+        # that row alone fails
+        name, check, x, quadratic, value, _ = dict((l[0], l) for l in asympt._LIMIT_LAWS)[law]
+        xs = np.array([asympt._ABSCISSAE[x](r) for r in canonical_records])
+        y = np.array([value(r) for r in canonical_records])
+        cols = np.vander(xs, 3 if quadratic else 2, increasing=True)
+        fit = np.linalg.lstsq(cols, y, rcond=None)[0]
+        v = (-1.0) ** np.arange(len(xs))
+        v -= cols @ np.linalg.lstsq(cols, v, rcond=None)[0]
+        guard = asympt.FIT_RMS_FACTOR * abs(fit[1]) * xs.max()
+        t = math.copysign(2 * guard * math.sqrt(len(xs)) / np.linalg.norm(v), (y - cols @ fit) @ v)
+        moved = {"alpha_slope": lambda r, d: {"alpha": 1.0 + r.eps * (value(r) + d)},
+                 "beta": lambda r, d: {"beta": r.beta + d},
+                 "gamma": lambda r, d: {"gamma": r.gamma + d}}[law]
+        recs = [dataclasses.replace(r, **moved(r, float(d)))
+                for r, d in zip(canonical_records, t * v)]
+        before = getattr(build_report(canonical_records, canonical_laws), name)
+        report = build_report(recs, canonical_laws)
+        entry = getattr(report, name)
+        assert entry.limit == pytest.approx(before.limit, rel=1e-9)
+        assert before.passed and before.residual < guard < entry.residual
+        assert [c for c, _, _, passed in report.rows() if not passed] == [check]
+
+    def test_rungs_are_the_trust_region(self, canonical_records, canonical_laws):
+        # every row reads the rungs with lam >= LAMBDA_TRUST, by decreasing eps
+        assert build_report(canonical_records, canonical_laws).rungs == [0.04, 0.02, 0.01, 0.005]
+        low = [dataclasses.replace(canonical_records[0], lam=50.0), *canonical_records[1:]]
+        assert build_report(low[::-1], canonical_laws).rungs == [0.02, 0.01, 0.005]
 
 
 def coercivity_by_loop(lam, a, R, samples=200, seed=7, n_modes=8):

@@ -659,6 +659,7 @@ class TestVerify:
         assert "FAIL" not in text
         payload = json.loads(out_path.read_text())
         assert payload["report"]["all_passed"] is True
+        assert payload["report"]["rungs"] == [r.eps for r in canonical_records]
         assert out_path.with_suffix(".csv").exists()
 
     def test_zero_potential_refused(self, tmp_path, capsys, canonical_records):
@@ -677,7 +678,7 @@ class TestVerify:
     def test_non_critical_a_refused(self, tmp_path, capsys, canonical_records, monkeypatch, a):
         # a supercritical a has phi_a(0) < 0 and none of the critical-a laws:
         # build_report, which verify calls, says so before any fit
-        monkeypatch.setattr(asympt, "verify_rate", lambda *args: pytest.fail("fitted"))
+        monkeypatch.setattr(asympt, "_limit_entry", lambda *args: pytest.fail("fitted"))
         cfg_path = write_cfg(tmp_path, a={"constant": a})
         rec_path = write_records(tmp_path, canonical_records, load_config(cfg_path))
         assert main(["verify", "--config", cfg_path, "--records", rec_path]) == EXIT_NUMERICAL
@@ -705,13 +706,21 @@ class TestVerify:
         assert code == EXIT_VERIFICATION
         assert "FAIL" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("law", ["beta", "gamma"])
-    def test_zero_mode_off_fails(self, tmp_path, capsys, canonical_records, law):
-        bad = [dataclasses.replace(r, **{law: getattr(r, law) * 1.02})
-               for r in canonical_records]
+    @pytest.mark.parametrize("law", [law[0] for law in asympt._LIMIT_LAWS])
+    def test_each_law_fails_alone(self, tmp_path, capsys, canonical_records, canonical_laws, law):
+        # records moved so that one law's limit is off by twice its bound:
+        # that row alone fails, in the report and in verify's output
+        off = {"rate": lambda r: {"lam": r.lam * (1 + 2 * asympt.RATE_TOL)},
+               "alpha_slope": lambda r: {"alpha": 1 + (r.alpha - 1) * (1 + 2 * asympt.ALPHA_TOL)},
+               "beta": lambda r: {"beta": r.beta * 1.02},
+               "gamma": lambda r: {"gamma": r.gamma * 1.02}}[law]
+        check = {name: check for name, check, *_ in asympt._LIMIT_LAWS}[law]
+        bad = [dataclasses.replace(r, **off(r)) for r in canonical_records]
+        report = asympt.build_report(bad, canonical_laws)
+        assert [c for c, _, _, passed in report.rows() if not passed] == [check]
         assert main(["verify", "--records", write_records(tmp_path, bad)]) == EXIT_VERIFICATION
-        fails = [l.split()[0] for l in capsys.readouterr().out.splitlines() if "FAIL" in l]
-        assert fails == [law]
+        fails = [l[2:24].strip() for l in capsys.readouterr().out.splitlines() if "FAIL" in l]
+        assert fails == [check]
 
     @pytest.mark.parametrize("scale", [1.0, 1.02])
     def test_csv_is_the_report(self, tmp_path, canonical_records, canonical_laws, scale):

@@ -20,7 +20,7 @@ def test_run_canonical_sweep(tmp_path):
     assert load("run_canonical_sweep.py")["run"](tmp_path) == 0
     report = json.loads((tmp_path / "verdict.json").read_text())["report"]
     assert report["all_passed"] is True
-    assert set(report["zero_modes"]) == {"beta", "gamma"}
+    assert report["beta"]["passed"] and report["gamma"]["passed"]
 
 
 def test_plot_profiles(capsys):
