@@ -21,6 +21,7 @@ __all__ = [
     "NoSignChangeError",
     "sph_bessel",
     "ode_solve",
+    "densify",
     "brent_root",
     "richardson_fit",
     "radial_quadrature_rule",
@@ -55,15 +56,16 @@ class OdeTrajectory:
     ``states[i]`` is the state at ``nodes[i]``, so ``states[:-1]`` are the
     steps' start states y_old.  The steps' interpolant coefficients are
     stacked by power as ``F`` (7, steps, states), or None for a trajectory
-    without dense output.  A call gives each point the step scipy's
+    without dense output, which keeps each step's 13 stages as ``K`` (steps,
+    13, states) for ``densify``.  A call gives each point the step scipy's
     ``OdeSolution`` gives it and the same seven alternating updates in the
     same order, gathering one coefficient row per point and update, so the
     values are scipy's bit for bit: (states,) at a scalar t, (states,) +
     t.shape otherwise.  ``derivative`` gives dy/dt of the same interpolant.
     """
 
-    def __init__(self, nodes, states, F) -> None:
-        self.nodes, self.states, self.F = nodes, states, F
+    def __init__(self, nodes, states, F, K=None) -> None:
+        self.nodes, self.states, self.F, self.K = nodes, states, F, K
         self.y_old = states[:-1]
 
     def rows(self, rows) -> OdeTrajectory:
@@ -141,10 +143,12 @@ def ode_solve(
     operation, so nodes, states and interpolants are those of scipy's DOP853
     bit for bit.  rtol is ``tol`` (floored at 100 eps, as scipy does), atol
     ``atol`` (default ``tol``), either per state.  ``dense`` keeps the
-    interpolants (three more ``rhs`` calls a step).  The caller starts away
-    from any left-endpoint singularity of ``rhs``, which gets t as a float and
-    the state as a float64 array, returns a sequence of len(y) floats and is
-    called exactly as often as scipy's ``nfev``.
+    interpolants of every state (``densify``, three more ``rhs`` calls a
+    step); a lean trajectory keeps the stages, for ``densify`` of some states
+    afterwards.  The caller starts away from any left-endpoint singularity of
+    ``rhs``, which gets t as a float and the state as a float64 array,
+    returns a sequence of len(y) floats and is called exactly as often as
+    scipy's ``nfev``.
     """
     t, t1 = map(float, span)
     y = np.asarray(y0, dtype=float)
@@ -163,12 +167,11 @@ def ode_solve(
     d2 = rms((np.asarray(rhs(t + h0, y + h0 * f), dtype=float) - f) / scale) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** 0.125
     h_abs = min(100 * h0, h1, t1 - t)
-    K = np.empty((16, n))  # the stages, three more for the interpolant
+    K = np.empty((13, n))  # the stages
     # the stage table: index, the stages before it as K[:s].T, row of A, node
     stages = [(s, K[:s].T, a, c) for s, a, c in _STAGES]
-    extra = [(s, K[:s].T, a, c) for s, a, c in _EXTRA]
-    K12, K13 = K[:12].T, K[:13].T
-    nodes, states, interpolants = [t], [y], []
+    K12, K13 = K[:12].T, K.T
+    nodes, states, kept = [t], [y], []
     while t < t1:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
@@ -193,21 +196,33 @@ def ode_solve(
                 break
             h_abs *= max(0.2, 0.9 * err**-0.125)
             rejected = True
-        f_new = K[12].copy()
-        if dense:
-            for s, prior, a, c in extra:
-                K[s] = rhs(t + c * h, y + prior.dot(a) * h)
-            F = np.empty((7, n))
-            F[0] = dy = y_new - y
-            F[1] = h * K[0] - dy
-            F[2] = 2 * dy - h * (f_new + K[0])
-            F[3:] = h * np.dot(_D, K)
-            interpolants.append(F)
+        kept.append(K.copy())
         nodes.append(t_new)
         states.append(y_new)
-        t, y, f = t_new, y_new, f_new
-    return OdeTrajectory(np.array(nodes), np.array(states),
-                         np.stack(interpolants, axis=1) if dense else None)
+        t, y, f = t_new, y_new, K[12].copy()
+    traj = OdeTrajectory(np.array(nodes), np.array(states), None, np.array(kept))
+    return densify(traj, rhs) if dense else traj
+
+
+def densify(traj: OdeTrajectory, rhs: Callable, cols=slice(None)) -> OdeTrajectory:
+    """The lean ``traj``'s states ``cols`` with dense output: each step's
+    three interpolant stages and its seven coefficients, operation for
+    operation as scipy's DOP853 takes them, so bit for bit scipy's.  ``rhs``
+    takes and gives the states ``cols`` alone, so they must evolve on their
+    own, as a stacked rung does.  The steps go together: each stage sum and
+    coefficient product is the same gemv or gemm per step as scipy's, and a
+    state's entry of it reads only that state's column."""
+    t, h = traj.nodes[:-1], np.diff(traj.nodes)
+    y, dy = traj.y_old, traj.states[1:] - traj.y_old
+    K = np.zeros((len(h), 16, y.shape[1]))
+    K[:, :13] = traj.K
+    for s, a, c in _EXTRA:
+        x = (y + np.matmul(K[:, :s].transpose(0, 2, 1), a) * h[:, None])[:, cols]
+        K[:, s, cols] = [rhs(ts + c * hs, xs) for ts, hs, xs in zip(t, h, x)]
+    F = [dy, h[:, None] * K[:, 0] - dy, 2 * dy - h[:, None] * (K[:, 12] + K[:, 0]),
+         *np.moveaxis(h[:, None, None] * np.matmul(_D, K), 1, 0)]
+    return OdeTrajectory(traj.nodes, np.ascontiguousarray(traj.states[:, cols]),
+                         np.ascontiguousarray(np.stack(F)[:, :, cols]))
 
 
 def brent_root(

@@ -11,14 +11,13 @@ bubble, so the steps do not shrink as M grows; they start in its core, from
 the center power series.  Where the rate law eps lam -> 4 pi^2 |a(0)| /
 |Q_V(0)| applies, Newton starts from its height (lam ~ M^2); elsewhere, and
 where that start fails, from the lower end of a bracket that a scan of the
-same endpoint map finds.  The converged profile is integrated once more,
-with dense output and in the same variable t, as (w, v = r^{3/2} u'), and
-sampled once on the package's one radial rule
-(``numkit.radial_quadrature_rule``), where every quadrature integral of the
-profile is taken.  One driver solves the rungs of an eps ladder in
-lockstep, their states stacked into one integration per Newton iteration
-and one final integration (``solve_ladder``); ``solve_profile`` is the case
-of one rung.
+same endpoint map finds.  The profile (w, v = r^{3/2} u') is read off the
+Newton integration a rung stops on, its rows densified (``numkit.densify``)
+and carried by the last step s: (w, w' - w/2) + s (z, z' - z/2), to first
+order in s.  It is sampled once on the package's one radial rule
+(``numkit.radial_quadrature_rule``) for every quadrature integral.  One
+driver solves an eps ladder's rungs in lockstep, stacked into one
+integration per Newton iteration (``solve_ladder``).
 """
 
 from __future__ import annotations
@@ -27,12 +26,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .greenfn import BallDomain, BlowupLaws, RadialCoefficient, blowup_laws, check_coercivity
-from .numkit import ode_solve, radial_quadrature_rule
+from .numkit import OdeTrajectory, densify, ode_solve, radial_quadrature_rule
 
 __all__ = [
     "ProblemConfig",
@@ -88,19 +87,20 @@ class RadialSolution:
     """Converged positive radial profile with diagnostics.
 
     ``dense`` evaluates (w, v) = (r^{1/2} u, r^{3/2} u') at any t = ln r in
-    [ln delta, ln R]; ``u_at`` and ``uprime_at`` map r to t and undo the
-    scaling; at r <= delta the center series applies.  ``sample`` is the
-    profile on the package's one radial rule, (nodes, weights, u, u') with
-    (nodes, weights) = ``radial_quadrature_rule(M^2, R)``, taken once from
-    the dense output when the solution is built.  The four quadrature
-    integrals, the bubble fit, the decomposition and the Green
-    representation all read it; point probes go to the dense output.
+    [ln delta, ln R], from the Newton integration the rung stopped on.
+    ``u_at`` and ``uprime_at`` map r to t and undo the scaling; at r <= delta
+    the center series applies.  ``sample`` is the profile on the package's
+    one radial rule, (nodes, weights, u, u') with (nodes, weights) =
+    ``radial_quadrature_rule(M^2, R)``, taken once from the dense output.
+    The four quadrature integrals, the bubble fit, the decomposition and the
+    Green representation all read it; point probes go to the dense output.
 
     ``diagnostics`` also says how the profile was found: ``seed`` is
     ``"rate_law"`` when Newton converged from the rate-law height and
-    ``"scan"`` when the root came from the bracket scan,
-    ``shoot_integrations`` counts the shooting integrations by phase
-    (bracket, root, finalize) and ``shoot_steps`` their accepted steps.
+    ``"scan"`` when the root came from the bracket scan, ``shoot_integrations``
+    counts the shooting integrations by phase (bracket, root) and
+    ``shoot_steps`` their steps; ``endpoint`` is u(R) of the integration
+    Newton stopped on, at the height it ran.
     ``laws`` is the ladder's ``BlowupLaws``, shared by its rungs, or the
     ValueError a alone failed with when it has no center Green's data.
     """
@@ -204,87 +204,62 @@ def taylor_start(M: float, m, r):
     return tuple(out)
 
 
-def _rung_coefficients(a: RadialCoefficient, V: RadialCoefficient, epss):
-    """m_k = a + eps_k V of stacked rungs that share a and V: a list of
-    floats when both are constant, hoisted out of the right-hand sides;
-    otherwise a function of r that reads a(r) and V(r) once for every rung."""
-    if a.is_constant and V.is_constant:
-        return [a.constant + eps * V.constant for eps in epss]
-
-    def ms(r):
-        ar, Vr = a.at(r), V.at(r)
-        return [ar + eps * Vr for eps in epss]
-
-    return ms
-
-
-def _rhs(a, V, epss, finalize: bool):
-    """The stacked rungs' system in t = ln r, rung k's coefficient
-    m = a + ``epss[k]`` V.  u = r^{-1/2} w turns the radial equation into
+def _rhs(a, V, epss):
+    """The stacked rungs' shooting system in t = ln r, rung k's coefficient
+    m = a + ``epss[k]`` V: floats hoisted out of the calls when a and V are
+    constant, else a(r) and V(r) read once a call for every rung.
+    u = r^{-1/2} w turns the radial equation into
     w'' = (1/4 + m e^{2t} - 3 w^4) w; with m = 0 the bubble of center height
-    M is w = (2 cosh(t + 2 ln M))^{-1/2}.  Shooting carries four states a
-    rung, (w, w', z, z'), where z = dw/dM solves the variational equation
-    z'' = (1/4 + m e^{2t} - 15 w^4) z.  The ``finalize`` carries two, (w, v)
-    with v = r^{3/2} u' = w' - w/2, so w' = v + w/2 and
-    v' = (m e^{2t} - 3 w^4) w - v/2: v is a state because w' - w/2 cancels
-    near the center."""
-    ms = _rung_coefficients(a, V, epss)
-    hoisted = not callable(ms)
+    M is w = (2 cosh(t + 2 ln M))^{-1/2}.  Each rung carries four states,
+    (w, w', z, z'), where z = dw/dM solves the variational equation
+    z'' = (1/4 + m e^{2t} - 15 w^4) z."""
+    hoisted = a.is_constant and V.is_constant
+    ms = [a.constant + eps * V.constant for eps in epss] if hoisted else None
 
     def rhs(t, y):
         vals = y.tolist()
         r = math.exp(t)
         r2 = r * r
         out = []
-        m_now = ms if hoisted else ms(r)
-        if finalize:
-            for m, w, v in zip(m_now, vals[0::2], vals[1::2]):
-                w4 = w**4
-                out += (v + 0.5 * w, (m * r2 - 3.0 * w4) * w - 0.5 * v)
+        if hoisted:
+            m_now = ms
         else:
-            for m, w, x, z, zp in zip(m_now, vals[0::4], vals[1::4], vals[2::4], vals[3::4]):
-                w4 = w**4
-                q = 0.25 + m * r2
-                out += (x, (q - 3.0 * w4) * w, zp, (q - 15.0 * w4) * z)
+            ar, Vr = a.at(r), V.at(r)
+            m_now = [ar + eps * Vr for eps in epss]
+        for m, w, x, z, zp in zip(m_now, vals[0::4], vals[1::4], vals[2::4], vals[3::4]):
+            w4 = w**4
+            q = 0.25 + m * r2
+            out += (x, (q - 3.0 * w4) * w, zp, (q - 15.0 * w4) * z)
         return out
 
     return rhs
 
 
-def _integrate(Ms, cfgs, finalize: bool = False, tol_floor: float = 0.0):
+def _integrate(Ms, cfgs, tol_floor: float = 0.0):
     """Integrate the rungs ``cfgs`` from their center series at heights
     ``Ms`` to R in one stacked solve in t = ln r, from ln delta to ln R;
     return its trajectory and the start delta = 1e-2 / max(1, max(M)^2), at
     most a table's first knot interval.  The rungs share delta and so one
     step sequence, and a and V (``solve_ladder``'s contract); each keeps an
-    rtol of tol = max(ode_tol, ``tol_floor``).
-    The shooting system starts from sqrt(delta) (u, u/2 + r u') of the
-    series and its M-derivative, at an atol of tol 1e-2 sqrt(delta), below
-    rtol |w| at the center, and runs always to R, also past an interior
-    zero of w.  With ``finalize`` the (w, v) system starts from
-    (sqrt(delta) u, delta^{3/2} u') at an atol of tol |y0| per state, with
-    dense output."""
+    rtol of tol = max(ode_tol, ``tol_floor``).  The system starts from
+    sqrt(delta) (u, u/2 + r u') of the series and its M-derivative, at an
+    atol of tol 1e-2 sqrt(delta), below rtol |w| at the center, and runs
+    always to R, also past an interior zero of w, without dense output."""
     R = cfgs[0].domain.R
     a, V, epss = cfgs[0].a, cfgs[0].V, [cfg.eps for cfg in cfgs]
     ms, exact = zip(*(cfg.m_center() for cfg in cfgs))
     delta = min(_START_SCALE / max(1.0, max(Ms) ** 2), *exact)
-    tols = [max(cfg.ode_tol, tol_floor) for cfg in cfgs]
     span = (math.log(delta), math.log(R))
     y0 = []
     for M, m in zip(Ms, ms):
         u0, up0, z0, zp0 = taylor_start(M, m, delta)
-        if finalize:
-            y0 += (math.sqrt(delta) * u0, delta**1.5 * up0)
-        else:
-            y0 += [math.sqrt(delta) * x
-                   for x in (u0, u0 / 2 + delta * up0, z0, z0 / 2 + delta * zp0)]
-    rtol = np.repeat(tols, len(y0) // len(Ms))
-    atol = rtol * np.abs(y0) if finalize else rtol * 1e-2 * math.sqrt(delta)
-    return ode_solve(_rhs(a, V, epss, finalize), y0, span, rtol, atol=atol,
-                     dense=finalize), delta
+        y0 += [math.sqrt(delta) * x for x in (u0, u0 / 2 + delta * up0, z0, z0 / 2 + delta * zp0)]
+    rtol = np.repeat([max(cfg.ode_tol, tol_floor) for cfg in cfgs], 4)
+    return ode_solve(_rhs(a, V, epss), y0, span, rtol, atol=rtol * 1e-2 * math.sqrt(delta),
+                     dense=False), delta
 
 
-_PHASES = ("bracket", "root", "finalize")
+_PHASES = ("bracket", "root")
 
 
 def _count(tally: Counter, phase: str, traj) -> None:
@@ -337,7 +312,17 @@ _LOOSE_TOL = 1e-9  # tol floor of each Newton call's first integration
 _NEWTON_STEPS = 12  # Newton steps a rung may take
 
 
-def _newton(cfgs, Ms, windows, tallies) -> list[float | None]:
+class _Root(NamedTuple):
+    """A rung's root M = ``ran`` + ``step``, the last Newton step from the
+    integration at ``ran`` whose densified ``rows`` and ``delta`` it keeps."""
+
+    ran: float
+    step: float
+    rows: OdeTrajectory
+    delta: float
+
+
+def _newton(cfgs, Ms, windows, tallies) -> list[_Root | None]:
     """Newton on the endpoint maps u(R; M) = R^{-1/2} w(ln R; M) of all
     rungs at once, with du(R)/dM from the variational states, integrated to
     R also past an interior zero (an iterate just above the root crosses
@@ -352,29 +337,31 @@ def _newton(cfgs, Ms, windows, tallies) -> list[float | None]:
     the noise floor of its root: the integration error in u(R) fixes the
     root only to about 1e-12 / |du(R)/dM|, which passes 1e-9 M for lam above
     ~1e4, so a step that no longer halves while |s| <= shoot_tol M also ends
-    it.  Returns per rung its root, or None when the slope is not negative,
-    an iterate leaves its window, or there is no convergence in
-    ``_NEWTON_STEPS`` steps; ``tallies[k]`` counts rung k's integrations.
+    it.  The batch a rung stops on, densified (``numkit.densify``) for the
+    rungs that stop there only, is its profile.  Returns per rung its
+    ``_Root``, or None when the slope is not negative, an iterate leaves its
+    window, or there is no convergence in ``_NEWTON_STEPS`` steps;
+    ``tallies[k]`` counts rung k's integrations.
     """
     Ms = list(Ms)
-    roots: list[float | None] = [None] * len(Ms)
+    roots: list[_Root | None] = [None] * len(Ms)
     prev = [math.inf] * len(Ms)
     rel: list[float | None] = [None] * len(Ms)  # last relative step at ode_tol
     active = list(range(len(Ms)))
     for it in range(_NEWTON_STEPS):
         if not active:
             break
-        traj, _ = _integrate([Ms[k] for k in active], [cfgs[k] for k in active],
-                             tol_floor=_LOOSE_TOL if it == 0 else 0.0)
+        traj, delta = _integrate([Ms[k] for k in active], [cfgs[k] for k in active],
+                                 tol_floor=_LOOSE_TOL if it == 0 else 0.0)
         ends = traj.states[-1].tolist()
-        running = []
+        running, stopped = [], []  # stopped: (column of its rows, rung, ran, step)
         for j, k in enumerate(active):
             _count(tallies[k], "root", traj)
             wR, zR = ends[4 * j], ends[4 * j + 2]  # R^{1/2} u(R) and R^{1/2} du(R)/dM
             if not zR < 0.0:
                 continue
-            step = -wR / zR
-            M = Ms[k] = Ms[k] + step
+            ran, step = Ms[k], -wR / zR
+            M = Ms[k] = ran + step
             lo, hi = windows[k]
             if not lo < M < hi:
                 continue
@@ -387,9 +374,14 @@ def _newton(cfgs, Ms, windows, tallies) -> list[float | None]:
             quadratic = r_prev is not None and r**3 <= 1e-12 * r_prev**2  # K r^2 <= 1e-12
             stalled = abs(step) > 0.5 * prev_step and abs(step) <= cfgs[k].shoot_tol * M
             if abs(step) <= 1e-9 * M or quadratic or stalled:
-                roots[k] = M
-                continue
-            running.append(k)
+                stopped.append((4 * j, k, ran, step))
+            else:
+                running.append(k)
+        if stopped:
+            rhs = _rhs(cfgs[0].a, cfgs[0].V, [cfgs[k].eps for _, k, _, _ in stopped])
+            rows = densify(traj, rhs, np.concatenate([np.arange(j, j + 4) for j, *_ in stopped]))
+            for i, (_, k, ran, step) in enumerate(stopped):
+                roots[k] = _Root(ran, step, rows.rows(slice(4 * i, 4 * i + 4)), delta)
         active = running
     return roots
 
@@ -409,24 +401,31 @@ def _pde_residual(sol_obj: "RadialSolution") -> float:
     return float(np.max(np.abs(sol_obj.dense.derivative(t) - f) / np.maximum(np.abs(f), 1.0)))
 
 
-def _finalize(Ms, cfgs, tallies, seeds, laws) -> list[RadialSolution | RuntimeError]:
-    """Converged rungs in one dense integration, each with a dense output of
-    its own rows, its sample on the radial rule, the ladder's ``laws`` and
-    its diagnostics, ``seeds[k]`` and ``tallies[k]`` among them.  A rung
-    whose profile dips to -shoot_tol on the sample's nodes, all inside the
-    ball, or whose endpoint misses ``shoot_tol``, comes back as its error.
-    Each rung's four integrals are taken on its sample."""
-    traj, delta = _integrate(Ms, cfgs, finalize=True)
+def _profile_rows(y, s: float):
+    """(w, v = r^{3/2} u') at M + s, to first order in s, of the rows
+    (w, w', z, z') at M on y's last axis: (w, w' - w/2) + s (z, z' - z/2)."""
+    w, wp, z, zp = np.moveaxis(y, -1, 0)
+    return np.stack([w + s * z, (wp - 0.5 * w) + s * (zp - 0.5 * z)], axis=-1)
+
+
+def _finalize(roots, cfgs, tallies, seeds, laws) -> list[RadialSolution | RuntimeError]:
+    """The ``roots``' profiles, integrating nothing: ``_profile_rows`` maps
+    each ``_Root``'s states and interpolant coefficients alike to its dense
+    output, with the ladder's ``laws`` and diagnostics, ``seeds[k]`` and
+    ``tallies[k]`` among them.  A rung whose profile dips to -shoot_tol on
+    its sample's nodes, or whose ``endpoint``, u(R) of the integration it
+    stopped on (the profile's own is 0), misses ``shoot_tol``, comes back
+    as its error.  Each rung's four integrals are taken on its sample."""
     out = []
-    for k, (M, cfg) in enumerate(zip(Ms, cfgs)):
-        _count(tallies[k], "finalize", traj)
-        rs = RadialSolution(config=cfg, M=M, dense=traj.rows(slice(2 * k, 2 * k + 2)),
-                            delta=delta, laws=laws)
+    for k, (root, cfg) in enumerate(zip(roots, cfgs)):
+        ran, step, x, delta = root
+        dense = OdeTrajectory(x.nodes, _profile_rows(x.states, step), _profile_rows(x.F, step))
+        rs = RadialSolution(config=cfg, M=ran + step, dense=dense, delta=delta, laws=laws)
         nodes, wts, u, up = rs.sample
         if np.any(u <= -cfg.shoot_tol):
             out.append(RuntimeError("positivity violated at the radial rule's nodes"))
             continue
-        endpoint = rs.diagnostics["endpoint"] = float(rs.dense.states[-1, 0] / math.sqrt(rs.R))
+        endpoint = rs.diagnostics["endpoint"] = float(x.states[-1, 0] / math.sqrt(rs.R))
         if abs(endpoint) > cfg.shoot_tol:
             out.append(RuntimeError(f"endpoint {endpoint:.3e} above shoot_tol"))
             continue
@@ -458,21 +457,21 @@ def _solve(cfgs, tallies, laws) -> list[RadialSolution | Exception]:
     times it.  The rungs left without a root scan for brackets together,
     one stacked integration a height (``_find_bracket``); a rung the scan
     fails keeps its error, and the others run Newton in lockstep, each from
-    its bracket's lower end and kept inside the bracket.  One dense
-    integration finalizes every root.  A step that raises fails its rung
+    its bracket's lower end and kept inside the bracket.  ``_finalize``
+    turns every root into its profile.  A step that raises fails its rung
     when it is the only one; otherwise each rung goes through ``_solve``
     alone, so a failing rung fails alone."""
     out: list = [None if cfg.eps > 0 else ValueError("existence regime requires eps > 0")
                  for cfg in cfgs]
     try:
-        roots, brackets = {}, {}  # rung -> (M, seed), rung -> its bracket
+        roots, brackets = {}, {}  # rung -> (_Root, seed), rung -> its bracket
         live = [k for k, e in enumerate(out) if e is None]
         if isinstance(laws, BlowupLaws) and laws.outside is None:
             starts = [math.sqrt(laws.rate / cfgs[k].eps) for k in live]
             found = _newton([cfgs[k] for k in live], starts,
                             [tuple(f * s for f in _LAW_WINDOW) for s in starts],
                             [tallies[k] for k in live])
-            roots = {k: (M, "rate_law") for k, M in zip(live, found) if M is not None}
+            roots = {k: (r, "rate_law") for k, r in zip(live, found) if r is not None}
         cold = [k for k in live if k not in roots]
         for k, b in zip(cold, _find_bracket([cfgs[k] for k in cold], [tallies[k] for k in cold])):
             if isinstance(b, NoBracketError):
@@ -481,16 +480,16 @@ def _solve(cfgs, tallies, laws) -> list[RadialSolution | Exception]:
                 brackets[k] = b
         found = _newton([cfgs[k] for k in brackets], [lo for lo, _ in brackets.values()],
                         list(brackets.values()), [tallies[k] for k in brackets])
-        for k, M in zip(brackets, found):
-            if M is None:
+        for k, r in zip(brackets, found):
+            if r is None:
                 out[k] = RuntimeError("Newton found no root in the bracket "
                                       "[{:.6g}, {:.6g}]".format(*brackets[k]))
             else:
-                roots[k] = (M, "scan")
+                roots[k] = (r, "scan")
         done = sorted(roots)
         if done:
-            Ms, seeds = zip(*(roots[k] for k in done))
-            finals = _finalize(Ms, [cfgs[k] for k in done], [tallies[k] for k in done], seeds,
+            found, seeds = zip(*(roots[k] for k in done))
+            finals = _finalize(found, [cfgs[k] for k in done], [tallies[k] for k in done], seeds,
                                laws)
             for k, rs in zip(done, finals):
                 out[k] = rs
@@ -517,9 +516,9 @@ def solve_ladder(
     The rungs share a, V and the ball, compared by value, and only eps
     varies: a ladder that mixes them raises ValueError.  One driver
     (``_solve``) solves them all in lockstep, with one stacked integration
-    per Newton iteration and one dense integration that finalizes every
-    root, each rung keeping an ``OdeTrajectory`` of its own rows; the
-    canonical ladder takes 3 + 1.  Each profile's
+    per Newton iteration; each profile is an ``OdeTrajectory`` of its rung's
+    rows of the one it stopped on, densified (``_newton``).  The canonical
+    ladder takes 3 integrations.  Each profile's
     ``diagnostics["shoot_integrations"]`` and ``["shoot_steps"]`` count the
     integrations that the rung took part in and their steps.  When some
     rung has eps > 0, the ladder's ``blowup_laws`` are built once: they seed
@@ -542,9 +541,7 @@ def solve_ladder(
 
 def solve_profile(cfg: ProblemConfig) -> RadialSolution:
     """Ground-state profile of one rung: the one-rung ``solve_ladder``,
-    raising the rung's error.  Diagnostics are populated on the converged
-    profile, with the seed used and the shooting integrations and their
-    steps by phase."""
+    raising the rung's error."""
     ((_, rs),) = solve_ladder([cfg])
     if isinstance(rs, Exception):
         raise rs
@@ -576,25 +573,16 @@ def greens_rep_residual(u: RadialSolution) -> float:
     normalized by the sup norm of u.  The homogeneous pair is read off a's
     center Green's data in the profile's ``laws``: Z1, regular at 0, and
     Z2 = v, vanishing at R, with Wronskian Z1 Z2' - Z1' Z2 = -1.  The
-    integrals are taken on the rung's sample, the probes on its dense output.
+    integrals are taken on the rung's sample; u, Z1 and Z2 are evaluated at
+    all probes in one call each.
     """
     cfg, cg = u.config, u.laws.cg
-    R = cfg.domain.R
-
     nodes, wts, uv, _ = u.sample
-    hv = 3.0 * uv**5 - cfg.eps * np.asarray(cfg.V(nodes)) * uv
-    F = nodes * hv  # source for the reduced 1d problem
+    F = nodes * (3.0 * uv**5 - cfg.eps * np.asarray(cfg.V(nodes)) * uv)  # the reduced source
     z1v, z2v = cg.homogeneous_pair(nodes)
-    probes = (0.3 * R, 0.5 * R, 0.7 * R)
-    z1p, z2p = cg.homogeneous_pair(np.asarray(probes))
-
-    sup_u = float(np.max(np.abs(uv)))
-    worst = 0.0
-    for rp, z1, z2 in zip(probes, z1p, z2p):
-        inner = nodes <= rp
-        Z = z2 * float(np.sum((wts * z1v * F)[inner])) + z1 * float(
-            np.sum((wts * z2v * F)[~inner])
-        )
-        rep = Z / rp
-        worst = max(worst, abs(rep - float(u.u_at(rp))) / sup_u)
-    return worst
+    g1, g2 = wts * z1v * F, wts * z2v * F
+    probes = np.array([0.3, 0.5, 0.7]) * cfg.domain.R
+    z1p, z2p = cg.homogeneous_pair(probes)
+    reps = [(z2 * float(np.sum(g1[nodes <= rp])) + z1 * float(np.sum(g2[nodes > rp]))) / rp
+            for rp, z1, z2 in zip(probes.tolist(), z1p, z2p)]
+    return float(np.max(np.abs(np.array(reps) - u.u_at(probes)))) / float(np.max(np.abs(uv)))

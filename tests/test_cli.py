@@ -462,9 +462,9 @@ class TestSweepAndReport:
         lines = [json.loads(l) for l in fresh]
         for d in lines:
             assert d["seed"] == "rate_law"
-            assert d["shoot_integrations"] == {"bracket": 0, "root": 3, "finalize": 1}
+            assert d["shoot_integrations"] == {"bracket": 0, "root": 3}
             steps = d["shoot_steps"]
-            assert steps.keys() == {"bracket", "root", "finalize"} and steps["bracket"] == 0
+            assert steps.keys() == {"bracket", "root"} and steps["bracket"] == 0
         rec_path = tmp_path / "r.jsonl"
         rec_path.write_text("".join(l + "\n" for l in fresh))
         assert main(["verify", "--config", cfg_path, "--records", str(rec_path)]) == EXIT_OK

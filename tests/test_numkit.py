@@ -12,6 +12,7 @@ from scipy import integrate
 from ballblowup.numkit import (
     NoSignChangeError,
     brent_root,
+    densify,
     ode_solve,
     richardson_fit,
     sph_bessel,
@@ -175,6 +176,30 @@ class TestOdeSolve:
         lean = ode_solve(duffing, [1.0, 0.0, 0.0], (0.0, 3.0), tol, atol=atol, dense=False)
         assert lean.F is None
         assert np.array_equal(lean.states, traj.states)
+
+    def test_densify_some_states_is_scipys(self):
+        # two uncoupled forced Duffing oscillators stacked, integrated lean:
+        # densifying the second alone, with a right-hand side of its states
+        # only, gives scipy's dense output of those states bit for bit
+        def duffing(w):
+            return lambda t, y: [y[1], -w * y[0] - math.sin(t) * y[0] ** 3]
+
+        one, two = duffing(9.0), duffing(4.0)
+
+        def pair(t, y):
+            return one(t, y[:2]) + two(t, y[2:])
+
+        y0, span, tol = [1.0, 0.0, 0.5, 0.2], (0.0, 3.0), 1e-10
+        sol = integrate.solve_ivp(pair, span, y0, method="DOP853", rtol=tol, atol=tol,
+                                  dense_output=True)
+        lean = ode_solve(pair, y0, span, tol, dense=False)
+        assert lean.F is None and lean.K.shape == (len(sol.t) - 1, 13, 4)
+        rows = densify(lean, two, np.array([2, 3]))
+        F = np.array([p.F for p in sol.sol.interpolants]).transpose(1, 0, 2)
+        assert np.array_equal(rows.states, sol.y[2:].T)
+        assert np.array_equal(rows.F, F[:, :, 2:])
+        ts = np.linspace(0.0, 3.0, 301)
+        assert np.array_equal(rows(ts), sol.sol(ts)[2:])
 
     def test_dense_matches_nodes(self):
         traj = ode_solve(self.rhs, [1.0, 0.0], (0.0, 1.0), tol=1e-12)
