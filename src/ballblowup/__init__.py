@@ -3,7 +3,7 @@ problem -Delta u + (a + eps V) u = 3 u^5 on the three-dimensional ball.
 
 The library is organized as:
 
-- ``numkit``: quadrature, ODE, root-finding, and extrapolation utilities.
+- ``numkit``: Bessel, quadrature, ODE and extrapolation utilities.
 - ``greenfn``: Green's function of -Delta + a, its regular part, the
   criticality threshold, and the speed functional Q_V.
 - ``bubble``: the standard bubble family, its projection to the ball, and
@@ -33,8 +33,6 @@ from .greenfn import (
     critical_a,
     ga_center,
     na_scan,
-    phia_hessian,
-    phia_profile,
     qv_center,
 )
 from .solver import (
@@ -65,8 +63,6 @@ __all__ = [
     "fit_bubble",
     "ga_center",
     "na_scan",
-    "phia_hessian",
-    "phia_profile",
     "qv_center",
     "records_from_sweep",
     "solve_ladder",

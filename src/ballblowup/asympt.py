@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import optimize
 
 from . import bubble as bb
 from .greenfn import BlowupLaws, CenterGreens, RadialCoefficient
-from .numkit import brent_root, radial_quadrature_rule, richardson_fit
+from .numkit import radial_quadrature_rule, richardson_fit
 from .solver import RadialSolution, greens_rep_residual
 
 __all__ = [
@@ -90,7 +91,8 @@ def fit_bubble(u: RadialSolution) -> tuple[float, float, float]:
             if not 1e-3 <= factor <= 1e3:
                 raise RegimeError("fit_bubble: no minimum within 3 decades of u(0)^2")
         ends.append(math.log(lam0 * factor))
-    lam = math.exp(brent_root(stationarity, tuple(ends), tol=1e-12).root)
+    lam = math.exp(optimize.brentq(stationarity, *ends, xtol=1e-12,
+                                   rtol=4 * np.finfo(float).eps))
     pup = bb.u_prime(lam, nodes)
     cross, gn_pu = float(wu @ pup), float(wn * pup @ pup)
     return cross / gn_pu, lam, math.sqrt(max(gn_u - cross**2 / gn_pu, 0.0))
@@ -137,7 +139,8 @@ def decompose(u: RadialSolution, alpha: float, lam: float, cg: CenterGreens) -> 
     nodes, wts, uv, upv = u.sample
     pb = bb.CenterProjectedBubble(lam, R)
     w = uv / alpha - pb.pu(nodes)
-    wp = upv / alpha - pb.pu_prime(nodes)
+    pup = bb.u_prime(lam, nodes)  # PU' = U': the projection adds a constant
+    wp = upv / alpha - pup
 
     # the radial derivative of q = w + lam^{-1/2} (H_a - H_0)(0, .), H_0(0, .) = 1/R
     qp = wp + cg.dh(nodes) / math.sqrt(lam)
@@ -145,8 +148,7 @@ def decompose(u: RadialSolution, alpha: float, lam: float, cg: CenterGreens) -> 
     # Gram system over {PU, lam dlam PU}: both have gradient norms of order
     # one, so the condition number stays near 3.2 at every lam (on the
     # unscaled basis it grows like lam^2).
-    pup = pb.pu_prime(nodes)
-    dpup = pb.dlam_pu_prime(nodes)
+    dpup = bb.dlam_u_prime(lam, nodes)
     ldpup = lam * dpup
     g11 = _ip(wts, nodes, pup, pup)
     g12 = _ip(wts, nodes, pup, ldpup)
@@ -420,7 +422,7 @@ def coercivity_probe(
     r2w = 4.0 * math.pi * wts * nodes**2
 
     pb = bb.CenterProjectedBubble(lam, R)
-    basis_p = np.array([pb.pu_prime(nodes), pb.dlam_pu_prime(nodes)])
+    basis_p = np.array([bb.u_prime(lam, nodes), bb.dlam_u_prime(lam, nodes)])
     basis_v = np.array([pb.pu(nodes), pb.dlam_pu(nodes)])
 
     n_modes = 8

@@ -85,14 +85,8 @@ class CenterProjectedBubble:
     def pu(self, r):
         return _u(self.lam, r) - self.correction
 
-    def pu_prime(self, r):
-        return u_prime(self.lam, r)
-
     def dlam_pu(self, r):
         return _du_dlam(self.lam, r) - self.dlam_correction
-
-    def dlam_pu_prime(self, r):
-        return dlam_u_prime(self.lam, r)
 
 
 def g(lam, r):

@@ -198,10 +198,11 @@ def cmd_greens(args) -> int:
     a = cfg.coefficient("a")
     laws = greenfn.blowup_laws(a, cfg.coefficient("V"), cfg.R)
     if a.is_constant and a.constant < 0:
+        series = greenfn.HelmholtzSeries.build(a.constant, cfg.R)
         rhos = np.linspace(0.0, 0.9 * cfg.R, 19)
-        phis = greenfn.phia_profile(rhos, a.constant, cfg.R)
+        phis = series.h_diag(rhos)
         profile = [{"rho": r, "phi_a": p} for r, p in zip(rhos.tolist(), phis.tolist())]
-        crit_dict = asdict(greenfn.na_scan(a.constant, cfg.R))
+        crit_dict = asdict(greenfn.na_scan(series))
     else:
         profile = [{"rho": 0.0, "phi_a": laws.cg.phi_a_at_0}]
         crit_dict = None
@@ -236,18 +237,17 @@ def cmd_solve(args) -> int:
     eps = args.eps if args.eps is not None else cfg.eps_ladder[0]
     if not eps > 0:
         raise ConfigError("eps", "must be positive")
-    rs = solver.solve_profile(cfg.problem(eps))
-    recs = asympt.records_from_sweep([rs], tuple(cfg.probes))
-    _emit(_record_line(recs[0], cfg), args.out)
+    _emit(_solved_line(solver.solve_profile(cfg.problem(eps)), cfg), args.out)
     return EXIT_OK
 
 
-def _record_line(rec: asympt.SweepRecord, cfg: RunConfig) -> dict:
-    d = rec.to_dict()
-    d["config_hash"] = cfg.hash()
-    d["tool_version"] = __version__
-    d["status"] = "ok"
-    return d
+def _solved_line(rs: solver.RadialSolution, cfg: RunConfig) -> dict:
+    """A solved rung's record line, with what its solve cost and how well it
+    converged; raises what its analysis raises."""
+    rec = asympt.records_from_sweep([rs], tuple(cfg.probes))[0]
+    keys = ("seed", "shoot_integrations", "shoot_steps", "endpoint", "pde_residual")
+    return rec.to_dict() | {"config_hash": cfg.hash(), "tool_version": __version__,
+                            "status": "ok"} | {k: rs.diagnostics[k] for k in keys}
 
 
 def _failure_line(eps: float, stage: str, error: Exception, cfg: RunConfig) -> dict:
@@ -258,16 +258,14 @@ def _failure_line(eps: float, stage: str, error: Exception, cfg: RunConfig) -> d
 
 
 def _rung_line(eps: float, rs, cfg: RunConfig) -> dict:
-    """A solved rung's record line with what its solve cost and how well it
-    converged, or a failure line when its solve or its analysis failed."""
+    """``_solved_line`` of a solved rung, or a failure line when its solve or
+    its analysis failed."""
     if not isinstance(rs, solver.RadialSolution):
         return _failure_line(eps, "solve", rs, cfg)
     try:
-        rec = asympt.records_from_sweep([rs], tuple(cfg.probes))[0]
+        return _solved_line(rs, cfg)
     except Exception as e:  # per-rung failure recorded, sweep continues
         return _failure_line(eps, "analysis", e, cfg)
-    keys = ("seed", "shoot_integrations", "shoot_steps", "endpoint", "pde_residual")
-    return _record_line(rec, cfg) | {k: rs.diagnostics[k] for k in keys}
 
 
 def cmd_sweep(args) -> int:

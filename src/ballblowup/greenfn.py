@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import optimize
 
-from .numkit import brent_root, ode_solve, radial_quadrature_rule, sph_bessel
+from .numkit import densify, ode_solve, radial_quadrature_rule, sph_bessel
 
 __all__ = [
     "BallDomain",
@@ -30,8 +31,6 @@ __all__ = [
     "phi0_ball",
     "ga_center",
     "critical_a",
-    "phia_profile",
-    "phia_hessian",
     "qv_center",
     "blowup_laws",
     "na_scan",
@@ -216,13 +215,14 @@ def phi0_ball(x, R: float) -> float:
 
 
 def _solve_v(a: RadialCoefficient, R: float):
-    """Integrate -v'' + a(r) v = 0 for the (1,0) and (0,1) initial data."""
+    """Integrate -v'' + a(r) v = 0 for the (1,0) and (0,1) initial data,
+    with dense output."""
     def rhs(r, y):
         v1, v1p, v2, v2p = y
         ar = a.at(r)
         return [v1p, ar * v1, v2p, ar * v2]
 
-    return ode_solve(rhs, [1.0, 0.0, 0.0, 1.0], (0.0, R), tol=1e-12)
+    return densify(ode_solve(rhs, [1.0, 0.0, 0.0, 1.0], (0.0, R), tol=1e-12), rhs)
 
 
 def ga_center(a: RadialCoefficient, R: float) -> CenterGreens:
@@ -267,8 +267,7 @@ def critical_a(R: float) -> float:
         return [vp, a * v, wp, a * w + v]
 
     for _ in range(100):
-        v, _, w, _ = ode_solve(rhs, [1.0, 0.0, 0.0, 0.0], (0.0, R), tol=1e-12,
-                               dense=False).states[-1]
+        v, _, w, _ = ode_solve(rhs, [1.0, 0.0, 0.0, 0.0], (0.0, R), tol=1e-12).states[-1]
         lo, hi = (lo, a) if v > 0 else (a, hi)
         step = -v / w
         if abs(step) <= 1e-12 * abs(a):
@@ -280,7 +279,8 @@ def critical_a(R: float) -> float:
 # Bessel orders the phi_a series is evaluated at: past order 188, where
 # y_l(kR) overflows as kR -> pi, the largest kR coercivity allows.
 _SERIES_ORDERS = np.arange(200)
-# Finite-difference step and relative tolerance of phia_hessian's cross-check.
+# Finite-difference step, in units of R, and relative tolerance of the
+# Hessian's cross-check.
 HESSIAN_STEP = 1e-3
 HESSIAN_CROSS_TOL = 1e-6
 # na_scan: grid points on [0, 0.9 R], and the |phi_a| that counts as a zero.
@@ -290,7 +290,8 @@ ZERO_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HelmholtzSeries:
-    """Spherical Bessel series for the diagonal of H_a, constant a = -k^2 < 0.
+    """Spherical Bessel series for the diagonal of H_a, constant a = -k^2 < 0
+    on the ball of radius R: the one object for phi_a off the center.
 
     H_a(x,y) = -k sum (2l+1) (y_l(kR)/j_l(kR)) j_l(k|x|) j_l(k|y|) P_l(cos t)
     with t the angle between x and y, which is 0 on the diagonal.  Stores
@@ -300,6 +301,7 @@ class HelmholtzSeries:
     """
 
     k: float
+    R: float
     j_R: np.ndarray = field(repr=False)
     y_R: np.ndarray = field(repr=False)
 
@@ -320,15 +322,19 @@ class HelmholtzSeries:
         resonant = np.flatnonzero((np.abs(js[:n]) < 1e-13) & (x > _SERIES_ORDERS[:n]))
         if resonant.size:
             raise ResonanceError(f"j_{resonant[0]}(kR) vanishes at kR={x:g}")
-        return HelmholtzSeries(k=k, j_R=js[:n], y_R=ys[:n])
+        return HelmholtzSeries(k=k, R=R, j_R=js[:n], y_R=ys[:n])
 
     def h_diag(self, rho):
         """phi_a(rho) = H_a at coincident points |x| = |y| = rho, angle 0.
 
-        ``rho`` is one radius or an array of them.  Each term is evaluated
+        ``rho`` is one interior radius (giving a float) or an array of them
+        (giving an array); every radius sums the whole series, so an array
+        call equals the per-radius calls exactly.  Each term is evaluated
         as (2l+1) y_l(kR) j_l(kR) (j_l(k rho)/j_l(kR))^2 so that the
         decaying j ratios never meet the growing y values.
         """
+        if np.any(np.asarray(rho) >= self.R):
+            raise ValueError("rho must be interior")
         k, j_R = self.k, self.j_R
         rhos = np.ravel(np.asarray(rho, dtype=float))
         ells = np.arange(len(j_R))
@@ -337,48 +343,36 @@ class HelmholtzSeries:
         out = -k * np.sum(terms, axis=1)
         return float(out[0]) if np.ndim(rho) == 0 else out.reshape(np.shape(rho))
 
+    @property
+    def hessian(self) -> float:
+        """Second radial derivative of phi_a at the center.
 
-def phia_profile(rho, a_const: float, R: float):
-    """phi_a at radius rho for constant a < 0 via the Bessel series.
+        Computed two ways: Richardson finite differences on the profile, and
+        the rho^2 coefficient of the series (l = 0 and l = 1 terms).  The two
+        must agree to ``HESSIAN_CROSS_TOL``; by radial symmetry the Hessian
+        matrix is this value times the identity.
+        """
+        # Finite-difference route (Richardson on central differences of the
+        # even profile, phi(-h) = phi(h)), its step a fixed share of R, so
+        # the check is the same on every ball
+        step = HESSIAN_STEP * self.R
+        p0, p_h, p_h2 = self.h_diag(np.array([0.0, step, step / 2]))
+        d_h = (p_h - 2 * p0 + p_h) / step**2
+        d_h2 = (p_h2 - 2 * p0 + p_h2) / (step / 2) ** 2
+        fd = (4 * d_h2 - d_h) / 3
 
-    ``rho`` is one radius (giving a float) or an array of radii (giving an
-    array); every radius sums the whole series, so an array call equals the
-    per-radius calls exactly.
-    """
-    if np.any(np.asarray(rho) >= R):
-        raise ValueError("rho must be interior")
-    return HelmholtzSeries.build(a_const, R).h_diag(rho)
+        # Series route: the rho^2 coefficient comes from l=0 and l=1 terms.
+        k = self.k
+        ratios = self.y_R[:2] / self.j_R[:2]
+        # j_0(x)^2 = 1 - x^2/3 + ..., j_1(x)^2 = x^2/9 + ...
+        c2 = -k * (ratios[0] * (-(k**2) / 3.0) + 3 * ratios[1] * (k**2 / 9.0))
+        series_val = 2.0 * c2
 
-
-def phia_hessian(a_const: float, R: float) -> float:
-    """Second radial derivative of phi_a at the center.
-
-    Computed two ways: Richardson finite differences on the profile, and
-    the rho^2 coefficient of the series (l = 0 and l = 1 terms).  The two
-    must agree to ``HESSIAN_CROSS_TOL``; by radial symmetry the Hessian
-    matrix is this value times the identity.
-    """
-    # Finite-difference route (Richardson on central differences of the
-    # even profile, phi(-h) = phi(h)), from one series.
-    step = HESSIAN_STEP
-    series = HelmholtzSeries.build(a_const, R)
-    p0, p_h, p_h2 = series.h_diag(np.array([0.0, step, step / 2]))
-    d_h = (p_h - 2 * p0 + p_h) / step**2
-    d_h2 = (p_h2 - 2 * p0 + p_h2) / (step / 2) ** 2
-    fd = (4 * d_h2 - d_h) / 3
-
-    # Series route: the rho^2 coefficient comes from l=0 and l=1 terms.
-    k = series.k
-    ratios = series.y_R[:2] / series.j_R[:2]
-    # j_0(x)^2 = 1 - x^2/3 + ..., j_1(x)^2 = x^2/9 + ...
-    c2 = -k * (ratios[0] * (-(k**2) / 3.0) + 3 * ratios[1] * (k**2 / 9.0))
-    series_val = 2.0 * c2
-
-    if abs(fd - series_val) > HESSIAN_CROSS_TOL * max(1.0, abs(series_val)):
-        raise RuntimeError(
-            f"hessian cross-check failed: fd={fd:.8g} series={series_val:.8g}"
-        )
-    return series_val
+        if abs(fd - series_val) > HESSIAN_CROSS_TOL * max(1.0, abs(series_val)):
+            raise RuntimeError(
+                f"hessian cross-check failed: fd={fd:.8g} series={series_val:.8g}"
+            )
+        return series_val
 
 
 def qv_center(V: RadialCoefficient, cg: CenterGreens) -> float:
@@ -449,35 +443,35 @@ class CriticalityReport:
     phi_at_0: float
 
 
-def na_scan(a_const: float, R: float) -> CriticalityReport:
-    """Scan the radial profile of phi_a for zeros and report the
-    criticality / negativity / nondegeneracy flags.
+def na_scan(series: HelmholtzSeries) -> CriticalityReport:
+    """Scan the radial profile of phi_a, from its Bessel ``series``, for
+    zeros and report the criticality / negativity / nondegeneracy flags.
 
-    One Bessel series gives the whole grid in one evaluation and every step
-    of the Brent refinement of a sign change.
+    The series gives the whole grid on [0, 0.9 R] in one evaluation, every
+    step of the Brent refinement of a sign change (scipy's ``brentq`` to
+    xtol 1e-12) and the Hessian at a zero at the center.
     """
-    grid = np.linspace(0.0, 0.9 * R, SCAN_POINTS)
-    series = HelmholtzSeries.build(a_const, R)
+    grid = np.linspace(0.0, 0.9 * series.R, SCAN_POINTS)
     vals = series.h_diag(grid)
     zeros: list[float] = []
     if abs(vals[0]) <= ZERO_TOL:
         zeros.append(0.0)
     for i in range(len(grid) - 1):
         if vals[i] * vals[i + 1] < 0:
-            rr = brent_root(series.h_diag, (float(grid[i]), float(grid[i + 1])), tol=1e-12)
-            zeros.append(rr.root)
+            zeros.append(optimize.brentq(series.h_diag, float(grid[i]), float(grid[i + 1]),
+                                         xtol=1e-12, rtol=4 * np.finfo(float).eps))
 
     hess = None
     nondeg = False
     if zeros and zeros[0] == 0.0:
-        hess = phia_hessian(a_const, R)
+        hess = series.hessian
         nondeg = abs(hess) > 1e-10
 
     return CriticalityReport(
         zeros=zeros,
         hessian=hess,
         critical=bool(zeros) and all(v >= -ZERO_TOL for v in vals),
-        negative_on_zeros=bool(zeros) and a_const < 0,
+        negative_on_zeros=bool(zeros),  # a = -k^2 < 0 everywhere
         nondegenerate=nondeg,
         phi_at_0=float(vals[0]),
     )

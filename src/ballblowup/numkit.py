@@ -1,6 +1,6 @@
 """Foundation numerics: spherical Bessel functions, the package's one radial
-quadrature rule, a DOP853 stepper with dense output, bracketed root finding
-and linear/quadratic limit extrapolation.
+quadrature rule, a DOP853 stepper whose dense output ``densify`` adds, and
+linear/quadratic limit extrapolation.
 
 Everything here is pure and reentrant; no shared mutable state.
 """
@@ -8,21 +8,17 @@ Everything here is pure and reentrant; no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 __all__ = [
     "OdeTrajectory",
-    "RootResult",
-    "NoSignChangeError",
     "sph_bessel",
     "ode_solve",
     "densify",
-    "brent_root",
     "richardson_fit",
     "radial_quadrature_rule",
 ]
@@ -36,17 +32,6 @@ _STAGES = [(s, _dop.A[s, :s], float(_dop.C[s])) for s in range(1, 12)]
 _EXTRA = [(s, _dop.A[s, :s], float(_dop.C[s])) for s in range(13, 16)]
 _B, _E3, _E5, _D = _dop.B, _dop.E3, _dop.E5, _dop.D
 _EPS = np.finfo(float).eps
-
-
-class NoSignChangeError(ValueError):
-    """Raised when a root bracket does not enclose a sign change."""
-
-
-@dataclass(frozen=True)
-class RootResult:
-    root: float
-    bracket: tuple[float, float]
-    iterations: int
 
 
 class OdeTrajectory:
@@ -136,16 +121,14 @@ def ode_solve(
     span: tuple[float, float],
     tol,
     atol=None,
-    dense: bool = True,
 ) -> OdeTrajectory:
     """Integrate y' = rhs(t, y) from span[0] to span[1] > span[0] by DOP853,
     taking scipy's first step, step control and error norm operation for
     operation, so nodes, states and interpolants are those of scipy's DOP853
     bit for bit.  rtol is ``tol`` (floored at 100 eps, as scipy does), atol
-    ``atol`` (default ``tol``), either per state.  ``dense`` keeps the
-    interpolants of every state (``densify``, three more ``rhs`` calls a
-    step); a lean trajectory keeps the stages, for ``densify`` of some states
-    afterwards.  The caller starts away from any left-endpoint singularity of
+    ``atol`` (default ``tol``), either per state.  The trajectory is lean: it
+    keeps each step's stages, and ``densify`` gives the dense output of all
+    or some states from them (three more ``rhs`` calls a step).  The caller starts away from any left-endpoint singularity of
     ``rhs``, which gets t as a float and the state as a float64 array,
     returns a sequence of len(y) floats and is called exactly as often as
     scipy's ``nfev``.
@@ -200,8 +183,7 @@ def ode_solve(
         nodes.append(t_new)
         states.append(y_new)
         t, y, f = t_new, y_new, K[12].copy()
-    traj = OdeTrajectory(np.array(nodes), np.array(states), None, np.array(kept))
-    return densify(traj, rhs) if dense else traj
+    return OdeTrajectory(np.array(nodes), np.array(states), None, np.array(kept))
 
 
 def densify(traj: OdeTrajectory, rhs: Callable, cols=slice(None)) -> OdeTrajectory:
@@ -223,28 +205,6 @@ def densify(traj: OdeTrajectory, rhs: Callable, cols=slice(None)) -> OdeTrajecto
          *np.moveaxis(h[:, None, None] * np.matmul(_D, K), 1, 0)]
     return OdeTrajectory(traj.nodes, np.ascontiguousarray(traj.states[:, cols]),
                          np.ascontiguousarray(np.stack(F)[:, :, cols]))
-
-
-def brent_root(
-    f: Callable[[float], float],
-    bracket: tuple[float, float],
-    tol: float,
-) -> RootResult:
-    """Brent's method on a sign-changing bracket."""
-    a, b = bracket
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return RootResult(a, bracket, 0)
-    if fb == 0.0:
-        return RootResult(b, bracket, 0)
-    if fa * fb > 0:
-        raise NoSignChangeError(
-            f"f({a})={fa:g} and f({b})={fb:g} have the same sign"
-        )
-    root, res = optimize.brentq(
-        f, a, b, xtol=tol, rtol=4 * np.finfo(float).eps, full_output=True
-    )
-    return RootResult(float(root), bracket, res.iterations)
 
 
 def richardson_fit(

@@ -255,8 +255,7 @@ def _integrate(Ms, cfgs, tol_floor: float = 0.0):
         u0, up0, z0, zp0 = taylor_start(M, m, delta)
         y0 += [math.sqrt(delta) * x for x in (u0, u0 / 2 + delta * up0, z0, z0 / 2 + delta * zp0)]
     rtol = np.repeat([max(cfg.ode_tol, tol_floor) for cfg in cfgs], 4)
-    return ode_solve(_rhs(a, V, epss), y0, span, rtol, atol=rtol * 1e-2 * math.sqrt(delta),
-                     dense=False), delta
+    return ode_solve(_rhs(a, V, epss), y0, span, rtol, atol=rtol * 1e-2 * math.sqrt(delta)), delta
 
 
 _PHASES = ("bracket", "root")

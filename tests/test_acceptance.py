@@ -11,11 +11,11 @@ import pytest
 from ballblowup.asympt import build_report, coercivity_probe
 from ballblowup.bubble import calculus_verdict
 from ballblowup.greenfn import (
+    HelmholtzSeries,
     RadialCoefficient,
     blowup_laws,
     critical_a,
     ga_center,
-    phia_hessian,
 )
 from ballblowup.solver import SOBOLEV_CONSTANT
 
@@ -41,7 +41,7 @@ def test_criterion_1_critical_coefficient():
 def test_criterion_2_qv_and_hessian():
     qv = blowup_laws(const(CRITICAL_A), const(-1.0), 1.0).qv0
     err_q = abs(qv - (-2 * math.pi))
-    hess = phia_hessian(critical_a(1.0), 1.0)
+    hess = HelmholtzSeries.build(critical_a(1.0), 1.0).hessian
     err_h = abs(hess - math.pi**4 / 24)
     ok = err_q <= 1e-8 and err_h <= 1e-5
     verdict(2, "potential integral and speed hessian", ok,

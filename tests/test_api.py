@@ -8,7 +8,8 @@ some object; and every defaulted parameter of a public or module-level
 private function is set by some call there and left unset by another.
 The package's own ``__all__`` only re-exports names of these modules.  No
 file under ``src/`` or ``scripts/`` reads a private name of another
-package module."""
+package module, and every package name that code under ``perfbench/``
+reads exists."""
 
 import ast
 import importlib
@@ -45,7 +46,9 @@ def _scan(path: Path) -> tuple[set, list, set]:
     read when it is imported from a package module or defined in this file's
     own module, and so is an attribute of a name bound to a package module
     (``asympt.decompose``, with ``from . import bubble as bb`` also
-    ``bb.u_prime``).  A ``*args`` call counts as setting every position, a
+    ``bb.u_prime``), or of a module looked up by its short name in a
+    subscript (``mods["numkit"].sph_bessel``; ``mods["ballblowup"]`` is the
+    package).  A ``*args`` call counts as setting every position, a
     ``**kwargs`` call every keyword."""
     tree = ast.parse(path.read_text(), str(path))
     own = _module_of(path)
@@ -62,6 +65,7 @@ def _scan(path: Path) -> tuple[set, list, set]:
                     modules[alias.asname or alias.name] = full
                 elif base in PACKAGE:
                     imported[alias.asname or alias.name] = (base, alias.name)
+    keyed = {**modules, "ballblowup": "ballblowup"}
 
     def target(node):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -71,6 +75,10 @@ def _scan(path: Path) -> tuple[set, list, set]:
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id in modules:
                 return (modules[node.value.id], node.attr)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Subscript):
+            key = node.value.slice
+            if isinstance(key, ast.Constant) and key.value in keyed:
+                return (keyed[key.value], node.attr)
         return None
 
     reads, calls, attrs = set(), [], set()
@@ -185,6 +193,18 @@ def test_private_names_stay_in_their_module():
         if module != _module_of(path) and name.startswith("_") and not name.startswith("__")
     ]
     assert not crossing, crossing
+
+
+def test_perfbench_reads_exist():
+    # the benchmark reads the package by attribute, so a name it reads that
+    # is gone crashes every benchmark run; the tracer's TRACED table names
+    # the functions it spans as strings and skips one that is gone
+    missing = [
+        f"{path.relative_to(ROOT)} reads {module}.{name}"
+        for path, (reads, _, _) in zip(FILES, SCANS) if ROOT / "perfbench" in path.parents
+        for module, name in sorted(reads) if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing, missing
 
 
 def test_limit_laws_have_target_and_entry():

@@ -57,7 +57,7 @@ class TestFitBubble:
         pb = CenterProjectedBubble(lam0, 1.0)
         u = _SyntheticProfile(
             lambda r: alpha0 * pb.pu(r),
-            lambda r: alpha0 * pb.pu_prime(r),
+            lambda r: alpha0 * u_prime(lam0, r),
             M=alpha0 * math.sqrt(lam0) * 0.999,
         )
         alpha, lam, resid = fit_bubble(u)
@@ -101,16 +101,16 @@ def _split(u, alpha, lam, d):
     nodes, _, uv, upv = u.sample
     pb, cg = CenterProjectedBubble(lam, u.R), ga_center(u.config.a, u.R)
     q = uv / alpha - pb.pu(nodes) + (cg.h(nodes) - 1.0 / u.R) / math.sqrt(lam)
-    qp = upv / alpha - pb.pu_prime(nodes) + cg.dh(nodes) / math.sqrt(lam)
+    qp = upv / alpha - u_prime(lam, nodes) + cg.dh(nodes) / math.sqrt(lam)
     s = d.beta / lam * pb.pu(nodes) + d.gamma * pb.dlam_pu(nodes)
-    sp = d.beta / lam * pb.pu_prime(nodes) + d.gamma * pb.dlam_pu_prime(nodes)
+    sp = d.beta / lam * u_prime(lam, nodes) + d.gamma * dlam_u_prime(lam, nodes)
     return (q, s, q - s), (qp, sp, qp - sp)
 
 
 def _orthogonality(u, alpha, lam, d):
     """|<r, PU>| / (|r| |PU|) in the gradient inner product."""
     rp = _split(u, alpha, lam, d)[1][2]
-    pup = CenterProjectedBubble(lam, u.R).pu_prime(u.sample[0])
+    pup = u_prime(lam, u.sample[0])
     return abs(_grad_ip(u, rp, pup)) / math.sqrt(_grad_ip(u, rp, rp) * _grad_ip(u, pup, pup))
 
 
@@ -156,7 +156,7 @@ class TestDecompose:
         lam0 = 400.0
         pb = CenterProjectedBubble(lam0, 1.0)
         u = _SyntheticProfile(
-            lambda r: pb.pu(r), lambda r: pb.pu_prime(r), M=math.sqrt(lam0)
+            lambda r: pb.pu(r), lambda r: u_prime(lam0, r), M=math.sqrt(lam0)
         )
         d = decompose(u, 1.0, lam0, ga_center(const(0.0), 1.0))
         assert abs(d.beta) <= 1e-6
@@ -355,7 +355,7 @@ def coercivity_by_loop(lam, a, R, samples=200, seed=7, n_modes=8):
     nodes, wts = radial_quadrature_rule(lam, R)
     r2 = nodes**2
     pb = CenterProjectedBubble(lam, R)
-    basis_p = [pb.pu_prime(nodes), pb.dlam_pu_prime(nodes)]
+    basis_p = [u_prime(lam, nodes), dlam_u_prime(lam, nodes)]
     basis_v = [pb.pu(nodes), pb.dlam_pu(nodes)]
     G = np.array([[ip(wts, nodes, bi, bj) for bj in basis_p] for bi in basis_p])
     ks = np.array([j * math.pi / R for j in range(1, n_modes + 1)])
@@ -405,7 +405,7 @@ class TestCoercivity:
         lam, R = 1e3, 1.0
         nodes, wts = radial_quadrature_rule(lam, R)
         pb = CenterProjectedBubble(lam, R)
-        grad = 4 * math.pi * np.sum(wts * pb.pu_prime(nodes) ** 2 * nodes**2)
+        grad = 4 * math.pi * np.sum(wts * u_prime(lam, nodes) ** 2 * nodes**2)
         mass = 4 * math.pi * np.sum(wts * CRITICAL_A * pb.pu(nodes) ** 2 * nodes**2)
         pot = 4 * math.pi * np.sum(
             wts * 15.0 * _u(lam, nodes) ** 4 * pb.pu(nodes) ** 2 * nodes**2

@@ -173,6 +173,23 @@ class TestScalarCommands:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert "coefficient min -35.46" in captured.err
 
+    @pytest.mark.parametrize("a", [{"critical": True}, {"constant": -3.0}],
+                             ids=["critical", "a=-3"])
+    def test_greens_builds_one_series(self, tmp_path, monkeypatch, a):
+        # the profile and the scan read phi_a off one Bessel series, at the
+        # critical a with its Hessian and at a = -3 with a zero refined by Brent
+        built, build = [], greenfn.HelmholtzSeries.build
+        monkeypatch.setattr(greenfn.HelmholtzSeries, "build",
+                            staticmethod(lambda *args: built.append(args) or build(*args)))
+        out = tmp_path / "greens.json"
+        assert main(["greens", "--config", write_cfg(tmp_path, a=a), "--out", str(out)]) == EXIT_OK
+        assert len(built) == 1
+        crit = json.loads(out.read_text())["criticality"]
+        if "critical" in a:
+            assert crit["zeros"] == [0.0] and crit["hessian"] is not None
+        else:
+            assert len(crit["zeros"]) == 1 and crit["zeros"][0] > 0
+
     def test_greens_default_critical(self, tmp_path):
         # critical a: the criticality report carries numpy bools
         out = tmp_path / "greens.json"
@@ -242,6 +259,16 @@ class TestScalarCommands:
         calls = TestSweepAndReport._count_ga_center(monkeypatch)
         assert main(["solve", "--eps", "0.01"]) == EXIT_OK
         assert len(calls) == 1
+
+    def test_solve_line_carries_solve_cost(self, capsys):
+        # solve's line carries what a sweep line carries of its rung: seed,
+        # integrations and steps by phase, and how well it converged
+        assert main(["solve", "--eps", "0.01"]) == EXIT_OK
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["status"] == "ok" and rec["seed"] == "rate_law"
+        assert rec["shoot_integrations"].keys() == rec["shoot_steps"].keys() == {"bracket", "root"}
+        assert abs(rec["endpoint"]) <= RunConfig().tolerances["shoot"]
+        assert 0.0 < rec["pde_residual"] <= 1e-9
 
     def test_regime_error_exit_code(self, monkeypatch, capsys):
         def outside(*args, **kwargs):

@@ -19,8 +19,6 @@ from ballblowup.greenfn import (
     ga_center,
     na_scan,
     phi0_ball,
-    phia_hessian,
-    phia_profile,
     qv_center,
 )
 from ballblowup.numkit import sph_bessel
@@ -32,6 +30,10 @@ CRIT = -math.pi**2 / 4.0
 
 def const(c):
     return RadialCoefficient.constant_coeff(c)
+
+
+def series(a, R=1.0):
+    return HelmholtzSeries.build(a, R)
 
 
 class TestG0Ball:
@@ -120,8 +122,9 @@ class TestCriticalA:
         calls, orig = [], greenfn.ode_solve
 
         def counting(*args, **kw):
-            calls.append(kw.get("dense", True))
-            return orig(*args, **kw)
+            out = orig(*args, **kw)
+            calls.append(out.F is not None)
+            return out
 
         monkeypatch.setattr(greenfn, "ode_solve", counting)
         critical_a(R)
@@ -137,19 +140,19 @@ class TestPhiaProfile:
     @settings(max_examples=25, deadline=None)
     def test_center_consistency(self, a):
         center = ga_center(const(a), 1.0).phi_a_at_0
-        assert phia_profile(0.0, a, 1.0) == pytest.approx(center, abs=1e-10)
+        assert series(a).h_diag(0.0) == pytest.approx(center, abs=1e-10)
 
     def test_small_rho_quadratic(self):
-        a = critical_a(1.0)
+        phi = series(critical_a(1.0))
         for rho in (1e-3, 2e-3):
-            assert phia_profile(rho, a, 1.0) == pytest.approx(
+            assert phi.h_diag(rho) == pytest.approx(
                 (math.pi**4 / 48) * rho**2, rel=1e-4
             )
 
     def test_nonnegative_near_center(self):
-        a = critical_a(1.0)
+        phi = series(critical_a(1.0))
         for rho in np.linspace(0.0, 0.5, 11):
-            assert phia_profile(float(rho), a, 1.0) >= -1e-10
+            assert phi.h_diag(float(rho)) >= -1e-10
 
 
 def series_by_loop(a_const, R, top):
@@ -179,48 +182,59 @@ class TestVectorisedSeries:
         # the loop to order 40 checks a prefix; to order 200 it runs into
         # the end of the series and must stop where the build stops
         a = a_unit / R**2
-        series = HelmholtzSeries.build(a, R)
+        built = series(a, R)
         js, ys = series_by_loop(a, R, top)
         n = len(js)
-        assert np.array_equal(series.j_R[:n], js)
-        assert np.array_equal(series.y_R[:n], ys)
+        assert built.R == R
+        assert np.array_equal(built.j_R[:n], js)
+        assert np.array_equal(built.y_R[:n], ys)
         if top == 200:
-            assert n == len(series.j_R) < top
+            assert n == len(built.j_R) < top
 
     def test_resonance(self):
         # a = -pi^2: kR = pi, where j_0 vanishes
         with pytest.raises(ResonanceError):
             HelmholtzSeries.build(-math.pi**2, 1.0)
-        with pytest.raises(ResonanceError):
-            phia_profile(np.linspace(0.0, 0.5, 6), -math.pi**2, 1.0)
+
+    @pytest.mark.parametrize("rho", [1.0, np.array([0.0, 0.5, 1.0]), 1.5])
+    def test_exterior_radius_refused(self, rho):
+        with pytest.raises(ValueError, match="interior"):
+            series(CRIT).h_diag(rho)
 
     @pytest.mark.parametrize("R", [1.0, 1.25, 2.0])
     @pytest.mark.parametrize("a_unit", [CRIT, -1.0, -2.0, -3.0])
     def test_profile_array_equals_scalar_calls(self, R, a_unit):
         a = a_unit / R**2
         rhos = np.linspace(0.0, 0.9 * R, 19)
-        vals = phia_profile(rhos, a, R)
+        phi = series(a, R)
+        vals = phi.h_diag(rhos)
         assert vals.shape == rhos.shape
-        scalar = [phia_profile(float(r), a, R) for r in rhos]
+        scalar = [phi.h_diag(float(r)) for r in rhos]
         assert all(isinstance(v, float) for v in scalar)
         assert vals.tolist() == scalar
 
 
 class TestPhiaHessian:
     def test_critical_value(self):
-        a = critical_a(1.0)
-        assert phia_hessian(a, 1.0) == pytest.approx(math.pi**4 / 24, abs=1e-5)
+        assert series(critical_a(1.0)).hessian == pytest.approx(math.pi**4 / 24, abs=1e-5)
+
+    @pytest.mark.parametrize("R", [0.01, 1e-3, 20.0])
+    def test_scales_with_the_ball(self, R):
+        # phi_a'' has dimension length^-3; the finite-difference step is a
+        # share of R, so the cross-check holds on small balls too
+        assert series(CRIT / R**2, R).hessian == pytest.approx(math.pi**4 / 24 / R**3,
+                                                               rel=1e-12, abs=0)
 
     def test_positive_definite_at_critical(self):
-        assert phia_hessian(critical_a(1.0), 1.0) > 0
+        assert series(critical_a(1.0)).hessian > 0
 
     def test_no_linear_term(self):
         # phi_a is even in rho: an even-only polynomial fit on small radii
         # must reproduce the profile to quadrature accuracy, which pins
         # phi_a'(0) = 0.
-        a = critical_a(1.0)
+        phi = series(critical_a(1.0))
         rhos = np.array([1e-3, 2e-3, 3e-3, 4e-3])
-        vals = np.array([phia_profile(float(r), a, 1.0) for r in rhos])
+        vals = np.array([phi.h_diag(float(r)) for r in rhos])
         A = np.column_stack([np.ones_like(rhos), rhos**2, rhos**4])
         coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
         resid = np.max(np.abs(vals - A @ coef))
@@ -228,11 +242,11 @@ class TestPhiaHessian:
 
     def test_c2_stability_under_step_halving(self, monkeypatch):
         # the returned value is the series coefficient; the finite-difference
-        # cross-check must pass at both steps
-        a = critical_a(1.0)
-        v1 = phia_hessian(a, 1.0)
+        # cross-check must pass at both steps, on one series
+        phi = series(critical_a(1.0))
+        v1 = phi.hessian
         monkeypatch.setattr(greenfn, "HESSIAN_STEP", greenfn.HESSIAN_STEP / 2)
-        v2 = phia_hessian(a, 1.0)
+        v2 = phi.hessian
         assert v1 == pytest.approx(v2, rel=1e-3)
 
 
@@ -258,7 +272,7 @@ class TestQvCenter:
 
 class TestNaScan:
     def test_critical_coefficient(self):
-        rep = na_scan(critical_a(1.0), 1.0)
+        rep = na_scan(series(critical_a(1.0)))
         assert rep.zeros and rep.zeros[0] == 0.0
         assert rep.critical and rep.negative_on_zeros and rep.nondegenerate
 
@@ -268,15 +282,15 @@ class TestNaScan:
             raise AssertionError("na_scan called critical_a")
 
         monkeypatch.setattr(greenfn, "critical_a", refused)
-        assert na_scan(CRIT, 1.0).critical
+        assert na_scan(series(CRIT)).critical
 
     def test_above_critical(self):
-        rep = na_scan(-2.0, 1.0)
+        rep = na_scan(series(-2.0))
         assert rep.zeros == []
         assert not rep.critical
 
     def test_below_critical(self):
-        rep = na_scan(-3.0, 1.0)
+        rep = na_scan(series(-3.0))
         assert rep.phi_at_0 < 0
         assert not rep.critical
 

@@ -1,5 +1,5 @@
 """Foundation numerics: Bessel functions, the quadrature oracle,
-ODE, roots, extrapolation."""
+ODE, extrapolation."""
 
 import math
 
@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from ballblowup.numkit import (
-    NoSignChangeError,
-    brent_root,
     densify,
     ode_solve,
     richardson_fit,
@@ -96,6 +94,11 @@ class TestQuadRadial:
         assert 4 * math.pi * res == pytest.approx(math.pi**2 / 4, rel=1e-12, abs=0)
 
 
+def dense_solve(rhs, y0, span, tol):
+    """``ode_solve``'s lean trajectory, with dense output."""
+    return densify(ode_solve(rhs, y0, span, tol), rhs)
+
+
 class TestOdeSolve:
     k = 3.0
 
@@ -103,7 +106,7 @@ class TestOdeSolve:
         return [y[1], -self.k**2 * y[0]]
 
     def test_harmonic_solution(self):
-        traj = ode_solve(self.rhs, [1.0, 0.0], (0.0, 1.0), tol=1e-12)
+        traj = dense_solve(self.rhs, [1.0, 0.0], (0.0, 1.0), tol=1e-12)
         rs = np.linspace(0.0, 1.0, 101)
         err = np.max(np.abs(traj(rs)[0] - np.cos(self.k * rs)))
         assert err <= 1e-10
@@ -117,7 +120,7 @@ class TestOdeSolve:
     def test_derivative_harmonic(self):
         # between the nodes too the interpolant's derivative is y' = (y1, -k^2 y0),
         # to about 100 times its values' 7e-12 on these 17 steps
-        traj = ode_solve(self.rhs, [1.0, 0.0], (0.0, 1.0), tol=1e-12)
+        traj = dense_solve(self.rhs, [1.0, 0.0], (0.0, 1.0), tol=1e-12)
         rs = np.linspace(0.0, 1.0, 101)
         dy = traj.derivative(rs)
         assert dy.shape == (2, 101) and traj.derivative(0.5).shape == (2,)
@@ -126,7 +129,7 @@ class TestOdeSolve:
 
     def test_tolerance_scaling(self):
         def max_err(tol):
-            traj = ode_solve(self.rhs, [1.0, 0.0], (0.0, 1.0), tol=tol)
+            traj = dense_solve(self.rhs, [1.0, 0.0], (0.0, 1.0), tol=tol)
             rs = np.linspace(0.0, 1.0, 101)
             return np.max(np.abs(traj(rs)[0] - np.cos(self.k * rs)))
 
@@ -144,7 +147,7 @@ class TestOdeSolve:
         M = math.sqrt(lam)
         u0 = M - 0.5 * M**5 * delta**2  # series start with m = 0
         up0 = -M**5 * delta
-        traj = ode_solve(bubble_rhs, [u0, up0], (delta, 1.0), tol=1e-12)
+        traj = dense_solve(bubble_rhs, [u0, up0], (delta, 1.0), tol=1e-12)
         rs = np.linspace(0.01, 1.0, 50)
         exact = np.sqrt(lam) / np.sqrt(1 + lam**2 * rs**2)
         assert np.max(np.abs(traj(rs)[0] - exact)) <= 1e-8
@@ -163,8 +166,10 @@ class TestOdeSolve:
         sol = integrate.solve_ivp(duffing, (0.0, 3.0), [1.0, 0.0, 0.0], method="DOP853",
                                   rtol=tol, atol=atol, dense_output=True)
         calls.clear()
-        traj = ode_solve(duffing, [1.0, 0.0, 0.0], (0.0, 3.0), tol, atol=atol)
-        # 2 first-step calls and 15 a step, 12 more for each rejected step
+        lean = ode_solve(duffing, [1.0, 0.0, 0.0], (0.0, 3.0), tol, atol=atol)
+        traj = densify(lean, duffing)
+        # 2 first-step calls and 12 a step, 12 more for each rejected step,
+        # and densify's 3 a step
         assert len(calls) == sol.nfev > 2 + 15 * (len(sol.t) - 1)
         assert np.array_equal(traj.nodes, sol.t)
         assert np.array_equal(traj.states, sol.y.T)
@@ -173,7 +178,6 @@ class TestOdeSolve:
         ts = np.linspace(0.0, 3.0, 301)
         assert np.array_equal(traj(ts), sol.sol(ts))
         assert np.array_equal(traj.rows(slice(1, 3))(ts), sol.sol(ts)[1:])
-        lean = ode_solve(duffing, [1.0, 0.0, 0.0], (0.0, 3.0), tol, atol=atol, dense=False)
         assert lean.F is None
         assert np.array_equal(lean.states, traj.states)
 
@@ -192,7 +196,7 @@ class TestOdeSolve:
         y0, span, tol = [1.0, 0.0, 0.5, 0.2], (0.0, 3.0), 1e-10
         sol = integrate.solve_ivp(pair, span, y0, method="DOP853", rtol=tol, atol=tol,
                                   dense_output=True)
-        lean = ode_solve(pair, y0, span, tol, dense=False)
+        lean = ode_solve(pair, y0, span, tol)
         assert lean.F is None and lean.K.shape == (len(sol.t) - 1, 13, 4)
         rows = densify(lean, two, np.array([2, 3]))
         F = np.array([p.F for p in sol.sol.interpolants]).transpose(1, 0, 2)
@@ -202,37 +206,12 @@ class TestOdeSolve:
         assert np.array_equal(rows(ts), sol.sol(ts)[2:])
 
     def test_dense_matches_nodes(self):
-        traj = ode_solve(self.rhs, [1.0, 0.0], (0.0, 1.0), tol=1e-12)
+        traj = dense_solve(self.rhs, [1.0, 0.0], (0.0, 1.0), tol=1e-12)
         assert np.all(np.diff(traj.nodes) > 0)
         i = len(traj.nodes) // 2
         assert traj(traj.nodes[i])[0] == pytest.approx(
             traj.states[i, 0], abs=1e-12
         )
-
-
-class TestBrentRoot:
-    def test_cot(self):
-        res = brent_root(lambda k: math.cos(k) / math.sin(k), (1.0, 2.0), tol=1e-12)
-        assert res.root == pytest.approx(math.pi / 2, abs=1e-12)
-        assert 1.0 <= res.root <= 2.0
-
-    def test_kcotk_plus_one(self):
-        f = lambda k: k * math.cos(k) / math.sin(k) + 1.0
-        # independent bisection oracle
-        lo, hi = 1.5, 2.5
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if f(lo) * f(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        oracle = 0.5 * (lo + hi)
-        res = brent_root(f, (1.5, 2.5), tol=1e-12)
-        assert res.root == pytest.approx(oracle, abs=1e-10)
-
-    def test_no_sign_change(self):
-        with pytest.raises(NoSignChangeError):
-            brent_root(lambda x: x * x + 1.0, (0.0, 1.0), tol=1e-12)
 
 
 class TestRichardsonFit:

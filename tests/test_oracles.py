@@ -18,9 +18,10 @@ from ballblowup.greenfn import (
     BallDomain,
     BlowupLaws,
     RadialCoefficient,
+    HelmholtzSeries,
     critical_a,
     ga_center,
-    phia_profile,
+    na_scan,
     qv_center,
 )
 from ballblowup.solver import ProblemConfig, solve_ladder
@@ -118,7 +119,18 @@ def test_phia_off_center(R, a_unit, frac):
     # the whole Bessel series: at 0.9 R it needs ~160 terms at 1e-12
     a = -math.pi**2 / (4 * R**2) if a_unit == "critical" else a_unit
     rho = frac * R
-    assert phia_profile(rho, a, R) == pytest.approx(_phia_mp(rho, a, R), rel=1e-12, abs=0)
+    phi = HelmholtzSeries.build(a, R).h_diag(rho)
+    assert phi == pytest.approx(_phia_mp(rho, a, R), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("a, R", [(-3.0, 1.0), (-2.6, 1.0), (-0.8, 2.0)])
+def test_na_scan_zero_off_center(a, R):
+    # below the critical a, phi_a(0) < 0 and phi_a crosses zero once on
+    # [0, 0.9 R]: the scan's Brent refinement of it is bracketed by a sign
+    # change of the 30-digit series 1e-12 R either side
+    (rho,) = na_scan(HelmholtzSeries.build(a, R)).zeros
+    assert 0 < rho < 0.9 * R
+    assert _phia_mp(rho - 1e-12 * R, a, R) < 0 < _phia_mp(rho + 1e-12 * R, a, R)
 
 
 # int_B U^q over the ball of radius R, s = lam R

@@ -47,23 +47,22 @@ def _record(monkeypatch, module):
 
 
 def _scipy_twin(args, kwargs, traj):
-    """scipy's DOP853 run of the ``ode_solve`` call with ``args`` and
-    ``kwargs`` that gave ``traj``, after checking that the call took scipy's
-    steps: the same nodes, states and interpolant coefficients (with dense
-    output), bit for bit, from exactly scipy's ``nfev`` right-hand side calls,
-    so that a stage added or dropped fails.  The calls are counted on a rerun,
-    so ``rhs`` must be the same function as in the recorded call."""
+    """scipy's DOP853 run, with dense output, of the ``ode_solve`` call with
+    ``args`` and ``kwargs`` that gave the lean ``traj``, after checking that
+    the call took scipy's steps: the same nodes and states, bit for bit, from
+    exactly scipy's ``nfev`` right-hand side calls less the three
+    interpolant stages a step that its dense output adds, so that a stage
+    added or dropped fails.  The calls are counted on a rerun, so ``rhs``
+    must be the same function as in the recorded call."""
 
-    def solve_ivp(rhs, y0, span, tol, atol=None, dense=True):
+    def solve_ivp(rhs, y0, span, tol, atol=None):
         return integrate.solve_ivp(rhs, span, y0, method="DOP853", rtol=tol,
-                                   atol=tol if atol is None else atol, dense_output=dense)
+                                   atol=tol if atol is None else atol, dense_output=True)
 
     sol = solve_ivp(*args, **kwargs)
+    assert traj.F is None
     assert np.array_equal(traj.nodes, sol.t)
     assert np.array_equal(traj.states, sol.y.T)
-    if traj.F is not None:
-        F = np.array([p.F for p in sol.sol.interpolants]).transpose(1, 0, 2)
-        assert np.array_equal(traj.F, F)
     ts = []
 
     def counted(t, y):
@@ -71,7 +70,7 @@ def _scipy_twin(args, kwargs, traj):
         return args[0](t, y)
 
     ode_solve(counted, *args[1:], **kwargs)
-    assert len(ts) == sol.nfev
+    assert len(ts) == sol.nfev - 3 * (len(sol.t) - 1)
     return sol
 
 
@@ -569,14 +568,14 @@ class TestSolveLadder:
             assert len(s.dense.nodes) - 1 == 113
 
     def test_newton_tolerances(self, monkeypatch):
-        # the first Newton integration at tol 1e-9 and lean, the second at
-        # ode_tol = 1e-12 and lean, the third at ode_tol and lean too, its
-        # rows densified after the rungs stop on it; each
-        # atol is tol 1e-2 sqrt(delta), delta = 1e-2 / max(M)^2
+        # the first Newton integration at tol 1e-9, the second and third at
+        # ode_tol = 1e-12, all lean, the third's rows densified after the
+        # rungs stop on it; each atol is tol 1e-2 sqrt(delta),
+        # delta = 1e-2 / max(M)^2
         calls = _record(monkeypatch, solver)
         list(solve_ladder(_ladder_cfgs(const(-1.0))))
-        tols = [(kwargs["dense"], set(args[3].tolist())) for args, kwargs, _ in calls]
-        assert tols == [(False, {1e-9}), (False, {1e-12}), (False, {1e-12})]
+        tols = [(traj.F, set(args[3].tolist())) for args, _, traj in calls]
+        assert tols == [(None, {1e-9}), (None, {1e-12}), (None, {1e-12})]
         for args, kwargs, _ in calls:
             root_delta = math.exp(args[2][0] / 2)  # the span starts at ln delta
             assert np.allclose(kwargs["atol"], args[3] * 1e-2 * root_delta, rtol=1e-12, atol=0)
@@ -592,7 +591,7 @@ class TestSolveLadder:
         (sols, roots) = _finalized(monkeypatch, [s.config for s in canonical_solutions])
         args, kwargs, traj = calls[-1]
         assert traj.states.shape[1] == 4 * len(sols) and traj.F is None
-        sol = _scipy_twin(args, {**kwargs, "dense": True}, traj)
+        sol = _scipy_twin(args, kwargs, traj)
         F = np.array([p.F for p in sol.sol.interpolants]).transpose(1, 0, 2)
         delta = math.exp(args[2][0])
         for k, (s, root) in enumerate(zip(sols, roots)):
@@ -626,7 +625,7 @@ class TestSolveLadder:
         tallies = [Counter() for _ in Ms]
         roots = solver._newton([s.config for s in canonical_solutions], Ms,
                                [(0.7 * M, 1.45 * M) for M in Ms], tallies)
-        assert [kwargs["dense"] for _, kwargs, _ in calls] == [False] * 3
+        assert [traj.F for *_, traj in calls] == [None] * 3
         assert densified == [(2, 4), (3, 12)]
         assert [t["root"] for t in tallies] == [2, 3, 3, 3]
         for root, M in zip(roots, Ms):
@@ -655,20 +654,28 @@ class TestSolveLadder:
             (len(calls), len(cols))) or densify(traj, rhs, cols))
         sols = [s for _, s in solve_ladder(cfgs)]
         scans = max(s.diagnostics["shoot_integrations"]["bracket"] for s in sols)
-        assert not any(kwargs["dense"] for _, kwargs, _ in calls)
+        assert all(traj.F is None for *_, traj in calls)
         assert [(n - scans, cols) for n, cols in seen] == densified
 
     def test_ga_center_dense_is_scipys(self, monkeypatch):
-        calls = _record(monkeypatch, greenfn)
+        # ga_center's one lean integration takes scipy's steps, and densified
+        # with its own right-hand side it gives scipy's dense output
+        calls, dense = _record(monkeypatch, greenfn), []
+        monkeypatch.setattr(greenfn, "densify",
+                            lambda traj, rhs: dense.append(densify(traj, rhs)) or dense[-1])
         ga_center(const(CRITICAL_A), 1.0)
         ((args, kwargs, traj),) = calls
         sol = _scipy_twin(args, kwargs, traj)
-        _assert_scipy_bits(sol, traj)
+        (rows,) = dense
+        assert np.array_equal(rows.states, traj.states)
+        F = np.array([p.F for p in sol.sol.interpolants]).transpose(1, 0, 2)
+        assert np.array_equal(rows.F, F)
+        _assert_scipy_bits(sol, rows)
 
     @pytest.mark.parametrize("module", [solver, greenfn])
     def test_derivative_at_nodes_is_the_rhs(self, module, monkeypatch):
-        # the canonical ladder's last Newton batch, densified, and
-        # ga_center's integration: at every step node the interpolant's
+        # the canonical ladder's last Newton batch and ga_center's
+        # integration, each densified: at every step node the interpolant's
         # value is the state, bit for bit, and its derivative the right-hand
         # side there, to rounding
         calls = _record(monkeypatch, module)
@@ -677,8 +684,7 @@ class TestSolveLadder:
         else:
             ga_center(const(CRITICAL_A), 1.0)
         args, _, traj = calls[-1]
-        if module is solver:
-            traj = densify(traj, args[0])
+        traj = densify(traj, args[0])
         assert np.array_equal(traj(traj.nodes), traj.states.T)
         f = np.array([args[0](float(t), y) for t, y in zip(traj.nodes, traj.states)]).T
         err = np.abs(traj.derivative(traj.nodes) - f) / np.maximum(np.abs(f), 1.0)
@@ -690,7 +696,7 @@ class TestSolveLadder:
         calls = _record(monkeypatch, solver)
         list(solve_ladder(_ladder_cfgs(const(-1.0))))
         args, kwargs, traj = calls[1]
-        assert traj.states.shape[1] == 16 and kwargs["dense"] is False
+        assert traj.states.shape[1] == 16
         assert np.shape(args[3]) == np.shape(kwargs["atol"]) == (16,)
         _scipy_twin(args, kwargs, traj)
 
@@ -700,7 +706,6 @@ class TestSolveLadder:
         calls = _record(monkeypatch, greenfn)
         greenfn.critical_a(1.0)
         args, kwargs, traj = calls[-1]
-        assert kwargs["dense"] is False
         _scipy_twin(args, kwargs, traj)
 
     def test_radius_scaling(self, canonical_solutions):
@@ -1056,7 +1061,7 @@ class TestGreensRepresentation:
             z1, z1p = y
             return [z1p, -z1]  # -Z'' + a Z = 0, a = -1
 
-        traj = ode_solve(rhs, [1e-10, 1.0], (1e-10, 1.0), tol=1e-13)
+        traj = densify(ode_solve(rhs, [1e-10, 1.0], (1e-10, 1.0), tol=1e-13), rhs)
         nodes, wts = radial_quadrature_rule(1.0, 1.0)
         z1 = traj(nodes)[0]
         z2 = np.asarray(cg.v(nodes))
