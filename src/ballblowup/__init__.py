@@ -27,7 +27,6 @@ from .asympt import (
 )
 from .bubble import CenterProjectedBubble
 from .greenfn import (
-    BallDomain,
     CenterGreens,
     RadialCoefficient,
     critical_a,
@@ -46,7 +45,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallDomain",
     "CenterGreens",
     "CenterProjectedBubble",
     "ProblemConfig",

@@ -34,7 +34,7 @@ __all__ = [
     "records_from_sweep",
 ]
 
-LAMBDA_TRUST = 1e2  # asymptotic trust region: verdicts use rungs with lam >= this
+LAMBDA_TRUST = 1e2  # asymptotic trust region: verdicts use rungs with lam R >= this
 # Verdict bounds.  Rate, alpha slope, beta and gamma: relative error of the
 # extrapolated limit, and the largest rms of its fit, as a share of |slope| *
 # max(abscissa).  Far field: its last value.  Remainder bounds: max/median of
@@ -376,11 +376,12 @@ def build_report(records, laws: BlowupLaws) -> TheoremReport:
     """Assemble the full verification report from ladder records, every
     target taken from the blow-up ``laws``.  Raises RegimeError, naming
     ``laws.outside``, before any fit where the laws do not hold, and where
-    fewer than 3 rungs have lam >= LAMBDA_TRUST; every row reads those
-    rungs."""
+    fewer than 3 rungs have lam R >= LAMBDA_TRUST, R the ball's radius in
+    ``laws``; every row reads those rungs."""
     if laws.outside is not None:
         raise RegimeError(laws.outside)
-    recs = sorted((r for r in records if r.lam >= LAMBDA_TRUST), key=lambda r: -r.eps)
+    R = laws.cg.R
+    recs = sorted((r for r in records if r.lam * R >= LAMBDA_TRUST), key=lambda r: -r.eps)
     if len(recs) < 3:
         raise RegimeError("need >= 3 rungs inside the asymptotic trust region")
     limits = {law[0]: _limit_entry(law, recs, getattr(laws, law[0])) for law in _LIMIT_LAWS}

@@ -25,10 +25,11 @@ __all__ = [
     "dlam_u_prime",
     "g",
     "calculus_verdict",
+    "failed_rows",
 ]
 
-# lam ladder of calculus_verdict: the B3 fits read every rung, the constant
-# and L^q rows every other one (read-only)
+# lam ladder of calculus_verdict, in units of its length L: the B3 fits read
+# every rung, the constant and L^q rows every other one (read-only)
 B3_LAMS = np.geomspace(1e2, 1e4, 9)
 B3_LAMS.flags.writeable = False
 
@@ -69,24 +70,14 @@ class CenterProjectedBubble:
     lam: float
     R: float
 
-    @property
-    def correction(self) -> float:
-        return math.sqrt(self.lam) / math.sqrt(1.0 + self.lam**2 * self.R**2)
-
-    @property
-    def dlam_correction(self) -> float:
-        lam, R = self.lam, self.R
-        s = 1.0 + lam**2 * R**2
-        return 0.5 / math.sqrt(lam) / math.sqrt(s) - lam**1.5 * R**2 / s**1.5
-
     def u(self, r):
         return _u(self.lam, r)
 
     def pu(self, r):
-        return _u(self.lam, r) - self.correction
+        return _u(self.lam, r) - _u(self.lam, self.R)
 
     def dlam_pu(self, r):
-        return _du_dlam(self.lam, r) - self.dlam_correction
+        return _du_dlam(self.lam, r) - _du_dlam(self.lam, self.R)
 
 
 def g(lam, r):
@@ -108,14 +99,14 @@ _LQ_CLOSED_FORMS = {
 }
 
 
-def _ladder_integrals(h, R: float) -> dict:
+def _ladder_integrals(h, R: float, lams) -> dict:
     """Every ball integral calculus_verdict reads, 4 pi int_0^R f(r) r^2 dr
-    for each lam of ``B3_LAMS``, as arrays over the ladder: all on one
-    radial rule (that of the largest lam, which resolves every smaller
+    for each of the increasing ``lams``, as arrays over the ladder: all on
+    one radial rule (that of the largest lam, which resolves every smaller
     bubble), with H_a(0, .) (``h``) evaluated once on its nodes and U,
     dlam U, U' and dlam U' as (lam, node) arrays."""
-    lams = B3_LAMS[:, None]
-    nodes, wts = radial_quadrature_rule(float(B3_LAMS[-1]), R)
+    nodes, wts = radial_quadrature_rule(float(lams[-1]), R)
+    lams = lams[:, None]
     hv = h(nodes)
     u, du = _u(lams, nodes), _du_dlam(lams, nodes)
     u4 = u**4
@@ -159,7 +150,8 @@ def calculus_verdict(a_const: float, R: float) -> tuple[list, bool]:
     """The bubble-calculus verdict at constant coefficient a_const.
 
     Rows (name, kind, value, target, rel_err), every ball integral from one
-    ``_ladder_integrals`` pass over ``B3_LAMS`` with H_a(0, .) of a_const:
+    ``_ladder_integrals`` pass with H_a(0, .) of a_const over the ladder
+    lam = ``B3_LAMS`` / L, L = min(R, |a_const|^{-1/2}) (R at a_const = 0):
     the B3 coefficients, each identity of ``_B3_IDENTITIES`` scaled by
     its lam power and fitted quadratically in its abscissa over the ladder
     (a ``leading`` row and, where judged, a ``subleading`` row); the sharp
@@ -169,16 +161,18 @@ def calculus_verdict(a_const: float, R: float) -> tuple[list, bool]:
     form at the largest of those rungs, with the largest rel_err over them.
     A row's rel_err is taken against its target, or, where that is 0 (a
     subleading row at a_const = 0), against its identity's leading target.
-    Passes when every ``closed form`` rel_err is within ``CLOSED_FORM_TOL``
-    and every other one within ``VERDICT_TOL``.
+    Passes when ``failed_rows`` names none.  The abscissa ln lam/lam is
+    read as ln(lam L)/lam, so the verdict on the ball s R with a_const/s^2
+    is the one on R with a_const.
     """
     cg = ga_center(RadialCoefficient.constant_coeff(a_const), R)
     phi = cg.phi_a_at_0
-    vals = _ladder_integrals(cg.h, R)
-    abscissae = {"1/lam": B3_LAMS**-1.0, "ln lam/lam": np.log(B3_LAMS) / B3_LAMS}
+    lams = B3_LAMS / (min(R, abs(a_const) ** -0.5) if a_const else R)
+    vals = _ladder_integrals(cg.h, R, lams)
+    abscissae = {"1/lam": lams**-1.0, "ln lam/lam": np.log(B3_LAMS) / lams}
     rows = []
     for name, power, x, lead, n, sub in _B3_IDENTITIES:
-        y = vals[name] * B3_LAMS**power
+        y = vals[name] * lams**power
         c0, c1, _ = richardson_fit(list(zip(abscissae[x], y)), quadratic=True)
         lead_tgt = lead * phi**n
         judged = [("leading", c0, lead_tgt)]
@@ -188,10 +182,10 @@ def calculus_verdict(a_const: float, R: float) -> tuple[list, bool]:
             rows.append((name, kind, val, tgt,
                          abs(val - tgt) / max(abs(tgt) or abs(lead_tgt), 1e-12)))
 
-    lams = B3_LAMS[::2]
+    every_other = lams[::2]
 
     def limit(per_lam):
-        return richardson_fit(list(zip(1 / lams, per_lam[::2])))[0]
+        return richardson_fit(list(zip(1 / every_other, per_lam[::2])))[0]
 
     # int over R^3 of g dlam U at lam = 1, on the rule for [0, 1] after r = s/(1-s)
     s, w = radial_quadrature_rule(1.0, 1.0)
@@ -199,18 +193,23 @@ def calculus_verdict(a_const: float, R: float) -> tuple[list, bool]:
     g_dlam_u = 4.0 * math.pi * float(w @ (g(1.0, r) * _du_dlam(1.0, r) * (r / (1.0 - s)) ** 2))
     for name, val, tgt in (
         ("int g dlam U", g_dlam_u, 2 * math.pi * (3 - math.pi)),
-        ("lam^2 int U^4 (dlam U)^2", limit(B3_LAMS**2 * vals["U4_dlamU2"]), math.pi**2 / 64),
+        ("lam^2 int U^4 (dlam U)^2", limit(lams**2 * vals["U4_dlamU2"]), math.pi**2 / 64),
         ("int |grad PU|^2", limit(vals["grad_PU2"]), 3 * math.pi**2 / 4),
-        ("lam^2 int |grad dlam PU|^2", limit(vals["grad_dlamPU2"] * B3_LAMS**2),
+        ("lam^2 int |grad dlam PU|^2", limit(vals["grad_dlamPU2"] * lams**2),
          15 * math.pi**2 / 64),
     ):
         rows.append((name, "constant", val, tgt, abs(val - tgt) / abs(tgt)))
 
     for q, closed in _LQ_CLOSED_FORMS.items():
         norms = vals[f"U{q}"][::2] ** (1.0 / q)
-        exact = [closed(l, l * R) ** (1.0 / q) for l in lams]
+        exact = [closed(l, l * R) ** (1.0 / q) for l in every_other]
         err = max(abs(v - e) / e for v, e in zip(norms, exact))
         rows.append((f"L^{q} norm", "closed form", norms[-1], exact[-1], err))
-    passed = all(err <= (CLOSED_FORM_TOL if kind == "closed form" else VERDICT_TOL)
-                 for _, kind, _, _, err in rows)
-    return rows, passed
+    return rows, not failed_rows(rows)
+
+
+def failed_rows(rows) -> list[str]:
+    """"name kind" of every verdict row whose rel_err is above its bound:
+    ``CLOSED_FORM_TOL`` for a ``closed form`` row, else ``VERDICT_TOL``."""
+    return [f"{name} {kind}" for name, kind, _, _, err in rows
+            if not err <= (CLOSED_FORM_TOL if kind == "closed form" else VERDICT_TOL)]

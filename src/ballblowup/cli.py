@@ -133,7 +133,7 @@ class RunConfig:
     def problem(self, eps: float) -> solver.ProblemConfig:
         """The rung of this run at ``eps``."""
         return solver.ProblemConfig(
-            domain=greenfn.BallDomain(self.R),
+            R=self.R,
             a=self.coefficient("a"),
             V=self.coefficient("V"),
             eps=eps,
@@ -373,7 +373,14 @@ def cmd_verify(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["check", "value", "target", "passed"])
             writer.writerows(report.rows())
-    return EXIT_OK if report.all_passed else EXIT_VERIFICATION
+    return _verdict([check for check, _, _, passed in report.rows() if not passed])
+
+
+def _verdict(failed: list) -> int:
+    """EXIT_OK, or EXIT_VERIFICATION with a stderr line naming ``failed``."""
+    if failed:
+        print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
+    return EXIT_VERIFICATION if failed else EXIT_OK
 
 
 def cmd_bubbletest(args) -> int:
@@ -387,7 +394,7 @@ def cmd_bubbletest(args) -> int:
         print(f"{name:<28}{kind:<12}{val:>14.6g}{tgt:>14.6g}{err:>10.2e}")
     if args.out:
         _emit({"rows": [list(t) for t in rows], "passed": passed}, args.out)
-    return EXIT_OK if passed else EXIT_VERIFICATION
+    return _verdict(bubble.failed_rows(rows))
 
 
 def cmd_report(args) -> int:

@@ -20,7 +20,6 @@ from scipy import optimize
 from .numkit import densify, ode_solve, radial_quadrature_rule, sph_bessel
 
 __all__ = [
-    "BallDomain",
     "RadialCoefficient",
     "CenterGreens",
     "HelmholtzSeries",
@@ -28,7 +27,6 @@ __all__ = [
     "BlowupLaws",
     "CoercivityError",
     "ResonanceError",
-    "phi0_ball",
     "ga_center",
     "critical_a",
     "qv_center",
@@ -43,17 +41,6 @@ class CoercivityError(ValueError):
 
 class ResonanceError(ValueError):
     """The operator -Delta + a is resonant (boundary solve degenerate)."""
-
-
-@dataclass(frozen=True)
-class BallDomain:
-    """Ball of radius R centered at the origin."""
-
-    R: float = 1.0
-
-    def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,11 +122,11 @@ def check_coercivity(m: Callable, R: float) -> None:
         raise CoercivityError(f"coefficient min {m_min:g} <= -pi^2/R^2 = {-lam1:g}")
 
 
-# phi_a(0) R at or below this counts as zero, i.e. a as critical.  ga_center
-# integrates at tol 1e-12; at R = 0.5, 1, 1.25 and 2 it reads at most 3.8e-13
-# at the closed form a* = -pi^2/(4R^2) and 3.2e-13 at critical_a(R), so the
-# bound sits three orders above that noise; since d phi_a(0)/da = R/2 at a*,
-# it admits only constants within ~2e-9 / R^2 of a*.
+# |phi_a| R at or below this counts as zero (at the center: a is critical),
+# and so does |Hessian| R^3 in na_scan.  At R = 0.5, 1, 1.25 and 2 ga_center
+# reads at most 3.8e-13 at a* = -pi^2/(4R^2) and 3.2e-13 at critical_a(R),
+# three orders below; since d phi_a(0)/da = R/2 at a*, it admits only
+# constants within ~2e-9 / R^2 of a*.
 _CRITICAL_PHI = 1e-9
 
 
@@ -173,45 +160,36 @@ class CenterGreens:
         return self.v(r) / r
 
     def h(self, r):
-        """H_a(0, r) = (1 - v(r))/r.  Below r = 1e-5, where that quotient
+        """H_a(0, r) = (1 - v(r))/r.  Below r = 1e-5 R, where that quotient
         cancels, its Taylor series phi - (a/2) r + (a phi/6) r^2 takes over
         (phi = phi_a(0), a = a(0))."""
         phi, a0 = self.phi_a_at_0, self.a_at_0
-        return _taylor_bridged(
+        return self._taylor_bridged(
             r, lambda s: phi - 0.5 * a0 * s + (a0 * phi / 6.0) * s**2,
             lambda s: (1.0 - self.v(s)) / s,
         )
 
     def dh(self, r):
         """The radial derivative of H_a(0, r): -v'/r - (1 - v)/r^2, and the
-        derivative of ``h``'s Taylor series below r = 1e-5."""
+        derivative of ``h``'s Taylor series below r = 1e-5 R."""
         phi, a0 = self.phi_a_at_0, self.a_at_0
 
         def exact(s):
             _, v, vp = self._state(s)
             return -vp / s - (1.0 - v) / s**2
 
-        return _taylor_bridged(r, lambda s: -0.5 * a0 + (a0 * phi / 3.0) * s, exact)
+        return self._taylor_bridged(r, lambda s: -0.5 * a0 + (a0 * phi / 3.0) * s, exact)
 
-
-def _taylor_bridged(r, series, exact):
-    """``series`` at the radii below 1e-5 and ``exact`` at the others; a
-    float at a scalar r."""
-    scalar = np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(r)
-    small = r < 1e-5
-    out[small] = series(r[small])
-    out[~small] = exact(r[~small])
-    return float(out[0]) if scalar else out
-
-
-def phi0_ball(x, R: float) -> float:
-    """Diagonal of the regular part for a = 0: R/(R^2 - |x|^2)."""
-    nx = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    if nx >= R:
-        raise ValueError("point must be interior")
-    return R / (R**2 - nx**2)
+    def _taylor_bridged(self, r, series, exact):
+        """``series`` at the radii below 1e-5 R and ``exact`` at the others;
+        a float at a scalar r."""
+        scalar = np.ndim(r) == 0
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        out = np.empty_like(r)
+        small = r < 1e-5 * self.R
+        out[small] = series(r[small])
+        out[~small] = exact(r[~small])
+        return float(out[0]) if scalar else out
 
 
 def _solve_v(a: RadialCoefficient, R: float):
@@ -283,9 +261,8 @@ _SERIES_ORDERS = np.arange(200)
 # Hessian's cross-check.
 HESSIAN_STEP = 1e-3
 HESSIAN_CROSS_TOL = 1e-6
-# na_scan: grid points on [0, 0.9 R], and the |phi_a| that counts as a zero.
+# na_scan: grid points on [0, 0.9 R].
 SCAN_POINTS = 46
-ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -349,8 +326,8 @@ class HelmholtzSeries:
 
         Computed two ways: Richardson finite differences on the profile, and
         the rho^2 coefficient of the series (l = 0 and l = 1 terms).  The two
-        must agree to ``HESSIAN_CROSS_TOL``; by radial symmetry the Hessian
-        matrix is this value times the identity.
+        must agree to ``HESSIAN_CROSS_TOL`` max(|Hessian|, R^-3); by radial
+        symmetry the Hessian matrix is this value times the identity.
         """
         # Finite-difference route (Richardson on central differences of the
         # even profile, phi(-h) = phi(h)), its step a fixed share of R, so
@@ -368,7 +345,7 @@ class HelmholtzSeries:
         c2 = -k * (ratios[0] * (-(k**2) / 3.0) + 3 * ratios[1] * (k**2 / 9.0))
         series_val = 2.0 * c2
 
-        if abs(fd - series_val) > HESSIAN_CROSS_TOL * max(1.0, abs(series_val)):
+        if abs(fd - series_val) > HESSIAN_CROSS_TOL * max(self.R**-3, abs(series_val)):
             raise RuntimeError(
                 f"hessian cross-check failed: fd={fd:.8g} series={series_val:.8g}"
             )
@@ -412,13 +389,13 @@ class BlowupLaws:
     @property
     def alpha_slope(self) -> float:
         """The eps-slope of alpha - 1, (4/3 pi^3) phi_0(0) |Q_V(0)| / |a(0)|."""
-        phi0 = phi0_ball([0.0, 0.0, 0.0], self.cg.R)
+        phi0 = 1.0 / self.cg.R  # the a = 0 diagonal R/(R^2 - |x|^2) at x = 0
         return 4.0 / (3.0 * math.pi**3) * phi0 * abs(self.qv0) / abs(self.cg.a_at_0)
 
     @property
     def beta(self) -> float:
         """The limit of beta, (16/3 pi)(phi_a(0) - phi_0(0)) at phi_a(0) = 0."""
-        return -16.0 * phi0_ball([0.0, 0.0, 0.0], self.cg.R) / (3.0 * math.pi)
+        return -16.0 * (1.0 / self.cg.R) / (3.0 * math.pi)
 
     @property
     def gamma(self) -> float:
@@ -449,29 +426,25 @@ def na_scan(series: HelmholtzSeries) -> CriticalityReport:
 
     The series gives the whole grid on [0, 0.9 R] in one evaluation, every
     step of the Brent refinement of a sign change (scipy's ``brentq`` to
-    xtol 1e-12) and the Hessian at a zero at the center.
+    xtol 1e-12) and the Hessian at a zero at the center.  A grid value with
+    |phi_a| R <= ``_CRITICAL_PHI`` is a zero, and a sign change next to it
+    is not a second one.
     """
-    grid = np.linspace(0.0, 0.9 * series.R, SCAN_POINTS)
+    R = series.R
+    grid = np.linspace(0.0, 0.9 * R, SCAN_POINTS)
     vals = series.h_diag(grid)
-    zeros: list[float] = []
-    if abs(vals[0]) <= ZERO_TOL:
-        zeros.append(0.0)
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            zeros.append(optimize.brentq(series.h_diag, float(grid[i]), float(grid[i + 1]),
-                                         xtol=1e-12, rtol=4 * np.finfo(float).eps))
-
-    hess = None
-    nondeg = False
-    if zeros and zeros[0] == 0.0:
-        hess = series.hessian
-        nondeg = abs(hess) > 1e-10
-
+    at_zero = np.abs(vals) * R <= _CRITICAL_PHI
+    zeros: list[float] = grid[at_zero].tolist()
+    for i in np.flatnonzero((vals[:-1] * vals[1:] < 0) & ~at_zero[:-1] & ~at_zero[1:]):
+        zeros.append(optimize.brentq(series.h_diag, float(grid[i]), float(grid[i + 1]),
+                                     xtol=1e-12, rtol=4 * np.finfo(float).eps))
+    zeros.sort()
+    hess = series.hessian if zeros and zeros[0] == 0.0 else None
     return CriticalityReport(
         zeros=zeros,
         hessian=hess,
-        critical=bool(zeros) and all(v >= -ZERO_TOL for v in vals),
+        critical=bool(zeros) and bool(np.all(vals * R >= -_CRITICAL_PHI)),
         negative_on_zeros=bool(zeros),  # a = -k^2 < 0 everywhere
-        nondegenerate=nondeg,
+        nondegenerate=hess is not None and abs(hess) * R**3 > _CRITICAL_PHI,
         phi_at_0=float(vals[0]),
     )

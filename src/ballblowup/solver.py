@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .greenfn import BallDomain, BlowupLaws, RadialCoefficient, blowup_laws, check_coercivity
+from .greenfn import BlowupLaws, RadialCoefficient, blowup_laws, check_coercivity
 from .numkit import OdeTrajectory, densify, ode_solve, radial_quadrature_rule
 
 __all__ = [
@@ -53,11 +53,12 @@ class NoBracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """One rung.  ``ode_tol`` is the integrations' relative tolerance;
-    ``shoot_tol`` bounds |u(R)| and any dip of u below 0, and a Newton step
-    that no longer halves ends the root solve once it is below shoot_tol M."""
+    """One rung on the ball of radius ``R``.  ``ode_tol`` is the
+    integrations' relative tolerance; ``shoot_tol`` bounds |u(R)| and any dip
+    of u below 0, and a Newton step that no longer halves ends the root
+    solve once it is below shoot_tol M."""
 
-    domain: BallDomain = field(default_factory=BallDomain)
+    R: float = 1.0
     a: RadialCoefficient = field(
         default_factory=lambda: RadialCoefficient.constant_coeff(-math.pi**2 / 4)
     )
@@ -69,9 +70,11 @@ class ProblemConfig:
     ode_tol: float = 1e-12
 
     def __post_init__(self):
+        if not self.R > 0:
+            raise ValueError("radius must be positive")
         if self.eps < 0:
             raise ValueError("eps must be >= 0")
-        check_coercivity(self.m, self.domain.R)  # a table off [0, R] raises
+        check_coercivity(self.m, self.R)  # a table off [0, R] raises
 
     def m(self, r):
         return np.asarray(self.a(r)) + self.eps * np.asarray(self.V(r))
@@ -123,7 +126,7 @@ class RadialSolution:
 
     @property
     def R(self) -> float:
-        return self.config.domain.R
+        return self.config.R
 
     def _state_at(self, r):
         """(u, u') at r, vectorized over any shape; at r <= delta the center
@@ -245,7 +248,7 @@ def _integrate(Ms, cfgs, tol_floor: float = 0.0):
     sqrt(delta) (u, u/2 + r u') of the series and its M-derivative, at an
     atol of tol 1e-2 sqrt(delta), below rtol |w| at the center, and runs
     always to R, also past an interior zero of w, without dense output."""
-    R = cfgs[0].domain.R
+    R = cfgs[0].R
     a, V, epss = cfgs[0].a, cfgs[0].V, [cfg.eps for cfg in cfgs]
     ms, exact = zip(*(cfg.m_center() for cfg in cfgs))
     delta = min(_START_SCALE / max(1.0, max(Ms) ** 2), *exact)
@@ -267,7 +270,7 @@ def _count(tally: Counter, phase: str, traj) -> None:
     tally[phase + "_steps"] += len(traj.nodes) - 1
 
 
-# center heights a rung's bracket scan covers, and its geometric factor
+# the center heights a rung's bracket scan covers, as M R^{1/2}, and its factor
 _M_SCAN = (0.5, 1e4)
 _SCAN_FACTOR = 1.3
 
@@ -275,23 +278,25 @@ _SCAN_FACTOR = 1.3
 def _find_bracket(cfgs, tallies) -> list[tuple[float, float] | NoBracketError]:
     """Per rung of ``cfgs``, a bracket (M, 1.3 M) of a sign change of its
     endpoint map u(R; M), or the NoBracketError it failed with.  The rungs
-    scan the heights 0.5 1.3^k up to 1e4 (``_M_SCAN``) together, one stacked
-    shooting integration a height, read past any interior zero, each rung
-    leaving at its first sign change; each integration is counted under
-    "bracket" in the ``tallies`` of the rungs it carries.  A rung whose
-    constant m = a + eps V >= -pi^2/(4 R^2) fails before any integration:
-    the ball then has no positive solution (Brezis & Nirenberg, Comm. Pure
-    Appl. Math. 36, 1983)."""
+    scan the heights R^{-1/2} 0.5 1.3^k up to R^{-1/2} 1e4 (``_M_SCAN``)
+    together, one stacked shooting integration a height, read past any
+    interior zero, each rung leaving at its first sign change; each
+    integration is counted under "bracket" in the ``tallies`` of the rungs
+    it carries.  A rung whose constant m = a + eps V >= -pi^2/(4 R^2) fails
+    before any integration: the ball then has no positive solution (Brezis
+    & Nirenberg, Comm. Pure Appl. Math. 36, 1983)."""
     out: list = [None] * len(cfgs)
     for k, cfg in enumerate(cfgs):
         if cfg.a.is_constant and cfg.V.is_constant:
             m = cfg.a.constant + cfg.eps * cfg.V.constant
-            bound = -math.pi**2 / (4.0 * cfg.domain.R**2)
+            bound = -math.pi**2 / (4.0 * cfg.R**2)
             if m >= bound:
                 out[k] = NoBracketError(f"no positive solution: constant a + eps V = {m:.6g}"
                                         f" >= -pi^2/(4 R^2) = {bound:.6g}")
-    M_lo, M_hi = _M_SCAN
     live = [k for k, b in enumerate(out) if b is None]
+    if not live:
+        return out
+    M_lo, M_hi = (M / math.sqrt(cfgs[0].R) for M in _M_SCAN)
     prev, M, f_prev = None, M_lo, {}  # rung -> R^{1/2} u(R; prev), of u(R)'s sign
     while live:
         traj, _ = _integrate([M] * len(live), [cfgs[k] for k in live])
@@ -393,7 +398,7 @@ def _pde_residual(sol_obj: "RadialSolution") -> float:
     No probe goes below delta, where the t-form weights the r-form equation
     by r^{5/2} <= (1e-2/lam)^{5/2} and the center series applies."""
     cfg = sol_obj.config
-    t = np.linspace(math.log(sol_obj.delta), math.log(0.98 * cfg.domain.R), 60)
+    t = np.linspace(math.log(sol_obj.delta), math.log(0.98 * cfg.R), 60)
     r = np.exp(t)
     w, v = sol_obj.dense(t)
     f = np.array([v + 0.5 * w, (np.asarray(cfg.m(r)) * r**2 - 3.0 * w**4) * w - 0.5 * v])
@@ -525,13 +530,13 @@ def solve_ladder(
     """
     cfgs = list(cfgs)
     for cfg in cfgs[1:]:
-        if cfg.domain != cfgs[0].domain or not (_same_coefficient(cfg.a, cfgs[0].a)
-                                                and _same_coefficient(cfg.V, cfgs[0].V)):
+        if cfg.R != cfgs[0].R or not (_same_coefficient(cfg.a, cfgs[0].a)
+                                      and _same_coefficient(cfg.V, cfgs[0].V)):
             raise ValueError("the rungs of a ladder must share R, a and V")
     laws = None
     if any(cfg.eps > 0 for cfg in cfgs):
         try:
-            laws = blowup_laws(cfgs[0].a, cfgs[0].V, cfgs[0].domain.R)
+            laws = blowup_laws(cfgs[0].a, cfgs[0].V, cfgs[0].R)
         except ValueError as e:  # CoercivityError or ResonanceError of a alone
             laws = e
     sols = _solve(cfgs, [Counter() for _ in cfgs], laws)
@@ -580,7 +585,7 @@ def greens_rep_residual(u: RadialSolution) -> float:
     F = nodes * (3.0 * uv**5 - cfg.eps * np.asarray(cfg.V(nodes)) * uv)  # the reduced source
     z1v, z2v = cg.homogeneous_pair(nodes)
     g1, g2 = wts * z1v * F, wts * z2v * F
-    probes = np.array([0.3, 0.5, 0.7]) * cfg.domain.R
+    probes = np.array([0.3, 0.5, 0.7]) * cfg.R
     z1p, z2p = cg.homogeneous_pair(probes)
     reps = [(z2 * float(np.sum(g1[nodes <= rp])) + z1 * float(np.sum(g2[nodes > rp]))) / rp
             for rp, z1, z2 in zip(probes.tolist(), z1p, z2p)]

@@ -8,7 +8,7 @@ from scipy import integrate
 
 from ballblowup.asympt import records_from_sweep
 from ballblowup.cli import DEFAULT_PROBES
-from ballblowup.greenfn import BallDomain, RadialCoefficient, blowup_laws, ga_center
+from ballblowup.greenfn import RadialCoefficient, blowup_laws, ga_center
 from ballblowup.solver import ProblemConfig, solve_ladder
 
 CRITICAL_A = -math.pi**2 / 4.0
@@ -29,7 +29,7 @@ def const(c):
 
 def make_config(eps, V_const=-1.0, a_const=CRITICAL_A, R=1.0):
     return ProblemConfig(
-        domain=BallDomain(R),
+        R=R,
         a=const(a_const),
         V=const(V_const),
         eps=eps,

@@ -55,7 +55,7 @@ def _integrands(lam, h):
 @pytest.fixture(scope="module")
 def ladder_m1():
     """The verdict's one pass at a = -1 on the unit ball."""
-    return _ladder_integrals(ga_center(const(-1.0), 1.0).h, 1.0)
+    return _ladder_integrals(ga_center(const(-1.0), 1.0).h, 1.0, B3_LAMS)
 
 
 class TestPointwise:
@@ -102,10 +102,11 @@ class TestProjectedBubble:
         assert pb.pu(1.0) == 0.0
 
     def test_f_residual_decay(self):
-        # correction - lam^{-1/2}/R = -lam^{-5/2}/(2 R^3) + O(lam^{-9/2})
+        # the correction U - PU = U(R), and U(R) - lam^{-1/2}/R =
+        # -lam^{-5/2}/(2 R^3) + O(lam^{-9/2})
         for lam in (1e2, 1e3):
             pb = CenterProjectedBubble(lam, 1.0)
-            residual = pb.correction - 1.0 / (math.sqrt(lam) * pb.R)
+            residual = pb.u(0.0) - pb.pu(0.0) - 1.0 / (math.sqrt(lam) * pb.R)
             assert residual * lam**2.5 == pytest.approx(-0.5, rel=2e-4)
 
     def test_grad_norm_limit(self, ladder_m1):
@@ -278,7 +279,7 @@ class TestB3Suite:
         # largest lam, against each lam's own rule and its own evaluation of
         # H, to 1e-13 relative
         cg = ga_center(const(-1.0), R)
-        batched = _ladder_integrals(cg.h, R)
+        batched = _ladder_integrals(cg.h, R, B3_LAMS)
         for k, lam in enumerate(B3_LAMS):
             integrands = _integrands(lam, cg.h)
             assert integrands.keys() == batched.keys()
@@ -358,7 +359,7 @@ class TestRuleAgainstOracle:
             return 2 * np.sin(k * r / 2) ** 2 / r
 
         (index,) = np.flatnonzero(B3_LAMS == lam)
-        vals = _ladder_integrals(h, R)
+        vals = _ladder_integrals(h, R, B3_LAMS)
         for name, f in _integrands(lam, h).items():
             oracle = 4 * math.pi * quad_oracle(lambda r: f(r) * r * r, 0.0, R)
             assert vals[name][index] == pytest.approx(oracle, rel=1e-10, abs=0), name

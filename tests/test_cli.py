@@ -241,14 +241,13 @@ class TestScalarCommands:
         assert out.strip() == "False"
 
     def test_small_ball(self, tmp_path, capsys):
-        # R = 0.5 with no probes given: no command refuses the config, and a
-        # sweep verifies at the critical a of that ball.  bubbletest judges
-        # its own a = -1 there (its U4_dlamU_H subleading row reads 1.05e-2)
+        # R = 0.5 with no probes given: no command refuses the config, a
+        # sweep verifies at the critical a of that ball, and bubbletest
+        # passes at its own a = -1 there
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"R": 0.5}))
-        for cmd in ("critical", "qv", "greens", "solve"):
+        for cmd in ("critical", "qv", "greens", "solve", "bubbletest"):
             assert main([cmd, "--config", str(cfg_path)]) == EXIT_OK, cmd
-        assert main(["bubbletest", "--config", str(cfg_path)]) in (EXIT_OK, EXIT_VERIFICATION)
         rec_path = tmp_path / "r.jsonl"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(rec_path)]) == EXIT_OK
         assert main(["verify", "--config", str(cfg_path), "--records", str(rec_path)]) == EXIT_OK
@@ -746,8 +745,10 @@ class TestVerify:
         report = asympt.build_report(bad, canonical_laws)
         assert [c for c, _, _, passed in report.rows() if not passed] == [check]
         assert main(["verify", "--records", write_records(tmp_path, bad)]) == EXIT_VERIFICATION
-        fails = [l[2:24].strip() for l in capsys.readouterr().out.splitlines() if "FAIL" in l]
+        out, err = capsys.readouterr()
+        fails = [l[2:24].strip() for l in out.splitlines() if "FAIL" in l]
         assert fails == [check]
+        assert err == f"verification failed: {check}\n"
 
     @pytest.mark.parametrize("scale", [1.0, 1.02])
     def test_csv_is_the_report(self, tmp_path, canonical_records, canonical_laws, scale):
@@ -799,7 +800,7 @@ class TestBubbletest:
         out = capsys.readouterr().out
         assert "U5_H" in out and "rel err" in out
 
-    def test_off_coefficient_fails(self, tmp_path, monkeypatch):
+    def test_off_coefficient_fails(self, tmp_path, monkeypatch, capsys):
         # int U^4 H^2 2% high on every rung: its fitted leading coefficient
         # is 2% off its target
         integrals = bubble._ladder_integrals
@@ -816,6 +817,8 @@ class TestBubbletest:
         assert rows["passed"] is False
         (row,) = [r for r in rows["rows"] if r[:2] == ["U4_H2", "leading"]]
         assert row[4] == pytest.approx(0.02, abs=1e-3)
+        # one stderr line names the failed row
+        assert capsys.readouterr().err == "verification failed: U4_H2 leading\n"
 
     @pytest.mark.parametrize("R", [1.0, 2.0])
     def test_row_format(self, tmp_path, R):

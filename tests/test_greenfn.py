@@ -14,11 +14,11 @@ from ballblowup.greenfn import (
     HelmholtzSeries,
     RadialCoefficient,
     ResonanceError,
+    blowup_laws,
     check_coercivity,
     critical_a,
     ga_center,
     na_scan,
-    phi0_ball,
     qv_center,
 )
 from ballblowup.numkit import sph_bessel
@@ -44,15 +44,14 @@ class TestG0Ball:
         assert np.max(np.abs(ga_center(const(0.0), 1.0).g(rs) - (1 / rs - 1.0))) <= 1e-11
 
 
-class TestPhi0Ball:
-    def test_center(self):
-        assert phi0_ball([0, 0, 0], 1.0) == pytest.approx(1.0, rel=1e-14, abs=0)
-
-    def test_half_radius(self):
-        assert phi0_ball([0.5, 0, 0], 1.0) == pytest.approx(4.0 / 3.0, rel=1e-14, abs=0)
-
-    def test_radially_increasing(self):
-        assert phi0_ball([0.2, 0, 0], 1.0) < phi0_ball([0.4, 0, 0], 1.0)
+class TestBetaTarget:
+    @pytest.mark.parametrize("R", [0.5, 2.0])
+    def test_phi0_center_is_inverse_radius(self, R):
+        # beta -> (16/3 pi)(phi_a(0) - phi_0(0)) at phi_a(0) = 0, with
+        # phi_0(0) = 1/R the center value of the a = 0 diagonal R/(R^2 - |x|^2)
+        laws = blowup_laws(const(CRIT / R**2), const(-1.0 / R**2), R)
+        assert laws.beta == pytest.approx(-16 / (3 * math.pi * R), rel=1e-15, abs=0)
+        assert laws.gamma == pytest.approx(128 / (15 * math.pi * R), rel=1e-15, abs=0)
 
 
 class TestGaCenter:
@@ -65,7 +64,6 @@ class TestGaCenter:
     def test_zero_coefficient(self):
         cg = ga_center(const(0.0), 1.0)
         assert cg.phi_a_at_0 == pytest.approx(1.0, abs=1e-11)
-        assert cg.phi_a_at_0 == pytest.approx(phi0_ball([0, 0, 0], 1.0), abs=1e-11)
 
     def test_minus_one(self):
         cg = ga_center(const(-1.0), 1.0)

@@ -15,7 +15,6 @@ from ballblowup.asympt import build_report, records_from_sweep
 from ballblowup.bubble import calculus_verdict
 from ballblowup.cli import DEFAULT_PROBES, EXIT_OK, main
 from ballblowup.greenfn import (
-    BallDomain,
     BlowupLaws,
     RadialCoefficient,
     HelmholtzSeries,
@@ -87,7 +86,7 @@ def test_tabulated_v(name, critical_cg):
     V, a = RadialCoefficient(values=V_of(knots, np), abscissae=knots), const(CRITICAL_A)
     assert qv_center(V, critical_cg) == pytest.approx(exact, rel=bound, abs=0)
     sols = [s for _, s in solve_ladder(
-        [ProblemConfig(domain=BallDomain(1.0), a=a, V=V, eps=eps) for eps in EPS_LADDER])]
+        [ProblemConfig(R=1.0, a=a, V=V, eps=eps) for eps in EPS_LADDER])]
     report = build_report(records_from_sweep(sols, DEFAULT_PROBES),
                           BlowupLaws(critical_cg, exact))
     assert report.all_passed, list(report.rows())

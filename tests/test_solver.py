@@ -13,7 +13,7 @@ from scipy import integrate
 from ballblowup import greenfn, solver
 from ballblowup.asympt import build_report, fit_bubble, records_from_sweep
 from ballblowup.cli import DEFAULT_PROBES
-from ballblowup.greenfn import BallDomain, BlowupLaws, RadialCoefficient, ga_center, qv_center
+from ballblowup.greenfn import BlowupLaws, RadialCoefficient, ga_center, qv_center
 from ballblowup.numkit import OdeTrajectory, densify, ode_solve, radial_quadrature_rule
 from ballblowup.solver import (
     SOBOLEV_CONSTANT,
@@ -105,7 +105,7 @@ class TestTaylorStart:
         # The table's cubic matters: with m(0) alone the table reads 3.5e-9
         # (u) and 1.2e-4 (u') at M = 0.5
         a, eps = const(CRITICAL_A), 0.3
-        m, _ = ProblemConfig(domain=BallDomain(1.0), a=a, V=V, eps=eps).m_center()
+        m, _ = ProblemConfig(R=1.0, a=a, V=V, eps=eps).m_center()
         old, delta = (s / max(1.0, M**2) for s in (1e-6, 1e-2))
         c = m[0] * M - 3.0 * M**5
 
@@ -121,7 +121,7 @@ class TestTaylorStart:
     def test_sensitivity_start(self, M):
         # (z, z') = d(u, u')/dM at the start against a central difference in
         # M, step 1e-5 M; they read <= 5.1e-12 and 2.0e-10
-        m, _ = ProblemConfig(domain=BallDomain(1.0), a=const(CRITICAL_A), V=TABLE_41,
+        m, _ = ProblemConfig(R=1.0, a=const(CRITICAL_A), V=TABLE_41,
                              eps=0.3).m_center()
         delta, h = 1e-2 / max(1.0, M**2), 1e-5 * M
         z = taylor_start(M, m, delta)[2:]
@@ -134,7 +134,7 @@ class TestTaylorStart:
         # starts there, where the cubic of the series is still the spline
         r = np.linspace(0.0, 1.0, 257)
         V = RadialCoefficient(values=-3 * np.exp(-8 * r**2), abscissae=r)
-        cfg = ProblemConfig(domain=BallDomain(1.0), a=const(CRITICAL_A), V=V, eps=0.05)
+        cfg = ProblemConfig(R=1.0, a=const(CRITICAL_A), V=V, eps=0.05)
         for M in (0.5, 5.0, 20.0):
             _, delta = solver._integrate([M], [cfg])
             assert delta == min(1e-2 / max(1.0, M**2), r[1])
@@ -148,7 +148,7 @@ def _endpoint(M, cfg):
     """The endpoint map u(R; M) = R^{-1/2} w(ln R; M) of one shooting
     integration from the center height M, past any interior zero."""
     traj, _ = solver._integrate([M], [cfg])
-    return traj.states[-1, 0] / math.sqrt(cfg.domain.R)
+    return traj.states[-1, 0] / math.sqrt(cfg.R)
 
 
 class TestShoot:
@@ -173,7 +173,7 @@ class TestShoot:
         # map still reads R^{-1/2} w(ln R) of the plain shooting integration;
         # the bracket scan finds its sign change, one integration a height
         R = 2.0
-        cfg = ProblemConfig(domain=BallDomain(R), a=const(CRITICAL_A / R**2),
+        cfg = ProblemConfig(R=R, a=const(CRITICAL_A / R**2),
                             V=const(-1.0 / R**2), eps=0.05)
         traj, _ = solver._integrate([30.0], [cfg])
         assert traj.nodes[-1] == math.log(R)
@@ -181,7 +181,8 @@ class TestShoot:
         tally = Counter()
         ((lo, hi),) = solver._find_bracket([cfg], [tally])
         assert hi == 1.3 * lo and _endpoint(lo, cfg) > 0 > _endpoint(hi, cfg)
-        assert tally["bracket"] == round(math.log(lo / 0.5) / math.log(1.3)) + 2
+        # the scan starts at M = 0.5 R^{-1/2}
+        assert tally["bracket"] == round(math.log(lo * math.sqrt(R) / 0.5) / math.log(1.3)) + 2
 
     def test_monotone_profile(self, canonical_solutions):
         u = canonical_solutions[0]
@@ -249,7 +250,7 @@ class TestSolveProfile:
         # sides, whose spline reads exactly -1: the constant-coefficient root
         # bit for bit
         V = RadialCoefficient(values=[-1.0] * 5, abscissae=np.linspace(0.0, 1.0, 5))
-        cfg = ProblemConfig(domain=BallDomain(1.0), a=const(CRITICAL_A), V=V, eps=0.05)
+        cfg = ProblemConfig(R=1.0, a=const(CRITICAL_A), V=V, eps=0.05)
         s = solve_profile(cfg)
         assert s.M == sol_005.M
         assert abs(s.diagnostics["endpoint"]) <= cfg.shoot_tol
@@ -320,7 +321,7 @@ class TestNewton:
     def test_emden_fowler_bubble(self, lam):
         # m = 0: the bubble of height M = lam^{1/2} is w = (2 cosh s)^{-1/2},
         # s = t + 2 ln M, and z = dw/dM = -(2/M) sinh s (2 cosh s)^{-3/2}
-        cfg = ProblemConfig(domain=BallDomain(1.0), a=const(0.0), V=const(0.0))
+        cfg = ProblemConfig(R=1.0, a=const(0.0), V=const(0.0))
         M = math.sqrt(lam)
         traj, _ = solver._integrate([M], [cfg])
         assert traj.nodes[-1] == 0.0
@@ -396,7 +397,7 @@ class TestRateLawSeed:
         # the rate law is no seed; the scan path is cheaper than a start
         # from the law's height and lands on the same root
         a, V, eps = const(-3.0), const(-1.0), 0.05
-        cfg = ProblemConfig(domain=BallDomain(1.0), a=a, V=V, eps=eps)
+        cfg = ProblemConfig(R=1.0, a=a, V=V, eps=eps)
         s = solve_profile(cfg)
         assert s.diagnostics["seed"] == "scan"
         cg = ga_center(a, 1.0)  # the laws as if a were critical
@@ -412,7 +413,7 @@ class TestRateLawSeed:
         # lockstep from their brackets, in <= 15 integrations a rung, the
         # last, of <= 90 steps, its profile's
         for V in (1.0, -1.0):
-            cfgs = [ProblemConfig(domain=BallDomain(1.0), a=const(-3.0), V=const(V), eps=eps)
+            cfgs = [ProblemConfig(R=1.0, a=const(-3.0), V=const(V), eps=eps)
                     for eps in (0.08, 0.05, 0.02)]
             for M, (_, s) in zip(_scan_path(cfgs), solve_ladder(cfgs)):
                 assert s.diagnostics["seed"] == "scan"
@@ -470,7 +471,7 @@ class TestRateLawSeed:
         # (Brezis & Nirenberg 1983), so no bracket is scanned
         shots = []
         monkeypatch.setattr(solver, "_integrate", lambda *args, **kw: shots.append(args))
-        cfg = ProblemConfig(domain=BallDomain(1.0), a=const(a), V=const(-1.0), eps=0.04)
+        cfg = ProblemConfig(R=1.0, a=const(a), V=const(-1.0), eps=0.04)
         with pytest.raises(solver.NoBracketError, match=r"no positive solution.*-pi\^2/\(4 R\^2\)"):
             solve_profile(cfg)
         assert shots == []
@@ -483,7 +484,7 @@ TABLE_V = RadialCoefficient(values=-(1 + 2 * TABLE_R**2), abscissae=TABLE_R)
 def _ladder_cfgs(V, R=1.0):
     """The standard ladder for critical a on radius R."""
     return [
-        ProblemConfig(domain=BallDomain(R), a=const(CRITICAL_A / R**2), V=V, eps=eps)
+        ProblemConfig(R=R, a=const(CRITICAL_A / R**2), V=V, eps=eps)
         for eps in EPS_LADDER
     ]
 
@@ -645,7 +646,7 @@ class TestSolveLadder:
         # a = -3, V = +1's rung eps = 0.02 a batch before the others
         if ladder.startswith("a=-3"):
             V = const(-1.0 if ladder.endswith("-1") else 1.0)
-            cfgs = [ProblemConfig(domain=BallDomain(1.0), a=const(-3.0), V=V, eps=eps)
+            cfgs = [ProblemConfig(R=1.0, a=const(-3.0), V=V, eps=eps)
                     for eps in (0.08, 0.05, 0.02)]
         else:
             cfgs = [make_config(eps / (32 if ladder == "x32" else 1)) for eps in EPS_LADDER]
@@ -792,7 +793,7 @@ class TestSolveLadder:
         def table():
             return RadialCoefficient(values=-(1 + 2 * TABLE_R**2), abscissae=TABLE_R.copy())
 
-        cfgs = [ProblemConfig(domain=BallDomain(1.0), a=const(CRITICAL_A), V=table(), eps=eps)
+        cfgs = [ProblemConfig(R=1.0, a=const(CRITICAL_A), V=table(), eps=eps)
                 for eps in (0.04, 0.02)]
         assert all(isinstance(s, RadialSolution) for _, s in solve_ladder(cfgs))
 
@@ -1105,12 +1106,12 @@ class TestGreensRepresentation:
 class TestConfigGuards:
     def test_negative_eps(self):
         with pytest.raises(ValueError):
-            ProblemConfig(domain=BallDomain(1.0), a=const(CRITICAL_A),
+            ProblemConfig(R=1.0, a=const(CRITICAL_A),
                           V=const(-1.0), eps=-0.1)
 
     def test_coercivity_guard(self):
         with pytest.raises(ValueError):
-            ProblemConfig(domain=BallDomain(1.0), a=const(CRITICAL_A),
+            ProblemConfig(R=1.0, a=const(CRITICAL_A),
                           V=const(-1.0), eps=8.0)
 
     def test_eps_zero_refused_by_solver(self):
