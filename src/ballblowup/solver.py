@@ -7,17 +7,18 @@ The center height is found by Newton on the endpoint map u(R; M), its
 derivative carried by the variational equation as two extra states of a lean
 shooting integration (shooting with sensitivities).  Shooting integrates in
 the Emden-Fowler variables t = ln r, w = r^{1/2} u, in which M only shifts a
-bubble, so the steps do not shrink as M grows; they start in its core, from
-the center power series.  Where the rate law eps lam -> 4 pi^2 |a(0)| /
-|Q_V(0)| applies, Newton starts from its height (lam ~ M^2); elsewhere, and
-where that start fails, from the lower end of a bracket that a scan of the
-same endpoint map finds.  The profile (w, v = r^{3/2} u') is read off the
-Newton integration a rung stops on, its rows densified (``numkit.densify``)
-and carried by the last step s: (w, w' - w/2) + s (z, z' - z/2), to first
-order in s.  It is sampled once on the package's one radial rule
-(``numkit.radial_quadrature_rule``) for every quadrature integral.  One
-driver solves an eps ladder's rungs in lockstep, stacked into one
-integration per Newton iteration (``solve_ladder``).
+bubble, so the steps do not shrink as M grows; they start in its core, at
+lam r = 0.1, from the center power series.  Where the rate law
+eps lam -> 4 pi^2 |a(0)| / |Q_V(0)| applies, Newton starts from its height
+(lam ~ M^2); elsewhere, and where that start fails, from the lower end of a
+bracket that a scan of the same endpoint map finds; its tolerance tightens
+only as fast as its error falls.  The profile (w, v = r^{3/2} u') is read
+off the Newton integration a rung stops on, its rows densified
+(``numkit.densify``) and carried by the last step s: (w, w' - w/2) +
+s (z, z' - z/2), to first order in s.  It is sampled once on the package's
+one radial rule (``numkit.radial_quadrature_rule``) for every quadrature
+integral.  One driver solves an eps ladder's rungs in lockstep, stacked into
+one integration per Newton iteration (``solve_ladder``).
 """
 
 from __future__ import annotations
@@ -177,9 +178,9 @@ class RadialSolution:
 
 
 # Integrations start at lam delta = _START_SCALE in the bubble's core, where
-# the center series' terms fall by 1e-4 a power of r^2: degree 12 is roundoff.
-_START_SCALE = 1e-2
-_SERIES_DEGREE = 12
+# the center series' terms fall by ~5e-3 a power of r^2: degree 16 is roundoff.
+_START_SCALE = 1e-1
+_SERIES_DEGREE = 16
 
 
 def taylor_start(M: float, m, r):
@@ -238,16 +239,17 @@ def _rhs(a, V, epss):
     return rhs
 
 
-def _integrate(Ms, cfgs, tol_floor: float = 0.0):
+def _integrate(Ms, cfgs, tol_floor: float = 0.0, sensitivities: bool = True):
     """Integrate the rungs ``cfgs`` from their center series at heights
     ``Ms`` to R in one stacked solve in t = ln r, from ln delta to ln R;
-    return its trajectory and the start delta = 1e-2 / max(1, max(M)^2), at
+    return its trajectory and the start delta = 1e-1 / max(1, max(M)^2), at
     most a table's first knot interval.  The rungs share delta and so one
     step sequence, and a and V (``solve_ladder``'s contract); each keeps an
     rtol of tol = max(ode_tol, ``tol_floor``).  The system starts from
     sqrt(delta) (u, u/2 + r u') of the series and its M-derivative, at an
     atol of tol 1e-2 sqrt(delta), below rtol |w| at the center, and runs
-    always to R, also past an interior zero of w, without dense output."""
+    always to R, also past an interior zero of w, without dense output;
+    without ``sensitivities``, z and z' are left out of the error control."""
     R = cfgs[0].R
     a, V, epss = cfgs[0].a, cfgs[0].V, [cfg.eps for cfg in cfgs]
     ms, exact = zip(*(cfg.m_center() for cfg in cfgs))
@@ -258,7 +260,8 @@ def _integrate(Ms, cfgs, tol_floor: float = 0.0):
         u0, up0, z0, zp0 = taylor_start(M, m, delta)
         y0 += [math.sqrt(delta) * x for x in (u0, u0 / 2 + delta * up0, z0, z0 / 2 + delta * zp0)]
     rtol = np.repeat([max(cfg.ode_tol, tol_floor) for cfg in cfgs], 4)
-    return ode_solve(_rhs(a, V, epss), y0, span, rtol, atol=rtol * 1e-2 * math.sqrt(delta)), delta
+    atol = rtol * np.tile([1.0, 1.0] + [1.0 if sensitivities else math.inf] * 2, len(cfgs))
+    return ode_solve(_rhs(a, V, epss), y0, span, rtol, atol=atol * 1e-2 * math.sqrt(delta)), delta
 
 
 _PHASES = ("bracket", "root")
@@ -279,12 +282,13 @@ def _find_bracket(cfgs, tallies) -> list[tuple[float, float] | NoBracketError]:
     """Per rung of ``cfgs``, a bracket (M, 1.3 M) of a sign change of its
     endpoint map u(R; M), or the NoBracketError it failed with.  The rungs
     scan the heights R^{-1/2} 0.5 1.3^k up to R^{-1/2} 1e4 (``_M_SCAN``)
-    together, one stacked shooting integration a height, read past any
-    interior zero, each rung leaving at its first sign change; each
-    integration is counted under "bracket" in the ``tallies`` of the rungs
-    it carries.  A rung whose constant m = a + eps V >= -pi^2/(4 R^2) fails
-    before any integration: the ball then has no positive solution (Brezis
-    & Nirenberg, Comm. Pure Appl. Math. 36, 1983)."""
+    together, one stacked shooting integration a height, z and z' out of its
+    error control, read past any interior zero, each rung leaving at its
+    first sign change; each integration is counted under "bracket" in the
+    ``tallies`` of the rungs it carries.  A rung whose constant
+    m = a + eps V >= -pi^2/(4 R^2) fails before any integration: the ball
+    then has no positive solution (Brezis & Nirenberg, Comm. Pure Appl.
+    Math. 36, 1983)."""
     out: list = [None] * len(cfgs)
     for k, cfg in enumerate(cfgs):
         if cfg.a.is_constant and cfg.V.is_constant:
@@ -299,7 +303,7 @@ def _find_bracket(cfgs, tallies) -> list[tuple[float, float] | NoBracketError]:
     M_lo, M_hi = (M / math.sqrt(cfgs[0].R) for M in _M_SCAN)
     prev, M, f_prev = None, M_lo, {}  # rung -> R^{1/2} u(R; prev), of u(R)'s sign
     while live:
-        traj, _ = _integrate([M] * len(live), [cfgs[k] for k in live])
+        traj, _ = _integrate([M] * len(live), [cfgs[k] for k in live], sensitivities=False)
         for k, f in zip(live, traj.states[-1, ::4].tolist()):
             _count(tallies[k], "bracket", traj)
             if f_prev.get(k, f) * f < 0:  # no sign change at the first height
@@ -313,6 +317,7 @@ def _find_bracket(cfgs, tallies) -> list[tuple[float, float] | NoBracketError]:
 
 
 _LOOSE_TOL = 1e-9  # tol floor of each Newton call's first integration
+_FLOOR_LAW = 3e-4  # the second's is _FLOOR_LAW / (lam R)^2, at most _LOOSE_TOL
 _NEWTON_STEPS = 12  # Newton steps a rung may take
 
 
@@ -326,58 +331,74 @@ class _Root(NamedTuple):
     delta: float
 
 
-def _newton(cfgs, Ms, windows, tallies) -> list[_Root | None]:
+def _newton(cfgs, Ms, windows, tallies) -> list[_Root | str]:
     """Newton on the endpoint maps u(R; M) = R^{-1/2} w(ln R; M) of all
     rungs at once, with du(R)/dM from the variational states, integrated to
     R also past an interior zero (an iterate just above the root crosses
     zero at r0 ~ R).  Each rung starts from its entry of ``Ms`` and leaves
     the batch once it stops.
 
-    The first integration runs at tol max(ode_tol, 1e-9), an inexact step
-    far from the root; every later one, and every step a rung stops on, at
-    ode_tol.  A rung stops after taking a step s with |s| <= 1e-9 M, or with
+    The tolerance tightens only as fast as the error falls (inexact Newton:
+    Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  The first
+    integration runs at tol max(ode_tol, 1e-9), a step far from the root.
+    An integration at tol leaves the root off by a noise floor that grows
+    like tol (lam R)^2, lam = max(M)^2; the second runs at 3e-4 / (lam R)^2
+    (``_FLOOR_LAW``), which leaves the iterate about 3e-8 off, and every
+    later one at ode_tol.  A loose step stops no rung, and the first ode_tol
+    batch after a loose second one ends a rung whose step s has
+    |s| <= shoot_tol M and whose |u(R)| <= shoot_tol: the profile, carried
+    to first order in s, is then off by about 2.5 (s/M)^2, at roundoff.
+    Otherwise a rung stops on a step with |s| <= 1e-9 M, or with
     K (s/M)^2 <= 1e-12 (quadratic convergence leaves a negligible next step;
     K = r_k / r_{k-1}^2 from its last two relative steps at ode_tol), or at
-    the noise floor of its root: the integration error in u(R) fixes the
-    root only to about 1e-12 / |du(R)/dM|, which passes 1e-9 M for lam above
-    ~1e4, so a step that no longer halves while |s| <= shoot_tol M also ends
-    it.  The batch a rung stops on, densified (``numkit.densify``) for the
-    rungs that stop there only, is its profile.  Returns per rung its
-    ``_Root``, or None when the slope is not negative, an iterate leaves its
-    window, or there is no convergence in ``_NEWTON_STEPS`` steps;
+    the noise floor of its root: that passes 1e-9 M for lam above ~1e4, so
+    a step that no longer halves while |s| <= shoot_tol M also ends it.  The
+    batch a rung stops on, densified (``numkit.densify``) for the rungs that
+    stop there only, is its profile.  Returns per rung its ``_Root``, or why
+    it found none: its steps, its last relative step, and whether the slope
+    was not negative, an iterate left its window or the steps ran out;
     ``tallies[k]`` counts rung k's integrations.
     """
     Ms = list(Ms)
-    roots: list[_Root | None] = [None] * len(Ms)
+    roots: list = [None] * len(Ms)
     prev = [math.inf] * len(Ms)
     rel: list[float | None] = [None] * len(Ms)  # last relative step at ode_tol
+    last, loose = [math.nan] * len(Ms), [False] * len(Ms)  # last relative step, tol > ode_tol
+    fail = "{} steps, last relative step {:.2g}; {}".format
     active = list(range(len(Ms)))
     for it in range(_NEWTON_STEPS):
         if not active:
             break
+        lam_R = max(Ms[k] for k in active) ** 2 * cfgs[0].R
+        floor = (_LOOSE_TOL, min(_LOOSE_TOL, _FLOOR_LAW / lam_R**2), 0.0)[min(it, 2)]
         traj, delta = _integrate([Ms[k] for k in active], [cfgs[k] for k in active],
-                                 tol_floor=_LOOSE_TOL if it == 0 else 0.0)
+                                 tol_floor=floor)
         ends = traj.states[-1].tolist()
         running, stopped = [], []  # stopped: (column of its rows, rung, ran, step)
         for j, k in enumerate(active):
             _count(tallies[k], "root", traj)
             wR, zR = ends[4 * j], ends[4 * j + 2]  # R^{1/2} u(R) and R^{1/2} du(R)/dM
             if not zR < 0.0:
+                roots[k] = fail(it, last[k], "the slope was not negative")
                 continue
             ran, step = Ms[k], -wR / zR
             M = Ms[k] = ran + step
+            r = last[k] = abs(step) / M
             lo, hi = windows[k]
             if not lo < M < hi:
+                roots[k] = fail(it + 1, r, "an iterate left the bracket")
                 continue
             prev_step, prev[k] = prev[k], abs(step)
-            if it == 0 and cfgs[k].ode_tol < _LOOSE_TOL:  # a loose step stops no rung
+            fold, loose[k] = loose[k] and it > 1, floor > cfgs[k].ode_tol
+            if loose[k]:  # a loose step stops no rung
                 running.append(k)
                 continue
-            r, r_prev = abs(step) / M, rel[k]
-            rel[k] = r
+            r_prev, rel[k] = rel[k], r
             quadratic = r_prev is not None and r**3 <= 1e-12 * r_prev**2  # K r^2 <= 1e-12
-            stalled = abs(step) > 0.5 * prev_step and abs(step) <= cfgs[k].shoot_tol * M
-            if abs(step) <= 1e-9 * M or quadratic or stalled:
+            small = abs(step) <= cfgs[k].shoot_tol * M
+            stalled = small and abs(step) > 0.5 * prev_step
+            fold = fold and small and abs(wR) <= cfgs[k].shoot_tol * math.sqrt(cfgs[k].R)
+            if abs(step) <= 1e-9 * M or quadratic or stalled or fold:
                 stopped.append((4 * j, k, ran, step))
             else:
                 running.append(k)
@@ -387,6 +408,8 @@ def _newton(cfgs, Ms, windows, tallies) -> list[_Root | None]:
             for i, (_, k, ran, step) in enumerate(stopped):
                 roots[k] = _Root(ran, step, rows.rows(slice(4 * i, 4 * i + 4)), delta)
         active = running
+    for k in active:
+        roots[k] = fail(_NEWTON_STEPS, last[k], "the steps ran out")
     return roots
 
 
@@ -396,7 +419,7 @@ def _pde_residual(sol_obj: "RadialSolution") -> float:
     0.98 R, dy/dt the interpolant's own and f = (v + w/2, (m r^2 - 3 w^4) w
     - v/2) with the config's m, written out rather than read from ``_rhs``.
     No probe goes below delta, where the t-form weights the r-form equation
-    by r^{5/2} <= (1e-2/lam)^{5/2} and the center series applies."""
+    by r^{5/2} <= (1e-1/lam)^{5/2} and the center series applies."""
     cfg = sol_obj.config
     t = np.linspace(math.log(sol_obj.delta), math.log(0.98 * cfg.R), 60)
     r = np.exp(t)
@@ -475,7 +498,7 @@ def _solve(cfgs, tallies, laws) -> list[RadialSolution | Exception]:
             found = _newton([cfgs[k] for k in live], starts,
                             [tuple(f * s for f in _LAW_WINDOW) for s in starts],
                             [tallies[k] for k in live])
-            roots = {k: (r, "rate_law") for k, r in zip(live, found) if r is not None}
+            roots = {k: (r, "rate_law") for k, r in zip(live, found) if isinstance(r, _Root)}
         cold = [k for k in live if k not in roots]
         for k, b in zip(cold, _find_bracket([cfgs[k] for k in cold], [tallies[k] for k in cold])):
             if isinstance(b, NoBracketError):
@@ -485,11 +508,11 @@ def _solve(cfgs, tallies, laws) -> list[RadialSolution | Exception]:
         found = _newton([cfgs[k] for k in brackets], [lo for lo, _ in brackets.values()],
                         list(brackets.values()), [tallies[k] for k in brackets])
         for k, r in zip(brackets, found):
-            if r is None:
-                out[k] = RuntimeError("Newton found no root in the bracket "
-                                      "[{:.6g}, {:.6g}]".format(*brackets[k]))
-            else:
+            if isinstance(r, _Root):
                 roots[k] = (r, "scan")
+            else:
+                out[k] = RuntimeError("Newton found no root in the bracket "
+                                      "[{:.6g}, {:.6g}]: {}".format(*brackets[k], r))
         done = sorted(roots)
         if done:
             found, seeds = zip(*(roots[k] for k in done))

@@ -80,9 +80,9 @@ class TestTaylorStart:
 
     def test_massless_series(self):
         # m = 0: the series is the bubble M (1 + M^4 r^2)^{-1/2} to roundoff
-        # at the start, where lam delta = 1e-2
+        # at the start, where lam delta = 1e-1
         for M in (0.5, 1.7, 20.0, 160.0):
-            r = 1e-2 / max(1.0, M**2)
+            r = 1e-1 / max(1.0, M**2)
             x = 1.0 + M**4 * r**2
             u, up = taylor_start(M, 0.0, r)[:2]
             assert u == pytest.approx(M * x**-0.5, rel=1e-15, abs=0)
@@ -100,13 +100,14 @@ class TestTaylorStart:
     @pytest.mark.parametrize("M", [0.5, 20.0, 160.0])
     @pytest.mark.parametrize("V", [const(-1.0), TABLE_41], ids=["constant", "table"])
     def test_matches_r_form(self, V, M):
-        # the series at the start against scipy's DOP853 in r at rtol 1e-13
-        # from the two-term start at 1e-6 / max(1, M^2); they read <= 2.7e-15.
-        # The table's cubic matters: with m(0) alone the table reads 3.5e-9
-        # (u) and 1.2e-4 (u') at M = 0.5
+        # the series at the start, capped at the table's first knot
+        # interval, against scipy's DOP853 in r at rtol 1e-13 from the
+        # two-term start at 1e-6 / max(1, M^2); they read <= 3.5e-15.
+        # The table's cubic matters: with m(0) alone the table reads 1.4e-7
+        # (u) and 7.6e-4 (u') at M = 0.5
         a, eps = const(CRITICAL_A), 0.3
-        m, _ = ProblemConfig(R=1.0, a=a, V=V, eps=eps).m_center()
-        old, delta = (s / max(1.0, M**2) for s in (1e-6, 1e-2))
+        m, span = ProblemConfig(R=1.0, a=a, V=V, eps=eps).m_center()
+        old, delta = (min(s / max(1.0, M**2), span) for s in (1e-6, 1e-1))
         c = m[0] * M - 3.0 * M**5
 
         def rhs(r, y):
@@ -120,24 +121,24 @@ class TestTaylorStart:
     @pytest.mark.parametrize("M", [0.5, 20.0, 160.0])
     def test_sensitivity_start(self, M):
         # (z, z') = d(u, u')/dM at the start against a central difference in
-        # M, step 1e-5 M; they read <= 5.1e-12 and 2.0e-10
+        # M, step 1e-5 M; they read <= 8.0e-12 and 1.8e-10
         m, _ = ProblemConfig(R=1.0, a=const(CRITICAL_A), V=TABLE_41,
                              eps=0.3).m_center()
-        delta, h = 1e-2 / max(1.0, M**2), 1e-5 * M
+        delta, h = 1e-1 / max(1.0, M**2), 1e-5 * M
         z = taylor_start(M, m, delta)[2:]
         hi, lo = (taylor_start(M + s, m, delta)[:2] for s in (h, -h))
         for got, x, y in zip(z, hi, lo):
             assert got == pytest.approx((x - y) / (2 * h), rel=1e-8, abs=0)
 
     def test_start_within_first_knot_interval(self):
-        # a 257-knot table's first piece ends at 1/256 < 1e-2: a low rung
+        # a 257-knot table's first piece ends at 1/256 < 1e-1: a low rung
         # starts there, where the cubic of the series is still the spline
         r = np.linspace(0.0, 1.0, 257)
         V = RadialCoefficient(values=-3 * np.exp(-8 * r**2), abscissae=r)
         cfg = ProblemConfig(R=1.0, a=const(CRITICAL_A), V=V, eps=0.05)
         for M in (0.5, 5.0, 20.0):
             _, delta = solver._integrate([M], [cfg])
-            assert delta == min(1e-2 / max(1.0, M**2), r[1])
+            assert delta == min(1e-1 / max(1.0, M**2), r[1])
         coefs, span = V.center_polynomial()
         assert span == r[1]
         x = np.linspace(0.0, span, 9)
@@ -275,7 +276,7 @@ class TestPdeResidual:
     does not solve, and an interpolant that is off its steps."""
 
     @pytest.mark.parametrize("change", [
-        pytest.param(lambda c: {"eps": 1.001 * c.eps}, id="eps-x1.001"),  # reads 2.5e-8
+        pytest.param(lambda c: {"eps": 1.001 * c.eps}, id="eps-x1.001"),  # reads 2.4e-8
         pytest.param(lambda c: {"a": const(c.a.constant + 1e-6)}, id="a-plus-1e-6"),  # 4.9e-9
     ])
     def test_wrong_coefficient_fails(self, canonical_solutions, change):
@@ -285,7 +286,7 @@ class TestPdeResidual:
         assert solver._pde_residual(judged) > 1e-9
 
     def test_perturbed_interpolant_fails(self, canonical_solutions):
-        # every step's F[0] = y_new - y_old scaled by 1 + 1e-8: reads 3.7e-9
+        # every step's F[0] = y_new - y_old scaled by 1 + 1e-8: reads 3.6e-9
         sol = canonical_solutions[-1]
         F = sol.dense.F.copy()
         F[0] *= 1 + 1e-8
@@ -343,12 +344,39 @@ class TestNewton:
     def test_scan_agrees_with_rate_law(self, canonical_solutions, monkeypatch):
         # the same ladder without the rate law: every rung scans, and Newton
         # from the brackets lands on the rate-law roots; the deepest rung
-        # reads 2.6e-9
+        # reads 3.1e-9
         monkeypatch.setattr(BlowupLaws, "outside", property(lambda laws: "no seed"))
         sols = [s for _, s in solve_ladder([s.config for s in canonical_solutions])]
         for s_law, s in zip(canonical_solutions, sols):
             assert s.diagnostics["seed"] == "scan"
             assert s_law.M == pytest.approx(s.M, rel=1e-7)
+
+    @pytest.mark.parametrize("eps", [0.005, 0.000625])
+    def test_noise_floor_law(self, eps):
+        # one Newton step at tol 1e-9 from the root lands on the loose root,
+        # off by 4e-4 tau (lam R)^2 relative, lam = M^2, to within 3x: it
+        # reads 4.0e-4 and 4.3e-4 at lam = 3.1e3 and 2.5e4 (1.1e-4 and
+        # 0.8e-4 from the start at lam delta = 1e-2).  The second Newton
+        # integration's tol 3e-4 / (lam R)^2 rests on this floor
+        cfg = make_config(eps)
+        M = solve_profile(cfg).M
+        traj, _ = solver._integrate([M], [cfg], tol_floor=1e-9)
+        w, _, z, _ = traj.states[-1]
+        assert 1 / 3 <= abs(w / z) / M / (4e-4 * 1e-9 * M**4) <= 3
+
+    def test_failed_newton_names_its_floor(self, monkeypatch):
+        # x128's deepest rung, lam ~ 4e5: at tol 1e-9 the loose root is
+        # noise, and the first step from the bracket leaves it; a = -3
+        # with two Newton steps allowed runs out of them
+        why = r"; (the steps ran out|an iterate left the bracket|the slope was not negative)$"
+        with pytest.raises(RuntimeError, match=r"^Newton found no root in the bracket "
+                           r"\[596\.267, 775\.147\]: 1 steps, last relative step \S+" + why) as e:
+            solve_profile(make_config(0.005 / 128))
+        assert e.match("an iterate left the bracket")
+        monkeypatch.setattr(solver, "_NEWTON_STEPS", 2)
+        with pytest.raises(RuntimeError, match=r": 2 steps, last relative step \S+; the steps "
+                           r"ran out$"):
+            solve_profile(ProblemConfig(R=1.0, a=const(-3.0), V=const(-1.0), eps=0.05))
 
     def test_bad_seed_falls_back(self, canonical_solutions):
         # a start the window Newton fails from: the scan finds the root
@@ -558,25 +586,29 @@ class TestSolveLadder:
             assert fit_bubble(s)[1] == pytest.approx(fit_bubble(scalar)[1], rel=1e-7)
 
     def test_canonical_integrations(self, canonical_solutions):
-        # one loose and two full-tolerance lockstep Newton batches, the last
-        # of them each rung's profile, read off the rungs; no rung falls
-        # back.  In t = ln r from the center series at 1e-2 / max(M)^2 the
-        # batches take 50 + 113 + 113 steps.
+        # two loose and one full-tolerance lockstep Newton batches, the last
+        # each rung's profile, read off the rungs; no rung falls back.  In
+        # t = ln r from the center series at 1e-1 / max(M)^2 the batches
+        # take 45 + 68 + 102 steps.
         for s in canonical_solutions:
             assert s.diagnostics["seed"] == "rate_law"
             assert s.diagnostics["shoot_integrations"] == {"bracket": 0, "root": 3}
-            assert s.diagnostics["shoot_steps"] == {"bracket": 0, "root": 276}
-            assert len(s.dense.nodes) - 1 == 113
+            assert s.diagnostics["shoot_steps"] == {"bracket": 0, "root": 215}
+            assert len(s.dense.nodes) - 1 == 102
 
     def test_newton_tolerances(self, monkeypatch):
-        # the first Newton integration at tol 1e-9, the second and third at
-        # ode_tol = 1e-12, all lean, the third's rows densified after the
-        # rungs stop on it; each atol is tol 1e-2 sqrt(delta),
-        # delta = 1e-2 / max(M)^2
+        # the first Newton integration at tol 1e-9, the second at
+        # 3e-4 / (lam R)^2 = 3e-2 delta^2 (lam = max(M)^2 = 1e-1 / delta,
+        # R = 1), the third at ode_tol = 1e-12, all lean, the third's rows
+        # densified after the rungs stop on it; each atol is
+        # tol 1e-2 sqrt(delta), delta = 1e-1 / max(M)^2
         calls = _record(monkeypatch, solver)
         list(solve_ladder(_ladder_cfgs(const(-1.0))))
         tols = [(traj.F, set(args[3].tolist())) for args, _, traj in calls]
-        assert tols == [(None, {1e-9}), (None, {1e-12}), (None, {1e-12})]
+        (_, (loose,)) = tols[1]
+        assert tols == [(None, {1e-9}), (None, {loose}), (None, {1e-12})]
+        assert loose == pytest.approx(3e-2 * math.exp(2 * calls[1][0][2][0]), rel=1e-12)
+        assert 1e-12 < loose < 1e-9
         for args, kwargs, _ in calls:
             root_delta = math.exp(args[2][0] / 2)  # the span starts at ln delta
             assert np.allclose(kwargs["atol"], args[3] * 1e-2 * root_delta, rtol=1e-12, atol=0)
@@ -612,12 +644,12 @@ class TestSolveLadder:
             assert s.M == root.ran + root.step == canonical_solutions[k].M
 
     def test_newton_stops_from_the_roots(self, canonical_solutions, monkeypatch):
-        # started at the canonical roots, the loose first step moves each
-        # rung by 4e-8 to 9e-7 M; eps = 0.04 stops on the next batch, at its
-        # noise floor, and the others on the one after, by |s| <= 1e-9 M.
-        # Each batch is densified for the rungs that stop on it only, and
-        # the roots agree with the start to the stop rule's 1e-9: they read
-        # <= 3.4e-10
+        # started at the canonical roots, the two loose steps move each rung
+        # off by the noise floor of its tolerance, and every rung stops on
+        # the first full-tolerance batch, its step below shoot_tol M and its
+        # endpoint below shoot_tol.  That batch is densified once for them
+        # all, and the roots agree with the start to 1e-9: they read
+        # <= 9.7e-11
         calls = _record(monkeypatch, solver)
         densified = []
         monkeypatch.setattr(solver, "densify", lambda traj, rhs, cols: densified.append(
@@ -627,22 +659,64 @@ class TestSolveLadder:
         roots = solver._newton([s.config for s in canonical_solutions], Ms,
                                [(0.7 * M, 1.45 * M) for M in Ms], tallies)
         assert [traj.F for *_, traj in calls] == [None] * 3
-        assert densified == [(2, 4), (3, 12)]
-        assert [t["root"] for t in tallies] == [2, 3, 3, 3]
+        assert densified == [(3, 16)]
+        assert [t["root"] for t in tallies] == [3, 3, 3, 3]
         for root, M in zip(roots, Ms):
             assert root.ran + root.step == pytest.approx(M, rel=1e-9, abs=0)
 
+    def test_canonical_residuals_at_roundoff(self, canonical_solutions):
+        # the profile carries Newton's last step s to first order, so its
+        # identities carry about 2.5 (s/M)^2: ending on |s| <= shoot_tol M
+        # keeps them at roundoff (they read <= 2.4e-14 and 1.3e-14; ending
+        # on |s| <= 1e-5 M read 2.2e-12)
+        for s in canonical_solutions:
+            assert s.energy_identity_residual <= 1e-13
+            assert s.diagnostics["pohozaev_residual"] <= 1e-13
+
+    def test_last_steps_after_the_loose_batch(self, canonical_solutions, monkeypatch):
+        # the second Newton integration, at tol 3e-4 / (lam R)^2, leaves each
+        # rung about 3e-8 off: the steps the rungs end on read <= 1.8e-8 M,
+        # inside the shoot_tol M that lets the first full batch end them
+        _, roots = _finalized(monkeypatch, [s.config for s in canonical_solutions])
+        for root in roots:
+            assert abs(root.step) <= 3e-8 * (root.ran + root.step)
+
+    @pytest.mark.parametrize("ladder, ceilings", [
+        ("a=-3,V=-1", [882] * 3),
+        ("a=-3,V=+1", [892, 892, 814]),
+        ("-(1+2r^2)", [274] * 4),
+        ("-3exp(-8r^2)", [271] * 4),
+        ("1-4cos^2", [268] * 4),
+    ], ids=["a=-3,V=-1", "a=-3,V=+1", "-(1+2r^2)", "-3exp(-8r^2)", "1-4cos^2"])
+    def test_step_ceilings(self, ladder, ceilings):
+        # shooting steps a rung, scan and Newton together, at most the counts
+        # of the start at lam delta = 1e-2 with a full-tolerance second
+        # batch and a fully controlled scan (the canonical and x8 ladders
+        # are pinned by test_canonical_integrations and
+        # TestAccuracy::test_deep_ladder_newton_batches)
+        if ladder.startswith("a=-3"):
+            V = const(-1.0 if ladder.endswith("-1") else 1.0)
+            cfgs = [ProblemConfig(R=1.0, a=const(-3.0), V=V, eps=eps)
+                    for eps in (0.08, 0.05, 0.02)]
+        else:
+            r = np.linspace(0.0, 1.0, 41)
+            V = {"-(1+2r^2)": -(1 + 2 * r**2), "-3exp(-8r^2)": -3 * np.exp(-8 * r**2),
+                 "1-4cos^2": 1 - 4 * np.cos(np.pi * r / 2) ** 2}[ladder]
+            cfgs = _ladder_cfgs(RadialCoefficient(values=V, abscissae=r))
+        steps = [sum(s.diagnostics["shoot_steps"].values()) for _, s in solve_ladder(cfgs)]
+        assert all(n <= cap for n, cap in zip(steps, ceilings, strict=True))
+
     @pytest.mark.parametrize("ladder, densified", [
         ("canonical", [(3, 16)]),
-        ("x32", [(3, 8), (7, 4), (10, 4)]),
+        ("x32", [(3, 8), (6, 4), (9, 4)]),
         ("a=-3,V=-1", [(5, 12)]),
         ("a=-3,V=+1", [(3, 4), (4, 8)]),
     ], ids=["canonical", "x32", "a=-3,V=-1", "a=-3,V=+1"])
     def test_densify_the_stopping_rungs(self, ladder, densified, monkeypatch):
         # every integration is lean; the Newton batch a rung stops on is
         # densified afterwards for the rungs that stop there only, as
-        # (Newton integrations so far, columns): x32's deep rungs (lam ~ 5e4,
-        # 1e5) stop at their noise floor, on the 7th and 10th batch, and
+        # (Newton integrations so far, columns): x32's deep rungs (lam ~ 1e5,
+        # 5e4) stop at their noise floor, on the 6th and 9th batch, and
         # a = -3, V = +1's rung eps = 0.02 a batch before the others
         if ladder.startswith("a=-3"):
             V = const(-1.0 if ladder.endswith("-1") else 1.0)
@@ -850,9 +924,9 @@ class TestAccuracy:
 
     def test_profile_matches_r_form(self, canonical_solutions, x8):
         # eps = 0.005 and 0.000625, on the rule nodes above delta; they read
-        # <= 1.4e-12 (u) and 1.9e-11 (u') of the sups.  u' peaks at
-        # lam r ~ 0.014, from the cancellation in w' - w/2 of the Newton
-        # rows; beyond lam r = 1 it reads <= 4.6e-13
+        # <= 9.5e-13 (u) and 8.5e-12 (u') of the sups.  u' peaks at
+        # lam r ~ 0.12, just above the start, from the cancellation in
+        # w' - w/2 of the Newton rows; beyond lam r = 1 it reads <= 4.7e-13
         for s in (canonical_solutions[-1], x8[-1]):
             nodes, _ = radial_quadrature_rule(s.M**2, s.R)
             nodes = nodes[nodes > s.delta]
@@ -863,7 +937,7 @@ class TestAccuracy:
     def test_integrals_match_quad_oracle(self, canonical_solutions, x8):
         # the integrals on the profile's rule against adaptive
         # quadrature of the same dense profile, split at the bubble's scales;
-        # they read <= 6.5e-13
+        # they read <= 1.2e-13
         for s in (canonical_solutions[0], canonical_solutions[-1], x8[-1]):
             m = s.config.a.constant + s.config.eps * s.config.V.constant
             lam = s.M**2
@@ -888,9 +962,11 @@ class TestAccuracy:
         assert x8[-1].M == pytest.approx(_reference_M(x8[-1].config), rel=2.5e-7)
 
     def test_deep_ladder_newton_batches(self, x8):
+        # 3 batches of 266 steps in all (295 from the start at lam delta = 1e-2)
         for s in x8:
             assert s.diagnostics["seed"] == "rate_law"
             assert s.diagnostics["shoot_integrations"]["root"] <= 3
+            assert s.diagnostics["shoot_steps"]["root"] <= 266
 
     def test_x32_ladder_verifies(self, canonical_laws):
         # lam up to ~1e5: eps lam still rises toward pi^3/2 and every law passes
@@ -991,7 +1067,7 @@ class TestPohozaev:
                              ids=["-(1+2r^2)", "-3exp(-8r^2)", "1-4cos^2"])
     def test_tabulated_ladder(self, V):
         # a 41-knot table's ladder satisfies the identity with its r m' term
-        # to <= 1e-10 (it reads <= 3.5e-12); without that term the ladder's
+        # to <= 1e-10 (it reads <= 4.1e-12); without that term the ladder's
         # largest residual reads 3.0e-5 to 1.3e-4
         r = np.linspace(0.0, 1.0, 41)
         sols = [s for _, s in solve_ladder(_ladder_cfgs(RadialCoefficient(values=V(r),
