@@ -272,7 +272,7 @@ class BoundEntry:
 @dataclass
 class TrendEntry:
     values: list
-    decreasing: bool
+    passed: bool
 
 
 @dataclass
@@ -343,9 +343,9 @@ class TheoremReport:
                        f"max/median <= {BOUND_FACTOR:g}", e.passed)
             elif name == "farfield":
                 yield ("farfield trend", f"{e.values[-1]:.3g}",
-                       f"decreasing, <= {FARFIELD_TOL:g}", e.decreasing)
+                       f"decreasing, <= {FARFIELD_TOL:g}", e.passed)
             elif name == "sup_w_trend":
-                yield "sup_w trend", f"{e.values[-1]:.3g}", "decreasing", e.decreasing
+                yield "sup_w trend", f"{e.values[-1]:.3g}", "decreasing", e.passed
 
 
 def verify_farfield(

@@ -389,12 +389,14 @@ def cmd_bubbletest(args) -> int:
     # critical coefficient; use a = -1 unless a non-critical constant is given.
     a_const = float(cfg.a["constant"]) if "constant" in cfg.a else -1.0
     rows, passed = bubble.calculus_verdict(a_const, cfg.R)
+    failed = bubble.failed_rows(rows)
     print(f"{'integral':<28}{'kind':<12}{'value':>14}{'target':>14}{'rel err':>10}")
     for name, kind, val, tgt, err in rows:
-        print(f"{name:<28}{kind:<12}{val:>14.6g}{tgt:>14.6g}{err:>10.2e}")
+        mark = "FAIL" if f"{name} {kind}" in failed else "PASS"
+        print(f"{name:<28}{kind:<12}{val:>14.6g}{tgt:>14.6g}{err:>10.2e}  [{mark}]")
     if args.out:
         _emit({"rows": [list(t) for t in rows], "passed": passed}, args.out)
-    return _verdict(bubble.failed_rows(rows))
+    return _verdict(failed)
 
 
 def cmd_report(args) -> int:
@@ -494,6 +496,9 @@ def main(argv=None) -> int:
         RuntimeError,
     ) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ArithmeticError as e:  # a float overflow or division by zero
+        print(f"numerical failure: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -55,9 +55,9 @@ class NoBracketError(RuntimeError):
 @dataclass(frozen=True)
 class ProblemConfig:
     """One rung on the ball of radius ``R``.  ``ode_tol`` is the
-    integrations' relative tolerance; ``shoot_tol`` bounds |u(R)| and any dip
-    of u below 0, and a Newton step that no longer halves ends the root
-    solve once it is below shoot_tol M."""
+    integrations' relative tolerance; ``shoot_tol`` bounds |u(R)|, any dip
+    of u below 0 and, relative to M, the Newton step a root solve ends on.
+    The rungs of a ladder share both (``solve_ladder``)."""
 
     R: float = 1.0
     a: RadialCoefficient = field(
@@ -244,12 +244,13 @@ def _integrate(Ms, cfgs, tol_floor: float = 0.0, sensitivities: bool = True):
     ``Ms`` to R in one stacked solve in t = ln r, from ln delta to ln R;
     return its trajectory and the start delta = 1e-1 / max(1, max(M)^2), at
     most a table's first knot interval.  The rungs share delta and so one
-    step sequence, and a and V (``solve_ladder``'s contract); each keeps an
-    rtol of tol = max(ode_tol, ``tol_floor``).  The system starts from
-    sqrt(delta) (u, u/2 + r u') of the series and its M-derivative, at an
-    atol of tol 1e-2 sqrt(delta), below rtol |w| at the center, and runs
-    always to R, also past an interior zero of w, without dense output;
-    without ``sensitivities``, z and z' are left out of the error control."""
+    step sequence, and a, V and the tolerances (``solve_ladder``'s
+    contract), at an rtol of tol = max(ode_tol, ``tol_floor``).  The system
+    starts from sqrt(delta) (u, u/2 + r u') of the series and its
+    M-derivative, at an atol of tol 1e-2 sqrt(delta), below rtol |w| at the
+    center, and runs always to R, also past an interior zero of w, without
+    dense output; without ``sensitivities``, z and z' are left out of the
+    error control."""
     R = cfgs[0].R
     a, V, epss = cfgs[0].a, cfgs[0].V, [cfg.eps for cfg in cfgs]
     ms, exact = zip(*(cfg.m_center() for cfg in cfgs))
@@ -259,9 +260,9 @@ def _integrate(Ms, cfgs, tol_floor: float = 0.0, sensitivities: bool = True):
     for M, m in zip(Ms, ms):
         u0, up0, z0, zp0 = taylor_start(M, m, delta)
         y0 += [math.sqrt(delta) * x for x in (u0, u0 / 2 + delta * up0, z0, z0 / 2 + delta * zp0)]
-    rtol = np.repeat([max(cfg.ode_tol, tol_floor) for cfg in cfgs], 4)
-    atol = rtol * np.tile([1.0, 1.0] + [1.0 if sensitivities else math.inf] * 2, len(cfgs))
-    return ode_solve(_rhs(a, V, epss), y0, span, rtol, atol=atol * 1e-2 * math.sqrt(delta)), delta
+    tol = max(cfgs[0].ode_tol, tol_floor)
+    atol = tol * np.tile([1.0, 1.0] + [1.0 if sensitivities else math.inf] * 2, len(cfgs))
+    return ode_solve(_rhs(a, V, epss), y0, span, tol, atol=atol * 1e-2 * math.sqrt(delta)), delta
 
 
 _PHASES = ("bracket", "root")
@@ -342,17 +343,14 @@ def _newton(cfgs, Ms, windows, tallies) -> list[_Root | str]:
     Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982).  The first
     integration runs at tol max(ode_tol, 1e-9), a step far from the root.
     An integration at tol leaves the root off by a noise floor that grows
-    like tol (lam R)^2, lam = max(M)^2; the second runs at 3e-4 / (lam R)^2
-    (``_FLOOR_LAW``), which leaves the iterate about 3e-8 off, and every
-    later one at ode_tol.  A loose step stops no rung, and the first ode_tol
-    batch after a loose second one ends a rung whose step s has
-    |s| <= shoot_tol M and whose |u(R)| <= shoot_tol: the profile, carried
-    to first order in s, is then off by about 2.5 (s/M)^2, at roundoff.
-    Otherwise a rung stops on a step with |s| <= 1e-9 M, or with
-    K (s/M)^2 <= 1e-12 (quadratic convergence leaves a negligible next step;
-    K = r_k / r_{k-1}^2 from its last two relative steps at ode_tol), or at
-    the noise floor of its root: that passes 1e-9 M for lam above ~1e4, so
-    a step that no longer halves while |s| <= shoot_tol M also ends it.  The
+    like tol (lam R)^2, lam = max(M)^2; the second runs at
+    max(ode_tol, 3e-4 / (lam R)^2) (``_FLOOR_LAW``), which leaves the
+    iterate about 3e-8 off, and every later one at ode_tol.  Only a batch at
+    ode_tol stops a rung, on one of two rules: its step s has
+    |s| <= shoot_tol M and its |u(R)| <= shoot_tol, so the profile, carried
+    to first order in s, is off by about 2.5 (s/M)^2, at roundoff; or
+    K (s/M)^2 <= 1e-12, K = r_k / r_{k-1}^2 from its last two relative steps
+    at ode_tol (quadratic convergence leaves a negligible next step).  The
     batch a rung stops on, densified (``numkit.densify``) for the rungs that
     stop there only, is its profile.  Returns per rung its ``_Root``, or why
     it found none: its steps, its last relative step, and whether the slope
@@ -361,15 +359,15 @@ def _newton(cfgs, Ms, windows, tallies) -> list[_Root | str]:
     """
     Ms = list(Ms)
     roots: list = [None] * len(Ms)
-    prev = [math.inf] * len(Ms)
     rel: list[float | None] = [None] * len(Ms)  # last relative step at ode_tol
-    last, loose = [math.nan] * len(Ms), [False] * len(Ms)  # last relative step, tol > ode_tol
+    last = [math.nan] * len(Ms)  # last relative step
     fail = "{} steps, last relative step {:.2g}; {}".format
     active = list(range(len(Ms)))
     for it in range(_NEWTON_STEPS):
         if not active:
             break
-        lam_R = max(Ms[k] for k in active) ** 2 * cfgs[0].R
+        ode_tol, shoot_tol, R = cfgs[0].ode_tol, cfgs[0].shoot_tol, cfgs[0].R
+        lam_R = max(Ms[k] for k in active) ** 2 * R
         floor = (_LOOSE_TOL, min(_LOOSE_TOL, _FLOOR_LAW / lam_R**2), 0.0)[min(it, 2)]
         traj, delta = _integrate([Ms[k] for k in active], [cfgs[k] for k in active],
                                  tol_floor=floor)
@@ -388,17 +386,12 @@ def _newton(cfgs, Ms, windows, tallies) -> list[_Root | str]:
             if not lo < M < hi:
                 roots[k] = fail(it + 1, r, "an iterate left the bracket")
                 continue
-            prev_step, prev[k] = prev[k], abs(step)
-            fold, loose[k] = loose[k] and it > 1, floor > cfgs[k].ode_tol
-            if loose[k]:  # a loose step stops no rung
+            if floor > ode_tol:  # a loose step stops no rung
                 running.append(k)
                 continue
             r_prev, rel[k] = rel[k], r
             quadratic = r_prev is not None and r**3 <= 1e-12 * r_prev**2  # K r^2 <= 1e-12
-            small = abs(step) <= cfgs[k].shoot_tol * M
-            stalled = small and abs(step) > 0.5 * prev_step
-            fold = fold and small and abs(wR) <= cfgs[k].shoot_tol * math.sqrt(cfgs[k].R)
-            if abs(step) <= 1e-9 * M or quadratic or stalled or fold:
+            if (abs(step) <= shoot_tol * M and abs(wR) <= shoot_tol * math.sqrt(R)) or quadratic:
                 stopped.append((4 * j, k, ran, step))
             else:
                 running.append(k)
@@ -540,12 +533,12 @@ def solve_ladder(
     ladder order, or ``(eps, error)`` for a rung that failed; a failed rung
     does not stop the others.
 
-    The rungs share a, V and the ball, compared by value, and only eps
-    varies: a ladder that mixes them raises ValueError.  One driver
-    (``_solve``) solves them all in lockstep, with one stacked integration
-    per Newton iteration; each profile is an ``OdeTrajectory`` of its rung's
-    rows of the one it stopped on, densified (``_newton``).  The canonical
-    ladder takes 3 integrations.  Each profile's
+    The rungs share a, V, the ball and the tolerances, a and V compared by
+    value, and only eps varies: a ladder that mixes them raises ValueError.
+    One driver (``_solve``) solves them all in lockstep, with one stacked
+    integration per Newton iteration; each profile is an ``OdeTrajectory``
+    of its rung's rows of the one it stopped on, densified (``_newton``).
+    The canonical ladder takes 3 integrations.  Each profile's
     ``diagnostics["shoot_integrations"]`` and ``["shoot_steps"]`` count the
     integrations that the rung took part in and their steps.  When some
     rung has eps > 0, the ladder's ``blowup_laws`` are built once: they seed
@@ -553,9 +546,10 @@ def solve_ladder(
     """
     cfgs = list(cfgs)
     for cfg in cfgs[1:]:
-        if cfg.R != cfgs[0].R or not (_same_coefficient(cfg.a, cfgs[0].a)
-                                      and _same_coefficient(cfg.V, cfgs[0].V)):
-            raise ValueError("the rungs of a ladder must share R, a and V")
+        if ((cfg.R, cfg.ode_tol, cfg.shoot_tol) != (cfgs[0].R, cfgs[0].ode_tol, cfgs[0].shoot_tol)
+                or not (_same_coefficient(cfg.a, cfgs[0].a)
+                        and _same_coefficient(cfg.V, cfgs[0].V))):
+            raise ValueError("the rungs of a ladder must share R, a and V, and their tolerances")
     laws = None
     if any(cfg.eps > 0 for cfg in cfgs):
         try:

@@ -76,16 +76,16 @@ def test_criterion_4_alpha_slope(report):
 
 def test_criterion_5_farfield(report):
     ff = report.farfield
-    verdict(5, "far-field Green's law", ff.decreasing,
-            f"final {ff.values[-1]:.2e}, tail decreasing and <= 0.1={ff.decreasing}")
+    verdict(5, "far-field Green's law", ff.passed,
+            f"final {ff.values[-1]:.2e}, tail decreasing and <= 0.1={ff.passed}")
 
 
 def test_criterion_6_remainder_bounds(report):
     gw, gr, sw = report.grad_w_bound, report.grad_r_bound, report.sup_w_trend
-    ok = gw.passed and gr.passed and sw.decreasing
+    ok = gw.passed and gr.passed and sw.passed
     verdict(6, "remainder norm bounds and sup trend", ok,
             f"grad_w {gw.max_over_median:.2f} grad_r {gr.max_over_median:.2f} "
-            f"sup_w decreasing={sw.decreasing}")
+            f"sup_w decreasing={sw.passed}")
 
 
 def test_criterion_7_zero_mode_limits(report):

@@ -249,7 +249,7 @@ class TestVerifiers:
         assert vals[-1] <= 0.1
 
     def test_sup_w_decreasing(self, canonical_records, canonical_laws):
-        assert build_report(canonical_records, canonical_laws).sup_w_trend.decreasing
+        assert build_report(canonical_records, canonical_laws).sup_w_trend.passed
 
     def test_sup_w_log_detector(self, canonical_records, canonical_laws):
         # synthetic ratio ~ 1/ln(lam): decreasing, detector must accept
@@ -257,13 +257,13 @@ class TestVerifiers:
             dataclasses.replace(r, sup_w_ratio=1.0 / math.log(r.lam))
             for r in canonical_records
         ]
-        assert build_report(recs, canonical_laws).sup_w_trend.decreasing
+        assert build_report(recs, canonical_laws).sup_w_trend.passed
 
     def test_sup_w_constant_guard(self, canonical_records, canonical_laws):
         recs = [
             dataclasses.replace(r, sup_w_ratio=0.5) for r in canonical_records
         ]
-        assert not build_report(recs, canonical_laws).sup_w_trend.decreasing
+        assert not build_report(recs, canonical_laws).sup_w_trend.passed
 
     def test_rate_expansion_consistency(self, canonical_records):
         # pi a(0) lam^{-1} - (eps/4 pi) Q_V(0) -> 0 along the ladder:

@@ -211,6 +211,28 @@ class TestScalarCommands:
         assert main(["solve", "--eps", "8.0"]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("R", [1e-200, 1e200])
+    @pytest.mark.parametrize("cmd", ["critical", "qv", "greens", "solve", "sweep", "bubbletest"])
+    def test_float_failure_exit_code(self, tmp_path, capsys, cmd, R):
+        # R = 1e-200 divides by zero and R = 1e200 overflows in the critical a
+        # of the config, in every command that reads it
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"R": R}))
+        out = ["--out", str(tmp_path / "r.jsonl")] if cmd == "sweep" else []
+        assert main([cmd, "--config", str(cfg_path), *out]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("numerical failure: ZeroDivisionError: " if R < 1
+                              else "numerical failure: OverflowError: ")
+
+    @pytest.mark.parametrize("args", [["--tol-override", "ode=0.5"], ["--eps", "1e-300"]],
+                             ids=["ode=0.5", "eps=1e-300"])
+    def test_solve_overflow_exit_code(self, capsys, args):
+        # a tolerance so loose, or a rung so deep, that the shooting overflows
+        assert main(["solve", *args]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical failure: OverflowError: ")
+
     def test_solve_deep_rung(self, capsys):
         # lam ~ 1.5e4, past where an unscaled zero-mode Gram system gives up
         assert main(["solve", "--eps", "0.001"]) == EXIT_OK
@@ -817,8 +839,15 @@ class TestBubbletest:
         assert rows["passed"] is False
         (row,) = [r for r in rows["rows"] if r[:2] == ["U4_H2", "leading"]]
         assert row[4] == pytest.approx(0.02, abs=1e-3)
-        # one stderr line names the failed row
-        assert capsys.readouterr().err == "verification failed: U4_H2 leading\n"
+        # stdout marks that row FAIL and every other row PASS, and one
+        # stderr line names it
+        out, err = capsys.readouterr()
+        table = out.splitlines()[1:]
+        assert len(table) == len(rows["rows"])
+        assert [line.split()[:2] for line in table if line.endswith("[FAIL]")] == [
+            ["U4_H2", "leading"]]
+        assert all(line.endswith(("[PASS]", "[FAIL]")) for line in table)
+        assert err == "verification failed: U4_H2 leading\n"
 
     @pytest.mark.parametrize("R", [1.0, 2.0])
     def test_row_format(self, tmp_path, R):
