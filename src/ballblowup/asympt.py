@@ -11,6 +11,7 @@ amplitude slope of alpha, the far-field law and the remainder bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -78,6 +79,7 @@ def fit_bubble(u: RadialSolution) -> tuple[float, float, float]:
     wu = wn * upv
     gn_u = float(wu @ upv)
 
+    @functools.cache  # brentq evaluates the bracket's ends again
     def stationarity(loglam):
         lam = math.exp(loglam)
         pup, dpup = bb.u_prime(lam, nodes), bb.dlam_u_prime(lam, nodes)

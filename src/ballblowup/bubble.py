@@ -39,10 +39,10 @@ def _u(lam, r):
 
 
 def u_prime(lam, r):
-    """Radial derivative of the center bubble."""
+    """Radial derivative of the center bubble, -lam^{5/2} r s^{-3/2}, s = 1 + lam^2 r^2."""
     r = np.asarray(r, dtype=float)
     s = 1.0 + lam**2 * r**2
-    return -(lam**2.5) * r / s**1.5
+    return -(lam**2.5) * (r / s) / np.sqrt(s)
 
 
 def _du_dlam(lam, r):
@@ -52,10 +52,12 @@ def _du_dlam(lam, r):
 
 
 def dlam_u_prime(lam, r):
-    """Mixed derivative d/dr d/dlam of the center bubble."""
+    """Mixed derivative d/dr d/dlam of the center bubble,
+    lam^{3/2} r s^{-3/2} (3 lam^2 r^2 / s - 5/2), s = 1 + lam^2 r^2."""
     r = np.asarray(r, dtype=float)
-    s = 1.0 + lam**2 * r**2
-    return -2.5 * lam**1.5 * r / s**1.5 + 3.0 * lam**3.5 * r**3 / s**2.5
+    t2 = lam**2 * r**2
+    s = 1.0 + t2
+    return (lam**1.5 * (r / s) / np.sqrt(s)) * (3.0 * t2 / s - 2.5)
 
 
 @dataclass(frozen=True)

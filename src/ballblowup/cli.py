@@ -311,8 +311,8 @@ def cmd_sweep(args) -> int:
 
 
 def _load_records(path: str) -> tuple[list, list, str | None]:
-    """The ok lines, with a number for every record field, the failure lines
-    and the ``config_hash`` of a records file, all of one config."""
+    """The ok lines (finite numbers, no eps twice), the failure lines and
+    the ``config_hash`` of a records file, all of one config."""
     records, failed, hashes = [], [], set()
     try:
         text = Path(path).read_text()
@@ -331,10 +331,16 @@ def _load_records(path: str) -> tuple[list, list, str | None]:
         if d.get("status") != "ok":
             failed.append(d)
             continue
-        bad = [k for k in asympt.SweepRecord.__dataclass_fields__
-               if type(d.get(k)) not in (int, float)]
+        fields = asympt.SweepRecord.__dataclass_fields__
+        bad = [k for k in fields if type(d.get(k)) not in (int, float)]
         if bad:
             raise ConfigError("records", f"{path} line {n}: no number for {', '.join(bad)}")
+        bad = [k for k in fields if not math.isfinite(d[k])]
+        if bad:
+            raise ConfigError("records", f"{path} line {n}: {', '.join(bad)} not finite")
+        rung = d["eps"], d.get("config_hash")  # another config's rung is another error
+        if any((r["eps"], r.get("config_hash")) == rung for r in records):
+            raise ConfigError("records", f"{path} line {n}: eps {d['eps']!r} repeats an ok line")
         records.append(d)
     if len(hashes) > 1:
         raise ConfigError("records", f"{path} mixes {len(hashes)} config_hash values: "

@@ -135,12 +135,13 @@ class CenterGreens:
     """Center-source Green's data: G_a(0, y) = v(|y|)/|y| with v(0)=1,
     v(R)=0 and -v'' + a v = 0.  phi_a(0) = -v'(0).  With z1 the other
     homogeneous solution, regular with data (0, 1) at the center (so
-    z1 v' - z1' v = -1), ``homogeneous_pair`` gives (z1, v)."""
+    z1 v' - z1' v = -1), ``homogeneous_pair`` gives (z1, v).  ``_state``
+    evaluates the trajectory once for each of the last two r it read."""
 
     R: float
     phi_a_at_0: float
     a_at_0: float
-    _state: Callable = field(repr=False)  # r -> (z1, v, v') from one trajectory evaluation
+    _state: Callable = field(repr=False)  # r -> (z1, v, v')
 
     @property
     def is_critical(self) -> bool:
@@ -166,29 +167,26 @@ class CenterGreens:
         phi, a0 = self.phi_a_at_0, self.a_at_0
         return self._taylor_bridged(
             r, lambda s: phi - 0.5 * a0 * s + (a0 * phi / 6.0) * s**2,
-            lambda s: (1.0 - self.v(s)) / s,
+            lambda s, v, vp: (1.0 - v) / s,
         )
 
     def dh(self, r):
         """The radial derivative of H_a(0, r): -v'/r - (1 - v)/r^2, and the
         derivative of ``h``'s Taylor series below r = 1e-5 R."""
         phi, a0 = self.phi_a_at_0, self.a_at_0
-
-        def exact(s):
-            _, v, vp = self._state(s)
-            return -vp / s - (1.0 - v) / s**2
-
-        return self._taylor_bridged(r, lambda s: -0.5 * a0 + (a0 * phi / 3.0) * s, exact)
+        return self._taylor_bridged(r, lambda s: -0.5 * a0 + (a0 * phi / 3.0) * s,
+                                    lambda s, v, vp: -vp / s - (1.0 - v) / s**2)
 
     def _taylor_bridged(self, r, series, exact):
-        """``series`` at the radii below 1e-5 R and ``exact`` at the others;
-        a float at a scalar r."""
+        """``series`` at the radii below 1e-5 R and ``exact`` of (r, v, v') at
+        the others, the state read at all r; a float at a scalar r, else read-only."""
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.empty_like(r)
         small = r < 1e-5 * self.R
         out[small] = series(r[small])
-        out[~small] = exact(r[~small])
+        out[~small] = exact(r[~small], *(x[~small] for x in self._state(r)[1:]))
+        out.flags.writeable = False
         return float(out[0]) if scalar else out
 
 
@@ -217,10 +215,18 @@ def ga_center(a: RadialCoefficient, R: float) -> CenterGreens:
     if abs(vh_R) < 1e-13 * R:
         raise ResonanceError("homogeneous solution vanishes at R")
     c = -vp_R / vh_R
+    kept: list = []  # (r, (z1, v, v')) of the last two r read, the latest first
 
     def state(r):
-        s = traj(np.asarray(r, dtype=float))
-        return s[2], s[0] + c * s[2], s[1] + c * s[3]
+        r = np.asarray(r, dtype=float)
+        hit = next((e for e in kept if np.array_equal(e[0], r)), None)
+        if hit is None:
+            s = traj(r)
+            hit = r.copy(), (s[2], s[0] + c * s[2], s[1] + c * s[3])
+            for x in hit[1]:  # arrays are shared: read-only (a scalar is already)
+                np.asarray(x).flags.writeable = False
+        kept[:] = [hit] + [e for e in kept if e is not hit][:1]
+        return hit[1]
 
     return CenterGreens(R=R, phi_a_at_0=float(-c), a_at_0=a.at(0.0), _state=state)
 

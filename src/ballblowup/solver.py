@@ -136,7 +136,7 @@ class RadialSolution:
         out = np.empty((2,) + r.shape)
         small = r <= self.delta
         if np.any(small):
-            out[:, small] = taylor_start(self.M, self.config.m_center()[0], r[small])[:2]
+            out[:, small] = _horner(_center_series(self.M, self.config.m_center()[0])[0], r[small])
         if np.any(~small):
             rs = r[~small]
             w, v = self.dense(np.log(rs))
@@ -184,9 +184,24 @@ _SERIES_DEGREE = 16
 
 
 def taylor_start(M: float, m, r):
-    """(u, u', z, z') at radii r from the center series u = sum c_j r^j and
-    its M-derivative z = sum d_j r^j; m is a + eps V's Taylor coefficients
-    at 0, or a constant.  Delta r^{j+2} = (j+2)(j+3) r^j turns
+    """(u, u', z, z') at radii r from the center series of u and z = du/dM."""
+    c, d = _center_series(M, m)
+    return _horner(c, r) + _horner(d, r)
+
+
+def _horner(coefs, r):
+    """sum_j coefs[j] r^j and its r-derivative at the radii r, by Horner's rule."""
+    r = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float)
+    p = dp = 0.0
+    for cj in reversed(coefs):
+        p, dp = p * r + cj, dp * r + p
+    return p, dp
+
+
+def _center_series(M: float, m) -> tuple[list, list]:
+    """The coefficients c_j of the center series u = sum c_j r^j and d_j of
+    its M-derivative z; m is a + eps V's Taylor coefficients at 0, or a
+    constant.  Delta r^{j+2} = (j+2)(j+3) r^j turns
     -Delta u + m u = 3 u^5 into c_{j+2} (j+2)(j+3) = [(m - 3 u^4) u]_j from
     c_0 = M, c_1 = 0, and d_{j+2} (j+2)(j+3) = [(m - 15 u^4) z]_j from d_0 = 1."""
     m, n = np.atleast_1d(m).tolist(), _SERIES_DEGREE + 1
@@ -199,13 +214,7 @@ def taylor_start(M: float, m, r):
         k = (j + 2) * (j + 3)
         c[j + 2] = (sum(map(mul, m, cj)) - 3.0 * sum(map(mul, u4, cj))) / k
         d[j + 2] = (sum(map(mul, m, dj)) - 15.0 * sum(map(mul, u4, dj))) / k
-    r, out = float(r) if np.ndim(r) == 0 else np.asarray(r, dtype=float), []
-    for coefs in (c, d):
-        p = dp = 0.0  # Horner's rule for the sum and its r-derivative
-        for cj in reversed(coefs):
-            p, dp = p * r + cj, dp * r + p
-        out += (p, dp)
-    return tuple(out)
+    return c, d
 
 
 def _rhs(a, V, epss):

@@ -3,11 +3,15 @@ verifiers."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ballblowup import asympt
+from ballblowup import asympt, cli, greenfn
 from ballblowup.asympt import (
     RegimeError,
     beta_gamma_limits,
@@ -411,3 +415,69 @@ class TestCoercivity:
             wts * 15.0 * _u(lam, nodes) ** 4 * pb.pu(nodes) ** 2 * nodes**2
         )
         assert (grad + mass - pot) / grad < 0
+
+
+# Records of the canonical ladder and of a = -3, V = -1, each printed as one
+# JSON line of its records' fields, in the order of the ladders on argv.
+_LADDER_RECORDS = """
+import json, math, sys
+from ballblowup.asympt import records_from_sweep
+from ballblowup.cli import DEFAULT_PROBES
+from ballblowup.greenfn import RadialCoefficient
+from ballblowup.solver import ProblemConfig, solve_ladder
+const = RadialCoefficient.constant_coeff
+ladders = {
+    "canonical": (-math.pi**2 / 4, (0.04, 0.02, 0.01, 0.005)),
+    "a=-3": (-3.0, (0.08, 0.05, 0.02)),
+}
+for name in sys.argv[1:]:
+    a, epss = ladders[name]
+    sols = [s for _, s in solve_ladder(
+        [ProblemConfig(a=const(a), V=const(-1.0), eps=eps) for eps in epss])]
+    print(json.dumps([r.to_dict() for r in records_from_sweep(sols, DEFAULT_PROBES)]))
+"""
+
+
+class TestSharedGreens:
+    """a's center Green's data, read once per ladder on the rule its rungs
+    share, and never across ladders."""
+
+    def test_one_trajectory_evaluation_per_sweep(self, tmp_path, monkeypatch):
+        # qv_center reads a's trajectory on the canonical rungs' rule, and
+        # every decompose (through dh) and greens_rep_residual (through
+        # homogeneous_pair) reads that evaluation again; the parent read it
+        # nine times.  Point probes are not counted.
+        sizes = []
+        densify = greenfn.densify
+
+        def counted(*args):
+            dense = densify(*args)
+
+            def call(t):
+                sizes.append(np.size(t))
+                return dense(t)
+
+            return call
+
+        monkeypatch.setattr(greenfn, "densify", counted)
+        assert cli.main(["sweep", "--out", str(tmp_path / "records.jsonl")]) == cli.EXIT_OK
+        assert [n for n in sizes if n > 100] == [radial_quadrature_rule(1.0, 1.0)[0].size]
+
+    def test_two_ladders_in_one_process(self):
+        # the two ladders one after the other on the same rule, a different,
+        # give the records each gives in a fresh process, bit for bit
+        src = str(Path(greenfn.__file__).resolve().parents[1])
+
+        def run(*names):
+            out = subprocess.run([sys.executable, "-c", _LADDER_RECORDS, *names],
+                                 env=dict(os.environ, PYTHONPATH=src), check=True,
+                                 capture_output=True, text=True).stdout
+            return out.splitlines()
+
+        assert run("canonical", "a=-3") == run("canonical") + run("a=-3")
+
+    def test_shared_arrays_are_read_only(self, critical_cg):
+        nodes, _ = radial_quadrature_rule(1.0, 1.0)
+        for arr in (critical_cg.dh(nodes), *critical_cg.homogeneous_pair(nodes)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0

@@ -3,6 +3,7 @@ suites."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,28 @@ class TestPointwise:
             e = h * np.eye(3)[i]
             fd = (_u(lam, np.linalg.norm(y - e)) - _u(lam, np.linalg.norm(y + e))) / (2 * h)
             assert -u_prime(lam, r) * y[i] / r == pytest.approx(fd, rel=1e-8)
+
+    @pytest.mark.parametrize("lam", [1.0, 3e3, 1e6])
+    def test_gradients_match_mpmath(self, lam):
+        # U' and dlam U' against mpmath's derivatives of
+        # U = lam^{1/2} (1 + lam^2 r^2)^{-1/2} at 40 digits, for lam r over
+        # [1e-6, 1e6]; dlam U' changes sign at lam r = 5^{1/2}, so its error
+        # is taken against the size of its two terms,
+        # lam^{3/2} r s^{-3/2} (5/2 + 3 lam^2 r^2 / s), s = 1 + lam^2 r^2
+        with mpmath.workdps(40):
+            def U(lm, r):
+                return mpmath.sqrt(lm) / mpmath.sqrt(1 + lm**2 * r**2)
+
+            lm = mpmath.mpf(lam)
+            for t in np.geomspace(1e-6, 1e6, 25):
+                r = float(t) / lam
+                rm = mpmath.mpf(r)
+                s = 1 + lm**2 * rm**2
+                scale = lm**1.5 * rm / s**1.5 * (mpmath.mpf(5) / 2 + 3 * lm**2 * rm**2 / s)
+                up = mpmath.diff(lambda x: U(lm, x), rm)
+                dup = mpmath.diff(U, (lm, rm), (1, 1))
+                assert abs(u_prime(lam, r) - up) <= 1e-14 * abs(up), (lam, t)
+                assert abs(dlam_u_prime(lam, r) - dup) <= 1e-14 * scale, (lam, t)
 
     def test_whole_space_equation(self):
         # -Delta U = 3 U^5 via the closed forms: u'' + (2/r) u' + 3 u^5 = 0

@@ -524,8 +524,9 @@ class TestSweepAndReport:
         totals = [float(row.rsplit(",", 1)[1]) for row in csv_path.read_text().splitlines()[1:]]
         assert totals == [float(sum(d["shoot_steps"].values())) for d in lines]
         assert [float(row.split()[-1]) for row in out[1:]] == totals
-        # steps that are not numbers by phase read NaN, not a traceback
-        bad = [dict(lines[0], shoot_steps=s) for s in ({"root": "x"}, 7, None)]
+        # steps that are not numbers by phase read NaN, not a traceback (one
+        # rung each: an eps twice is refused)
+        bad = [dict(d, shoot_steps=s) for d, s in zip(lines, ({"root": "x"}, 7, None))]
         rec_path.write_text("".join(json.dumps(d) + "\n" for d in bad))
         assert main(["report", "--records", str(rec_path)]) == EXIT_OK
         assert [row.split()[-1] for row in capsys.readouterr().out.splitlines()[1:]] == ["nan"] * 3
@@ -570,6 +571,27 @@ class TestInputErrors:
         assert main([cmd, "--records", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"line {len(canonical_records) + 1}: {message}" in err
+
+    @pytest.mark.parametrize("cmd", ["verify", "report"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("lam", math.nan, "lam not finite"),
+        ("M", math.nan, "M not finite"),
+        ("eps", math.nan, "eps not finite"),
+        ("lam", math.inf, "lam not finite"),
+        ("eps", 0.04, "eps 0.04 repeats an ok line"),
+    ], ids=["lam-nan", "M-nan", "eps-nan", "lam-inf", "eps-twice"])
+    def test_corrupt_record_line(self, tmp_path, capsys, canonical_records, cmd, field, value,
+                                 message):
+        # the last rung's field overwritten: a NaN lam would leave the trust
+        # region and the verdict silently, a NaN eps or two equal ones would
+        # break the fits, and an infinite lam would divide by zero
+        path = Path(write_records(tmp_path, canonical_records))
+        *lines, last = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [json.dumps({**json.loads(last), field: value})]) + "\n")
+        assert main([cmd, "--records", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error:")
+        assert f"line {len(canonical_records)}: {message}" in err
 
     @pytest.mark.parametrize("cmd", ["verify", "report"])
     def test_mixed_config_hashes(self, tmp_path, capsys, canonical_records, cmd):
