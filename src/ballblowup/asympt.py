@@ -53,11 +53,6 @@ class RegimeError(ValueError):
     """Inputs outside the asymptotic/critical regime of the analysis."""
 
 
-def _ip(wts, nodes, fp, gp):
-    """Gradient inner product 4 pi int f' g' r^2 dr for radial fields."""
-    return 4.0 * math.pi * float(np.sum(wts * fp * gp * nodes**2))
-
-
 def fit_bubble(u: RadialSolution) -> tuple[float, float, float]:
     """Least-squares projection of u onto the projected-bubble family.
 
@@ -71,13 +66,11 @@ def fit_bubble(u: RadialSolution) -> tuple[float, float, float]:
     each factor squared until it is > 0 below and < 0 above.  There
     w = u/alpha - PU is gradient-orthogonal to PU and dlam PU.  The inner
     products are taken on the rung's sample.  Returns (alpha, lam,
-    residual_norm).
+    residual_norm), the last the gradient norm of u - alpha PU.
     """
     lam0 = u.M**2
-    nodes, wts, _, upv = u.sample
-    wn = 4.0 * math.pi * wts * nodes**2  # <f', g'> = (wn f') @ g'
+    nodes, _, wn, _, upv = u.sample  # <f', g'> = (wn f') @ g'
     wu = wn * upv
-    gn_u = float(wu @ upv)
 
     @functools.cache  # brentq evaluates the bracket's ends again
     def stationarity(loglam):
@@ -96,8 +89,9 @@ def fit_bubble(u: RadialSolution) -> tuple[float, float, float]:
     lam = math.exp(optimize.brentq(stationarity, *ends, xtol=1e-12,
                                    rtol=4 * np.finfo(float).eps))
     pup = bb.u_prime(lam, nodes)
-    cross, gn_pu = float(wu @ pup), float(wn * pup @ pup)
-    return cross / gn_pu, lam, math.sqrt(max(gn_u - cross**2 / gn_pu, 0.0))
+    alpha = float(wu @ pup) / float(wn * pup @ pup)
+    misfit = upv - alpha * pup
+    return alpha, lam, math.sqrt(wn @ misfit**2)
 
 
 @dataclass
@@ -126,11 +120,8 @@ def decompose(u: RadialSolution, alpha: float, lam: float, cg: CenterGreens) -> 
     center Green's data ``cg``, solves the 2x2 Gram system over
     span{PU, dlam PU} in the gradient inner product (radial symmetry
     annihilates the translation modes), and extracts beta, gamma with the
-    normalization s = beta lam^{-1} PU + gamma dlam PU.
-
-    Its integrals are taken on the rung's sample, the rule at M^2 rather
-    than at the fitted lam; the two rules have the same nodes for lam,
-    M^2 <= 2e6, where both start their panels at r_min = 1e-8.
+    normalization s = beta lam^{-1} PU + gamma dlam PU.  Its integrals are
+    taken on the rung's sample.
 
     ``fit_bubble`` leaves w' orthogonal to PU' and lam dlam PU' (to 1.3e-15
     on the canonical rungs), so beta and gamma depend on the profile only
@@ -138,7 +129,7 @@ def decompose(u: RadialSolution, alpha: float, lam: float, cg: CenterGreens) -> 
     alone, to all 12 printed digits on those rungs.
     """
     R = u.R
-    nodes, wts, uv, upv = u.sample
+    nodes, _, measure, uv, upv = u.sample
     pb = bb.CenterProjectedBubble(lam, R)
     w = uv / alpha - pb.pu(nodes)
     pup = bb.u_prime(lam, nodes)  # PU' = U': the projection adds a constant
@@ -151,17 +142,12 @@ def decompose(u: RadialSolution, alpha: float, lam: float, cg: CenterGreens) -> 
     # one, so the condition number stays near 3.2 at every lam (on the
     # unscaled basis it grows like lam^2).
     dpup = bb.dlam_u_prime(lam, nodes)
-    ldpup = lam * dpup
-    g11 = _ip(wts, nodes, pup, pup)
-    g12 = _ip(wts, nodes, pup, ldpup)
-    g22 = _ip(wts, nodes, ldpup, ldpup)
-    b1 = _ip(wts, nodes, qp, pup)
-    b2 = _ip(wts, nodes, qp, ldpup)
-    G = np.array([[g11, g12], [g12, g22]])
+    basis = np.array([pup, lam * dpup])
+    G = (basis * measure) @ basis.T
     cond = np.linalg.cond(G)
     if cond > 1e8:
         raise RegimeError(f"ill-conditioned Gram system (cond={cond:.2e})")
-    c_pu, c_ldl = np.linalg.solve(G, [b1, b2])
+    c_pu, c_ldl = np.linalg.solve(G, (basis * measure) @ qp)
     c_dl = c_ldl * lam
 
     rp = qp - (c_pu * pup + c_dl * dpup)  # r' = q' - s'
@@ -171,8 +157,8 @@ def decompose(u: RadialSolution, alpha: float, lam: float, cg: CenterGreens) -> 
         eps=u.config.eps,
         beta=float(c_pu * lam),
         gamma=float(c_dl),
-        norm_grad_w=math.sqrt(max(_ip(wts, nodes, wp, wp), 0.0)),
-        norm_grad_r=math.sqrt(max(_ip(wts, nodes, rp, rp), 0.0)),
+        norm_grad_w=math.sqrt(measure @ wp**2),
+        norm_grad_r=math.sqrt(measure @ rp**2),
         sup_w=float(np.max(np.abs(w))),
     )
 
@@ -421,8 +407,7 @@ def coercivity_probe(
     4/7 applies for radial fields).
     """
     rng = np.random.default_rng(seed)
-    nodes, wts = radial_quadrature_rule(lam, R)
-    r2w = 4.0 * math.pi * wts * nodes**2
+    nodes, _, r2w = radial_quadrature_rule(R)
 
     pb = bb.CenterProjectedBubble(lam, R)
     basis_p = np.array([bb.u_prime(lam, nodes), bb.dlam_u_prime(lam, nodes)])

@@ -103,17 +103,15 @@ _LQ_CLOSED_FORMS = {
 
 def _ladder_integrals(h, R: float, lams) -> dict:
     """Every ball integral calculus_verdict reads, 4 pi int_0^R f(r) r^2 dr
-    for each of the increasing ``lams``, as arrays over the ladder: all on
-    one radial rule (that of the largest lam, which resolves every smaller
-    bubble), with H_a(0, .) (``h``) evaluated once on its nodes and U,
+    for each of the ``lams``, as arrays over the ladder: all on the ball's
+    radial rule, with H_a(0, .) (``h``) evaluated once on its nodes and U,
     dlam U, U' and dlam U' as (lam, node) arrays."""
-    nodes, wts = radial_quadrature_rule(float(lams[-1]), R)
+    nodes, _, w = radial_quadrature_rule(R)
     lams = lams[:, None]
     hv = h(nodes)
     u, du = _u(lams, nodes), _du_dlam(lams, nodes)
     u4 = u**4
     u4h = u4 * hv
-    w = 4.0 * math.pi * wts * nodes**2
     return {
         "U5_H": (u4h * u) @ w,
         "U4_dlamU_H": (u4h * du) @ w,
@@ -190,7 +188,7 @@ def calculus_verdict(a_const: float, R: float) -> tuple[list, bool]:
         return richardson_fit(list(zip(1 / every_other, per_lam[::2])))[0]
 
     # int over R^3 of g dlam U at lam = 1, on the rule for [0, 1] after r = s/(1-s)
-    s, w = radial_quadrature_rule(1.0, 1.0)
+    s, w, _ = radial_quadrature_rule(1.0)
     r = s / (1.0 - s)
     g_dlam_u = 4.0 * math.pi * float(w @ (g(1.0, r) * _du_dlam(1.0, r) * (r / (1.0 - s)) ** 2))
     for name, val, tgt in (

@@ -97,8 +97,8 @@ class RunConfig:
             raise ConfigError(
                 "tolerances", f"need exactly the keys {sorted(DEFAULT_TOLERANCES)}"
             )
-        if any(not _is_number(v) or not v > 0 for v in tols.values()):
-            raise ConfigError("tolerances", "must be positive numbers")
+        if any(not _is_number(v) or not 0 < v < 1 for v in tols.values()):
+            raise ConfigError("tolerances", "must be numbers in (0, 1)")
         lad = self.eps_ladder
         if not (isinstance(lad, list) and lad and all(_is_number(e) and e > 0 for e in lad)):
             raise ConfigError("eps_ladder", "must be a list of positive numbers")
@@ -106,8 +106,9 @@ class RunConfig:
             raise ConfigError("eps_ladder", "must be strictly decreasing")
         if isinstance(self.lmax, bool) or not isinstance(self.lmax, int) or self.lmax < 1:
             raise ConfigError("lmax", "must be an integer >= 1")
-        if not isinstance(self.probes, list) or not all(map(_is_number, self.probes)):
-            raise ConfigError("probes", "must be a list of numbers")
+        if not (isinstance(self.probes, list) and self.probes
+                and all(map(_is_number, self.probes))):
+            raise ConfigError("probes", "must be a non-empty list of numbers")
         for p in self.probes:
             if not 0 < p < self.R:
                 raise ConfigError("probes", f"probe {p} outside (0, R)")

@@ -136,7 +136,9 @@ class CenterGreens:
     v(R)=0 and -v'' + a v = 0.  phi_a(0) = -v'(0).  With z1 the other
     homogeneous solution, regular with data (0, 1) at the center (so
     z1 v' - z1' v = -1), ``homogeneous_pair`` gives (z1, v).  ``_state``
-    evaluates the trajectory once for each of the last two r it read."""
+    gives (z1, v, v') on the nodes of the ball's radial rule as the
+    read-only arrays ``ga_center`` evaluated once, and at other r from the
+    trajectory."""
 
     R: float
     phi_a_at_0: float
@@ -179,14 +181,13 @@ class CenterGreens:
 
     def _taylor_bridged(self, r, series, exact):
         """``series`` at the radii below 1e-5 R and ``exact`` of (r, v, v') at
-        the others, the state read at all r; a float at a scalar r, else read-only."""
+        the others, the state read at all r; a float at a scalar r."""
         scalar = np.ndim(r) == 0
         r = np.atleast_1d(np.asarray(r, dtype=float))
         out = np.empty_like(r)
         small = r < 1e-5 * self.R
         out[small] = series(r[small])
         out[~small] = exact(r[~small], *(x[~small] for x in self._state(r)[1:]))
-        out.flags.writeable = False
         return float(out[0]) if scalar else out
 
 
@@ -215,18 +216,18 @@ def ga_center(a: RadialCoefficient, R: float) -> CenterGreens:
     if abs(vh_R) < 1e-13 * R:
         raise ResonanceError("homogeneous solution vanishes at R")
     c = -vp_R / vh_R
-    kept: list = []  # (r, (z1, v, v')) of the last two r read, the latest first
+
+    def evaluate(r):
+        s = traj(r)
+        return s[2], s[0] + c * s[2], s[1] + c * s[3]
+
+    nodes = radial_quadrature_rule(R)[0]
+    on_rule = evaluate(nodes)
+    for x in on_rule:  # shared by every reader: read-only
+        x.flags.writeable = False
 
     def state(r):
-        r = np.asarray(r, dtype=float)
-        hit = next((e for e in kept if np.array_equal(e[0], r)), None)
-        if hit is None:
-            s = traj(r)
-            hit = r.copy(), (s[2], s[0] + c * s[2], s[1] + c * s[3])
-            for x in hit[1]:  # arrays are shared: read-only (a scalar is already)
-                np.asarray(x).flags.writeable = False
-        kept[:] = [hit] + [e for e in kept if e is not hit][:1]
-        return hit[1]
+        return on_rule if np.array_equal(r, nodes) else evaluate(r)
 
     return CenterGreens(R=R, phi_a_at_0=float(-c), a_at_0=a.at(0.0), _state=state)
 
@@ -361,7 +362,7 @@ class HelmholtzSeries:
 def qv_center(V: RadialCoefficient, cg: CenterGreens) -> float:
     """Q_V(0) = int V(y) G_a(0,y)^2 dy = 4 pi int_0^R V(r) v(r)^2 dr, with v
     from a's center Green's data ``cg``."""
-    nodes, wts = radial_quadrature_rule(1.0, cg.R)  # v varies on the scale R: no bubble
+    nodes, wts, _ = radial_quadrature_rule(cg.R)
     return 4.0 * math.pi * float(wts @ (V(nodes) * cg.v(nodes) ** 2))
 
 

@@ -24,7 +24,15 @@ __all__ = [
 ]
 
 
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
+def _unit_rule():
+    """``radial_quadrature_rule``'s nodes and weights at R = 1."""
+    edges = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, 260)))
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    x, w = np.polynomial.legendre.leggauss(12)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
+
+
+_UNIT_NODES, _UNIT_WEIGHTS = _unit_rule()
 
 # scipy's DOP853 tableau as (index, row of A cut to the stages before it, node)
 # for each stage after the first and each of the three interpolant stages
@@ -234,19 +242,14 @@ def richardson_fit(
     return float(coef[0]), float(coef[1]), rms
 
 
-def radial_quadrature_rule(lam: float, R: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integral_0^R f(r) dr, for radial integrands
-    with features down to the bubble scale 1/lam.
+def radial_quadrature_rule(R: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and ball measure 4 pi r^2 w of the package's one
+    radial rule on [0, R]: the unit rule scaled by R.
 
-    Composite 12-point Gauss-Legendre on 260 panels: [0, r_min] and 259
-    geometric panels from r_min = min(1e-8, 0.02/lam) to R.  Every radial
-    integral of the package is taken on this rule; a solved profile is
-    sampled on it once, at lam = M^2 (``RadialSolution.sample``).
+    Composite 12-point Gauss-Legendre on [0, 1e-8 R] and on 259 geometric
+    panels from 1e-8 R to R.  It resolves a center bubble of any lam with
+    lam R <= 1e7: there int_B U^q, q = 2, 3, 6, match their closed forms to
+    1e-14.  Every radial integral of the package is taken on it.
     """
-    edges = np.concatenate(([0.0], np.geomspace(min(1e-8, 0.02 / lam), R, 260)))
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * _GAUSS_X[None, :]).ravel()
-    weights = (half[:, None] * _GAUSS_W[None, :]).ravel()
-    return nodes, weights
+    nodes, weights = R * _UNIT_NODES, R * _UNIT_WEIGHTS
+    return nodes, weights, 4.0 * math.pi * weights * nodes**2

@@ -15,8 +15,8 @@ bracket that a scan of the same endpoint map finds; its tolerance tightens
 only as fast as its error falls.  The profile (w, v = r^{3/2} u') is read
 off the Newton integration a rung stops on, its rows densified
 (``numkit.densify``) and carried by the last step s: (w, w' - w/2) +
-s (z, z' - z/2), to first order in s.  It is sampled once on the package's
-one radial rule (``numkit.radial_quadrature_rule``) for every quadrature
+s (z, z' - z/2), to first order in s.  It is sampled once on the ball's
+radial rule (``numkit.radial_quadrature_rule``) for every quadrature
 integral.  One driver solves an eps ladder's rungs in lockstep, stacked into
 one integration per Newton iteration (``solve_ladder``).
 """
@@ -93,9 +93,9 @@ class RadialSolution:
     ``dense`` evaluates (w, v) = (r^{1/2} u, r^{3/2} u') at any t = ln r in
     [ln delta, ln R], from the Newton integration the rung stopped on.
     ``u_at`` and ``uprime_at`` map r to t and undo the scaling; at r <= delta
-    the center series applies.  ``sample`` is the profile on the package's
-    one radial rule, (nodes, weights, u, u') with (nodes, weights) =
-    ``radial_quadrature_rule(M^2, R)``, taken once from the dense output.
+    the center series applies.  ``sample`` is the profile on the ball's
+    radial rule, (nodes, weights, measure, u, u') with the first three
+    ``radial_quadrature_rule(R)``, taken once from the dense output.
     The four quadrature integrals, the bubble fit, the decomposition and the
     Green representation all read it; point probes go to the dense output.
 
@@ -122,8 +122,8 @@ class RadialSolution:
     sample: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes, weights = radial_quadrature_rule(self.M**2, self.R)
-        self.sample = (nodes, weights, *self._state_at(nodes))
+        rule = radial_quadrature_rule(self.R)
+        self.sample = (*rule, *self._state_at(rule[0]))
 
     @property
     def R(self) -> float:
@@ -450,7 +450,7 @@ def _finalize(roots, cfgs, tallies, seeds, laws) -> list[RadialSolution | Runtim
         ran, step, x, delta = root
         dense = OdeTrajectory(x.nodes, _profile_rows(x.states, step), _profile_rows(x.F, step))
         rs = RadialSolution(config=cfg, M=ran + step, dense=dense, delta=delta, laws=laws)
-        nodes, wts, u, up = rs.sample
+        nodes, _, measure, u, up = rs.sample
         if np.any(u <= -cfg.shoot_tol):
             out.append(RuntimeError("positivity violated at the radial rule's nodes"))
             continue
@@ -461,8 +461,7 @@ def _finalize(roots, cfgs, tallies, seeds, laws) -> list[RadialSolution | Runtim
         rs.diagnostics["pde_residual"] = _pde_residual(rs)
         r_dm = nodes * (cfg.a.slope(nodes) + cfg.eps * cfg.V.slope(nodes))
         rs.grad_norm_sq, rs.int_m_u2, rs.int_u6, rs.int_r_dm_u2 = (np.array(
-            [up**2, cfg.m(nodes) * u**2, u**6, r_dm * u**2])
-            @ (4.0 * math.pi * wts * nodes**2)).tolist()
+            [up**2, cfg.m(nodes) * u**2, u**6, r_dm * u**2]) @ measure).tolist()
         rs.diagnostics["pohozaev_residual"] = pohozaev_residual(rs)
         tally = tallies[k]
         rs.diagnostics.update(seed=seeds[k], shoot_integrations={p: tally[p] for p in _PHASES},
@@ -607,7 +606,7 @@ def greens_rep_residual(u: RadialSolution) -> float:
     all probes in one call each.
     """
     cfg, cg = u.config, u.laws.cg
-    nodes, wts, uv, _ = u.sample
+    nodes, wts, _, uv, _ = u.sample
     F = nodes * (3.0 * uv**5 - cfg.eps * np.asarray(cfg.V(nodes)) * uv)  # the reduced source
     z1v, z2v = cg.homogeneous_pair(nodes)
     g1, g2 = wts * z1v * F, wts * z2v * F

@@ -37,7 +37,7 @@ GAMMA_TARGET = 128.0 / (15.0 * math.pi)
 
 class _SyntheticProfile:
     """Minimal stand-in exposing the RadialSolution evaluation surface: its
-    sample on the rule at M^2 and its point values."""
+    sample on the ball's rule and its point values."""
 
     def __init__(self, u_fn, up_fn, M, eps=0.01, R=1.0):
         self._u = u_fn
@@ -45,8 +45,8 @@ class _SyntheticProfile:
         self.M = M
         self.R = R
         self.config = type("C", (), {"eps": eps})()
-        nodes, wts = radial_quadrature_rule(M**2, R)
-        self.sample = (nodes, wts, self.u_at(nodes), self.uprime_at(nodes))
+        rule = radial_quadrature_rule(R)
+        self.sample = (*rule, self.u_at(rule[0]), self.uprime_at(rule[0]))
 
     def u_at(self, r):
         return self._u(np.asarray(r, dtype=float))
@@ -74,8 +74,7 @@ class TestFitBubble:
         # leaves 1e-10 .. 1e-8 here
         for u in canonical_solutions:
             alpha, lam, _ = fit_bubble(u)
-            nodes, wts = radial_quadrature_rule(u.M**2, 1.0)
-            wn = 4.0 * math.pi * wts * nodes**2
+            nodes, _, wn = radial_quadrature_rule(1.0)
             upv, dpup = u.uprime_at(nodes), dlam_u_prime(lam, nodes)
             wp = upv / alpha - u_prime(lam, nodes)
             assert abs(wn * wp @ dpup) <= 1e-13 * math.sqrt((wn * upv @ upv) * (wn * dpup @ dpup))
@@ -102,7 +101,7 @@ def _split(u, alpha, lam, d):
     ``d`` reports, rebuilt on u's sample from beta, gamma and the public
     bubble functions: w = u/alpha - PU, q = w + lam^{-1/2}(H_a - H_0)(0, .)
     and s = (beta/lam) PU + gamma dlam PU."""
-    nodes, _, uv, upv = u.sample
+    nodes, _, _, uv, upv = u.sample
     pb, cg = CenterProjectedBubble(lam, u.R), ga_center(u.config.a, u.R)
     q = uv / alpha - pb.pu(nodes) + (cg.h(nodes) - 1.0 / u.R) / math.sqrt(lam)
     qp = upv / alpha - u_prime(lam, nodes) + cg.dh(nodes) / math.sqrt(lam)
@@ -356,7 +355,7 @@ def coercivity_by_loop(lam, a, R, samples=200, seed=7, n_modes=8):
         return 4.0 * math.pi * float(np.sum(wts * f * g * nodes**2))
 
     rng = np.random.default_rng(seed)
-    nodes, wts = radial_quadrature_rule(lam, R)
+    nodes, wts, _ = radial_quadrature_rule(R)
     r2 = nodes**2
     pb = CenterProjectedBubble(lam, R)
     basis_p = [u_prime(lam, nodes), dlam_u_prime(lam, nodes)]
@@ -407,7 +406,7 @@ class TestCoercivity:
         # v = PU without removing the zero modes: the quadratic form is
         # negative, confirming the projection is essential
         lam, R = 1e3, 1.0
-        nodes, wts = radial_quadrature_rule(lam, R)
+        nodes, wts, _ = radial_quadrature_rule(R)
         pb = CenterProjectedBubble(lam, R)
         grad = 4 * math.pi * np.sum(wts * u_prime(lam, nodes) ** 2 * nodes**2)
         mass = 4 * math.pi * np.sum(wts * CRITICAL_A * pb.pu(nodes) ** 2 * nodes**2)
@@ -439,14 +438,14 @@ for name in sys.argv[1:]:
 
 
 class TestSharedGreens:
-    """a's center Green's data, read once per ladder on the rule its rungs
-    share, and never across ladders."""
+    """a's center Green's data, evaluated once per ladder on the ball's
+    radial rule, and never shared across ladders."""
 
     def test_one_trajectory_evaluation_per_sweep(self, tmp_path, monkeypatch):
-        # qv_center reads a's trajectory on the canonical rungs' rule, and
-        # every decompose (through dh) and greens_rep_residual (through
-        # homogeneous_pair) reads that evaluation again; the parent read it
-        # nine times.  Point probes are not counted.
+        # ga_center evaluates a's trajectory on the ball's rule when it is
+        # built, and qv_center, every decompose (through dh) and every
+        # greens_rep_residual (through homogeneous_pair) read that
+        # evaluation.  Point probes are not counted.
         sizes = []
         densify = greenfn.densify
 
@@ -461,7 +460,7 @@ class TestSharedGreens:
 
         monkeypatch.setattr(greenfn, "densify", counted)
         assert cli.main(["sweep", "--out", str(tmp_path / "records.jsonl")]) == cli.EXIT_OK
-        assert [n for n in sizes if n > 100] == [radial_quadrature_rule(1.0, 1.0)[0].size]
+        assert [n for n in sizes if n > 100] == [radial_quadrature_rule(1.0)[0].size]
 
     def test_two_ladders_in_one_process(self):
         # the two ladders one after the other on the same rule, a different,
@@ -477,7 +476,10 @@ class TestSharedGreens:
         assert run("canonical", "a=-3") == run("canonical") + run("a=-3")
 
     def test_shared_arrays_are_read_only(self, critical_cg):
-        nodes, _ = radial_quadrature_rule(1.0, 1.0)
-        for arr in (critical_cg.dh(nodes), *critical_cg.homogeneous_pair(nodes)):
+        # (z1, v, v') on the rule's nodes are shared; h and dh are fresh
+        nodes = radial_quadrature_rule(1.0)[0]
+        for arr in critical_cg._state(nodes):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+        assert critical_cg._state(nodes.copy())[1] is critical_cg.v(nodes)
+        assert critical_cg.h(nodes).flags.writeable and critical_cg.dh(nodes).flags.writeable

@@ -29,9 +29,9 @@ from conftest import quad_oracle
 const = RadialCoefficient.constant_coeff
 
 
-def _ball(lam, R, f):
-    """4 pi int_0^R f(r) r^2 dr on lam's own radial rule."""
-    r, w = radial_quadrature_rule(lam, R)
+def _ball(R, f):
+    """4 pi int_0^R f(r) r^2 dr on the ball's radial rule."""
+    r, w, _ = radial_quadrature_rule(R)
     return 4 * math.pi * float(np.sum(w * f(r) * r * r))
 
 
@@ -145,7 +145,7 @@ class TestProjectedBubble:
         # Use v = psi - PU = -lam^{-1/2}(H_a - H_0)(0, .).
         lam, R = 300.0, 1.0
         cg = ga_center(const(-1.0), R)
-        nodes, wts = radial_quadrature_rule(lam, R)
+        nodes, wts, _ = radial_quadrature_rule(R)
 
         v = -(cg.h(nodes) - 1.0 / R) / math.sqrt(lam)
         vp = -cg.dh(nodes) / math.sqrt(lam)
@@ -188,7 +188,7 @@ class TestGFun:
         # stable across a decade ladder.
         ratios = []
         for lam in (10.0, 100.0, 1000.0):
-            res = _ball(lam, 1.0, lambda r: g(lam, r) ** 2)
+            res = _ball(1.0, lambda r: g(lam, r) ** 2)
             ratios.append(math.sqrt(res) / lam**-1.0)
         assert max(ratios) / min(ratios) <= 1.5
 
@@ -298,16 +298,16 @@ class TestB3Suite:
 
     @pytest.mark.parametrize("R", [1.0, 2.0])
     def test_batched_integrals_are_per_lam(self, R):
-        # every integral of the pass, taken on the one rule of the ladder's
-        # largest lam, against each lam's own rule and its own evaluation of
-        # H, to 1e-13 relative
+        # every integral of the pass, taken over the whole ladder at once,
+        # against each lam's integrand alone with its own evaluation of H,
+        # to 1e-13 relative
         cg = ga_center(const(-1.0), R)
         batched = _ladder_integrals(cg.h, R, B3_LAMS)
         for k, lam in enumerate(B3_LAMS):
             integrands = _integrands(lam, cg.h)
             assert integrands.keys() == batched.keys()
             for name, f in integrands.items():
-                expected = _ball(lam, R, f)
+                expected = _ball(R, f)
                 assert batched[name][k] == pytest.approx(expected, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("key", ["grad_PU2", "U6"])
@@ -325,8 +325,9 @@ class TestB3Suite:
         assert not calculus_verdict(-1.0, 1.0)[1]
 
     def test_one_rule_and_one_h_evaluation(self, monkeypatch):
-        # the verdict takes all of B3_LAMS on one radial rule, with H_a(0, .)
-        # evaluated once on its nodes; the g row builds the rule for [0, 1]
+        # the verdict takes all of B3_LAMS on the ball's radial rule, with
+        # H_a(0, .) evaluated once on its nodes; the g row builds the rule
+        # for [0, 1]
         rules, hs = [], []
         build, h = bubble.radial_quadrature_rule, CenterGreens.h
 
@@ -341,7 +342,7 @@ class TestB3Suite:
         monkeypatch.setattr(bubble, "radial_quadrature_rule", counted_rule)
         monkeypatch.setattr(CenterGreens, "h", counted_h)
         calculus_verdict(-1.0, 2.0)
-        assert rules == [(float(B3_LAMS[-1]), 2.0), (1.0, 1.0)]
+        assert rules == [(2.0,), (1.0,)]
         assert hs == [build(*rules[0])[0].shape]
 
 
@@ -363,7 +364,7 @@ class TestDlambdaNorms:
 
     def test_cross_term_decay(self):
         # int grad dlam PU . grad PU decays like lam^{-2}
-        vals = [abs(_ball(l, 1.0, lambda r: dlam_u_prime(l, r) * u_prime(l, r))) * l**2
+        vals = [abs(_ball(1.0, lambda r: dlam_u_prime(l, r) * u_prime(l, r))) * l**2
                 for l in (1e2, 1e3, 1e4)]
         assert max(vals) / min(vals) <= 1.01  # O(lam^{-2}) trend
 

@@ -612,7 +612,8 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and repr(key) in err
 
-    @pytest.mark.parametrize("item", ["ode=abc", "shoot=-1"])
+    @pytest.mark.parametrize("item", ["ode=abc", "shoot=-1", "ode=inf", "shoot=inf",
+                                      "shoot=1e300"])
     def test_tol_override_bad_value(self, capsys, item):
         assert main(["critical", "--tol-override", item]) == EXIT_VALIDATION
         err = capsys.readouterr().err
@@ -669,6 +670,7 @@ class TestInputErrors:
         ({"eps_ladder": "abc"}, ["critical"]),
         ({"eps_ladder": [0.04, None]}, ["critical"]),
         ({"probes": 3}, ["critical"]),
+        ({"probes": []}, ["sweep", "--out", "{tmp}/empty.jsonl"]),
         ({"R": True}, ["critical"]),
         ({"tolerances": {"quad": 1e-10, "ode": True, "shoot": 1e-7, "series": 1e-12}},
          ["critical"]),
@@ -679,7 +681,7 @@ class TestInputErrors:
         (None, ["verify", "--records", "{tmp}/records.jsonl", "--out", "{tmp}/absent/v.json"]),
         (None, ["report", "--records", "{tmp}/records.jsonl", "--out", "{tmp}/absent/t.csv"]),
     ], ids=["missing-config", "not-an-object", "ladder-string", "ladder-null", "probes-number",
-            "R-bool", "tolerance-bool", "ladder-bool", "probe-bool", "out-greens",
+            "probes-empty", "R-bool", "tolerance-bool", "ladder-bool", "probe-bool", "out-greens",
             "out-critical", "out-qv", "out-solve", "out-sweep", "out-bubbletest",
             "out-verify", "out-report"])
     def test_malformed_input(self, tmp_path, capsys, canonical_records, doc, args):

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from ballblowup.bubble import _LQ_CLOSED_FORMS, _u
 from ballblowup.numkit import (
     densify,
     ode_solve,
+    radial_quadrature_rule,
     richardson_fit,
     sph_bessel,
 )
@@ -92,6 +94,28 @@ class TestQuadRadial:
     def test_whole_space_u6(self):
         res = quad_oracle(lambda t: t * t * (1 + t * t) ** -3, 0.0, math.inf)
         assert 4 * math.pi * res == pytest.approx(math.pi**2 / 4, rel=1e-12, abs=0)
+
+
+class TestRadialRule:
+    @pytest.mark.parametrize("R", [1e-3, 1.0, 5e3])
+    @pytest.mark.parametrize("lam_R", [1e2, 1e4, 1e6, 1e7])
+    def test_bubble_norms_up_to_lam_R_1e7(self, lam_R, R):
+        # int_B U^q against its closed form: <= 5.4e-16 here, 2e-14 at
+        # lam R = 1e8 and 6.6e-6 at 1e9
+        nodes, _, measure = radial_quadrature_rule(R)
+        lam = lam_R / R
+        for q, closed in _LQ_CLOSED_FORMS.items():
+            got = measure @ _u(lam, nodes) ** q
+            assert got == pytest.approx(closed(lam, lam_R), rel=1e-14, abs=0)
+
+    def test_scales_with_R(self):
+        # the unit rule times R, the measure 4 pi r^2 w
+        n1, w1, _ = radial_quadrature_rule(1.0)
+        nodes, wts, measure = radial_quadrature_rule(2.5)
+        assert np.array_equal(nodes, 2.5 * n1) and np.array_equal(wts, 2.5 * w1)
+        assert np.array_equal(measure, 4.0 * math.pi * wts * nodes**2)
+        assert np.all(n1[:12] < 1e-8) and np.all(n1[12:] > 1e-8) and nodes[-1] < 2.5
+        assert np.sum(w1) == pytest.approx(1.0, rel=1e-15)
 
 
 def dense_solve(rhs, y0, span, tol):

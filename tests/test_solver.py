@@ -12,6 +12,7 @@ from scipy import integrate
 
 from ballblowup import greenfn, solver
 from ballblowup.asympt import build_report, fit_bubble, records_from_sweep
+from ballblowup.bubble import u_prime
 from ballblowup.cli import DEFAULT_PROBES
 from ballblowup.greenfn import BlowupLaws, RadialCoefficient, ga_center, qv_center
 from ballblowup.numkit import OdeTrajectory, densify, ode_solve, radial_quadrature_rule
@@ -220,7 +221,7 @@ class TestSolveProfile:
             stop.states[-1, 0] / math.sqrt(s.R))
         assert abs(s.diagnostics["endpoint"]) <= s.config.shoot_tol
         assert abs(s.u_at(s.R)) <= 1e-15
-        nodes, _, u, _ = sol_005.sample
+        nodes, _, _, u, _ = sol_005.sample
         assert nodes[-1] < 1.0 and np.all(u > -sol_005.config.shoot_tol)
 
     @pytest.mark.parametrize("factor", [1.3, 2.0, 3.0, 30.0])
@@ -954,7 +955,7 @@ class TestAccuracy:
         # lam r ~ 0.12, just above the start, from the cancellation in
         # w' - w/2 of the Newton rows; beyond lam r = 1 it reads <= 4.7e-13
         for s in (canonical_solutions[-1], x8[-1]):
-            nodes, _ = radial_quadrature_rule(s.M**2, s.R)
+            nodes = radial_quadrature_rule(s.R)[0]
             nodes = nodes[nodes > s.delta]
             ref = _r_form(s).sol(nodes)
             for got, want in zip((s.u_at(nodes), s.uprime_at(nodes)), ref):
@@ -977,6 +978,17 @@ class TestAccuracy:
                            (s.int_m_u2, lambda r: m * s.u_at(r) ** 2),
                            (s.int_u6, lambda r: s.u_at(r) ** 6)]:
                 assert got == pytest.approx(oracle(f), rel=2e-12, abs=0)
+
+    def test_fit_residual_is_the_direct_norm(self, canonical_solutions, x8):
+        # the fit's residual, the gradient norm of u - alpha PU, against the
+        # same norm of the same difference in long double; the difference of
+        # squares |u'|^2 - <u', U'>^2/|U'|^2 read up to 2.7e-12 here
+        for s in (*canonical_solutions, *x8):
+            alpha, lam, residual = fit_bubble(s)
+            nodes, _, measure, _, up = s.sample
+            misfit = up.astype(np.longdouble) - np.longdouble(alpha) * u_prime(lam, nodes)
+            exact = np.sqrt(np.sum(measure * misfit**2))
+            assert abs(residual - exact) <= 1e-15 * exact
 
     def test_canonical_rungs_match_tight_reference(self, canonical_solutions):
         for s in canonical_solutions:
@@ -1034,13 +1046,12 @@ def _counting_call(dense, sizes, t):
 class TestRungSample:
     def test_sample_is_the_rule(self, canonical_solutions):
         for s in canonical_solutions:
-            nodes, wts, _, _ = s.sample
-            rule_nodes, rule_wts = radial_quadrature_rule(s.M**2, s.R)
-            assert np.array_equal(nodes, rule_nodes) and np.array_equal(wts, rule_wts)
+            for got, want in zip(s.sample[:3], radial_quadrature_rule(s.R)):
+                assert np.array_equal(got, want)
 
     def test_sample_is_the_dense_output(self, canonical_solutions):
         for s in canonical_solutions:
-            nodes, _, u, up = s.sample
+            nodes, _, _, u, up = s.sample
             assert np.array_equal(u, s.u_at(nodes))
             assert np.array_equal(up, s.uprime_at(nodes))
 
@@ -1171,7 +1182,7 @@ class TestGreensRepresentation:
             return [z1p, -z1]  # -Z'' + a Z = 0, a = -1
 
         traj = densify(ode_solve(rhs, [1e-10, 1.0], (1e-10, 1.0), tol=1e-13), rhs)
-        nodes, wts = radial_quadrature_rule(1.0, 1.0)
+        nodes, wts, _ = radial_quadrature_rule(1.0)
         z1 = traj(nodes)[0]
         z2 = np.asarray(cg.v(nodes))
         F = nodes * 1.0  # source f = 1 in the reduced variable
